@@ -1,0 +1,96 @@
+"""Report corpus: fixed `gyro` invocations whose reports must not change.
+
+Each case runs the CLI in-process from ``tests/corpus/`` (so table files
+are named by a relative path that ends up verbatim in the report) and
+compares its exit code and its stdout report, with ``wall_time_s``
+blanked, byte for byte against ``tests/corpus/<name>.json``.
+
+A change that is meant to alter a report rewrites the expected files:
+
+    PYTHONPATH=src python3 tests/test_corpus.py
+"""
+
+import contextlib
+import io
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from gyrokit.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
+
+CHAIN_025 = '{"kind": "radial_rapidity", "ratio": 0.25, "depth": 8}'
+CHAIN_050 = '{"kind": "radial_rapidity", "ratio": 0.5, "depth": 12}'
+CHAIN_060 = '{"kind": "radial_rapidity", "ratio": 0.6, "depth": 6}'
+CHAIN_Z6 = '{"kind": "finite_discrete", "table": "z6", "subgyrogroup": [0, 2, 4]}'
+
+# (name, exit code, argv)
+CASES = [
+    ("axioms-mobius", 0, ["axioms", "--model", "mobius", "--samples", "300"]),
+    ("axioms-einstein", 0, ["axioms", "--model", "einstein", "--samples", "300"]),
+    ("axioms-s3", 0, ["axioms", "--model", "table:s3"]),
+    ("axioms-product-tables", 0, ["axioms", "--model", "product:z2+z3"]),
+    ("axioms-product-balls", 0,
+     ["axioms", "--model", "product:mobius+einstein", "--samples", "200"]),
+    ("axioms-no-identity", 1, ["axioms", "--model", "table:no_identity.json"]),
+    ("identities-einstein", 0,
+     ["identities", "--model", "einstein", "--samples", "300", "--seed", "7"]),
+    ("identities-klein", 0, ["identities", "--model", "table:klein"]),
+    ("strong-base-mobius", 0, ["strong-base", "--samples", "300"]),
+    ("strong-base-einstein", 0, ["strong-base", "--model", "einstein", "--samples", "200"]),
+    ("prenorm-mobius", 0, ["prenorm", "--chain", CHAIN_025, "--samples", "300"]),
+    ("prenorm-z4", 0, ["prenorm", "--model", "table:z4", "--subgyrogroup", "0,2"]),
+    ("prenorm-ratio-0.6", 1, ["prenorm", "--chain", CHAIN_060, "--samples", "200"]),
+    ("metric-mobius-half", 0, ["metric", "--chain", CHAIN_050, "--samples", "300"]),
+    ("metric-einstein", 0,
+     ["metric", "--model", "einstein", "--chain", CHAIN_025, "--samples", "300"]),
+    ("metric-ratio-0.6", 1, ["metric", "--chain", CHAIN_060, "--samples", "200"]),
+    ("metric-klein", 0, ["metric", "--model", "table:klein", "--subgyrogroup", "0,1"]),
+    ("admissible-mobius", 0, ["admissible", "--chain", CHAIN_025, "--samples", "300"]),
+    ("admissible-z6", 0, ["admissible", "--model", "table:z6", "--subgyrogroup", "0,3"]),
+    ("admissible-finite-spec", 0, ["admissible", "--model", "table:z6", "--chain", CHAIN_Z6]),
+    ("table-validate-s3", 0, ["table-validate", "--model", "table:s3"]),
+    ("table-validate-not-latin", 1, ["table-validate", "--model", "table:not_latin.json"]),
+    ("table-validate-latin5", 1, ["table-validate", "--model", "table:latin5.json"]),
+    ("table-validate-no-identity", 1,
+     ["table-validate", "--model", "table:no_identity.json"]),
+    ("subgyrogroups-s3", 0, ["subgyrogroups", "--model", "table:s3"]),
+    ("cosets-z6", 0, ["cosets", "--model", "table:z6", "--subgyrogroup", "0,3"]),
+    ("cosets-not-closed", 1, ["cosets", "--model", "table:z4", "--subgyrogroup", "0,1"]),
+    ("search-order-4", 0, ["search", "--order", "4"]),
+]
+
+_WALL = re.compile(r'"wall_time_s":[^,}]*')
+
+
+def run_case(argv):
+    """Exit code and blanked stdout report of one in-process invocation."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(CORPUS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, _WALL.sub('"wall_time_s":null', out.getvalue())
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_corpus(name, code, argv):
+    got_code, got = run_case(argv)
+    assert got_code == code
+    assert got == (CORPUS / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, code, argv in CASES:
+        got_code, got = run_case(argv)
+        if got_code != code:
+            sys.exit(f"{name}: exit code {got_code}, expected {code}")
+        (CORPUS / f"{name}.json").write_text(got, encoding="utf-8")
+        print(f"wrote {name}.json")
