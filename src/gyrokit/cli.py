@@ -10,55 +10,48 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass, field
+
+from functools import partial
 
 from .core import check_axioms, check_identities
 from .errors import (
     AxiomViolationError,
+    CarrierDomainError,
     ChainConditionError,
     ResourceLimitError,
+    SamplingError,
     TableFormatError,
     UsageError,
 )
 from .models import EinsteinModel, MobiusModel, check_strong_base
 from .prenorm import (
-    QuotientMetricSpace,
-    build_dyadic,
-    check_metric_properties,
-    check_prenorm_properties,
+    check_chain,
     finite_chain,
-    make_prenorm,
     parse_chain_spec,
     radial_chain,
     validate_admissible_chain,
 )
-from .report import CheckResult, VerificationReport, canonical_json
+from .report import canonical_json, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig
 from .tables import (
     BUILTIN_TABLE_NAMES,
     TableModel,
     builtin_table,
-    coset_partition,
-    enumerate_subgyrogroups,
-    is_L_subgyrogroup,
+    check_cosets,
+    check_search,
+    check_subgyrogroups,
     load_table,
     product_model,
-    search_gyrogroups,
     validate_table,
 )
 
-SUITES = {
-    "axioms": "gyrogroup axioms on a sampled or exhaustive carrier",
-    "identities": "derived cancellation and decomposition identities",
-    "strong-base": "gyration stability of balls, norms and commuted sums",
-    "prenorm": "dyadic scale family: sandwich, invariance, subadditivity",
-    "metric": "pseudometric and quotient separation axioms",
-    "admissible": "level-by-level double-sum admissibility of a chain",
-    "table-validate": "exhaustive axiom check of a finite table",
-    "subgyrogroups": "enumerate closed subsets of a finite table",
-    "cosets": "left coset partition induced by an invariant subset",
-    "search": "exhaustive search for tables of a small order",
+# the exit code of each error that stops a run; a finished run exits 0
+# when its report passes and 1 when it fails
+EXIT_CODES = {
+    UsageError: 2, SamplingError: 2, ResourceLimitError: 2, CarrierDomainError: 2,
+    TableFormatError: 3, OSError: 3,
+    ChainConditionError: 1, AxiomViolationError: 1,
 }
 
 
@@ -117,11 +110,11 @@ def _require_table(cfg: RunConfig):
     return _resolve_table(cfg.model[len("table:"):])
 
 
-def _parse_subgyrogroup(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"--subgyrogroup expects comma-separated indices: {exc}") from exc
+def _required(cfg: RunConfig, option: str):
+    value = getattr(cfg, option)
+    if value is None:
+        raise UsageError(f"{cfg.suite} needs --{option.replace('_', '-')}")
+    return value
 
 
 def _build_chain(cfg: RunConfig, model):
@@ -141,153 +134,73 @@ def _build_chain(cfg: RunConfig, model):
     return radial_chain(model, depth=depth)
 
 
-def _structure_failure(suite, model_name, exc):
-    report = VerificationReport(suite=suite, model=model_name, tolerances={})
-    report.checks.append(
-        CheckResult("table_structure", False, 1.0, "exhaustive", witness={"error": str(exc)})
-    )
-    return report
+def _on_model(check, chain=False):
+    """Runner of a sampled suite over --model, or over the chain built on it;
+    a table without unique identity or inverses gives a failing report."""
+
+    def run(cfg: RunConfig):
+        try:
+            model = _resolve_model(cfg.model)
+        except AxiomViolationError as exc:
+            with suite_report(cfg.suite, cfg.model) as report:
+                report.checks.append(witness_check("table_structure", {"error": str(exc)}))
+            return report
+        target = _build_chain(cfg, model) if chain else model
+        return check(target, sampler=Sampler(cfg.seed), n_samples=cfg.samples, tol=cfg.tol)
+
+    return run
+
+
+# suite name -> (description, runner taking a RunConfig and returning its report)
+SUITE_TABLE = {
+    "axioms": ("gyrogroup axioms on a sampled or exhaustive carrier", _on_model(check_axioms)),
+    "identities": (
+        "derived cancellation and decomposition identities", _on_model(check_identities)
+    ),
+    "strong-base": (
+        "gyration stability of balls, norms and commuted sums", _on_model(check_strong_base)
+    ),
+    "prenorm": (
+        "dyadic scale family: sandwich, invariance, subadditivity",
+        _on_model(partial(check_chain, "prenorm"), chain=True),
+    ),
+    "metric": (
+        "pseudometric and quotient separation axioms",
+        _on_model(partial(check_chain, "metric"), chain=True),
+    ),
+    "admissible": (
+        "level-by-level double-sum admissibility of a chain",
+        _on_model(validate_admissible_chain, chain=True),
+    ),
+    "table-validate": (
+        "exhaustive axiom check of a finite table",
+        lambda cfg: validate_table(_require_table(cfg)),
+    ),
+    "subgyrogroups": (
+        "enumerate closed subsets of a finite table",
+        lambda cfg: check_subgyrogroups(_require_table(cfg)),
+    ),
+    "cosets": (
+        "left coset partition induced by an invariant subset",
+        lambda cfg: check_cosets(_require_table(cfg), _required(cfg, "subgyrogroup")),
+    ),
+    "search": (
+        "exhaustive search for tables of a small order",
+        lambda cfg: check_search(_required(cfg, "order"), cfg.max_results),
+    ),
+}
+SUITES = {name: description for name, (description, _) in SUITE_TABLE.items()}
 
 
 def run_suite(cfg: RunConfig):
     """Execute one suite; returns (report, exit_code)."""
-    sampler = Sampler(cfg.seed)
-
-    if cfg.suite == "search":
-        if cfg.order is None:
-            raise UsageError("search needs --order")
-        start = time.perf_counter()
-        found = search_gyrogroups(cfg.order, max_results=cfg.max_results)
-        ok = True
-        for t in found:
-            rep = validate_table(t)
-            ok = ok and rep.passed
-        report = VerificationReport(suite="search", model=f"order{cfg.order}", tolerances={})
-        report.checks.append(
-            CheckResult("all_candidates_valid", ok, float(not ok), len(found))
-        )
-        report.notes["count"] = len(found)
-        report.notes["tables"] = [t.to_dict() for t in found]
-        report.wall_time_s = time.perf_counter() - start
-        return report, 0 if report.passed else 1
-
-    if cfg.suite == "table-validate":
-        report = validate_table(_require_table(cfg))
-        return report, 0 if report.passed else 1
-
-    if cfg.suite == "subgyrogroups":
-        t = _require_table(cfg)
-        start = time.perf_counter()
-        subs = enumerate_subgyrogroups(t)
-        report = VerificationReport(suite="subgyrogroups", model=t.name, tolerances={})
-        report.checks.append(CheckResult("enumeration", True, 0.0, "exhaustive"))
-        report.notes["count"] = len(subs)
-        report.notes["subgyrogroups"] = [
-            {
-                "elements": [t.labels[i] for i in s.elements],
-                "indices": list(s.elements),
-                "invariant_under_all_gyrations": s.is_L_subgyrogroup,
-            }
-            for s in subs
-        ]
-        report.wall_time_s = time.perf_counter() - start
-        return report, 0
-
-    if cfg.suite == "cosets":
-        t = _require_table(cfg)
-        if cfg.subgyrogroup is None:
-            raise UsageError("cosets needs --subgyrogroup")
-        start = time.perf_counter()
-        report = VerificationReport(suite="cosets", model=t.name, tolerances={})
-        H = sorted(set(cfg.subgyrogroup))
-        try:
-            is_l = is_L_subgyrogroup(t, H)
-        except AxiomViolationError as exc:
-            report.checks.append(
-                CheckResult("is_subgyrogroup", False, 1.0, "exhaustive",
-                            witness={"error": str(exc)})
-            )
-            report.wall_time_s = time.perf_counter() - start
-            return report, 1
-        report.checks.append(CheckResult("is_subgyrogroup", True, 0.0, "exhaustive"))
-        report.checks.append(
-            CheckResult("invariant_under_all_gyrations", is_l, float(not is_l), "exhaustive")
-        )
-        if not is_l:
-            report.wall_time_s = time.perf_counter() - start
-            return report, 1
-        blocks, pi = coset_partition(t, H)
-        sizes = sorted({len(b) for b in blocks})
-        report.checks.append(
-            CheckResult("equal_block_sizes", sizes == [len(H)], 0.0, "exhaustive")
-        )
-        covered = sorted(i for b in blocks for i in b)
-        report.checks.append(
-            CheckResult(
-                "disjoint_cover", covered == list(range(t.order)), 0.0, "exhaustive"
-            )
-        )
-        report.notes["blocks"] = [[t.labels[i] for i in b] for b in blocks]
-        report.notes["projection"] = pi.tolist()
-        report.wall_time_s = time.perf_counter() - start
-        return report, 0 if report.passed else 1
-
-    # model-based suites
-    try:
-        model = _resolve_model(cfg.model)
-    except AxiomViolationError as exc:
-        return _structure_failure(cfg.suite, cfg.model, exc), 1
-
-    if cfg.suite == "axioms":
-        report = check_axioms(model, sampler, cfg.samples, cfg.tol)
-        return report, 0 if report.passed else 1
-    if cfg.suite == "identities":
-        report = check_identities(model, sampler, cfg.samples, cfg.tol)
-        return report, 0 if report.passed else 1
-    if cfg.suite == "strong-base":
-        report = check_strong_base(model, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
-        return report, 0 if report.passed else 1
-
-    if cfg.suite == "admissible":
-        chain = _build_chain(cfg, model)
-        report = validate_admissible_chain(chain, sampler, cfg.samples, cfg.tol)
-        return report, 0 if report.passed else 1
-
-    if cfg.suite in ("prenorm", "metric"):
-        chain = _build_chain(cfg, model)
-        try:
-            family = build_dyadic(chain)
-        except ChainConditionError as exc:
-            report = VerificationReport(
-                suite=cfg.suite,
-                model=model.name,
-                seed=cfg.seed,
-                tolerances=cfg.tol.to_dict(),
-                notes={"chain": chain.describe()},
-            )
-            report.checks.append(
-                CheckResult(
-                    "halving_condition",
-                    False,
-                    1.0,
-                    chain.depth,
-                    witness={"error": str(exc), "level": exc.level},
-                )
-            )
-            return report, 1
-        if cfg.suite == "prenorm":
-            report = check_prenorm_properties(family, sampler, cfg.samples, cfg.tol)
-            return report, 0 if report.passed else 1
-        prenorm = make_prenorm(family)
-        sub = list(getattr(family.chain, "H", [])) or None
-        space = QuotientMetricSpace(model, prenorm, sub)
-        report = check_metric_properties(space, sampler, cfg.samples, cfg.tol)
-        return report, 0 if report.passed else 1
-
-    raise UsageError(f"unknown suite {cfg.suite!r}")
+    if cfg.suite not in SUITE_TABLE:
+        raise UsageError(f"unknown suite {cfg.suite!r}")
+    report = SUITE_TABLE[cfg.suite][1](cfg)
+    return report, 0 if report.passed else 1
 
 
-def _human_lines(report: VerificationReport, stream):
+def _human_lines(report, stream):
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         kind = c.samples if isinstance(c.samples, str) else f"{c.samples} samples"
@@ -304,7 +217,32 @@ def _human_lines(report: VerificationReport, stream):
     )
 
 
+def _at_least(low, kind):
+    """argparse type: a number of the given kind that is at least ``low``."""
+
+    def parse(text):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _indices(text):
+    """argparse type: comma-separated nonnegative element indices."""
+    try:
+        indices = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects comma-separated indices: {exc}") from None
+    if not indices or min(indices) < 0:
+        raise argparse.ArgumentTypeError(f"expects nonnegative indices, got {text!r}")
+    return indices
+
+
 def build_parser() -> argparse.ArgumentParser:
+    count = _at_least(1, int)
     p = argparse.ArgumentParser(
         prog="gyro",
         description="Verification suites for gyrogroup models, finite tables "
@@ -313,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", choices=sorted(SUITES), help="suite to run")
     p.add_argument("--model", default="mobius",
                    help="mobius | einstein | table:<name-or-path> | product:<a>+<b>")
-    p.add_argument("--samples", type=int, default=10000, help="sample count (default 10000)")
+    p.add_argument("--samples", type=count, default=10000, help="sample count (default 10000)")
     p.add_argument("--seed", type=int, default=42, help="root seed (default 42)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_at_least(0.0, float), default=None,
                    help="override both absolute and relative tolerance")
     p.add_argument("--chain", default=None,
                    help='chain spec JSON, e.g. {"kind":"radial_rapidity","ratio":0.25}')
-    p.add_argument("--subgyrogroup", default=None,
+    p.add_argument("--subgyrogroup", type=_indices, default=None,
                    help="comma-separated element indices, e.g. 0,2")
-    p.add_argument("--depth", type=int, default=None, help="chain depth (default 24)")
-    p.add_argument("--order", type=int, default=None, help="table order for search")
-    p.add_argument("--max-results", type=int, default=None, help="cap search results")
+    p.add_argument("--depth", type=count, default=None, help="chain depth (default 24)")
+    p.add_argument("--order", type=count, default=None, help="table order for search")
+    p.add_argument("--max-results", type=count, default=None, help="cap search results")
     p.add_argument("--out", default=None, help="write the JSON report to this path")
     p.add_argument("--list-suites", action="store_true", help="list suites and exit")
     return p
@@ -331,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return exc.code
 
     if args.list_suites:
         for name in sorted(SUITES):
@@ -343,48 +284,31 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        tol = ToleranceConfig() if args.tol is None else ToleranceConfig(
-            abs_tol=args.tol, rel_tol=args.tol
-        )
         cfg = RunConfig(
             suite=args.suite,
             model=args.model,
             samples=args.samples,
             seed=args.seed,
-            tol=tol,
-            chain=None if args.chain is None else parse_chain_spec(args.chain),
-            subgyrogroup=(
-                None if args.subgyrogroup is None else _parse_subgyrogroup(args.subgyrogroup)
+            tol=ToleranceConfig() if args.tol is None else ToleranceConfig(
+                abs_tol=args.tol, rel_tol=args.tol
             ),
+            chain=None if args.chain is None else parse_chain_spec(args.chain),
+            subgyrogroup=args.subgyrogroup,
             depth=args.depth,
             order=args.order,
             max_results=args.max_results,
         )
         report, code = run_suite(cfg)
-    except UsageError as exc:
-        print(f"gyro: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"gyro: {exc}", file=sys.stderr)
-        return 2
-    except TableFormatError as exc:
-        print(f"gyro: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"gyro: {exc}", file=sys.stderr)
-        return 3
-
-    _human_lines(report, sys.stderr)
-    payload = canonical_json(report.to_dict()) + "\n"
-    if args.out:
-        try:
+        _human_lines(report, sys.stderr)
+        payload = canonical_json(report.to_dict()) + "\n"
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-        except OSError as exc:
-            print(f"gyro: {exc}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(payload)
+        else:
+            sys.stdout.write(payload)
+    except tuple(EXIT_CODES) as exc:
+        print(f"gyro: {exc}", file=sys.stderr)
+        return next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
     return code
 
 

@@ -16,12 +16,10 @@ reflects the algebra, not the conditioning of the sample.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .errors import ResourceLimitError
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, suite_report
 from .sampling import Sampler, ToleranceConfig, ball_points, sample_operands
 
 # rapidity beyond which a float64 intermediate is no longer trusted;
@@ -343,25 +341,20 @@ def _continuous_streams(model, gen, n, base, wit, witnesses, tol):
 
 
 def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
-    report = VerificationReport(
-        suite=suite,
-        seed=sampler.seed,
-        tolerances=tol.to_dict(),
-        model=model.name,
-    )
-    start = time.perf_counter()
-    for name, law, base, wit in checks:
-        if model.is_exact:
-            streams = _exhaustive_streams(model, base + wit)
-            result = run_law_check(model, name, law, streams, tol)
-        else:
-            gen = sampler.stream(suite, name)
-            streams = _continuous_streams(model, gen, n_samples, base, wit, witnesses, tol)
-            result = run_law_check(
-                model, name, law, streams, tol, samples_note=int(streams[0].shape[0])
-            )
-        report.checks.append(result)
-    report.wall_time_s = time.perf_counter() - start
+    sampler = sampler if sampler is not None else Sampler()
+    tol = tol if tol is not None else ToleranceConfig()
+    with suite_report(suite, model.name, sampler, tol) as report:
+        for name, law, base, wit in checks:
+            if model.is_exact:
+                streams = _exhaustive_streams(model, base + wit)
+                result = run_law_check(model, name, law, streams, tol)
+            else:
+                gen = sampler.stream(suite, name)
+                streams = _continuous_streams(model, gen, n_samples, base, wit, witnesses, tol)
+                result = run_law_check(
+                    model, name, law, streams, tol, samples_note=int(streams[0].shape[0])
+                )
+            report.checks.append(result)
     return report
 
 
@@ -372,16 +365,10 @@ def check_axioms(model, sampler=None, n_samples=10000, tol=None, witnesses=3):
     times ``witnesses`` for the pointwise gyration comparisons); finite
     carriers are checked exhaustively and exactly.
     """
-    sampler = sampler if sampler is not None else Sampler()
-    tol = tol if tol is not None else ToleranceConfig()
     return _run_suite(model, "axioms", AXIOM_CHECKS, sampler, n_samples, tol, witnesses)
 
 
 def check_identities(model, sampler=None, n_samples=10000, tol=None, witnesses=3):
     """Verify the cancellation laws, gyration agreement and the
     three-point decomposition of a difference."""
-    sampler = sampler if sampler is not None else Sampler()
-    tol = tol if tol is not None else ToleranceConfig()
-    return _run_suite(
-        model, "identities", IDENTITY_CHECKS, sampler, n_samples, tol, witnesses
-    )
+    return _run_suite(model, "identities", IDENTITY_CHECKS, sampler, n_samples, tol, witnesses)

@@ -20,9 +20,8 @@ import numpy as np
 from . import ddarith as dd
 from .core import GyrogroupModel, derived_gyration, run_law_check
 from .errors import CarrierDomainError, UsageError
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, suite_report
 from .sampling import Sampler, ToleranceConfig, directions
-import time
 
 # ---------------------------------------------------------------------------
 # real-pair complex helpers (double path)
@@ -451,91 +450,85 @@ def check_strong_base(
         np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
     )
 
-    report = VerificationReport(
-        suite=suite, seed=sampler.seed, tolerances=tol.to_dict(), model=model.name
-    )
-    start = time.perf_counter()
-
     def ball_stream(gen, n, radius):
         # Euclidean-uniform points of the ball around `center`
         u = gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim)
         return center + (radius * u)[:, None] * directions(gen, n, model.dim)
 
-    for radius in ball_radii:
-        r = float(radius)
-        tag = f"r={r:g}"
-        gen = sampler.stream(suite, f"ball_invariance_{tag}")
-        x, y = model.sample_operands(gen, n_samples, 2, tol)
-        p = ball_stream(gen, n_samples, r)
-        q = ball_stream(gen, n_samples, r)
+    with suite_report(suite, model.name, sampler, tol) as report:
+        for radius in ball_radii:
+            r = float(radius)
+            tag = f"r={r:g}"
+            gen = sampler.stream(suite, f"ball_invariance_{tag}")
+            x, y = model.sample_operands(gen, n_samples, 2, tol)
+            p = ball_stream(gen, n_samples, r)
+            q = ball_stream(gen, n_samples, r)
 
-        def law_forward(ops, x, y, p):
-            return [(ops.gyr(x, y, p), p)]
+            def law_forward(ops, x, y, p):
+                return [(ops.gyr(x, y, p), p)]
 
-        def law_preimage(ops, x, y, q):
-            return [(ops.gyr(y, x, q), q)]
+            def law_preimage(ops, x, y, q):
+                return [(ops.gyr(y, x, q), q)]
 
-        def law_roundtrip(ops, x, y, q):
-            return [(ops.gyr(x, y, ops.gyr(y, x, q)), q)]
+            def law_roundtrip(ops, x, y, q):
+                return [(ops.gyr(x, y, ops.gyr(y, x, q)), q)]
 
-        fwd = run_law_check(
-            model, f"ball_forward_{tag}", law_forward, [x, y, p], tol,
-            comparator=_membership_excess(model, center, r),
-        )
-        pre = run_law_check(
-            model, f"ball_preimage_{tag}", law_preimage, [x, y, q], tol,
-            comparator=_membership_excess(model, center, r),
-        )
-        rt = run_law_check(
-            model, f"ball_roundtrip_{tag}", law_roundtrip, [x, y, q], tol
-        )
-        report.checks.extend([fwd, pre, rt])
+            fwd = run_law_check(
+                model, f"ball_forward_{tag}", law_forward, [x, y, p], tol,
+                comparator=_membership_excess(model, center, r),
+            )
+            pre = run_law_check(
+                model, f"ball_preimage_{tag}", law_preimage, [x, y, q], tol,
+                comparator=_membership_excess(model, center, r),
+            )
+            rt = run_law_check(
+                model, f"ball_roundtrip_{tag}", law_roundtrip, [x, y, q], tol
+            )
+            report.checks.extend([fwd, pre, rt])
 
-    gen = sampler.stream(suite, "norm_preservation")
-    x, y, z = model.sample_operands(gen, n_samples, 3, tol)
+        gen = sampler.stream(suite, "norm_preservation")
+        x, y, z = model.sample_operands(gen, n_samples, 3, tol)
 
-    def law_norm(ops, x, y, z):
-        return [(ops.gyr(x, y, z), z)]
+        def law_norm(ops, x, y, z):
+            return [(ops.gyr(x, y, z), z)]
 
-    report.checks.append(
-        run_law_check(
-            model, "norm_preservation", law_norm, [x, y, z], tol,
-            comparator=_norm_compare(model),
-        )
-    )
-
-    gen = sampler.stream(suite, "commutation_norm")
-    x, y = model.sample_operands(gen, n_samples, 2, tol)
-
-    def law_comm(ops, x, y):
-        return [(ops.oplus(x, y), ops.oplus(y, x))]
-
-    report.checks.append(
-        run_law_check(
-            model, "commutation_norm", law_comm, [x, y], tol,
-            comparator=_norm_compare(model),
-        )
-    )
-
-    if isinstance(model, MobiusModel):
-        gen = sampler.stream(suite, "rotation_factor_modulus")
-        a, b = model.sample_operands(gen, n_samples, 2, tol)
-        num, den = _m_gyr_factor(a, b)
-        dev = np.abs(
-            np.sqrt(_re(num) ** 2 + _im(num) ** 2)
-            / np.sqrt(_re(den) ** 2 + _im(den) ** 2)
-            - 1.0
-        )
-        # unimodularity is a sharp property of the formula; 1e-12 regardless
-        # of the suite tolerance
         report.checks.append(
-            CheckResult(
-                "rotation_factor_modulus",
-                bool(np.all(dev <= 1e-12)),
-                float(dev.max()),
-                int(a.shape[0]),
+            run_law_check(
+                model, "norm_preservation", law_norm, [x, y, z], tol,
+                comparator=_norm_compare(model),
             )
         )
 
-    report.wall_time_s = time.perf_counter() - start
+        gen = sampler.stream(suite, "commutation_norm")
+        x, y = model.sample_operands(gen, n_samples, 2, tol)
+
+        def law_comm(ops, x, y):
+            return [(ops.oplus(x, y), ops.oplus(y, x))]
+
+        report.checks.append(
+            run_law_check(
+                model, "commutation_norm", law_comm, [x, y], tol,
+                comparator=_norm_compare(model),
+            )
+        )
+
+        if isinstance(model, MobiusModel):
+            gen = sampler.stream(suite, "rotation_factor_modulus")
+            a, b = model.sample_operands(gen, n_samples, 2, tol)
+            num, den = _m_gyr_factor(a, b)
+            dev = np.abs(
+                np.sqrt(_re(num) ** 2 + _im(num) ** 2)
+                / np.sqrt(_re(den) ** 2 + _im(den) ** 2)
+                - 1.0
+            )
+            # unimodularity is a sharp property of the formula; 1e-12 regardless
+            # of the suite tolerance
+            report.checks.append(
+                CheckResult(
+                    "rotation_factor_modulus",
+                    bool(np.all(dev <= 1e-12)),
+                    float(dev.max()),
+                    int(a.shape[0]),
+                )
+            )
     return report

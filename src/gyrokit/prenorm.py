@@ -13,16 +13,15 @@ extraction. They must agree, and the test suite holds them to that.
 from __future__ import annotations
 
 import json
-import time
 from fractions import Fraction
 
 import numpy as np
 
-from .core import GyrogroupModel
+from .core import GyrogroupModel, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, directions
-from .tables import TableModel, gyr_tensor
+from .tables import TableModel, coset_partition
 
 DEFAULT_RATIO = 0.25
 DEFAULT_DEPTH = 24
@@ -397,122 +396,117 @@ def check_prenorm_properties(
     tol = tol or ToleranceConfig()
     model = family.model
     prenorm = make_prenorm(family)
-    report = VerificationReport(
-        suite="prenorm",
-        model=model.name,
-        seed=sampler.seed,
-        tolerances=tol.to_dict(),
-        depth=family.depth,
-        notes={"chain": family.chain.describe()},
-    )
-    start = time.perf_counter()
-    finite = isinstance(family.chain, FiniteChain)
-
-    top = family.depth if max_sandwich_level is None else min(max_sandwich_level, family.depth)
-    levels = range(top + 1)
-    for n in levels:
-        if finite:
-            pts = np.arange(model.order)
-            note = "exhaustive"
-        else:
-            gen = sampler.stream("prenorm", f"sandwich_{n}")
-            t_n = float(family.chain.t[n])
-            pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * t_n)
-            note = None
-        N = prenorm(pts)
-        inner = N < 2.0 ** -n
-        outer = N <= 2.0 ** (1 - n)
-        member = family.chain.level_member(n, pts)
-        bad = np.count_nonzero((inner & ~member) | (member & ~outer))
-        res = CheckResult(
-            f"sandwich_level_{n}",
-            bad == 0,
-            float(bad) / max(1, len(N)),
-            note or len(N),
-        )
-        if bad:
-            i = int(np.argmax((inner & ~member) | (member & ~outer)))
-            res.witness = {
-                "index": i,
-                "prenorm": float(N[i]),
-                "member": bool(member[i]),
-            }
-        report.checks.append(res)
-
-    if finite:
-        T = model.source.table
-        B = gyr_tensor(T)
-        N_all = prenorm(np.arange(model.order))
-        gy = N_all[B]  # (u, v, x)
-        diff = np.abs(gy - N_all[None, None, :])
-        ok = bool((diff == 0).all())
-        res = CheckResult("gyration_invariance", ok, float(diff.max()), "exhaustive")
-        if not ok:
-            u, v, x = map(int, np.argwhere(diff > 0)[0])
-            res.witness = {"pivots": [model.labels[u], model.labels[v]], "point": model.labels[x]}
-        report.checks.append(res)
-
-        sums = N_all[T] - (N_all[:, None] + N_all[None, :])
-        ok = bool((sums <= 0).all())
-        report.checks.append(
-            CheckResult("subadditivity", ok, float(max(0.0, sums.max())), "exhaustive")
-        )
-        inv = model.source.inverses()
-        ok = bool((N_all[inv] == N_all).all())
-        report.checks.append(
-            CheckResult(
-                "inversion_symmetry", ok, float(np.abs(N_all[inv] - N_all).max()), "exhaustive"
+    with suite_report(
+        "prenorm", model.name, sampler, tol,
+        depth=family.depth, notes={"chain": family.chain.describe()},
+    ) as report:
+        finite = isinstance(family.chain, FiniteChain)
+        top = family.depth if max_sandwich_level is None else min(max_sandwich_level, family.depth)
+        for n in range(top + 1):
+            if finite:
+                pts = np.arange(model.order)
+                note = "exhaustive"
+            else:
+                gen = sampler.stream("prenorm", f"sandwich_{n}")
+                t_n = float(family.chain.t[n])
+                pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * t_n)
+                note = None
+            N = prenorm(pts)
+            inner = N < 2.0 ** -n
+            outer = N <= 2.0 ** (1 - n)
+            member = family.chain.level_member(n, pts)
+            bad = np.count_nonzero((inner & ~member) | (member & ~outer))
+            res = CheckResult(
+                f"sandwich_level_{n}",
+                bad == 0,
+                float(bad) / max(1, len(N)),
+                note or len(N),
             )
-        )
-    else:
-        full = float(np.sum(family.chain.t))
-        gen = sampler.stream("prenorm", "gyration_invariance")
-        x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-        u = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
-        v = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
-        diff = np.abs(prenorm(model.gyr(u, v, x)) - prenorm(x))
-        i, worst, _ = _worst(diff, tol.abs_tol)
-        res = CheckResult("gyration_invariance", worst <= tol.abs_tol, worst, n_samples)
-        if not res.passed:
-            res.witness = {"x": x[i].tolist(), "u": u[i].tolist(), "v": v[i].tolist()}
-        report.checks.append(res)
-
-        gen = sampler.stream("prenorm", "subadditivity")
-        x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
-        y = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
-        slack = family.grid_step + tol.abs_tol
-        excess = prenorm(model.oplus(x, y)) - (prenorm(x) + prenorm(y))
-        i, worst, _ = _worst(excess, slack)
-        res = CheckResult("subadditivity", worst <= slack, max(0.0, worst), n_samples)
-        if not res.passed:
-            res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "excess": worst}
-        report.checks.append(res)
-
-        gen = sampler.stream("prenorm", "inversion_symmetry")
-        x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-        diff = np.abs(prenorm(model.neg(x)) - prenorm(x))
-        report.checks.append(
-            CheckResult("inversion_symmetry", bool((diff == 0).all()), float(diff.max()), n_samples)
-        )
-
-        if isinstance(family.chain, RadialChain) and family.chain.ratio == 0.5:
-            # closed form at this ratio: thresholds are linear in the index,
-            # so the prenorm is the grid ceiling of rapidity / t0
-            gen = sampler.stream("prenorm", "closed_form")
-            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-            scale = 2.0 ** family.depth
-            expected = np.minimum(
-                np.ceil(rapidity(model, x) / family.chain.t0 * scale) / scale, 2.0
-            )
-            diff = np.abs(prenorm(x) - expected)
-            limit = family.grid_step + tol.abs_tol
-            i, worst, okw = _worst(diff, limit)
-            res = CheckResult("closed_form_agreement", okw, worst, n_samples)
-            if not okw:
-                res.witness = {"x": x[i].tolist(), "difference": worst}
+            if bad:
+                i = int(np.argmax((inner & ~member) | (member & ~outer)))
+                res.witness = {
+                    "index": i,
+                    "prenorm": float(N[i]),
+                    "member": bool(member[i]),
+                }
             report.checks.append(res)
 
-    report.wall_time_s = time.perf_counter() - start
+        if finite:
+            T = model.source.table
+            B = model.source.gyrations()
+            N_all = prenorm(np.arange(model.order))
+            gy = N_all[B]  # (u, v, x)
+            diff = np.abs(gy - N_all[None, None, :])
+            ok = bool((diff == 0).all())
+            res = CheckResult("gyration_invariance", ok, float(diff.max()), "exhaustive")
+            if not ok:
+                u, v, x = map(int, np.argwhere(diff > 0)[0])
+                res.witness = {
+                    "pivots": [model.labels[u], model.labels[v]], "point": model.labels[x]
+                }
+            report.checks.append(res)
+
+            sums = N_all[T] - (N_all[:, None] + N_all[None, :])
+            ok = bool((sums <= 0).all())
+            report.checks.append(
+                CheckResult("subadditivity", ok, float(max(0.0, sums.max())), "exhaustive")
+            )
+            inv = model.source.inverses()
+            ok = bool((N_all[inv] == N_all).all())
+            report.checks.append(
+                CheckResult(
+                    "inversion_symmetry", ok, float(np.abs(N_all[inv] - N_all).max()), "exhaustive"
+                )
+            )
+        else:
+            full = float(np.sum(family.chain.t))
+            gen = sampler.stream("prenorm", "gyration_invariance")
+            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
+            u = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
+            v = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
+            diff = np.abs(prenorm(model.gyr(u, v, x)) - prenorm(x))
+            i, worst, _ = _worst(diff, tol.abs_tol)
+            res = CheckResult("gyration_invariance", worst <= tol.abs_tol, worst, n_samples)
+            if not res.passed:
+                res.witness = {"x": x[i].tolist(), "u": u[i].tolist(), "v": v[i].tolist()}
+            report.checks.append(res)
+
+            gen = sampler.stream("prenorm", "subadditivity")
+            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
+            y = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
+            slack = family.grid_step + tol.abs_tol
+            excess = prenorm(model.oplus(x, y)) - (prenorm(x) + prenorm(y))
+            i, worst, _ = _worst(excess, slack)
+            res = CheckResult("subadditivity", worst <= slack, max(0.0, worst), n_samples)
+            if not res.passed:
+                res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "excess": worst}
+            report.checks.append(res)
+
+            gen = sampler.stream("prenorm", "inversion_symmetry")
+            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
+            diff = np.abs(prenorm(model.neg(x)) - prenorm(x))
+            report.checks.append(
+                CheckResult(
+                    "inversion_symmetry", bool((diff == 0).all()), float(diff.max()), n_samples
+                )
+            )
+
+            if isinstance(family.chain, RadialChain) and family.chain.ratio == 0.5:
+                # closed form at this ratio: thresholds are linear in the index,
+                # so the prenorm is the grid ceiling of rapidity / t0
+                gen = sampler.stream("prenorm", "closed_form")
+                x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
+                scale = 2.0 ** family.depth
+                expected = np.minimum(
+                    np.ceil(rapidity(model, x) / family.chain.t0 * scale) / scale, 2.0
+                )
+                diff = np.abs(prenorm(x) - expected)
+                limit = family.grid_step + tol.abs_tol
+                i, worst, okw = _worst(diff, limit)
+                res = CheckResult("closed_form_agreement", okw, worst, n_samples)
+                if not okw:
+                    res.witness = {"x": x[i].tolist(), "difference": worst}
+                report.checks.append(res)
     return report
 
 
@@ -530,157 +524,126 @@ def check_metric_properties(
     model = space.model
     prenorm = space.prenorm
     family = getattr(prenorm, "family", None)
-    report = VerificationReport(
-        suite="metric",
-        model=model.name,
-        seed=sampler.seed,
-        tolerances=tol.to_dict(),
-        depth=None if family is None else family.depth,
-    )
-    start = time.perf_counter()
-    finite = model.is_exact
+    depth = None if family is None else family.depth
+    with suite_report("metric", model.name, sampler, tol, depth=depth) as report:
+        finite = model.is_exact
+        if finite:
+            pts = np.arange(model.order)
+            x, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
+            x, y, z = x.ravel(), y.ravel(), z.ravel()
+            note = "exhaustive"
+            slack = 0.0
+        else:
+            chain = family.chain
+            gen = sampler.stream("metric", "triples")
+            cap = 0.95 * chain.t0
+            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
+            y = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
+            z = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
+            note = n_samples
+            slack = tol.abs_tol + 4.0 * family.grid_step
 
-    if finite:
-        pts = np.arange(model.order)
-        x, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
-        x, y, z = x.ravel(), y.ravel(), z.ravel()
-        note = "exhaustive"
-        slack = 0.0
-    else:
-        chain = family.chain
-        gen = sampler.stream("metric", "triples")
-        cap = 0.95 * chain.t0
-        x = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-        y = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-        z = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-        note = n_samples
-        slack = tol.abs_tol + 4.0 * family.grid_step
-
-    dxy = space.d(x, y)
-    report.checks.append(
-        CheckResult("d_identity", bool((space.d(x, x) == 0).all()), 0.0, note)
-    )
-    sym = np.abs(dxy - space.d(y, x))
-    report.checks.append(
-        CheckResult("d_symmetry", bool((sym == 0).all()), float(sym.max()), note)
-    )
-    tri = space.d(x, z) - (dxy + space.d(y, z))
-    worst = float(tri.max())
-    report.checks.append(
-        CheckResult("d_triangle", worst <= tol.abs_tol, max(0.0, worst), note)
-    )
-
-    rxy = space.rho(x, y)
-    # the prenorm is quantized to the depth grid, so separation of a
-    # point from itself can only be bounded by the grid resolution
-    ident = space.rho(x, x)
-    res = CheckResult("rho_identity", bool((ident <= slack).all()), float(ident.max()), note)
-    report.checks.append(res)
-    sym = np.abs(rxy - space.rho(y, x))
-    report.checks.append(
-        CheckResult("rho_symmetry", bool((sym == 0).all()), float(sym.max()), note)
-    )
-    tri = space.rho(x, z) - (rxy + space.rho(y, z))
-    worst = float(tri.max())
-    res = CheckResult("rho_triangle", worst <= slack, max(0.0, worst), note)
-    if not res.passed and not finite:
-        i = int(np.argmax(tri))
-        res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
-    report.checks.append(res)
-
-    if not finite:
-        # the proof-step decomposition behind the triangle inequality
-        nx = model.neg(x)
-        lhs = model.oplus(nx, y)
-        rhs = model.oplus(
-            model.oplus(nx, z), model.gyr(nx, z, model.oplus(model.neg(z), y))
+        dxy = space.d(x, y)
+        report.checks.append(
+            CheckResult("d_identity", bool((space.d(x, x) == 0).all()), 0.0, note)
         )
-        diff = model.distance(lhs, rhs)
-        mag = np.maximum(model.magnitude(lhs), model.magnitude(rhs))
-        effective = np.maximum(tol.abs_tol, tol.rel_tol * mag)
-        bad = diff > effective
-        worstd = float((diff / np.maximum(1.0, mag)).max())
-        res = CheckResult("decomposition_identity", not bad.any(), worstd, note)
-        if bad.any():
-            i = int(np.argmax(diff - effective))
+        sym = np.abs(dxy - space.d(y, x))
+        report.checks.append(
+            CheckResult("d_symmetry", bool((sym == 0).all()), float(sym.max()), note)
+        )
+        tri = space.d(x, z) - (dxy + space.d(y, z))
+        worst = float(tri.max())
+        report.checks.append(
+            CheckResult("d_triangle", worst <= tol.abs_tol, max(0.0, worst), note)
+        )
+
+        rxy = space.rho(x, y)
+        # the prenorm is quantized to the depth grid, so separation of a
+        # point from itself can only be bounded by the grid resolution
+        ident = space.rho(x, x)
+        res = CheckResult("rho_identity", bool((ident <= slack).all()), float(ident.max()), note)
+        report.checks.append(res)
+        sym = np.abs(rxy - space.rho(y, x))
+        report.checks.append(
+            CheckResult("rho_symmetry", bool((sym == 0).all()), float(sym.max()), note)
+        )
+        tri = space.rho(x, z) - (rxy + space.rho(y, z))
+        worst = float(tri.max())
+        res = CheckResult("rho_triangle", worst <= slack, max(0.0, worst), note)
+        if not res.passed and not finite:
+            i = int(np.argmax(tri))
             res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
         report.checks.append(res)
 
-    if not finite and isinstance(family.chain, RadialChain):
-        # independent route: invert the threshold recursion by bisection
-        limit = tol.abs_tol + 4.0 * family.grid_step
-        sep_xy = rapidity(model, model.oplus(model.neg(x), y))
-        sep_yx = rapidity(model, model.oplus(model.neg(y), x))
-        oracle = family.index_of_rapidity(sep_xy) + family.index_of_rapidity(sep_yx)
-        diff = np.abs(rxy - oracle)
-        i, worstd, okw = _worst(diff, limit)
-        res = CheckResult("rho_oracle", okw, worstd, note)
-        if not okw:
-            res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "difference": worstd}
-        report.checks.append(res)
+        if not finite:
+            # the proof-step decomposition behind the triangle inequality
+            report.checks.append(run_law_check(
+                model, "decomposition_identity", law_triangle_decomposition, [x, y, z], tol
+            ))
 
-        if family.chain.ratio == 0.5:
-            sep = model.norm_fraction(model.oplus(model.neg(x), y))
-            oracle = 2.0 * np.arctanh(sep) / family.chain.t0
-            diff = np.abs(rxy - oracle)
-            i, worstd, okw = _worst(diff, limit)
-            res = CheckResult("rho_closed_form", okw, worstd, note)
-            if not okw:
-                res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "difference": worstd}
-            report.checks.append(res)
+        if not finite and isinstance(family.chain, RadialChain):
+            # independent route: invert the threshold recursion by bisection
+            limit = tol.abs_tol + 4.0 * family.grid_step
+            sep_xy = rapidity(model, model.oplus(model.neg(x), y))
+            sep_yx = rapidity(model, model.oplus(model.neg(y), x))
+            oracles = [
+                ("rho_oracle", family.index_of_rapidity(sep_xy) + family.index_of_rapidity(sep_yx))
+            ]
+            if family.chain.ratio == 0.5:
+                sep = model.norm_fraction(model.oplus(model.neg(x), y))
+                oracles.append(("rho_closed_form", 2.0 * np.arctanh(sep) / family.chain.t0))
+            for name, oracle in oracles:
+                i, worstd, okw = _worst(np.abs(rxy - oracle), limit)
+                res = CheckResult(name, okw, worstd, note)
+                if not okw:
+                    res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "difference": worstd}
+                report.checks.append(res)
 
-    if finite and space.subgyrogroup:
-        H = np.array(space.subgyrogroup)
-        T = space.model.source.table
-        pts = np.arange(model.order)
-        N_all = prenorm(pts)
-        shift = np.abs(N_all[T[:, H]] - N_all[:, None])
-        report.checks.append(
-            CheckResult(
-                "d_coset_invariance",
-                bool((shift == 0).all()),
-                float(shift.max()),
-                "exhaustive",
-            )
-        )
-        xg, yg = np.meshgrid(pts, pts, indexing="ij")
-        base = space.rho(xg.ravel(), yg.ravel()).reshape(model.order, model.order)
-        worst = 0.0
-        ok = True
-        for p in H:
-            for q in H:
-                moved = space.rho(T[xg.ravel(), p], T[yg.ravel(), q])
-                dmax = float(np.abs(moved.reshape(base.shape) - base).max())
-                worst = max(worst, dmax)
-                ok = ok and dmax == 0.0
-        report.checks.append(CheckResult("rho_coset_invariance", ok, worst, "exhaustive"))
-
-        # on the quotient the separation is two-valued: 0 on a shared
-        # class, the constant 2 across distinct classes
-        try:
-            from .tables import coset_partition
-
-            _, pi = coset_partition(space.model.source, H.tolist())
-            same = pi[xg] == pi[yg]
-            expected = np.where(same, 0.0, 2.0)
-            diff = np.abs(base - expected)
+        if finite and space.subgyrogroup:
+            H = np.array(space.subgyrogroup)
+            T = space.model.source.table
+            pts = np.arange(model.order)
+            N_all = prenorm(pts)
+            shift = np.abs(N_all[T[:, H]] - N_all[:, None])
             report.checks.append(
                 CheckResult(
-                    "rho_discrete_on_quotient",
-                    bool((diff == 0).all()),
-                    float(diff.max()),
+                    "d_coset_invariance",
+                    bool((shift == 0).all()),
+                    float(shift.max()),
                     "exhaustive",
                 )
             )
-        except AxiomViolationError as exc:
-            report.checks.append(
-                CheckResult(
-                    "rho_discrete_on_quotient", False, 1.0, "exhaustive",
-                    witness={"error": str(exc)},
-                )
-            )
+            xg, yg = np.meshgrid(pts, pts, indexing="ij")
+            base = space.rho(xg.ravel(), yg.ravel()).reshape(model.order, model.order)
+            worst = 0.0
+            ok = True
+            for p in H:
+                for q in H:
+                    moved = space.rho(T[xg.ravel(), p], T[yg.ravel(), q])
+                    dmax = float(np.abs(moved.reshape(base.shape) - base).max())
+                    worst = max(worst, dmax)
+                    ok = ok and dmax == 0.0
+            report.checks.append(CheckResult("rho_coset_invariance", ok, worst, "exhaustive"))
 
-    report.wall_time_s = time.perf_counter() - start
+            # on the quotient the separation is two-valued: 0 on a shared
+            # class, the constant 2 across distinct classes
+            try:
+                _, pi = coset_partition(space.model.source, H.tolist())
+                same = pi[xg] == pi[yg]
+                expected = np.where(same, 0.0, 2.0)
+                diff = np.abs(base - expected)
+                report.checks.append(
+                    CheckResult(
+                        "rho_discrete_on_quotient",
+                        bool((diff == 0).all()),
+                        float(diff.max()),
+                        "exhaustive",
+                    )
+                )
+            except AxiomViolationError as exc:
+                report.checks.append(
+                    witness_check("rho_discrete_on_quotient", {"error": str(exc)})
+                )
     return report
 
 
@@ -698,90 +661,114 @@ def validate_admissible_chain(
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     model = chain.model
-    report = VerificationReport(
-        suite="admissible",
-        model=model.name,
-        seed=sampler.seed,
-        tolerances=tol.to_dict(),
-        depth=chain.depth,
-        notes={"chain": chain.describe()},
-    )
-    start = time.perf_counter()
+    with suite_report(
+        "admissible", model.name, sampler, tol,
+        depth=chain.depth, notes={"chain": chain.describe()},
+    ) as report:
+        if isinstance(chain, FiniteChain):
+            H = chain.H
+            T = model.source.table
+            inner = T[np.ix_(H, H)]
+            comp = T[np.ix_(H, np.unique(inner))]
+            ok = bool(chain._mask[inner].all() and chain._mask[comp].all())
+            report.checks.append(
+                CheckResult("closure_all_levels", ok, float(not ok), "exhaustive")
+            )
+            e = model.source.identity_index
+            report.checks.append(
+                CheckResult("contains_identity", bool(chain._mask[e]), 0.0, "exhaustive")
+            )
+            # the chain is constant, so its intersection is the base subset itself
+            same = all(
+                bool((chain.level_member(n, np.arange(model.order)) == chain._mask).all())
+                for n in range(chain.depth + 1)
+            )
+            report.checks.append(
+                CheckResult("intersection_equals_base", same, float(not same), "exhaustive")
+            )
+            report.notes["intersection"] = [model.labels[i] for i in H]
+            return report
 
-    if isinstance(chain, FiniteChain):
-        H = chain.H
-        T = model.source.table
-        inner = T[np.ix_(H, H)]
-        comp = T[np.ix_(H, np.unique(inner))]
-        ok = bool(chain._mask[inner].all() and chain._mask[comp].all())
-        report.checks.append(CheckResult("closure_all_levels", ok, float(not ok), "exhaustive"))
-        e = model.source.identity_index
+        t = chain.t
+        cond_ok = bool((3.0 * t[1:] <= t[:-1] * (1.0 + 1e-12)).all())
+        cond = CheckResult("analytic_condition", cond_ok, 0.0, chain.depth)
+        if not cond_ok:
+            lvl = int(np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))[0])
+            cond.max_residual = float(3.0 * t[lvl + 1] / t[lvl] - 1.0)
+            cond.witness = {"level": lvl + 1, "t_n": float(t[lvl]), "t_next": float(t[lvl + 1])}
+        report.checks.append(cond)
+
+        per_level = max(16, n_samples // max(1, chain.depth))
+        axis = np.zeros(model.dim)
+        axis[0] = 1.0
+        for n in range(chain.depth):
+            gen = sampler.stream("admissible", f"level_{n}")
+            t_in = float(t[n + 1])
+            u = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
+            v = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
+            w = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
+            extreme = (model.bound * np.tanh(t_in)) * axis
+            u = np.vstack([u, extreme])
+            v = np.vstack([v, extreme])
+            w = np.vstack([w, extreme])
+            comp = model.oplus(u, model.oplus(v, w))
+            rho = rapidity(model, comp)
+            excess = rho - float(t[n])
+            worst = float(excess.max())
+            res = CheckResult(
+                f"level_{n}_double_sum", worst <= tol.abs_tol, max(0.0, worst), per_level + 1
+            )
+            if not res.passed:
+                i = int(np.argmax(excess))
+                res.witness = {
+                    "level": n,
+                    "u": u[i].tolist(),
+                    "v": v[i].tolist(),
+                    "w": w[i].tolist(),
+                    "rapidity": float(rho[i]),
+                    "allowed": float(t[n]),
+                }
+            report.checks.append(res)
+
+        # candidate base of the chain: the identity sits in every level
+        zero = model.zero_like(axis[None, :])
+        in_all = all(bool(chain.level_member(n, zero).all()) for n in range(chain.depth + 1))
         report.checks.append(
-            CheckResult("contains_identity", bool(chain._mask[e]), 0.0, "exhaustive")
+            CheckResult(
+                "intersection_contains_identity", in_all, float(not in_all), chain.depth + 1
+            )
         )
-        # the chain is constant, so its intersection is the base subset itself
-        same = all(
-            bool((chain.level_member(n, np.arange(model.order)) == chain._mask).all())
-            for n in range(chain.depth + 1)
-        )
-        report.checks.append(
-            CheckResult("intersection_equals_base", same, float(not same), "exhaustive")
-        )
-        report.notes["intersection"] = [model.labels[i] for i in H]
-        report.wall_time_s = time.perf_counter() - start
-        return report
-
-    t = chain.t
-    cond_ok = bool((3.0 * t[1:] <= t[:-1] * (1.0 + 1e-12)).all())
-    cond = CheckResult("analytic_condition", cond_ok, 0.0, chain.depth)
-    if not cond_ok:
-        lvl = int(np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))[0])
-        cond.max_residual = float(3.0 * t[lvl + 1] / t[lvl] - 1.0)
-        cond.witness = {"level": lvl + 1, "t_n": float(t[lvl]), "t_next": float(t[lvl + 1])}
-    report.checks.append(cond)
-
-    per_level = max(16, n_samples // max(1, chain.depth))
-    axis = np.zeros(model.dim)
-    axis[0] = 1.0
-    for n in range(chain.depth):
-        gen = sampler.stream("admissible", f"level_{n}")
-        t_in = float(t[n + 1])
-        u = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
-        v = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
-        w = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
-        extreme = (model.bound * np.tanh(t_in)) * axis
-        u = np.vstack([u, extreme])
-        v = np.vstack([v, extreme])
-        w = np.vstack([w, extreme])
-        comp = model.oplus(u, model.oplus(v, w))
-        rho = rapidity(model, comp)
-        excess = rho - float(t[n])
-        worst = float(excess.max())
-        res = CheckResult(
-            f"level_{n}_double_sum", worst <= tol.abs_tol, max(0.0, worst), per_level + 1
-        )
-        if not res.passed:
-            i = int(np.argmax(excess))
-            res.witness = {
-                "level": n,
-                "u": u[i].tolist(),
-                "v": v[i].tolist(),
-                "w": w[i].tolist(),
-                "rapidity": float(rho[i]),
-                "allowed": float(t[n]),
-            }
-        report.checks.append(res)
-
-    # candidate base of the chain: the identity sits in every level
-    zero = model.zero_like(axis[None, :])
-    in_all = all(bool(chain.level_member(n, zero).all()) for n in range(chain.depth + 1))
-    report.checks.append(
-        CheckResult("intersection_contains_identity", in_all, float(not in_all), chain.depth + 1)
-    )
-    report.notes["deepest_level_rapidity"] = float(t[chain.depth])
-
-    report.wall_time_s = time.perf_counter() - start
+        report.notes["deepest_level_rapidity"] = float(t[chain.depth])
     return report
+
+
+def check_chain(
+    suite: str,
+    chain: NeighborhoodChain,
+    sampler: Sampler | None = None,
+    n_samples: int = 10000,
+    tol: ToleranceConfig | None = None,
+) -> VerificationReport:
+    """Run the ``prenorm`` or ``metric`` suite on the dyadic family of a chain.
+
+    A chain that breaks the halving condition has no dyadic family; its
+    report holds the single failing check ``halving_condition``.
+    """
+    sampler = sampler or Sampler()
+    tol = tol or ToleranceConfig()
+    try:
+        family = build_dyadic(chain)
+    except ChainConditionError as exc:
+        notes = {"chain": chain.describe()}
+        with suite_report(suite, chain.model.name, sampler, tol, notes=notes) as report:
+            witness = {"error": str(exc), "level": exc.level}
+            report.checks.append(witness_check("halving_condition", witness, chain.depth))
+        return report
+    if suite == "prenorm":
+        return check_prenorm_properties(family, sampler, n_samples, tol)
+    sub = list(getattr(family.chain, "H", [])) or None
+    space = QuotientMetricSpace(chain.model, make_prenorm(family), sub)
+    return check_metric_properties(space, sampler, n_samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -799,12 +786,15 @@ def parse_chain_spec(spec) -> dict:
         raise UsageError("chain spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "radial_rapidity":
-        out = {
-            "kind": kind,
-            "t0": float(spec.get("t0", 1.0)),
-            "ratio": float(spec.get("ratio", DEFAULT_RATIO)),
-            "depth": int(spec.get("depth", DEFAULT_DEPTH)),
-        }
+        try:
+            out = {
+                "kind": kind,
+                "t0": float(spec.get("t0", 1.0)),
+                "ratio": float(spec.get("ratio", DEFAULT_RATIO)),
+                "depth": int(spec.get("depth", DEFAULT_DEPTH)),
+            }
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"chain spec field is not a number: {exc}") from exc
         if not out["t0"] > 0:
             raise UsageError("t0 must be positive")
         if not 0.0 < out["ratio"] < 1.0:

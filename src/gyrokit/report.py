@@ -9,6 +9,8 @@ same configuration produce byte-identical output except for the
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -75,6 +77,30 @@ class VerificationReport:
         if self.notes:
             d["notes"] = dict(self.notes)
         return d
+
+
+@contextmanager
+def suite_report(suite, model, sampler=None, tol=None, **fields):
+    """Yield the empty report of one suite run on the model named ``model``,
+    with the sampler's seed, the tolerances and any other ``fields``; its
+    ``wall_time_s`` is set on every way out of the block."""
+    report = VerificationReport(
+        suite=suite,
+        model=model,
+        seed=None if sampler is None else sampler.seed,
+        tolerances={} if tol is None else tol.to_dict(),
+        **fields,
+    )
+    start = time.perf_counter()
+    try:
+        yield report
+    finally:
+        report.wall_time_s = time.perf_counter() - start
+
+
+def witness_check(name, witness=None, samples="exhaustive"):
+    """A check that fails, with residual 1, exactly when it has a witness."""
+    return CheckResult(name, witness is None, float(witness is not None), samples, witness)
 
 
 def _canon(obj, out):

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GyrogroupModel
+from .core import _EXHAUSTIVE_CAP, GyrogroupModel
 from .errors import (
     AxiomViolationError,
     ResourceLimitError,
     TableFormatError,
     UsageError,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, suite_report, witness_check
 
 
 class CayleyTable:
@@ -57,6 +56,7 @@ class CayleyTable:
             raise TableFormatError(f"duplicate label {dup!r}")
         self.labels = tuple(labels)
         self.name = name or f"table{n}"
+        self._gyr = None
 
     # -- identity / inverses (discovered, not assumed) --
 
@@ -89,9 +89,29 @@ class CayleyTable:
             inv[x] = ys[0]
         return inv
 
-    def rows_bijective(self) -> bool:
+    def _non_bijective_row(self):
+        """Index of the first row that is not a permutation, or None."""
         srt = np.sort(self.table, axis=1)
-        return bool((srt == np.arange(self.order)[None, :]).all())
+        bad = np.flatnonzero((srt != np.arange(self.order)[None, :]).any(axis=1))
+        return int(bad[0]) if len(bad) else None
+
+    def rows_bijective(self) -> bool:
+        return self._non_bijective_row() is None
+
+    def gyrations(self) -> np.ndarray:
+        """The gyration tensor ``gyr_tensor(self.table)``, computed once.
+
+        Raises AxiomViolationError when a left translation is not a
+        bijection, since the gyrations are then undefined.
+        """
+        if self._gyr is None:
+            row = self._non_bijective_row()
+            if row is not None:
+                raise AxiomViolationError(
+                    f"left translation by {self.labels[row]!r} is not a bijection"
+                )
+            self._gyr = gyr_tensor(self.table)
+        return self._gyr
 
     def is_associative(self) -> bool:
         T = self.table
@@ -209,111 +229,101 @@ class GyrationTable:
 
 
 def gyr_table(t: CayleyTable) -> GyrationTable:
-    if not t.rows_bijective():
-        srt = np.sort(t.table, axis=1)
-        row = int(np.flatnonzero((srt != np.arange(t.order)[None, :]).any(axis=1))[0])
-        raise AxiomViolationError(
-            f"left translation by {t.labels[row]!r} is not a bijection"
-        )
-    return GyrationTable(t.order, gyr_tensor(t.table))
+    return GyrationTable(t.order, t.gyrations())
+
+
+# ---------------------------------------------------------------------------
+# the exact gyration-law kernel
+
+_KERNEL_CELLS = 1 << 16  # first pivots are batched while a batch stays this small
+
+
+def _first_violation(n, violated):
+    """First index tuple (x, ...) that ``violated(xs)`` flags, or None.
+
+    ``violated`` maps a slice of first pivots x to a boolean mask whose
+    leading axis runs over that slice. Pivots go in batches of about
+    n^3 elements, so memory stays at n^3 for large tables while small
+    tables are checked in one batch.
+    """
+    step = max(1, _KERNEL_CELLS // n**3)
+    for lo in range(0, n, step):
+        bad = violated(slice(lo, lo + step))
+        if bad.any():
+            x, *rest = (int(i) for i in np.argwhere(bad)[0])
+            return (lo + x, *rest)
+    return None
+
+
+def _not_gyroassociative(T, B):
+    """Mask over (x, y, z): x + (y + z) != (x + y) + gyr[x, y]z."""
+    return lambda xs: T[xs][:, T] != T[T[xs][:, :, None], B[xs]]
+
+
+def _not_automorphic(T, B):
+    """Mask over (x, y, a, b): gyr[x, y](a + b) != gyr[x, y]a + gyr[x, y]b."""
+    return lambda xs: B[xs][:, :, T] != T[B[xs][:, :, :, None], B[xs][:, :, None, :]]
+
+
+def _not_loop(T, B):
+    """Mask over (x, y, z): gyr[x + y, y]z != gyr[x, y]z."""
+    ys = np.arange(T.shape[0])
+    return lambda xs: B[T[xs], ys] != B[xs]
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _blocked(name, by):
-    return CheckResult(name, False, 1.0, "exhaustive", witness={"blocked_by": by})
-
-
 def validate_table(t: CayleyTable) -> VerificationReport:
     """Exhaustively check the axioms of a finite table; exact, tolerance-free."""
-    report = VerificationReport(suite="table-validate", model=t.name, tolerances={})
-    start = time.perf_counter()
-    n = t.order
-    T = t.table
+    with suite_report("table-validate", t.name) as report:
+        n, T, L = t.order, t.table, t.labels
 
-    cand = t.identity_candidates()
-    g1 = CheckResult("G1_unique_identity", len(cand) == 1, float(len(cand) != 1), "exhaustive")
-    if not g1.passed:
-        g1.witness = {"identity_candidates": [t.labels[i] for i in cand]}
-    report.checks.append(g1)
-    e = int(cand[0]) if len(cand) == 1 else None
-    if e is not None:
-        report.notes["identity"] = t.labels[e]
+        cand = t.identity_candidates()
+        e = int(cand[0]) if len(cand) == 1 else None
+        witness = None if e is not None else {"identity_candidates": [L[i] for i in cand]}
+        report.checks.append(witness_check("G1_unique_identity", witness))
 
-    if e is None:
-        report.checks.append(_blocked("G2_unique_inverses", "G1_unique_identity"))
-    else:
-        bad = None
-        for x in range(n):
-            ys = np.flatnonzero((T[x] == e) & (T[:, x] == e))
-            if len(ys) != 1:
-                bad = (x, [t.labels[y] for y in ys])
-                break
-        g2 = CheckResult("G2_unique_inverses", bad is None, float(bad is not None), "exhaustive")
-        if bad is not None:
-            g2.witness = {"element": t.labels[bad[0]], "two_sided_inverses": bad[1]}
-        report.checks.append(g2)
+        if e is None:
+            witness = {"blocked_by": "G1_unique_identity"}
+        else:
+            report.notes["identity"] = L[e]
+            witness = None
+            for x in range(n):
+                ys = np.flatnonzero((T[x] == e) & (T[:, x] == e))
+                if len(ys) != 1:
+                    witness = {"element": L[x], "two_sided_inverses": [L[y] for y in ys]}
+                    break
+        report.checks.append(witness_check("G2_unique_inverses", witness))
 
-    bij = t.rows_bijective()
-    c3 = CheckResult("left_translations_bijective", bij, float(not bij), "exhaustive")
-    if not bij:
-        srt = np.sort(T, axis=1)
-        row = int(np.flatnonzero((srt != np.arange(n)[None, :]).any(axis=1))[0])
-        vals, counts = np.unique(T[row], return_counts=True)
-        c3.witness = {
-            "row": t.labels[row],
-            "repeated_value": t.labels[int(vals[counts > 1][0])],
-        }
-    report.checks.append(c3)
+        row = t._non_bijective_row()
+        witness = None
+        if row is not None:
+            vals, counts = np.unique(T[row], return_counts=True)
+            witness = {"row": L[row], "repeated_value": L[int(vals[counts > 1][0])]}
+        report.checks.append(witness_check("left_translations_bijective", witness))
 
-    if not bij:
-        for name in ("G3_gyroassociativity", "G3_automorphism", "G4_loop"):
-            report.checks.append(_blocked(name, "left_translations_bijective"))
-        report.wall_time_s = time.perf_counter() - start
-        return report
+        laws = (
+            ("G3_gyroassociativity", _not_gyroassociative,
+             lambda x, y, z: {"triple": [L[x], L[y], L[z]]}),
+            ("G3_automorphism", _not_automorphic,
+             lambda x, y, a, b: {"pair": [L[x], L[y]], "arguments": [L[a], L[b]]}),
+            ("G4_loop", _not_loop,
+             lambda x, y, z: {"pair": [L[x], L[y]], "argument": L[z]}),
+        )
+        if row is not None:
+            for name, _, _ in laws:
+                report.checks.append(
+                    witness_check(name, {"blocked_by": "left_translations_bijective"})
+                )
+            return report
 
-    B = gyr_tensor(T)
-    report.notes["all_gyrations_identity"] = bool(
-        (B == np.arange(n)[None, None, :]).all()
-    )
-
-    lhs = T[np.arange(n)[:, None, None], T[None, :, :]]
-    rhs = T[T[:, :, None], B]
-    ok = lhs == rhs
-    g3 = CheckResult("G3_gyroassociativity", bool(ok.all()), float(not ok.all()), "exhaustive")
-    if not g3.passed:
-        x, y, z = map(int, np.argwhere(~ok)[0])
-        g3.witness = {"triple": [t.labels[x], t.labels[y], t.labels[z]]}
-    report.checks.append(g3)
-
-    bad = None
-    for x in range(n):  # chunked over the first pivot to bound memory at n^3
-        gy_ab = B[x][:, T]  # (y, a, b) -> gyr[x,y](a + b)
-        sum_gy = T[B[x][:, :, None], B[x][:, None, :]]
-        okx = gy_ab == sum_gy
-        if not okx.all():
-            y, a, b = map(int, np.argwhere(~okx)[0])
-            bad = (x, y, a, b)
-            break
-    aut = CheckResult("G3_automorphism", bad is None, float(bad is not None), "exhaustive")
-    if bad is not None:
-        x, y, a, b = bad
-        aut.witness = {
-            "pair": [t.labels[x], t.labels[y]],
-            "arguments": [t.labels[a], t.labels[b]],
-        }
-    report.checks.append(aut)
-
-    ok = B[T, np.arange(n)[None, :], :] == B
-    g4 = CheckResult("G4_loop", bool(ok.all()), float(not ok.all()), "exhaustive")
-    if not g4.passed:
-        x, y, z = map(int, np.argwhere(~ok)[0])
-        g4.witness = {"pair": [t.labels[x], t.labels[y]], "argument": t.labels[z]}
-    report.checks.append(g4)
-
-    report.wall_time_s = time.perf_counter() - start
+        B = t.gyrations()
+        report.notes["all_gyrations_identity"] = bool((B == np.arange(n)).all())
+        for name, law, witness in laws:
+            bad = _first_violation(n, law(T, B))
+            report.checks.append(witness_check(name, None if bad is None else witness(*bad)))
     return report
 
 
@@ -334,7 +344,7 @@ class TableModel(GyrogroupModel):
         self._T = t.table
         self._e = t.identity_index
         self._inv = t.inverses()
-        self._B = gyr_tensor(t.table) if t.rows_bijective() else None
+        self._B = t.gyrations() if t.rows_bijective() else None
         self.has_closed_gyr = self._B is not None
 
     def oplus(self, x, y):
@@ -356,10 +366,6 @@ class TableModel(GyrogroupModel):
 
     def magnitude(self, a):
         return np.ones(np.asarray(a).shape, dtype=float)
-
-
-def table_model(t: CayleyTable) -> TableModel:
-    return TableModel(t)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +405,9 @@ def _closure(t: CayleyTable, B, seed) -> frozenset:
     cur = set(seed) | {t.identity_index}
     while True:
         arr = np.fromiter(cur, dtype=np.int64)
-        new = set(T[np.ix_(arr, arr)].ravel())
-        new |= set(inv[arr])
-        new |= set(B[np.ix_(arr, arr, arr)].ravel())
+        new = set(T[np.ix_(arr, arr)].ravel().tolist())
+        new |= set(inv[arr].tolist())
+        new |= set(B[np.ix_(arr, arr, arr)].ravel().tolist())
         if new <= cur:
             return frozenset(cur)
         cur |= new
@@ -413,9 +419,7 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
 
     Powerset scan for small orders; closure growth for larger ones.
     """
-    if not t.rows_bijective():
-        raise AxiomViolationError("table rows must be bijective")
-    B = gyr_tensor(t.table)
+    B = t.gyrations()
     e = t.identity_index
     n = t.order
     found = set()
@@ -456,7 +460,7 @@ def is_L_subgyrogroup(t: CayleyTable, H) -> bool:
     H, maps H onto itself. Requires H to be a subgyrogroup."""
     elems = H.elements if isinstance(H, SubgyrogroupSet) else tuple(sorted(H))
     arr = np.array(elems, dtype=np.int64)
-    B = gyr_tensor(t.table)
+    B = t.gyrations()
     if not _closed_under(t, B, arr):
         raise AxiomViolationError(f"{list(elems)} is not a subgyrogroup")
     return _is_L(t, B, arr)
@@ -553,7 +557,13 @@ def builtin_table(name: str) -> CayleyTable:
     if name == "s3":
         return s3_table()
     if name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1:
-        return cyclic_table(int(name[1:]))
+        n = int(name[1:])
+        if n**3 > _EXHAUSTIVE_CAP:
+            raise ResourceLimitError(
+                f"table {name} is too large: its gyration tensor would hold "
+                f"{n**3} > {_EXHAUSTIVE_CAP} entries"
+            )
+        return cyclic_table(n)
     raise UsageError(f"unknown built-in table {name!r}")
 
 
@@ -567,21 +577,14 @@ BUILTIN_TABLE_NAMES = ("z1", "z2", "z3", "z4", "z5", "z6", "klein", "s3")
 def _axioms_hold(T: np.ndarray) -> bool:
     """Fast exact validity test for a reduced Latin square with identity 0."""
     n = T.shape[0]
-    e = 0
-    inv_ok = True
-    for x in range(n):
-        ys = np.flatnonzero(T[x] == e)
-        if len(ys) != 1 or T[ys[0], x] != e:
-            inv_ok = False
-            break
-    if not inv_ok:
+    right = np.argmax(T == 0, axis=1)  # the one y with x + y = 0 in row x
+    if (T[right, np.arange(n)] != 0).any():
         return False
     B = gyr_tensor(T)
-    if (B[:, :, T] != T[B[:, :, :, None], B[:, :, None, :]]).any():
-        return False
-    if (B[T, np.arange(n)[None, :], :] != B).any():
-        return False
-    return True
+    return (
+        _first_violation(n, _not_automorphic(T, B)) is None
+        and _first_violation(n, _not_loop(T, B)) is None
+    )
 
 
 def _canonical_bytes(T: np.ndarray):
@@ -656,3 +659,69 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     for i, t in enumerate(results):
         t.name = f"search{n}_{i}"
     return results
+
+
+# ---------------------------------------------------------------------------
+# suites over tables
+
+
+def check_search(order: int, max_results=None) -> VerificationReport:
+    """Search every table of ``order`` and validate each one found."""
+    with suite_report("search", f"order{order}") as report:
+        found = search_gyrogroups(order, max_results=max_results)
+        ok = all(validate_table(t).passed for t in found)
+        report.checks.append(
+            CheckResult("all_candidates_valid", ok, float(not ok), len(found))
+        )
+        report.notes["count"] = len(found)
+        report.notes["tables"] = [t.to_dict() for t in found]
+    return report
+
+
+def check_subgyrogroups(t: CayleyTable) -> VerificationReport:
+    """List every subgyrogroup of a table, flagged for all-pivot invariance."""
+    with suite_report("subgyrogroups", t.name) as report:
+        subs = enumerate_subgyrogroups(t)
+        report.checks.append(CheckResult("enumeration", True, 0.0, "exhaustive"))
+        report.notes["count"] = len(subs)
+        report.notes["subgyrogroups"] = [
+            {
+                "elements": [t.labels[i] for i in s.elements],
+                "indices": list(s.elements),
+                "invariant_under_all_gyrations": s.is_L_subgyrogroup,
+            }
+            for s in subs
+        ]
+    return report
+
+
+def check_cosets(t: CayleyTable, subgyrogroup) -> VerificationReport:
+    """Check that the given indices form a subgyrogroup invariant under
+    every gyration, and that its left cosets partition the carrier."""
+    H = sorted(set(subgyrogroup))
+    if not H or H[0] < 0 or H[-1] >= t.order:
+        raise UsageError(f"subgyrogroup indices must lie in [0,{t.order}), got {H}")
+    with suite_report("cosets", t.name) as report:
+        try:
+            is_l = is_L_subgyrogroup(t, H)
+        except AxiomViolationError as exc:
+            report.checks.append(witness_check("is_subgyrogroup", {"error": str(exc)}))
+            return report
+        report.checks.append(witness_check("is_subgyrogroup"))
+        report.checks.append(
+            CheckResult("invariant_under_all_gyrations", is_l, float(not is_l), "exhaustive")
+        )
+        if not is_l:
+            return report
+        blocks, pi = coset_partition(t, H)
+        sizes = sorted({len(b) for b in blocks})
+        report.checks.append(
+            CheckResult("equal_block_sizes", sizes == [len(H)], 0.0, "exhaustive")
+        )
+        covered = sorted(i for b in blocks for i in b)
+        report.checks.append(
+            CheckResult("disjoint_cover", covered == list(range(t.order)), 0.0, "exhaustive")
+        )
+        report.notes["blocks"] = [[t.labels[i] for i in b] for b in blocks]
+        report.notes["projection"] = pi.tolist()
+    return report

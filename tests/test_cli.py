@@ -1,6 +1,10 @@
 import json
 
-from gyrokit.cli import SUITES, main
+import pytest
+
+from gyrokit import check_subgyrogroups
+from gyrokit.cli import EXIT_CODES, SUITES, main
+from gyrokit.errors import GyroError
 from gyrokit.tables import cyclic_table
 
 
@@ -61,14 +65,40 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert names == ["halving_condition"]
     assert payload["checks"][0]["witness"]["level"] == 1
+    # a finite chain whose level is not closed stops with exit 1 and no report
+    code, out, err = run(capsys, "admissible", "--model", "table:z4", "--subgyrogroup", "0,1")
+    assert (code, out) == (1, "")
+    assert "not closed" in err
 
 
-def test_usage_errors_exit_two(capsys):
-    assert run(capsys, "axioms", "--model", "klingon")[0] == 2
-    assert run(capsys, "search")[0] == 2  # needs --order
-    assert run(capsys, "prenorm", "--chain", '{"kind": "nope"}')[0] == 2
-    assert run(capsys, "cosets", "--model", "table:z4")[0] == 2  # needs --subgyrogroup
-    assert run(capsys)[0] == 2  # no suite
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "--model", "klingon"],
+        ["search"],  # needs --order
+        ["prenorm", "--chain", '{"kind": "nope"}'],
+        ["cosets", "--model", "table:z4"],  # needs --subgyrogroup
+        [],  # no suite
+        ["axioms", "--samples", "0"],
+        ["axioms", "--tol", "-1"],
+        ["search", "--order", "0"],
+        ["prenorm", "--depth", "0"],
+        ["search", "--order", "4", "--max-results", "0"],
+        ["prenorm", "--chain", '{"kind": "radial_rapidity", "depth": "x"}'],
+        ["cosets", "--model", "table:z4", "--subgyrogroup", "0,9"],
+        ["cosets", "--model", "table:z4", "--subgyrogroup=-1,0"],
+        ["table-validate", "--model", "table:z272"],  # n^3 just over the size cap
+    ],
+)
+def test_usage_errors_exit_two(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+def test_exit_codes_cover_every_error():
+    errors = set(GyroError.__subclasses__())
+    assert errors <= set(EXIT_CODES)
+    assert {EXIT_CODES[e] for e in errors} == {1, 2, 3}
 
 
 def test_io_errors_exit_three(capsys, tmp_path):
@@ -192,6 +222,16 @@ def test_subgyrogroups_listing(capsys):
     code, payload, _ = run_json(capsys, "subgyrogroups", "--model", "table:klein")
     assert code == 0
     assert len(payload["notes"]["subgyrogroups"]) == 5
+
+
+def test_subgyrogroups_closure_growth_z24(capsys):
+    # order > 12 takes the closure-growth path rather than the powerset scan
+    code, payload, _ = run_json(capsys, "subgyrogroups", "--model", "table:z24")
+    assert code == 0
+    assert len(payload["notes"]["subgyrogroups"]) == 8
+    # the report's indices are Python ints, which canonical JSON accepts
+    subs = check_subgyrogroups(cyclic_table(24)).notes["subgyrogroups"]
+    assert all(type(i) is int for s in subs for i in s["indices"])
 
 
 def test_strong_base_suite(capsys):

@@ -191,6 +191,43 @@ def test_gyr_table_requires_bijective_rows():
         gyr_table(CayleyTable([[0, 1], [1, 1]]))
 
 
+def test_gyration_tensor_built_once_per_table(monkeypatch):
+    import gyrokit.tables as tables
+
+    calls = []
+    real = tables.gyr_tensor
+    monkeypatch.setattr(tables, "gyr_tensor", lambda T: calls.append(1) or real(T))
+    t = cyclic_table(6)
+    validate_table(t)
+    TableModel(t)
+    enumerate_subgyrogroups(t)
+    coset_partition(t, [0, 3])
+    assert gyr_table(t).tensor is t.gyrations()
+    assert len(calls) == 1
+
+
+def test_kernel_batches_keep_witnesses(monkeypatch):
+    # one first pivot per batch, as on large tables, must find the same witnesses
+    import gyrokit.tables as tables
+
+    latin5 = CayleyTable(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    )
+    whole = validate_table(latin5).to_dict()
+    monkeypatch.setattr(tables, "_KERNEL_CELLS", 1)
+    per_pivot = validate_table(latin5).to_dict()
+    assert whole["checks"] == per_pivot["checks"]
+    assert not whole["pass"]
+
+
+def test_builtin_table_size_guard(monkeypatch):
+    import gyrokit.tables as tables
+
+    monkeypatch.setattr(tables, "cyclic_table", None)  # must not be reached
+    with pytest.raises(ResourceLimitError):
+        builtin_table("z272")  # 272^3 just exceeds the exhaustive cap
+
+
 # -- table model ---------------------------------------------------------------
 
 
@@ -333,3 +370,12 @@ def test_search_order_guard():
         search_gyrogroups(7)
     with pytest.raises(UsageError):
         search_gyrogroups(0)
+
+
+def test_table_suites_from_package():
+    import gyrokit
+
+    assert gyrokit.check_search(4).notes["count"] == 2
+    assert gyrokit.check_cosets(gyrokit.cyclic_table(6), [0, 3]).passed
+    assert not gyrokit.check_cosets(gyrokit.cyclic_table(4), [0, 1]).passed
+    assert gyrokit.check_subgyrogroups(gyrokit.klein_table()).notes["count"] == 5
