@@ -45,11 +45,16 @@ CASES = [
     ("prenorm-mobius", 0, ["prenorm", "--chain", CHAIN_025, "--samples", "300"]),
     ("prenorm-z4", 0, ["prenorm", "--model", "table:z4", "--subgyrogroup", "0,2"]),
     ("prenorm-ratio-0.6", 1, ["prenorm", "--chain", CHAIN_060, "--samples", "200"]),
+    ("prenorm-default-chain", 0, ["prenorm", "--depth", "6", "--samples", "200"]),
     ("metric-mobius-half", 0, ["metric", "--chain", CHAIN_050, "--samples", "300"]),
     ("metric-einstein", 0,
      ["metric", "--model", "einstein", "--chain", CHAIN_025, "--samples", "300"]),
     ("metric-ratio-0.6", 1, ["metric", "--chain", CHAIN_060, "--samples", "200"]),
     ("metric-klein", 0, ["metric", "--model", "table:klein", "--subgyrogroup", "0,1"]),
+    ("metric-einstein-default-chain", 0,
+     ["metric", "--model", "einstein", "--depth", "6", "--samples", "200"]),
+    ("metric-finite-spec-on-mobius", 0, ["metric", "--model", "mobius", "--chain", CHAIN_Z6]),
+    ("metric-z24", 0, ["metric", "--model", "table:z24", "--subgyrogroup", "0,6,12,18"]),
     ("admissible-mobius", 0, ["admissible", "--chain", CHAIN_025, "--samples", "300"]),
     ("admissible-z6", 0, ["admissible", "--model", "table:z6", "--subgyrogroup", "0,3"]),
     ("admissible-finite-spec", 0, ["admissible", "--model", "table:z6", "--chain", CHAIN_Z6]),
