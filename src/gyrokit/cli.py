@@ -26,6 +26,7 @@ from .errors import (
 )
 from .models import EinsteinModel, MobiusModel, check_strong_base
 from .prenorm import (
+    DEFAULT_DEPTH,
     check_chain,
     finite_chain,
     parse_chain_spec,
@@ -118,20 +119,16 @@ def _required(cfg: RunConfig, option: str):
 
 
 def _build_chain(cfg: RunConfig, model):
-    depth = cfg.depth if cfg.depth is not None else 24
     if cfg.chain is not None:
         spec = cfg.chain
         if spec["kind"] == "radial_rapidity":
-            if model.is_exact:
-                raise UsageError("radial chains need a continuous model")
             return radial_chain(model, spec["t0"], spec["ratio"], spec["depth"])
-        table = _resolve_table(spec["table"])
-        return finite_chain(TableModel(table), spec["subgyrogroup"])
+        return finite_chain(_resolve_table(spec["table"]), spec["subgyrogroup"])
     if model.is_exact:
         if cfg.subgyrogroup is None:
             raise UsageError("finite chains need --subgyrogroup or --chain")
         return finite_chain(model, cfg.subgyrogroup)
-    return radial_chain(model, depth=depth)
+    return radial_chain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
 
 
 def _on_model(check, chain=False):
@@ -259,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='chain spec JSON, e.g. {"kind":"radial_rapidity","ratio":0.25}')
     p.add_argument("--subgyrogroup", type=_indices, default=None,
                    help="comma-separated element indices, e.g. 0,2")
-    p.add_argument("--depth", type=count, default=None, help="chain depth (default 24)")
+    p.add_argument("--depth", type=count, default=None,
+                   help=f"chain depth (default {DEFAULT_DEPTH})")
     p.add_argument("--order", type=count, default=None, help="table order for search")
     p.add_argument("--max-results", type=count, default=None, help="cap search results")
     p.add_argument("--out", default=None, help="write the JSON report to this path")

@@ -82,14 +82,15 @@ class RadialChain(NeighborhoodChain):
 
 
 class FiniteChain(NeighborhoodChain):
-    """Constant chain on a finite model: every level is the same subset."""
+    """Constant chain on a finite model: every level is the same subset,
+    so the chain has depth 1."""
 
     kind = "finite_discrete"
 
-    def __init__(self, model: TableModel, subgyrogroup, depth: int = 1):
+    def __init__(self, model: TableModel, subgyrogroup):
         if not isinstance(model, TableModel):
             raise UsageError("finite chains need a table-backed model")
-        super().__init__(model, depth)
+        super().__init__(model, 1)
         H = np.array(sorted(set(int(i) for i in subgyrogroup)), dtype=np.int64)
         if len(H) == 0 or H[0] < 0 or H[-1] >= model.order:
             raise UsageError("subgyrogroup indices out of range")
@@ -226,7 +227,7 @@ class DyadicFamily:
         return self._thr(m, n)
 
 
-def _dyadic_terms(r, max_depth):
+def _dyadic_terms(r, depth):
     fr = Fraction(r)
     if fr <= 0:
         raise UsageError(f"dyadic index must be positive, got {r}")
@@ -241,19 +242,14 @@ def _dyadic_terms(r, max_depth):
     while m % 2 == 0 and n > 0:
         m //= 2
         n -= 1
-    if n > max_depth:
-        raise UsageError(f"index {r} is finer than depth {max_depth}")
+    if n > depth:
+        raise UsageError(f"index {r} is finer than depth {depth}")
     return m, n
 
 
-def build_dyadic(chain: NeighborhoodChain, max_depth=None) -> DyadicFamily:
+def build_dyadic(chain: NeighborhoodChain) -> DyadicFamily:
     """Extend a chain to the dyadic family, enforcing the halving
     condition: each level must fit twice into the one above."""
-    if max_depth is not None and max_depth < chain.depth:
-        if isinstance(chain, RadialChain):
-            chain = RadialChain(chain.model, chain.t0, chain.ratio, max_depth)
-        else:
-            chain = FiniteChain(chain.model, chain.H, max_depth)
     if isinstance(chain, RadialChain):
         t = chain.t
         for n in range(chain.depth):
@@ -296,38 +292,14 @@ def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
 
 
 class Prenorm:
-    """Callable prenorm induced by a dyadic family on a continuous model."""
+    """Callable prenorm induced by a dyadic family. On a finite chain it
+    is the indicator of the complement of the base subset: 0 on it, 1 off it."""
 
     def __init__(self, family: DyadicFamily):
-        if isinstance(family.chain, FiniteChain):
-            raise UsageError("use DiscretePrenorm for finite chains")
         self.family = family
-        self.model = family.model
-        self.grid_step = family.grid_step
 
     def __call__(self, x) -> np.ndarray:
         return prenorm_eval(self.family, x)
-
-
-class DiscretePrenorm:
-    """Indicator prenorm on a finite model: 0 on the base subset, 1 off it."""
-
-    def __init__(self, table, subgyrogroup):
-        model = table if isinstance(table, TableModel) else TableModel(table)
-        chain = FiniteChain(model, subgyrogroup)
-        self.family = DyadicFamily(chain)
-        self.model = model
-        self.H = chain.H
-        self.grid_step = 1.0
-
-    def __call__(self, x) -> np.ndarray:
-        return prenorm_eval(self.family, x)
-
-
-def make_prenorm(family: DyadicFamily):
-    if isinstance(family.chain, FiniteChain):
-        return DiscretePrenorm(family.model, family.chain.H)
-    return Prenorm(family)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +320,15 @@ def quotient_metric_rho(model: GyrogroupModel, prenorm, x, y) -> np.ndarray:
 
 
 class QuotientMetricSpace:
-    """The carrier modulo a base subset, metrized through a prenorm."""
+    """The carrier modulo a base subset, metrized through a prenorm. The
+    carrier, and on a finite chain the base subset, come from the
+    prenorm's chain."""
 
-    def __init__(self, model: GyrogroupModel, prenorm, subgyrogroup=None):
-        self.model = model
+    def __init__(self, prenorm: Prenorm):
+        chain = prenorm.family.chain
+        self.model = chain.model
         self.prenorm = prenorm
-        self.subgyrogroup = (
-            None if subgyrogroup is None else tuple(sorted(int(i) for i in subgyrogroup))
-        )
+        self.subgyrogroup = tuple(chain.H.tolist()) if isinstance(chain, FiniteChain) else None
 
     def d(self, x, y):
         return pseudometric_d(self.prenorm, x, y)
@@ -395,7 +368,7 @@ def check_prenorm_properties(
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     model = family.model
-    prenorm = make_prenorm(family)
+    prenorm = Prenorm(family)
     with suite_report(
         "prenorm", model.name, sampler, tol,
         depth=family.depth, notes={"chain": family.chain.describe()},
@@ -491,7 +464,7 @@ def check_prenorm_properties(
                 )
             )
 
-            if isinstance(family.chain, RadialChain) and family.chain.ratio == 0.5:
+            if family.chain.ratio == 0.5:
                 # closed form at this ratio: thresholds are linear in the index,
                 # so the prenorm is the grid ceiling of rapidity / t0
                 gen = sampler.stream("prenorm", "closed_form")
@@ -523,10 +496,9 @@ def check_metric_properties(
     tol = tol or ToleranceConfig()
     model = space.model
     prenorm = space.prenorm
-    family = getattr(prenorm, "family", None)
-    depth = None if family is None else family.depth
-    with suite_report("metric", model.name, sampler, tol, depth=depth) as report:
-        finite = model.is_exact
+    family = prenorm.family
+    with suite_report("metric", model.name, sampler, tol, depth=family.depth) as report:
+        finite = isinstance(family.chain, FiniteChain)
         if finite:
             pts = np.arange(model.order)
             x, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
@@ -581,7 +553,6 @@ def check_metric_properties(
                 model, "decomposition_identity", law_triangle_decomposition, [x, y, z], tol
             ))
 
-        if not finite and isinstance(family.chain, RadialChain):
             # independent route: invert the threshold recursion by bisection
             limit = tol.abs_tol + 4.0 * family.grid_step
             sep_xy = rapidity(model, model.oplus(model.neg(x), y))
@@ -599,9 +570,9 @@ def check_metric_properties(
                     res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "difference": worstd}
                 report.checks.append(res)
 
-        if finite and space.subgyrogroup:
-            H = np.array(space.subgyrogroup)
-            T = space.model.source.table
+        if finite:
+            H = family.chain.H
+            T = model.source.table
             pts = np.arange(model.order)
             N_all = prenorm(pts)
             shift = np.abs(N_all[T[:, H]] - N_all[:, None])
@@ -628,7 +599,7 @@ def check_metric_properties(
             # on the quotient the separation is two-valued: 0 on a shared
             # class, the constant 2 across distinct classes
             try:
-                _, pi = coset_partition(space.model.source, H.tolist())
+                _, pi = coset_partition(model.source, H.tolist())
                 same = pi[xg] == pi[yg]
                 expected = np.where(same, 0.0, 2.0)
                 diff = np.abs(base - expected)
@@ -766,9 +737,7 @@ def check_chain(
         return report
     if suite == "prenorm":
         return check_prenorm_properties(family, sampler, n_samples, tol)
-    sub = list(getattr(family.chain, "H", [])) or None
-    space = QuotientMetricSpace(chain.model, make_prenorm(family), sub)
-    return check_metric_properties(space, sampler, n_samples, tol)
+    return check_metric_properties(QuotientMetricSpace(Prenorm(family)), sampler, n_samples, tol)
 
 
 # ---------------------------------------------------------------------------

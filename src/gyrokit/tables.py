@@ -56,6 +56,7 @@ class CayleyTable:
             raise TableFormatError(f"duplicate label {dup!r}")
         self.labels = tuple(labels)
         self.name = name or f"table{n}"
+        self._inv = None
         self._gyr = None
 
     # -- identity / inverses (discovered, not assumed) --
@@ -76,18 +77,29 @@ class CayleyTable:
             )
         return int(cand[0])
 
-    def inverses(self) -> np.ndarray:
+    def _inverse_matrix(self) -> np.ndarray:
+        """M[x, y] is True when y is a two-sided inverse of x."""
         e = self.identity_index
-        n = self.order
-        inv = np.full(n, -1)
-        for x in range(n):
-            ys = np.flatnonzero((self.table[x] == e) & (self.table[:, x] == e))
-            if len(ys) != 1:
+        return (self.table == e) & (self.table.T == e)
+
+    @staticmethod
+    def _element_without_inverse(M):
+        """Index of the first element with no unique two-sided inverse, or None."""
+        bad = np.flatnonzero(M.sum(axis=1) != 1)
+        return int(bad[0]) if len(bad) else None
+
+    def inverses(self) -> np.ndarray:
+        """The two-sided inverse of each element, computed once."""
+        if self._inv is None:
+            M = self._inverse_matrix()
+            x = self._element_without_inverse(M)
+            if x is not None:
                 raise AxiomViolationError(
-                    f"element {self.labels[x]!r} has {len(ys)} two-sided inverses"
+                    f"element {self.labels[x]!r} has {np.count_nonzero(M[x])} "
+                    "two-sided inverses"
                 )
-            inv[x] = ys[0]
-        return inv
+            self._inv = np.argmax(M, axis=1)
+        return self._inv
 
     def _non_bijective_row(self):
         """Index of the first row that is not a permutation, or None."""
@@ -101,10 +113,12 @@ class CayleyTable:
     def gyrations(self) -> np.ndarray:
         """The gyration tensor ``gyr_tensor(self.table)``, computed once.
 
-        Raises AxiomViolationError when a left translation is not a
-        bijection, since the gyrations are then undefined.
+        Raises ResourceLimitError, before allocating, when the tensor is
+        too large, and AxiomViolationError when a left translation is not
+        a bijection, since the gyrations are then undefined.
         """
         if self._gyr is None:
+            _check_tensor_size(self.order, self.name)
             row = self._non_bijective_row()
             if row is not None:
                 raise AxiomViolationError(
@@ -214,22 +228,13 @@ def gyr_tensor(table: np.ndarray) -> np.ndarray:
     return ri[table[:, :, None], t_x_yz]
 
 
-@dataclass
-class GyrationTable:
-    """All derived gyration permutations of a finite table."""
-
-    order: int
-    tensor: np.ndarray  # (n, n, n)
-
-    def perm(self, a: int, b: int) -> np.ndarray:
-        return self.tensor[a, b]
-
-    def all_identity(self) -> bool:
-        return bool((self.tensor == np.arange(self.order)[None, None, :]).all())
-
-
-def gyr_table(t: CayleyTable) -> GyrationTable:
-    return GyrationTable(t.order, t.gyrations())
+def _check_tensor_size(n: int, name: str):
+    """Refuse an order whose n^3 gyration tensor exceeds the exhaustive cap."""
+    if n**3 > _EXHAUSTIVE_CAP:
+        raise ResourceLimitError(
+            f"table {name} is too large: its gyration tensor would hold "
+            f"{n**3} > {_EXHAUSTIVE_CAP} entries"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +294,11 @@ def validate_table(t: CayleyTable) -> VerificationReport:
             witness = {"blocked_by": "G1_unique_identity"}
         else:
             report.notes["identity"] = L[e]
-            witness = None
-            for x in range(n):
-                ys = np.flatnonzero((T[x] == e) & (T[:, x] == e))
-                if len(ys) != 1:
-                    witness = {"element": L[x], "two_sided_inverses": [L[y] for y in ys]}
-                    break
+            M = t._inverse_matrix()
+            x = t._element_without_inverse(M)
+            witness = None if x is None else {
+                "element": L[x], "two_sided_inverses": [L[y] for y in np.flatnonzero(M[x])]
+            }
         report.checks.append(witness_check("G2_unique_inverses", witness))
 
         row = t._non_bijective_row()
@@ -558,11 +562,7 @@ def builtin_table(name: str) -> CayleyTable:
         return s3_table()
     if name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1:
         n = int(name[1:])
-        if n**3 > _EXHAUSTIVE_CAP:
-            raise ResourceLimitError(
-                f"table {name} is too large: its gyration tensor would hold "
-                f"{n**3} > {_EXHAUSTIVE_CAP} entries"
-            )
+        _check_tensor_size(n, name)
         return cyclic_table(n)
     raise UsageError(f"unknown built-in table {name!r}")
 

@@ -18,7 +18,6 @@ from gyrokit.prenorm import (
     build_dyadic,
     check_metric_properties,
     check_prenorm_properties,
-    make_prenorm,
     radial_chain,
     rapidity,
     validate_admissible_chain,
@@ -186,7 +185,7 @@ def test_criterion_07_prenorm_oracle_agreement():
     # exact binary fractions of the rapidity coordinate
     model = MobiusModel()
     fam = build_dyadic(radial_chain(model, t0=1.0, ratio=0.5, depth=24))
-    N = make_prenorm(fam)
+    N = Prenorm(fam)
     gen = Sampler(seed=42).stream("acceptance", "prenorm_oracle")
     rho = gen.uniform(0.0, 2.0, N_MED)
     theta = gen.uniform(0.0, 2.0 * np.pi, N_MED)
@@ -199,7 +198,7 @@ def test_criterion_07_prenorm_oracle_agreement():
 def test_criterion_08_quotient_metric_recovers_disk_distance():
     model = MobiusModel()
     fam = build_dyadic(radial_chain(model, t0=1.0, ratio=0.5, depth=24))
-    space = QuotientMetricSpace(model, Prenorm(fam))
+    space = QuotientMetricSpace(Prenorm(fam))
     bound = 1e-8 + 4.0 * 2.0 ** -24
     rep = check_metric_properties(
         space, n_samples=N_MED, tol=ToleranceConfig(abs_tol=1e-8)

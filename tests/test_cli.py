@@ -108,6 +108,15 @@ def test_io_errors_exit_three(capsys, tmp_path):
     assert run(capsys, "table-validate", "--model", f"table:{bad}")[0] == 3
 
 
+def test_oversized_table_file_exits_two(capsys, tmp_path):
+    # n^3 just over the size cap, from a file rather than a built-in name
+    path = tmp_path / "z272.json"
+    cyclic_table(272).save(path)
+    code, out, err = run(capsys, "axioms", "--model", f"table:{path}")
+    assert (code, out) == (2, "")
+    assert "too large" in err
+
+
 def test_out_unwritable_exit_three(capsys):
     code, out, err = run(
         capsys, "axioms", "--samples", "100", "--out", "/no/such/dir/report.json"

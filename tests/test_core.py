@@ -22,6 +22,14 @@ from gyrokit.sampling import (
 )
 
 
+def test_package_api_names_resolve_once():
+    import gyrokit
+
+    assert len(gyrokit.__all__) == len(set(gyrokit.__all__))
+    missing = [name for name in gyrokit.__all__ if not hasattr(gyrokit, name)]
+    assert missing == []
+
+
 # -- sampling ---------------------------------------------------------------
 
 
@@ -173,9 +181,9 @@ def test_exhaustive_cap():
     from gyrokit.tables import TableModel, cyclic_table
     from gyrokit.core import _exhaustive_streams
 
-    big = TableModel(cyclic_table(300))
+    # 30^5 operand tuples exceed the cap; the table itself is small
     with pytest.raises(ResourceLimitError):
-        _exhaustive_streams(big, 3)
+        _exhaustive_streams(TableModel(cyclic_table(30)), 5)
 
 
 def test_relative_tolerance_scales_with_magnitude():

@@ -3,24 +3,22 @@ import pytest
 
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
-    DiscretePrenorm,
     Prenorm,
     QuotientMetricSpace,
     build_dyadic,
     check_metric_properties,
     finite_chain,
-    make_prenorm,
     pseudometric_d,
     quotient_metric_rho,
     radial_chain,
 )
-from gyrokit.tables import TableModel, cyclic_table, klein_table
+from gyrokit.tables import cyclic_table, klein_table
 
 
 def mobius_space(ratio=0.25, depth=24, t0=1.0):
     model = MobiusModel()
     fam = build_dyadic(radial_chain(model, t0=t0, ratio=ratio, depth=depth))
-    return QuotientMetricSpace(model, Prenorm(fam))
+    return QuotientMetricSpace(Prenorm(fam))
 
 
 # -- point values --------------------------------------------------------------
@@ -100,7 +98,7 @@ def test_metric_suite_decomposition_tight():
 def test_metric_suite_einstein():
     model = EinsteinModel()
     fam = build_dyadic(radial_chain(model, ratio=0.25, depth=20))
-    rep = check_metric_properties(QuotientMetricSpace(model, Prenorm(fam)), n_samples=1500)
+    rep = check_metric_properties(QuotientMetricSpace(Prenorm(fam)), n_samples=1500)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
@@ -108,9 +106,7 @@ def test_metric_suite_einstein():
 
 
 def finite_space(table, sub):
-    model = TableModel(table)
-    fam = build_dyadic(finite_chain(model, sub))
-    return QuotientMetricSpace(model, make_prenorm(fam), subgyrogroup=tuple(sub))
+    return QuotientMetricSpace(Prenorm(build_dyadic(finite_chain(table, sub))))
 
 
 def test_finite_metric_z4_discrete_quotient():
@@ -136,8 +132,7 @@ def test_finite_metric_klein_sub():
 def test_finite_rho_values_by_hand():
     # Z4 mod {0,2}: classes {0,2} and {1,3}
     space = finite_space(cyclic_table(4), [0, 2])
-    N = space.prenorm
-    assert isinstance(N, DiscretePrenorm)
+    assert space.prenorm(np.arange(4)).tolist() == [0.0, 1.0, 0.0, 1.0]
     assert space.rho(np.array([0]), np.array([2]))[0] == 0.0
     assert space.rho(np.array([0]), np.array([1]))[0] == 2.0
     assert space.rho(np.array([1]), np.array([3]))[0] == 0.0

@@ -6,12 +6,10 @@ import pytest
 from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
-    DiscretePrenorm,
     Prenorm,
     build_dyadic,
     check_prenorm_properties,
     finite_chain,
-    make_prenorm,
     parse_chain_spec,
     prenorm_eval,
     radial_chain,
@@ -130,7 +128,7 @@ def test_sandwich_at_every_level_ratio_quarter():
 def test_prenorm_frozen_values_ratio_half():
     model = MobiusModel()
     fam = build_dyadic(radial_chain(model, t0=1.0, ratio=0.5, depth=24))
-    N = make_prenorm(fam)
+    N = Prenorm(fam)
     pts = np.array([[0.0, 0.0], [np.tanh(0.75), 0.0], [np.tanh(3.0), 0.0]])
     vals = N(pts)
     assert vals[0] == 0.0
@@ -141,7 +139,7 @@ def test_prenorm_frozen_values_ratio_half():
 
 def test_prenorm_zero_and_cap_any_ratio():
     fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.25, depth=12))
-    N = make_prenorm(fam)
+    N = Prenorm(fam)
     assert N(np.array([[0.0, 0.0]]))[0] == 0.0
     # total scale is sum of 4^-n < 4/3; rapidity 2 exceeds it
     assert N(np.array([[np.tanh(2.0), 0.0]]))[0] == 2.0
@@ -152,8 +150,8 @@ def test_prenorm_depth_refinement():
     gen = np.random.default_rng(19)
     pts = gen.uniform(-0.7, 0.7, (2000, 2))
     for D in (6, 10):
-        coarse = make_prenorm(build_dyadic(radial_chain(model, ratio=0.5, depth=D)))(pts)
-        fine = make_prenorm(build_dyadic(radial_chain(model, ratio=0.5, depth=D + 1)))(pts)
+        coarse = Prenorm(build_dyadic(radial_chain(model, ratio=0.5, depth=D)))(pts)
+        fine = Prenorm(build_dyadic(radial_chain(model, ratio=0.5, depth=D + 1)))(pts)
         assert (fine <= coarse + 1e-15).all()
         assert (coarse - fine <= 2.0 ** -D + 1e-15).all()
 
@@ -171,7 +169,7 @@ def test_prenorm_eval_vs_index_bisection_dual_route():
 
 def test_prenorm_inversion_symmetry_bitwise():
     fam = build_dyadic(radial_chain(EinsteinModel(), depth=20))
-    N = make_prenorm(fam)
+    N = Prenorm(fam)
     gen = np.random.default_rng(29)
     pts = gen.uniform(-0.6, 0.6, (500, 3))
     assert np.array_equal(N(pts), N(fam.model.neg(pts)))
@@ -182,7 +180,7 @@ def test_prenorm_collinear_near_additivity_ratio_half():
     # up to quantization
     model = MobiusModel()
     fam = build_dyadic(radial_chain(model, ratio=0.5, depth=24))
-    N = make_prenorm(fam)
+    N = Prenorm(fam)
     gen = np.random.default_rng(31)
     a = gen.uniform(0.05, 0.9, 300)
     b = gen.uniform(0.05, 0.9, 300)
@@ -205,8 +203,7 @@ def test_build_dyadic_requires_halving():
 
 
 def test_build_dyadic_accepts_half_and_truncates():
-    chain = radial_chain(MobiusModel(), ratio=0.5, depth=12)
-    fam = build_dyadic(chain, max_depth=8)
+    fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.5, depth=8))
     assert fam.depth == 8
     assert fam.grid_step == 2.0 ** -8
 
@@ -300,20 +297,13 @@ def test_prenorm_suite_einstein():
 
 def test_discrete_prenorm_and_finite_suite():
     t = klein_table()
-    N = DiscretePrenorm(t, [0, 1])
-    vals = N(np.arange(4))
-    assert vals.tolist() == [0.0, 0.0, 1.0, 1.0]
     fam = build_dyadic(finite_chain(t, [0, 1]))
+    assert Prenorm(fam)(np.arange(4)).tolist() == [0.0, 0.0, 1.0, 1.0]
+    z2 = build_dyadic(finite_chain(cyclic_table(2), [0]))
+    assert Prenorm(z2)(np.arange(2)).tolist() == [0.0, 1.0]
     rep = check_prenorm_properties(fam)
     assert rep.passed
     assert all(c.samples == "exhaustive" for c in rep.checks)
-
-
-def test_prenorm_rejects_finite_family():
-    fam = build_dyadic(finite_chain(cyclic_table(2), [0]))
-    with pytest.raises(UsageError):
-        Prenorm(fam)
-    assert isinstance(make_prenorm(fam), DiscretePrenorm)
 
 
 # -- chain specs ---------------------------------------------------------------

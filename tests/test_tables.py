@@ -16,7 +16,6 @@ from gyrokit.tables import (
     coset_partition,
     cyclic_table,
     enumerate_subgyrogroups,
-    gyr_table,
     gyr_tensor,
     is_L_subgyrogroup,
     klein_table,
@@ -139,6 +138,22 @@ def test_validation_check_order_and_blocking():
     }
 
 
+def test_inverses_computed_once_and_witnessed():
+    t = s3_table()
+    inv = t.inverses()
+    assert inv is t.inverses()
+    idx = np.arange(6)
+    assert (t.table[idx, inv] == t.identity_index).all()
+    assert (t.table[inv, idx] == t.identity_index).all()
+    # element 1 has the two two-sided inverses 1 and 2
+    two = CayleyTable([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    with pytest.raises(AxiomViolationError, match="'1' has 2 two-sided inverses"):
+        two.inverses()
+    assert validate_table(two).check("G2_unique_inverses").witness == {
+        "element": "1", "two_sided_inverses": ["1", "2"]
+    }
+
+
 def test_validation_no_identity():
     # subtraction mod 3: Latin but no two-sided identity
     t = CayleyTable([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
@@ -170,9 +185,9 @@ def test_latin_non_gyrogroup_rejected():
 
 
 def test_gyr_table_identity_for_groups():
-    gt = gyr_table(cyclic_table(6))
-    assert gt.all_identity()
-    assert np.array_equal(gt.perm(2, 3), np.arange(6))
+    B = cyclic_table(6).gyrations()
+    assert (B == np.arange(6)).all()
+    assert np.array_equal(B[2, 3], np.arange(6))
 
 
 def test_gyr_tensor_definition():
@@ -188,7 +203,7 @@ def test_gyr_tensor_definition():
 
 def test_gyr_table_requires_bijective_rows():
     with pytest.raises(AxiomViolationError):
-        gyr_table(CayleyTable([[0, 1], [1, 1]]))
+        CayleyTable([[0, 1], [1, 1]]).gyrations()
 
 
 def test_gyration_tensor_built_once_per_table(monkeypatch):
@@ -202,7 +217,7 @@ def test_gyration_tensor_built_once_per_table(monkeypatch):
     TableModel(t)
     enumerate_subgyrogroups(t)
     coset_partition(t, [0, 3])
-    assert gyr_table(t).tensor is t.gyrations()
+    assert t.gyrations() is t.gyrations()
     assert len(calls) == 1
 
 
@@ -226,6 +241,14 @@ def test_builtin_table_size_guard(monkeypatch):
     monkeypatch.setattr(tables, "cyclic_table", None)  # must not be reached
     with pytest.raises(ResourceLimitError):
         builtin_table("z272")  # 272^3 just exceeds the exhaustive cap
+
+
+def test_table_model_size_guard(monkeypatch):
+    import gyrokit.tables as tables
+
+    monkeypatch.setattr(tables, "gyr_tensor", None)  # must not be reached
+    with pytest.raises(ResourceLimitError):
+        TableModel(cyclic_table(272))  # a table of any origin is guarded
 
 
 # -- table model ---------------------------------------------------------------
