@@ -152,6 +152,11 @@ def test_inverses_computed_once_and_witnessed():
     assert validate_table(two).check("G2_unique_inverses").witness == {
         "element": "1", "two_sided_inverses": ["1", "2"]
     }
+    # 1 + 2 = 0 but 2 + 1 = 1: a one-sided inverse does not count
+    one_sided = CayleyTable([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert validate_table(one_sided).check("G2_unique_inverses").witness == {
+        "element": "1", "two_sided_inverses": []
+    }
 
 
 def test_validation_no_identity():
