@@ -104,6 +104,32 @@ def _e_oplus_unit(u, v):
     return (u + g * v + (uv / (1.0 + g)) * u) / (1.0 + uv)
 
 
+def _e_gyr_coeffs(gu, gv, uv, uw, vw):
+    """Coefficients (a, b) with gyr[u, v]w = w + a*u + b*v on the unit ball.
+
+    Ungar's closed form (Analytic Hyperbolic Geometry and Albert
+    Einstein's Special Theory of Relativity, 2008) is w + (A u + B v)/D
+    with polynomial A, B, D in gamma_u, gamma_v and the dot products.
+    Dividing A, B and D by gamma_u*gamma_v writes them in gu = 1/gamma_u
+    and gv = 1/gamma_v, which stay finite up to the boundary. Only
+    + - * / are used, so the arguments may be float arrays or DD values.
+    """
+    d = 1.0 + uv + gu * gv
+    a = (vw - (1.0 - gv) / (1.0 + gu) * uw + 2.0 * uv * vw / ((1.0 + gu) * (1.0 + gv))) / d
+    b = -(uw + (1.0 - gu) / (1.0 + gv) * vw) / d
+    return a, b
+
+
+def _e_gyr_unit(u, v, w):
+    def dot(p, q):
+        return np.sum(p * q, axis=-1, keepdims=True)
+
+    gu = np.sqrt(1.0 - dot(u, u))
+    gv = np.sqrt(1.0 - dot(v, v))
+    a, b = _e_gyr_coeffs(gu, gv, dot(u, v), dot(u, w), dot(v, w))
+    return w + a * u + b * v
+
+
 def _gamma_unit(u):
     return 1.0 / np.sqrt(1.0 - np.sum(np.asarray(u) ** 2, axis=-1))
 
@@ -178,9 +204,14 @@ class _EinsteinExtended:
         return [(u[i] + v[i] * g + u[i] * coef) / d for i in range(len(u))]
 
     def gyr(self, u, v, w):
-        return derived_gyration(self, u, v, w)
+        def g(p):
+            return (1.0 - dd.dot(p, p)).sqrt()
 
-    gyr_derived = gyr
+        a, b = _e_gyr_coeffs(g(u), g(v), dd.dot(u, v), dd.dot(u, w), dd.dot(v, w))
+        return [w[i] + a * u[i] + b * v[i] for i in range(len(w))]
+
+    def gyr_derived(self, u, v, w):
+        return derived_gyration(self, u, v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +242,12 @@ class MobiusModel(GyrogroupModel):
 class EinsteinModel(GyrogroupModel):
     """The radius-c velocity ball with relativistic composition.
 
-    No closed-form gyration is exposed; the three-addition composition
-    is the operative definition.
+    ``gyr`` is Ungar's closed form; ``gyr_derived``, the three-addition
+    composition, is kept as the oracle it is checked against.
     """
 
     dim = 3
-    has_closed_gyr = False
+    has_closed_gyr = True
 
     def __init__(self, c: float = 1.0):
         if c <= 0:
@@ -234,6 +265,14 @@ class EinsteinModel(GyrogroupModel):
 
     def neg(self, u):
         return -np.asarray(u, float)
+
+    def gyr(self, u, v, w):
+        u = np.asarray(u, float)
+        v = np.asarray(v, float)
+        w = np.asarray(w, float)
+        if self.c == 1.0:
+            return _e_gyr_unit(u, v, w)
+        return self.c * _e_gyr_unit(u / self.c, v / self.c, w / self.c)
 
     def extended(self):
         return _EinsteinExtended(self.c)
@@ -396,8 +435,7 @@ def einstein_gyr(u, v, w, c: float = 1.0, margin: float = 1e-6):
     w = np.asarray(w, float)
     for p, what in ((u, "first pivot"), (v, "second pivot"), (w, "argument")):
         _check_carrier(p, c, margin, what)
-    m = EinsteinModel(c)
-    return derived_gyration(m, u, v, w)
+    return EinsteinModel(c).gyr(u, v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from gyrokit.core import (
     check_identities,
     derived_gyration,
     gyr_apply,
-    law_g4_loop,
+    law_gyration_agreement,
 )
 from gyrokit.errors import ResourceLimitError
 from gyrokit.models import EinsteinModel, MobiusModel
@@ -162,19 +162,20 @@ def test_failure_produces_witness():
 
 
 def test_boundary_stress_needs_extended_precision():
-    # G4 at forced-boundary pivots is ill-conditioned in plain doubles:
-    # the double-only residual blows up while the suite, which reruns
-    # stressed samples through the paired-double ops, stays tight.
+    # The derived gyration at forced-boundary operands is ill-conditioned
+    # in plain doubles: comparing it with the closed form in doubles alone
+    # blows up, while the suite, which reruns stressed samples through the
+    # paired-double ops, stays tight on the very same samples.
     m = EinsteinModel()
     tol = ToleranceConfig()
-    gen = Sampler(42).stream("axioms", "G4_loop")
+    gen = Sampler(42).stream("identities", "gyration_agreement")
     x, y, z = m.sample_operands(gen, 20000, 3, tol)
-    lhs, rhs = law_g4_loop(m, x, y, z)[0]
+    lhs, rhs = law_gyration_agreement(m, x, y, z)[0]
     double_only = float(np.max(m.distance(lhs, rhs) / np.maximum(1.0, m.magnitude(lhs))))
     assert double_only > 1e-8  # the conditioning is real
-    rep = check_axioms(m, Sampler(42), 20000)
+    rep = check_identities(m, Sampler(42), 20000)
     assert rep.passed
-    assert rep.check("G4_loop").max_residual <= 1e-9
+    assert rep.check("gyration_agreement").max_residual <= 1e-9
 
 
 def test_exhaustive_cap():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from gyrokit.errors import CarrierDomainError, UsageError
+from gyrokit.core import check_identities
 from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
     ProductModel,
+    _EinsteinExtended,
     as_complex,
     as_pair,
     check_strong_base,
@@ -15,7 +17,7 @@ from gyrokit.models import (
     mobius_gyr,
     mobius_oplus,
 )
-from gyrokit.sampling import Sampler
+from gyrokit.sampling import Sampler, ball_points, directions
 
 
 # -- frozen values, hand-computed from the defining formulas -----------------
@@ -94,8 +96,6 @@ def test_rapidity_additivity_einstein():
     m = EinsteinModel()
     rho_u = gen.uniform(0, 2.5, 4000)
     rho_v = gen.uniform(0, 2.5, 4000)
-    from gyrokit.sampling import directions
-
     u = np.tanh(rho_u)[:, None] * directions(gen, 4000, 3)
     v = np.tanh(rho_v)[:, None] * directions(gen, 4000, 3)
     rho_sum = np.arctanh(np.linalg.norm(m.oplus(u, v), axis=1))
@@ -111,8 +111,6 @@ def test_rapidity_additivity_einstein():
 def test_rapidity_additivity_mobius():
     gen = np.random.default_rng(12)
     m = MobiusModel()
-    from gyrokit.sampling import directions
-
     rho_u = gen.uniform(0, 2.5, 4000)
     rho_v = gen.uniform(0, 2.5, 4000)
     u = np.tanh(rho_u)[:, None] * directions(gen, 4000, 2)
@@ -177,6 +175,61 @@ def test_extended_fixes_boundary_left_cancellation():
     xe, ye = ext.lift(x), ext.lift(y)
     back = ext.lower(ext.oplus(ext.neg(xe), ext.oplus(xe, ye)))
     assert np.abs(back - y).max() <= 1e-14
+
+
+# -- closed-form Einstein gyration ---------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_einstein_closed_gyr_matches_derived(c):
+    m = EinsteinModel(c)
+    assert m.has_closed_gyr
+    gen = np.random.default_rng(7)
+    # moderate rapidity, where the derived composition is well conditioned
+    u, v, w = (ball_points(gen, 4000, 3, c, t_max=1.5, margin=None) for _ in range(3))
+    assert np.abs(m.gyr(u, v, w) - m.gyr_derived(u, v, w)).max() <= 1e-13 * c
+    assert np.abs(einstein_gyr(u, v, w, c=c) - m.gyr(u, v, w)).max() == 0.0
+
+
+def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
+    m = EinsteinModel()
+    ext = m.extended()
+    gen = np.random.default_rng(8)
+    # both pivots at the forced-boundary radius
+    u = (1.0 - 1e-6) * directions(gen, 2000, 3)
+    v = (1.0 - 1e-6) * directions(gen, 2000, 3)
+    w = ball_points(gen, 2000, 3)
+    U, V, W = ext.lift(u), ext.lift(v), ext.lift(w)
+    closed = ext.lower(ext.gyr(U, V, W))
+    derived = ext.lower(ext.gyr_derived(U, V, W))
+    assert np.abs(closed - derived).max() <= 1e-15
+
+
+def test_product_picks_up_closed_gyr():
+    assert ProductModel(MobiusModel(), EinsteinModel()).has_closed_gyr
+
+
+def test_gyration_agreement_catches_swapped_pivots():
+    # gyr[v, u] is the inverse rotation of gyr[u, v]; a model that
+    # swaps the pivots in both precisions must fail the agreement check
+    class SwappedExtended(_EinsteinExtended):
+        def gyr(self, u, v, w):
+            return super().gyr(v, u, w)
+
+    class Swapped(EinsteinModel):
+        def gyr(self, u, v, w):
+            return super().gyr(v, u, w)
+
+        def extended(self):
+            return SwappedExtended(self.c)
+
+    bad = check_identities(Swapped(), Sampler(42), 2000).check("gyration_agreement")
+    assert not bad.passed
+    assert bad.max_residual > 0.1
+    assert bad.witness is not None and len(bad.witness["inputs"]) == 3
+    good = check_identities(EinsteinModel(), Sampler(42), 2000).check("gyration_agreement")
+    assert good.passed
+    assert 0.0 < good.max_residual <= 1e-9  # two different functions now
 
 
 # -- product construction ----------------------------------------------------
