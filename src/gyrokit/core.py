@@ -20,7 +20,13 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .report import CheckResult, suite_report
-from .sampling import Sampler, ToleranceConfig, ball_points, sample_operands
+from .sampling import (
+    Sampler,
+    ToleranceConfig,
+    ball_points,
+    check_sample_size,
+    sample_operands,
+)
 
 # rapidity beyond which a float64 intermediate is no longer trusted;
 # cosh(5.5)^2 * eps stays two orders below the default tolerance
@@ -343,6 +349,11 @@ def _continuous_streams(model, gen, n, base, wit, witnesses, tol):
 def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
     sampler = sampler if sampler is not None else Sampler()
     tol = tol if tol is not None else ToleranceConfig()
+    if not model.is_exact:
+        # refuse the whole suite before its first check allocates anything;
+        # checks with witness operands repeat each base row `witnesses` times
+        expanded = any(wit for _, _, _, wit in checks)
+        check_sample_size(n_samples * max(1, witnesses) if expanded else n_samples, model.dim)
     with suite_report(suite, model.name, sampler, tol) as report:
         for name, law, base, wit in checks:
             if model.is_exact:

@@ -20,7 +20,7 @@ import numpy as np
 from .core import GyrogroupModel, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, suite_report, witness_check
-from .sampling import Sampler, ToleranceConfig, directions
+from .sampling import Sampler, ToleranceConfig, check_sample_size, directions
 from .tables import TableModel, coset_partition
 
 DEFAULT_RATIO = 0.25
@@ -343,6 +343,7 @@ class QuotientMetricSpace:
 
 def _rapidity_ball(gen, n, dim, bound, t_cap):
     """Points with rapidity uniform on [0, t_cap]; no boundary forcing."""
+    check_sample_size(n, dim)
     rho = gen.uniform(0.0, t_cap, size=n)
     return np.tanh(rho)[:, None] * bound * directions(gen, n, dim)
 

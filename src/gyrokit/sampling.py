@@ -18,10 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import ResourceLimitError, SamplingError
 
 DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
+# rows x dim of one point stream. The suites peak at 80-135 bytes per such
+# value, so the largest accepted request peaks near 1.3 GiB.
+MAX_SAMPLE_VALUES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,18 @@ def directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return v / norm
 
 
+def check_sample_size(rows: int, dim: int) -> None:
+    """Refuse a stream of ``rows`` points in ``dim`` coordinates before
+    anything is allocated for it."""
+    if rows < 1:
+        raise SamplingError("sample count must be >= 1")
+    if rows * dim > MAX_SAMPLE_VALUES:
+        raise ResourceLimitError(
+            f"{rows} samples of dimension {dim} are too large: rows x dim "
+            f"may be at most {MAX_SAMPLE_VALUES}"
+        )
+
+
 def ball_points(
     gen: np.random.Generator,
     n: int,
@@ -89,8 +104,7 @@ def ball_points(
     indices forced_offset::100 are placed at Euclidean distance
     bound*margin from the boundary.
     """
-    if n < 1:
-        raise SamplingError("sample count must be >= 1")
+    check_sample_size(n, dim)
     rho = gen.uniform(0.0, t_max, n)
     r = np.tanh(rho)
     if forced_offset is not None:

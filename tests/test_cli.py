@@ -5,6 +5,7 @@ import pytest
 from gyrokit import check_subgyrogroups
 from gyrokit.cli import EXIT_CODES, SUITES, main
 from gyrokit.errors import GyroError
+from gyrokit.sampling import MAX_SAMPLE_VALUES
 from gyrokit.tables import cyclic_table
 
 
@@ -113,6 +114,20 @@ def test_oversized_table_file_exits_two(capsys, tmp_path):
     path = tmp_path / "z272.json"
     cyclic_table(272).save(path)
     code, out, err = run(capsys, "axioms", "--model", f"table:{path}")
+    assert (code, out) == (2, "")
+    assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "suite,model,samples",
+    [
+        # 3 witnesses x dim 3 per base sample in the witness checks
+        ("axioms", "einstein", MAX_SAMPLE_VALUES // 9 + 1),
+        ("prenorm", "mobius", MAX_SAMPLE_VALUES // 2 + 1),
+    ],
+)
+def test_oversized_sample_count_exits_two(capsys, suite, model, samples):
+    code, out, err = run(capsys, suite, "--model", model, "--samples", str(samples))
     assert (code, out) == (2, "")
     assert "too large" in err
 

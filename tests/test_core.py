@@ -9,13 +9,15 @@ from gyrokit.core import (
     gyr_apply,
     law_gyration_agreement,
 )
-from gyrokit.errors import ResourceLimitError
+from gyrokit.errors import ResourceLimitError, SamplingError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.sampling import (
     FORCED_STRIDE,
+    MAX_SAMPLE_VALUES,
     Sampler,
     ToleranceConfig,
     ball_points,
+    check_sample_size,
     derive_seed,
     directions,
     sample_operands,
@@ -59,6 +61,30 @@ def test_ball_points_forced_boundary_slice():
     r = np.linalg.norm(pts, axis=1)
     assert np.allclose(r[3::FORCED_STRIDE], 1.0 - 1e-6, atol=1e-15)
     assert (r < 1.0).all()
+
+
+def test_sample_cap_refuses_before_drawing():
+    from gyrokit.prenorm import _rapidity_ball
+
+    # no generator: a refused request must fail before it draws anything
+    with pytest.raises(ResourceLimitError):
+        ball_points(None, MAX_SAMPLE_VALUES // 3 + 1, 3)
+    with pytest.raises(ResourceLimitError):
+        _rapidity_ball(None, MAX_SAMPLE_VALUES // 2 + 1, 2, 1.0, 1.0)
+    with pytest.raises(SamplingError):
+        ball_points(None, 0, 3)
+    check_sample_size(MAX_SAMPLE_VALUES // 3, 3)  # the cap itself is allowed
+
+    # plain checks fit, but the witness-expanded ones would not: the suite
+    # is refused before its first check draws a sample
+    class NoDraws(Sampler):
+        def stream(self, suite, check):
+            raise AssertionError(f"{check} drew samples")
+
+    n = MAX_SAMPLE_VALUES // 9 + 1
+    check_sample_size(n, 3)
+    with pytest.raises(ResourceLimitError):
+        check_axioms(EinsteinModel(), NoDraws(), n, witnesses=3)
 
 
 def test_sample_operands_disjoint_forcing():

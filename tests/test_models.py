@@ -205,10 +205,6 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
     assert np.abs(closed - derived).max() <= 1e-15
 
 
-def test_product_picks_up_closed_gyr():
-    assert ProductModel(MobiusModel(), EinsteinModel()).has_closed_gyr
-
-
 def test_gyration_agreement_catches_swapped_pivots():
     # gyr[v, u] is the inverse rotation of gyr[u, v]; a model that
     # swaps the pivots in both precisions must fail the agreement check
@@ -240,6 +236,7 @@ def test_product_model_axioms():
 
     pm = ProductModel(MobiusModel(), EinsteinModel())
     assert pm.dim == 5
+    assert pm.has_closed_gyr
     rep = check_axioms(pm, Sampler(42), 2000)
     assert rep.passed
 
