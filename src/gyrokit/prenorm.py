@@ -5,9 +5,11 @@ A chain is a decreasing sequence of sets around the identity. When
 consecutive levels shrink fast enough the chain extends to a family
 indexed by dyadic rationals in (0, 2], and the least dyadic index whose
 set contains a point is a prenorm on the carrier. Two routes are kept
-deliberately separate: set membership goes through a memoized threshold
-recursion, while prenorm values come from a greedy per-level bit
-extraction. They must agree, and the test suite holds them to that.
+deliberately separate: set membership goes through the threshold
+recursion (memoized for single indices; the bisection that inverts it
+carries each sample's lower threshold by the recursion's step), while
+prenorm values come from a greedy per-level bit extraction. They must
+agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -196,35 +198,25 @@ class DyadicFamily:
         return rapidity(self.model, x) <= self.threshold(r)
 
     def index_of_rapidity(self, rho) -> np.ndarray:
-        """Least grid index whose set covers the given radial scale,
-        found by bisection over the memoized threshold recursion. This
-        is a second, independent route to the prenorm value; anything
-        beyond the top of the scale clamps to 2."""
+        """Least grid index whose set covers the given radial scale, found
+        by bisection. Every bracket [lo, lo + 2^(1-n)] halves in lockstep,
+        so the midpoint at step n is the odd index lo + 2^-n, whose
+        threshold by the recursion's step is t[n] + thr(lo); each sample
+        carries thr(lo) along, starting from thr(0) = 0. This is a second,
+        independent route to the prenorm value; anything beyond the top
+        of the scale, NaN included, clamps to 2."""
         if not isinstance(self.chain, RadialChain):
             raise UsageError("rapidity inversion is defined for radial chains only")
         rho = np.asarray(rho, dtype=float)
         scale = 1 << self.depth
-        top = 2 * scale
         lo = np.zeros(rho.shape, dtype=np.int64)
-        hi = np.full(rho.shape, top, dtype=np.int64)
-        for _ in range(self.depth + 2):
-            mid = (lo + hi) >> 1
-            act = mid > lo
-            if not act.any():
-                break
-            ms = np.unique(mid[act])
-            vals = np.array([self._thr_of_index(int(m)) for m in ms])
-            covered = rho[act] <= vals[np.searchsorted(ms, mid[act])]
-            hi[act] = np.where(covered, mid[act], hi[act])
-            lo[act] = np.where(covered, lo[act], mid[act])
-        return np.where(rho <= 0.0, 0.0, hi / scale)
-
-    def _thr_of_index(self, m):
-        n = self.depth
-        while m % 2 == 0 and n > 0:
-            m //= 2
-            n -= 1
-        return self._thr(m, n)
+        thr_lo = np.zeros(rho.shape)
+        for n in range(self.depth + 1):
+            thr_mid = float(self.chain.t[n]) + thr_lo
+            up = ~(rho <= thr_mid)
+            np.add(lo, scale >> n, out=lo, where=up)
+            np.copyto(thr_lo, thr_mid, where=up)
+        return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
 
 
 def _dyadic_terms(r, depth):
@@ -278,16 +270,14 @@ def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     t = chain.t[: family.depth + 1].astype(float)
     tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
     full = float(t[0] + tails[0])
-    out = np.zeros(rho.shape, dtype=float)
-    rem = np.where(np.isfinite(rho), rho, np.inf)
-    capped = rem > full
-    out[capped] = 2.0
-    active = ~capped
-    rem = np.where(active, rem, 0.0)
+    capped = ~(rho <= full)  # NaN counts as beyond the top
+    out = np.where(capped, 2.0, 0.0)
+    rem = np.where(capped, 0.0, rho)
     for n in range(family.depth + 1):
-        bit = active & (rem > tails[n])
-        out[bit] += 2.0 ** -n
-        rem[bit] -= t[n]
+        # a capped sample has rem = 0, which exceeds no tail
+        bit = rem > tails[n]
+        np.add(out, 2.0 ** -n, out=out, where=bit)
+        np.subtract(rem, t[n], out=rem, where=bit)
     return out
 
 
@@ -556,13 +546,14 @@ def check_metric_properties(
 
             # independent route: invert the threshold recursion by bisection
             limit = tol.abs_tol + 4.0 * family.grid_step
-            sep_xy = rapidity(model, model.oplus(model.neg(x), y))
+            xy = model.oplus(model.neg(x), y)
+            sep_xy = rapidity(model, xy)
             sep_yx = rapidity(model, model.oplus(model.neg(y), x))
             oracles = [
                 ("rho_oracle", family.index_of_rapidity(sep_xy) + family.index_of_rapidity(sep_yx))
             ]
             if family.chain.ratio == 0.5:
-                sep = model.norm_fraction(model.oplus(model.neg(x), y))
+                sep = model.norm_fraction(xy)
                 oracles.append(("rho_closed_form", 2.0 * np.arctanh(sep) / family.chain.t0))
             for name, oracle in oracles:
                 i, worstd, okw = _worst(np.abs(rxy - oracle), limit)

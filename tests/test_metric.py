@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+import gyrokit.prenorm as prenorm_mod
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
     Prenorm,
@@ -88,6 +91,34 @@ def test_metric_suite_oracle_residual_quarter():
     # a grid step at the default ratio
     rep = check_metric_properties(mobius_space(ratio=0.25), n_samples=2000)
     assert rep.check("rho_oracle").max_residual <= 2.0 ** -22
+
+
+def test_rho_oracle_catches_a_truncated_prenorm(monkeypatch):
+    # a prenorm that skips the finest four levels is off by up to
+    # 2^-20 per term, well past the oracle's four-grid-step limit; ratio
+    # 1/4 would not show it, since its prenorm takes so few distinct
+    # values on sampled points that none of them moves
+    space = mobius_space(ratio=0.5)
+    names = ("rho_oracle", "rho_closed_form")
+    rep = check_metric_properties(space, n_samples=5000)
+    assert all(rep.check(name).passed for name in names)
+
+    real = prenorm_mod.prenorm_eval
+
+    def truncated(family, x):
+        coarse = copy.copy(family)
+        coarse.depth = family.depth - 4
+        return real(coarse, x)
+
+    monkeypatch.setattr(prenorm_mod, "prenorm_eval", truncated)
+    rep = check_metric_properties(space, n_samples=5000)
+    limit = 1e-9 + 4.0 * 2.0 ** -24
+    for name in names:
+        check = rep.check(name)
+        assert not check.passed
+        assert check.max_residual > limit
+        assert set(check.witness) == {"x", "y", "difference"}
+    assert not rep.passed
 
 
 def test_metric_suite_decomposition_tight():

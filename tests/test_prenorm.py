@@ -6,6 +6,7 @@ import pytest
 from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
+    DyadicFamily,
     Prenorm,
     build_dyadic,
     check_prenorm_properties,
@@ -165,6 +166,39 @@ def test_prenorm_eval_vs_index_bisection_dual_route():
     greedy = prenorm_eval(fam, pts)
     bisect = fam.index_of_rapidity(rapidity(fam.model, pts))
     assert np.abs(greedy - bisect).max() <= fam.grid_step + 1e-12
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.3])
+def test_index_of_rapidity_pins_the_recursion(ratio):
+    # every threshold of the depth-8 grid inverts to its own index, and
+    # the next double above it to the next index
+    depth = 8
+    fam = build_dyadic(radial_chain(MobiusModel(), ratio=ratio, depth=depth))
+    k = np.arange(1, 2 ** (depth + 1))
+    thr = np.array([fam.threshold(Fraction(int(m), 2 ** depth)) for m in k])
+    assert np.array_equal(fam.index_of_rapidity(thr), k / 2 ** depth)
+    above = np.nextafter(thr, np.inf)
+    assert np.array_equal(fam.index_of_rapidity(above), (k + 1) / 2 ** depth)
+    top = float(np.sum(fam.chain.t))
+    edges = np.array([0.0, -0.0, -1e-300, -1.0, -np.inf, np.inf, np.nan, 1.5 * top, 2.0 * top])
+    want = np.array([0.0] * 5 + [2.0] * 4)
+    assert np.array_equal(fam.index_of_rapidity(edges), want)
+
+
+def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
+    fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.25, depth=24))
+    real = DyadicFamily._thr
+    calls = []
+
+    def counted(self, m, n):
+        calls.append((m, n))
+        return real(self, m, n)
+
+    monkeypatch.setattr(DyadicFamily, "_thr", counted)
+    rho = np.random.default_rng(37).uniform(0.0, 1.5, 10_000)
+    got = fam.index_of_rapidity(rho)
+    assert calls == []
+    assert got.shape == rho.shape and ((got > 0) & (got <= 2)).all()
 
 
 def test_prenorm_inversion_symmetry_bitwise():
