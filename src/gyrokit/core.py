@@ -25,6 +25,7 @@ from .sampling import (
     ToleranceConfig,
     ball_points,
     check_sample_size,
+    rownorm,
     sample_operands,
 )
 
@@ -66,10 +67,10 @@ class GyrogroupModel:
         return derived_gyration(self, x, y, z)
 
     def distance(self, a, b):
-        return np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1)
+        return rownorm(np.asarray(a, float) - np.asarray(b, float))
 
     def magnitude(self, a):
-        return np.linalg.norm(np.asarray(a), axis=-1)
+        return rownorm(np.asarray(a, float))
 
     def norm_fraction(self, a):
         """Carrier norm as a fraction of the boundary radius."""
@@ -104,27 +105,6 @@ def derived_gyration(ops, x, y, z):
     """gyr[x, y](z) as the three-addition composition."""
     xy = ops.oplus(x, y)
     return ops.oplus(ops.neg(xy), ops.oplus(x, ops.oplus(y, z)))
-
-
-def gyr_apply(model, x, y, z):
-    """Evaluate the derived gyration, short-circuiting degenerate pivots.
-
-    When x or y is exactly the identity the map is the identity map; the
-    short-circuit returns z for those samples without running the
-    composition.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    z = np.asarray(z)
-    out = derived_gyration(model, x, y, z)
-    if model.is_exact:
-        e = model.zero_like(x)
-        trivial = (x == e) | (y == e)
-        return np.where(trivial, z, out)
-    trivial = (model.magnitude(x) == 0.0) | (model.magnitude(y) == 0.0)
-    if np.any(trivial):
-        out = np.where(trivial[..., None], z, out)
-    return out
 
 
 class _TracedOps:

@@ -2,8 +2,9 @@
 
 Disk elements are real pairs (re, im) in arrays of shape (..., 2);
 velocity elements are real 3-vectors in units of the model's speed
-bound. Complex arithmetic is spelled out on the real pairs rather than
-delegated to a complex dtype.
+bound. The disk kernels run on (re, im) parts with + - * / only, so the
+float64 columns and the double-double values share one implementation;
+no complex dtype is involved.
 
 Public single-call operations validate their inputs against the carrier
 (rejecting points within ``margin`` of the boundary, where a lone
@@ -21,55 +22,39 @@ from . import ddarith as dd
 from .core import GyrogroupModel, derived_gyration, run_law_check
 from .errors import CarrierDomainError, UsageError
 from .report import CheckResult, VerificationReport, suite_report
-from .sampling import Sampler, ToleranceConfig, directions
+from .sampling import Sampler, ToleranceConfig, directions, rowdot, rownorm
 
 # ---------------------------------------------------------------------------
-# real-pair complex helpers (double path)
+# disk kernels on (re, im) parts: float64 columns and DD values alike
 
 
-def _re(a):
-    return a[..., 0]
-
-
-def _im(a):
-    return a[..., 1]
-
-
-def _pair(re, im):
-    return np.stack([re, im], axis=-1)
+def _parts(a):
+    a = np.asarray(a, float)
+    return [a[..., 0], a[..., 1]]
 
 
 def _cmul(a, b):
-    return _pair(
-        _re(a) * _re(b) - _im(a) * _im(b),
-        _re(a) * _im(b) + _im(a) * _re(b),
-    )
-
-
-def _cconj(a):
-    return _pair(_re(a), -_im(a))
+    return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
 
 
 def _cdiv(a, b):
-    den = _re(b) ** 2 + _im(b) ** 2
-    num = _cmul(a, _cconj(b))
-    return _pair(_re(num) / den, _im(num) / den)
+    den = b[0] * b[0] + b[1] * b[1]
+    return [(a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den]
 
 
-def _one_plus(a):
-    return _pair(1.0 + _re(a), _im(a))
-
-
-def _m_oplus(a, b):
-    return _cdiv(a + b, _one_plus(_cmul(_cconj(a), b)))
+def _m_oplus_parts(a, b):
+    den = _cmul([a[0], -a[1]], b)
+    return _cdiv([a[0] + b[0], a[1] + b[1]], [1.0 + den[0], den[1]])
 
 
 def _m_gyr_factor(a, b):
-    """The rotation (1 + a conj(b)) / (1 + conj(a) b) as num, den pairs."""
-    return _one_plus(_cmul(a, _cconj(b))), _one_plus(_cmul(_cconj(a), b))
+    """The rotation (1 + a conj(b)) / (1 + conj(a) b) as num, den parts."""
+    num = _cmul(a, [b[0], -b[1]])
+    den = _cmul([a[0], -a[1]], b)
+    return [1.0 + num[0], num[1]], [1.0 + den[0], den[1]]
 
 
-def _m_gyr(a, b, z):
+def _m_gyr_parts(a, b, z):
     num, den = _m_gyr_factor(a, b)
     return _cdiv(_cmul(z, num), den)
 
@@ -98,8 +83,8 @@ def as_complex(p):
 
 
 def _e_oplus_unit(u, v):
-    uv = np.sum(u * v, axis=-1, keepdims=True)
-    g = np.sqrt(1.0 - np.sum(u * u, axis=-1, keepdims=True))  # 1/gamma_u
+    uv = rowdot(u, v)[..., None]
+    g = np.sqrt(1.0 - rowdot(u, u)[..., None])  # 1/gamma_u
     # gamma/(1+gamma) = 1/(1+1/gamma); written in terms of g to avoid the pole
     return (u + g * v + (uv / (1.0 + g)) * u) / (1.0 + uv)
 
@@ -122,7 +107,7 @@ def _e_gyr_coeffs(gu, gv, uv, uw, vw):
 
 def _e_gyr_unit(u, v, w):
     def dot(p, q):
-        return np.sum(p * q, axis=-1, keepdims=True)
+        return rowdot(p, q)[..., None]
 
     gu = np.sqrt(1.0 - dot(u, u))
     gv = np.sqrt(1.0 - dot(v, v))
@@ -131,7 +116,7 @@ def _e_gyr_unit(u, v, w):
 
 
 def _gamma_unit(u):
-    return 1.0 / np.sqrt(1.0 - np.sum(np.asarray(u) ** 2, axis=-1))
+    return 1.0 / np.sqrt(1.0 - rowdot(u, u))
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +137,11 @@ class _MobiusExtended:
     def neg(self, a):
         return [-a[0], -a[1]]
 
-    @staticmethod
-    def _cmul(a, b):
-        return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
-
-    @staticmethod
-    def _cdiv(a, b):
-        den = b[0] * b[0] + b[1] * b[1]
-        return [(a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den]
-
     def oplus(self, a, b):
-        num = [a[0] + b[0], a[1] + b[1]]
-        den = self._cmul([a[0], -a[1]], b)
-        return self._cdiv(num, [1.0 + den[0], den[1]])
+        return _m_oplus_parts(a, b)
 
     def gyr(self, a, b, z):
-        num = self._cmul(a, [b[0], -b[1]])
-        den = self._cmul([a[0], -a[1]], b)
-        t = self._cmul(z, [1.0 + num[0], num[1]])
-        return self._cdiv(t, [1.0 + den[0], den[1]])
+        return _m_gyr_parts(a, b, z)
 
     def gyr_derived(self, a, b, z):
         return derived_gyration(self, a, b, z)
@@ -227,13 +198,13 @@ class MobiusModel(GyrogroupModel):
     has_closed_gyr = True
 
     def oplus(self, a, b):
-        return _m_oplus(np.asarray(a, float), np.asarray(b, float))
+        return np.stack(_m_oplus_parts(_parts(a), _parts(b)), axis=-1)
 
     def neg(self, a):
         return -np.asarray(a, float)
 
     def gyr(self, a, b, z):
-        return _m_gyr(np.asarray(a, float), np.asarray(b, float), np.asarray(z, float))
+        return np.stack(_m_gyr_parts(_parts(a), _parts(b), _parts(z)), axis=-1)
 
     def extended(self):
         return _MobiusExtended()
@@ -379,7 +350,7 @@ class _ProductExtended:
 
 
 def _check_carrier(p, bound, margin, what):
-    norm = np.linalg.norm(np.asarray(p, float), axis=-1)
+    norm = rownorm(np.asarray(p, float))
     limit = bound * (1.0 - margin)
     if np.any(norm > limit):
         worst = float(np.max(norm))
@@ -395,7 +366,7 @@ def mobius_oplus(a, b, margin: float = 1e-6):
     pa, pb = as_pair(a), as_pair(b)
     _check_carrier(pa, 1.0, margin, "left operand")
     _check_carrier(pb, 1.0, margin, "right operand")
-    out = _m_oplus(pa, pb)
+    out = MobiusModel().oplus(pa, pb)
     return as_complex(out) if want_complex else out
 
 
@@ -405,14 +376,14 @@ def mobius_gyr(a, b, x, margin: float = 1e-6):
     pa, pb, px = as_pair(a), as_pair(b), as_pair(x)
     for p, what in ((pa, "first pivot"), (pb, "second pivot"), (px, "argument")):
         _check_carrier(p, 1.0, margin, what)
-    out = _m_gyr(pa, pb, px)
+    out = MobiusModel().gyr(pa, pb, px)
     return as_complex(out) if want_complex else out
 
 
 def gamma(u, c: float = 1.0, margin: float = 1e-6):
     """Velocity dilation factor 1/sqrt(1 - |u|^2/c^2)."""
     u = np.asarray(u, float)
-    norm = np.linalg.norm(u, axis=-1)
+    norm = rownorm(u)
     if np.any(norm >= c * (1.0 - margin)):
         raise CarrierDomainError(
             f"speed {float(np.max(norm)):.17g} is at or beyond c(1 - margin)"
@@ -553,11 +524,9 @@ def check_strong_base(
         if isinstance(model, MobiusModel):
             gen = sampler.stream(suite, "rotation_factor_modulus")
             a, b = model.sample_operands(gen, n_samples, 2, tol)
-            num, den = _m_gyr_factor(a, b)
+            num, den = _m_gyr_factor(_parts(a), _parts(b))
             dev = np.abs(
-                np.sqrt(_re(num) ** 2 + _im(num) ** 2)
-                / np.sqrt(_re(den) ** 2 + _im(den) ** 2)
-                - 1.0
+                np.sqrt(num[0] ** 2 + num[1] ** 2) / np.sqrt(den[0] ** 2 + den[1] ** 2) - 1.0
             )
             # unimodularity is a sharp property of the formula; 1e-12 regardless
             # of the suite tolerance

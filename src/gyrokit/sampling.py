@@ -62,19 +62,40 @@ class Sampler:
         return np.random.default_rng(derive_seed(self.seed, suite, check))
 
 
+def rowdot(a, b):
+    """Per-point dot product over the last (coordinate) axis.
+
+    Bit-identical to ``np.sum(a * b, axis=-1)`` for fewer than eight
+    coordinates: numpy sums such a short axis left to right from +0.0,
+    which the leading ``0.0 +`` reproduces (it turns an all -0.0 row into
+    +0.0). Column arithmetic is several times faster than numpy's reduce
+    over an axis of length 2 or 3.
+    """
+    s = 0.0 + a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        s = s + a[..., i] * b[..., i]
+    return s
+
+
+def rownorm(a):
+    """Per-point Euclidean norm; bit-identical to ``np.linalg.norm(a, axis=-1)``
+    for fewer than eight coordinates."""
+    return np.sqrt(rowdot(a, a))
+
+
 def directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
     if dim == 2:
         theta = gen.uniform(0.0, 2.0 * np.pi, n)
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
     v = gen.normal(size=(n, dim))
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    norm = rownorm(v)
     # resample the (measure-zero) degenerate draws rather than dividing by ~0
-    bad = norm[:, 0] < 1e-12
+    bad = norm < 1e-12
     while bad.any():
         v[bad] = gen.normal(size=(int(bad.sum()), dim))
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = norm[:, 0] < 1e-12
-    return v / norm
+        norm = rownorm(v)
+        bad = norm < 1e-12
+    return v / norm[:, None]
 
 
 def check_sample_size(rows: int, dim: int) -> None:

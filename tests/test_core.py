@@ -6,7 +6,6 @@ from gyrokit.core import (
     check_axioms,
     check_identities,
     derived_gyration,
-    gyr_apply,
     law_gyration_agreement,
 )
 from gyrokit.errors import ResourceLimitError, SamplingError
@@ -20,6 +19,8 @@ from gyrokit.sampling import (
     check_sample_size,
     derive_seed,
     directions,
+    rowdot,
+    rownorm,
     sample_operands,
 )
 
@@ -61,6 +62,34 @@ def test_ball_points_forced_boundary_slice():
     r = np.linalg.norm(pts, axis=1)
     assert np.allclose(r[3::FORCED_STRIDE], 1.0 - 1e-6, atol=1e-15)
     assert (r < 1.0).all()
+
+
+def test_rowdot_and_rownorm_match_numpy_bit_for_bit():
+    gen = np.random.default_rng(5)
+    n = 4000
+    wide = gen.normal(size=(n, 5)) * 10.0 ** gen.uniform(-150, 150, size=(n, 5))
+    wide[:40] = -0.0  # np.sum turns an all -0.0 row into +0.0
+    wide[40:80, ::2] = -0.0
+    wide[80:120, 1] = np.inf
+    wide[120:160, 3] = -np.inf
+    wide[160:200] = 5e-324 * gen.integers(-3, 4, size=(40, 5))  # subnormals
+    wide[200:240] = gen.normal(size=(40, 5)) * 1e-310
+    other = gen.normal(size=(n, 5))
+    other[:20] = 0.0
+    other[240:280] = -0.0
+    cases = [(wide[:, :d], other[:, :d]) for d in (2, 3, 5)]
+    cases += [(wide[:, :2], wide[:, 1:3]), (wide[:, 1:], other[:, 1:]), (wide[:, 1:], wide[:, 1:])]
+    cases += [(wide[7, :3], other[7, :3]), (wide[0, :2], other[0, :2])]
+    for a, b in cases:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e300**2
+            pairs = [(rowdot(a, b), np.sum(a * b, axis=-1)),
+                     (rownorm(a), np.linalg.norm(a, axis=-1))]
+        for got, want in pairs:
+            got, want = np.asarray(got), np.asarray(want)
+            keep = ~np.isnan(want)
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), ~keep)
+            assert got[keep].tobytes() == want[keep].tobytes()
 
 
 def test_sample_cap_refuses_before_drawing():
@@ -123,12 +152,6 @@ def test_derived_gyration_mobius_oracle():
     assert np.allclose(m.gyr(x, y, z)[0], want, atol=1e-15)
 
 
-def test_gyr_apply_identity_pivot_short_circuit():
-    m = MobiusModel()
-    z = np.array([[0.3, -0.2]])
-    zero = np.zeros((1, 2))
-    assert np.array_equal(gyr_apply(m, zero, z, z), z)
-    assert np.array_equal(gyr_apply(m, z, zero, z), z)
 
 
 # -- suites on the continuous models ---------------------------------------
