@@ -257,8 +257,10 @@ def run_law_check(
 
     ext = model.extended()
     if ext is not None and traced.peak is not None:
-        stressed = traced.peak > model.stress_norm_fraction
-        if stressed.any():
+        # row indices, not a mask: numpy selects rows of an (n, d) stream
+        # several times faster by index, and one index serves every stream
+        stressed = np.flatnonzero(traced.peak > model.stress_norm_fraction)
+        if stressed.size:
             sub = [ext.lift(s[stressed]) for s in streams]
             redone = [(ext.lower(L), ext.lower(R)) for L, R in law(ext, *sub)]
             d2, m2 = _pairs_metrics(model, redone, comparator)
