@@ -152,8 +152,6 @@ def test_derived_gyration_mobius_oracle():
     assert np.allclose(m.gyr(x, y, z)[0], want, atol=1e-15)
 
 
-
-
 # -- suites on the continuous models ---------------------------------------
 
 
