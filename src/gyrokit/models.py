@@ -2,9 +2,12 @@
 
 Disk elements are real pairs (re, im) in arrays of shape (..., 2);
 velocity elements are real 3-vectors in units of the model's speed
-bound. The disk kernels run on (re, im) parts with + - * / only, so the
-float64 columns and the double-double values share one implementation;
-no complex dtype is involved.
+bound. Each model's addition and gyration are written once, as kernels
+on lists of coordinate columns of the unit ball: the float64 model
+methods pass numpy columns and the double-double kernel set passes DD
+columns. Only the per-point dot product and the square root depend on
+the precision (``_arith``); the rest is + - * /, and no complex dtype is
+involved.
 
 Public single-call operations validate their inputs against the carrier
 (rejecting points within ``margin`` of the boundary, where a lone
@@ -22,15 +25,24 @@ from . import ddarith as dd
 from .core import GyrogroupModel, derived_gyration, run_law_check
 from .errors import CarrierDomainError, UsageError
 from .report import CheckResult, VerificationReport, suite_report
-from .sampling import Sampler, ToleranceConfig, directions, rowdot, rownorm
+from .sampling import Sampler, ToleranceConfig, coldot, directions, rownorm
 
 # ---------------------------------------------------------------------------
-# disk kernels on (re, im) parts: float64 columns and DD values alike
+# column kernels on the unit ball: float64 columns and DD values alike;
+# the disk kernels work on (re, im) parts
 
 
-def _parts(a):
+def _cols(a):
     a = np.asarray(a, float)
-    return [a[..., 0], a[..., 1]]
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
+def _arith(cols):
+    """The two precision-dependent operations of the ball kernels, a
+    per-point dot product of coordinate columns and a square root."""
+    if isinstance(cols[0], dd.DD):
+        return dd.dot, dd.DD.sqrt
+    return coldot, np.sqrt
 
 
 def _cmul(a, b):
@@ -79,14 +91,23 @@ def as_complex(p):
 
 
 # ---------------------------------------------------------------------------
-# velocity-ball kernel (unit speed bound; callers rescale)
+# velocity-ball kernels on coordinate columns (unit speed bound; callers rescale)
 
 
-def _e_oplus_unit(u, v):
-    uv = rowdot(u, v)[..., None]
-    g = np.sqrt(1.0 - rowdot(u, u)[..., None])  # 1/gamma_u
+def _inv_gamma(u):
+    """1/gamma_u = sqrt(1 - |u|^2), which stays finite up to the boundary."""
+    dot, sqrt = _arith(u)
+    return sqrt(1.0 - dot(u, u))
+
+
+def _e_oplus_cols(u, v):
+    dot, _ = _arith(u)
+    uv = dot(u, v)
+    g = _inv_gamma(u)
     # gamma/(1+gamma) = 1/(1+1/gamma); written in terms of g to avoid the pole
-    return (u + g * v + (uv / (1.0 + g)) * u) / (1.0 + uv)
+    coef = uv / (1.0 + g)
+    d = 1.0 + uv
+    return [(u[i] + v[i] * g + u[i] * coef) / d for i in range(len(u))]
 
 
 def _e_gyr_coeffs(gu, gv, uv, uw, vw):
@@ -105,50 +126,24 @@ def _e_gyr_coeffs(gu, gv, uv, uw, vw):
     return a, b
 
 
-def _e_gyr_unit(u, v, w):
-    def dot(p, q):
-        return rowdot(p, q)[..., None]
-
-    gu = np.sqrt(1.0 - dot(u, u))
-    gv = np.sqrt(1.0 - dot(v, v))
-    a, b = _e_gyr_coeffs(gu, gv, dot(u, v), dot(u, w), dot(v, w))
-    return w + a * u + b * v
-
-
-def _gamma_unit(u):
-    return 1.0 / np.sqrt(1.0 - rowdot(u, u))
+def _e_gyr_cols(u, v, w):
+    dot, _ = _arith(u)
+    a, b = _e_gyr_coeffs(_inv_gamma(u), _inv_gamma(v), dot(u, v), dot(u, w), dot(v, w))
+    return [w[i] + a * u[i] + b * v[i] for i in range(len(w))]
 
 
 # ---------------------------------------------------------------------------
-# double-double kernel sets used by the suite engine on stressed samples
+# models
 
 
-class _MobiusExtended:
-    def lift(self, x):
-        return dd.lift_vector(x)
+class _BallExtended:
+    """Double-double kernel set of a ball model, used by the suite engine
+    on stressed samples. Points are lists of DD coordinate columns on the
+    unit ball; ``lift`` and ``lower`` convert from and to radius ``c``."""
 
-    def lower(self, rep):
-        return dd.lower_vector(rep)
-
-    def zero_like(self, rep):
-        z = np.zeros_like(rep[0].hi)
-        return [dd.DD(z.copy()), dd.DD(z.copy())]
-
-    def neg(self, a):
-        return [-a[0], -a[1]]
-
-    def oplus(self, a, b):
-        return _m_oplus_parts(a, b)
-
-    def gyr(self, a, b, z):
-        return _m_gyr_parts(a, b, z)
-
-    def gyr_derived(self, a, b, z):
-        return derived_gyration(self, a, b, z)
-
-
-class _EinsteinExtended:
-    def __init__(self, c):
+    def __init__(self, oplus_cols, gyr_cols, c):
+        self._oplus = oplus_cols
+        self._gyr = gyr_cols
         self._c = float(c)
 
     def lift(self, x):
@@ -162,55 +157,59 @@ class _EinsteinExtended:
         return out * self._c if self._c != 1.0 else out
 
     def zero_like(self, rep):
-        return [dd.DD(np.zeros_like(c.hi)) for c in rep]
+        return [dd.DD(np.zeros_like(col.hi)) for col in rep]
 
-    def neg(self, u):
-        return [-c for c in u]
-
-    def oplus(self, u, v):
-        uv = dd.dot(u, v)
-        g = (1.0 - dd.dot(u, u)).sqrt()  # 1/gamma_u
-        coef = uv / (1.0 + g)
-        d = 1.0 + uv
-        return [(u[i] + v[i] * g + u[i] * coef) / d for i in range(len(u))]
-
-    def gyr(self, u, v, w):
-        def g(p):
-            return (1.0 - dd.dot(p, p)).sqrt()
-
-        a, b = _e_gyr_coeffs(g(u), g(v), dd.dot(u, v), dd.dot(u, w), dd.dot(v, w))
-        return [w[i] + a * u[i] + b * v[i] for i in range(len(w))]
-
-    def gyr_derived(self, u, v, w):
-        return derived_gyration(self, u, v, w)
-
-
-# ---------------------------------------------------------------------------
-# models
-
-
-class MobiusModel(GyrogroupModel):
-    """The open unit disk with the rational addition a, b -> (a+b)/(1+conj(a)b)."""
-
-    name = "mobius"
-    dim = 2
-    bound = 1.0
-    has_closed_gyr = True
+    def neg(self, a):
+        return [-col for col in a]
 
     def oplus(self, a, b):
-        return np.stack(_m_oplus_parts(_parts(a), _parts(b)), axis=-1)
+        return self._oplus(a, b)
+
+    def gyr(self, a, b, z):
+        return self._gyr(a, b, z)
+
+    def gyr_derived(self, a, b, z):
+        return derived_gyration(self, a, b, z)
+
+
+class _BallModel(GyrogroupModel):
+    """A ball of radius ``bound`` whose addition and gyration are the
+    unit-ball column kernels ``_oplus_cols`` and ``_gyr_cols``, shared by
+    the float64 methods and the double-double ``extended()`` set."""
+
+    has_closed_gyr = True
+
+    def _on_columns(self, kernel, *points):
+        c = self.bound
+        if c != 1.0:
+            points = [np.asarray(p, float) / c for p in points]
+        out = np.stack(kernel(*[_cols(p) for p in points]), axis=-1)
+        return out * c if c != 1.0 else out
+
+    def oplus(self, a, b):
+        return self._on_columns(self._oplus_cols, a, b)
 
     def neg(self, a):
         return -np.asarray(a, float)
 
     def gyr(self, a, b, z):
-        return np.stack(_m_gyr_parts(_parts(a), _parts(b), _parts(z)), axis=-1)
+        return self._on_columns(self._gyr_cols, a, b, z)
 
     def extended(self):
-        return _MobiusExtended()
+        return _BallExtended(self._oplus_cols, self._gyr_cols, self.bound)
 
 
-class EinsteinModel(GyrogroupModel):
+class MobiusModel(_BallModel):
+    """The open unit disk with the rational addition a, b -> (a+b)/(1+conj(a)b)."""
+
+    name = "mobius"
+    dim = 2
+    bound = 1.0
+    _oplus_cols = staticmethod(_m_oplus_parts)
+    _gyr_cols = staticmethod(_m_gyr_parts)
+
+
+class EinsteinModel(_BallModel):
     """The radius-c velocity ball with relativistic composition.
 
     ``gyr`` is Ungar's closed form; ``gyr_derived``, the three-addition
@@ -218,7 +217,8 @@ class EinsteinModel(GyrogroupModel):
     """
 
     dim = 3
-    has_closed_gyr = True
+    _oplus_cols = staticmethod(_e_oplus_cols)
+    _gyr_cols = staticmethod(_e_gyr_cols)
 
     def __init__(self, c: float = 1.0):
         if c <= 0:
@@ -226,27 +226,6 @@ class EinsteinModel(GyrogroupModel):
         self.c = float(c)
         self.bound = self.c
         self.name = "einstein" if self.c == 1.0 else f"einstein(c={self.c:g})"
-
-    def oplus(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        if self.c == 1.0:
-            return _e_oplus_unit(u, v)
-        return self.c * _e_oplus_unit(u / self.c, v / self.c)
-
-    def neg(self, u):
-        return -np.asarray(u, float)
-
-    def gyr(self, u, v, w):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        w = np.asarray(w, float)
-        if self.c == 1.0:
-            return _e_gyr_unit(u, v, w)
-        return self.c * _e_gyr_unit(u / self.c, v / self.c, w / self.c)
-
-    def extended(self):
-        return _EinsteinExtended(self.c)
 
 
 class ProductModel(GyrogroupModel):
@@ -388,7 +367,7 @@ def gamma(u, c: float = 1.0, margin: float = 1e-6):
         raise CarrierDomainError(
             f"speed {float(np.max(norm)):.17g} is at or beyond c(1 - margin)"
         )
-    out = _gamma_unit(u / c)
+    out = 1.0 / _inv_gamma(_cols(u / c))
     return float(out) if out.shape == () else out
 
 
@@ -524,7 +503,7 @@ def check_strong_base(
         if isinstance(model, MobiusModel):
             gen = sampler.stream(suite, "rotation_factor_modulus")
             a, b = model.sample_operands(gen, n_samples, 2, tol)
-            num, den = _m_gyr_factor(_parts(a), _parts(b))
+            num, den = _m_gyr_factor(_cols(a), _cols(b))
             dev = np.abs(
                 np.sqrt(num[0] ** 2 + num[1] ** 2) / np.sqrt(den[0] ** 2 + den[1] ** 2) - 1.0
             )

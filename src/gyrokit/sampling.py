@@ -62,19 +62,25 @@ class Sampler:
         return np.random.default_rng(derive_seed(self.seed, suite, check))
 
 
-def rowdot(a, b):
-    """Per-point dot product over the last (coordinate) axis.
+def coldot(p, q):
+    """Per-point dot product of two lists of coordinate columns.
 
-    Bit-identical to ``np.sum(a * b, axis=-1)`` for fewer than eight
-    coordinates: numpy sums such a short axis left to right from +0.0,
-    which the leading ``0.0 +`` reproduces (it turns an all -0.0 row into
-    +0.0). Column arithmetic is several times faster than numpy's reduce
-    over an axis of length 2 or 3.
+    Bit-identical to ``np.sum(a * b, axis=-1)`` over the stacked columns
+    for fewer than eight coordinates: numpy sums such a short axis left to
+    right from +0.0, which the leading ``0.0 +`` reproduces (it turns an
+    all -0.0 row into +0.0). Column arithmetic is several times faster
+    than numpy's reduce over an axis of length 2 or 3.
     """
-    s = 0.0 + a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        s = s + a[..., i] * b[..., i]
+    s = 0.0 + p[0] * q[0]
+    for i in range(1, len(p)):
+        s = s + p[i] * q[i]
     return s
+
+
+def rowdot(a, b):
+    """Per-point dot product over the last (coordinate) axis; see ``coldot``."""
+    d = a.shape[-1]
+    return coldot([a[..., i] for i in range(d)], [b[..., i] for i in range(d)])
 
 
 def rownorm(a):
@@ -141,17 +147,14 @@ def sample_operands(
     dim: int,
     k: int,
     bound: float = 1.0,
-    t_max: float = DEFAULT_T_MAX,
     margin: float = 1e-6,
-    force_boundary: bool = True,
 ) -> list:
     """Draw k operand streams of n points each from one generator.
 
     Operand j gets its forced-boundary points at stride offset j, so no
     sampled tuple has two operands at the boundary simultaneously.
     """
-    out = []
-    for j in range(k):
-        off = j % FORCED_STRIDE if force_boundary else None
-        out.append(ball_points(gen, n, dim, bound, t_max, margin, off))
-    return out
+    return [
+        ball_points(gen, n, dim, bound, margin=margin, forced_offset=j % FORCED_STRIDE)
+        for j in range(k)
+    ]

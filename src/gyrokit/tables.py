@@ -421,41 +421,30 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
     """All subsets that carry the induced structure, flagged for the
     strong (all-pivot) invariance property.
 
-    Powerset scan for small orders; closure growth for larger ones.
+    Closure growth: starting from the closure of the identity, every
+    subgyrogroup found is grown by each element it lacks and closed again
+    under the operation, inverses and its own gyrations. Every
+    subgyrogroup H is reached this way, by adding the elements of H one at
+    a time, since each closure stays inside H.
     """
     B = t.gyrations()
-    e = t.identity_index
-    n = t.order
-    found = set()
-    if n <= 12:
-        others = [i for i in range(n) if i != e]
-        for mask in range(2 ** len(others)):
-            members = [e] + [o for k, o in enumerate(others) if mask >> k & 1]
-            H = np.array(sorted(members))
-            if _closed_under(t, B, H):
-                found.add(tuple(H.tolist()))
-    else:
-        frontier = {_closure(t, B, [])}
-        seen = set(frontier)
-        while frontier:
-            nxt = set()
-            for H in frontier:
-                for g in range(n):
-                    if g in H:
-                        continue
-                    grown = _closure(t, B, H | {g})
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.add(grown)
-            frontier = nxt
-        found = {tuple(sorted(H)) for H in seen}
+    frontier = {_closure(t, B, [])}
+    seen = set(frontier)
+    while frontier:
+        nxt = set()
+        for H in frontier:
+            for g in range(t.order):
+                if g in H:
+                    continue
+                grown = _closure(t, B, H | {g})
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.add(grown)
+        frontier = nxt
 
     out = []
-    for elems in sorted(found, key=lambda h: (len(h), h)):
-        H = np.array(elems)
-        out.append(
-            SubgyrogroupSet(elems, True, _is_L(t, B, H))
-        )
+    for elems in sorted((tuple(sorted(H)) for H in seen), key=lambda h: (len(h), h)):
+        out.append(SubgyrogroupSet(elems, True, _is_L(t, B, np.array(elems))))
     return out
 
 

@@ -7,7 +7,7 @@ from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
     ProductModel,
-    _EinsteinExtended,
+    _BallExtended,
     as_complex,
     as_pair,
     check_strong_base,
@@ -17,7 +17,8 @@ from gyrokit.models import (
     mobius_gyr,
     mobius_oplus,
 )
-from gyrokit.sampling import Sampler, ball_points, directions
+from gyrokit import ddarith as dd
+from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
 
 
 # -- frozen values, hand-computed from the defining formulas -----------------
@@ -208,7 +209,7 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
 def test_gyration_agreement_catches_swapped_pivots():
     # gyr[v, u] is the inverse rotation of gyr[u, v]; a model that
     # swaps the pivots in both precisions must fail the agreement check
-    class SwappedExtended(_EinsteinExtended):
+    class SwappedExtended(_BallExtended):
         def gyr(self, u, v, w):
             return super().gyr(v, u, w)
 
@@ -217,7 +218,7 @@ def test_gyration_agreement_catches_swapped_pivots():
             return super().gyr(v, u, w)
 
         def extended(self):
-            return SwappedExtended(self.c)
+            return SwappedExtended(self._oplus_cols, self._gyr_cols, self.c)
 
     bad = check_identities(Swapped(), Sampler(42), 2000).check("gyration_agreement")
     assert not bad.passed
@@ -226,6 +227,86 @@ def test_gyration_agreement_catches_swapped_pivots():
     good = check_identities(EinsteinModel(), Sampler(42), 2000).check("gyration_agreement")
     assert good.passed
     assert 0.0 < good.max_residual <= 1e-9  # two different functions now
+
+
+# -- the Einstein column kernels, pinned bit for bit ------------------------------
+# References: the float64 functions on (n, 3) rows and the double-double
+# method bodies that the shared column kernels replaced. Any change to the
+# order of an operation in the kernels changes some last bit and fails here.
+
+
+def _ref_gyr_coeffs(gu, gv, uv, uw, vw):
+    d = 1.0 + uv + gu * gv
+    a = (vw - (1.0 - gv) / (1.0 + gu) * uw + 2.0 * uv * vw / ((1.0 + gu) * (1.0 + gv))) / d
+    b = -(uw + (1.0 - gu) / (1.0 + gv) * vw) / d
+    return a, b
+
+
+def _ref_rowdot(p, q):
+    return np.sum(p * q, axis=-1)[..., None]
+
+
+def _ref_oplus_rows(u, v):
+    uv = _ref_rowdot(u, v)
+    g = np.sqrt(1.0 - _ref_rowdot(u, u))
+    return (u + g * v + (uv / (1.0 + g)) * u) / (1.0 + uv)
+
+
+def _ref_gyr_rows(u, v, w):
+    gu = np.sqrt(1.0 - _ref_rowdot(u, u))
+    gv = np.sqrt(1.0 - _ref_rowdot(v, v))
+    a, b = _ref_gyr_coeffs(
+        gu, gv, _ref_rowdot(u, v), _ref_rowdot(u, w), _ref_rowdot(v, w)
+    )
+    return w + a * u + b * v
+
+
+def _ref_oplus_dd(u, v):
+    uv = dd.dot(u, v)
+    g = (1.0 - dd.dot(u, u)).sqrt()
+    coef = uv / (1.0 + g)
+    d = 1.0 + uv
+    return [(u[i] + v[i] * g + u[i] * coef) / d for i in range(len(u))]
+
+
+def _ref_gyr_dd(u, v, w):
+    def g(p):
+        return (1.0 - dd.dot(p, p)).sqrt()
+
+    a, b = _ref_gyr_coeffs(g(u), g(v), dd.dot(u, v), dd.dot(u, w), dd.dot(v, w))
+    return [w[i] + a * u[i] + b * v[i] for i in range(len(w))]
+
+
+def _dd_bytes(cols):
+    return b"".join(c.hi.tobytes() + c.lo.tobytes() for c in cols)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_einstein_kernels_bit_identical_to_references(c):
+    m = EinsteinModel(c)
+    gen = np.random.default_rng(17)
+    # every 100th row of each operand sits at the forced boundary radius
+    u, v, w = m.sample_operands(gen, 20000, 3, ToleranceConfig())
+    assert np.isclose(m.magnitude(u[::100]), c * (1.0 - 1e-6), rtol=1e-12).all()
+
+    want_oplus = c * _ref_oplus_rows(u / c, v / c) if c != 1.0 else _ref_oplus_rows(u, v)
+    want_gyr = c * _ref_gyr_rows(u / c, v / c, w / c) if c != 1.0 else _ref_gyr_rows(u, v, w)
+    assert m.oplus(u, v).tobytes() == want_oplus.tobytes()
+    assert m.gyr(u, v, w).tobytes() == want_gyr.tobytes()
+    assert einstein_oplus(u[3:100], v[3:100], c=c).tobytes() == want_oplus[3:100].tobytes()
+    assert (
+        gamma(u[3:100], c=c).tobytes()
+        == (1.0 / np.sqrt(1.0 - _ref_rowdot(u / c, u / c)[3:100, 0])).tobytes()
+    )
+
+    ext = m.extended()
+    U, V, W = (ext.lift(a) for a in (u, v, w))
+    ref_lift = [col / c for col in dd.lift_vector(u)] if c != 1.0 else dd.lift_vector(u)
+    assert _dd_bytes(U) == _dd_bytes(ref_lift)
+    assert _dd_bytes(ext.oplus(U, V)) == _dd_bytes(_ref_oplus_dd(U, V))
+    assert _dd_bytes(ext.gyr(U, V, W)) == _dd_bytes(_ref_gyr_dd(U, V, W))
+    lowered = ext.lower(ext.gyr(U, V, W))
+    assert lowered.tobytes() == (dd.lower_vector(_ref_gyr_dd(U, V, W)) * c).tobytes()
 
 
 # -- product construction ----------------------------------------------------

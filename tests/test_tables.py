@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -293,6 +294,61 @@ def test_subgyrogroups_klein_count():
 def test_subgyrogroups_z6_s3():
     assert len(enumerate_subgyrogroups(cyclic_table(6))) == 4
     assert len(enumerate_subgyrogroups(s3_table())) == 6
+
+
+# a proper (non-associative) gyrogroup of order 8 from the Foguel-Ungar
+# transversal construction in S4 x Z2
+G8 = [
+    [0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 0, 1, 6, 7, 4, 5], [3, 2, 1, 0, 7, 6, 5, 4],
+    [4, 5, 6, 7, 2, 3, 0, 1], [5, 4, 7, 6, 1, 0, 3, 2],
+    [6, 7, 4, 5, 0, 1, 2, 3], [7, 6, 5, 4, 3, 2, 1, 0],
+]
+
+
+def _brute_force_subgyrogroups(t):
+    from gyrokit.tables import _closed_under
+
+    B = t.gyrations()
+    others = [i for i in range(t.order) if i != t.identity_index]
+    found = []
+    for k in range(len(others) + 1):
+        for rest in itertools.combinations(others, k):
+            H = np.array(sorted((t.identity_index,) + rest))
+            if _closed_under(t, B, H):
+                found.append(tuple(H.tolist()))
+    return sorted(found, key=lambda h: (len(h), h))
+
+
+SMALL_TABLES = {
+    **{f"z{n}": (lambda n=n: cyclic_table(n)) for n in range(1, 9)},
+    "klein": klein_table,
+    "s3": s3_table,
+    "z2xz4": lambda: product_table(cyclic_table(2), cyclic_table(4)),
+    "z2xklein": lambda: product_table(cyclic_table(2), klein_table()),
+    "g8": lambda: CayleyTable(G8, name="g8"),
+    **{
+        f"search{n}.{i}": (lambda n=n, i=i: search_gyrogroups(n)[i])
+        for n, i in ((4, 0), (4, 1), (5, 0), (6, 0), (6, 1))
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_TABLES))
+def test_closure_growth_finds_every_subgyrogroup(name):
+    t = SMALL_TABLES[name]()
+    subs = enumerate_subgyrogroups(t)
+    assert [s.elements for s in subs] == _brute_force_subgyrogroups(t)
+    B = t.gyrations()
+    for s in subs:
+        assert s.is_L_subgyrogroup == bool(
+            np.isin(B[:, list(s.elements)][:, :, list(s.elements)], s.elements).all()
+        )
+    if name == "g8":
+        assert validate_table(t).passed and not t.is_associative()
+        assert len(subs) == 10
+        L = {s.elements: s.is_L_subgyrogroup for s in subs}
+        assert not L[(0, 5)] and not L[(0, 7)] and L[(0, 2, 5, 7)]
 
 
 def test_is_L_subgyrogroup_requires_subgyrogroup():
