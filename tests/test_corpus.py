@@ -40,6 +40,8 @@ CASES = [
     ("identities-einstein", 0,
      ["identities", "--model", "einstein", "--samples", "300", "--seed", "7"]),
     ("identities-klein", 0, ["identities", "--model", "table:klein"]),
+    ("axioms-loop5", 1, ["axioms", "--model", "table:loop5.json"]),
+    ("identities-loop5", 1, ["identities", "--model", "table:loop5.json"]),
     ("strong-base-mobius", 0, ["strong-base", "--samples", "300"]),
     ("strong-base-einstein", 0, ["strong-base", "--model", "einstein", "--samples", "200"]),
     ("prenorm-mobius", 0, ["prenorm", "--chain", CHAIN_025, "--samples", "300"]),
@@ -63,6 +65,7 @@ CASES = [
     ("table-validate-latin5", 1, ["table-validate", "--model", "table:latin5.json"]),
     ("table-validate-no-identity", 1,
      ["table-validate", "--model", "table:no_identity.json"]),
+    ("table-validate-loop5", 1, ["table-validate", "--model", "table:loop5.json"]),
     ("subgyrogroups-s3", 0, ["subgyrogroups", "--model", "table:s3"]),
     ("cosets-z6", 0, ["cosets", "--model", "table:z6", "--subgyrogroup", "0,3"]),
     ("cosets-not-closed", 1, ["cosets", "--model", "table:z4", "--subgyrogroup", "0,1"]),
