@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError
-from .report import CheckResult, suite_report
+from .report import CheckResult, suite_report, witness_check
 from .sampling import (
     Sampler,
     ToleranceConfig,
@@ -35,6 +35,8 @@ STRESS_RAPIDITY = 5.5
 
 _EXHAUSTIVE_CAP = 20_000_000
 
+_KERNEL_CELLS = 1 << 16  # first operands are batched while a batch stays this small
+
 
 class GyrogroupModel:
     """Carrier description plus the gyrogroup operations.
@@ -42,7 +44,8 @@ class GyrogroupModel:
     Subclasses implement ``oplus`` and ``neg`` (vectorized over leading
     axes) and may override ``gyr`` with a closed form. Continuous models
     set ``dim``/``bound`` and may supply ``extended()`` double-double
-    kernels; exact models set ``is_exact`` and work on index arrays.
+    kernels; exact models set ``is_exact`` and ``order`` and work on
+    broadcast index arrays.
     """
 
     name = "abstract"
@@ -230,26 +233,14 @@ def _pairs_metrics(model, lowered, comparator=None):
 def run_law_check(
     model, name, law, streams, tol: ToleranceConfig, samples_note=None, comparator=None
 ):
-    """Evaluate one law on prepared operand streams; returns a CheckResult.
+    """Evaluate one law on sampled operand streams of a continuous
+    carrier; returns a CheckResult.
 
     ``comparator(lhs, rhs) -> per-sample diff`` replaces the model's
     element distance when a check compares derived scalars (norms,
-    membership excess) instead of elements.
+    membership excess) instead of elements. Finite carriers are checked
+    exactly, on every tuple, by :func:`first_violation` instead.
     """
-    if model.is_exact:
-        lowered = [(l, r) for l, r in law(model, *streams)]
-        diff, _ = _pairs_metrics(model, lowered, comparator)
-        ok = diff == 0
-        result = CheckResult(
-            name,
-            bool(ok.all()),
-            float(diff.max()) if diff.size else 0.0,
-            samples_note if samples_note is not None else "exhaustive",
-        )
-        if not result.passed:
-            result.witness = _exact_witness(model, streams, lowered, ok)
-        return result
-
     traced = _TracedOps(model)
     traced.note_inputs(streams)
     lowered = law(traced, *streams)
@@ -288,35 +279,32 @@ def run_law_check(
     return result
 
 
-def _exact_witness(model, streams, lowered, ok):
-    bad = np.flatnonzero(~ok)
-    i = int(bad[0])
-    labels = getattr(model, "labels", None)
+def first_violation(ops, n, law, arity):
+    """First tuple, in lexicographic order, at which ``law`` fails on the
+    carrier {0, ..., n-1}, as ``(tuple, lhs, rhs)`` with the two sides of
+    its first differing comparison; None when the law holds everywhere.
 
-    def show(v):
-        v = int(np.asarray(v).ravel()[0]) if np.asarray(v).ndim else int(v)
-        return labels[v] if labels is not None else v
-
-    mismatch = None
-    for l, r in lowered:
-        if np.asarray(l).ravel()[i] != np.asarray(r).ravel()[i]:
-            mismatch = (show(np.asarray(l).ravel()[i]), show(np.asarray(r).ravel()[i]))
-            break
-    return {
-        "inputs": [show(np.asarray(s).ravel()[i]) for s in streams],
-        "lhs": mismatch[0] if mismatch else None,
-        "rhs": mismatch[1] if mismatch else None,
-    }
-
-
-def _exhaustive_streams(model, arity):
-    n = model.order
-    if n**arity > _EXHAUSTIVE_CAP:
-        raise ResourceLimitError(
-            f"exhaustive check over {arity} operands infeasible for order {n}"
-        )
-    grids = np.meshgrid(*([np.arange(n)] * arity), indexing="ij")
-    return [g.ravel() for g in grids]
+    The law runs on broadcast index grids over a batch of first operands.
+    A batch holds about _KERNEL_CELLS tuples, or one first operand with
+    its n^(arity-1) tuples, so memory stays at n^(arity-1) for large
+    carriers while small ones are checked in one batch.
+    """
+    grids = np.ix_(*[np.arange(n)] * arity)
+    step = max(1, _KERNEL_CELLS // n ** (arity - 1))
+    for lo in range(0, n, step):
+        pairs = law(ops, grids[0][lo:lo + step], *grids[1:])
+        bad = None
+        for lhs, rhs in pairs:
+            ne = lhs != rhs
+            bad = ne if bad is None else bad | ne
+        if bad.any():
+            shape = (min(step, n - lo),) + (n,) * (arity - 1)
+            at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+            for lhs, rhs in pairs:
+                l, r = np.broadcast_to(lhs, shape)[at], np.broadcast_to(rhs, shape)[at]
+                if l != r:
+                    return (lo + int(at[0]), *(int(i) for i in at[1:])), int(l), int(r)
+    return None
 
 
 def _continuous_streams(model, gen, n, base, wit, witnesses, tol):
@@ -331,7 +319,15 @@ def _continuous_streams(model, gen, n, base, wit, witnesses, tol):
 def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
     sampler = sampler if sampler is not None else Sampler()
     tol = tol if tol is not None else ToleranceConfig()
-    if not model.is_exact:
+    if model.is_exact:
+        # refuse the whole suite before its first check runs
+        for _, _, base, wit in checks:
+            if model.order ** (base + wit) > _EXHAUSTIVE_CAP:
+                raise ResourceLimitError(
+                    f"exhaustive check over {base + wit} operands infeasible "
+                    f"for order {model.order}"
+                )
+    else:
         # refuse the whole suite before its first check allocates anything;
         # checks with witness operands repeat each base row `witnesses` times
         expanded = any(wit for _, _, _, wit in checks)
@@ -339,8 +335,11 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
     with suite_report(suite, model.name, sampler, tol) as report:
         for name, law, base, wit in checks:
             if model.is_exact:
-                streams = _exhaustive_streams(model, base + wit)
-                result = run_law_check(model, name, law, streams, tol)
+                bad = first_violation(model, model.order, law, base + wit)
+                L = model.labels
+                result = witness_check(name, None if bad is None else {
+                    "inputs": [L[i] for i in bad[0]], "lhs": L[bad[1]], "rhs": L[bad[2]]
+                })
             else:
                 gen = sampler.stream(suite, name)
                 streams = _continuous_streams(model, gen, n_samples, base, wit, witnesses, tol)

@@ -119,6 +119,21 @@ def test_oversized_table_file_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "suite,code",
+    [
+        ("axioms", 2),  # G3_automorphism's 67^4 tuples exceed the tuple cap
+        ("identities", 0),  # at most 67^3 tuples
+        ("table-validate", 0),  # batched per first pivot, so not capped
+    ],
+)
+def test_tuple_cap_on_z67(capsys, suite, code):
+    got, out, err = run(capsys, suite, "--model", "table:z67")
+    assert got == code
+    if code == 2:
+        assert out == "" and "infeasible" in err
+
+
+@pytest.mark.parametrize(
     "suite,model,samples",
     [
         # 3 witnesses x dim 3 per base sample in the witness checks

@@ -226,12 +226,21 @@ def test_boundary_stress_needs_extended_precision():
 
 
 def test_exhaustive_cap():
+    from gyrokit.core import _run_suite
     from gyrokit.tables import TableModel, cyclic_table
-    from gyrokit.core import _exhaustive_streams
 
-    # 30^5 operand tuples exceed the cap; the table itself is small
+    calls = []
+
+    def law(ops, *xs):
+        calls.append(len(xs))
+        return []
+
+    # 30^5 operand tuples exceed the cap; the table itself is small. The
+    # suite is refused before its first, small check runs.
+    checks = [("one", law, 1, 0), ("five", law, 3, 2)]
     with pytest.raises(ResourceLimitError):
-        _exhaustive_streams(TableModel(cyclic_table(30)), 5)
+        _run_suite(TableModel(cyclic_table(30)), "cap", checks, None, 0, None, 3)
+    assert calls == []
 
 
 def test_relative_tolerance_scales_with_magnitude():

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from gyrokit.core import AXIOM_CHECKS, IDENTITY_CHECKS, derived_gyration, first_violation
 from gyrokit.errors import (
     AxiomViolationError,
     ResourceLimitError,
@@ -12,6 +13,7 @@ from gyrokit.errors import (
 )
 from gyrokit.tables import (
     CayleyTable,
+    _TableOps,
     TableModel,
     builtin_table,
     coset_partition,
@@ -227,18 +229,30 @@ def test_gyration_tensor_built_once_per_table(monkeypatch):
     assert len(calls) == 1
 
 
-def test_kernel_batches_keep_witnesses(monkeypatch):
-    # one first pivot per batch, as on large tables, must find the same witnesses
-    import gyrokit.tables as tables
+LATIN5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
 
-    latin5 = CayleyTable(
-        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
-    )
-    whole = validate_table(latin5).to_dict()
-    monkeypatch.setattr(tables, "_KERNEL_CELLS", 1)
-    per_pivot = validate_table(latin5).to_dict()
-    assert whole["checks"] == per_pivot["checks"]
-    assert not whole["pass"]
+# an order-5 loop, every element its own inverse, whose gyrations are not
+# automorphisms
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_kernel_batches_keep_witnesses(monkeypatch):
+    # one first operand per batch, as on large tables, must find the same witnesses
+    import gyrokit.core as core
+
+    latin5 = CayleyTable(LATIN5)
+    loop5 = TableModel(CayleyTable(LOOP5))
+    runs = [
+        lambda: validate_table(latin5),
+        lambda: core.check_axioms(loop5),
+        lambda: core.check_identities(loop5),
+    ]
+    whole = [run().to_dict() for run in runs]
+    monkeypatch.setattr(core, "_KERNEL_CELLS", 1)
+    per_operand = [run().to_dict() for run in runs]
+    for w, p in zip(whole, per_operand):
+        assert w["checks"] == p["checks"]
+        assert not w["pass"]
 
 
 def test_builtin_table_size_guard(monkeypatch):
@@ -318,6 +332,95 @@ def _brute_force_subgyrogroups(t):
             if _closed_under(t, B, H):
                 found.append(tuple(H.tolist()))
     return sorted(found, key=lambda h: (len(h), h))
+
+
+def _reduced_latin_squares(n):
+    """Every order-n Latin square with first row and column 0, 1, ..., n-1."""
+    rows = [list(range(n))]
+
+    def grow():
+        if len(rows) == n:
+            yield [list(r) for r in rows]
+            return
+        r = len(rows)
+        for rest in itertools.permutations([v for v in range(n) if v != r]):
+            row = [r, *rest]
+            if all(row[c] != prev[c] for prev in rows for c in range(n)):
+                rows.append(row)
+                yield from grow()
+                rows.pop()
+
+    yield from grow()
+
+
+class _ListOps:
+    """Pure-Python scalar ops over nested lists: the reference carrier."""
+
+    def __init__(self, t, B):
+        self.T = t.table.tolist()
+        self.B = B.tolist()
+        cand = t.identity_candidates()
+        self.e = int(cand[0]) if len(cand) == 1 else None
+        self.inv = None
+        if self.e is not None:
+            M = t._inverse_matrix()
+            if t._element_without_inverse(M) is None:
+                self.inv = np.argmax(M, axis=1).tolist()
+
+    def oplus(self, x, y):
+        return self.T[x][y]
+
+    def neg(self, x):
+        return self.inv[x]
+
+    def zero_like(self, x):
+        return self.e
+
+    def gyr(self, x, y, z):
+        return self.B[x][y][z]
+
+    def gyr_derived(self, x, y, z):
+        return derived_gyration(self, x, y, z)
+
+
+def _reference_violation(ops, n, law, arity):
+    """First failing tuple of ``law`` by a plain loop over every tuple."""
+    for tup in itertools.product(range(n), repeat=arity):
+        for lhs, rhs in law(ops, *tup):
+            if lhs != rhs:
+                return tup, lhs, rhs
+    return None
+
+
+_REFERENCE_TABLES = [("g8", G8), ("loop5", LOOP5)] + [
+    (f"latin5.{i}", sq) for i, sq in enumerate(_reduced_latin_squares(5))
+]
+
+
+def test_reference_tables_are_all_reduced_order_5_squares():
+    assert len(_REFERENCE_TABLES) == 2 + 56
+
+
+@pytest.mark.parametrize("name,rows", _REFERENCE_TABLES, ids=[n for n, _ in _REFERENCE_TABLES])
+def test_first_violation_matches_a_plain_loop(name, rows):
+    t = CayleyTable(rows, name=name)
+    B = t.gyrations()
+    reference = _ListOps(t, B)
+    # the generic laws on tables without inverses run on the bare (T, B) ops
+    # that validate_table uses; the others run on the exact model
+    if reference.inv is None:
+        ops, checks = _TableOps(t.table, B), AXIOM_CHECKS[2:]
+    else:
+        ops, checks = TableModel(t), AXIOM_CHECKS + IDENTITY_CHECKS
+    failures = 0
+    for _, law, base, wit in checks:
+        want = _reference_violation(reference, t.order, law, base + wit)
+        assert first_violation(ops, t.order, law, base + wit) == want
+        failures += want is not None
+    if name == "g8":
+        assert failures == 0
+    if name == "loop5":
+        assert failures == 6
 
 
 SMALL_TABLES = {
