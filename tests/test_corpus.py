@@ -27,6 +27,7 @@ CHAIN_025 = '{"kind": "radial_rapidity", "ratio": 0.25, "depth": 8}'
 CHAIN_050 = '{"kind": "radial_rapidity", "ratio": 0.5, "depth": 12}'
 CHAIN_060 = '{"kind": "radial_rapidity", "ratio": 0.6, "depth": 6}'
 CHAIN_Z6 = '{"kind": "finite_discrete", "table": "z6", "subgyrogroup": [0, 2, 4]}'
+CHAIN_050_D8 = '{"kind":"radial_rapidity","ratio":0.5,"depth":8}'
 
 # (name, exit code, argv)
 CASES = [
@@ -70,6 +71,19 @@ CASES = [
     ("cosets-z6", 0, ["cosets", "--model", "table:z6", "--subgyrogroup", "0,3"]),
     ("cosets-not-closed", 1, ["cosets", "--model", "table:z4", "--subgyrogroup", "0,1"]),
     ("search-order-4", 0, ["search", "--order", "4"]),
+    # failing continuous law checks and finite chain checks, with witnesses;
+    # g8.json is a proper (non-associative) gyrogroup of order 8 whose
+    # subgyrogroup {0, 5} is not invariant under every gyration
+    ("axioms-mobius-tol0", 1, ["axioms", "--model", "mobius", "--tol", "0", "--samples", "300"]),
+    ("identities-einstein-tol0", 1,
+     ["identities", "--model", "einstein", "--tol", "0", "--samples", "300"]),
+    ("strong-base-mobius-tol0", 1,
+     ["strong-base", "--model", "mobius", "--tol", "0", "--samples", "300"]),
+    ("metric-tol0", 1, ["metric", "--tol", "0", "--depth", "8", "--samples", "300"]),
+    ("admissible-ratio-0.5", 1, ["admissible", "--chain", CHAIN_050_D8, "--samples", "300"]),
+    ("prenorm-g8", 1, ["prenorm", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
+    ("metric-g8", 1, ["metric", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
+    ("cosets-g8", 1, ["cosets", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
 ]
 
 _WALL = re.compile(r'"wall_time_s":[^,}]*')
