@@ -9,6 +9,7 @@ One suite per invocation. Reports go to stdout as canonical JSON (or to
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -215,12 +216,12 @@ def _human_lines(report, stream):
 
 
 def _at_least(low, kind):
-    """argparse type: a number of the given kind that is at least ``low``."""
+    """argparse type: a finite number of the given kind that is at least ``low``."""
 
     def parse(text):
         value = kind(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"

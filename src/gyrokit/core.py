@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError
-from .report import CheckResult, suite_report, witness_check
+from .report import array_check, suite_report, witness_check
 from .sampling import (
     Sampler,
     ToleranceConfig,
@@ -230,11 +230,15 @@ def _pairs_metrics(model, lowered, comparator=None):
     return diff, mag
 
 
-def run_law_check(
-    model, name, law, streams, tol: ToleranceConfig, samples_note=None, comparator=None
-):
+def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=None):
     """Evaluate one law on sampled operand streams of a continuous
-    carrier; returns a CheckResult.
+    carrier; returns a CheckResult over one sample per stream row.
+
+    A sample passes when its diff is within ``max(abs_tol, rel_tol * mag)``,
+    ``mag`` being the larger magnitude of the two sides; its residual is
+    ``diff / max(1, mag)``. The verdict, ``max_residual`` and the witness
+    (the operands and residual of the worst failing sample) come from
+    :func:`~gyrokit.report.array_check`.
 
     ``comparator(lhs, rhs) -> per-sample diff`` replaces the model's
     element distance when a check compares derived scalars (norms,
@@ -260,23 +264,14 @@ def run_law_check(
             diff[stressed] = d2
             mag[stressed] = m2
 
-    effective = np.maximum(tol.abs_tol, tol.rel_tol * mag)
-    ok = diff <= effective
     residual = diff / np.maximum(1.0, mag)
-    result = CheckResult(
-        name,
-        bool(ok.all()),
-        float(residual.max()) if residual.size else 0.0,
-        samples_note if samples_note is not None else int(diff.shape[0]),
+    return array_check(
+        name, residual, diff <= np.maximum(tol.abs_tol, tol.rel_tol * mag), int(diff.shape[0]),
+        lambda i: {
+            "inputs": [np.asarray(s)[i].tolist() for s in streams],
+            "residual": float(residual[i]),
+        },
     )
-    if not result.passed:
-        bad = np.flatnonzero(~ok)
-        worst = bad[np.argmax(residual[bad])]
-        result.witness = {
-            "inputs": [np.asarray(s)[worst].tolist() for s in streams],
-            "residual": float(residual[worst]),
-        }
-    return result
 
 
 def first_violation(ops, n, law, arity):
@@ -343,9 +338,7 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
             else:
                 gen = sampler.stream(suite, name)
                 streams = _continuous_streams(model, gen, n_samples, base, wit, witnesses, tol)
-                result = run_law_check(
-                    model, name, law, streams, tol, samples_note=int(streams[0].shape[0])
-                )
+                result = run_law_check(model, name, law, streams, tol)
             report.checks.append(result)
     return report
 

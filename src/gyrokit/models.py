@@ -24,7 +24,7 @@ import numpy as np
 from . import ddarith as dd
 from .core import GyrogroupModel, derived_gyration, run_law_check
 from .errors import CarrierDomainError, UsageError
-from .report import CheckResult, VerificationReport, suite_report
+from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions, rownorm
 
 # ---------------------------------------------------------------------------
@@ -510,11 +510,6 @@ def check_strong_base(
             # unimodularity is a sharp property of the formula; 1e-12 regardless
             # of the suite tolerance
             report.checks.append(
-                CheckResult(
-                    "rotation_factor_modulus",
-                    bool(np.all(dev <= 1e-12)),
-                    float(dev.max()),
-                    int(a.shape[0]),
-                )
+                array_check("rotation_factor_modulus", dev, dev <= 1e-12, int(a.shape[0]))
             )
     return report

@@ -21,12 +21,13 @@ import numpy as np
 
 from .core import GyrogroupModel, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
-from .report import CheckResult, VerificationReport, suite_report, witness_check
+from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, check_sample_size, directions
 from .tables import TableModel, coset_partition
 
 DEFAULT_RATIO = 0.25
 DEFAULT_DEPTH = 24
+MAX_DEPTH = 40  # grid indices m / 2^depth stay exact in int64 and float64
 
 
 def rapidity(model: GyrogroupModel, x) -> np.ndarray:
@@ -42,8 +43,8 @@ class NeighborhoodChain:
     kind = "abstract"
 
     def __init__(self, model: GyrogroupModel, depth: int):
-        if depth < 1:
-            raise UsageError("chain depth must be >= 1")
+        if not 1 <= depth <= MAX_DEPTH:
+            raise UsageError(f"chain depth must lie in [1,{MAX_DEPTH}], got {depth}")
         self.model = model
         self.depth = depth
 
@@ -70,6 +71,10 @@ class RadialChain(NeighborhoodChain):
         self.t0 = float(t0)
         self.ratio = float(ratio)
         self.t = t0 * ratio ** np.arange(depth + 1)
+        # the suites sample rapidities up to 2.2 times the summed radii;
+        # Python floats overflow to inf without a warning
+        if not np.isfinite(2.2 * sum(self.t.tolist())):
+            raise UsageError(f"t0 {t0} is too large: its sampling caps overflow")
 
     def level_member(self, n, x):
         return rapidity(self.model, x) <= self.t[n]
@@ -338,11 +343,6 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
     return np.tanh(rho)[:, None] * bound * directions(gen, n, dim)
 
 
-def _worst(diff, limit):
-    i = int(np.argmax(diff))
-    return i, float(diff[i]), bool(diff[i] <= limit)
-
-
 # ---------------------------------------------------------------------------
 # property suites
 
@@ -399,29 +399,20 @@ def check_prenorm_properties(
             T = model.source.table
             B = model.source.gyrations()
             N_all = prenorm(np.arange(model.order))
-            gy = N_all[B]  # (u, v, x)
-            diff = np.abs(gy - N_all[None, None, :])
-            ok = bool((diff == 0).all())
-            res = CheckResult("gyration_invariance", ok, float(diff.max()), "exhaustive")
-            if not ok:
-                u, v, x = map(int, np.argwhere(diff > 0)[0])
-                res.witness = {
-                    "pivots": [model.labels[u], model.labels[v]], "point": model.labels[x]
-                }
-            report.checks.append(res)
+            diff = np.abs(N_all[B] - N_all[None, None, :])  # (u, v, x)
+            L = model.labels
 
+            def gyration_witness(i):
+                u, v, x = np.unravel_index(i, diff.shape)
+                return {"pivots": [L[u], L[v]], "point": L[x]}
+
+            report.checks.append(array_check(
+                "gyration_invariance", diff, diff == 0, "exhaustive", gyration_witness
+            ))
             sums = N_all[T] - (N_all[:, None] + N_all[None, :])
-            ok = bool((sums <= 0).all())
-            report.checks.append(
-                CheckResult("subadditivity", ok, float(max(0.0, sums.max())), "exhaustive")
-            )
-            inv = model.source.inverses()
-            ok = bool((N_all[inv] == N_all).all())
-            report.checks.append(
-                CheckResult(
-                    "inversion_symmetry", ok, float(np.abs(N_all[inv] - N_all).max()), "exhaustive"
-                )
-            )
+            report.checks.append(array_check("subadditivity", sums, sums <= 0, "exhaustive"))
+            diff = np.abs(N_all[model.source.inverses()] - N_all)
+            report.checks.append(array_check("inversion_symmetry", diff, diff == 0, "exhaustive"))
         else:
             full = float(np.sum(family.chain.t))
             gen = sampler.stream("prenorm", "gyration_invariance")
@@ -429,31 +420,25 @@ def check_prenorm_properties(
             u = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
             v = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
             diff = np.abs(prenorm(model.gyr(u, v, x)) - prenorm(x))
-            i, worst, _ = _worst(diff, tol.abs_tol)
-            res = CheckResult("gyration_invariance", worst <= tol.abs_tol, worst, n_samples)
-            if not res.passed:
-                res.witness = {"x": x[i].tolist(), "u": u[i].tolist(), "v": v[i].tolist()}
-            report.checks.append(res)
+            report.checks.append(array_check(
+                "gyration_invariance", diff, diff <= tol.abs_tol, n_samples,
+                lambda i: {"x": x[i].tolist(), "u": u[i].tolist(), "v": v[i].tolist()},
+            ))
 
             gen = sampler.stream("prenorm", "subadditivity")
             x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
             y = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
             slack = family.grid_step + tol.abs_tol
             excess = prenorm(model.oplus(x, y)) - (prenorm(x) + prenorm(y))
-            i, worst, _ = _worst(excess, slack)
-            res = CheckResult("subadditivity", worst <= slack, max(0.0, worst), n_samples)
-            if not res.passed:
-                res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "excess": worst}
-            report.checks.append(res)
+            report.checks.append(array_check(
+                "subadditivity", excess, excess <= slack, n_samples,
+                lambda i: {"x": x[i].tolist(), "y": y[i].tolist(), "excess": float(excess[i])},
+            ))
 
             gen = sampler.stream("prenorm", "inversion_symmetry")
             x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
             diff = np.abs(prenorm(model.neg(x)) - prenorm(x))
-            report.checks.append(
-                CheckResult(
-                    "inversion_symmetry", bool((diff == 0).all()), float(diff.max()), n_samples
-                )
-            )
+            report.checks.append(array_check("inversion_symmetry", diff, diff == 0, n_samples))
 
             if family.chain.ratio == 0.5:
                 # closed form at this ratio: thresholds are linear in the index,
@@ -465,12 +450,10 @@ def check_prenorm_properties(
                     np.ceil(rapidity(model, x) / family.chain.t0 * scale) / scale, 2.0
                 )
                 diff = np.abs(prenorm(x) - expected)
-                limit = family.grid_step + tol.abs_tol
-                i, worst, okw = _worst(diff, limit)
-                res = CheckResult("closed_form_agreement", okw, worst, n_samples)
-                if not okw:
-                    res.witness = {"x": x[i].tolist(), "difference": worst}
-                report.checks.append(res)
+                report.checks.append(array_check(
+                    "closed_form_agreement", diff, diff <= family.grid_step + tol.abs_tol,
+                    n_samples, lambda i: {"x": x[i].tolist(), "difference": float(diff[i])},
+                ))
     return report
 
 
@@ -510,19 +493,13 @@ def check_metric_properties(
         # next group allocates. First d = |N(a) - N(b)| on N(x), N(y), N(z).
         nx, ny, nz = prenorm(x), prenorm(y), prenorm(z)
         dxy = np.abs(nx - ny)
-        report.checks.append(
-            CheckResult("d_identity", bool((np.abs(nx - nx) == 0).all()), 0.0, note)
-        )
+        dxx = np.abs(nx - nx)
+        report.checks.append(array_check("d_identity", dxx, dxx == 0, note))
         sym = np.abs(dxy - np.abs(ny - nx))
-        report.checks.append(
-            CheckResult("d_symmetry", bool((sym == 0).all()), float(sym.max()), note)
-        )
+        report.checks.append(array_check("d_symmetry", sym, sym == 0, note))
         tri = np.abs(nx - nz) - (dxy + np.abs(ny - nz))
-        del nx, ny, nz, dxy
-        worst = float(tri.max())
-        report.checks.append(
-            CheckResult("d_triangle", worst <= tol.abs_tol, max(0.0, worst), note)
-        )
+        del nx, ny, nz, dxy, dxx
+        report.checks.append(array_check("d_triangle", tri, tri <= tol.abs_tol, note))
 
         # then rho(a, b) = N(-a + b) + N(-b + a) on the seven separations
         def n_sep(a, b):
@@ -534,20 +511,17 @@ def check_metric_properties(
         # point from itself can only be bounded by the grid resolution
         n_xx = n_sep(x, x)
         ident = n_xx + n_xx
-        res = CheckResult("rho_identity", bool((ident <= slack).all()), float(ident.max()), note)
-        report.checks.append(res)
+        report.checks.append(array_check("rho_identity", ident, ident <= slack, note))
         sym = np.abs(rxy - (n_yx + n_xy))
-        report.checks.append(
-            CheckResult("rho_symmetry", bool((sym == 0).all()), float(sym.max()), note)
-        )
+        report.checks.append(array_check("rho_symmetry", sym, sym == 0, note))
         del n_xy, n_yx, n_xx, ident, sym
         tri = (n_sep(x, z) + n_sep(z, x)) - (rxy + (n_sep(y, z) + n_sep(z, y)))
-        worst = float(tri.max())
-        res = CheckResult("rho_triangle", worst <= slack, max(0.0, worst), note)
-        if not res.passed and not finite:
-            i = int(np.argmax(tri))
-            res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
-        report.checks.append(res)
+        def triple(i):
+            return {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
+
+        report.checks.append(
+            array_check("rho_triangle", tri, tri <= slack, note, None if finite else triple)
+        )
 
         if not finite:
             # the proof-step decomposition behind the triangle inequality
@@ -567,11 +541,12 @@ def check_metric_properties(
                 sep = model.norm_fraction(xy)
                 oracles.append(("rho_closed_form", 2.0 * np.arctanh(sep) / family.chain.t0))
             for name, oracle in oracles:
-                i, worstd, okw = _worst(np.abs(rxy - oracle), limit)
-                res = CheckResult(name, okw, worstd, note)
-                if not okw:
-                    res.witness = {"x": x[i].tolist(), "y": y[i].tolist(), "difference": worstd}
-                report.checks.append(res)
+                diff = np.abs(rxy - oracle)
+                report.checks.append(array_check(
+                    name, diff, diff <= limit, note, lambda i: {
+                        "x": x[i].tolist(), "y": y[i].tolist(), "difference": float(diff[i])
+                    },
+                ))
 
         if finite:
             H = family.chain.H
@@ -579,26 +554,16 @@ def check_metric_properties(
             pts = np.arange(model.order)
             N_all = prenorm(pts)
             shift = np.abs(N_all[T[:, H]] - N_all[:, None])
-            report.checks.append(
-                CheckResult(
-                    "d_coset_invariance",
-                    bool((shift == 0).all()),
-                    float(shift.max()),
-                    "exhaustive",
-                )
-            )
+            report.checks.append(array_check("d_coset_invariance", shift, shift == 0, "exhaustive"))
             xg, yg = np.meshgrid(pts, pts, indexing="ij")
             base = space.rho(xg.ravel(), yg.ravel()).reshape(model.order, model.order)
-            worst = 0.0
-            ok = True
-            for p in H:
-                for q in H:
-                    # base[a, b] is rho(a, b), so moving x by p and y by q reads it
-                    moved = base[np.ix_(T[:, p], T[:, q])]
-                    dmax = float(np.abs(moved - base).max())
-                    worst = max(worst, dmax)
-                    ok = ok and dmax == 0.0
-            report.checks.append(CheckResult("rho_coset_invariance", ok, worst, "exhaustive"))
+            # base[a, b] is rho(a, b), so moving x by p and y by q reads it
+            shift = np.array([
+                [np.abs(base[np.ix_(T[:, p], T[:, q])] - base).max() for q in H] for p in H
+            ])
+            report.checks.append(
+                array_check("rho_coset_invariance", shift, shift == 0, "exhaustive")
+            )
 
             # on the quotient the separation is two-valued: 0 on a shared
             # class, the constant 2 across distinct classes
@@ -608,12 +573,7 @@ def check_metric_properties(
                 expected = np.where(same, 0.0, 2.0)
                 diff = np.abs(base - expected)
                 report.checks.append(
-                    CheckResult(
-                        "rho_discrete_on_quotient",
-                        bool((diff == 0).all()),
-                        float(diff.max()),
-                        "exhaustive",
-                    )
+                    array_check("rho_discrete_on_quotient", diff, diff == 0, "exhaustive")
                 )
             except AxiomViolationError as exc:
                 report.checks.append(
@@ -646,12 +606,10 @@ def validate_admissible_chain(
             inner = T[np.ix_(H, H)]
             comp = T[np.ix_(H, np.unique(inner))]
             ok = bool(chain._mask[inner].all() and chain._mask[comp].all())
-            report.checks.append(
-                CheckResult("closure_all_levels", ok, float(not ok), "exhaustive")
-            )
+            report.checks.append(array_check("closure_all_levels", float(not ok), ok, "exhaustive"))
             e = model.source.identity_index
             report.checks.append(
-                CheckResult("contains_identity", bool(chain._mask[e]), 0.0, "exhaustive")
+                array_check("contains_identity", 0.0, chain._mask[e], "exhaustive")
             )
             # the chain is constant, so its intersection is the base subset itself
             same = all(
@@ -659,7 +617,7 @@ def validate_admissible_chain(
                 for n in range(chain.depth + 1)
             )
             report.checks.append(
-                CheckResult("intersection_equals_base", same, float(not same), "exhaustive")
+                array_check("intersection_equals_base", float(not same), same, "exhaustive")
             )
             report.notes["intersection"] = [model.labels[i] for i in H]
             return report
@@ -689,30 +647,24 @@ def validate_admissible_chain(
             comp = model.oplus(u, model.oplus(v, w))
             rho = rapidity(model, comp)
             excess = rho - float(t[n])
-            worst = float(excess.max())
-            res = CheckResult(
-                f"level_{n}_double_sum", worst <= tol.abs_tol, max(0.0, worst), per_level + 1
-            )
-            if not res.passed:
-                i = int(np.argmax(excess))
-                res.witness = {
+            report.checks.append(array_check(
+                f"level_{n}_double_sum", excess, excess <= tol.abs_tol, per_level + 1,
+                lambda i: {
                     "level": n,
                     "u": u[i].tolist(),
                     "v": v[i].tolist(),
                     "w": w[i].tolist(),
                     "rapidity": float(rho[i]),
                     "allowed": float(t[n]),
-                }
-            report.checks.append(res)
+                },
+            ))
 
         # candidate base of the chain: the identity sits in every level
         zero = model.zero_like(axis[None, :])
         in_all = all(bool(chain.level_member(n, zero).all()) for n in range(chain.depth + 1))
-        report.checks.append(
-            CheckResult(
-                "intersection_contains_identity", in_all, float(not in_all), chain.depth + 1
-            )
-        )
+        report.checks.append(array_check(
+            "intersection_contains_identity", float(not in_all), in_all, chain.depth + 1
+        ))
         report.notes["deepest_level_rapidity"] = float(t[chain.depth])
     return report
 
@@ -772,8 +724,8 @@ def parse_chain_spec(spec) -> dict:
             raise UsageError("t0 must be positive")
         if not 0.0 < out["ratio"] < 1.0:
             raise UsageError("ratio must lie in (0,1)")
-        if not 1 <= out["depth"] <= 40:
-            raise UsageError("depth must lie in [1,40]")
+        if not 1 <= out["depth"] <= MAX_DEPTH:
+            raise UsageError(f"depth must lie in [1,{MAX_DEPTH}]")
         return out
     if kind == "finite_discrete":
         if "table" not in spec or "subgyrogroup" not in spec:

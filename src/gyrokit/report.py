@@ -13,6 +13,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CheckResult:
@@ -101,6 +103,37 @@ def suite_report(suite, model, sampler=None, tol=None, **fields):
 def witness_check(name, witness=None, samples="exhaustive"):
     """A check that fails, with residual 1, exactly when it has a witness."""
     return CheckResult(name, witness is None, float(witness is not None), samples, witness)
+
+
+def array_check(name, residual, ok, samples, witness=None):
+    """A check over per-sample ``residual`` values and verdicts ``ok`` of
+    one shape (scalars for a single verdict).
+
+    The check passes iff every entry of ``ok`` is true. ``max_residual`` is
+    the largest residual, floored at 0. On failure ``witness(i)``, when
+    given, builds the witness payload from the flat index ``i`` of the
+    failing entry with the largest residual (``np.unravel_index`` maps it
+    back to an n-D input); a passing check never calls it.
+
+    NaN rule: an entry whose residual is NaN fails, whatever ``ok`` says.
+    Otherwise NaN is skipped: ``max_residual`` is taken over the other
+    entries, and a NaN entry is the witness only when every failing entry
+    is NaN (then the first of them).
+    """
+    residual = np.asarray(residual, dtype=float)
+    bad = ~np.asarray(ok, dtype=bool) | np.isnan(residual)
+    result = CheckResult(
+        name,
+        not bad.any(),
+        max(0.0, float(np.fmax.reduce(residual, axis=None, initial=0.0))),
+        samples,
+    )
+    if witness is not None and not result.passed:
+        failing = np.flatnonzero(bad)
+        worst = residual.ravel()[failing]
+        worst[np.isnan(worst)] = -np.inf
+        result.witness = witness(int(failing[np.argmax(worst)]))
+    return result
 
 
 def _canon(obj, out):

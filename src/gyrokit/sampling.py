@@ -14,6 +14,7 @@ index strides so the forced points of two operands never coincide.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class ToleranceConfig:
     boundary_margin: float = 1e-6
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.boundary_margin < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0 <= v < math.inf for v in (self.abs_tol, self.rel_tol, self.boundary_margin)):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.boundary_margin >= 1:
             raise ValueError("boundary_margin must be < 1 for ball carriers")
 

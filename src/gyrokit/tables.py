@@ -29,7 +29,7 @@ from .errors import (
     TableFormatError,
     UsageError,
 )
-from .report import CheckResult, VerificationReport, suite_report, witness_check
+from .report import VerificationReport, array_check, suite_report, witness_check
 
 
 class CayleyTable:
@@ -359,7 +359,6 @@ class TableModel(GyrogroupModel):
 @dataclass(frozen=True)
 class SubgyrogroupSet:
     elements: tuple
-    is_subgyrogroup: bool = True
     is_L_subgyrogroup: bool = False
 
     def __len__(self):
@@ -424,7 +423,7 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
 
     out = []
     for elems in sorted((tuple(sorted(H)) for H in seen), key=lambda h: (len(h), h)):
-        out.append(SubgyrogroupSet(elems, True, _is_L(t, B, np.array(elems))))
+        out.append(SubgyrogroupSet(elems, _is_L(t, B, np.array(elems))))
     return out
 
 
@@ -641,9 +640,7 @@ def check_search(order: int, max_results=None) -> VerificationReport:
     with suite_report("search", f"order{order}") as report:
         found = search_gyrogroups(order, max_results=max_results)
         ok = all(validate_table(t).passed for t in found)
-        report.checks.append(
-            CheckResult("all_candidates_valid", ok, float(not ok), len(found))
-        )
+        report.checks.append(array_check("all_candidates_valid", float(not ok), ok, len(found)))
         report.notes["count"] = len(found)
         report.notes["tables"] = [t.to_dict() for t in found]
     return report
@@ -653,7 +650,7 @@ def check_subgyrogroups(t: CayleyTable) -> VerificationReport:
     """List every subgyrogroup of a table, flagged for all-pivot invariance."""
     with suite_report("subgyrogroups", t.name) as report:
         subs = enumerate_subgyrogroups(t)
-        report.checks.append(CheckResult("enumeration", True, 0.0, "exhaustive"))
+        report.checks.append(witness_check("enumeration"))
         report.notes["count"] = len(subs)
         report.notes["subgyrogroups"] = [
             {
@@ -680,18 +677,16 @@ def check_cosets(t: CayleyTable, subgyrogroup) -> VerificationReport:
             return report
         report.checks.append(witness_check("is_subgyrogroup"))
         report.checks.append(
-            CheckResult("invariant_under_all_gyrations", is_l, float(not is_l), "exhaustive")
+            array_check("invariant_under_all_gyrations", float(not is_l), is_l, "exhaustive")
         )
         if not is_l:
             return report
         blocks, pi = coset_partition(t, H)
         sizes = sorted({len(b) for b in blocks})
-        report.checks.append(
-            CheckResult("equal_block_sizes", sizes == [len(H)], 0.0, "exhaustive")
-        )
+        report.checks.append(array_check("equal_block_sizes", 0.0, sizes == [len(H)], "exhaustive"))
         covered = sorted(i for b in blocks for i in b)
         report.checks.append(
-            CheckResult("disjoint_cover", covered == list(range(t.order)), 0.0, "exhaustive")
+            array_check("disjoint_cover", 0.0, covered == list(range(t.order)), "exhaustive")
         )
         report.notes["blocks"] = [[t.labels[i] for i in b] for b in blocks]
         report.notes["projection"] = pi.tolist()

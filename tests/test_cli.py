@@ -89,6 +89,11 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
         ["cosets", "--model", "table:z4", "--subgyrogroup", "0,9"],
         ["cosets", "--model", "table:z4", "--subgyrogroup=-1,0"],
         ["table-validate", "--model", "table:z272"],  # n^3 just over the size cap
+        ["metric", "--depth", "70"],  # deeper than the int64 dyadic grid
+        ["metric", "--chain", '{"kind": "radial_rapidity", "t0": 1e400}'],  # inf
+        ["metric", "--chain", '{"kind": "radial_rapidity", "t0": 1e308}'],  # caps overflow
+        ["axioms", "--tol", "inf"],
+        ["axioms", "--tol", "1e400"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ def test_tolerance_config_validation():
         ToleranceConfig(abs_tol=-1)
     with pytest.raises(ValueError):
         ToleranceConfig(boundary_margin=1.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ToleranceConfig(abs_tol=bad)
+        with pytest.raises(ValueError):
+            ToleranceConfig(rel_tol=bad)
     assert ToleranceConfig().to_dict()["abs_tol"] == 1e-9
 
 
