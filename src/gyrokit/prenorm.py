@@ -495,10 +495,11 @@ def check_metric_properties(
         dxy = np.abs(nx - ny)
         dxx = np.abs(nx - nx)
         report.checks.append(array_check("d_identity", dxx, dxx == 0, note))
+        del dxx
         sym = np.abs(dxy - np.abs(ny - nx))
         report.checks.append(array_check("d_symmetry", sym, sym == 0, note))
         tri = np.abs(nx - nz) - (dxy + np.abs(ny - nz))
-        del nx, ny, nz, dxy, dxx
+        del nx, ny, nz, dxy
         report.checks.append(array_check("d_triangle", tri, tri <= tol.abs_tol, note))
 
         # then rho(a, b) = N(-a + b) + N(-b + a) on the seven separations
