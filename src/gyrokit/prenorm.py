@@ -517,6 +517,7 @@ def check_metric_properties(
         report.checks.append(array_check("rho_symmetry", sym, sym == 0, note))
         del n_xy, n_yx, n_xx, ident, sym
         tri = (n_sep(x, z) + n_sep(z, x)) - (rxy + (n_sep(y, z) + n_sep(z, y)))
+
         def triple(i):
             return {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
 
