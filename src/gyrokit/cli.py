@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from functools import partial
-
 from .core import check_axioms, check_identities
 from .errors import (
     AxiomViolationError,
@@ -28,10 +26,11 @@ from .errors import (
 from .models import EinsteinModel, MobiusModel, check_strong_base
 from .prenorm import (
     DEFAULT_DEPTH,
-    check_chain,
-    finite_chain,
+    FiniteChain,
+    RadialChain,
+    check_metric_properties,
+    check_prenorm_properties,
     parse_chain_spec,
-    radial_chain,
     validate_admissible_chain,
 )
 from .report import canonical_json, suite_report, witness_check
@@ -123,13 +122,13 @@ def _build_chain(cfg: RunConfig, model):
     if cfg.chain is not None:
         spec = cfg.chain
         if spec["kind"] == "radial_rapidity":
-            return radial_chain(model, spec["t0"], spec["ratio"], spec["depth"])
-        return finite_chain(_resolve_table(spec["table"]), spec["subgyrogroup"])
+            return RadialChain(model, spec["t0"], spec["ratio"], spec["depth"])
+        return FiniteChain(_resolve_table(spec["table"]), spec["subgyrogroup"])
     if model.is_exact:
         if cfg.subgyrogroup is None:
             raise UsageError("finite chains need --subgyrogroup or --chain")
-        return finite_chain(model, cfg.subgyrogroup)
-    return radial_chain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
+        return FiniteChain(model, cfg.subgyrogroup)
+    return RadialChain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
 
 
 def _on_model(check, chain=False):
@@ -160,11 +159,11 @@ SUITE_TABLE = {
     ),
     "prenorm": (
         "dyadic scale family: sandwich, invariance, subadditivity",
-        _on_model(partial(check_chain, "prenorm"), chain=True),
+        _on_model(check_prenorm_properties, chain=True),
     ),
     "metric": (
         "pseudometric and quotient separation axioms",
-        _on_model(partial(check_chain, "metric"), chain=True),
+        _on_model(check_metric_properties, chain=True),
     ),
     "admissible": (
         "level-by-level double-sum admissibility of a chain",

@@ -35,6 +35,8 @@ STRESS_RAPIDITY = 5.5
 
 _EXHAUSTIVE_CAP = 20_000_000
 
+WITNESSES = 3  # witness draws per base sample in the checks that take witness operands
+
 _KERNEL_CELLS = 1 << 16  # first operands are batched while a batch stays this small
 
 
@@ -302,16 +304,15 @@ def first_violation(ops, n, law, arity):
     return None
 
 
-def _continuous_streams(model, gen, n, base, wit, witnesses, tol):
+def _continuous_streams(model, gen, n, base, wit, tol):
     streams = model.sample_operands(gen, n, base, tol)
     if wit:
-        k = max(1, witnesses)
-        streams = [np.repeat(s, k, axis=0) for s in streams]
-        streams += model.sample_witnesses(gen, n * k, wit, base, tol)
+        streams = [np.repeat(s, WITNESSES, axis=0) for s in streams]
+        streams += model.sample_witnesses(gen, n * WITNESSES, wit, base, tol)
     return streams
 
 
-def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
+def _run_suite(model, suite, checks, sampler, n_samples, tol):
     sampler = sampler if sampler is not None else Sampler()
     tol = tol if tol is not None else ToleranceConfig()
     if model.is_exact:
@@ -324,9 +325,9 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
                 )
     else:
         # refuse the whole suite before its first check allocates anything;
-        # checks with witness operands repeat each base row `witnesses` times
+        # checks with witness operands repeat each base row WITNESSES times
         expanded = any(wit for _, _, _, wit in checks)
-        check_sample_size(n_samples * max(1, witnesses) if expanded else n_samples, model.dim)
+        check_sample_size(n_samples * WITNESSES if expanded else n_samples, model.dim)
     with suite_report(suite, model.name, sampler, tol) as report:
         for name, law, base, wit in checks:
             if model.is_exact:
@@ -337,23 +338,23 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol, witnesses):
                 })
             else:
                 gen = sampler.stream(suite, name)
-                streams = _continuous_streams(model, gen, n_samples, base, wit, witnesses, tol)
+                streams = _continuous_streams(model, gen, n_samples, base, wit, tol)
                 result = run_law_check(model, name, law, streams, tol)
             report.checks.append(result)
     return report
 
 
-def check_axioms(model, sampler=None, n_samples=10000, tol=None, witnesses=3):
+def check_axioms(model, sampler=None, n_samples=10000, tol=None):
     """Verify the gyrogroup axioms on a model.
 
     Continuous carriers are sampled (``n_samples`` base tuples per check,
-    times ``witnesses`` for the pointwise gyration comparisons); finite
+    times ``WITNESSES`` for the pointwise gyration comparisons); finite
     carriers are checked exhaustively and exactly.
     """
-    return _run_suite(model, "axioms", AXIOM_CHECKS, sampler, n_samples, tol, witnesses)
+    return _run_suite(model, "axioms", AXIOM_CHECKS, sampler, n_samples, tol)
 
 
-def check_identities(model, sampler=None, n_samples=10000, tol=None, witnesses=3):
+def check_identities(model, sampler=None, n_samples=10000, tol=None):
     """Verify the cancellation laws, gyration agreement and the
     three-point decomposition of a difference."""
-    return _run_suite(model, "identities", IDENTITY_CHECKS, sampler, n_samples, tol, witnesses)
+    return _run_suite(model, "identities", IDENTITY_CHECKS, sampler, n_samples, tol)

@@ -1,15 +1,16 @@
 """Nested neighborhood chains, the dyadic scale family they generate,
-the induced prenorm, and the pseudometric / quotient-metric layer.
+which is the induced prenorm, and the pseudometric / quotient-metric layer.
 
 A chain is a decreasing sequence of sets around the identity. When
 consecutive levels shrink fast enough the chain extends to a family
 indexed by dyadic rationals in (0, 2], and the least dyadic index whose
-set contains a point is a prenorm on the carrier. Two routes are kept
-deliberately separate: set membership goes through the threshold
-recursion (memoized for single indices; the bisection that inverts it
-carries each sample's lower threshold by the recursion's step), while
-prenorm values come from a greedy per-level bit extraction. They must
-agree, and the test suite holds them to that.
+set contains a point is a prenorm on the carrier; calling the family
+evaluates it. The suites take the chain and build its family. Two
+routes are kept deliberately separate: set membership goes through the
+threshold recursion (memoized for single indices; the bisection that
+inverts it carries each sample's lower threshold by the recursion's
+step), while prenorm values come from a greedy per-level bit extraction.
+They must agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ from .core import GyrogroupModel, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, check_sample_size, directions
-from .tables import TableModel, coset_partition
+from .tables import CayleyTable, TableModel, coset_partition
 
 DEFAULT_RATIO = 0.25
 DEFAULT_DEPTH = 24
 MAX_DEPTH = 40  # grid indices m / 2^depth stay exact in int64 and float64
+# the metric suite composes separations of rapidity up to 1.9 t0, and
+# float64 holds a norm fraction below 1 only up to artanh(1 - 2^-53) ~ 18.7;
+# rounding in the sums loses the ball earlier (at t0 = 9.8 already), so the
+# bound on t0 keeps a margin
+MAX_T0 = 9.0
 
 
 def rapidity(model: GyrogroupModel, x) -> np.ndarray:
@@ -65,16 +71,12 @@ class RadialChain(NeighborhoodChain):
             raise UsageError("radial chains need a continuous model")
         if not 0.0 < ratio < 1.0:
             raise UsageError(f"ratio must lie in (0,1), got {ratio}")
-        if not t0 > 0.0:
-            raise UsageError(f"t0 must be positive, got {t0}")
+        if not 0.0 < t0 <= MAX_T0:
+            raise UsageError(f"t0 must lie in (0,{MAX_T0:g}], got {t0}")
         super().__init__(model, depth)
         self.t0 = float(t0)
         self.ratio = float(ratio)
         self.t = t0 * ratio ** np.arange(depth + 1)
-        # the suites sample rapidities up to 2.2 times the summed radii;
-        # Python floats overflow to inf without a warning
-        if not np.isfinite(2.2 * sum(self.t.tolist())):
-            raise UsageError(f"t0 {t0} is too large: its sampling caps overflow")
 
     def level_member(self, n, x):
         return rapidity(self.model, x) <= self.t[n]
@@ -89,12 +91,14 @@ class RadialChain(NeighborhoodChain):
 
 
 class FiniteChain(NeighborhoodChain):
-    """Constant chain on a finite model: every level is the same subset,
-    so the chain has depth 1."""
+    """Constant chain on a finite model, or on a bare Cayley table: every
+    level is the same subset, so the chain has depth 1."""
 
     kind = "finite_discrete"
 
-    def __init__(self, model: TableModel, subgyrogroup):
+    def __init__(self, model: TableModel | CayleyTable, subgyrogroup):
+        if isinstance(model, CayleyTable):
+            model = TableModel(model)
         if not isinstance(model, TableModel):
             raise UsageError("finite chains need a table-backed model")
         super().__init__(model, 1)
@@ -124,26 +128,19 @@ class FiniteChain(NeighborhoodChain):
         }
 
 
-def radial_chain(model, t0=1.0, ratio=DEFAULT_RATIO, depth=DEFAULT_DEPTH) -> RadialChain:
-    return RadialChain(model, t0=t0, ratio=ratio, depth=depth)
-
-
-def finite_chain(table, subgyrogroup) -> FiniteChain:
-    model = table if isinstance(table, TableModel) else TableModel(table)
-    return FiniteChain(model, subgyrogroup)
-
-
 # ---------------------------------------------------------------------------
 # dyadic extension
 
 
 class DyadicFamily:
-    """The chain extended to dyadic indices r = m / 2^n in (0, 2].
+    """The chain extended to dyadic indices r = m / 2^n in (0, 2], and the
+    prenorm N it induces: ``family(x)`` is ``prenorm_eval(family, x)``.
 
     Index 2^-n is level n of the chain; an odd index adds the current
     level to the extension of the remainder; index 2 is one extra
     application of level 0 on top of index 1. Indices above 2 mean the
-    whole carrier.
+    whole carrier. On a finite chain N is the indicator of the complement
+    of the base subset: 0 on it, 1 off it.
     """
 
     def __init__(self, chain: NeighborhoodChain):
@@ -152,6 +149,9 @@ class DyadicFamily:
         self.depth = chain.depth
         self.grid_step = 2.0 ** -self.depth
         self._thr_cache = {}
+
+    def __call__(self, x) -> np.ndarray:
+        return prenorm_eval(self, x)
 
     # -- thresholds (radial chains only) --
 
@@ -286,50 +286,22 @@ def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     return out
 
 
-class Prenorm:
-    """Callable prenorm induced by a dyadic family. On a finite chain it
-    is the indicator of the complement of the base subset: 0 on it, 1 off it."""
-
-    def __init__(self, family: DyadicFamily):
-        self.family = family
-
-    def __call__(self, x) -> np.ndarray:
-        return prenorm_eval(self.family, x)
-
-
 # ---------------------------------------------------------------------------
 # pseudometric and quotient metric
 
 
-def pseudometric_d(prenorm, x, y) -> np.ndarray:
-    """d(x, y) = |N(x) - N(y)|; a pseudometric for any prenorm N."""
-    return np.abs(prenorm(x) - prenorm(y))
+def pseudometric_d(N, x, y) -> np.ndarray:
+    """d(x, y) = |N(x) - N(y)|; a pseudometric for any prenorm N, such as
+    a dyadic family."""
+    return np.abs(N(x) - N(y))
 
 
-def quotient_metric_rho(model: GyrogroupModel, prenorm, x, y) -> np.ndarray:
+def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
     """Symmetrized separation of the classes of x and y:
     N(-x + y) + N(-y + x)."""
-    left = prenorm(model.oplus(model.neg(x), y))
-    right = prenorm(model.oplus(model.neg(y), x))
+    left = N(model.oplus(model.neg(x), y))
+    right = N(model.oplus(model.neg(y), x))
     return left + right
-
-
-class QuotientMetricSpace:
-    """The carrier modulo a base subset, metrized through a prenorm. The
-    carrier, and on a finite chain the base subset, come from the
-    prenorm's chain."""
-
-    def __init__(self, prenorm: Prenorm):
-        chain = prenorm.family.chain
-        self.model = chain.model
-        self.prenorm = prenorm
-        self.subgyrogroup = tuple(chain.H.tolist()) if isinstance(chain, FiniteChain) else None
-
-    def d(self, x, y):
-        return pseudometric_d(self.prenorm, x, y)
-
-    def rho(self, x, y):
-        return quotient_metric_rho(self.model, self.prenorm, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -347,38 +319,49 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
 # property suites
 
 
+def _halving_report(suite, chain, exc, sampler, tol) -> VerificationReport:
+    """The report of a suite whose chain has no dyadic family: the single
+    failing check ``halving_condition``."""
+    notes = {"chain": chain.describe()}
+    with suite_report(suite, chain.model.name, sampler, tol, notes=notes) as report:
+        witness = {"error": str(exc), "level": exc.level}
+        report.checks.append(witness_check("halving_condition", witness, chain.depth))
+    return report
+
+
 def check_prenorm_properties(
-    family: DyadicFamily,
+    chain: NeighborhoodChain,
     sampler: Sampler | None = None,
     n_samples: int = 10000,
     tol: ToleranceConfig | None = None,
-    max_sandwich_level: int | None = None,
 ) -> VerificationReport:
     """Sandwich inclusions level by level, gyration invariance,
-    subadditivity, and inversion symmetry of the induced prenorm."""
+    subadditivity, and inversion symmetry of the prenorm the chain induces."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
-    model = family.model
-    prenorm = Prenorm(family)
+    try:
+        family = build_dyadic(chain)
+    except ChainConditionError as exc:
+        return _halving_report("prenorm", chain, exc, sampler, tol)
+    model = chain.model
     with suite_report(
         "prenorm", model.name, sampler, tol,
-        depth=family.depth, notes={"chain": family.chain.describe()},
+        depth=family.depth, notes={"chain": chain.describe()},
     ) as report:
-        finite = isinstance(family.chain, FiniteChain)
-        top = family.depth if max_sandwich_level is None else min(max_sandwich_level, family.depth)
-        for n in range(top + 1):
+        finite = isinstance(chain, FiniteChain)
+        for n in range(family.depth + 1):
             if finite:
                 pts = np.arange(model.order)
                 note = "exhaustive"
             else:
                 gen = sampler.stream("prenorm", f"sandwich_{n}")
-                t_n = float(family.chain.t[n])
+                t_n = float(chain.t[n])
                 pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * t_n)
                 note = None
-            N = prenorm(pts)
+            N = family(pts)
             inner = N < 2.0 ** -n
             outer = N <= 2.0 ** (1 - n)
-            member = family.chain.level_member(n, pts)
+            member = chain.level_member(n, pts)
             bad = np.count_nonzero((inner & ~member) | (member & ~outer))
             res = CheckResult(
                 f"sandwich_level_{n}",
@@ -398,7 +381,7 @@ def check_prenorm_properties(
         if finite:
             T = model.source.table
             B = model.source.gyrations()
-            N_all = prenorm(np.arange(model.order))
+            N_all = family(np.arange(model.order))
             diff = np.abs(N_all[B] - N_all[None, None, :])  # (u, v, x)
             L = model.labels
 
@@ -414,12 +397,12 @@ def check_prenorm_properties(
             diff = np.abs(N_all[model.source.inverses()] - N_all)
             report.checks.append(array_check("inversion_symmetry", diff, diff == 0, "exhaustive"))
         else:
-            full = float(np.sum(family.chain.t))
+            full = float(np.sum(chain.t))
             gen = sampler.stream("prenorm", "gyration_invariance")
             x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
             u = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
             v = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
-            diff = np.abs(prenorm(model.gyr(u, v, x)) - prenorm(x))
+            diff = np.abs(family(model.gyr(u, v, x)) - family(x))
             report.checks.append(array_check(
                 "gyration_invariance", diff, diff <= tol.abs_tol, n_samples,
                 lambda i: {"x": x[i].tolist(), "u": u[i].tolist(), "v": v[i].tolist()},
@@ -429,7 +412,7 @@ def check_prenorm_properties(
             x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
             y = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
             slack = family.grid_step + tol.abs_tol
-            excess = prenorm(model.oplus(x, y)) - (prenorm(x) + prenorm(y))
+            excess = family(model.oplus(x, y)) - (family(x) + family(y))
             report.checks.append(array_check(
                 "subadditivity", excess, excess <= slack, n_samples,
                 lambda i: {"x": x[i].tolist(), "y": y[i].tolist(), "excess": float(excess[i])},
@@ -437,19 +420,19 @@ def check_prenorm_properties(
 
             gen = sampler.stream("prenorm", "inversion_symmetry")
             x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-            diff = np.abs(prenorm(model.neg(x)) - prenorm(x))
+            diff = np.abs(family(model.neg(x)) - family(x))
             report.checks.append(array_check("inversion_symmetry", diff, diff == 0, n_samples))
 
-            if family.chain.ratio == 0.5:
+            if chain.ratio == 0.5:
                 # closed form at this ratio: thresholds are linear in the index,
                 # so the prenorm is the grid ceiling of rapidity / t0
                 gen = sampler.stream("prenorm", "closed_form")
                 x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
                 scale = 2.0 ** family.depth
                 expected = np.minimum(
-                    np.ceil(rapidity(model, x) / family.chain.t0 * scale) / scale, 2.0
+                    np.ceil(rapidity(model, x) / chain.t0 * scale) / scale, 2.0
                 )
-                diff = np.abs(prenorm(x) - expected)
+                diff = np.abs(family(x) - expected)
                 report.checks.append(array_check(
                     "closed_form_agreement", diff, diff <= family.grid_step + tol.abs_tol,
                     n_samples, lambda i: {"x": x[i].tolist(), "difference": float(diff[i])},
@@ -458,7 +441,7 @@ def check_prenorm_properties(
 
 
 def check_metric_properties(
-    space: QuotientMetricSpace,
+    chain: NeighborhoodChain,
     sampler: Sampler | None = None,
     n_samples: int = 10000,
     tol: ToleranceConfig | None = None,
@@ -468,11 +451,13 @@ def check_metric_properties(
     invariance under change of class representatives on finite models."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
-    model = space.model
-    prenorm = space.prenorm
-    family = prenorm.family
+    try:
+        family = build_dyadic(chain)
+    except ChainConditionError as exc:
+        return _halving_report("metric", chain, exc, sampler, tol)
+    model = chain.model
     with suite_report("metric", model.name, sampler, tol, depth=family.depth) as report:
-        finite = isinstance(family.chain, FiniteChain)
+        finite = isinstance(chain, FiniteChain)
         if finite:
             pts = np.arange(model.order)
             x, y, z = np.meshgrid(pts, pts, pts, indexing="ij")
@@ -480,7 +465,6 @@ def check_metric_properties(
             note = "exhaustive"
             slack = 0.0
         else:
-            chain = family.chain
             gen = sampler.stream("metric", "triples")
             cap = 0.95 * chain.t0
             x = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
@@ -491,7 +475,7 @@ def check_metric_properties(
 
         # each prenorm value once; a group's arrays are released before the
         # next group allocates. First d = |N(a) - N(b)| on N(x), N(y), N(z).
-        nx, ny, nz = prenorm(x), prenorm(y), prenorm(z)
+        nx, ny, nz = family(x), family(y), family(z)
         dxy = np.abs(nx - ny)
         dxx = np.abs(nx - nx)
         report.checks.append(array_check("d_identity", dxx, dxx == 0, note))
@@ -504,7 +488,7 @@ def check_metric_properties(
 
         # then rho(a, b) = N(-a + b) + N(-b + a) on the seven separations
         def n_sep(a, b):
-            return prenorm(model.oplus(model.neg(a), b))
+            return family(model.oplus(model.neg(a), b))
 
         n_xy, n_yx = n_sep(x, y), n_sep(y, x)
         rxy = n_xy + n_yx
@@ -539,9 +523,9 @@ def check_metric_properties(
             oracles = [
                 ("rho_oracle", family.index_of_rapidity(sep_xy) + family.index_of_rapidity(sep_yx))
             ]
-            if family.chain.ratio == 0.5:
+            if chain.ratio == 0.5:
                 sep = model.norm_fraction(xy)
-                oracles.append(("rho_closed_form", 2.0 * np.arctanh(sep) / family.chain.t0))
+                oracles.append(("rho_closed_form", 2.0 * np.arctanh(sep) / chain.t0))
             for name, oracle in oracles:
                 diff = np.abs(rxy - oracle)
                 report.checks.append(array_check(
@@ -551,14 +535,15 @@ def check_metric_properties(
                 ))
 
         if finite:
-            H = family.chain.H
+            H = chain.H
             T = model.source.table
             pts = np.arange(model.order)
-            N_all = prenorm(pts)
+            N_all = family(pts)
             shift = np.abs(N_all[T[:, H]] - N_all[:, None])
             report.checks.append(array_check("d_coset_invariance", shift, shift == 0, "exhaustive"))
             xg, yg = np.meshgrid(pts, pts, indexing="ij")
-            base = space.rho(xg.ravel(), yg.ravel()).reshape(model.order, model.order)
+            base = quotient_metric_rho(model, family, xg.ravel(), yg.ravel())
+            base = base.reshape(model.order, model.order)
             # base[a, b] is rho(a, b), so moving x by p and y by q reads it
             shift = np.array([
                 [np.abs(base[np.ix_(T[:, p], T[:, q])] - base).max() for q in H] for p in H
@@ -669,33 +654,6 @@ def validate_admissible_chain(
         ))
         report.notes["deepest_level_rapidity"] = float(t[chain.depth])
     return report
-
-
-def check_chain(
-    suite: str,
-    chain: NeighborhoodChain,
-    sampler: Sampler | None = None,
-    n_samples: int = 10000,
-    tol: ToleranceConfig | None = None,
-) -> VerificationReport:
-    """Run the ``prenorm`` or ``metric`` suite on the dyadic family of a chain.
-
-    A chain that breaks the halving condition has no dyadic family; its
-    report holds the single failing check ``halving_condition``.
-    """
-    sampler = sampler or Sampler()
-    tol = tol or ToleranceConfig()
-    try:
-        family = build_dyadic(chain)
-    except ChainConditionError as exc:
-        notes = {"chain": chain.describe()}
-        with suite_report(suite, chain.model.name, sampler, tol, notes=notes) as report:
-            witness = {"error": str(exc), "level": exc.level}
-            report.checks.append(witness_check("halving_condition", witness, chain.depth))
-        return report
-    if suite == "prenorm":
-        return check_prenorm_properties(family, sampler, n_samples, tol)
-    return check_metric_properties(QuotientMetricSpace(Prenorm(family)), sampler, n_samples, tol)
 
 
 # ---------------------------------------------------------------------------

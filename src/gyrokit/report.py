@@ -59,9 +59,6 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def max_residual(self) -> float:
-        return max((c.max_residual for c in self.checks), default=0.0)
-
     def to_dict(self):
         d = {
             "suite": self.suite,

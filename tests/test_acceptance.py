@@ -13,12 +13,10 @@ from gyrokit.cli import RunConfig, run_suite
 from gyrokit.core import check_axioms, check_identities
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
-    Prenorm,
-    QuotientMetricSpace,
+    RadialChain,
     build_dyadic,
     check_metric_properties,
     check_prenorm_properties,
-    radial_chain,
     rapidity,
     validate_admissible_chain,
 )
@@ -162,12 +160,10 @@ def test_criterion_05_coset_partition_exhaustive():
 
 
 def test_criterion_06_prenorm_sandwich_and_invariance():
-    fam = build_dyadic(radial_chain(MobiusModel(), t0=1.0, ratio=0.25, depth=24))
     rep = check_prenorm_properties(
-        fam,
+        RadialChain(MobiusModel(), t0=1.0, ratio=0.25, depth=24),
         n_samples=N_MED,
         tol=ToleranceConfig(abs_tol=1e-10),
-        max_sandwich_level=8,
     )
     sandwich_ok = all(rep.check(f"sandwich_level_{n}").passed for n in range(9))
     inv = rep.check("gyration_invariance").max_residual
@@ -184,8 +180,7 @@ def test_criterion_07_prenorm_oracle_agreement():
     # power-of-two radii: the one scale whose dyadic thresholds are
     # exact binary fractions of the rapidity coordinate
     model = MobiusModel()
-    fam = build_dyadic(radial_chain(model, t0=1.0, ratio=0.5, depth=24))
-    N = Prenorm(fam)
+    N = build_dyadic(RadialChain(model, t0=1.0, ratio=0.5, depth=24))
     gen = Sampler(seed=42).stream("acceptance", "prenorm_oracle")
     rho = gen.uniform(0.0, 2.0, N_MED)
     theta = gen.uniform(0.0, 2.0 * np.pi, N_MED)
@@ -197,11 +192,10 @@ def test_criterion_07_prenorm_oracle_agreement():
 
 def test_criterion_08_quotient_metric_recovers_disk_distance():
     model = MobiusModel()
-    fam = build_dyadic(radial_chain(model, t0=1.0, ratio=0.5, depth=24))
-    space = QuotientMetricSpace(Prenorm(fam))
+    chain = RadialChain(model, t0=1.0, ratio=0.5, depth=24)
     bound = 1e-8 + 4.0 * 2.0 ** -24
     rep = check_metric_properties(
-        space, n_samples=N_MED, tol=ToleranceConfig(abs_tol=1e-8)
+        chain, n_samples=N_MED, tol=ToleranceConfig(abs_tol=1e-8)
     )
     tri = rep.check("rho_triangle")
     closed = rep.check("rho_closed_form")
@@ -223,8 +217,8 @@ def test_criterion_08_quotient_metric_recovers_disk_distance():
 
 def test_criterion_09_admissibility_validator():
     model = MobiusModel()
-    good = validate_admissible_chain(radial_chain(model, ratio=0.25, depth=8), n_samples=2000)
-    bad = validate_admissible_chain(radial_chain(model, t0=1.0, ratio=0.5, depth=4), n_samples=2000)
+    good = validate_admissible_chain(RadialChain(model, ratio=0.25, depth=8), n_samples=2000)
+    bad = validate_admissible_chain(RadialChain(model, t0=1.0, ratio=0.5, depth=4), n_samples=2000)
     lvl = bad.check("level_0_double_sum")
     w = lvl.witness or {}
     witness_ok = (

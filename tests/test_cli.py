@@ -91,7 +91,10 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
         ["table-validate", "--model", "table:z272"],  # n^3 just over the size cap
         ["metric", "--depth", "70"],  # deeper than the int64 dyadic grid
         ["metric", "--chain", '{"kind": "radial_rapidity", "t0": 1e400}'],  # inf
-        ["metric", "--chain", '{"kind": "radial_rapidity", "t0": 1e308}'],  # caps overflow
+        ["metric", "--chain", '{"kind": "radial_rapidity", "t0": 1e308}'],
+        # compositions of near-boundary points overflow the ball past t0 = 9
+        ["metric", "--chain", '{"kind":"radial_rapidity","t0":19,"ratio":0.5}', "--samples", "300"],
+        ["admissible", "--chain", '{"kind":"radial_rapidity","t0":50}', "--samples", "300"],
         ["axioms", "--tol", "inf"],
         ["axioms", "--tol", "1e400"],
     ],

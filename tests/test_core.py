@@ -115,7 +115,7 @@ def test_sample_cap_refuses_before_drawing():
     n = MAX_SAMPLE_VALUES // 9 + 1
     check_sample_size(n, 3)
     with pytest.raises(ResourceLimitError):
-        check_axioms(EinsteinModel(), NoDraws(), n, witnesses=3)
+        check_axioms(EinsteinModel(), NoDraws(), n)
 
 
 def test_sample_operands_disjoint_forcing():
@@ -246,7 +246,7 @@ def test_exhaustive_cap():
     # suite is refused before its first, small check runs.
     checks = [("one", law, 1, 0), ("five", law, 3, 2)]
     with pytest.raises(ResourceLimitError):
-        _run_suite(TableModel(cyclic_table(30)), "cap", checks, None, 0, None, 3)
+        _run_suite(TableModel(cyclic_table(30)), "cap", checks, None, 0, None)
     assert calls == []
 
 

@@ -6,22 +6,18 @@ import pytest
 import gyrokit.prenorm as prenorm_mod
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
-    Prenorm,
-    QuotientMetricSpace,
+    FiniteChain,
+    RadialChain,
     build_dyadic,
     check_metric_properties,
-    finite_chain,
     pseudometric_d,
     quotient_metric_rho,
-    radial_chain,
 )
 from gyrokit.tables import cyclic_table, klein_table
 
 
-def mobius_space(ratio=0.25, depth=24, t0=1.0):
-    model = MobiusModel()
-    fam = build_dyadic(radial_chain(model, t0=t0, ratio=ratio, depth=depth))
-    return QuotientMetricSpace(Prenorm(fam))
+def mobius_chain(ratio=0.25, depth=24):
+    return RadialChain(MobiusModel(), t0=1.0, ratio=ratio, depth=depth)
 
 
 # -- point values --------------------------------------------------------------
@@ -30,38 +26,40 @@ def mobius_space(ratio=0.25, depth=24, t0=1.0):
 def test_d_frozen_value_ratio_half():
     # with power-of-two radii the prenorm reads rapidity off the grid,
     # so the gauge distance of two radial points is their rapidity gap
-    space = mobius_space(ratio=0.5)
+    N = build_dyadic(mobius_chain(ratio=0.5))
     x = np.array([[np.tanh(0.5), 0.0]])
     y = np.array([[np.tanh(0.2), 0.0]])
-    assert space.d(x, y)[0] == pytest.approx(0.3, abs=2.0 ** -23)
-    assert pseudometric_d(space.prenorm, x, y)[0] == space.d(x, y)[0]
+    assert pseudometric_d(N, x, y)[0] == pytest.approx(0.3, abs=2.0 ** -23)
 
 
 def test_rho_closed_form_ratio_half():
-    space = mobius_space(ratio=0.5)
-    model = space.model
+    N = build_dyadic(mobius_chain(ratio=0.5))
+    model = N.model
     gen = np.random.default_rng(5)
     x = gen.uniform(-0.5, 0.5, (400, 2))
     y = gen.uniform(-0.5, 0.5, (400, 2))
     sep = model.norm_fraction(model.oplus(model.neg(x), y))
     oracle = 2.0 * np.arctanh(sep)
-    got = space.rho(x, y)
+    got = quotient_metric_rho(model, N, x, y)
     assert np.abs(got - oracle).max() <= 1e-9 + 4.0 * 2.0 ** -24
-    assert np.array_equal(got, quotient_metric_rho(model, space.prenorm, x, y))
 
 
 def test_d_pseudometric_spot_axioms():
-    space = mobius_space()
+    N = build_dyadic(mobius_chain())
+
+    def d(a, b):
+        return pseudometric_d(N, a, b)
+
     gen = np.random.default_rng(9)
     x = gen.uniform(-0.6, 0.6, (300, 2))
     y = gen.uniform(-0.6, 0.6, (300, 2))
     z = gen.uniform(-0.6, 0.6, (300, 2))
-    assert (space.d(x, x) == 0).all()
-    assert np.array_equal(space.d(x, y), space.d(y, x))
-    assert (space.d(x, z) <= space.d(x, y) + space.d(y, z) + 1e-15).all()
+    assert (d(x, x) == 0).all()
+    assert np.array_equal(d(x, y), d(y, x))
+    assert (d(x, z) <= d(x, y) + d(y, z) + 1e-15).all()
     # d separates nothing across a level shell: points of equal prenorm
     r = np.array([[0.3, 0.0], [0.0, 0.3]])
-    assert space.d(r[:1], r[1:])[0] == 0.0
+    assert d(r[:1], r[1:])[0] == 0.0
 
 
 # -- full suites ---------------------------------------------------------------
@@ -69,8 +67,7 @@ def test_d_pseudometric_spot_axioms():
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5])
 def test_metric_suite_mobius(ratio):
-    space = mobius_space(ratio=ratio)
-    rep = check_metric_properties(space, n_samples=2500)
+    rep = check_metric_properties(mobius_chain(ratio=ratio), n_samples=2500)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     names = [c.name for c in rep.checks]
     assert names[:6] == [
@@ -89,7 +86,7 @@ def test_metric_suite_mobius(ratio):
 def test_metric_suite_oracle_residual_quarter():
     # the bisection route and the greedy evaluation agree to well under
     # a grid step at the default ratio
-    rep = check_metric_properties(mobius_space(ratio=0.25), n_samples=2000)
+    rep = check_metric_properties(mobius_chain(ratio=0.25), n_samples=2000)
     assert rep.check("rho_oracle").max_residual <= 2.0 ** -22
 
 
@@ -98,9 +95,9 @@ def test_rho_oracle_catches_a_truncated_prenorm(monkeypatch):
     # 2^-20 per term, well past the oracle's four-grid-step limit; ratio
     # 1/4 would not show it, since its prenorm takes so few distinct
     # values on sampled points that none of them moves
-    space = mobius_space(ratio=0.5)
+    chain = mobius_chain(ratio=0.5)
     names = ("rho_oracle", "rho_closed_form")
-    rep = check_metric_properties(space, n_samples=5000)
+    rep = check_metric_properties(chain, n_samples=5000)
     assert all(rep.check(name).passed for name in names)
 
     real = prenorm_mod.prenorm_eval
@@ -111,7 +108,7 @@ def test_rho_oracle_catches_a_truncated_prenorm(monkeypatch):
         return real(coarse, x)
 
     monkeypatch.setattr(prenorm_mod, "prenorm_eval", truncated)
-    rep = check_metric_properties(space, n_samples=5000)
+    rep = check_metric_properties(chain, n_samples=5000)
     limit = 1e-9 + 4.0 * 2.0 ** -24
     for name in names:
         check = rep.check(name)
@@ -122,27 +119,28 @@ def test_rho_oracle_catches_a_truncated_prenorm(monkeypatch):
 
 
 def test_metric_suite_decomposition_tight():
-    rep = check_metric_properties(mobius_space(), n_samples=2000)
+    rep = check_metric_properties(mobius_chain(), n_samples=2000)
     assert rep.check("decomposition_identity").max_residual <= 1e-9
 
 
 def test_metric_suite_einstein():
     model = EinsteinModel()
-    fam = build_dyadic(radial_chain(model, ratio=0.25, depth=20))
-    rep = check_metric_properties(QuotientMetricSpace(Prenorm(fam)), n_samples=1500)
+    rep = check_metric_properties(RadialChain(model, ratio=0.25, depth=20), n_samples=1500)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
 # -- finite quotients ----------------------------------------------------------
 
 
-def finite_space(table, sub):
-    return QuotientMetricSpace(Prenorm(build_dyadic(finite_chain(table, sub))))
+def rho_table(N):
+    """rho(a, b) over every pair of elements, as an (order, order) array."""
+    pts = np.arange(N.model.order)
+    xg, yg = np.meshgrid(pts, pts, indexing="ij")
+    return quotient_metric_rho(N.model, N, xg.ravel(), yg.ravel()).reshape(len(pts), len(pts))
 
 
 def test_finite_metric_z4_discrete_quotient():
-    space = finite_space(cyclic_table(4), [0, 2])
-    rep = check_metric_properties(space)
+    rep = check_metric_properties(FiniteChain(cyclic_table(4), [0, 2]))
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     for name in ("d_coset_invariance", "rho_coset_invariance", "rho_discrete_on_quotient"):
         c = rep.check(name)
@@ -150,44 +148,29 @@ def test_finite_metric_z4_discrete_quotient():
 
 
 def test_finite_metric_klein_sub():
-    space = finite_space(klein_table(), [0, 3])
-    rep = check_metric_properties(space)
+    chain = FiniteChain(klein_table(), [0, 3])
+    rep = check_metric_properties(chain)
     assert rep.passed
     # rho values on the carrier are exactly two-valued
-    pts = np.arange(4)
-    xg, yg = np.meshgrid(pts, pts, indexing="ij")
-    vals = space.rho(xg.ravel(), yg.ravel())
-    assert set(np.unique(vals)) == {0.0, 2.0}
+    assert set(np.unique(rho_table(build_dyadic(chain)))) == {0.0, 2.0}
 
 
 def test_finite_rho_values_by_hand():
     # Z4 mod {0,2}: classes {0,2} and {1,3}
-    space = finite_space(cyclic_table(4), [0, 2])
-    assert space.prenorm(np.arange(4)).tolist() == [0.0, 1.0, 0.0, 1.0]
-    assert space.rho(np.array([0]), np.array([2]))[0] == 0.0
-    assert space.rho(np.array([0]), np.array([1]))[0] == 2.0
-    assert space.rho(np.array([1]), np.array([3]))[0] == 0.0
-    assert space.d(np.array([1]), np.array([3]))[0] == 0.0
+    N = build_dyadic(FiniteChain(cyclic_table(4), [0, 2]))
+    assert N(np.arange(4)).tolist() == [0.0, 1.0, 0.0, 1.0]
+    rho = quotient_metric_rho
+    assert rho(N.model, N, np.array([0]), np.array([2]))[0] == 0.0
+    assert rho(N.model, N, np.array([0]), np.array([1]))[0] == 2.0
+    assert rho(N.model, N, np.array([1]), np.array([3]))[0] == 0.0
+    assert pseudometric_d(N, np.array([1]), np.array([3]))[0] == 0.0
 
 
 def test_finite_metric_trivial_subgyrogroup():
     # P = {0}: every element is its own class, rho is the discrete
     # metric scaled by 2
-    space = finite_space(cyclic_table(3), [0])
-    rep = check_metric_properties(space)
+    chain = FiniteChain(cyclic_table(3), [0])
+    rep = check_metric_properties(chain)
     assert rep.passed
-    pts = np.arange(3)
-    xg, yg = np.meshgrid(pts, pts, indexing="ij")
-    vals = space.rho(xg.ravel(), yg.ravel()).reshape(3, 3)
+    vals = rho_table(build_dyadic(chain))
     assert np.array_equal(vals, np.where(np.eye(3, dtype=bool), 0.0, 2.0))
-
-
-# -- API surface ---------------------------------------------------------------
-
-
-def test_quotient_space_repr_fields():
-    space = mobius_space()
-    assert space.model.name == "mobius"
-    assert space.subgyrogroup is None
-    fs = finite_space(cyclic_table(4), [0, 2])
-    assert fs.subgyrogroup == (0, 2)

@@ -7,13 +7,12 @@ from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
     DyadicFamily,
-    Prenorm,
+    FiniteChain,
+    RadialChain,
     build_dyadic,
     check_prenorm_properties,
-    finite_chain,
     parse_chain_spec,
     prenorm_eval,
-    radial_chain,
     rapidity,
     validate_admissible_chain,
 )
@@ -44,7 +43,7 @@ def bit_sum_threshold(t, r):
 @pytest.mark.parametrize("ratio", [0.5, 0.25, 0.3])
 def test_threshold_recursion_matches_bit_sum(ratio):
     depth = 8
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=ratio, depth=depth))
+    fam = build_dyadic(RadialChain(MobiusModel(), ratio=ratio, depth=depth))
     exact = ratio in (0.5, 0.25)  # binary-fraction radii sum exactly
     for m in range(1, 2 ** (depth + 1) + 1):
         r = Fraction(m, 2 ** depth)
@@ -57,7 +56,7 @@ def test_threshold_recursion_matches_bit_sum(ratio):
 
 
 def test_threshold_rejects_bad_indices():
-    fam = build_dyadic(radial_chain(MobiusModel(), depth=8))
+    fam = build_dyadic(RadialChain(MobiusModel(), depth=8))
     with pytest.raises(UsageError):
         fam.threshold(Fraction(1, 3))
     with pytest.raises(UsageError):
@@ -69,7 +68,7 @@ def test_threshold_rejects_bad_indices():
 
 
 def test_threshold_known_values():
-    fam = build_dyadic(radial_chain(MobiusModel(), t0=1.0, ratio=0.25, depth=4))
+    fam = build_dyadic(RadialChain(MobiusModel(), t0=1.0, ratio=0.25, depth=4))
     assert fam.threshold(1) == 1.0
     assert fam.threshold(2) == 2.0
     assert fam.threshold(Fraction(1, 2)) == 0.25
@@ -82,7 +81,7 @@ def test_threshold_known_values():
 
 def test_member_matches_levels_and_extends():
     model = MobiusModel()
-    chain = radial_chain(model, depth=8)
+    chain = RadialChain(model, depth=8)
     fam = build_dyadic(chain)
     gen = np.random.default_rng(7)
     pts = gen.uniform(-0.6, 0.6, (200, 2))
@@ -95,7 +94,7 @@ def test_member_matches_levels_and_extends():
 
 
 def test_member_monotone_in_index():
-    fam = build_dyadic(radial_chain(MobiusModel(), depth=6))
+    fam = build_dyadic(RadialChain(MobiusModel(), depth=6))
     gen = np.random.default_rng(11)
     pts = gen.uniform(-0.7, 0.7, (500, 2))
     grid = [Fraction(m, 64) for m in range(1, 129)]
@@ -109,9 +108,8 @@ def test_member_monotone_in_index():
 def test_sandwich_at_every_level_ratio_quarter():
     # {N < 2^-n} inside U_n inside {N <= 2 * 2^-n}
     model = MobiusModel()
-    chain = radial_chain(model, ratio=0.25, depth=10)
-    fam = build_dyadic(chain)
-    N = Prenorm(fam)
+    chain = RadialChain(model, ratio=0.25, depth=10)
+    N = build_dyadic(chain)
     gen = np.random.default_rng(3)
     pts = gen.uniform(-0.7, 0.7, (4000, 2))
     vals = N(pts)
@@ -128,8 +126,7 @@ def test_sandwich_at_every_level_ratio_quarter():
 
 def test_prenorm_frozen_values_ratio_half():
     model = MobiusModel()
-    fam = build_dyadic(radial_chain(model, t0=1.0, ratio=0.5, depth=24))
-    N = Prenorm(fam)
+    N = build_dyadic(RadialChain(model, t0=1.0, ratio=0.5, depth=24))
     pts = np.array([[0.0, 0.0], [np.tanh(0.75), 0.0], [np.tanh(3.0), 0.0]])
     vals = N(pts)
     assert vals[0] == 0.0
@@ -139,8 +136,7 @@ def test_prenorm_frozen_values_ratio_half():
 
 
 def test_prenorm_zero_and_cap_any_ratio():
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.25, depth=12))
-    N = Prenorm(fam)
+    N = build_dyadic(RadialChain(MobiusModel(), ratio=0.25, depth=12))
     assert N(np.array([[0.0, 0.0]]))[0] == 0.0
     # total scale is sum of 4^-n < 4/3; rapidity 2 exceeds it
     assert N(np.array([[np.tanh(2.0), 0.0]]))[0] == 2.0
@@ -151,8 +147,8 @@ def test_prenorm_depth_refinement():
     gen = np.random.default_rng(19)
     pts = gen.uniform(-0.7, 0.7, (2000, 2))
     for D in (6, 10):
-        coarse = Prenorm(build_dyadic(radial_chain(model, ratio=0.5, depth=D)))(pts)
-        fine = Prenorm(build_dyadic(radial_chain(model, ratio=0.5, depth=D + 1)))(pts)
+        coarse = build_dyadic(RadialChain(model, ratio=0.5, depth=D))(pts)
+        fine = build_dyadic(RadialChain(model, ratio=0.5, depth=D + 1))(pts)
         assert (fine <= coarse + 1e-15).all()
         assert (coarse - fine <= 2.0 ** -D + 1e-15).all()
 
@@ -160,7 +156,7 @@ def test_prenorm_depth_refinement():
 def test_prenorm_eval_vs_index_bisection_dual_route():
     # greedy bit extraction against bisection over the threshold
     # recursion; a non-binary ratio so the radii do not sum exactly
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.3, depth=16))
+    fam = build_dyadic(RadialChain(MobiusModel(), ratio=0.3, depth=16))
     gen = np.random.default_rng(23)
     pts = gen.uniform(-0.7, 0.7, (3000, 2))
     greedy = prenorm_eval(fam, pts)
@@ -173,7 +169,7 @@ def test_index_of_rapidity_pins_the_recursion(ratio):
     # every threshold of the depth-8 grid inverts to its own index, and
     # the next double above it to the next index
     depth = 8
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=ratio, depth=depth))
+    fam = build_dyadic(RadialChain(MobiusModel(), ratio=ratio, depth=depth))
     k = np.arange(1, 2 ** (depth + 1))
     thr = np.array([fam.threshold(Fraction(int(m), 2 ** depth)) for m in k])
     assert np.array_equal(fam.index_of_rapidity(thr), k / 2 ** depth)
@@ -186,7 +182,7 @@ def test_index_of_rapidity_pins_the_recursion(ratio):
 
 
 def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.25, depth=24))
+    fam = build_dyadic(RadialChain(MobiusModel(), ratio=0.25, depth=24))
     real = DyadicFamily._thr
     calls = []
 
@@ -202,19 +198,17 @@ def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
 
 
 def test_prenorm_inversion_symmetry_bitwise():
-    fam = build_dyadic(radial_chain(EinsteinModel(), depth=20))
-    N = Prenorm(fam)
+    N = build_dyadic(RadialChain(EinsteinModel(), depth=20))
     gen = np.random.default_rng(29)
     pts = gen.uniform(-0.6, 0.6, (500, 3))
-    assert np.array_equal(N(pts), N(fam.model.neg(pts)))
+    assert np.array_equal(N(pts), N(N.model.neg(pts)))
 
 
 def test_prenorm_collinear_near_additivity_ratio_half():
     # on a common ray the radial scales add, so the grid readings add
     # up to quantization
     model = MobiusModel()
-    fam = build_dyadic(radial_chain(model, ratio=0.5, depth=24))
-    N = Prenorm(fam)
+    N = build_dyadic(RadialChain(model, ratio=0.5, depth=24))
     gen = np.random.default_rng(31)
     a = gen.uniform(0.05, 0.9, 300)
     b = gen.uniform(0.05, 0.9, 300)
@@ -222,14 +216,14 @@ def test_prenorm_collinear_near_additivity_ratio_half():
     v = np.stack([np.tanh(b), np.zeros_like(b)], axis=-1)
     lhs = N(model.oplus(u, v))
     rhs = N(u) + N(v)
-    assert np.abs(lhs - rhs).max() <= 2.0 * fam.grid_step + 1e-12
+    assert np.abs(lhs - rhs).max() <= 2.0 * N.grid_step + 1e-12
 
 
 # -- chain construction guards -------------------------------------------------
 
 
 def test_build_dyadic_requires_halving():
-    chain = radial_chain(MobiusModel(), ratio=0.6, depth=6)
+    chain = RadialChain(MobiusModel(), ratio=0.6, depth=6)
     with pytest.raises(ChainConditionError) as exc:
         build_dyadic(chain)
     assert exc.value.level == 1
@@ -237,7 +231,7 @@ def test_build_dyadic_requires_halving():
 
 
 def test_build_dyadic_accepts_half_and_truncates():
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=0.5, depth=8))
+    fam = build_dyadic(RadialChain(MobiusModel(), ratio=0.5, depth=8))
     assert fam.depth == 8
     assert fam.grid_step == 2.0 ** -8
 
@@ -245,11 +239,13 @@ def test_build_dyadic_accepts_half_and_truncates():
 def test_finite_chain_guards():
     t = cyclic_table(4)
     with pytest.raises(ChainConditionError, match="identity"):
-        finite_chain(t, [1, 3])
+        FiniteChain(t, [1, 3])
     with pytest.raises(ChainConditionError, match="closed"):
-        finite_chain(t, [0, 1])
-    ok = finite_chain(t, [0, 2])
+        FiniteChain(t, [0, 1])
+    ok = FiniteChain(t, [0, 2])
     assert ok.H.tolist() == [0, 2]
+    with pytest.raises(UsageError, match="table-backed"):
+        FiniteChain(MobiusModel(), [0])
 
 
 # -- admissibility -------------------------------------------------------------
@@ -257,11 +253,11 @@ def test_finite_chain_guards():
 
 def test_admissible_quarter_passes_half_fails():
     model = MobiusModel()
-    good = validate_admissible_chain(radial_chain(model, ratio=0.25, depth=6))
+    good = validate_admissible_chain(RadialChain(model, ratio=0.25, depth=6))
     assert good.passed
     assert good.check("analytic_condition").passed
 
-    bad = validate_admissible_chain(radial_chain(model, ratio=0.5, depth=4))
+    bad = validate_admissible_chain(RadialChain(model, ratio=0.5, depth=4))
     assert not bad.passed
     cond = bad.check("analytic_condition")
     assert not cond.passed
@@ -272,7 +268,7 @@ def test_admissible_half_witness_is_the_axis_extreme():
     # the forced triple u=v=w at the level radius on the real axis
     # composes to rapidity 3*t, past the allowed t of the level above
     model = MobiusModel()
-    rep = validate_admissible_chain(radial_chain(model, t0=1.0, ratio=0.5, depth=3))
+    rep = validate_admissible_chain(RadialChain(model, t0=1.0, ratio=0.5, depth=3))
     lvl = rep.check("level_0_double_sum")
     assert not lvl.passed
     w = lvl.witness
@@ -297,8 +293,8 @@ def test_admissible_sampled_triples_stay_below_extreme():
     assert rapidity(model, comp).max() <= 3.0 * t_in + 1e-12
 
 
-def test_admissible_finite_chain():
-    rep = validate_admissible_chain(finite_chain(cyclic_table(4), [0, 2]))
+def test_admissible_FiniteChain():
+    rep = validate_admissible_chain(FiniteChain(cyclic_table(4), [0, 2]))
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert names == [
@@ -314,8 +310,8 @@ def test_admissible_finite_chain():
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5])
 def test_prenorm_suite_mobius(ratio):
-    fam = build_dyadic(radial_chain(MobiusModel(), ratio=ratio, depth=20))
-    rep = check_prenorm_properties(fam, n_samples=2000, max_sandwich_level=6)
+    chain = RadialChain(MobiusModel(), ratio=ratio, depth=20)
+    rep = check_prenorm_properties(chain, n_samples=2000)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     names = {c.name for c in rep.checks}
     assert {"gyration_invariance", "subadditivity", "inversion_symmetry"} <= names
@@ -324,18 +320,17 @@ def test_prenorm_suite_mobius(ratio):
 
 
 def test_prenorm_suite_einstein():
-    fam = build_dyadic(radial_chain(EinsteinModel(), ratio=0.25, depth=16))
-    rep = check_prenorm_properties(fam, n_samples=1500, max_sandwich_level=5)
+    chain = RadialChain(EinsteinModel(), ratio=0.25, depth=16)
+    rep = check_prenorm_properties(chain, n_samples=1500)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
 def test_discrete_prenorm_and_finite_suite():
-    t = klein_table()
-    fam = build_dyadic(finite_chain(t, [0, 1]))
-    assert Prenorm(fam)(np.arange(4)).tolist() == [0.0, 0.0, 1.0, 1.0]
-    z2 = build_dyadic(finite_chain(cyclic_table(2), [0]))
-    assert Prenorm(z2)(np.arange(2)).tolist() == [0.0, 1.0]
-    rep = check_prenorm_properties(fam)
+    chain = FiniteChain(klein_table(), [0, 1])
+    assert build_dyadic(chain)(np.arange(4)).tolist() == [0.0, 0.0, 1.0, 1.0]
+    z2 = build_dyadic(FiniteChain(cyclic_table(2), [0]))
+    assert z2(np.arange(2)).tolist() == [0.0, 1.0]
+    rep = check_prenorm_properties(chain)
     assert rep.passed
     assert all(c.samples == "exhaustive" for c in rep.checks)
 
