@@ -293,7 +293,7 @@ def test_admissible_sampled_triples_stay_below_extreme():
     assert rapidity(model, comp).max() <= 3.0 * t_in + 1e-12
 
 
-def test_admissible_FiniteChain():
+def test_admissible_finite_chain():
     rep = validate_admissible_chain(FiniteChain(cyclic_table(4), [0, 2]))
     assert rep.passed
     names = [c.name for c in rep.checks]
