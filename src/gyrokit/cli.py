@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from .core import check_axioms, check_identities
 from .errors import (
     AxiomViolationError,
-    CarrierDomainError,
     ChainConditionError,
     ResourceLimitError,
     SamplingError,
     TableFormatError,
     UsageError,
 )
-from .models import EinsteinModel, MobiusModel, check_strong_base
+from .models import EinsteinModel, MobiusModel, ProductModel, check_strong_base
 from .prenorm import (
     DEFAULT_DEPTH,
     FiniteChain,
@@ -43,14 +42,14 @@ from .tables import (
     check_search,
     check_subgyrogroups,
     load_table,
-    product_model,
+    product_table,
     validate_table,
 )
 
 # the exit code of each error that stops a run; a finished run exits 0
 # when its report passes and 1 when it fails
 EXIT_CODES = {
-    UsageError: 2, SamplingError: 2, ResourceLimitError: 2, CarrierDomainError: 2,
+    UsageError: 2, SamplingError: 2, ResourceLimitError: 2,
     TableFormatError: 3, OSError: 3,
     ChainConditionError: 1, AxiomViolationError: 1,
 }
@@ -91,7 +90,10 @@ def _resolve_model(spec: str):
         if "+" not in body:
             raise UsageError("product model needs the form product:<a>+<b>")
         left, right = (_resolve_operand(s.strip()) for s in body.split("+", 1))
-        return product_model(left, right)
+        if left.is_exact and right.is_exact:
+            return TableModel(product_table(left.source, right.source))
+        # ProductModel refuses a table factor beside a continuous one
+        return ProductModel(left, right)
     raise UsageError(
         f"unknown model {spec!r}; expected mobius, einstein, "
         "table:<name-or-path> or product:<a>+<b>"
@@ -100,6 +102,8 @@ def _resolve_model(spec: str):
 
 def _resolve_operand(spec: str):
     """Product factors may name a table without the table: prefix."""
+    if not spec:
+        raise UsageError("product model has an empty factor; expected product:<a>+<b>")
     if spec in ("mobius", "einstein") or spec.startswith(("table:", "product:")):
         return _resolve_model(spec)
     return TableModel(_resolve_table(spec))

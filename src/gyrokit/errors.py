@@ -5,10 +5,6 @@ class GyroError(Exception):
     """Base class for all gyrokit errors."""
 
 
-class CarrierDomainError(GyroError):
-    """Input lies outside the model's carrier (or inside the boundary margin)."""
-
-
 class TableFormatError(GyroError):
     """A Cayley table file or literal is malformed."""
 

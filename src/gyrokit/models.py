@@ -9,12 +9,9 @@ columns. Only the per-point dot product and the square root depend on
 the precision (``_arith``); the rest is + - * /, and no complex dtype is
 involved.
 
-Public single-call operations validate their inputs against the carrier
-(rejecting points within ``margin`` of the boundary, where a lone
-float64 evaluation is no longer trustworthy). The model classes used by
-the verification suites run the same kernels unguarded, because suites
-must be free to compose arbitrarily close to the boundary; stressed
-compositions are re-evaluated in double-double by the suite engine.
+The models run these kernels unguarded, because the suites must be free
+to compose arbitrarily close to the boundary; the suite engine
+re-evaluates stressed compositions in double-double.
 """
 
 from __future__ import annotations
@@ -23,9 +20,9 @@ import numpy as np
 
 from . import ddarith as dd
 from .core import GyrogroupModel, derived_gyration, run_law_check
-from .errors import CarrierDomainError, UsageError
+from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
-from .sampling import Sampler, ToleranceConfig, coldot, directions, rownorm
+from .sampling import Sampler, ToleranceConfig, coldot, directions
 
 # ---------------------------------------------------------------------------
 # column kernels on the unit ball: float64 columns and DD values alike;
@@ -69,25 +66,6 @@ def _m_gyr_factor(a, b):
 def _m_gyr_parts(a, b, z):
     num, den = _m_gyr_factor(a, b)
     return _cdiv(_cmul(z, num), den)
-
-
-def as_pair(z):
-    """Complex scalar/array -> real-pair array of shape (..., 2)."""
-    z = np.asarray(z)
-    if z.dtype.kind == "c":
-        return np.stack([z.real, z.imag], axis=-1).astype(np.float64)
-    z = z.astype(np.float64)
-    if z.shape == ():
-        return np.stack([z, np.zeros_like(z)], axis=-1)
-    if z.shape[-1] != 2:
-        raise ValueError("disk points are complex values or (..., 2) real pairs")
-    return z
-
-
-def as_complex(p):
-    p = np.asarray(p, dtype=np.float64)
-    out = p[..., 0] + 1j * p[..., 1]
-    return complex(out) if out.shape == () else out
 
 
 # ---------------------------------------------------------------------------
@@ -322,70 +300,6 @@ class _ProductExtended:
             self._el.gyr_derived(x[0], y[0], z[0]),
             self._er.gyr_derived(x[1], y[1], z[1]),
         )
-
-
-# ---------------------------------------------------------------------------
-# public single-call operations
-
-
-def _check_carrier(p, bound, margin, what):
-    norm = rownorm(np.asarray(p, float))
-    limit = bound * (1.0 - margin)
-    if np.any(norm > limit):
-        worst = float(np.max(norm))
-        raise CarrierDomainError(
-            f"{what} has norm {worst:.17g}, beyond the allowed {limit:.17g}"
-        )
-
-
-def mobius_oplus(a, b, margin: float = 1e-6):
-    """Disk addition. Accepts complex values or real pairs; returns the
-    same form it was given."""
-    want_complex = np.asarray(a).dtype.kind == "c" or np.asarray(a).shape == ()
-    pa, pb = as_pair(a), as_pair(b)
-    _check_carrier(pa, 1.0, margin, "left operand")
-    _check_carrier(pb, 1.0, margin, "right operand")
-    out = MobiusModel().oplus(pa, pb)
-    return as_complex(out) if want_complex else out
-
-
-def mobius_gyr(a, b, x, margin: float = 1e-6):
-    """Apply the disk gyration of (a, b) to x: a unimodular rotation."""
-    want_complex = np.asarray(a).dtype.kind == "c" or np.asarray(a).shape == ()
-    pa, pb, px = as_pair(a), as_pair(b), as_pair(x)
-    for p, what in ((pa, "first pivot"), (pb, "second pivot"), (px, "argument")):
-        _check_carrier(p, 1.0, margin, what)
-    out = MobiusModel().gyr(pa, pb, px)
-    return as_complex(out) if want_complex else out
-
-
-def gamma(u, c: float = 1.0, margin: float = 1e-6):
-    """Velocity dilation factor 1/sqrt(1 - |u|^2/c^2)."""
-    u = np.asarray(u, float)
-    norm = rownorm(u)
-    if np.any(norm >= c * (1.0 - margin)):
-        raise CarrierDomainError(
-            f"speed {float(np.max(norm)):.17g} is at or beyond c(1 - margin)"
-        )
-    out = 1.0 / _inv_gamma(_cols(u / c))
-    return float(out) if out.shape == () else out
-
-
-def einstein_oplus(u, v, c: float = 1.0, margin: float = 1e-6):
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    _check_carrier(u, c, margin, "left velocity")
-    _check_carrier(v, c, margin, "right velocity")
-    return EinsteinModel(c).oplus(u, v)
-
-
-def einstein_gyr(u, v, w, c: float = 1.0, margin: float = 1e-6):
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    w = np.asarray(w, float)
-    for p, what in ((u, "first pivot"), (v, "second pivot"), (w, "argument")):
-        _check_carrier(p, c, margin, what)
-    return EinsteinModel(c).gyr(u, v, w)
 
 
 # ---------------------------------------------------------------------------

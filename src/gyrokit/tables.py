@@ -151,14 +151,6 @@ class CayleyTable:
             "oplus": self.table.tolist(),
         }
 
-    def canonical_dict(self):
-        """Same table with the identity re-indexed to position 0."""
-        e = self.identity_index
-        if e == 0:
-            return self.to_dict()
-        perm = [e] + [i for i in range(self.order) if i != e]
-        return self.relabel(perm).to_dict()
-
     def relabel(self, perm) -> "CayleyTable":
         """Return the table under new indexing: new index i holds old perm[i]."""
         perm = np.asarray(perm)
@@ -430,7 +422,7 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
 def is_L_subgyrogroup(t: CayleyTable, H) -> bool:
     """Whether every gyration of the ambient table, with second pivot in
     H, maps H onto itself. Requires H to be a subgyrogroup."""
-    elems = H.elements if isinstance(H, SubgyrogroupSet) else tuple(sorted(H))
+    elems = tuple(sorted(H))
     arr = np.array(elems, dtype=np.int64)
     B = t.gyrations()
     if not _closed_under(t, B, arr):
@@ -444,7 +436,7 @@ def coset_partition(t: CayleyTable, H):
     Only available when H has the strong invariance property; otherwise
     the blocks may overlap and the call refuses.
     """
-    elems = H.elements if isinstance(H, SubgyrogroupSet) else tuple(sorted(H))
+    elems = tuple(sorted(H))
     if not is_L_subgyrogroup(t, elems):
         raise AxiomViolationError(
             f"{list(elems)} lacks the all-pivot invariance property; "
@@ -480,21 +472,6 @@ def product_table(a: CayleyTable, b: CayleyTable) -> CayleyTable:
     table = ta * nb + tb
     labels = [f"({a.labels[i]},{b.labels[j]})" for i, j in zip(ia, ja)]
     return CayleyTable(table, labels, name=f"product({a.name},{b.name})")
-
-
-def product_model(x, y):
-    """Coordinatewise product; both operands tables or both continuous."""
-    from .models import ProductModel  # local import avoids a cycle at import time
-
-    if isinstance(x, CayleyTable) and isinstance(y, CayleyTable):
-        return product_table(x, y)
-    if isinstance(x, TableModel) and isinstance(y, TableModel):
-        return TableModel(product_table(x.source, y.source))
-    if isinstance(x, GyrogroupModel) and isinstance(y, GyrogroupModel):
-        if x.is_exact or y.is_exact:
-            raise UsageError("product operands must both be tables or both continuous")
-        return ProductModel(x, y)
-    raise UsageError("product operands must both be tables or both continuous models")
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,10 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
         ["admissible", "--chain", '{"kind":"radial_rapidity","t0":50}', "--samples", "300"],
         ["axioms", "--tol", "inf"],
         ["axioms", "--tol", "1e400"],
+        ["axioms", "--model", "product:+"],  # empty factors
+        ["axioms", "--model", "product:mobius+"],
+        ["axioms", "--model", "product:mobius+z3"],  # a disk times a table
+        ["axioms", "--model", "product:mobius"],  # no second factor
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -222,12 +226,12 @@ def test_metric_example_quarter_ratio(capsys):
 
 
 def test_product_model_axioms(capsys):
-    code, payload, _ = run_json(
-        capsys, "axioms", "--model", "product:z2+z3", "--samples", "10"
-    )
-    assert code == 0
-    assert payload["pass"] is True
-    assert all(c["samples_or_exhaustive"] == "exhaustive" for c in payload["checks"])
+    # a table product is again a table, so a nested one is exhaustive too
+    for spec in ("product:z2+z3", "product:z2+product:z2+z3"):
+        code, payload, _ = run_json(capsys, "axioms", "--model", spec, "--samples", "10")
+        assert code == 0
+        assert payload["pass"] is True
+        assert all(c["samples_or_exhaustive"] == "exhaustive" for c in payload["checks"])
 
 
 def test_finite_prenorm_and_metric(capsys):

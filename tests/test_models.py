@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
 
-from gyrokit.errors import CarrierDomainError, UsageError
+from gyrokit.errors import UsageError
 from gyrokit.core import check_identities
 from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
     ProductModel,
     _BallExtended,
-    as_complex,
-    as_pair,
     check_strong_base,
-    einstein_gyr,
-    einstein_oplus,
-    gamma,
-    mobius_gyr,
-    mobius_oplus,
 )
 from gyrokit import ddarith as dd
 from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
@@ -26,24 +19,26 @@ from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
 
 def test_mobius_oplus_real_axis():
     # (0.5 + 0.5) / (1 + 0.25) = 0.8
-    assert mobius_oplus(0.5 + 0j, 0.5 + 0j) == pytest.approx(0.8 + 0j, abs=1e-15)
+    got = MobiusModel().oplus([[0.5, 0.0]], [[0.5, 0.0]])[0]
+    assert got == pytest.approx([0.8, 0.0], abs=1e-15)
 
 
 def test_mobius_oplus_imag_axis():
-    got = mobius_oplus(0.5j, 0.5j)
-    assert got == pytest.approx(0.8j, abs=1e-15)
+    got = MobiusModel().oplus([[0.0, 0.5]], [[0.0, 0.5]])[0]
+    assert got == pytest.approx([0.0, 0.8], abs=1e-15)
 
 
 def test_mobius_oplus_pair_interface():
-    got = mobius_oplus([0.5, 0.0], [0.5, 0.0])
+    # a single unbatched (re, im) pair in, the same shape out
+    got = MobiusModel().oplus([0.5, 0.0], [0.5, 0.0])
     assert isinstance(got, np.ndarray)
     assert np.allclose(got, [0.8, 0.0], atol=1e-15)
 
 
 def test_mobius_gyr_oracle():
-    got = mobius_gyr(0.5 + 0j, 0.5j, 0.1 + 0j)
-    want = 3.0 / 34.0 - (4.0 / 85.0) * 1j
-    assert got == pytest.approx(want, abs=1e-15)
+    # gyr[0.5, 0.5i] 0.1 = 3/34 - (4/85)i
+    got = MobiusModel().gyr([[0.5, 0.0]], [[0.0, 0.5]], [[0.1, 0.0]])[0]
+    assert got == pytest.approx([3.0 / 34.0, -4.0 / 85.0], abs=1e-15)
 
 
 def test_mobius_gyr_unimodular_factor():
@@ -53,31 +48,21 @@ def test_mobius_gyr_unimodular_factor():
     a /= np.maximum(1.0, np.linalg.norm(a, axis=1, keepdims=True) / 0.95)
     b /= np.maximum(1.0, np.linalg.norm(b, axis=1, keepdims=True) / 0.95)
     x = np.full((500, 2), [0.1, 0.0])
-    out = mobius_gyr(a, b, x)
+    out = MobiusModel().gyr(a, b, x)
     assert np.allclose(np.linalg.norm(out, axis=1), 0.1, atol=1e-12)
-
-
-def test_gamma_factor():
-    assert gamma(np.array([[0.5, 0.0, 0.0]]))[0] == pytest.approx(
-        2.0 / np.sqrt(3.0), abs=1e-15
-    )
-    # scale invariance in c
-    assert gamma(np.array([[1.5e8, 0.0, 0.0]]), c=3e8)[0] == pytest.approx(
-        2.0 / np.sqrt(3.0), abs=1e-12
-    )
 
 
 def test_einstein_oplus_collinear():
     u = np.array([[0.5, 0.0, 0.0]])
     # (0.5 + 0.5) / (1 + 0.103) -> relativistic velocity sum
-    got = einstein_oplus(u, u)[0]
+    got = EinsteinModel().oplus(u, u)[0]
     assert got == pytest.approx([0.8, 0.0, 0.0], abs=1e-15)
 
 
 def test_einstein_oplus_with_c():
     c = 2.99792458e8
     u = np.array([[0.5 * c, 0.0, 0.0]])
-    got = einstein_oplus(u, u, c=c)[0]
+    got = EinsteinModel(c).oplus(u, u)[0]
     assert got[0] == pytest.approx(0.8 * c, rel=1e-14)
 
 
@@ -85,7 +70,7 @@ def test_einstein_gyr_collinear_is_identity():
     u = np.array([[0.3, 0.0, 0.0]])
     v = np.array([[0.4, 0.0, 0.0]])
     w = np.array([[0.1, 0.2, -0.3]])
-    got = einstein_gyr(u, v, w)
+    got = EinsteinModel().gyr(u, v, w)
     assert np.allclose(got, w, atol=1e-14)
 
 
@@ -118,29 +103,6 @@ def test_rapidity_additivity_mobius():
     v = np.tanh(rho_v)[:, None] * directions(gen, 4000, 2)
     rho_sum = np.arctanh(np.linalg.norm(m.oplus(u, v), axis=1))
     assert float((rho_sum - (rho_u + rho_v)).max()) <= 1e-12
-
-
-# -- carrier validation ------------------------------------------------------
-
-
-def test_mobius_oplus_rejects_off_carrier():
-    with pytest.raises(CarrierDomainError):
-        mobius_oplus(1.0 + 0j, 0.1 + 0j)
-
-
-def test_einstein_rejects_superluminal():
-    with pytest.raises(CarrierDomainError):
-        einstein_oplus(np.array([[1.1, 0.0, 0.0]]), np.array([[0.1, 0.0, 0.0]]))
-
-
-def test_gamma_pole_guard():
-    with pytest.raises(CarrierDomainError):
-        gamma(np.array([[1.0 - 1e-9, 0.0, 0.0]]))
-
-
-def test_pair_complex_converters():
-    z = np.array([0.3 + 0.4j])
-    assert np.allclose(as_complex(as_pair(z)), z)
 
 
 # -- extended-precision ops agree with doubles away from the boundary --------
@@ -189,7 +151,6 @@ def test_einstein_closed_gyr_matches_derived(c):
     # moderate rapidity, where the derived composition is well conditioned
     u, v, w = (ball_points(gen, 4000, 3, c, t_max=1.5, margin=None) for _ in range(3))
     assert np.abs(m.gyr(u, v, w) - m.gyr_derived(u, v, w)).max() <= 1e-13 * c
-    assert np.abs(einstein_gyr(u, v, w, c=c) - m.gyr(u, v, w)).max() == 0.0
 
 
 def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
@@ -293,11 +254,6 @@ def test_einstein_kernels_bit_identical_to_references(c):
     want_gyr = c * _ref_gyr_rows(u / c, v / c, w / c) if c != 1.0 else _ref_gyr_rows(u, v, w)
     assert m.oplus(u, v).tobytes() == want_oplus.tobytes()
     assert m.gyr(u, v, w).tobytes() == want_gyr.tobytes()
-    assert einstein_oplus(u[3:100], v[3:100], c=c).tobytes() == want_oplus[3:100].tobytes()
-    assert (
-        gamma(u[3:100], c=c).tobytes()
-        == (1.0 / np.sqrt(1.0 - _ref_rowdot(u / c, u / c)[3:100, 0])).tobytes()
-    )
 
     ext = m.extended()
     U, V, W = (ext.lift(a) for a in (u, v, w))
@@ -323,10 +279,10 @@ def test_product_model_axioms():
 
 
 def test_product_rejects_mixed_kinds():
-    from gyrokit.tables import TableModel, cyclic_table, product_model
+    from gyrokit.tables import TableModel, cyclic_table
 
     with pytest.raises(UsageError):
-        product_model(MobiusModel(), TableModel(cyclic_table(3)))
+        ProductModel(MobiusModel(), TableModel(cyclic_table(3)))
 
 
 # -- strong base suite -------------------------------------------------------

@@ -1,12 +1,15 @@
-"""README's library examples run as written, and the package exports
-every name it lists."""
+"""README's library examples run as written, the package exports
+every name it lists, and the exit-code table names live errors."""
 
+import builtins
 import contextlib
 import io
 import re
 from pathlib import Path
 
 import gyrokit
+from gyrokit import errors
+from gyrokit.cli import EXIT_CODES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +35,17 @@ def test_readme_python_blocks_run_in_order():
 def test_every_exported_name_resolves():
     missing = [name for name in gyrokit.__all__ if not hasattr(gyrokit, name)]
     assert missing == []
+
+
+def test_exit_code_table_matches_cli():
+    rows = re.findall(r"^\| ([0-9]) \| (.*) \|$", README.read_text(encoding="utf-8"), re.M)
+    assert [code for code, _ in rows] == ["0", "1", "2", "3"]
+    named = set()
+    for code, text in rows:
+        for name in re.findall(r"`(\w+Error)`", text):
+            # the package's own errors, and the one builtin the CLI maps
+            cls = getattr(errors, name, None) or getattr(builtins, name, None)
+            assert cls is not None, f"README names {name}, which does not exist"
+            assert EXIT_CODES.get(cls) == int(code), f"README puts {name} under exit {code}"
+            named.add(cls)
+    assert named == set(EXIT_CODES)

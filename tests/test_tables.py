@@ -23,7 +23,6 @@ from gyrokit.tables import (
     is_L_subgyrogroup,
     klein_table,
     load_table,
-    product_model,
     product_table,
     s3_table,
     search_gyrogroups,
@@ -78,16 +77,6 @@ def test_load_rejects_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(TableFormatError, match="not valid JSON"):
         load_table(p)
-
-
-def test_canonical_dict_moves_identity_to_front():
-    # identity at index 2 of a relabeled Z3
-    t = cyclic_table(3).relabel([1, 2, 0])
-    assert t.identity_index == 2
-    d = t.canonical_dict()
-    t2 = table_from_dict(d)
-    assert t2.identity_index == 0
-    assert validate_table(t2).passed
 
 
 # -- validation ---------------------------------------------------------------
@@ -487,16 +476,6 @@ def test_product_z2_z2_is_klein():
     p = product_table(cyclic_table(2), cyclic_table(2))
     assert np.array_equal(p.table, klein_table().table)
     assert p.labels[1] == "(0,1)"
-
-
-def test_product_model_dispatch():
-    p = product_model(cyclic_table(2), cyclic_table(3))
-    assert isinstance(p, CayleyTable)
-    assert validate_table(p).passed
-    pm = product_model(TableModel(cyclic_table(2)), TableModel(cyclic_table(2)))
-    assert isinstance(pm, TableModel)
-    with pytest.raises(UsageError):
-        product_model(cyclic_table(2), "nope")
 
 
 # -- search --------------------------------------------------------------------
