@@ -71,6 +71,8 @@ CASES = [
     ("cosets-z6", 0, ["cosets", "--model", "table:z6", "--subgyrogroup", "0,3"]),
     ("cosets-not-closed", 1, ["cosets", "--model", "table:z4", "--subgyrogroup", "0,1"]),
     ("search-order-4", 0, ["search", "--order", "4"]),
+    ("search-order-6", 0, ["search", "--order", "6"]),
+    ("search-order-6-max-1", 0, ["search", "--order", "6", "--max-results", "1"]),
     # failing continuous law checks and finite chain checks, with witnesses;
     # g8.json is a proper (non-associative) gyrogroup of order 8 whose
     # subgyrogroup {0, 5} is not invariant under every gyration
