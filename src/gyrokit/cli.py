@@ -70,6 +70,8 @@ class RunConfig:
 
 
 def _resolve_table(token: str):
+    if not token:
+        raise UsageError("empty table name; expected a built-in name or a path")
     if token.lower() in BUILTIN_TABLE_NAMES or (
         token.lower().startswith("z") and token[1:].isdigit()
     ):

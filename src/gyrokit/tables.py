@@ -9,6 +9,7 @@ the generic ones of :mod:`gyrokit.core`, run on every tuple by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 
 from .core import (
     _EXHAUSTIVE_CAP,
+    _KERNEL_CELLS,
     GyrogroupModel,
     first_violation,
     law_g3,
@@ -212,21 +214,26 @@ def table_from_dict(raw, name=None) -> CayleyTable:
 
 
 def _row_inverse(table):
-    """RI with RI[a, table[a, z]] = z; rows must be permutations."""
-    n = table.shape[0]
+    """RI with RI[..., a, table[..., a, z]] = z; rows must be permutations."""
     ri = np.empty_like(table)
-    rows = np.repeat(np.arange(n), n)
-    ri[rows, table.ravel()] = np.tile(np.arange(n), n)
+    z = np.broadcast_to(np.arange(table.shape[-1]), table.shape)
+    np.put_along_axis(ri, table, z, axis=-1)
     return ri
 
 
 def gyr_tensor(table: np.ndarray) -> np.ndarray:
-    """B[x, y, z] = index of the gyration of (x, y) applied to z."""
-    n = table.shape[0]
-    ri = _row_inverse(table)
-    t_yz = table
-    t_x_yz = table[np.arange(n)[:, None, None], t_yz[None, :, :]]
-    return ri[table[:, :, None], t_x_yz]
+    """B[..., x, y, z] = index of the gyration of (x, y) applied to z, for
+    one table (n, n) or for each table of a stack (..., n, n).
+
+    B[x, y, z] = RI[x + y, x + (y + z)], both gathered from the flattened
+    stack, where row a of table k starts at (k * n + a) * n.
+    """
+    n = table.shape[-1]
+    T = table.reshape(-1, n, n)
+    first_row = np.arange(len(T))[:, None, None, None] * n
+    x_yz = T.reshape(-1)[(first_row + np.arange(n)[:, None, None]) * n + T[:, None]]
+    B = _row_inverse(T).reshape(-1)[(first_row + T[..., None]) * n + x_yz]
+    return B.reshape(table.shape + (n,))
 
 
 def _check_tensor_size(n: int, name: str):
@@ -240,17 +247,23 @@ def _check_tensor_size(n: int, name: str):
 
 class _TableOps:
     """A table's operation and gyration tensor as ops for the generic
-    G3/G4 laws; needs no identity or inverses, unlike TableModel."""
+    G3/G4 laws; needs no identity or inverses, unlike TableModel.
 
-    def __init__(self, T, B):
+    For a stack of tables, T (m, n, n) and B (m, n, n, n), ``table`` is the
+    index grid of the table axis that every operand broadcasts against, so
+    each op applies table k to the operands at k.
+    """
+
+    def __init__(self, T, B, table=None):
         self.T = T
         self.B = B
+        self._at = () if table is None else (table,)
 
     def oplus(self, x, y):
-        return self.T[x, y]
+        return self.T[(*self._at, x, y)]
 
     def gyr(self, x, y, z):
-        return self.B[x, y, z]
+        return self.B[(*self._at, x, y, z)]
 
 
 # ---------------------------------------------------------------------------
@@ -522,43 +535,112 @@ BUILTIN_TABLE_NAMES = ("z1", "z2", "z3", "z4", "z5", "z6", "klein", "s3")
 def _axioms_hold(T: np.ndarray) -> bool:
     """Fast exact validity test for a reduced Latin square with identity 0."""
     n = T.shape[0]
+    # G2: the right inverse of each x must also be its left inverse, as in
+    # every gyrogroup. The search's inverse prune already drops the squares
+    # that fail this; the test stays so that the verdict never rests on it.
     right = np.argmax(T == 0, axis=1)  # the one y with x + y = 0 in row x
     if (T[right, np.arange(n)] != 0).any():
         return False
     ops = _TableOps(T, gyr_tensor(T))
     # the n^3 loop law goes first: at order 6 it rejects all but 80 of the
     # 1,808 squares with inverses, so the n^4 automorphism law rarely runs
+    # (G3 gyroassociativity holds by the construction of the gyrations)
     return (
         first_violation(ops, n, law_g4_loop, 3) is None
         and first_violation(ops, n, law_g3_automorphism, 4) is None
     )
 
 
+def _loop_law_holds(stack: np.ndarray) -> np.ndarray:
+    """Whether each table of a stack (m, n, n) satisfies the G4 loop law,
+    for all m tables in one pass of ``law_g4_loop``."""
+    m, n = stack.shape[:2]
+    table, *xyz = np.ix_(np.arange(m), *[np.arange(n)] * 3)
+    ops = _TableOps(stack, gyr_tensor(stack), table)
+    ok = np.ones(m, dtype=bool)
+    for lhs, rhs in law_g4_loop(ops, *xyz):
+        ok &= (lhs == rhs).reshape(m, -1).all(axis=1)
+    return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_fixing_perms(n: int):
+    """Every permutation of range(n) that fixes 0, in lexicographic order,
+    and the inverse of each, as two read-only ((n-1)!, n) arrays shared by
+    every caller."""
+    perms = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))])
+    invs = np.argsort(perms, axis=1)
+    perms.flags.writeable = invs.flags.writeable = False
+    return perms, invs
+
+
 def _canonical_bytes(T: np.ndarray):
-    """Minimal relabeling (identity fixed at 0) of the table, as bytes."""
-    n = T.shape[0]
-    best = None
-    best_perm = None
-    for rest in itertools.permutations(range(1, n)):
-        perm = np.array((0,) + rest)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        relab = perm[T[np.ix_(inv, inv)]]
-        blob = relab.astype(np.uint8).tobytes()
-        if best is None or blob < best:
-            best = blob
-            best_perm = relab
-    return best, best_perm
+    """Minimal relabeling (identity fixed at 0) of the table, as bytes.
+
+    All identity-fixing relabelings perm[T[inv, inv]] are built in one
+    gather, and the lexicographically smallest as uint8 bytes wins.
+    """
+    perms, invs = _identity_fixing_perms(T.shape[0])
+    relab = perms[np.arange(len(perms))[:, None, None], T[invs[:, :, None], invs[:, None, :]]]
+    flat = relab.astype(np.uint8).reshape(len(perms), -1)
+    best = np.lexsort(flat.T[::-1])[0]  # lexsort's last key is the primary one
+    return flat[best].tobytes(), relab[best]
+
+
+def _inverse_symmetric_squares(n: int):
+    """Every reduced Latin square of order n, identity 0, that passes the
+    inverse prune, each as a flat list of its n * n entries.
+
+    Backtracks row by row, left to right, with one bitmask of used values
+    per row and per column; a cell takes its free values lowest bit first,
+    so in ascending order. At cell (r, c) with c < r, row c is complete,
+    so r + c must be 0 if c + r is, and must not be 0 otherwise.
+    """
+    T = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
+    row_used = [1 << r for r in range(n)]
+    col_used = [1 << c for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    every = (1 << n) - 1
+
+    def fill(k):
+        if k == len(cells):
+            yield [v for row in T for v in row]
+            return
+        r, c = cells[k]
+        free = every & ~(row_used[r] | col_used[c])
+        if c < r:
+            free &= 1 if T[c][r] == 0 else ~1
+        while free:
+            bit = free & -free
+            free ^= bit
+            T[r][c] = bit.bit_length() - 1
+            row_used[r] |= bit
+            col_used[c] |= bit
+            yield from fill(k + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+
+    yield from fill(0)
 
 
 def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=None):
     """Every valid operation table of the given order, identity at 0.
 
-    Backtracks over reduced Latin squares, validates each exactly, and
-    (by default) deduplicates up to identity-fixing relabeling,
-    returning canonical representatives sorted by their serialized
-    form. With ``canonical_identity=False`` every valid reduced square
-    is returned without deduplication. Deterministic.
+    Backtracks over reduced Latin squares (:func:`_inverse_symmetric_squares`)
+    with the inverse prune: a square is abandoned as soon as x + y = 0
+    while y + x != 0. The prune is exact, since in a gyrogroup the left
+    inverse of x is also its right inverse, and the leaf test checks this
+    again; the squares it keeps come in the unpruned order (order 6: 1,808
+    of 9,408). They go, in stacks of about _KERNEL_CELLS gyration-tensor
+    entries, through the stacked loop-law filter :func:`_loop_law_holds`,
+    one pass per stack, and each survivor, in discovery order, through the
+    full exact test :func:`_axioms_hold`.
+
+    By default valid squares are deduplicated up to identity-fixing
+    relabeling, and canonical representatives are returned sorted by
+    their serialized form. With ``canonical_identity=False`` every valid
+    reduced square is returned. The search stops once ``max_results``
+    tables are found. Deterministic.
     """
     if order < 1:
         raise UsageError("order must be >= 1")
@@ -567,41 +649,30 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     n = order
     results = []
     seen = set()
+    squares = _inverse_symmetric_squares(n)
+    chunk = max(1, _KERNEL_CELLS // n**3)
 
-    T = np.zeros((n, n), dtype=np.int64)
-    T[0] = np.arange(n)
-    T[:, 0] = np.arange(n)
-    col_used = [set([j]) if j else set(range(n)) for j in range(n)]
-    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    def full():
+        return max_results is not None and len(results) >= max_results
 
-    def backtrack(k):
-        if max_results is not None and len(results) >= max_results:
-            return
-        if k == len(cells):
+    while not full():
+        leaves = list(itertools.islice(squares, chunk))
+        if not leaves:
+            break
+        stack = np.array(leaves).reshape(-1, n, n)
+        for T in stack[_loop_law_holds(stack)]:
+            if full():
+                break
             if not _axioms_hold(T):
-                return
+                continue
             if not canonical_identity:
-                results.append(CayleyTable(T.copy(), name=f"search{n}_{len(results)}"))
-                return
+                results.append(CayleyTable(T))
+                continue
             blob, relab = _canonical_bytes(T)
             if blob not in seen:
                 seen.add(blob)
-                results.append(CayleyTable(relab, name=f"search{n}_{len(results)}"))
-            return
-        r, c = cells[k]
-        row_used = set(T[r, :c])
-        for v in range(n):
-            if v in row_used or v in col_used[c]:
-                continue
-            T[r, c] = v
-            col_used[c].add(v)
-            backtrack(k + 1)
-            col_used[c].remove(v)
-            if max_results is not None and len(results) >= max_results:
-                return
-        T[r, c] = 0
+                results.append(CayleyTable(relab))
 
-    backtrack(0)
     results.sort(key=lambda t: t.table.astype(np.uint8).tobytes())
     for i, t in enumerate(results):
         t.name = f"search{n}_{i}"

@@ -101,6 +101,9 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
         ["axioms", "--model", "product:mobius+"],
         ["axioms", "--model", "product:mobius+z3"],  # a disk times a table
         ["axioms", "--model", "product:mobius"],  # no second factor
+        ["axioms", "--model", "table:"],  # empty table names
+        ["table-validate", "--model", "table:"],
+        ["prenorm", "--chain", '{"kind":"finite_discrete","table":"","subgyrogroup":[0]}'],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

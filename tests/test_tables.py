@@ -4,7 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from gyrokit.core import AXIOM_CHECKS, IDENTITY_CHECKS, derived_gyration, first_violation
+from gyrokit.core import (
+    AXIOM_CHECKS,
+    IDENTITY_CHECKS,
+    derived_gyration,
+    first_violation,
+    law_g4_loop,
+)
 from gyrokit.errors import (
     AxiomViolationError,
     ResourceLimitError,
@@ -529,6 +535,83 @@ def test_search_deduplicates_isomorphs():
 def test_search_max_results():
     got = search_gyrogroups(6, max_results=1)
     assert len(got) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_search_max_results_takes_k_of_the_raw_tables(k):
+    everything = [t.table.tobytes() for t in search_gyrogroups(6, canonical_identity=False)]
+    got = search_gyrogroups(6, canonical_identity=False, max_results=k)
+    assert len(got) == k
+    assert len({t.table.tobytes() for t in got}) == k
+    assert all(t.table.tobytes() in everything for t in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_search_matches_brute_force_over_every_reduced_square(n):
+    # no inverse prune and no stacked filter: every reduced Latin square,
+    # kept when the exhaustive validator passes it
+    valid = sorted(
+        np.array(sq, dtype=np.uint8).tobytes()
+        for sq in _reduced_latin_squares(n)
+        if validate_table(CayleyTable(sq)).passed
+    )
+    found = search_gyrogroups(n, canonical_identity=False)
+    assert [t.table.astype(np.uint8).tobytes() for t in found] == valid
+    assert [t.name for t in found] == [f"search{n}_{i}" for i in range(len(found))]
+
+
+def test_search_inverse_prune_keeps_exactly_the_inverse_symmetric_squares():
+    from gyrokit.tables import _inverse_symmetric_squares
+
+    for n in range(1, 6):
+        want = [
+            sum(sq, []) for sq in _reduced_latin_squares(n)
+            if all((sq[x][y] == 0) == (sq[y][x] == 0) for x in range(n) for y in range(n))
+        ]
+        assert list(_inverse_symmetric_squares(n)) == want
+    assert sum(1 for _ in _inverse_symmetric_squares(6)) == 1808
+
+
+def test_stacked_loop_pass_matches_each_order_6_square():
+    from gyrokit.tables import _inverse_symmetric_squares, _loop_law_holds
+
+    stack = np.array(list(_inverse_symmetric_squares(6))).reshape(-1, 6, 6)
+    B = gyr_tensor(stack)
+    assert B.shape == (len(stack), 6, 6, 6)
+    holds = _loop_law_holds(stack)
+    for T, Bk, ok in zip(stack, B, holds):
+        single = gyr_tensor(T)
+        assert np.array_equal(Bk, single)
+        assert ok == (first_violation(_TableOps(T, single), 6, law_g4_loop, 3) is None)
+    assert holds.sum() == 80
+
+
+def _canonical_by_loop(T):
+    """The relabeling search one permutation at a time, the reference."""
+    n = T.shape[0]
+    best = best_relab = None
+    for rest in itertools.permutations(range(1, n)):
+        perm = np.array((0,) + rest)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        relab = perm[T[np.ix_(inv, inv)]]
+        blob = relab.astype(np.uint8).tobytes()
+        if best is None or blob < best:
+            best, best_relab = blob, relab
+    return best, best_relab
+
+
+def test_canonical_bytes_matches_a_per_permutation_loop():
+    from gyrokit.tables import _canonical_bytes
+
+    tables = [t.table for n in (5, 6) for t in search_gyrogroups(n, canonical_identity=False)]
+    tables += [np.array(sq) for sq in _reduced_latin_squares(5)]
+    assert len(tables) == 6 + 80 + 56
+    for T in tables:
+        blob, relab = _canonical_bytes(T)
+        want_blob, want_relab = _canonical_by_loop(T)
+        assert blob == want_blob
+        assert relab.dtype == want_relab.dtype and np.array_equal(relab, want_relab)
 
 
 def test_search_order_guard():
