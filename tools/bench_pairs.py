@@ -12,9 +12,9 @@ files. Pair i runs ``perfbench/run.py --workload W --seed FIRST+i --seconds S
 --trace 0`` once in each tree, the parent first on even pairs and the change
 first on odd ones, so a drift in machine speed does not favour one side.
 
-The result goes to ``BENCH_<change-sha>.json`` in ``--out`` (default: the
-current directory), keyed by workload, so runs of several workloads for
-one change share a file. Each record holds one run: pair, side, whether
+The result is appended to ``BENCH_<change-sha>.json`` in ``--out`` (default:
+the current directory), so every set of pairs run for one change, on any
+workload, stays in its file. Each record holds one run: pair, side, whether
 it ran first, seed, ``wall_s``, ``setup_s``, the machine speed factor, the
 unscaled pass and import seconds, ``peak_rss_mb``, ``ok_ratio`` and the
 benchmark's ``correct`` flag. The summary gives each side's median and
@@ -138,21 +138,23 @@ def main(argv=None):
         shutil.rmtree(work)
 
     path = Path(args.out) / f"BENCH_{shas['change'][:12]}.json"
-    doc = {"parent": shas["parent"], "change": shas["change"], "workloads": {}}
+    doc = {"parent": shas["parent"], "change": shas["change"], "runs": []}
     if path.exists():
         old = json.loads(path.read_text(encoding="utf-8"))
         if (old.get("parent"), old.get("change")) == (doc["parent"], doc["change"]):
             doc = old
-    doc["workloads"][args.workload] = {
+    summary = summarize(records, args.pairs)
+    doc["runs"].append({
+        "workload": args.workload,
+        "first_seed": args.first_seed,
         "seconds": args.seconds,
         "records": records,
-        "summary": summarize(records, args.pairs),
-    }
+        "summary": summary,
+    })
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    s = doc["workloads"][args.workload]["summary"]
-    print(f"{args.workload}: wall_s median {s['parent']['wall_s']['median']:.4f} -> "
-          f"{s['change']['wall_s']['median']:.4f}, change faster in "
-          f"{s['change_faster_pairs']}/{args.pairs}; wrote {path}")
+    print(f"{args.workload}: wall_s median {summary['parent']['wall_s']['median']:.4f} -> "
+          f"{summary['change']['wall_s']['median']:.4f}, change faster in "
+          f"{summary['change_faster_pairs']}/{args.pairs}; wrote {path}")
     return 0
 
 

@@ -31,7 +31,8 @@ def test_one_pair_head_against_head(tmp_path):
                          capture_output=True, text=True).stdout.strip()
     doc = json.loads((out / f"BENCH_{sha[:12]}.json").read_text(encoding="utf-8"))
     assert doc["parent"] == doc["change"] == sha
-    run = doc["workloads"]["finite-tables"]
+    (run,) = doc["runs"]
+    assert (run["workload"], run["first_seed"], run["seconds"]) == ("finite-tables", 5, 0.0)
     assert [(r["pair"], r["side"], r["first"], r["seed"]) for r in run["records"]] == [
         (0, "parent", True, 5), (0, "change", False, 5)
     ]
