@@ -86,6 +86,11 @@ CASES = [
     ("prenorm-g8", 1, ["prenorm", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
     ("metric-g8", 1, ["metric", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
     ("cosets-g8", 1, ["cosets", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
+    # exhaustive checks large enough that first_violation splits its
+    # batches below one first operand: order 45 at arity 4, 41^3 > 2^16
+    ("axioms-product-loop5-z9", 1, ["axioms", "--model", "product:loop5.json+z9"]),
+    ("axioms-product-z9-loop5", 1, ["axioms", "--model", "product:z9+loop5.json"]),
+    ("table-validate-z41", 0, ["table-validate", "--model", "table:z41"]),
 ]
 
 _WALL = re.compile(r'"wall_time_s":[^,}]*')
