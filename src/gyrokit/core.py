@@ -16,6 +16,8 @@ reflects the algebra, not the conditioning of the sample.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ResourceLimitError
@@ -37,7 +39,7 @@ _EXHAUSTIVE_CAP = 20_000_000
 
 WITNESSES = 3  # witness draws per base sample in the checks that take witness operands
 
-_KERNEL_CELLS = 1 << 16  # first operands are batched while a batch stays this small
+_KERNEL_CELLS = 1 << 16  # most tuples in one batch of first_violation
 
 
 class GyrogroupModel:
@@ -281,26 +283,39 @@ def first_violation(ops, n, law, arity):
     carrier {0, ..., n-1}, as ``(tuple, lhs, rhs)`` with the two sides of
     its first differing comparison; None when the law holds everywhere.
 
-    The law runs on broadcast index grids over a batch of first operands.
-    A batch holds about _KERNEL_CELLS tuples, or one first operand with
-    its n^(arity-1) tuples, so memory stays at n^(arity-1) for large
-    carriers while small ones are checked in one batch.
+    The law runs on broadcast index grids, one batch of at most
+    _KERNEL_CELLS tuples at a time, so that each batch's index and value
+    arrays stay in cache. A batch fixes the first k operands, takes a run
+    of values of the next one and every value of the rest, with the least
+    k that fits: k = 0 while one first operand's n^(arity-1) tuples fit
+    (a small carrier is one batch), and k = 1 on z64 at arity 4, whose
+    batches hold one first and 16 second operands. Batches go in
+    lexicographic order, so the first failing batch holds the first
+    failing tuple.
     """
-    grids = np.ix_(*[np.arange(n)] * arity)
-    step = max(1, _KERNEL_CELLS // n ** (arity - 1))
-    for lo in range(0, n, step):
-        pairs = law(ops, grids[0][lo:lo + step], *grids[1:])
-        bad = None
-        for lhs, rhs in pairs:
-            ne = lhs != rhs
-            bad = ne if bad is None else bad | ne
-        if bad.any():
-            shape = (min(step, n - lo),) + (n,) * (arity - 1)
-            at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+    k = 0
+    while n ** (arity - k - 1) > _KERNEL_CELLS:
+        k += 1
+    rest = (n,) * (arity - k - 1)
+    step = _KERNEL_CELLS // n ** len(rest)
+    idx = np.arange(n)
+    for head in itertools.product(range(n), repeat=k):
+        fixed = [idx[h:h + 1] for h in head]
+        for lo in range(0, n, step):
+            run = idx[lo:lo + step]
+            pairs = law(ops, *np.ix_(*fixed, run, *[idx] * len(rest)))
+            bad = None
             for lhs, rhs in pairs:
-                l, r = np.broadcast_to(lhs, shape)[at], np.broadcast_to(rhs, shape)[at]
-                if l != r:
-                    return (lo + int(at[0]), *(int(i) for i in at[1:])), int(l), int(r)
+                ne = lhs != rhs
+                bad = ne if bad is None else bad | ne
+            if bad.any():
+                shape = (1,) * k + (len(run),) + rest
+                at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+                origin = (*head, lo) + (0,) * len(rest)
+                for lhs, rhs in pairs:
+                    l, r = np.broadcast_to(lhs, shape)[at], np.broadcast_to(rhs, shape)[at]
+                    if l != r:
+                        return tuple(o + int(a) for o, a in zip(origin, at)), int(l), int(r)
     return None
 
 

@@ -189,7 +189,7 @@ def table_from_dict(raw, name=None) -> CayleyTable:
         if key not in raw:
             raise TableFormatError(f"missing field {key!r}")
     order = raw["order"]
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise TableFormatError(f"field 'order' must be a positive integer, got {order!r}")
     elements = raw["elements"]
     if not isinstance(elements, list) or len(elements) != order:
@@ -249,21 +249,27 @@ class _TableOps:
     """A table's operation and gyration tensor as ops for the generic
     G3/G4 laws; needs no identity or inverses, unlike TableModel.
 
-    For a stack of tables, T (m, n, n) and B (m, n, n, n), ``table`` is the
-    index grid of the table axis that every operand broadcasts against, so
-    each op applies table k to the operands at k.
+    Both ops are one gather from a flat offset: x + y is entry
+    (base + x) * n + y of the flattened table and gyr[x, y]z is entry
+    ((base + x) * n + y) * n + z of the flattened tensor, so the index
+    arrays combine into one before the gather. For a stack of tables,
+    T (m, n, n) and B (m, n, n, n), ``table`` is the index grid of the
+    table axis that every operand broadcasts against and base is
+    table * n, so each op applies table k to the operands at k; for one
+    table base is 0. B may be None, when the gyrations are undefined.
     """
 
     def __init__(self, T, B, table=None):
-        self.T = T
-        self.B = B
-        self._at = () if table is None else (table,)
+        self.n = T.shape[-1]
+        self.T = T.reshape(-1)
+        self.B = None if B is None else B.reshape(-1)
+        self._base = 0 if table is None else table * self.n
 
     def oplus(self, x, y):
-        return self.T[(*self._at, x, y)]
+        return self.T[(self._base + x) * self.n + y]
 
     def gyr(self, x, y, z):
-        return self.B[(*self._at, x, y, z)]
+        return self.B[((self._base + x) * self.n + y) * self.n + z]
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +342,13 @@ class TableModel(GyrogroupModel):
         self.order = t.order
         self.labels = t.labels
         self.name = t.name
-        self._T = t.table
         self._e = t.identity_index
         self._inv = t.inverses()
-        self._B = t.gyrations() if t.rows_bijective() else None
-        self.has_closed_gyr = self._B is not None
+        self._ops = _TableOps(t.table, t.gyrations() if t.rows_bijective() else None)
+        self.has_closed_gyr = self._ops.B is not None
 
     def oplus(self, x, y):
-        return self._T[x, y]
+        return self._ops.oplus(x, y)
 
     def neg(self, x):
         return self._inv[x]
@@ -352,9 +357,9 @@ class TableModel(GyrogroupModel):
         return np.full_like(np.asarray(x), self._e)
 
     def gyr(self, x, y, z):
-        if self._B is None:
+        if self._ops.B is None:
             raise AxiomViolationError("gyrations undefined: left translations not bijective")
-        return self._B[x, y, z]
+        return self._ops.gyr(x, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,15 @@ def test_io_errors_exit_three(capsys, tmp_path):
     assert run(capsys, "table-validate", "--model", f"table:{bad}")[0] == 3
 
 
+def test_boolean_order_exits_three(capsys, tmp_path):
+    # JSON true is a Python int, yet no order; cells already refuse booleans
+    path = tmp_path / "true.json"
+    path.write_text('{"order": true, "elements": ["e"], "oplus": [[0]]}')
+    code, out, err = run(capsys, "table-validate", "--model", f"table:{path}")
+    assert (code, out) == (3, "")
+    assert "field 'order' must be a positive integer, got True" in err
+
+
 def test_oversized_table_file_exits_two(capsys, tmp_path):
     # n^3 just over the size cap, from a file rather than a built-in name
     path = tmp_path / "z272.json"
@@ -138,7 +147,7 @@ def test_oversized_table_file_exits_two(capsys, tmp_path):
     [
         ("axioms", 2),  # G3_automorphism's 67^4 tuples exceed the tuple cap
         ("identities", 0),  # at most 67^3 tuples
-        ("table-validate", 0),  # batched per first pivot, so not capped
+        ("table-validate", 0),  # batched, so not capped
     ],
 )
 def test_tuple_cap_on_z67(capsys, suite, code):

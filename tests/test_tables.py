@@ -232,7 +232,7 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4,
 
 
 def test_kernel_batches_keep_witnesses(monkeypatch):
-    # one first operand per batch, as on large tables, must find the same witnesses
+    # one tuple per batch, the deepest split, must find the same witnesses
     import gyrokit.core as core
 
     latin5 = CayleyTable(LATIN5)
@@ -397,7 +397,9 @@ def test_reference_tables_are_all_reduced_order_5_squares():
 
 
 @pytest.mark.parametrize("name,rows", _REFERENCE_TABLES, ids=[n for n, _ in _REFERENCE_TABLES])
-def test_first_violation_matches_a_plain_loop(name, rows):
+def test_first_violation_matches_a_plain_loop(name, rows, monkeypatch):
+    import gyrokit.core as core
+
     t = CayleyTable(rows, name=name)
     B = t.gyrations()
     reference = _ListOps(t, B)
@@ -408,14 +410,47 @@ def test_first_violation_matches_a_plain_loop(name, rows):
     else:
         ops, checks = TableModel(t), AXIOM_CHECKS + IDENTITY_CHECKS
     failures = 0
+    n = t.order
     for _, law, base, wit in checks:
-        want = _reference_violation(reference, t.order, law, base + wit)
-        assert first_violation(ops, t.order, law, base + wit) == want
+        arity = base + wit
+        want = _reference_violation(reference, n, law, arity)
+        assert first_violation(ops, n, law, arity) == want
+        # batches of one first operand and runs of two second operands, so
+        # batches start at nonzero second operands and the last run is short
+        with monkeypatch.context() as m:
+            m.setattr(core, "_KERNEL_CELLS", 2 * n ** max(arity - 2, 0))
+            assert first_violation(ops, n, law, arity) == want
         failures += want is not None
     if name == "g8":
         assert failures == 0
     if name == "loop5":
         assert failures == 6
+
+
+def test_first_violation_batches_stay_within_the_kernel_cells():
+    # z64 at arity 4: 64^3 tuples per first operand would be 4 batches' worth
+    import gyrokit.core as core
+
+    t = cyclic_table(64)
+    ops = _TableOps(t.table, t.gyrations())
+    batches, results = [], []
+
+    class Recording:
+        def oplus(self, x, y):
+            results.append(np.size(r := ops.oplus(x, y)))
+            return r
+
+        def gyr(self, x, y, z):
+            results.append(np.size(r := ops.gyr(x, y, z)))
+            return r
+
+    def law(rec, *grids):
+        batches.append(int(np.prod(np.broadcast_shapes(*(g.shape for g in grids)))))
+        return core.law_g3_automorphism(rec, *grids)
+
+    assert first_violation(Recording(), 64, law, 4) is None
+    assert max(batches) == max(results) == core._KERNEL_CELLS
+    assert sum(batches) == 64**4
 
 
 SMALL_TABLES = {
