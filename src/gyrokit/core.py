@@ -12,6 +12,13 @@ operations amplify last-bit rounding beyond any meaningful tolerance)
 are re-evaluated with the model's compensated double-double kernels,
 each side rounded to float64 once at the end. The verdict therefore
 reflects the algebra, not the conditioning of the sample.
+
+The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
+that each kernel's temporaries stay in cache instead of being fresh
+megabyte arrays per call. Every kernel works row by row with + - * /
+and sqrt, so a row's values do not depend on the block it falls in; the
+per-row results are gathered into whole-stream arrays, and the
+double-double re-evaluation and the verdict run once per check on those.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ _EXHAUSTIVE_CAP = 20_000_000
 WITNESSES = 3  # witness draws per base sample in the checks that take witness operands
 
 _KERNEL_CELLS = 1 << 16  # most tuples in one batch of first_violation
+
+_LAW_BLOCK_ROWS = 8192  # stream rows in one block of run_law_check's float64 pass
 
 
 class GyrogroupModel:
@@ -248,29 +257,38 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=No
     element distance when a check compares derived scalars (norms,
     membership excess) instead of elements. Finite carriers are checked
     exactly, on every tuple, by :func:`first_violation` instead.
+
+    The float64 pass (the law on traced ops, the boundary tracing and the
+    per-sample diff and magnitude) runs on blocks of ``_LAW_BLOCK_ROWS``
+    rows, so no model kernel sees more rows than one block; the blocks
+    write into whole-stream ``diff``, ``mag`` and ``peak`` arrays. The
+    stressed rows are then re-evaluated in double-double in one pass, and
+    the verdict is taken over the whole stream, exactly as if the float64
+    pass had run on it in one piece.
     """
-    traced = _TracedOps(model)
-    traced.note_inputs(streams)
-    lowered = law(traced, *streams)
-    diff, mag = _pairs_metrics(model, lowered, comparator)
+    n = len(streams[0])
+    diff, mag, peak = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, _LAW_BLOCK_ROWS):
+        rows = slice(lo, lo + _LAW_BLOCK_ROWS)
+        block = [s[rows] for s in streams]
+        traced = _TracedOps(model)
+        traced.note_inputs(block)
+        diff[rows], mag[rows] = _pairs_metrics(model, law(traced, *block), comparator)
+        peak[rows] = traced.peak
 
     ext = model.extended()
-    if ext is not None and traced.peak is not None:
+    if ext is not None:
         # row indices, not a mask: numpy selects rows of an (n, d) stream
         # several times faster by index, and one index serves every stream
-        stressed = np.flatnonzero(traced.peak > model.stress_norm_fraction)
+        stressed = np.flatnonzero(peak > model.stress_norm_fraction)
         if stressed.size:
             sub = [ext.lift(s[stressed]) for s in streams]
             redone = [(ext.lower(L), ext.lower(R)) for L, R in law(ext, *sub)]
-            d2, m2 = _pairs_metrics(model, redone, comparator)
-            diff = diff.copy()
-            mag = mag.copy()
-            diff[stressed] = d2
-            mag[stressed] = m2
+            diff[stressed], mag[stressed] = _pairs_metrics(model, redone, comparator)
 
     residual = diff / np.maximum(1.0, mag)
     return array_check(
-        name, residual, diff <= np.maximum(tol.abs_tol, tol.rel_tol * mag), int(diff.shape[0]),
+        name, residual, diff <= np.maximum(tol.abs_tol, tol.rel_tol * mag), n,
         lambda i: {
             "inputs": [np.asarray(s)[i].tolist() for s in streams],
             "residual": float(residual[i]),

@@ -355,7 +355,10 @@ def check_strong_base(
     def ball_stream(gen, n, radius):
         # Euclidean-uniform points of the ball around `center`
         u = gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim)
-        return center + (radius * u)[:, None] * directions(gen, n, model.dim)
+        d = directions(gen, n, model.dim)
+        d *= (radius * u)[:, None]
+        d += center
+        return d
 
     with suite_report(suite, model.name, sampler, tol) as report:
         for radius in ball_radii:

@@ -23,8 +23,9 @@ from .errors import ResourceLimitError, SamplingError
 
 DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
-# rows x dim of one point stream. The suites peak at 80-135 bytes per such
-# value, so the largest accepted request peaks near 1.3 GiB.
+# rows x dim of one point stream. At this cap the law suites peak at 60-90
+# bytes per such value (ru_maxrss, numpy 2.4): axioms 686 MiB on Mobius and
+# 673 MiB on Einstein, identities 691 and 596 MiB, strong-base 844 and 673 MiB.
 MAX_SAMPLE_VALUES = 10_000_000
 
 
@@ -93,7 +94,10 @@ def rownorm(a):
 def directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
     if dim == 2:
         theta = gen.uniform(0.0, 2.0 * np.pi, n)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        out = np.empty((n, 2))
+        np.cos(theta, out=out[:, 0])
+        np.sin(theta, out=out[:, 1])
+        return out
     v = gen.normal(size=(n, dim))
     norm = rownorm(v)
     # resample the (measure-zero) degenerate draws rather than dividing by ~0
@@ -102,7 +106,8 @@ def directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
         v[bad] = gen.normal(size=(int(bad.sum()), dim))
         norm = rownorm(v)
         bad = norm < 1e-12
-    return v / norm[:, None]
+    v /= norm[:, None]
+    return v
 
 
 def check_sample_size(rows: int, dim: int) -> None:
@@ -139,7 +144,9 @@ def ball_points(
         if margin is None or margin <= 0:
             raise SamplingError("boundary forcing requires a positive margin")
         r[forced_offset::FORCED_STRIDE] = 1.0 - margin
-    return (bound * r)[:, None] * directions(gen, n, dim)
+    d = directions(gen, n, dim)
+    d *= (bound * r)[:, None]
+    return d
 
 
 def sample_operands(
