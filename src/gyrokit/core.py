@@ -15,10 +15,11 @@ reflects the algebra, not the conditioning of the sample.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
 that each kernel's temporaries stay in cache instead of being fresh
-megabyte arrays per call. Every kernel works row by row with + - * /
-and sqrt, so a row's values do not depend on the block it falls in; the
-per-row results are gathered into whole-stream arrays, and the
-double-double re-evaluation and the verdict run once per check on those.
+megabyte arrays per call. Laws, kernels and comparators must work row
+by row (elementwise + - * /, sqrt, maximum), so that a row's values do
+not depend on the block it falls in; the per-row results are gathered
+into whole-stream arrays, and the double-double re-evaluation and the
+verdict run once per check on those.
 """
 
 from __future__ import annotations
