@@ -33,7 +33,6 @@ from .report import array_check, suite_report, witness_check
 from .sampling import (
     Sampler,
     ToleranceConfig,
-    ball_points,
     check_sample_size,
     rownorm,
     sample_operands,
@@ -42,6 +41,9 @@ from .sampling import (
 # rapidity beyond which a float64 intermediate is no longer trusted;
 # cosh(5.5)^2 * eps stays two orders below the default tolerance
 STRESS_RAPIDITY = 5.5
+# the same threshold as a norm fraction: samples whose evaluation passed a
+# point beyond it are re-evaluated in double-double
+STRESS_NORM_FRACTION = float(np.tanh(STRESS_RAPIDITY))
 
 _EXHAUSTIVE_CAP = 20_000_000
 
@@ -56,10 +58,13 @@ class GyrogroupModel:
     """Carrier description plus the gyrogroup operations.
 
     Subclasses implement ``oplus`` and ``neg`` (vectorized over leading
-    axes) and may override ``gyr`` with a closed form. Continuous models
-    set ``dim``/``bound`` and may supply ``extended()`` double-double
-    kernels; exact models set ``is_exact`` and ``order`` and work on
-    broadcast index arrays.
+    axes) and may override ``gyr`` with a closed form (and set
+    ``has_closed_gyr``); otherwise ``gyr`` is :func:`derived_gyration`,
+    which is also the oracle that ``law_gyration_agreement`` checks a
+    closed form against. Continuous models set ``dim``/``bound``, draw
+    their operands through ``sample_operands`` and may supply
+    ``extended()`` double-double kernels; exact models set ``is_exact``
+    and ``order`` and work on broadcast index arrays.
     """
 
     name = "abstract"
@@ -80,9 +85,6 @@ class GyrogroupModel:
     def gyr(self, x, y, z):
         return derived_gyration(self, x, y, z)
 
-    def gyr_derived(self, x, y, z):
-        return derived_gyration(self, x, y, z)
-
     def distance(self, a, b):
         return rownorm(np.asarray(a, float) - np.asarray(b, float))
 
@@ -97,25 +99,12 @@ class GyrogroupModel:
         """Double-double kernel set for stressed samples, or None."""
         return None
 
-    @property
-    def stress_norm_fraction(self):
-        return float(np.tanh(STRESS_RAPIDITY))
-
-    def sample_operands(self, gen, n, k, tol: ToleranceConfig):
+    def sample_operands(self, gen, n, k, tol: ToleranceConfig, offset=0):
         if self.dim is None:
             raise NotImplementedError("sampling requires a continuous carrier")
         return sample_operands(
-            gen, n, self.dim, k, bound=self.bound, margin=tol.boundary_margin
+            gen, n, self.dim, k, bound=self.bound, margin=tol.boundary_margin, offset=offset
         )
-
-    def sample_witnesses(self, gen, n, count, offset, tol: ToleranceConfig):
-        return [
-            ball_points(
-                gen, n, self.dim, self.bound,
-                margin=tol.boundary_margin, forced_offset=(offset + j) % 100,
-            )
-            for j in range(count)
-        ]
 
 
 def derived_gyration(ops, x, y, z):
@@ -152,9 +141,6 @@ class _TracedOps:
     def gyr(self, x, y, z):
         if self._m.has_closed_gyr:
             return self._note(self._m.gyr(x, y, z))
-        return derived_gyration(self, x, y, z)
-
-    def gyr_derived(self, x, y, z):
         return derived_gyration(self, x, y, z)
 
 
@@ -202,7 +188,7 @@ def law_twisted_right_cancellation(ops, x, y):
 
 
 def law_gyration_agreement(ops, x, y, z):
-    return [(ops.gyr(x, y, z), ops.gyr_derived(x, y, z))]
+    return [(ops.gyr(x, y, z), derived_gyration(ops, x, y, z))]
 
 
 def law_triangle_decomposition(ops, x, y, z):
@@ -281,7 +267,7 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=No
     if ext is not None:
         # row indices, not a mask: numpy selects rows of an (n, d) stream
         # several times faster by index, and one index serves every stream
-        stressed = np.flatnonzero(peak > model.stress_norm_fraction)
+        stressed = np.flatnonzero(peak > STRESS_NORM_FRACTION)
         if stressed.size:
             sub = [ext.lift(s[stressed]) for s in streams]
             redone = [(ext.lower(L), ext.lower(R)) for L, R in law(ext, *sub)]
@@ -342,7 +328,7 @@ def _continuous_streams(model, gen, n, base, wit, tol):
     streams = model.sample_operands(gen, n, base, tol)
     if wit:
         streams = [np.repeat(s, WITNESSES, axis=0) for s in streams]
-        streams += model.sample_witnesses(gen, n * WITNESSES, wit, base, tol)
+        streams += model.sample_operands(gen, n * WITNESSES, wit, tol, offset=base)
     return streams
 
 

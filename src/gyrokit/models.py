@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import GyrogroupModel, derived_gyration, run_law_check
+from .core import GyrogroupModel, run_law_check
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions
@@ -146,9 +146,6 @@ class _BallExtended:
     def gyr(self, a, b, z):
         return self._gyr(a, b, z)
 
-    def gyr_derived(self, a, b, z):
-        return derived_gyration(self, a, b, z)
-
 
 class _BallModel(GyrogroupModel):
     """A ball of radius ``bound`` whose addition and gyration are the
@@ -190,8 +187,9 @@ class MobiusModel(_BallModel):
 class EinsteinModel(_BallModel):
     """The radius-c velocity ball with relativistic composition.
 
-    ``gyr`` is Ungar's closed form; ``gyr_derived``, the three-addition
-    composition, is kept as the oracle it is checked against.
+    ``gyr`` is Ungar's closed form; the three-addition composition
+    :func:`~gyrokit.core.derived_gyration` is the oracle it is checked
+    against.
     """
 
     dim = 3
@@ -206,8 +204,29 @@ class EinsteinModel(_BallModel):
         self.name = "einstein" if self.c == 1.0 else f"einstein(c={self.c:g})"
 
 
-class ProductModel(GyrogroupModel):
-    """Coordinatewise product of two continuous models."""
+class _Product:
+    """The product's operations, written once for both precisions: a point
+    splits into its two factor points (``_split``), each factor applies its
+    own operation, and the results join again (``_join``)."""
+
+    def _per_factor(self, op, *points):
+        parts = [self._split(p) for p in points]
+        return (getattr(self.left, op)(*[a for a, _ in parts]),
+                getattr(self.right, op)(*[b for _, b in parts]))
+
+    def oplus(self, x, y):
+        return self._join(*self._per_factor("oplus", x, y))
+
+    def neg(self, x):
+        return self._join(*self._per_factor("neg", x))
+
+    def gyr(self, x, y, z):
+        return self._join(*self._per_factor("gyr", x, y, z))
+
+
+class ProductModel(_Product, GyrogroupModel):
+    """Coordinatewise product of two continuous models; a point is the
+    left factor's columns followed by the right factor's."""
 
     def __init__(self, left: GyrogroupModel, right: GyrogroupModel):
         if left.dim is None or right.dim is None:
@@ -225,33 +244,14 @@ class ProductModel(GyrogroupModel):
     def _join(self, a, b):
         return np.concatenate([a, b], axis=-1)
 
-    def oplus(self, x, y):
-        x1, x2 = self._split(x)
-        y1, y2 = self._split(y)
-        return self._join(self.left.oplus(x1, y1), self.right.oplus(x2, y2))
-
-    def neg(self, x):
-        x1, x2 = self._split(x)
-        return self._join(self.left.neg(x1), self.right.neg(x2))
-
-    def gyr(self, x, y, z):
-        x1, x2 = self._split(x)
-        y1, y2 = self._split(y)
-        z1, z2 = self._split(z)
-        return self._join(self.left.gyr(x1, y1, z1), self.right.gyr(x2, y2, z2))
-
     def distance(self, a, b):
-        a1, a2 = self._split(a)
-        b1, b2 = self._split(b)
-        return np.maximum(self.left.distance(a1, b1), self.right.distance(a2, b2))
+        return np.maximum(*self._per_factor("distance", a, b))
 
     def magnitude(self, a):
-        a1, a2 = self._split(a)
-        return np.maximum(self.left.magnitude(a1), self.right.magnitude(a2))
+        return np.maximum(*self._per_factor("magnitude", a))
 
     def norm_fraction(self, a):
-        a1, a2 = self._split(a)
-        return np.maximum(self.left.norm_fraction(a1), self.right.norm_fraction(a2))
+        return np.maximum(*self._per_factor("norm_fraction", a))
 
     def extended(self):
         el, er = self.left.extended(), self.right.extended()
@@ -259,47 +259,38 @@ class ProductModel(GyrogroupModel):
             return None
         return _ProductExtended(self, el, er)
 
-    def sample_operands(self, gen, n, k, tol):
-        lefts = self.left.sample_operands(gen, n, k, tol)
-        rights = self.right.sample_operands(gen, n, k, tol)
-        return [self._join(a, b) for a, b in zip(lefts, rights)]
-
-    def sample_witnesses(self, gen, n, count, offset, tol):
-        lefts = self.left.sample_witnesses(gen, n, count, offset, tol)
-        rights = self.right.sample_witnesses(gen, n, count, offset, tol)
+    def sample_operands(self, gen, n, k, tol, offset=0):
+        lefts = self.left.sample_operands(gen, n, k, tol, offset=offset)
+        rights = self.right.sample_operands(gen, n, k, tol, offset=offset)
         return [self._join(a, b) for a, b in zip(lefts, rights)]
 
 
-class _ProductExtended:
+class _ProductExtended(_Product):
+    """The factors' double-double kernel sets as the product's; a point is
+    the pair of the factors' points."""
+
     def __init__(self, model, el, er):
         self._m = model
-        self._el = el
-        self._er = er
+        self.left = el
+        self.right = er
+
+    @staticmethod
+    def _split(rep):
+        return rep
+
+    @staticmethod
+    def _join(a, b):
+        return a, b
 
     def lift(self, x):
         a, b = self._m._split(x)
-        return (self._el.lift(a), self._er.lift(b))
+        return self.left.lift(a), self.right.lift(b)
 
     def lower(self, rep):
-        return self._m._join(self._el.lower(rep[0]), self._er.lower(rep[1]))
+        return self._m._join(*self._per_factor("lower", rep))
 
     def zero_like(self, rep):
-        return (self._el.zero_like(rep[0]), self._er.zero_like(rep[1]))
-
-    def neg(self, rep):
-        return (self._el.neg(rep[0]), self._er.neg(rep[1]))
-
-    def oplus(self, x, y):
-        return (self._el.oplus(x[0], y[0]), self._er.oplus(x[1], y[1]))
-
-    def gyr(self, x, y, z):
-        return (self._el.gyr(x[0], y[0], z[0]), self._er.gyr(x[1], y[1], z[1]))
-
-    def gyr_derived(self, x, y, z):
-        return (
-            self._el.gyr_derived(x[0], y[0], z[0]),
-            self._er.gyr_derived(x[1], y[1], z[1]),
-        )
+        return self._per_factor("zero_like", rep)
 
 
 # ---------------------------------------------------------------------------

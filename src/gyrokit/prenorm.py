@@ -7,10 +7,10 @@ indexed by dyadic rationals in (0, 2], and the least dyadic index whose
 set contains a point is a prenorm on the carrier; calling the family
 evaluates it. The suites take the chain and build its family. Two
 routes are kept deliberately separate: set membership goes through the
-threshold recursion (memoized for single indices; the bisection that
-inverts it carries each sample's lower threshold by the recursion's
-step), while prenorm values come from a greedy per-level bit extraction.
-They must agree, and the test suite holds them to that.
+threshold recursion (for single indices; the bisection that inverts it
+carries each sample's lower threshold by the recursion's step), while
+prenorm values come from a greedy per-level bit extraction. They must
+agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ class DyadicFamily:
         self.model = chain.model
         self.depth = chain.depth
         self.grid_step = 2.0 ** -self.depth
-        self._thr_cache = {}
 
     def __call__(self, x) -> np.ndarray:
         return prenorm_eval(self, x)
@@ -163,26 +162,18 @@ class DyadicFamily:
         return self._thr(m, n)
 
     def _thr(self, m, n):
-        key = (m, n)
-        got = self._thr_cache.get(key)
-        if got is not None:
-            return got
         t = self.chain.t
         if n == 0:
             if m == 1:
-                v = float(t[0])
-            elif m == 2:
-                v = 2.0 * float(t[0])
-            else:
-                raise UsageError(f"index {m} exceeds the top of the scale")
-        elif m % 2 == 0:
-            v = self._thr(m // 2, n - 1)
-        elif m == 1:
-            v = float(t[n])
-        else:
-            v = float(t[n]) + self._thr((m - 1) // 2, n - 1)
-        self._thr_cache[key] = v
-        return v
+                return float(t[0])
+            if m == 2:
+                return 2.0 * float(t[0])
+            raise UsageError(f"index {m} exceeds the top of the scale")
+        if m % 2 == 0:
+            return self._thr(m // 2, n - 1)
+        if m == 1:
+            return float(t[n])
+        return float(t[n]) + self._thr((m - 1) // 2, n - 1)
 
     def member(self, r, x) -> np.ndarray:
         """Vectorized membership of x in the index-r set.
@@ -671,15 +662,14 @@ def parse_chain_spec(spec) -> dict:
         raise UsageError("chain spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "radial_rapidity":
-        try:
-            out = {
-                "kind": kind,
-                "t0": float(spec.get("t0", 1.0)),
-                "ratio": float(spec.get("ratio", DEFAULT_RATIO)),
-                "depth": int(spec.get("depth", DEFAULT_DEPTH)),
-            }
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"chain spec field is not a number: {exc}") from exc
+        out = {"kind": kind}
+        for key, default in (("t0", 1.0), ("ratio", DEFAULT_RATIO), ("depth", DEFAULT_DEPTH)):
+            v = spec.get(key, default)
+            # JSON booleans and strings are not numbers, and a depth is an integer
+            if isinstance(v, bool) or not isinstance(v, (int, type(default))):
+                what = "an integer" if key == "depth" else "a number"
+                raise UsageError(f"chain spec field {key!r} must be {what}, got {v!r}")
+            out[key] = type(default)(v)
         if not out["t0"] > 0:
             raise UsageError("t0 must be positive")
         if not 0.0 < out["ratio"] < 1.0:
@@ -691,7 +681,9 @@ def parse_chain_spec(spec) -> dict:
         if "table" not in spec or "subgyrogroup" not in spec:
             raise UsageError("finite chain spec needs 'table' and 'subgyrogroup'")
         sub = spec["subgyrogroup"]
-        if not isinstance(sub, list) or not all(isinstance(i, int) for i in sub):
+        if not isinstance(sub, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in sub
+        ):
             raise UsageError("'subgyrogroup' must be a list of indices")
         return {"kind": kind, "table": str(spec["table"]), "subgyrogroup": sub}
     raise UsageError(f"unknown chain kind {kind!r}")

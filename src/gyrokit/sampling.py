@@ -156,13 +156,16 @@ def sample_operands(
     k: int,
     bound: float = 1.0,
     margin: float = 1e-6,
+    offset: int = 0,
 ) -> list:
     """Draw k operand streams of n points each from one generator.
 
-    Operand j gets its forced-boundary points at stride offset j, so no
-    sampled tuple has two operands at the boundary simultaneously.
+    Operand j gets its forced-boundary points at stride offset
+    (offset + j) % FORCED_STRIDE, so no sampled tuple has two operands at
+    the boundary simultaneously; a second draw for the same tuples passes
+    the number of operands already drawn as ``offset``.
     """
     return [
-        ball_points(gen, n, dim, bound, margin=margin, forced_offset=j % FORCED_STRIDE)
+        ball_points(gen, n, dim, bound, margin=margin, forced_offset=(offset + j) % FORCED_STRIDE)
         for j in range(k)
     ]

@@ -247,7 +247,7 @@ def _check_tensor_size(n: int, name: str):
 
 class _TableOps:
     """A table's operation and gyration tensor as ops for the generic
-    G3/G4 laws; needs no identity or inverses, unlike TableModel.
+    G3/G4 laws; needs no identity or inverses. TableModel adds those.
 
     Both ops are one gather from a flat offset: x + y is entry
     (base + x) * n + y of the flattened table and gyr[x, y]z is entry
@@ -332,23 +332,21 @@ def validate_table(t: CayleyTable) -> VerificationReport:
 # the finite model plugged into the generic suites
 
 
-class TableModel(GyrogroupModel):
-    """Adapter exposing a Cayley table to the sampling-free exact suites."""
+class TableModel(_TableOps, GyrogroupModel):
+    """A Cayley table as a model for the sampling-free exact suites: its
+    table's ops plus the identity and inverses."""
 
     is_exact = True
 
     def __init__(self, t: CayleyTable):
+        super().__init__(t.table, t.gyrations() if t.rows_bijective() else None)
         self.source = t
         self.order = t.order
         self.labels = t.labels
         self.name = t.name
         self._e = t.identity_index
         self._inv = t.inverses()
-        self._ops = _TableOps(t.table, t.gyrations() if t.rows_bijective() else None)
-        self.has_closed_gyr = self._ops.B is not None
-
-    def oplus(self, x, y):
-        return self._ops.oplus(x, y)
+        self.has_closed_gyr = self.B is not None
 
     def neg(self, x):
         return self._inv[x]
@@ -357,9 +355,9 @@ class TableModel(GyrogroupModel):
         return np.full_like(np.asarray(x), self._e)
 
     def gyr(self, x, y, z):
-        if self._ops.B is None:
+        if self.B is None:
             raise AxiomViolationError("gyrations undefined: left translations not bijective")
-        return self._ops.gyr(x, y, z)
+        return super().gyr(x, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from gyrokit.core import (
     law_gyration_agreement,
 )
 from gyrokit.errors import ResourceLimitError, SamplingError
-from gyrokit.models import EinsteinModel, MobiusModel
+from gyrokit.models import EinsteinModel, MobiusModel, ProductModel
 from gyrokit.sampling import (
     FORCED_STRIDE,
     MAX_SAMPLE_VALUES,
@@ -127,6 +127,35 @@ def test_sample_operands_disjoint_forcing():
     assert not (near[0] & near[1]).any()
     assert not (near[0] & near[2]).any()
     assert not (near[1] & near[2]).any()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [MobiusModel(), EinsteinModel(), EinsteinModel(2.5),
+     ProductModel(MobiusModel(), EinsteinModel())],
+    ids=lambda m: m.name,
+)
+@pytest.mark.parametrize("offset", [0, 1, 2, 99])
+def test_sample_operands_offset_draws_the_witness_streams(model, offset):
+    # the witness operands of a check with `offset` base operands were drawn
+    # stream by stream with the boundary forced at (offset + j) % 100;
+    # sample_operands(..., offset=offset) must draw the same bits
+    tol = ToleranceConfig()
+
+    def witness_streams(m, gen, n, count):
+        if isinstance(m, ProductModel):
+            lefts = witness_streams(m.left, gen, n, count)
+            rights = witness_streams(m.right, gen, n, count)
+            return [np.concatenate([a, b], axis=-1) for a, b in zip(lefts, rights)]
+        return [
+            ball_points(gen, n, m.dim, m.bound, margin=tol.boundary_margin,
+                        forced_offset=(offset + j) % 100)
+            for j in range(count)
+        ]
+
+    want = witness_streams(model, np.random.default_rng(5), 600, 2)
+    got = model.sample_operands(np.random.default_rng(5), 600, 2, tol, offset=offset)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_tolerance_config_validation():
@@ -265,11 +294,8 @@ def test_relative_tolerance_scales_with_magnitude():
         def extended(self):
             return None
 
-        def sample_operands(self, gen, n, k, tol):
+        def sample_operands(self, gen, n, k, tol, offset=0):
             return [gen.uniform(1e8, 9e8, size=(n, 1)) for _ in range(k)]
-
-        def sample_witnesses(self, gen, n, count, offset, tol):
-            return [gen.uniform(1e8, 9e8, size=(n, 1)) for _ in range(count)]
 
     rep = check_axioms(Skewed(), Sampler(1), 500)
     # plain addition is a group: everything must pass even though

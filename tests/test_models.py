@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrokit.errors import UsageError
-from gyrokit.core import check_identities
+from gyrokit.core import check_identities, derived_gyration
 from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
@@ -150,7 +150,7 @@ def test_einstein_closed_gyr_matches_derived(c):
     gen = np.random.default_rng(7)
     # moderate rapidity, where the derived composition is well conditioned
     u, v, w = (ball_points(gen, 4000, 3, c, t_max=1.5, margin=None) for _ in range(3))
-    assert np.abs(m.gyr(u, v, w) - m.gyr_derived(u, v, w)).max() <= 1e-13 * c
+    assert np.abs(m.gyr(u, v, w) - derived_gyration(m, u, v, w)).max() <= 1e-13 * c
 
 
 def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
@@ -163,7 +163,7 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
     w = ball_points(gen, 2000, 3)
     U, V, W = ext.lift(u), ext.lift(v), ext.lift(w)
     closed = ext.lower(ext.gyr(U, V, W))
-    derived = ext.lower(ext.gyr_derived(U, V, W))
+    derived = ext.lower(derived_gyration(ext, U, V, W))
     assert np.abs(closed - derived).max() <= 1e-15
 
 
@@ -276,6 +276,63 @@ def test_product_model_axioms():
     assert pm.has_closed_gyr
     rep = check_axioms(pm, Sampler(42), 2000)
     assert rep.passed
+
+
+def _product_operands(pm, n, k, seed):
+    return pm.sample_operands(np.random.default_rng(seed), n, k, ToleranceConfig())
+
+
+def test_product_float_ops_are_the_factor_ops_bit_for_bit():
+    pm = ProductModel(MobiusModel(), EinsteinModel(2.5))
+    x, y, z = _product_operands(pm, 3000, 3, 21)
+    parts = [(p[:, :2], p[:, 2:]) for p in (x, y, z)]
+    (x1, x2), (y1, y2), (z1, z2) = parts
+
+    def joined(a, b):
+        return np.concatenate([a, b], axis=-1).tobytes()
+
+    assert pm.oplus(x, y).tobytes() == joined(pm.left.oplus(x1, y1), pm.right.oplus(x2, y2))
+    assert pm.neg(x).tobytes() == joined(pm.left.neg(x1), pm.right.neg(x2))
+    assert pm.gyr(x, y, z).tobytes() == joined(
+        pm.left.gyr(x1, y1, z1), pm.right.gyr(x2, y2, z2)
+    )
+    assert pm.distance(x, y).tobytes() == np.maximum(
+        pm.left.distance(x1, y1), pm.right.distance(x2, y2)
+    ).tobytes()
+    assert pm.magnitude(x).tobytes() == np.maximum(
+        pm.left.magnitude(x1), pm.right.magnitude(x2)
+    ).tobytes()
+    assert pm.norm_fraction(x).tobytes() == np.maximum(
+        pm.left.norm_fraction(x1), pm.right.norm_fraction(x2)
+    ).tobytes()
+
+
+def test_product_extended_ops_are_the_factor_ops_bit_for_bit():
+    pm = ProductModel(MobiusModel(), EinsteinModel(2.5))
+    ext = pm.extended()
+    el, er = pm.left.extended(), pm.right.extended()
+    x, y, z = _product_operands(pm, 3000, 3, 22)
+    X, Y, Z = (ext.lift(p) for p in (x, y, z))
+    assert _dd_bytes(X[0]) == _dd_bytes(el.lift(x[:, :2]))
+    assert _dd_bytes(X[1]) == _dd_bytes(er.lift(x[:, 2:]))
+
+    def same(got, left, right):
+        assert _dd_bytes(got[0]) == _dd_bytes(left)
+        assert _dd_bytes(got[1]) == _dd_bytes(right)
+
+    same(ext.oplus(X, Y), el.oplus(X[0], Y[0]), er.oplus(X[1], Y[1]))
+    same(ext.neg(X), el.neg(X[0]), er.neg(X[1]))
+    same(ext.gyr(X, Y, Z), el.gyr(X[0], Y[0], Z[0]), er.gyr(X[1], Y[1], Z[1]))
+    same(ext.zero_like(X), el.zero_like(X[0]), er.zero_like(X[1]))
+    # the derived gyration of the product is the derived gyration of each factor
+    same(
+        derived_gyration(ext, X, Y, Z),
+        derived_gyration(el, X[0], Y[0], Z[0]),
+        derived_gyration(er, X[1], Y[1], Z[1]),
+    )
+    assert ext.lower(X).tobytes() == np.concatenate(
+        [el.lower(X[0]), er.lower(X[1])], axis=-1
+    ).tobytes()
 
 
 def test_product_rejects_mixed_kinds():

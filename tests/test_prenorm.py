@@ -342,6 +342,8 @@ def test_parse_chain_spec_radial():
     out = parse_chain_spec('{"kind": "radial_rapidity", "ratio": 0.5, "depth": 10}')
     assert out == {"kind": "radial_rapidity", "t0": 1.0, "ratio": 0.5, "depth": 10}
     assert parse_chain_spec({"kind": "radial_rapidity"})["depth"] == 24
+    # an integer t0 or ratio is a number like any other
+    assert parse_chain_spec('{"kind": "radial_rapidity", "t0": 19}')["t0"] == 19.0
 
 
 def test_parse_chain_spec_finite():
@@ -360,6 +362,15 @@ def test_parse_chain_spec_finite():
         '{"kind": "radial_rapidity", "depth": 0}',
         '{"kind": "finite_discrete", "table": "z4"}',
         '{"kind": "finite_discrete", "table": "z4", "subgyrogroup": ["a"]}',
+        # JSON booleans, strings and a fractional depth are not read as numbers
+        '{"kind": "finite_discrete", "table": "z4", "subgyrogroup": [true, false]}',
+        '{"kind": "radial_rapidity", "depth": 2.7}',
+        '{"kind": "radial_rapidity", "depth": true}',
+        '{"kind": "radial_rapidity", "depth": "3"}',
+        '{"kind": "radial_rapidity", "t0": true}',
+        '{"kind": "radial_rapidity", "t0": "1.5"}',
+        '{"kind": "radial_rapidity", "ratio": false}',
+        '{"kind": "radial_rapidity", "ratio": "0.25"}',
     ],
 )
 def test_parse_chain_spec_rejects(spec):

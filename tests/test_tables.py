@@ -7,7 +7,6 @@ import pytest
 from gyrokit.core import (
     AXIOM_CHECKS,
     IDENTITY_CHECKS,
-    derived_gyration,
     first_violation,
     law_g4_loop,
 )
@@ -373,9 +372,6 @@ class _ListOps:
 
     def gyr(self, x, y, z):
         return self.B[x][y][z]
-
-    def gyr_derived(self, x, y, z):
-        return derived_gyration(self, x, y, z)
 
 
 def _reference_violation(ops, n, law, arity):

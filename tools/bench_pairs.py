@@ -118,6 +118,12 @@ def main(argv=None):
         p.error("--pairs must be at least 1")
 
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    # made before the first pair, so a missing directory cannot fail the
+    # final write and lose every pair already run
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.workdir is not None:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.workdir))
     try:
         trees = {side: work / side for side in SIDES}
@@ -137,7 +143,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(work)
 
-    path = Path(args.out) / f"BENCH_{shas['change'][:12]}.json"
+    path = out_dir / f"BENCH_{shas['change'][:12]}.json"
     doc = {"parent": shas["parent"], "change": shas["change"], "runs": []}
     if path.exists():
         old = json.loads(path.read_text(encoding="utf-8"))

@@ -21,9 +21,8 @@ def _load_tool():
 
 def test_one_pair_head_against_head(tmp_path):
     bench = _load_tool()
-    out, work = tmp_path / "out", tmp_path / "work"
-    out.mkdir()
-    work.mkdir()
+    # nested directories that do not exist yet are made before the first pair
+    out, work = tmp_path / "new" / "out", tmp_path / "new" / "work"
     argv = ["HEAD", "HEAD", "--workload", "finite-tables", "--pairs", "1",
             "--seconds", "0", "--first-seed", "5", "--out", str(out), "--workdir", str(work)]
     assert bench.main(argv) == 0
