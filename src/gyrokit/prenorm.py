@@ -210,8 +210,8 @@ class DyadicFamily:
         for n in range(self.depth + 1):
             thr_mid = float(self.chain.t[n]) + thr_lo
             up = ~(rho <= thr_mid)
-            np.add(lo, scale >> n, out=lo, where=up)
-            np.copyto(thr_lo, thr_mid, where=up)
+            lo += up * (scale >> n)
+            thr_lo = np.where(up, thr_mid, thr_lo)
         return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
 
 
@@ -258,7 +258,18 @@ def build_dyadic(chain: NeighborhoodChain) -> DyadicFamily:
 def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     """Least dyadic index (on the depth grid, capped at 2) whose set
     contains each point. Greedy bit extraction over the levels; a bit is
-    set exactly when the finer levels cannot cover the remainder."""
+    set exactly when the finer levels cannot cover the remainder.
+
+    The loop starts at the first level whose tail (the sum of the finer
+    radii) is at most the largest remainder. Tails never increase, and no
+    remainder changes before a bit is set, so no earlier level can set
+    one; the start may land on a level whose tail equals that maximum,
+    which sets no bit either. The updates are unmasked: where the bit is
+    clear they add 0.0 to ``out``, which starts at 0 or 2 and so never
+    holds a negative zero, and subtract 0.0 from ``rem``, which leaves
+    every float unchanged, a negative zero included. Either leaves the
+    value as it was, so the result is that of the masked loop bit for
+    bit."""
     chain = family.chain
     if isinstance(chain, FiniteChain):
         return np.where(chain.level_member(0, x), 0.0, 1.0)
@@ -268,12 +279,13 @@ def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     full = float(t[0] + tails[0])
     capped = ~(rho <= full)  # NaN counts as beyond the top
     out = np.where(capped, 2.0, 0.0)
+    # a capped sample has rem = 0, which exceeds no tail
     rem = np.where(capped, 0.0, rho)
-    for n in range(family.depth + 1):
-        # a capped sample has rem = 0, which exceeds no tail
+    start = int(np.searchsorted(-tails, -rem.max(initial=0.0)))
+    for n in range(start, family.depth + 1):
         bit = rem > tails[n]
-        np.add(out, 2.0 ** -n, out=out, where=bit)
-        np.subtract(rem, t[n], out=rem, where=bit)
+        out += bit * 2.0 ** -n
+        rem -= bit * t[n]
     return out
 
 
@@ -680,10 +692,13 @@ def parse_chain_spec(spec) -> dict:
     if kind == "finite_discrete":
         if "table" not in spec or "subgyrogroup" not in spec:
             raise UsageError("finite chain spec needs 'table' and 'subgyrogroup'")
+        table = spec["table"]
+        if not isinstance(table, str) or not table:
+            raise UsageError(f"'table' must be a non-empty table name, got {table!r}")
         sub = spec["subgyrogroup"]
         if not isinstance(sub, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in sub
         ):
             raise UsageError("'subgyrogroup' must be a list of indices")
-        return {"kind": kind, "table": str(spec["table"]), "subgyrogroup": sub}
+        return {"kind": kind, "table": table, "subgyrogroup": sub}
     raise UsageError(f"unknown chain kind {kind!r}")

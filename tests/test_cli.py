@@ -104,6 +104,11 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
         ["axioms", "--model", "table:"],  # empty table names
         ["table-validate", "--model", "table:"],
         ["prenorm", "--chain", '{"kind":"finite_discrete","table":"","subgyrogroup":[0]}'],
+        # a table name that is not a string is refused, not looked up as a file
+        ["prenorm", "--model", "table:z4", "--chain",
+         '{"kind":"finite_discrete","table":true,"subgyrogroup":[0]}'],
+        ["prenorm", "--model", "table:z4", "--chain",
+         '{"kind":"finite_discrete","table":["z4"],"subgyrogroup":[0]}'],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

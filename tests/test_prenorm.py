@@ -6,9 +6,11 @@ import pytest
 from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
+    MAX_T0,
     DyadicFamily,
     FiniteChain,
     RadialChain,
+    _rapidity_ball,
     build_dyadic,
     check_prenorm_properties,
     parse_chain_spec,
@@ -16,6 +18,7 @@ from gyrokit.prenorm import (
     rapidity,
     validate_admissible_chain,
 )
+from gyrokit.sampling import directions
 from gyrokit.tables import cyclic_table, klein_table
 
 GRID24 = 2.0 ** -24
@@ -197,6 +200,123 @@ def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
     assert got.shape == rho.shape and ((got > 0) & (got <= 2)).all()
 
 
+def tails_of(family):
+    """Sum of the finer radii below each level, as prenorm_eval forms it."""
+    t = family.chain.t[: family.depth + 1].astype(float)
+    return t, np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
+
+
+def masked_prenorm_eval(family, x):
+    """Reference for prenorm_eval: the greedy extraction over every level,
+    each update masked by its bit."""
+    rho = rapidity(family.model, x)
+    t, tails = tails_of(family)
+    full = float(t[0] + tails[0])
+    capped = ~(rho <= full)
+    out = np.where(capped, 2.0, 0.0)
+    rem = np.where(capped, 0.0, rho)
+    for n in range(family.depth + 1):
+        bit = rem > tails[n]
+        np.add(out, 2.0 ** -n, out=out, where=bit)
+        np.subtract(rem, t[n], out=rem, where=bit)
+    return out
+
+
+def masked_index_of_rapidity(family, rho):
+    """Reference for DyadicFamily.index_of_rapidity: the bisection with
+    masked updates."""
+    rho = np.asarray(rho, dtype=float)
+    scale = 1 << family.depth
+    lo = np.zeros(rho.shape, dtype=np.int64)
+    thr_lo = np.zeros(rho.shape)
+    for n in range(family.depth + 1):
+        thr_mid = float(family.chain.t[n]) + thr_lo
+        up = ~(rho <= thr_mid)
+        np.add(lo, scale >> n, out=lo, where=up)
+        np.copyto(thr_lo, thr_mid, where=up)
+    return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
+
+
+def assert_same_bits(fam, x):
+    got, want = prenorm_eval(fam, x), masked_prenorm_eval(fam, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    _, tails = tails_of(fam)
+    full = float(fam.chain.t[0] + tails[0])
+    rho = np.append(rapidity(fam.model, x), [np.nan, -1.0, -0.0, 0.0, np.inf, full,
+                                             np.nextafter(full, np.inf)])
+    got, want = fam.index_of_rapidity(rho), masked_index_of_rapidity(fam, rho)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def point_at_rapidity(model, target):
+    """Points on the first axis whose rapidity is exactly ``target``; the
+    doubles next to tanh(target) are searched, so the result may be empty."""
+    x0 = np.tanh(target) * model.bound
+    pts = np.zeros((129, model.dim))
+    pts[:, 0] = x0 + np.arange(-64, 65) * np.spacing(x0)
+    return pts[rapidity(model, pts) == target][:1]
+
+
+MODELS = pytest.mark.parametrize("model", [MobiusModel(), EinsteinModel()],
+                                 ids=["mobius", "einstein"])
+RATIOS = pytest.mark.parametrize("ratio", [0.1, 0.25, 1 / 3, 0.49, 0.5])
+
+
+@MODELS
+@RATIOS
+def test_greedy_loops_match_masked_reference_bitwise(model, ratio):
+    gen = np.random.default_rng(43)
+    dim, bound = model.dim, model.bound
+    for depth in (1, 24, 40):
+        for t0 in (0.01, 1.0, MAX_T0):
+            fam = build_dyadic(RadialChain(model, t0=t0, ratio=ratio, depth=depth))
+            t, tails = tails_of(fam)
+            top = float(t[0] + tails[0])
+            beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 50))[:, None]
+            beyond = beyond * bound * directions(gen, 50, dim)
+            assert (prenorm_eval(fam, beyond) == 2.0).all()
+            nan_mix = _rapidity_ball(gen, 20, dim, bound, top)
+            nan_mix[::3] = np.nan
+            inputs = [
+                _rapidity_ball(gen, 2000, dim, bound, 1.2 * top),
+                nan_mix,
+                np.full((4, dim), np.nan),
+                np.zeros((0, dim)),
+                np.zeros((5, dim)),
+                beyond,
+                _rapidity_ball(gen, 1, dim, bound, top),
+                _rapidity_ball(gen, 1, dim, bound, top)[0],  # a single point, 0-d result
+            ]
+            # the sandwich check's draws, which leave the coarse levels dead
+            inputs += [_rapidity_ball(gen, 500, dim, bound, 2.2 * t[n])
+                       for n in sorted({0, depth // 2, depth})]
+            for x in inputs:
+                assert_same_bits(fam, x)
+
+
+@MODELS
+@RATIOS
+def test_greedy_loop_at_a_remainder_equal_to_a_tail(model, ratio):
+    # the largest remainder equals a tail exactly, so the loop starts on
+    # a level that sets no bit; the values must not move
+    gen = np.random.default_rng(47)
+    fam = build_dyadic(RadialChain(model, t0=1.0, ratio=ratio, depth=24))
+    _, tails = tails_of(fam)
+    hits = 0
+    for k in range(fam.depth):
+        at = point_at_rapidity(model, tails[k])
+        if not len(at):
+            continue
+        hits += 1
+        below = _rapidity_ball(gen, 200, model.dim, model.bound, 0.9 * tails[k])
+        x = np.concatenate([below, at])
+        assert rapidity(model, x).max() == tails[k]
+        assert_same_bits(fam, x)
+        assert_same_bits(fam, at)
+    assert hits >= 5
+
+
 def test_prenorm_inversion_symmetry_bitwise():
     N = build_dyadic(RadialChain(EinsteinModel(), depth=20))
     gen = np.random.default_rng(29)
@@ -284,8 +404,6 @@ def test_admissible_sampled_triples_stay_below_extreme():
     model = MobiusModel()
     t_in = 0.25
     gen = np.random.default_rng(41)
-    from gyrokit.prenorm import _rapidity_ball
-
     u = _rapidity_ball(gen, 3000, 2, 1.0, t_in)
     v = _rapidity_ball(gen, 3000, 2, 1.0, t_in)
     w = _rapidity_ball(gen, 3000, 2, 1.0, t_in)
@@ -364,6 +482,8 @@ def test_parse_chain_spec_finite():
         '{"kind": "finite_discrete", "table": "z4", "subgyrogroup": ["a"]}',
         # JSON booleans, strings and a fractional depth are not read as numbers
         '{"kind": "finite_discrete", "table": "z4", "subgyrogroup": [true, false]}',
+        '{"kind": "finite_discrete", "table": true, "subgyrogroup": [0]}',
+        '{"kind": "finite_discrete", "table": ["z4"], "subgyrogroup": [0]}',
         '{"kind": "radial_rapidity", "depth": 2.7}',
         '{"kind": "radial_rapidity", "depth": true}',
         '{"kind": "radial_rapidity", "depth": "3"}',

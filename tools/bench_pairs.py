@@ -18,14 +18,17 @@ workload, stays in its file. Each record holds one run: pair, side, whether
 it ran first, seed, ``wall_s``, ``setup_s``, the machine speed factor, the
 unscaled pass and import seconds, ``peak_rss_mb``, ``ok_ratio`` and the
 benchmark's ``correct`` flag. The summary gives each side's median and
-quartiles per metric and the number of pairs whose change ``wall_s`` was
-lower.
+quartiles per metric, the number of pairs in which the change was faster
+by ``wall_s`` (divided by the speed factor) and by the unscaled pass, and
+an exact two-sided sign-test p-value for each count, with tied pairs
+dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import shutil
 import statistics
@@ -82,6 +85,14 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def sign_test_p(wins, losses):
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``
+    under even odds; 1.0 when no pair was decided."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n
+    return min(1.0, 2.0 * tail)
+
+
 def summarize(records, pairs):
     out = {"pairs": pairs}
     for side in SIDES:
@@ -90,10 +101,12 @@ def summarize(records, pairs):
         for name in METRICS:
             q1, med, q3 = quartiles([r[name] for r in rows])
             out[side][name] = {"median": med, "q1": q1, "q3": q3}
-    wall = {(r["pair"], r["side"]): r["wall_s"] for r in records}
-    out["change_faster_pairs"] = sum(
-        wall[(i, "change")] < wall[(i, "parent")] for i in range(pairs)
-    )
+    for metric, suffix in (("wall_s", ""), ("unscaled_pass_s", "_unscaled")):
+        value = {(r["pair"], r["side"]): r[metric] for r in records}
+        wins = sum(value[(i, "change")] < value[(i, "parent")] for i in range(pairs))
+        losses = sum(value[(i, "change")] > value[(i, "parent")] for i in range(pairs))
+        out["change_faster_pairs" + suffix] = wins
+        out["sign_test_p" + suffix] = sign_test_p(wins, losses)
     parent, change = out["parent"]["wall_s"], out["change"]["wall_s"]
     out["wall_s_median_gap"] = parent["median"] - change["median"]
     out["parent_wall_s_iqr"] = parent["q3"] - parent["q1"]
@@ -160,7 +173,10 @@ def main(argv=None):
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{args.workload}: wall_s median {summary['parent']['wall_s']['median']:.4f} -> "
           f"{summary['change']['wall_s']['median']:.4f}, change faster in "
-          f"{summary['change_faster_pairs']}/{args.pairs}; wrote {path}")
+          f"{summary['change_faster_pairs']}/{args.pairs} scaled "
+          f"(p {summary['sign_test_p']:.3g}) and "
+          f"{summary['change_faster_pairs_unscaled']}/{args.pairs} unscaled "
+          f"(p {summary['sign_test_p_unscaled']:.3g}); wrote {path}")
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Smoke test of tools/bench_pairs.py: one pair at --seconds 0, HEAD
-against HEAD. Not part of tier-1 (it runs the benchmark twice); run it with
+"""Tests of tools/bench_pairs.py: its summary on synthetic records, and a
+smoke test of one pair at --seconds 0, HEAD against HEAD. Not part of
+tier-1 (the smoke test runs the benchmark twice); run them with
 
     python3 -m pytest -q tools/test_bench_pairs.py
 """
@@ -8,6 +9,8 @@ import importlib.util
 import json
 import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent / "bench_pairs.py"
 
@@ -41,7 +44,44 @@ def test_one_pair_head_against_head(tmp_path):
         assert r["peak_rss_mb"] > 0
     summary = run["summary"]
     assert summary["pairs"] == 1 and summary["change_faster_pairs"] in (0, 1)
+    assert summary["change_faster_pairs_unscaled"] in (0, 1)
+    assert summary["sign_test_p"] == summary["sign_test_p_unscaled"] == 1.0
     for side in ("parent", "change"):
         wall = summary[side]["wall_s"]
         assert wall["q1"] == wall["median"] == wall["q3"]
     assert list(work.iterdir()) == []  # the extracted trees are removed
+
+
+def _record(pair, side, wall_s, unscaled_pass_s):
+    return {"pair": pair, "side": side, "wall_s": wall_s, "setup_s": 0.1,
+            "speed_factor": unscaled_pass_s / wall_s, "unscaled_pass_s": unscaled_pass_s,
+            "unscaled_import_s": 0.2, "peak_rss_mb": 60.0, "ok_ratio": 1.0}
+
+
+@pytest.mark.parametrize("wins, losses, p", [
+    (10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024), (3, 0, 0.25),
+    (5, 5, 1.0), (0, 0, 1.0),
+])
+def test_sign_test_p_exact_values(wins, losses, p):
+    assert _load_tool().sign_test_p(wins, losses) == p
+
+
+def test_summarize_counts_scaled_and_unscaled_pairs():
+    bench = _load_tool()
+    # (parent wall_s, change wall_s, parent unscaled, change unscaled) per pair:
+    # faster scaled but slower unscaled, faster on both, a scaled tie, an
+    # unscaled tie
+    pairs = [(1.0, 0.9, 1.0, 1.1), (1.0, 0.8, 1.0, 0.8), (1.0, 1.0, 1.0, 0.9),
+             (1.0, 0.7, 1.0, 1.0)]
+    records = []
+    for i, (pw, cw, pu, cu) in enumerate(pairs):
+        records += [_record(i, "parent", pw, pu), _record(i, "change", cw, cu)]
+    summary = bench.summarize(records, len(pairs))
+    assert summary["change_faster_pairs"] == 3
+    assert summary["sign_test_p"] == 0.25  # 3 of 3 decided pairs
+    assert summary["change_faster_pairs_unscaled"] == 2
+    assert summary["sign_test_p_unscaled"] == 1.0  # 2 of 3 decided pairs
+    assert summary["parent"]["unscaled_pass_s"]["median"] == 1.0
+    assert summary["change"]["unscaled_pass_s"]["median"] == pytest.approx(0.95)
+    assert summary["wall_s_median_gap"] == pytest.approx(0.15)
+    assert summary["parent_wall_s_iqr"] == 0.0
