@@ -238,6 +238,9 @@ def masked_index_of_rapidity(family, rho):
 
 
 def assert_same_bits(fam, x):
+    """Both greedy loops against their references on the points ``x``:
+    prenorm_eval on the points, index_of_rapidity on their rapidities
+    plus the edge values."""
     got, want = prenorm_eval(fam, x), masked_prenorm_eval(fam, x)
     assert got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
