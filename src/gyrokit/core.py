@@ -20,6 +20,11 @@ by row (elementwise + - * /, sqrt, maximum), so that a row's values do
 not depend on the block it falls in; the per-row results are gathered
 into whole-stream arrays, and the double-double re-evaluation and the
 verdict run once per check on those.
+
+The checks that take witness operands pair each base sample with
+``WITNESSES`` witness points. Their base streams are row-repeat views
+(``_RowRepeat``) that read like ``np.repeat`` copies but hold only the
+base rows, so the law engine reads streams by slice and by index only.
 """
 
 from __future__ import annotations
@@ -252,6 +257,10 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=No
     stressed rows are then re-evaluated in double-double in one pass, and
     the verdict is taken over the whole stream, exactly as if the float64
     pass had run on it in one piece.
+
+    Streams are read by ``len``, by unit-step slice (the blocks) and by
+    integer index (the stressed rows and the witness) only, so a stream
+    may be an (n, d) array or a ``_RowRepeat`` view of one.
     """
     n = len(streams[0])
     diff, mag, peak = np.empty(n), np.empty(n), np.empty(n)
@@ -277,7 +286,7 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=No
     return array_check(
         name, residual, diff <= np.maximum(tol.abs_tol, tol.rel_tol * mag), n,
         lambda i: {
-            "inputs": [np.asarray(s)[i].tolist() for s in streams],
+            "inputs": [s[i].tolist() for s in streams],
             "residual": float(residual[i]),
         },
     )
@@ -324,10 +333,48 @@ def first_violation(ops, n, law, arity):
     return None
 
 
+class _RowRepeat:
+    """Read-only view of ``np.repeat(base, WITNESSES, axis=0)`` that holds
+    only ``base``: row i of the view is row i // WITNESSES of the base.
+
+    ``len`` and ``.shape`` are those of the repeated array. A unit-step
+    slice repeats only the base rows it covers and trims them to the
+    slice; an integer or an integer index array reads ``base[i //
+    WITNESSES]`` (floor division keeps negative indices right, since the
+    view's length is a multiple of WITNESSES). Either way the rows come
+    back bit for bit as the repeated array would give them.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.shape = (len(base) * WITNESSES, *base.shape[1:])
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(len(self))
+            if step != 1:
+                raise IndexError("a row-repeat view takes unit-step slices only")
+            first = lo // WITNESSES
+            rows = np.repeat(self.base[first:-(-hi // WITNESSES)], WITNESSES, axis=0)
+            return rows[lo - first * WITNESSES:hi - first * WITNESSES]
+        key = np.asarray(key)
+        if key.dtype.kind not in "iu":
+            raise IndexError("a row-repeat view takes integer indices only")
+        return self.base[key // WITNESSES]
+
+
 def _continuous_streams(model, gen, n, base, wit, tol):
+    """The ``base`` operand streams of ``n`` points each, and, when the
+    check takes ``wit`` witness operands, those ``n * WITNESSES`` points
+    each. Each base row then pairs with WITNESSES witness rows: the base
+    streams become ``_RowRepeat`` views of length ``n * WITNESSES``, which
+    read as ``np.repeat`` copies would but hold only the n base rows."""
     streams = model.sample_operands(gen, n, base, tol)
     if wit:
-        streams = [np.repeat(s, WITNESSES, axis=0) for s in streams]
+        streams = [_RowRepeat(s) for s in streams]
         streams += model.sample_operands(gen, n * WITNESSES, wit, tol, offset=base)
     return streams
 
