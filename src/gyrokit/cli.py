@@ -27,6 +27,7 @@ from .prenorm import (
     DEFAULT_DEPTH,
     FiniteChain,
     RadialChain,
+    chain_condition_report,
     check_metric_properties,
     check_prenorm_properties,
     parse_chain_spec,
@@ -124,12 +125,20 @@ def _required(cfg: RunConfig, option: str):
     return value
 
 
+def _chain_model(cfg: RunConfig, model):
+    """The model a chain suite's chain lies on: --model, unless a finite
+    chain spec names its own table."""
+    if cfg.chain is not None and cfg.chain["kind"] == "finite_discrete":
+        return TableModel(_resolve_table(cfg.chain["table"]))
+    return model
+
+
 def _build_chain(cfg: RunConfig, model):
     if cfg.chain is not None:
         spec = cfg.chain
         if spec["kind"] == "radial_rapidity":
             return RadialChain(model, spec["t0"], spec["ratio"], spec["depth"])
-        return FiniteChain(_resolve_table(spec["table"]), spec["subgyrogroup"])
+        return FiniteChain(model, spec["subgyrogroup"])
     if model.is_exact:
         if cfg.subgyrogroup is None:
             raise UsageError("finite chains need --subgyrogroup or --chain")
@@ -138,8 +147,10 @@ def _build_chain(cfg: RunConfig, model):
 
 
 def _on_model(check, chain=False):
-    """Runner of a sampled suite over --model, or over the chain built on it;
-    a table without unique identity or inverses gives a failing report."""
+    """Runner of a sampled suite over --model, or over the chain built on it.
+    A table without unique identity or inverses gives a failing report with
+    the one check ``table_structure``; a finite chain whose subset lacks the
+    identity or is not closed, one with the one check ``chain_condition``."""
 
     def run(cfg: RunConfig):
         try:
@@ -148,8 +159,17 @@ def _on_model(check, chain=False):
             with suite_report(cfg.suite, cfg.model) as report:
                 report.checks.append(witness_check("table_structure", {"error": str(exc)}))
             return report
-        target = _build_chain(cfg, model) if chain else model
-        return check(target, sampler=Sampler(cfg.seed), n_samples=cfg.samples, tol=cfg.tol)
+        sampler = Sampler(cfg.seed)
+        target = model
+        if chain:
+            model = _chain_model(cfg, model)
+            try:
+                target = _build_chain(cfg, model)
+            except ChainConditionError as exc:
+                return chain_condition_report(
+                    cfg.suite, "chain_condition", exc, model, sampler, cfg.tol
+                )
+        return check(target, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
 
     return run
 

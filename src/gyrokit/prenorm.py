@@ -322,13 +322,23 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
 # property suites
 
 
-def _halving_report(suite, chain, exc, sampler, tol) -> VerificationReport:
-    """The report of a suite whose chain has no dyadic family: the single
-    failing check ``halving_condition``."""
-    notes = {"chain": chain.describe()}
-    with suite_report(suite, chain.model.name, sampler, tol, notes=notes) as report:
+def chain_condition_report(
+    suite, check, exc, model, sampler, tol, chain=None
+) -> VerificationReport:
+    """The report of a suite stopped by the ``ChainConditionError`` ``exc``
+    before its checks ran: the single failing check ``check``, whose
+    witness is the error and the level it names.
+
+    A chain that was built but has no dyadic family (``halving_condition``)
+    is passed as ``chain``: the check counts its levels and the notes
+    describe it. A finite chain whose subset lacks the identity or is not
+    closed is never built (``chain_condition``), and its check is
+    exhaustive."""
+    notes = {} if chain is None else {"chain": chain.describe()}
+    samples = "exhaustive" if chain is None else chain.depth
+    with suite_report(suite, model.name, sampler, tol, notes=notes) as report:
         witness = {"error": str(exc), "level": exc.level}
-        report.checks.append(witness_check("halving_condition", witness, chain.depth))
+        report.checks.append(witness_check(check, witness, samples))
     return report
 
 
@@ -345,7 +355,9 @@ def check_prenorm_properties(
     try:
         family = build_dyadic(chain)
     except ChainConditionError as exc:
-        return _halving_report("prenorm", chain, exc, sampler, tol)
+        return chain_condition_report(
+            "prenorm", "halving_condition", exc, chain.model, sampler, tol, chain
+        )
     model = chain.model
     with suite_report(
         "prenorm", model.name, sampler, tol,
@@ -457,7 +469,9 @@ def check_metric_properties(
     try:
         family = build_dyadic(chain)
     except ChainConditionError as exc:
-        return _halving_report("metric", chain, exc, sampler, tol)
+        return chain_condition_report(
+            "metric", "halving_condition", exc, chain.model, sampler, tol, chain
+        )
     model = chain.model
     with suite_report("metric", model.name, sampler, tol, depth=family.depth) as report:
         finite = isinstance(chain, FiniteChain)

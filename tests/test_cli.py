@@ -66,10 +66,21 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert names == ["halving_condition"]
     assert payload["checks"][0]["witness"]["level"] == 1
-    # a finite chain whose level is not closed stops with exit 1 and no report
-    code, out, err = run(capsys, "admissible", "--model", "table:z4", "--subgyrogroup", "0,1")
-    assert (code, out) == (1, "")
-    assert "not closed" in err
+    # a finite chain whose level is not closed gives the one failing check
+    # chain_condition, in every chain suite
+    for suite in ("admissible", "prenorm", "metric"):
+        code, payload, _ = run_json(capsys, suite, "--model", "table:z4", "--subgyrogroup", "0,1")
+        assert (code, payload["suite"], payload["model"]) == (1, suite, "z4")
+        (check,) = payload["checks"]
+        assert (check["name"], check["samples_or_exhaustive"]) == ("chain_condition", "exhaustive")
+        assert check["witness"] == {
+            "error": "chain level is not closed under the operation", "level": 0
+        }
+    # the report names the table of a finite chain spec, not --model
+    spec = '{"kind": "finite_discrete", "table": "z6", "subgyrogroup": [1, 2]}'
+    code, payload, _ = run_json(capsys, "metric", "--model", "mobius", "--chain", spec)
+    assert (code, payload["model"]) == (1, "z6")
+    assert payload["checks"][0]["witness"]["error"] == "chain levels must contain the identity"
 
 
 @pytest.mark.parametrize(
