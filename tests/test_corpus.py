@@ -70,6 +70,10 @@ CASES = [
     ("subgyrogroups-s3", 0, ["subgyrogroups", "--model", "table:s3"]),
     ("cosets-z6", 0, ["cosets", "--model", "table:z6", "--subgyrogroup", "0,3"]),
     ("cosets-not-closed", 1, ["cosets", "--model", "table:z4", "--subgyrogroup", "0,1"]),
+    ("admissible-not-closed", 1,
+     ["admissible", "--model", "table:z4", "--subgyrogroup", "0,1"]),
+    ("prenorm-not-closed", 1, ["prenorm", "--model", "table:z4", "--subgyrogroup", "0,1"]),
+    ("metric-not-closed", 1, ["metric", "--model", "table:z4", "--subgyrogroup", "0,1"]),
     ("search-order-4", 0, ["search", "--order", "4"]),
     ("search-order-6", 0, ["search", "--order", "6"]),
     ("search-order-6-max-1", 0, ["search", "--order", "6", "--max-results", "1"]),
