@@ -19,9 +19,9 @@ it ran first, seed, ``wall_s``, ``setup_s``, the machine speed factor, the
 unscaled pass and import seconds, ``peak_rss_mb``, ``ok_ratio`` and the
 benchmark's ``correct`` flag. The summary gives each side's median and
 quartiles per metric, the number of pairs in which the change was faster
-by ``wall_s`` (divided by the speed factor) and by the unscaled pass, and
-an exact two-sided sign-test p-value for each count, with tied pairs
-dropped.
+by ``wall_s`` (divided by the speed factor) and by the unscaled pass, the
+number in which it had the lower ``peak_rss_mb``, and an exact two-sided
+sign-test p-value for each count, with tied pairs dropped.
 """
 
 from __future__ import annotations
@@ -101,12 +101,16 @@ def summarize(records, pairs):
         for name in METRICS:
             q1, med, q3 = quartiles([r[name] for r in rows])
             out[side][name] = {"median": med, "q1": q1, "q3": q3}
-    for metric, suffix in (("wall_s", ""), ("unscaled_pass_s", "_unscaled")):
+    for metric, count, p in (
+        ("wall_s", "change_faster_pairs", "sign_test_p"),
+        ("unscaled_pass_s", "change_faster_pairs_unscaled", "sign_test_p_unscaled"),
+        ("peak_rss_mb", "change_lower_rss_pairs", "sign_test_p_rss"),
+    ):
         value = {(r["pair"], r["side"]): r[metric] for r in records}
         wins = sum(value[(i, "change")] < value[(i, "parent")] for i in range(pairs))
         losses = sum(value[(i, "change")] > value[(i, "parent")] for i in range(pairs))
-        out["change_faster_pairs" + suffix] = wins
-        out["sign_test_p" + suffix] = sign_test_p(wins, losses)
+        out[count] = wins
+        out[p] = sign_test_p(wins, losses)
     parent, change = out["parent"]["wall_s"], out["change"]["wall_s"]
     out["wall_s_median_gap"] = parent["median"] - change["median"]
     out["parent_wall_s_iqr"] = parent["q3"] - parent["q1"]
@@ -176,7 +180,11 @@ def main(argv=None):
           f"{summary['change_faster_pairs']}/{args.pairs} scaled "
           f"(p {summary['sign_test_p']:.3g}) and "
           f"{summary['change_faster_pairs_unscaled']}/{args.pairs} unscaled "
-          f"(p {summary['sign_test_p_unscaled']:.3g}); wrote {path}")
+          f"(p {summary['sign_test_p_unscaled']:.3g}); peak_rss_mb median "
+          f"{summary['parent']['peak_rss_mb']['median']:.2f} -> "
+          f"{summary['change']['peak_rss_mb']['median']:.2f}, change lower in "
+          f"{summary['change_lower_rss_pairs']}/{args.pairs} "
+          f"(p {summary['sign_test_p_rss']:.3g}); wrote {path}")
     return 0
 
 

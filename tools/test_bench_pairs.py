@@ -45,17 +45,19 @@ def test_one_pair_head_against_head(tmp_path):
     summary = run["summary"]
     assert summary["pairs"] == 1 and summary["change_faster_pairs"] in (0, 1)
     assert summary["change_faster_pairs_unscaled"] in (0, 1)
+    assert summary["change_lower_rss_pairs"] in (0, 1)
     assert summary["sign_test_p"] == summary["sign_test_p_unscaled"] == 1.0
+    assert summary["sign_test_p_rss"] == 1.0
     for side in ("parent", "change"):
         wall = summary[side]["wall_s"]
         assert wall["q1"] == wall["median"] == wall["q3"]
     assert list(work.iterdir()) == []  # the extracted trees are removed
 
 
-def _record(pair, side, wall_s, unscaled_pass_s):
+def _record(pair, side, wall_s, unscaled_pass_s, peak_rss_mb=60.0):
     return {"pair": pair, "side": side, "wall_s": wall_s, "setup_s": 0.1,
             "speed_factor": unscaled_pass_s / wall_s, "unscaled_pass_s": unscaled_pass_s,
-            "unscaled_import_s": 0.2, "peak_rss_mb": 60.0, "ok_ratio": 1.0}
+            "unscaled_import_s": 0.2, "peak_rss_mb": peak_rss_mb, "ok_ratio": 1.0}
 
 
 @pytest.mark.parametrize("wins, losses, p", [
@@ -85,3 +87,21 @@ def test_summarize_counts_scaled_and_unscaled_pairs():
     assert summary["change"]["unscaled_pass_s"]["median"] == pytest.approx(0.95)
     assert summary["wall_s_median_gap"] == pytest.approx(0.15)
     assert summary["parent_wall_s_iqr"] == 0.0
+
+
+def test_summarize_counts_pairs_with_lower_peak_rss():
+    bench = _load_tool()
+    # (parent, change) peak_rss_mb per pair: lower, lower, a tie, higher,
+    # lower, a tie
+    pairs = [(100.3, 83.6), (100.2, 83.7), (61.0, 61.0), (54.4, 54.5), (82.1, 73.1),
+             (70.0, 70.0)]
+    records = []
+    for i, (parent, change) in enumerate(pairs):
+        records += [_record(i, "parent", 1.0, 1.0, parent), _record(i, "change", 1.0, 1.0, change)]
+    summary = bench.summarize(records, len(pairs))
+    assert summary["change_lower_rss_pairs"] == 3
+    assert summary["sign_test_p_rss"] == 0.625  # 3 of 4 decided pairs: 2 * 5/16
+    assert summary["change_faster_pairs"] == summary["change_faster_pairs_unscaled"] == 0
+    assert summary["sign_test_p"] == 1.0  # every wall_s pair tied
+    assert summary["parent"]["peak_rss_mb"]["median"] == pytest.approx(76.05)
+    assert summary["change"]["peak_rss_mb"]["median"] == pytest.approx(71.55)
