@@ -23,9 +23,9 @@ from .errors import ResourceLimitError, SamplingError
 
 DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
-# rows x dim of one point stream. At this cap the law suites peak at 60-90
-# bytes per such value (ru_maxrss, numpy 2.4): axioms 686 MiB on Mobius and
-# 673 MiB on Einstein, identities 691 and 596 MiB, strong-base 844 and 673 MiB.
+# rows x dim of one point stream. At this cap the law suites peak at 50-90
+# bytes per such value (ru_maxrss, numpy 2.4): axioms 518 MiB on Mobius and
+# 486 MiB on Einstein, identities 691 and 596 MiB, strong-base 844 and 673 MiB.
 MAX_SAMPLE_VALUES = 10_000_000
 
 
