@@ -392,7 +392,7 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol):
                 )
     else:
         # refuse the whole suite before its first check allocates anything;
-        # checks with witness operands repeat each base row WITNESSES times
+        # checks with witness operands draw WITNESSES witness rows per sample
         expanded = any(wit for _, _, _, wit in checks)
         check_sample_size(n_samples * WITNESSES if expanded else n_samples, model.dim)
     with suite_report(suite, model.name, sampler, tol) as report:
