@@ -28,6 +28,7 @@ CHAIN_050 = '{"kind": "radial_rapidity", "ratio": 0.5, "depth": 12}'
 CHAIN_060 = '{"kind": "radial_rapidity", "ratio": 0.6, "depth": 6}'
 CHAIN_Z6 = '{"kind": "finite_discrete", "table": "z6", "subgyrogroup": [0, 2, 4]}'
 CHAIN_050_D8 = '{"kind":"radial_rapidity","ratio":0.5,"depth":8}'
+CHAIN_NO_IDENTITY = '{"kind":"finite_discrete","table":"no_identity.json","subgyrogroup":[0]}'
 
 # (name, exit code, argv)
 CASES = [
@@ -95,6 +96,17 @@ CASES = [
     ("axioms-product-loop5-z9", 1, ["axioms", "--model", "product:loop5.json+z9"]),
     ("axioms-product-z9-loop5", 1, ["axioms", "--model", "product:z9+loop5.json"]),
     ("table-validate-z41", 0, ["table-validate", "--model", "table:z41"]),
+    # tables that are no gyrogroup carrier: not_bijective.json has a unique
+    # identity and unique inverses, but its left translation by 1 is not a
+    # bijection; and the tuple cap of the exhaustive laws on z67 (67^4 tuples)
+    ("axioms-not-bijective", 1, ["axioms", "--model", "table:not_bijective.json"]),
+    ("subgyrogroups-not-bijective", 1, ["subgyrogroups", "--model", "table:not_bijective.json"]),
+    ("admissible-not-bijective", 0,
+     ["admissible", "--model", "table:not_bijective.json", "--subgyrogroup", "0"]),
+    ("subgyrogroups-no-identity", 1, ["subgyrogroups", "--model", "table:no_identity.json"]),
+    ("admissible-finite-spec-no-identity", 1,
+     ["admissible", "--model", "mobius", "--chain", CHAIN_NO_IDENTITY]),
+    ("table-validate-z67", 0, ["table-validate", "--model", "table:z67"]),
 ]
 
 _WALL = re.compile(r'"wall_time_s":[^,}]*')
