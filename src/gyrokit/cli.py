@@ -52,7 +52,7 @@ from .tables import (
 EXIT_CODES = {
     UsageError: 2, SamplingError: 2, ResourceLimitError: 2,
     TableFormatError: 3, OSError: 3,
-    ChainConditionError: 1, AxiomViolationError: 1,
+    AxiomViolationError: 1,
 }
 
 
@@ -125,9 +125,10 @@ def _required(cfg: RunConfig, option: str):
     return value
 
 
-def _chain_model(cfg: RunConfig, model):
+def _chain_model(cfg: RunConfig):
     """The model a chain suite's chain lies on: --model, unless a finite
     chain spec names its own table."""
+    model = _resolve_model(cfg.model)
     if cfg.chain is not None and cfg.chain["kind"] == "finite_discrete":
         return TableModel(_resolve_table(cfg.chain["table"]))
     return model
@@ -146,23 +147,33 @@ def _build_chain(cfg: RunConfig, model):
     return RadialChain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
 
 
-def _on_model(check, chain=False):
-    """Runner of a sampled suite over --model, or over the chain built on it.
-    A table without unique identity or inverses gives a failing report with
-    the one check ``table_structure``; a finite chain whose subset lacks the
-    identity or is not closed, one with the one check ``chain_condition``."""
+def _admitted(resolve, run):
+    """Runner of ``run(resolve(cfg), cfg)``. Every suite but table-validate
+    and search resolves its tables here, through ``TableModel``: a table
+    without bijective left translations, a unique identity or unique
+    inverses gives a failing report with the one check ``table_structure``."""
 
-    def run(cfg: RunConfig):
+    def runner(cfg: RunConfig):
         try:
-            model = _resolve_model(cfg.model)
+            resolved = resolve(cfg)
         except AxiomViolationError as exc:
             with suite_report(cfg.suite, cfg.model) as report:
                 report.checks.append(witness_check("table_structure", {"error": str(exc)}))
             return report
+        return run(resolved, cfg)
+
+    return runner
+
+
+def _on_model(check, chain=False):
+    """Runner of a sampled suite over --model, or over the chain built on it.
+    A finite chain whose subset lacks the identity or is not closed gives a
+    failing report with the one check ``chain_condition``."""
+
+    def run(model, cfg: RunConfig):
         sampler = Sampler(cfg.seed)
         target = model
         if chain:
-            model = _chain_model(cfg, model)
             try:
                 target = _build_chain(cfg, model)
             except ChainConditionError as exc:
@@ -171,7 +182,13 @@ def _on_model(check, chain=False):
                 )
         return check(target, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
 
-    return run
+    return _admitted(_chain_model if chain else lambda cfg: _resolve_model(cfg.model), run)
+
+
+def _on_table(run):
+    """Runner of ``run(table, cfg)`` on the table --model names, admitted
+    as a gyrogroup carrier."""
+    return _admitted(lambda cfg: TableModel(_require_table(cfg)).source, run)
 
 
 # suite name -> (description, runner taking a RunConfig and returning its report)
@@ -201,11 +218,11 @@ SUITE_TABLE = {
     ),
     "subgyrogroups": (
         "enumerate closed subsets of a finite table",
-        lambda cfg: check_subgyrogroups(_require_table(cfg)),
+        _on_table(lambda t, cfg: check_subgyrogroups(t)),
     ),
     "cosets": (
         "left coset partition induced by an invariant subset",
-        lambda cfg: check_cosets(_require_table(cfg), _required(cfg, "subgyrogroup")),
+        _on_table(lambda t, cfg: check_cosets(t, _required(cfg, "subgyrogroup"))),
     ),
     "search": (
         "exhaustive search for tables of a small order",

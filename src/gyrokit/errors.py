@@ -18,7 +18,7 @@ class AxiomViolationError(GyroError):
     """
 
 
-class ChainConditionError(GyroError):
+class ChainConditionError(AxiomViolationError):
     """A neighborhood chain violates the condition needed by the construction."""
 
     def __init__(self, message, level=None, witness=None):

@@ -19,9 +19,11 @@ import numpy as np
 from .core import (
     _EXHAUSTIVE_CAP,
     _KERNEL_CELLS,
+    AXIOM_CHECKS,
     GyrogroupModel,
+    check_tuple_count,
+    exhaustive_law_check,
     first_violation,
-    law_g3,
     law_g3_automorphism,
     law_g4_loop,
 )
@@ -117,9 +119,6 @@ class CayleyTable:
         srt = np.sort(self.table, axis=1)
         bad = np.flatnonzero((srt != np.arange(self.order)[None, :]).any(axis=1))
         return int(bad[0]) if len(bad) else None
-
-    def rows_bijective(self) -> bool:
-        return self._non_bijective_row() is None
 
     def gyrations(self) -> np.ndarray:
         """The gyration tensor ``gyr_tensor(self.table)``, computed once.
@@ -256,13 +255,13 @@ class _TableOps:
     T (m, n, n) and B (m, n, n, n), ``table`` is the index grid of the
     table axis that every operand broadcasts against and base is
     table * n, so each op applies table k to the operands at k; for one
-    table base is 0. B may be None, when the gyrations are undefined.
+    table base is 0.
     """
 
     def __init__(self, T, B, table=None):
         self.n = T.shape[-1]
         self.T = T.reshape(-1)
-        self.B = None if B is None else B.reshape(-1)
+        self.B = B.reshape(-1)
         self._base = 0 if table is None else table * self.n
 
     def oplus(self, x, y):
@@ -275,9 +274,18 @@ class _TableOps:
 # ---------------------------------------------------------------------------
 # validation
 
+# the laws that need no identity or inverses: G3 and G4
+_TABLE_LAWS = AXIOM_CHECKS[2:]
+
 
 def validate_table(t: CayleyTable) -> VerificationReport:
-    """Exhaustively check the axioms of a finite table; exact, tolerance-free."""
+    """Exhaustively check the axioms of a finite table; exact, tolerance-free.
+
+    The structure checks (identity, inverses, bijective left translations)
+    come first; the G3 and G4 laws then run on the bare table ops, under
+    the size rule and with the witnesses of the ``axioms`` suite.
+    """
+    check_tuple_count(t.order, _TABLE_LAWS)
     with suite_report("table-validate", t.name) as report:
         n, T, L = t.order, t.table, t.labels
 
@@ -304,16 +312,8 @@ def validate_table(t: CayleyTable) -> VerificationReport:
             witness = {"row": L[row], "repeated_value": L[int(vals[counts > 1][0])]}
         report.checks.append(witness_check("left_translations_bijective", witness))
 
-        laws = (
-            ("G3_gyroassociativity", law_g3, 3,
-             lambda x, y, z: {"triple": [L[x], L[y], L[z]]}),
-            ("G3_automorphism", law_g3_automorphism, 4,
-             lambda x, y, a, b: {"pair": [L[x], L[y]], "arguments": [L[a], L[b]]}),
-            ("G4_loop", law_g4_loop, 3,
-             lambda x, y, z: {"pair": [L[x], L[y]], "argument": L[z]}),
-        )
         if row is not None:
-            for name, _, _, _ in laws:
+            for name, _, _, _ in _TABLE_LAWS:
                 report.checks.append(
                     witness_check(name, {"blocked_by": "left_translations_bijective"})
                 )
@@ -322,9 +322,8 @@ def validate_table(t: CayleyTable) -> VerificationReport:
         B = t.gyrations()
         report.notes["all_gyrations_identity"] = bool((B == np.arange(n)).all())
         ops = _TableOps(T, B)
-        for name, law, arity, witness in laws:
-            bad = first_violation(ops, n, law, arity)
-            report.checks.append(witness_check(name, None if bad is None else witness(*bad[0])))
+        for check in _TABLE_LAWS:
+            report.checks.append(exhaustive_law_check(ops, L, check))
     return report
 
 
@@ -334,30 +333,29 @@ def validate_table(t: CayleyTable) -> VerificationReport:
 
 class TableModel(_TableOps, GyrogroupModel):
     """A Cayley table as a model for the sampling-free exact suites: its
-    table's ops plus the identity and inverses."""
+    table's ops plus the identity and inverses.
+
+    Only a table with bijective left translations, a unique identity and
+    unique inverses is admitted; any other raises AxiomViolationError.
+    """
 
     is_exact = True
+    has_closed_gyr = True
 
     def __init__(self, t: CayleyTable):
-        super().__init__(t.table, t.gyrations() if t.rows_bijective() else None)
+        super().__init__(t.table, t.gyrations())
         self.source = t
         self.order = t.order
         self.labels = t.labels
         self.name = t.name
         self._e = t.identity_index
         self._inv = t.inverses()
-        self.has_closed_gyr = self.B is not None
 
     def neg(self, x):
         return self._inv[x]
 
     def zero_like(self, x):
         return np.full_like(np.asarray(x), self._e)
-
-    def gyr(self, x, y, z):
-        if self.B is None:
-            raise AxiomViolationError("gyrations undefined: left translations not bijective")
-        return super().gyr(x, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from gyrokit.cli import EXIT_CODES, SUITES, main
 from gyrokit.errors import GyroError
 from gyrokit.sampling import MAX_SAMPLE_VALUES
 from gyrokit.tables import cyclic_table
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 def run(capsys, *argv):
@@ -163,7 +166,7 @@ def test_oversized_table_file_exits_two(capsys, tmp_path):
     [
         ("axioms", 2),  # G3_automorphism's 67^4 tuples exceed the tuple cap
         ("identities", 0),  # at most 67^3 tuples
-        ("table-validate", 0),  # batched, so not capped
+        ("table-validate", 2),  # the same rule, over the same G3_automorphism
     ],
 )
 def test_tuple_cap_on_z67(capsys, suite, code):
@@ -171,6 +174,29 @@ def test_tuple_cap_on_z67(capsys, suite, code):
     assert got == code
     if code == 2:
         assert out == "" and "infeasible" in err
+
+
+# a unique identity and unique inverses, but row 1 is not a bijection
+NOT_BIJECTIVE = ["--model", f"table:{CORPUS / 'not_bijective.json'}"]
+NO_IDENTITY_CHAIN = ["--model", "mobius", "--chain", json.dumps(
+    {"kind": "finite_discrete", "table": str(CORPUS / "no_identity.json"), "subgyrogroup": [0]}
+)]
+NO_CARRIER = (
+    [(s, NOT_BIJECTIVE) for s in ("axioms", "identities", "subgyrogroups")]
+    + [(s, NOT_BIJECTIVE + ["--subgyrogroup", "0"])
+       for s in ("prenorm", "metric", "admissible", "cosets")]
+    + [(s, NO_IDENTITY_CHAIN) for s in ("admissible", "prenorm", "metric")]
+)
+
+
+@pytest.mark.parametrize(
+    "suite,args", NO_CARRIER,
+    ids=[f"{s}-{'chain' if a is NO_IDENTITY_CHAIN else 'model'}" for s, a in NO_CARRIER],
+)
+def test_table_that_is_no_gyrogroup_is_one_structure_check(capsys, suite, args):
+    code, payload, _ = run_json(capsys, suite, *args)
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in payload["checks"]] == [("table_structure", False)]
 
 
 @pytest.mark.parametrize(

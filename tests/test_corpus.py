@@ -12,14 +12,19 @@ A change that is meant to alter a report rewrites the expected files:
 
 import contextlib
 import io
+import json
 import os
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gyrokit.cli import main
+from gyrokit.cli import _resolve_model, _resolve_table, main
+from gyrokit.core import AXIOM_CHECKS, IDENTITY_CHECKS
+from gyrokit.errors import AxiomViolationError
+from gyrokit.tables import TableModel, _TableOps
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 
@@ -130,6 +135,45 @@ def test_report_matches_corpus(name, code, argv):
     got_code, got = run_case(argv)
     assert got_code == code
     assert got == (CORPUS / f"{name}.json").read_text(encoding="utf-8")
+
+
+def _corpus_table(spec):
+    """The Cayley table a corpus case's --model names."""
+    with contextlib.chdir(CORPUS):
+        if spec.startswith("table:"):
+            return _resolve_table(spec[len("table:"):])
+        return _resolve_model(spec).source
+
+
+def test_exhaustive_witnesses_replay():
+    # every exhaustive law witness of the corpus, mapped back to indices and
+    # evaluated again, gives the recorded sides of its first differing
+    # comparison: on the exact model where the table has inverses, on the
+    # bare table ops (as table-validate runs them) where it has none
+    laws = {name: law for name, law, _, _ in AXIOM_CHECKS + IDENTITY_CHECKS}
+    replayed = set()
+    for name, _, argv in CASES:
+        text = (CORPUS / f"{name}.json").read_text(encoding="utf-8")
+        if argv[0] not in ("axioms", "identities", "table-validate") or not text:
+            continue  # a refused run writes no report
+        report = json.loads(text)
+        for check in report["checks"]:
+            witness = check.get("witness", {})
+            if set(witness) != {"inputs", "lhs", "rhs"}:
+                continue
+            t = _corpus_table(argv[argv.index("--model") + 1])
+            try:
+                ops = TableModel(t)
+            except AxiomViolationError:
+                ops = _TableOps(t.table, t.gyrations())
+            inputs = [np.asarray(t.labels.index(x)) for x in witness["inputs"]]
+            lhs, rhs = next((l, r) for l, r in laws[check["name"]](ops, *inputs) if l != r)
+            assert [t.labels[lhs], t.labels[rhs]] == [witness["lhs"], witness["rhs"]], name
+            replayed.add(name)
+    assert replayed >= {
+        "axioms-loop5", "identities-loop5", "table-validate-latin5", "table-validate-loop5",
+        "axioms-product-loop5-z9", "axioms-product-z9-loop5",
+    }
 
 
 if __name__ == "__main__":

@@ -208,6 +208,12 @@ def test_gyr_table_requires_bijective_rows():
         CayleyTable([[0, 1], [1, 1]]).gyrations()
 
 
+def test_table_model_requires_bijective_rows():
+    # a unique identity and unique inverses, but row 1 is not a bijection
+    with pytest.raises(AxiomViolationError, match="'1' is not a bijection"):
+        TableModel(CayleyTable([[0, 1, 2], [1, 0, 1], [2, 2, 0]]))
+
+
 def test_gyration_tensor_built_once_per_table(monkeypatch):
     import gyrokit.tables as tables
 
