@@ -125,15 +125,6 @@ def _required(cfg: RunConfig, option: str):
     return value
 
 
-def _chain_model(cfg: RunConfig):
-    """The model a chain suite's chain lies on: --model, unless a finite
-    chain spec names its own table."""
-    model = _resolve_model(cfg.model)
-    if cfg.chain is not None and cfg.chain["kind"] == "finite_discrete":
-        return TableModel(_resolve_table(cfg.chain["table"]))
-    return model
-
-
 def _build_chain(cfg: RunConfig, model):
     if cfg.chain is not None:
         spec = cfg.chain
@@ -147,96 +138,91 @@ def _build_chain(cfg: RunConfig, model):
     return RadialChain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
 
 
-def _admitted(resolve, run):
-    """Runner of ``run(resolve(cfg), cfg)``. Every suite but table-validate
-    and search resolves its tables here, through ``TableModel``: a table
-    without bijective left translations, a unique identity or unique
-    inverses gives a failing report with the one check ``table_structure``."""
+def _sampled(check, chain=False):
+    """Resolver and runner of a sampled suite over --model, or over the chain
+    built on it. A finite chain whose subset lacks the identity or is not
+    closed gives a failing report with the one check ``chain_condition``."""
 
-    def runner(cfg: RunConfig):
-        try:
-            resolved = resolve(cfg)
-        except AxiomViolationError as exc:
-            with suite_report(cfg.suite, cfg.model) as report:
-                report.checks.append(witness_check("table_structure", {"error": str(exc)}))
-            return report
-        return run(resolved, cfg)
-
-    return runner
-
-
-def _on_model(check, chain=False):
-    """Runner of a sampled suite over --model, or over the chain built on it.
-    A finite chain whose subset lacks the identity or is not closed gives a
-    failing report with the one check ``chain_condition``."""
+    def resolve(cfg: RunConfig):
+        model = _resolve_model(cfg.model)
+        if chain and cfg.chain is not None and cfg.chain["kind"] == "finite_discrete":
+            return TableModel(_resolve_table(cfg.chain["table"]))  # the spec's own table
+        return model
 
     def run(model, cfg: RunConfig):
         sampler = Sampler(cfg.seed)
-        target = model
-        if chain:
-            try:
-                target = _build_chain(cfg, model)
-            except ChainConditionError as exc:
-                return chain_condition_report(
-                    cfg.suite, "chain_condition", exc, model, sampler, cfg.tol
-                )
+        try:
+            target = _build_chain(cfg, model) if chain else model
+        except ChainConditionError as exc:
+            return chain_condition_report(
+                cfg.suite, "chain_condition", exc, model, sampler, cfg.tol
+            )
         return check(target, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
 
-    return _admitted(_chain_model if chain else lambda cfg: _resolve_model(cfg.model), run)
+    return resolve, run
 
 
 def _on_table(run):
-    """Runner of ``run(table, cfg)`` on the table --model names, admitted
-    as a gyrogroup carrier."""
-    return _admitted(lambda cfg: TableModel(_require_table(cfg)).source, run)
+    """Resolver and runner of a suite on the table --model names."""
+    return (lambda cfg: TableModel(_require_table(cfg)).source), run
 
 
-# suite name -> (description, runner taking a RunConfig and returning its report)
+# suite name -> (description, resolver of what the suite runs on, runner);
+# both take the RunConfig, and the runner also what was resolved
 SUITE_TABLE = {
-    "axioms": ("gyrogroup axioms on a sampled or exhaustive carrier", _on_model(check_axioms)),
+    "axioms": ("gyrogroup axioms on a sampled or exhaustive carrier", *_sampled(check_axioms)),
     "identities": (
-        "derived cancellation and decomposition identities", _on_model(check_identities)
+        "derived cancellation and decomposition identities", *_sampled(check_identities)
     ),
     "strong-base": (
-        "gyration stability of balls, norms and commuted sums", _on_model(check_strong_base)
+        "gyration stability of balls, norms and commuted sums", *_sampled(check_strong_base)
     ),
     "prenorm": (
         "dyadic scale family: sandwich, invariance, subadditivity",
-        _on_model(check_prenorm_properties, chain=True),
+        *_sampled(check_prenorm_properties, chain=True),
     ),
     "metric": (
         "pseudometric and quotient separation axioms",
-        _on_model(check_metric_properties, chain=True),
+        *_sampled(check_metric_properties, chain=True),
     ),
     "admissible": (
         "level-by-level double-sum admissibility of a chain",
-        _on_model(validate_admissible_chain, chain=True),
+        *_sampled(validate_admissible_chain, chain=True),
     ),
     "table-validate": (
         "exhaustive axiom check of a finite table",
-        lambda cfg: validate_table(_require_table(cfg)),
+        _require_table, lambda t, cfg: validate_table(t),
     ),
     "subgyrogroups": (
         "enumerate closed subsets of a finite table",
-        _on_table(lambda t, cfg: check_subgyrogroups(t)),
+        *_on_table(lambda t, cfg: check_subgyrogroups(t)),
     ),
     "cosets": (
         "left coset partition induced by an invariant subset",
-        _on_table(lambda t, cfg: check_cosets(t, _required(cfg, "subgyrogroup"))),
+        *_on_table(lambda t, cfg: check_cosets(t, _required(cfg, "subgyrogroup"))),
     ),
     "search": (
         "exhaustive search for tables of a small order",
-        lambda cfg: check_search(_required(cfg, "order"), cfg.max_results),
+        lambda cfg: None, lambda _, cfg: check_search(_required(cfg, "order"), cfg.max_results),
     ),
 }
-SUITES = {name: description for name, (description, _) in SUITE_TABLE.items()}
+SUITES = {name: row[0] for name, row in SUITE_TABLE.items()}
 
 
 def run_suite(cfg: RunConfig):
-    """Execute one suite; returns (report, exit_code)."""
+    """Execute one suite; returns (report, exit_code). A table that
+    TableModel refuses while the suite resolves its carrier gives a failing
+    report with the one check ``table_structure``."""
     if cfg.suite not in SUITE_TABLE:
         raise UsageError(f"unknown suite {cfg.suite!r}")
-    report = SUITE_TABLE[cfg.suite][1](cfg)
+    _, resolve, run = SUITE_TABLE[cfg.suite]
+    try:
+        target = resolve(cfg)
+    except AxiomViolationError as exc:
+        with suite_report(cfg.suite, cfg.model) as report:
+            report.checks.append(witness_check("table_structure", {"error": str(exc)}))
+    else:
+        report = run(target, cfg)
     return report, 0 if report.passed else 1
 
 

@@ -379,51 +379,43 @@ def _continuous_streams(model, gen, n, base, wit, tol):
     return streams
 
 
-def check_tuple_count(order, checks):
-    """Refuse a suite of exhaustive ``checks`` on ``order`` elements, before
-    its first check runs, when one law has more than ``_EXHAUSTIVE_CAP``
-    operand tuples: n^k for a law of k operands. ``first_violation`` holds
-    at most ``_KERNEL_CELLS`` tuples at a time, so this bounds time, not
-    memory."""
+def exhaustive_law_checks(ops, labels, checks):
+    """Each law of ``checks``, (name, law, base, wit), on every tuple of the
+    carrier ``labels``, as CheckResults. Refused before the first runs when
+    one law has more than _EXHAUSTIVE_CAP operand tuples, n^k for k
+    operands. A failure's witness is first_violation's, as labels:
+    ``{"inputs", "lhs", "rhs"}``."""
+    n = len(labels)
     for _, _, base, wit in checks:
-        if order ** (base + wit) > _EXHAUSTIVE_CAP:
+        if n ** (base + wit) > _EXHAUSTIVE_CAP:
             raise ResourceLimitError(
-                f"exhaustive check over {base + wit} operands infeasible for order {order}"
+                f"exhaustive check over {base + wit} operands infeasible for order {n}"
             )
-
-
-def exhaustive_law_check(ops, labels, check):
-    """The law of ``check`` = (name, law, base, wit) on every tuple of the
-    carrier whose elements are ``labels``, as a CheckResult. A failure's
-    witness is the first failing tuple and the two sides of its first
-    differing comparison, as labels: ``{"inputs", "lhs", "rhs"}``."""
-    name, law, base, wit = check
-    bad = first_violation(ops, len(labels), law, base + wit)
-    return witness_check(name, None if bad is None else {
-        "inputs": [labels[i] for i in bad[0]], "lhs": labels[bad[1]], "rhs": labels[bad[2]]
-    })
+    results = []
+    for name, law, base, wit in checks:
+        bad = first_violation(ops, n, law, base + wit)
+        results.append(witness_check(name, None if bad is None else {
+            "inputs": [labels[i] for i in bad[0]], "lhs": labels[bad[1]], "rhs": labels[bad[2]]
+        }))
+    return results
 
 
 def _run_suite(model, suite, checks, sampler, n_samples, tol):
     sampler = sampler if sampler is not None else Sampler()
     tol = tol if tol is not None else ToleranceConfig()
-    if model.is_exact:
-        check_tuple_count(model.order, checks)
-    else:
+    if not model.is_exact:
         # refuse the whole suite before its first check allocates anything;
         # checks with witness operands draw WITNESSES witness rows per sample
         expanded = any(wit for _, _, _, wit in checks)
         check_sample_size(n_samples * WITNESSES if expanded else n_samples, model.dim)
     with suite_report(suite, model.name, sampler, tol) as report:
-        for check in checks:
-            name, law, base, wit = check
-            if model.is_exact:
-                result = exhaustive_law_check(model, model.labels, check)
-            else:
-                gen = sampler.stream(suite, name)
-                streams = _continuous_streams(model, gen, n_samples, base, wit, tol)
-                result = run_law_check(model, name, law, streams, tol)
-            report.checks.append(result)
+        if model.is_exact:
+            report.checks = exhaustive_law_checks(model, model.labels, checks)
+            return report
+        for name, law, base, wit in checks:
+            gen = sampler.stream(suite, name)
+            streams = _continuous_streams(model, gen, n_samples, base, wit, tol)
+            report.checks.append(run_law_check(model, name, law, streams, tol))
     return report
 
 

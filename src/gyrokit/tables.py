@@ -21,8 +21,7 @@ from .core import (
     _KERNEL_CELLS,
     AXIOM_CHECKS,
     GyrogroupModel,
-    check_tuple_count,
-    exhaustive_law_check,
+    exhaustive_law_checks,
     first_violation,
     law_g3_automorphism,
     law_g4_loop,
@@ -274,18 +273,11 @@ class _TableOps:
 # ---------------------------------------------------------------------------
 # validation
 
-# the laws that need no identity or inverses: G3 and G4
-_TABLE_LAWS = AXIOM_CHECKS[2:]
+_TABLE_LAWS = AXIOM_CHECKS[2:]  # G3 and G4, which need no identity or inverses
 
 
 def validate_table(t: CayleyTable) -> VerificationReport:
-    """Exhaustively check the axioms of a finite table; exact, tolerance-free.
-
-    The structure checks (identity, inverses, bijective left translations)
-    come first; the G3 and G4 laws then run on the bare table ops, under
-    the size rule and with the witnesses of the ``axioms`` suite.
-    """
-    check_tuple_count(t.order, _TABLE_LAWS)
+    """Exhaustively check the axioms of a finite table; exact, tolerance-free."""
     with suite_report("table-validate", t.name) as report:
         n, T, L = t.order, t.table, t.labels
 
@@ -321,9 +313,7 @@ def validate_table(t: CayleyTable) -> VerificationReport:
 
         B = t.gyrations()
         report.notes["all_gyrations_identity"] = bool((B == np.arange(n)).all())
-        ops = _TableOps(T, B)
-        for check in _TABLE_LAWS:
-            report.checks.append(exhaustive_law_check(ops, L, check))
+        report.checks += exhaustive_law_checks(_TableOps(T, B), L, _TABLE_LAWS)
     return report
 
 
@@ -333,11 +323,9 @@ def validate_table(t: CayleyTable) -> VerificationReport:
 
 class TableModel(_TableOps, GyrogroupModel):
     """A Cayley table as a model for the sampling-free exact suites: its
-    table's ops plus the identity and inverses.
-
-    Only a table with bijective left translations, a unique identity and
-    unique inverses is admitted; any other raises AxiomViolationError.
-    """
+    table's ops plus the identity and inverses. A table without bijective
+    left translations, a unique identity or unique inverses raises
+    AxiomViolationError."""
 
     is_exact = True
     has_closed_gyr = True
