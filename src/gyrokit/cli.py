@@ -146,7 +146,12 @@ def _sampled(check, chain=False):
     def resolve(cfg: RunConfig):
         model = _resolve_model(cfg.model)
         if chain and cfg.chain is not None and cfg.chain["kind"] == "finite_discrete":
-            return TableModel(_resolve_table(cfg.chain["table"]))  # the spec's own table
+            table = cfg.chain["table"]  # the spec's own table
+            try:
+                return TableModel(_resolve_table(table))
+            except AxiomViolationError as exc:
+                exc.carrier = f"table:{table}"
+                raise
         return model
 
     def run(model, cfg: RunConfig):
@@ -212,14 +217,16 @@ SUITES = {name: row[0] for name, row in SUITE_TABLE.items()}
 def run_suite(cfg: RunConfig):
     """Execute one suite; returns (report, exit_code). A table that
     TableModel refuses while the suite resolves its carrier gives a failing
-    report with the one check ``table_structure``."""
+    report with the one check ``table_structure``, on the model --model
+    names, or on ``table:<name>`` when a finite chain spec's own table is
+    the one refused (the resolver sets it as the error's ``carrier``)."""
     if cfg.suite not in SUITE_TABLE:
         raise UsageError(f"unknown suite {cfg.suite!r}")
     _, resolve, run = SUITE_TABLE[cfg.suite]
     try:
         target = resolve(cfg)
     except AxiomViolationError as exc:
-        with suite_report(cfg.suite, cfg.model) as report:
+        with suite_report(cfg.suite, getattr(exc, "carrier", cfg.model)) as report:
             report.checks.append(witness_check("table_structure", {"error": str(exc)}))
     else:
         report = run(target, cfg)

@@ -197,6 +197,11 @@ def test_table_that_is_no_gyrogroup_is_one_structure_check(capsys, suite, args):
     code, payload, _ = run_json(capsys, suite, *args)
     assert code == 1
     assert [(c["name"], c["pass"]) for c in payload["checks"]] == [("table_structure", False)]
+    # the report names the table that was refused, not a --model that was not
+    refused = NOT_BIJECTIVE[1] if args is not NO_IDENTITY_CHAIN else (
+        f"table:{CORPUS / 'no_identity.json'}"
+    )
+    assert payload["model"] == refused
 
 
 @pytest.mark.parametrize(
