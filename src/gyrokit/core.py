@@ -30,6 +30,7 @@ base rows, so the law engine reads streams by slice and by index only.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -175,6 +176,19 @@ def law_g3_automorphism(ops, x, y, a, b):
     return [(lhs, rhs)]
 
 
+# laws whose first two operands enter only as the pivots of gyr[x, y]: on an
+# exact carrier they run once per distinct gyration, over the first pivot
+# pair of each (G4_loop is not one: it also reads x + y)
+GYRATION_PIVOT_LAWS = (law_g3_automorphism,)
+
+
+def exact_violation(ops, n, law, arity):
+    """:func:`first_violation` of ``law`` on the exact carrier ``ops``, over
+    ``ops.pivot_classes`` when the law is one of GYRATION_PIVOT_LAWS."""
+    pivots = ops.pivot_classes if law in GYRATION_PIVOT_LAWS else None
+    return first_violation(ops, n, law, arity, pivots)
+
+
 def law_g4_loop(ops, x, y, z):
     return [(ops.gyr(ops.oplus(x, y), y, z), ops.gyr(x, y, z))]
 
@@ -292,7 +306,7 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=No
     )
 
 
-def first_violation(ops, n, law, arity):
+def first_violation(ops, n, law, arity, pivots=None):
     """First tuple, in lexicographic order, at which ``law`` fails on the
     carrier {0, ..., n-1}, as ``(tuple, lhs, rhs)`` with the two sides of
     its first differing comparison; None when the law holds everywhere.
@@ -306,18 +320,35 @@ def first_violation(ops, n, law, arity):
     batches hold one first and 16 second operands. Batches go in
     lexicographic order, so the first failing batch holds the first
     failing tuple.
+
+    ``pivots``, an (m, 2) array of (x, y) pairs in lexicographic order,
+    makes the first two operands run together over those pairs only, as
+    one operand of m values. For a law that sees x and y only through
+    gyr[x, y], given the first pair of each distinct gyration (a table's
+    ``pivot_classes``), the scan returns the same tuple, lhs and rhs as
+    the full one: a pair fails exactly where the first pair of its class
+    does, so the first failing tuple has a first pair as its pivots. On
+    z64 the automorphism law then runs on 64^2 tuples instead of 64^4.
     """
+    if pivots is None:
+        sizes = (n,) * arity
+    else:
+        px, py = pivots[:, 0], pivots[:, 1]
+        sizes = (len(pivots),) + (n,) * (arity - 2)
     k = 0
-    while n ** (arity - k - 1) > _KERNEL_CELLS:
+    while math.prod(sizes[k + 1:]) > _KERNEL_CELLS:
         k += 1
-    rest = (n,) * (arity - k - 1)
-    step = _KERNEL_CELLS // n ** len(rest)
-    idx = np.arange(n)
-    for head in itertools.product(range(n), repeat=k):
+    rest = sizes[k + 1:]
+    step = _KERNEL_CELLS // math.prod(rest)
+    idx = np.arange(max(sizes))
+    for head in itertools.product(*map(range, sizes[:k])):
         fixed = [idx[h:h + 1] for h in head]
-        for lo in range(0, n, step):
-            run = idx[lo:lo + step]
-            pairs = law(ops, *np.ix_(*fixed, run, *[idx] * len(rest)))
+        for lo in range(0, sizes[k], step):
+            run = idx[lo:min(lo + step, sizes[k])]
+            grids = np.ix_(*fixed, run, *[idx[:n]] * len(rest))
+            if pivots is not None:
+                grids = (px[grids[0]], py[grids[0]], *grids[1:])
+            pairs = law(ops, *grids)
             bad = None
             for lhs, rhs in pairs:
                 ne = lhs != rhs
@@ -329,7 +360,10 @@ def first_violation(ops, n, law, arity):
                 for lhs, rhs in pairs:
                     l, r = np.broadcast_to(lhs, shape)[at], np.broadcast_to(rhs, shape)[at]
                     if l != r:
-                        return tuple(o + int(a) for o, a in zip(origin, at)), int(l), int(r)
+                        found = [o + int(a) for o, a in zip(origin, at)]
+                        if pivots is not None:
+                            found[:1] = pivots[found[0]].tolist()
+                        return tuple(found), int(l), int(r)
     return None
 
 
@@ -381,10 +415,11 @@ def _continuous_streams(model, gen, n, base, wit, tol):
 
 def exhaustive_law_checks(ops, labels, checks):
     """Each law of ``checks``, (name, law, base, wit), on every tuple of the
-    carrier ``labels``, as CheckResults. Refused before the first runs when
-    one law has more than _EXHAUSTIVE_CAP operand tuples, n^k for k
-    operands. A failure's witness is first_violation's, as labels:
-    ``{"inputs", "lhs", "rhs"}``."""
+    carrier ``labels``, as CheckResults, through :func:`exact_violation`
+    (so the automorphism law runs once per distinct gyration of ``ops``).
+    Refused before the first runs when one law has more than
+    _EXHAUSTIVE_CAP operand tuples, n^k for k operands. A failure's
+    witness is first_violation's, as labels: ``{"inputs", "lhs", "rhs"}``."""
     n = len(labels)
     for _, _, base, wit in checks:
         if n ** (base + wit) > _EXHAUSTIVE_CAP:
@@ -393,7 +428,7 @@ def exhaustive_law_checks(ops, labels, checks):
             )
     results = []
     for name, law, base, wit in checks:
-        bad = first_violation(ops, n, law, base + wit)
+        bad = exact_violation(ops, n, law, base + wit)
         results.append(witness_check(name, None if bad is None else {
             "inputs": [labels[i] for i in bad[0]], "lhs": labels[bad[1]], "rhs": labels[bad[2]]
         }))

@@ -7,7 +7,9 @@ import pytest
 from gyrokit.core import (
     AXIOM_CHECKS,
     IDENTITY_CHECKS,
+    exact_violation,
     first_violation,
+    law_g3_automorphism,
     law_g4_loop,
 )
 from gyrokit.errors import (
@@ -423,6 +425,14 @@ def test_first_violation_matches_a_plain_loop(name, rows, monkeypatch):
             m.setattr(core, "_KERNEL_CELLS", 2 * n ** max(arity - 2, 0))
             assert first_violation(ops, n, law, arity) == want
         failures += want is not None
+    # the automorphism law once per distinct gyration, as the exhaustive
+    # suites run it: with runs of two classes, batches split across classes
+    want = _reference_violation(reference, n, law_g3_automorphism, 4)
+    assert exact_violation(ops, n, law_g3_automorphism, 4) == want
+    assert first_violation(ops, n, law_g3_automorphism, 4, ops.pivot_classes) == want
+    with monkeypatch.context() as m:
+        m.setattr(core, "_KERNEL_CELLS", 2 * n**2)
+        assert first_violation(ops, n, law_g3_automorphism, 4, ops.pivot_classes) == want
     if name == "g8":
         assert failures == 0
     if name == "loop5":
@@ -453,6 +463,53 @@ def test_first_violation_batches_stay_within_the_kernel_cells():
     assert first_violation(Recording(), 64, law, 4) is None
     assert max(batches) == max(results) == core._KERNEL_CELLS
     assert sum(batches) == 64**4
+
+
+def test_pivot_classes_are_the_first_pair_of_each_gyration():
+    for name, rows in _REFERENCE_TABLES + [("z64", cyclic_table(64).table)]:
+        t = CayleyTable(rows, name=name)
+        B = t.gyrations()
+        first = {}
+        for x, y in itertools.product(range(t.order), repeat=2):
+            first.setdefault(tuple(B[x, y].tolist()), (x, y))
+        got = _TableOps(t.table, B).pivot_classes
+        assert got.tolist() == sorted(map(list, first.values())), name
+    counts = {
+        name: len(_TableOps(t.table, t.gyrations()).pivot_classes)
+        for name, t in [("z64", cyclic_table(64)), ("g8", CayleyTable(G8)),
+                        ("loop5", CayleyTable(LOOP5))]
+    }
+    assert counts == {"z64": 1, "g8": 2, "loop5": 11}
+
+
+@pytest.mark.parametrize("cells", [None, 1000])
+def test_pivot_class_batches_stay_within_the_kernel_cells(cells, monkeypatch):
+    # z64 has one gyration, so the automorphism law runs on 64^2 tuples, not
+    # 64^4; at 1000 cells that class's tuples split into runs of 15 values of a
+    import gyrokit.core as core
+
+    if cells is not None:
+        monkeypatch.setattr(core, "_KERNEL_CELLS", cells)
+    t = cyclic_table(64)
+    ops = _TableOps(t.table, t.gyrations())
+    batches, results = [], []
+
+    class Recording:
+        def oplus(self, x, y):
+            results.append(np.size(r := ops.oplus(x, y)))
+            return r
+
+        def gyr(self, x, y, z):
+            results.append(np.size(r := ops.gyr(x, y, z)))
+            return r
+
+    def law(rec, *grids):
+        batches.append(int(np.prod(np.broadcast_shapes(*(g.shape for g in grids)))))
+        return core.law_g3_automorphism(rec, *grids)
+
+    assert first_violation(Recording(), 64, law, 4, ops.pivot_classes) is None
+    assert max(batches) == max(results) <= core._KERNEL_CELLS
+    assert sum(batches) == 64**2
 
 
 SMALL_TABLES = {
@@ -510,6 +567,19 @@ def test_coset_partition_s3_subgroups():
 def test_coset_partition_rejects_non_invariant():
     with pytest.raises(AxiomViolationError):
         coset_partition(cyclic_table(4), [0, 1])
+    with pytest.raises(AxiomViolationError, match="all-pivot invariance"):
+        coset_partition(CayleyTable(G8), [0, 5])
+
+
+def test_cosets_check_the_subgyrogroup_once(monkeypatch):
+    import gyrokit.tables as tables
+
+    calls = []
+    real = tables._closed_under
+    monkeypatch.setattr(tables, "_closed_under", lambda *a: calls.append(1) or real(*a))
+    report = tables.check_cosets(cyclic_table(6), [0, 3])
+    assert report.passed and len(calls) == 1
+    assert report.notes["blocks"] == [["0", "3"], ["1", "4"], ["2", "5"]]
 
 
 # -- products ------------------------------------------------------------------
