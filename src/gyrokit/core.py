@@ -176,16 +176,14 @@ def law_g3_automorphism(ops, x, y, a, b):
     return [(lhs, rhs)]
 
 
-# laws whose first two operands enter only as the pivots of gyr[x, y]: on an
-# exact carrier they run once per distinct gyration, over the first pivot
-# pair of each (G4_loop is not one: it also reads x + y)
-GYRATION_PIVOT_LAWS = (law_g3_automorphism,)
-
-
 def exact_violation(ops, n, law, arity):
-    """:func:`first_violation` of ``law`` on the exact carrier ``ops``, over
-    ``ops.pivot_classes`` when the law is one of GYRATION_PIVOT_LAWS."""
-    pivots = ops.pivot_classes if law in GYRATION_PIVOT_LAWS else None
+    """:func:`first_violation` of ``law`` on the exact carrier ``ops``.
+
+    law_g3_automorphism sees its first two operands only as the pivots of
+    gyr[x, y], so it runs once per distinct gyration, over
+    ``ops.pivot_classes``. No other law does: G4_loop also reads x + y.
+    """
+    pivots = ops.pivot_classes if law is law_g3_automorphism else None
     return first_violation(ops, n, law, arity, pivots)
 
 
