@@ -102,6 +102,13 @@ CASES = [
     ("identities-g8", 0, ["identities", "--model", "table:g8.json"]),
     ("table-validate-g8", 0, ["table-validate", "--model", "table:g8.json"]),
     ("subgyrogroups-g8", 0, ["subgyrogroups", "--model", "table:g8.json"]),
+    # {0, 2, 5, 7} is an L-subgyrogroup of g8 that the nontrivial gyration
+    # maps onto itself without fixing it pointwise: it swaps 5 and 7
+    ("prenorm-g8-L", 0, ["prenorm", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
+    ("metric-g8-L", 0, ["metric", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
+    ("cosets-g8-L", 0, ["cosets", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
+    ("admissible-g8-L", 0,
+     ["admissible", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
     # exhaustive checks large enough that first_violation splits its
     # batches below one first operand: order 45 at arity 4, 41^3 > 2^16
     ("axioms-product-loop5-z9", 1, ["axioms", "--model", "product:loop5.json+z9"]),
