@@ -313,9 +313,9 @@ def first_violation(ops, n, law, arity, pivots=None):
     _KERNEL_CELLS tuples at a time, so that each batch's index and value
     arrays stay in cache. A batch fixes the first k operands, takes a run
     of values of the next one and every value of the rest, with the least
-    k that fits: k = 0 while one first operand's n^(arity-1) tuples fit
-    (a small carrier is one batch), and k = 1 on z64 at arity 4, whose
-    batches hold one first and 16 second operands. Batches go in
+    k that fits: k = 0 while one first operand's tuples fit (a small
+    carrier is one batch), and k = 1 once n^2 > _KERNEL_CELLS at arity 3,
+    as in ``identities`` on orders 257 to 271. Batches go in
     lexicographic order, so the first failing batch holds the first
     failing tuple.
 

@@ -24,7 +24,7 @@ from .core import GyrogroupModel, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, check_sample_size, directions
-from .tables import CayleyTable, TableModel, coset_partition
+from .tables import CayleyTable, TableModel, _closed_under, coset_partition
 
 DEFAULT_RATIO = 0.25
 DEFAULT_DEPTH = 24
@@ -111,8 +111,7 @@ class FiniteChain(NeighborhoodChain):
         e = model.source.identity_index
         if not self._mask[e]:
             raise ChainConditionError("chain levels must contain the identity", level=0)
-        T = model.source.table
-        if not self._mask[T[np.ix_(H, H)]].all():
+        if not _closed_under(model.source, H):
             raise ChainConditionError(
                 "chain level is not closed under the operation", level=0
             )
@@ -605,11 +604,7 @@ def validate_admissible_chain(
         depth=chain.depth, notes={"chain": chain.describe()},
     ) as report:
         if isinstance(chain, FiniteChain):
-            H = chain.H
-            T = model.source.table
-            inner = T[np.ix_(H, H)]
-            comp = T[np.ix_(H, np.unique(inner))]
-            ok = bool(chain._mask[inner].all() and chain._mask[comp].all())
+            ok = _closed_under(model.source, chain.H)
             report.checks.append(array_check("closure_all_levels", float(not ok), ok, "exhaustive"))
             e = model.source.identity_index
             report.checks.append(
@@ -623,7 +618,7 @@ def validate_admissible_chain(
             report.checks.append(
                 array_check("intersection_equals_base", float(not same), same, "exhaustive")
             )
-            report.notes["intersection"] = [model.labels[i] for i in H]
+            report.notes["intersection"] = [model.labels[i] for i in chain.H]
             return report
 
         t = chain.t

@@ -9,6 +9,13 @@ gyr[x, y](a + b) = gyr[x, y]a + gyr[x, y]b sees its pivots x, y only
 through the permutation gyr[x, y], so it runs once per distinct gyration
 (``_TableOps.pivot_classes``; one of 4,096 pivot pairs on z64) and still
 reports the lexicographically first failing tuple.
+
+Subgyrogroups are decided by the operation alone. On a finite table with
+bijective left translations, an identity and two-sided inverses, a
+nonempty subset H with H + H in H is a subgyrogroup: left translation by
+a in H is injective, so it permutes H, and H holds the identity and the
+inverse of a; and gyr[a, b]c, the unique w with (a + b) + w =
+a + (b + c), lies in H for a, b, c in H.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .core import (
     AXIOM_CHECKS,
     GyrogroupModel,
     exhaustive_law_checks,
-    exact_violation,
     law_g3_automorphism,
     law_g4_loop,
 )
@@ -379,15 +385,13 @@ class SubgyrogroupSet:
         return len(self.elements)
 
 
-def _closed_under(t: CayleyTable, B, H: np.ndarray) -> bool:
+def _closed_under(t: CayleyTable, H: np.ndarray) -> bool:
+    """Whether H + H lies in H; for a nonempty H on a table with bijective
+    left translations, an identity and two-sided inverses, whether H is a
+    subgyrogroup (see the module docstring)."""
     inH = np.zeros(t.order, dtype=bool)
     inH[H] = True
-    if not inH[t.table[np.ix_(H, H)]].all():
-        return False
-    if not inH[t.inverses()[H]].all():
-        return False
-    # gyration restriction must fix H setwise for pivots inside H
-    return bool(inH[B[np.ix_(H, H, H)]].all())
+    return bool(inH[t.table[np.ix_(H, H)]].all())
 
 
 def _is_L(t: CayleyTable, B, H: np.ndarray) -> bool:
@@ -396,15 +400,14 @@ def _is_L(t: CayleyTable, B, H: np.ndarray) -> bool:
     return bool(inH[B[:, H][:, :, H]].all())
 
 
-def _closure(t: CayleyTable, B, seed) -> frozenset:
+def _closure(t: CayleyTable, seed) -> frozenset:
+    """The least subset that holds ``seed`` and is closed under the
+    operation."""
     T = t.table
-    inv = t.inverses()
-    cur = set(seed) | {t.identity_index}
+    cur = set(seed)
     while True:
         arr = np.fromiter(cur, dtype=np.int64)
         new = set(T[np.ix_(arr, arr)].ravel().tolist())
-        new |= set(inv[arr].tolist())
-        new |= set(B[np.ix_(arr, arr, arr)].ravel().tolist())
         if new <= cur:
             return frozenset(cur)
         cur |= new
@@ -414,14 +417,18 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
     """All subsets that carry the induced structure, flagged for the
     strong (all-pivot) invariance property.
 
-    Closure growth: starting from the closure of the identity, every
-    subgyrogroup found is grown by each element it lacks and closed again
-    under the operation, inverses and its own gyrations. Every
-    subgyrogroup H is reached this way, by adding the elements of H one at
-    a time, since each closure stays inside H.
+    Closure growth: starting from the identity alone, every subgyrogroup
+    found is grown by each element it lacks and closed again under the
+    operation, which makes it a subgyrogroup (see the module docstring).
+    Every subgyrogroup H is reached this way, by adding the elements of H
+    one at a time, since each closure stays inside H.
+
+    Raises AxiomViolationError when the table lacks bijective left
+    translations, a unique identity or unique two-sided inverses.
     """
     B = t.gyrations()
-    frontier = {_closure(t, B, [])}
+    t.inverses()
+    frontier = {frozenset({t.identity_index})}
     seen = set(frontier)
     while frontier:
         nxt = set()
@@ -429,7 +436,7 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
             for g in range(t.order):
                 if g in H:
                     continue
-                grown = _closure(t, B, H | {g})
+                grown = _closure(t, H | {g})
                 if grown not in seen:
                     seen.add(grown)
                     nxt.add(grown)
@@ -443,11 +450,13 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
 
 def is_L_subgyrogroup(t: CayleyTable, H) -> bool:
     """Whether every gyration of the ambient table, with second pivot in
-    H, maps H onto itself. Requires H to be a subgyrogroup."""
+    H, maps H onto itself. Requires H to be a subgyrogroup and the table
+    to have two-sided inverses."""
     elems = tuple(sorted(H))
     arr = np.array(elems, dtype=np.int64)
     B = t.gyrations()
-    if not _closed_under(t, B, arr):
+    t.inverses()
+    if not _closed_under(t, arr):
         raise AxiomViolationError(f"{list(elems)} is not a subgyrogroup")
     return _is_L(t, B, arr)
 
@@ -547,34 +556,16 @@ BUILTIN_TABLE_NAMES = ("z1", "z2", "z3", "z4", "z5", "z6", "klein", "s3")
 # exhaustive search
 
 
-def _axioms_hold(T: np.ndarray) -> bool:
-    """Fast exact validity test for a reduced Latin square with identity 0."""
-    n = T.shape[0]
-    # G2: the right inverse of each x must also be its left inverse, as in
-    # every gyrogroup. The search's inverse prune already drops the squares
-    # that fail this; the test stays so that the verdict never rests on it.
-    right = np.argmax(T == 0, axis=1)  # the one y with x + y = 0 in row x
-    if (T[right, np.arange(n)] != 0).any():
-        return False
-    ops = _TableOps(T, gyr_tensor(T))
-    # the n^3 loop law goes first: at order 6 it rejects all but 80 of the
-    # 1,808 squares with inverses, so the automorphism law rarely runs
-    # (G3 gyroassociativity holds by the construction of the gyrations)
-    return (
-        exact_violation(ops, n, law_g4_loop, 3) is None
-        and exact_violation(ops, n, law_g3_automorphism, 4) is None
-    )
-
-
-def _loop_law_holds(stack: np.ndarray) -> np.ndarray:
-    """Whether each table of a stack (m, n, n) satisfies the G4 loop law,
-    for all m tables in one pass of ``law_g4_loop``."""
+def _stack_law_holds(stack: np.ndarray, B: np.ndarray, law, arity: int) -> np.ndarray:
+    """Whether each table of a stack (m, n, n), with gyration tensors
+    B (m, n, n, n), satisfies ``law`` on every tuple of ``arity``
+    operands, for all m tables in one pass; m may be 0."""
     m, n = stack.shape[:2]
-    table, *xyz = np.ix_(np.arange(m), *[np.arange(n)] * 3)
-    ops = _TableOps(stack, gyr_tensor(stack), table)
+    table, *operands = np.ix_(np.arange(m), *[np.arange(n)] * arity)
+    ops = _TableOps(stack, B, table)
     ok = np.ones(m, dtype=bool)
-    for lhs, rhs in law_g4_loop(ops, *xyz):
-        ok &= (lhs == rhs).reshape(m, -1).all(axis=1)
+    for lhs, rhs in law(ops, *operands):
+        ok &= (lhs == rhs).all(axis=tuple(range(1, arity + 1)))
     return ok
 
 
@@ -644,12 +635,14 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     Backtracks over reduced Latin squares (:func:`_inverse_symmetric_squares`)
     with the inverse prune: a square is abandoned as soon as x + y = 0
     while y + x != 0. The prune is exact, since in a gyrogroup the left
-    inverse of x is also its right inverse, and the leaf test checks this
-    again; the squares it keeps come in the unpruned order (order 6: 1,808
-    of 9,408). They go, in stacks of about _KERNEL_CELLS gyration-tensor
-    entries, through the stacked loop-law filter :func:`_loop_law_holds`,
-    one pass per stack, and each survivor, in discovery order, through the
-    full exact test :func:`_axioms_hold`.
+    inverse of x is also its right inverse; the squares it keeps come in
+    the unpruned order (order 6: 1,808 of 9,408). They go in stacks of
+    about _KERNEL_CELLS gyration-tensor entries, one tensor build per
+    stack, through :func:`_stack_law_holds`: the n^3 loop law, then the
+    n^4 automorphism law on the loop law's survivors only (order 6: 80 of
+    1,808). A reduced Latin square has an identity and bijective left
+    translations, and gyroassociativity holds by the construction of the
+    gyrations, so what passes both laws, in discovery order, is found.
 
     By default valid squares are deduplicated up to identity-fixing
     relabeling, and canonical representatives are returned sorted by
@@ -675,11 +668,12 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
         if not leaves:
             break
         stack = np.array(leaves).reshape(-1, n, n)
-        for T in stack[_loop_law_holds(stack)]:
+        B = gyr_tensor(stack)
+        loop = _stack_law_holds(stack, B, law_g4_loop, 3)
+        stack, B = stack[loop], B[loop]
+        for T in stack[_stack_law_holds(stack, B, law_g3_automorphism, 4)]:
             if full():
                 break
-            if not _axioms_hold(T):
-                continue
             if not canonical_identity:
                 results.append(CayleyTable(T))
                 continue

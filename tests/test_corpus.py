@@ -109,8 +109,9 @@ CASES = [
     ("cosets-g8-L", 0, ["cosets", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
     ("admissible-g8-L", 0,
      ["admissible", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
-    # exhaustive checks large enough that first_violation splits its
-    # batches below one first operand: order 45 at arity 4, 41^3 > 2^16
+    # exhaustive checks on the largest corpus carriers, orders 45 and 41;
+    # the automorphism law runs over pivot classes, so every batch still
+    # holds whole first operands (k = 0 in first_violation)
     ("axioms-product-loop5-z9", 1, ["axioms", "--model", "product:loop5.json+z9"]),
     ("axioms-product-z9-loop5", 1, ["axioms", "--model", "product:z9+loop5.json"]),
     ("table-validate-z41", 0, ["table-validate", "--model", "table:z41"]),

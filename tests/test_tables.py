@@ -322,17 +322,27 @@ G8 = [
 ]
 
 
-def _brute_force_subgyrogroups(t):
-    from gyrokit.tables import _closed_under
+def _is_subgyrogroup_by_definition(t, H):
+    """Whether H is closed under the operation, the inverse and every
+    gyration with pivots in H, checked over H^3."""
+    H = np.asarray(H)
+    return bool(
+        np.isin(t.table[np.ix_(H, H)], H).all()
+        and np.isin(t.inverses()[H], H).all()
+        and np.isin(t.gyrations()[np.ix_(H, H, H)], H).all()
+    )
 
-    B = t.gyrations()
-    others = [i for i in range(t.order) if i != t.identity_index]
-    found = []
-    for k in range(len(others) + 1):
-        for rest in itertools.combinations(others, k):
-            H = np.array(sorted((t.identity_index,) + rest))
-            if _closed_under(t, B, H):
-                found.append(tuple(H.tolist()))
+
+def _nonempty_subsets(n):
+    for k in range(1, n + 1):
+        yield from (np.array(H) for H in itertools.combinations(range(n), k))
+
+
+def _brute_force_subgyrogroups(t):
+    found = [
+        tuple(H.tolist()) for H in _nonempty_subsets(t.order)
+        if _is_subgyrogroup_by_definition(t, H)
+    ]
     return sorted(found, key=lambda h: (len(h), h))
 
 
@@ -540,6 +550,28 @@ def test_closure_growth_finds_every_subgyrogroup(name):
         assert not L[(0, 5)] and not L[(0, 7)] and L[(0, 2, 5, 7)]
 
 
+@pytest.mark.parametrize("name", [*SMALL_TABLES, "loop5"])
+def test_operation_closure_is_the_subgyrogroup_definition(name):
+    # LOOP5 has bijective left translations and two-sided inverses but fails
+    # the laws: the closure lemma needs only the former
+    from gyrokit.tables import _closed_under
+
+    t = CayleyTable(LOOP5) if name == "loop5" else SMALL_TABLES[name]()
+    for H in _nonempty_subsets(t.order):
+        assert _closed_under(t, H) == _is_subgyrogroup_by_definition(t, H), H.tolist()
+
+
+def test_subgyrogroup_calls_need_two_sided_inverses():
+    # 2 + 3 = 0 but 3 + 2 = 1, so 2 has no two-sided inverse; {0} is still
+    # closed under the operation
+    t = CayleyTable(LATIN5)
+    with pytest.raises(AxiomViolationError, match="'2' has 0 two-sided inverses"):
+        enumerate_subgyrogroups(t)
+    for call in (is_L_subgyrogroup, coset_partition):
+        with pytest.raises(AxiomViolationError, match="'2' has 0 two-sided inverses"):
+            call(t, [0])
+
+
 def test_is_L_subgyrogroup_requires_subgyrogroup():
     with pytest.raises(AxiomViolationError):
         is_L_subgyrogroup(cyclic_table(4), [0, 1])
@@ -676,18 +708,54 @@ def test_search_inverse_prune_keeps_exactly_the_inverse_symmetric_squares():
     assert sum(1 for _ in _inverse_symmetric_squares(6)) == 1808
 
 
-def test_stacked_loop_pass_matches_each_order_6_square():
-    from gyrokit.tables import _inverse_symmetric_squares, _loop_law_holds
+def test_stacked_law_filter_matches_each_order_6_square():
+    from gyrokit.tables import _inverse_symmetric_squares, _stack_law_holds
 
     stack = np.array(list(_inverse_symmetric_squares(6))).reshape(-1, 6, 6)
     B = gyr_tensor(stack)
     assert B.shape == (len(stack), 6, 6, 6)
-    holds = _loop_law_holds(stack)
-    for T, Bk, ok in zip(stack, B, holds):
+    holds = {}
+    for law, arity in ((law_g4_loop, 3), (law_g3_automorphism, 4)):
+        # stacks of the search's size, about _KERNEL_CELLS tensor entries
+        holds[law] = np.concatenate([
+            _stack_law_holds(stack[k:k + 300], B[k:k + 300], law, arity)
+            for k in range(0, len(stack), 300)
+        ])
+    for T, Bk, g4, g3 in zip(stack, B, holds[law_g4_loop], holds[law_g3_automorphism]):
         single = gyr_tensor(T)
         assert np.array_equal(Bk, single)
-        assert ok == (first_violation(_TableOps(T, single), 6, law_g4_loop, 3) is None)
-    assert holds.sum() == 80
+        ops = _TableOps(T, single)
+        assert g4 == (exact_violation(ops, 6, law_g4_loop, 3) is None)
+        assert g3 == (exact_violation(ops, 6, law_g3_automorphism, 4) is None)
+    assert holds[law_g4_loop].sum() == 80
+    assert (holds[law_g4_loop] <= holds[law_g3_automorphism]).all()
+    assert not holds[law_g3_automorphism].all()
+
+
+def test_stacked_law_filter_rejects_and_accepts_per_table():
+    from gyrokit.tables import _stack_law_holds
+
+    # order 6 has no G4 survivor that fails G3, so reject one directly
+    stack = np.array([LOOP5, cyclic_table(5).table])
+    holds = _stack_law_holds(stack, gyr_tensor(stack), law_g3_automorphism, 4)
+    assert holds.tolist() == [False, True]
+    for law, arity in ((law_g4_loop, 3), (law_g3_automorphism, 4)):
+        empty = _stack_law_holds(
+            np.zeros((0, 6, 6), dtype=np.int64), np.zeros((0, 6, 6, 6), dtype=np.int64),
+            law, arity,
+        )
+        assert empty.shape == (0,) and empty.dtype == bool
+
+
+def test_search_builds_one_gyration_tensor_per_stack(monkeypatch):
+    import gyrokit.tables as tables
+
+    calls = []
+    real = tables.gyr_tensor
+    monkeypatch.setattr(tables, "gyr_tensor", lambda T: calls.append(T.shape) or real(T))
+    assert len(search_gyrogroups(6)) == 2
+    # 1,808 squares in stacks of 65536 // 6^3 = 303
+    assert len(calls) == 6 and all(len(shape) == 3 for shape in calls)
 
 
 def _canonical_by_loop(T):
