@@ -709,17 +709,18 @@ def test_search_inverse_prune_keeps_exactly_the_inverse_symmetric_squares():
 
 
 def test_stacked_law_filter_matches_each_order_6_square():
+    import gyrokit.core as core
     from gyrokit.tables import _inverse_symmetric_squares, _stack_law_holds
 
     stack = np.array(list(_inverse_symmetric_squares(6))).reshape(-1, 6, 6)
     B = gyr_tensor(stack)
     assert B.shape == (len(stack), 6, 6, 6)
+    step = core._KERNEL_CELLS // 6**3  # the search's stack size
     holds = {}
     for law, arity in ((law_g4_loop, 3), (law_g3_automorphism, 4)):
-        # stacks of the search's size, about _KERNEL_CELLS tensor entries
         holds[law] = np.concatenate([
-            _stack_law_holds(stack[k:k + 300], B[k:k + 300], law, arity)
-            for k in range(0, len(stack), 300)
+            _stack_law_holds(stack[k:k + step], B[k:k + step], law, arity)
+            for k in range(0, len(stack), step)
         ])
     for T, Bk, g4, g3 in zip(stack, B, holds[law_g4_loop], holds[law_g3_automorphism]):
         single = gyr_tensor(T)
@@ -745,6 +746,19 @@ def test_stacked_law_filter_rejects_and_accepts_per_table():
             law, arity,
         )
         assert empty.shape == (0,) and empty.dtype == bool
+
+
+def test_search_filters_loop_law_survivors_by_the_automorphism_law(monkeypatch):
+    # up to order 6 every loop-law survivor passes the automorphism law, so
+    # let every square survive the loop law: LOOP5 must still be rejected
+    import gyrokit.tables as tables
+
+    monkeypatch.setattr(tables, "law_g4_loop", lambda ops, x, y, z: [])
+    found = search_gyrogroups(5, canonical_identity=False)
+    assert LOOP5 not in [t.table.tolist() for t in found]
+    for t in found:
+        ops = _TableOps(t.table, t.gyrations())
+        assert exact_violation(ops, 5, law_g3_automorphism, 4) is None
 
 
 def test_search_builds_one_gyration_tensor_per_stack(monkeypatch):
