@@ -15,11 +15,11 @@ reflects the algebra, not the conditioning of the sample.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
 that each kernel's temporaries stay in cache instead of being fresh
-megabyte arrays per call. Laws, kernels and comparators must work row
-by row (elementwise + - * /, sqrt, maximum), so that a row's values do
-not depend on the block it falls in; the per-row results are gathered
-into whole-stream arrays, and the double-double re-evaluation and the
-verdict run once per check on those.
+megabyte arrays per call. Laws, kernels and rules must work row by row
+(elementwise + - * /, sqrt, maximum), so that a row's values do not
+depend on the block it falls in; the per-row results are gathered into
+whole-stream arrays, and the double-double re-evaluation and the verdict
+run once per check on those.
 
 The checks that take witness operands pair each base sample with
 ``WITNESSES`` witness points. Their base streams are row-repeat views
@@ -235,53 +235,61 @@ IDENTITY_CHECKS = (
 )
 
 
-def _pairs_metrics(model, lowered, comparator=None):
-    compare = comparator if comparator is not None else model.distance
-    diff = None
-    mag = None
-    for l, r in lowered:
-        d = compare(l, r)
-        m = np.maximum(model.magnitude(l), model.magnitude(r))
-        diff = d if diff is None else np.maximum(diff, d)
-        mag = m if mag is None else np.maximum(mag, m)
-    return diff, mag
+def element_rule(model, tol: ToleranceConfig, distance=None):
+    """The rule of the laws over (lhs, rhs) pairs: a row's ``diff`` and
+    ``mag`` are the largest ``distance(lhs, rhs)`` and side magnitude over
+    its pairs, its residual is ``diff / max(1, mag)``, and it passes when
+    ``diff`` is within ``max(abs_tol, rel_tol * mag)``. ``distance`` is the
+    model's element distance unless a check compares derived scalars."""
+    distance = distance if distance is not None else model.distance
+
+    def rule(pairs):
+        diff = None
+        mag = None
+        for l, r in pairs:
+            d = distance(l, r)
+            m = np.maximum(model.magnitude(l), model.magnitude(r))
+            diff = d if diff is None else np.maximum(diff, d)
+            mag = m if mag is None else np.maximum(mag, m)
+        return diff / np.maximum(1.0, mag), diff <= np.maximum(tol.abs_tol, tol.rel_tol * mag)
+
+    return rule
 
 
-def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=None):
+def run_law_check(model, name, law, streams, tol: ToleranceConfig, rule=None):
     """Evaluate one law on sampled operand streams of a continuous
     carrier; returns a CheckResult over one sample per stream row.
 
-    A sample passes when its diff is within ``max(abs_tol, rel_tol * mag)``,
-    ``mag`` being the larger magnitude of the two sides; its residual is
-    ``diff / max(1, mag)``. The verdict, ``max_residual`` and the witness
-    (the operands and residual of the worst failing sample) come from
-    :func:`~gyrokit.report.array_check`.
-
-    ``comparator(lhs, rhs) -> per-sample diff`` replaces the model's
-    element distance when a check compares derived scalars (norms,
-    membership excess) instead of elements. Finite carriers are checked
-    exactly, on every tuple, by :func:`first_violation` instead.
+    ``law(ops, *operands)`` returns a list of tuples of points, and
+    ``rule(tuples) -> (residual, ok)`` reduces them to one residual and
+    one pass flag per row; the default is :func:`element_rule`, which
+    reads the tuples as (lhs, rhs) pairs. The verdict, ``max_residual``
+    and the witness (``{"inputs", "residual"}``: the operands and residual
+    of the worst failing row) come from :func:`~gyrokit.report.array_check`.
+    Finite carriers are checked exactly, on every tuple, by
+    :func:`first_violation` instead.
 
     The float64 pass (the law on traced ops, the boundary tracing and the
-    per-sample diff and magnitude) runs on blocks of ``_LAW_BLOCK_ROWS``
-    rows, so no model kernel sees more rows than one block; the blocks
-    write into whole-stream ``diff``, ``mag`` and ``peak`` arrays. The
-    stressed rows are then re-evaluated in double-double in one pass, and
-    the verdict is taken over the whole stream, exactly as if the float64
-    pass had run on it in one piece.
+    rule) runs on blocks of ``_LAW_BLOCK_ROWS`` rows, so no model kernel
+    sees more rows than one block; the blocks write into whole-stream
+    ``residual``, ``ok`` and ``peak`` arrays. The stressed rows are then
+    re-evaluated in double-double in one pass, the rule reading their
+    points lowered to float64, and the verdict is taken over the whole
+    stream, exactly as if the float64 pass had run on it in one piece.
 
     Streams are read by ``len``, by unit-step slice (the blocks) and by
     integer index (the stressed rows and the witness) only, so a stream
     may be an (n, d) array or a ``_RowRepeat`` view of one.
     """
+    rule = rule if rule is not None else element_rule(model, tol)
     n = len(streams[0])
-    diff, mag, peak = np.empty(n), np.empty(n), np.empty(n)
+    residual, ok, peak = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
     for lo in range(0, n, _LAW_BLOCK_ROWS):
         rows = slice(lo, lo + _LAW_BLOCK_ROWS)
         block = [s[rows] for s in streams]
         traced = _TracedOps(model)
         traced.note_inputs(block)
-        diff[rows], mag[rows] = _pairs_metrics(model, law(traced, *block), comparator)
+        residual[rows], ok[rows] = rule(law(traced, *block))
         peak[rows] = traced.peak
 
     ext = model.extended()
@@ -291,12 +299,11 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, comparator=No
         stressed = np.flatnonzero(peak > STRESS_NORM_FRACTION)
         if stressed.size:
             sub = [ext.lift(s[stressed]) for s in streams]
-            redone = [(ext.lower(L), ext.lower(R)) for L, R in law(ext, *sub)]
-            diff[stressed], mag[stressed] = _pairs_metrics(model, redone, comparator)
+            redone = [tuple(map(ext.lower, points)) for points in law(ext, *sub)]
+            residual[stressed], ok[stressed] = rule(redone)
 
-    residual = diff / np.maximum(1.0, mag)
     return array_check(
-        name, residual, diff <= np.maximum(tol.abs_tol, tol.rel_tol * mag), n,
+        name, residual, ok, n,
         lambda i: {
             "inputs": [s[i].tolist() for s in streams],
             "residual": float(residual[i]),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import GyrogroupModel, run_law_check
+from .core import GyrogroupModel, element_rule, run_law_check
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions
@@ -371,11 +371,11 @@ def check_strong_base(
 
             fwd = run_law_check(
                 model, f"ball_forward_{tag}", law_forward, [x, y, p], tol,
-                comparator=_membership_excess(model, center, r),
+                rule=element_rule(model, tol, _membership_excess(model, center, r)),
             )
             pre = run_law_check(
                 model, f"ball_preimage_{tag}", law_preimage, [x, y, q], tol,
-                comparator=_membership_excess(model, center, r),
+                rule=element_rule(model, tol, _membership_excess(model, center, r)),
             )
             rt = run_law_check(
                 model, f"ball_roundtrip_{tag}", law_roundtrip, [x, y, q], tol
@@ -391,7 +391,7 @@ def check_strong_base(
         report.checks.append(
             run_law_check(
                 model, "norm_preservation", law_norm, [x, y, z], tol,
-                comparator=_norm_compare(model),
+                rule=element_rule(model, tol, _norm_compare(model)),
             )
         )
 
@@ -404,7 +404,7 @@ def check_strong_base(
         report.checks.append(
             run_law_check(
                 model, "commutation_norm", law_comm, [x, y], tol,
-                comparator=_norm_compare(model),
+                rule=element_rule(model, tol, _norm_compare(model)),
             )
         )
 

@@ -298,12 +298,16 @@ def pseudometric_d(N, x, y) -> np.ndarray:
     return np.abs(N(x) - N(y))
 
 
+def _separations(ops, x, y):
+    """The law of the rho oracles: the separations -x + y and -y + x."""
+    return [(ops.oplus(ops.neg(x), y), ops.oplus(ops.neg(y), x))]
+
+
 def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
     """Symmetrized separation of the classes of x and y:
     N(-x + y) + N(-y + x)."""
-    left = N(model.oplus(model.neg(x), y))
-    right = N(model.oplus(model.neg(y), x))
-    return left + right
+    ((left, right),) = _separations(model, x, y)
+    return N(left) + N(right)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +319,18 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
     check_sample_size(n, dim)
     rho = gen.uniform(0.0, t_cap, size=n)
     return np.tanh(rho)[:, None] * bound * directions(gen, n, dim)
+
+
+def _within(limit, residual):
+    """The ``run_law_check`` rule of a chain check: its law gives one tuple
+    of points, ``residual(*points)`` is each row's residual, and a row
+    passes when that is at most ``limit``."""
+    def rule(tuples):
+        (points,) = tuples
+        r = residual(*points)
+        return r, r <= limit
+
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -412,45 +428,37 @@ def check_prenorm_properties(
             report.checks.append(array_check("inversion_symmetry", diff, diff == 0, "exhaustive"))
         else:
             full = float(np.sum(chain.t))
-            gen = sampler.stream("prenorm", "gyration_invariance")
-            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-            u = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
-            v = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.0)
-            diff = np.abs(family(model.gyr(u, v, x)) - family(x))
-            report.checks.append(array_check(
-                "gyration_invariance", diff, diff <= tol.abs_tol, n_samples,
-                lambda i: {"x": x[i].tolist(), "u": u[i].tolist(), "v": v[i].tolist()},
-            ))
+            scale = 2.0 ** family.depth
 
-            gen = sampler.stream("prenorm", "subadditivity")
-            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
-            y = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.2 * full)
-            slack = family.grid_step + tol.abs_tol
-            excess = family(model.oplus(x, y)) - (family(x) + family(y))
-            report.checks.append(array_check(
-                "subadditivity", excess, excess <= slack, n_samples,
-                lambda i: {"x": x[i].tolist(), "y": y[i].tolist(), "excess": float(excess[i])},
-            ))
+            def gap(a, b):
+                return np.abs(family(a) - family(b))
 
-            gen = sampler.stream("prenorm", "inversion_symmetry")
-            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-            diff = np.abs(family(model.neg(x)) - family(x))
-            report.checks.append(array_check("inversion_symmetry", diff, diff == 0, n_samples))
+            def closed_form_gap(x):
+                # closed form at ratio 1/2: thresholds are linear in the
+                # index, so the prenorm is the grid ceiling of rapidity / t0
+                expected = np.minimum(np.ceil(rapidity(model, x) / chain.t0 * scale) / scale, 2.0)
+                return np.abs(family(x) - expected)
 
+            checks = [
+                # (name, stream, rapidity caps of the operands, law, limit, residual)
+                ("gyration_invariance", "gyration_invariance", (1.9 * full, 2.0, 2.0),
+                 lambda ops, x, u, v: [(ops.gyr(u, v, x), x)], tol.abs_tol, gap),
+                ("subadditivity", "subadditivity", (1.2 * full, 1.2 * full),
+                 lambda ops, x, y: [(ops.oplus(x, y), x, y)], family.grid_step + tol.abs_tol,
+                 lambda s, x, y: family(s) - (family(x) + family(y))),
+                ("inversion_symmetry", "inversion_symmetry", (1.9 * full,),
+                 lambda ops, x: [(ops.neg(x), x)], 0.0, gap),
+            ]
             if chain.ratio == 0.5:
-                # closed form at this ratio: thresholds are linear in the index,
-                # so the prenorm is the grid ceiling of rapidity / t0
-                gen = sampler.stream("prenorm", "closed_form")
-                x = _rapidity_ball(gen, n_samples, model.dim, model.bound, 1.9 * full)
-                scale = 2.0 ** family.depth
-                expected = np.minimum(
-                    np.ceil(rapidity(model, x) / chain.t0 * scale) / scale, 2.0
+                checks.append(("closed_form_agreement", "closed_form", (1.9 * full,),
+                               lambda ops, x: [(x,)], family.grid_step + tol.abs_tol,
+                               closed_form_gap))
+            for name, stream, caps, law, limit, residual in checks:
+                gen = sampler.stream("prenorm", stream)
+                pts = [_rapidity_ball(gen, n_samples, model.dim, model.bound, c) for c in caps]
+                report.checks.append(
+                    run_law_check(model, name, law, pts, tol, _within(limit, residual))
                 )
-                diff = np.abs(family(x) - expected)
-                report.checks.append(array_check(
-                    "closed_form_agreement", diff, diff <= family.grid_step + tol.abs_tol,
-                    n_samples, lambda i: {"x": x[i].tolist(), "difference": float(diff[i])},
-                ))
     return report
 
 
@@ -531,24 +539,26 @@ def check_metric_properties(
                 model, "decomposition_identity", law_triangle_decomposition, [x, y, z], tol
             ))
 
-            # independent route: invert the threshold recursion by bisection
-            limit = tol.abs_tol + 4.0 * family.grid_step
-            xy = model.oplus(model.neg(x), y)
-            sep_xy = rapidity(model, xy)
-            sep_yx = rapidity(model, model.oplus(model.neg(y), x))
-            oracles = [
-                ("rho_oracle", family.index_of_rapidity(sep_xy) + family.index_of_rapidity(sep_yx))
-            ]
+            # independent routes to rho(x, y) = N(-x + y) + N(-y + x): invert
+            # the threshold recursion by bisection, and at ratio 1/2 the
+            # closed form
+            def bisection_gap(xy, yx):
+                index = family.index_of_rapidity
+                oracle = index(rapidity(model, xy)) + index(rapidity(model, yx))
+                return np.abs(family(xy) + family(yx) - oracle)
+
+            def closed_form_gap(xy, yx):
+                oracle = 2.0 * np.arctanh(model.norm_fraction(xy)) / chain.t0
+                return np.abs(family(xy) + family(yx) - oracle)
+
+            oracles = [("rho_oracle", bisection_gap)]
             if chain.ratio == 0.5:
-                sep = model.norm_fraction(xy)
-                oracles.append(("rho_closed_form", 2.0 * np.arctanh(sep) / chain.t0))
-            for name, oracle in oracles:
-                diff = np.abs(rxy - oracle)
-                report.checks.append(array_check(
-                    name, diff, diff <= limit, note, lambda i: {
-                        "x": x[i].tolist(), "y": y[i].tolist(), "difference": float(diff[i])
-                    },
-                ))
+                oracles.append(("rho_closed_form", closed_form_gap))
+            limit = tol.abs_tol + 4.0 * family.grid_step
+            for name, gap in oracles:
+                report.checks.append(
+                    run_law_check(model, name, _separations, [x, y], tol, _within(limit, gap))
+                )
 
         if finite:
             H = chain.H
@@ -636,26 +646,15 @@ def validate_admissible_chain(
         for n in range(chain.depth):
             gen = sampler.stream("admissible", f"level_{n}")
             t_in = float(t[n + 1])
-            u = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
-            v = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
-            w = _rapidity_ball(gen, per_level, model.dim, model.bound, t_in)
             extreme = (model.bound * np.tanh(t_in)) * axis
-            u = np.vstack([u, extreme])
-            v = np.vstack([v, extreme])
-            w = np.vstack([w, extreme])
-            comp = model.oplus(u, model.oplus(v, w))
-            rho = rapidity(model, comp)
-            excess = rho - float(t[n])
-            report.checks.append(array_check(
-                f"level_{n}_double_sum", excess, excess <= tol.abs_tol, per_level + 1,
-                lambda i: {
-                    "level": n,
-                    "u": u[i].tolist(),
-                    "v": v[i].tolist(),
-                    "w": w[i].tolist(),
-                    "rapidity": float(rho[i]),
-                    "allowed": float(t[n]),
-                },
+            uvw = [
+                np.vstack([_rapidity_ball(gen, per_level, model.dim, model.bound, t_in), extreme])
+                for _ in range(3)
+            ]
+            report.checks.append(run_law_check(
+                model, f"level_{n}_double_sum",
+                lambda ops, u, v, w: [(ops.oplus(u, ops.oplus(v, w)),)], uvw, tol,
+                _within(tol.abs_tol, lambda c: rapidity(model, c) - float(t[n])),
             ))
 
         # candidate base of the chain: the identity sits in every level

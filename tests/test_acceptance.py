@@ -221,17 +221,21 @@ def test_criterion_09_admissibility_validator():
     bad = validate_admissible_chain(RadialChain(model, t0=1.0, ratio=0.5, depth=4), n_samples=2000)
     lvl = bad.check("level_0_double_sum")
     w = lvl.witness or {}
+    # the witness is the axis extreme u = v = w at rapidity 0.5, whose double
+    # sum reaches rapidity 1.5 against the allowed 1.0
+    inputs = np.asarray(w.get("inputs", np.nan))
     witness_ok = (
         not lvl.passed
-        and abs(w.get("rapidity", 0.0) - 1.5) < 1e-9
-        and abs(w.get("u", [1, 1])[1]) < 1e-12
+        and abs(w.get("residual", 0.0) - 0.5) < 1e-9
+        and inputs.shape == (3, 2)
+        and np.allclose(inputs, [np.tanh(0.5), 0.0], rtol=0, atol=1e-15)
     )
     ok = good.passed and not bad.passed and witness_ok
     _line(
         9,
         "triple condition accepts 1/4 and rejects 1/2",
         ok,
-        f"witness rapidity={w.get('rapidity', float('nan')):.6f} at 3x level radius",
+        f"witness excess={w.get('residual', float('nan')):.6f} over the level radius",
     )
 
 

@@ -2,9 +2,10 @@
 
 ``core.run_law_check`` evaluates each law on blocks of ``_LAW_BLOCK_ROWS``
 stream rows. These tests pin that the block size cannot change a report,
-that no model kernel is handed more than one block, and that the
-in-place sampling arithmetic draws the same bits as the broadcast
-expressions it replaced.
+the chain suites' included, that no model kernel is handed more than one
+block, that the chain checks redo their stressed rows in double-double as
+the law suites do, and that the in-place sampling arithmetic draws the
+same bits as the broadcast expressions it replaced.
 """
 
 import contextlib
@@ -14,10 +15,16 @@ import re
 import numpy as np
 import pytest
 
-from gyrokit import core, models
+from gyrokit import core, models, prenorm
 from gyrokit.cli import main
 from gyrokit.core import law_g3, law_g4_loop, run_law_check
 from gyrokit.models import EinsteinModel, MobiusModel, check_strong_base
+from gyrokit.prenorm import (
+    RadialChain,
+    check_metric_properties,
+    check_prenorm_properties,
+    validate_admissible_chain,
+)
 from gyrokit.report import canonical_json
 from gyrokit.sampling import (
     FORCED_STRIDE,
@@ -56,6 +63,90 @@ def test_small_blocks_keep_every_report(monkeypatch, suite, model, tol):
     assert run_cli(argv) == want
     if tol is not None:
         assert want[0] == 1  # at tol 0 some check fails and reports a witness
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+@pytest.mark.parametrize("model", ["mobius", "einstein"])
+@pytest.mark.parametrize("suite", ["prenorm", "metric", "admissible"])
+def test_small_blocks_keep_every_chain_report(monkeypatch, suite, model, ratio):
+    chain = f'{{"kind":"radial_rapidity","ratio":{ratio},"depth":8}}'
+    argv = [suite, "--model", model, "--chain", chain, "--samples", "100", "--seed", "3"]
+    want = run_cli(argv)
+    monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
+    assert run_cli(argv) == want
+    if suite == "admissible" and ratio == 0.5:
+        assert want[0] == 1  # the double sums fail and report witnesses
+
+
+# -- the chain checks reach double-double -------------------------------------
+
+# the chain checks that run on the law engine, by suite; the admissible
+# levels are level_<n>_double_sum
+ENGINE_CHECKS = {
+    "prenorm": {"gyration_invariance", "subadditivity", "inversion_symmetry",
+                "closed_form_agreement"},
+    "metric": {"decomposition_identity", "rho_oracle", "rho_closed_form"},
+}
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+@pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
+def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls, ratio):
+    # with a stress threshold below every norm fraction, each row is
+    # stressed: each engine check lifts every row of each operand stream
+    # once, and on the ratio 1/4 chain each check still passes
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    real_check, real_lift = prenorm.run_law_check, models._BallExtended.lift
+    current, lifted = [None], {}
+
+    def check(model, name, law, streams, tol, rule=None):
+        current[0] = name
+        lifted[name] = (len(streams), len(streams[0]), [])
+        try:
+            return real_check(model, name, law, streams, tol, rule)
+        finally:
+            current[0] = None
+
+    def lift(self, x):
+        lifted[current[0]][2].append(len(x))
+        return real_lift(self, x)
+
+    monkeypatch.setattr(prenorm, "run_law_check", check)
+    monkeypatch.setattr(models._BallExtended, "lift", lift)
+    chain = RadialChain(cls(), ratio=ratio, depth=8)
+    reports = [
+        check_prenorm_properties(chain, n_samples=300),
+        check_metric_properties(chain, n_samples=300),
+        validate_admissible_chain(chain, n_samples=300),
+    ]
+    engine = ENGINE_CHECKS["prenorm"] | ENGINE_CHECKS["metric"]
+    engine |= {f"level_{n}_double_sum" for n in range(8)}
+    if ratio != 0.5:
+        engine -= {"closed_form_agreement", "rho_closed_form"}
+    assert set(lifted) == engine
+    for name, (k, n, rows) in lifted.items():
+        assert rows == [n] * k, name
+    if ratio == 0.25:
+        for rep in reports:
+            assert all(c.passed for c in rep.checks if c.name in engine), rep.suite
+
+
+def test_a_rule_reads_float64_points_on_double_double_rows(monkeypatch):
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    seen = []
+
+    def rule(tuples):
+        seen.append([(type(p), p.dtype, p.shape) for points in tuples for p in points])
+        r = np.zeros(len(tuples[0][0]))
+        return r, r <= 0.0
+
+    m = MobiusModel()
+    tol = ToleranceConfig()
+    streams = m.sample_operands(np.random.default_rng(3), 100, 2, tol)
+    law = lambda ops, x, y: [(ops.oplus(x, y), ops.oplus(y, x))]  # noqa: E731
+    assert run_law_check(m, "commutation", law, streams, tol, rule).passed
+    # the float64 block, then the double-double pass over every row
+    assert seen == [[(np.ndarray, np.dtype(np.float64), (100, 2))] * 2] * 2
 
 
 def test_small_blocks_keep_a_witness_beyond_the_first_block(monkeypatch):
@@ -165,9 +256,9 @@ def test_ball_points_match_the_broadcast_expression(dim, bound, offset):
 def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, center):
     seen = {}
 
-    def record(model_, name, law, streams, tol, comparator=None):
+    def record(model_, name, law, streams, tol, rule=None):
         seen[name] = [s.copy() for s in streams]
-        return run_law_check(model_, name, law, streams, tol, comparator)
+        return run_law_check(model_, name, law, streams, tol, rule)
 
     monkeypatch.setattr(models, "run_law_check", record)
     tol = ToleranceConfig()

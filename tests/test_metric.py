@@ -114,7 +114,8 @@ def test_rho_oracle_catches_a_truncated_prenorm(monkeypatch):
         check = rep.check(name)
         assert not check.passed
         assert check.max_residual > limit
-        assert set(check.witness) == {"x", "y", "difference"}
+        assert set(check.witness) == {"inputs", "residual"}
+        assert check.witness["residual"] > limit
     assert not rep.passed
 
 

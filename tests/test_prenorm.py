@@ -389,17 +389,18 @@ def test_admissible_quarter_passes_half_fails():
 
 def test_admissible_half_witness_is_the_axis_extreme():
     # the forced triple u=v=w at the level radius on the real axis
-    # composes to rapidity 3*t, past the allowed t of the level above
+    # composes to rapidity 3*t = 1.5, past the allowed t = 1.0 of the
+    # level above by 0.5
     model = MobiusModel()
     rep = validate_admissible_chain(RadialChain(model, t0=1.0, ratio=0.5, depth=3))
     lvl = rep.check("level_0_double_sum")
     assert not lvl.passed
     w = lvl.witness
-    assert w["level"] == 0
-    assert w["allowed"] == 1.0
-    assert w["rapidity"] == pytest.approx(1.5, abs=1e-12)
-    assert w["u"] == pytest.approx([np.tanh(0.5), 0.0], abs=1e-15)
-    assert w["u"] == w["v"] == w["w"]
+    assert set(w) == {"inputs", "residual"}
+    assert w["residual"] == pytest.approx(0.5, abs=1e-12)
+    u, v, w_ = w["inputs"]
+    assert u == pytest.approx([np.tanh(0.5), 0.0], abs=1e-15)
+    assert u == v == w_
 
 
 def test_admissible_sampled_triples_stay_below_extreme():
