@@ -77,6 +77,9 @@ class RadialChain(NeighborhoodChain):
         self.t0 = float(t0)
         self.ratio = float(ratio)
         self.t = t0 * ratio ** np.arange(depth + 1)
+        if not self.t[depth] > 0:
+            # a level of radius 0 is {e}, which is no neighbourhood
+            raise UsageError(f"level {depth} radius t0*ratio^{depth} underflows to 0")
 
     def level_member(self, n, x):
         return rapidity(self.model, x) <= self.t[n]

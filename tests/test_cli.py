@@ -176,6 +176,16 @@ def test_tuple_cap_on_z67(capsys, suite, code):
         assert out == "" and "infeasible" in err
 
 
+@pytest.mark.parametrize("suite,ratio", [
+    ("prenorm", "1e-20"), ("metric", "1e-20"), ("admissible", "1e-300"),
+])
+def test_radial_chain_underflowing_to_zero_exits_two(capsys, suite, ratio):
+    chain = f'{{"kind":"radial_rapidity","ratio":{ratio}}}'
+    code, out, err = run(capsys, suite, "--chain", chain, "--samples", "200")
+    assert (code, out) == (2, "")
+    assert "level 24 radius" in err and "underflows to 0" in err
+
+
 # a unique identity and unique inverses, but row 1 is not a bijection
 NOT_BIJECTIVE = ["--model", f"table:{CORPUS / 'not_bijective.json'}"]
 NO_IDENTITY_CHAIN = ["--model", "mobius", "--chain", json.dumps(

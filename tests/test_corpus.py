@@ -126,6 +126,9 @@ CASES = [
     ("admissible-finite-spec-no-identity", 1,
      ["admissible", "--model", "mobius", "--chain", CHAIN_NO_IDENTITY]),
     ("table-validate-z67", 2, ["table-validate", "--model", "table:z67"]),
+    # a radial chain whose deepest radius t0 * ratio^depth underflows to 0
+    ("prenorm-underflowing-chain", 2,
+     ["prenorm", "--chain", '{"kind":"radial_rapidity","ratio":1e-20}', "--samples", "200"]),
 ]
 
 _WALL = re.compile(r'"wall_time_s":[^,}]*')

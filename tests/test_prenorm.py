@@ -359,6 +359,17 @@ def test_build_dyadic_accepts_half_and_truncates():
     assert fam.grid_step == 2.0 ** -8
 
 
+def test_radial_chain_refuses_a_level_that_underflows_to_zero():
+    # 1e-20^24 and 1e-300^2 underflow to 0.0: such a level is {e}, no
+    # neighbourhood of the identity; the deepest subnormal radius is kept
+    with pytest.raises(UsageError, match="level 24 .*underflows"):
+        RadialChain(MobiusModel(), ratio=1e-20)
+    with pytest.raises(UsageError, match="level 2 .*underflows"):
+        RadialChain(MobiusModel(), ratio=1e-300, depth=2)
+    chain = RadialChain(MobiusModel(), ratio=1e-300, depth=1)
+    assert chain.t[1] == 1e-300
+
+
 def test_finite_chain_guards():
     t = cyclic_table(4)
     with pytest.raises(ChainConditionError, match="identity"):
