@@ -1,4 +1,8 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,16 @@ from gyrokit.prenorm import (
     pseudometric_d,
     quotient_metric_rho,
 )
-from gyrokit.tables import cyclic_table, klein_table
+from gyrokit.tables import (
+    TableModel,
+    builtin_table,
+    cyclic_table,
+    enumerate_subgyrogroups,
+    klein_table,
+    load_table,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mobius_chain(ratio=0.25, depth=24):
@@ -175,3 +188,73 @@ def test_finite_metric_trivial_subgyrogroup():
     assert rep.passed
     vals = rho_table(build_dyadic(chain))
     assert np.array_equal(vals, np.where(np.eye(3, dtype=bool), 0.0, 2.0))
+
+
+# every subgyrogroup of the proper gyrogroup g8 (the `G8` literal of
+# test_tables, stored as corpus/g8.json) and of three groups
+FINITE_CASES = [
+    (t, list(sub.elements))
+    for t in (load_table(ROOT / "tests" / "corpus" / "g8.json"), builtin_table("klein"),
+              builtin_table("s3"), cyclic_table(12))
+    for sub in enumerate_subgyrogroups(t)
+]
+
+
+@pytest.mark.parametrize(
+    "table,base", FINITE_CASES, ids=[f"{t.name}-{'.'.join(map(str, H))}" for t, H in FINITE_CASES]
+)
+def test_rho_coset_invariance_one_sided_matches_joint(table, base):
+    # the joint form: rho(x + p, y + q) against rho(x, y) for every (p, q)
+    # in H^2. The suite checks each side alone; the two must agree in
+    # verdict and residual, the failing non-L bases of g8 included
+    chain = FiniteChain(table, base)
+    rho = rho_table(build_dyadic(chain))
+    T = table.table
+    shift = np.array([
+        [np.abs(rho[np.ix_(T[:, p], T[:, q])] - rho).max() for q in chain.H] for p in chain.H
+    ])
+    check = check_metric_properties(chain).check("rho_coset_invariance")
+    assert check.passed == bool((shift == 0).all())
+    assert check.max_residual == float(shift.max())
+
+
+def test_finite_metric_reads_at_most_n_squared_cells(monkeypatch):
+    # the operands are broadcast index grids, so no operation and no
+    # prenorm evaluation sees the n^3 triples; only the triangle residuals do
+    cells = {"oplus": [], "prenorm_eval": []}
+    real_oplus, real_eval = TableModel.oplus, prenorm_mod.prenorm_eval
+
+    def oplus(self, x, y):
+        out = real_oplus(self, x, y)
+        cells["oplus"].append(np.size(out))
+        return out
+
+    def prenorm_eval(family, x):
+        cells["prenorm_eval"].append(np.size(x))
+        return real_eval(family, x)
+
+    monkeypatch.setattr(TableModel, "oplus", oplus)
+    monkeypatch.setattr(prenorm_mod, "prenorm_eval", prenorm_eval)
+    rep = check_metric_properties(FiniteChain(cyclic_table(12), [0, 4, 8]))
+    assert rep.passed
+    assert cells["oplus"] and cells["prenorm_eval"]
+    assert max(cells["oplus"]) <= 12**2
+    assert max(cells["prenorm_eval"]) <= 12**2
+
+
+def test_finite_metric_on_the_largest_table_fits_in_one_gib():
+    # z271 is the largest table the CLI admits. The address-space limit
+    # acts on the child process only
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gyrokit.cli", "metric", "--model", "table:z271",
+         "--subgyrogroup", "0"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
