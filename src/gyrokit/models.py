@@ -359,54 +359,26 @@ def check_strong_base(
             x, y = model.sample_operands(gen, n_samples, 2, tol)
             p = ball_stream(gen, n_samples, r)
             q = ball_stream(gen, n_samples, r)
+            inside = element_rule(model, tol, _membership_excess(model, center, r))
+            # (kind, law, target stream, rule); the roundtrip compares points
+            for kind, law, target, rule in [
+                ("forward", lambda ops, x, y, p: [(ops.gyr(x, y, p), p)], p, inside),
+                ("preimage", lambda ops, x, y, q: [(ops.gyr(y, x, q), q)], q, inside),
+                ("roundtrip",
+                 lambda ops, x, y, q: [(ops.gyr(x, y, ops.gyr(y, x, q)), q)], q, None),
+            ]:
+                report.checks.append(
+                    run_law_check(model, f"ball_{kind}_{tag}", law, [x, y, target], tol, rule)
+                )
 
-            def law_forward(ops, x, y, p):
-                return [(ops.gyr(x, y, p), p)]
-
-            def law_preimage(ops, x, y, q):
-                return [(ops.gyr(y, x, q), q)]
-
-            def law_roundtrip(ops, x, y, q):
-                return [(ops.gyr(x, y, ops.gyr(y, x, q)), q)]
-
-            fwd = run_law_check(
-                model, f"ball_forward_{tag}", law_forward, [x, y, p], tol,
-                rule=element_rule(model, tol, _membership_excess(model, center, r)),
-            )
-            pre = run_law_check(
-                model, f"ball_preimage_{tag}", law_preimage, [x, y, q], tol,
-                rule=element_rule(model, tol, _membership_excess(model, center, r)),
-            )
-            rt = run_law_check(
-                model, f"ball_roundtrip_{tag}", law_roundtrip, [x, y, q], tol
-            )
-            report.checks.extend([fwd, pre, rt])
-
-        gen = sampler.stream(suite, "norm_preservation")
-        x, y, z = model.sample_operands(gen, n_samples, 3, tol)
-
-        def law_norm(ops, x, y, z):
-            return [(ops.gyr(x, y, z), z)]
-
-        report.checks.append(
-            run_law_check(
-                model, "norm_preservation", law_norm, [x, y, z], tol,
-                rule=element_rule(model, tol, _norm_compare(model)),
-            )
-        )
-
-        gen = sampler.stream(suite, "commutation_norm")
-        x, y = model.sample_operands(gen, n_samples, 2, tol)
-
-        def law_comm(ops, x, y):
-            return [(ops.oplus(x, y), ops.oplus(y, x))]
-
-        report.checks.append(
-            run_law_check(
-                model, "commutation_norm", law_comm, [x, y], tol,
-                rule=element_rule(model, tol, _norm_compare(model)),
-            )
-        )
+        norm = element_rule(model, tol, _norm_compare(model))
+        for name, arity, law in [
+            ("norm_preservation", 3, lambda ops, x, y, z: [(ops.gyr(x, y, z), z)]),
+            ("commutation_norm", 2, lambda ops, x, y: [(ops.oplus(x, y), ops.oplus(y, x))]),
+        ]:
+            gen = sampler.stream(suite, name)
+            streams = model.sample_operands(gen, n_samples, arity, tol)
+            report.checks.append(run_law_check(model, name, law, streams, tol, norm))
 
         if isinstance(model, MobiusModel):
             gen = sampler.stream(suite, "rotation_factor_modulus")
