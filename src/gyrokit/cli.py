@@ -50,7 +50,7 @@ from .tables import (
 # the exit code of each error that stops a run; a finished run exits 0
 # when its report passes and 1 when it fails
 EXIT_CODES = {
-    UsageError: 2, SamplingError: 2, ResourceLimitError: 2,
+    UsageError: 2, SamplingError: 2, ResourceLimitError: 2, MemoryError: 2,
     TableFormatError: 3, OSError: 3,
     AxiomViolationError: 1,
 }

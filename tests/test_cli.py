@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gyrokit import check_subgyrogroups
-from gyrokit.cli import EXIT_CODES, SUITES, main
+from gyrokit.cli import EXIT_CODES, SUITE_TABLE, SUITES, main
 from gyrokit.errors import GyroError
 from gyrokit.sampling import MAX_SAMPLE_VALUES
 from gyrokit.tables import cyclic_table
@@ -226,6 +226,19 @@ def test_oversized_sample_count_exits_two(capsys, suite, model, samples):
     code, out, err = run(capsys, suite, "--model", model, "--samples", str(samples))
     assert (code, out) == (2, "")
     assert "too large" in err
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    # numpy's failed allocations subclass MemoryError: a request the machine
+    # cannot hold is refused as usage, not reported as a failed check
+    def exhausted(target, cfg):
+        raise MemoryError("Unable to allocate 152. MiB for an array")
+
+    description, resolve, _ = SUITE_TABLE["metric"]
+    monkeypatch.setitem(SUITE_TABLE, "metric", (description, resolve, exhausted))
+    code, out, err = run(capsys, "metric", "--model", "table:z4", "--subgyrogroup", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["gyro: Unable to allocate 152. MiB for an array"]
 
 
 def test_out_unwritable_exit_three(capsys):
