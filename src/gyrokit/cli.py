@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import check_axioms, check_identities
 from .errors import (
@@ -36,8 +36,9 @@ from .prenorm import (
 from .report import canonical_json, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig
 from .tables import (
-    BUILTIN_TABLE_NAMES,
+    CayleyTable,
     TableModel,
+    _is_builtin_name,
     builtin_table,
     check_cosets,
     check_search,
@@ -73,49 +74,54 @@ class RunConfig:
 def _resolve_table(token: str):
     if not token:
         raise UsageError("empty table name; expected a built-in name or a path")
-    if token.lower() in BUILTIN_TABLE_NAMES or (
-        token.lower().startswith("z") and token[1:].isdigit()
-    ):
-        return builtin_table(token)
-    return load_table(token)
+    return builtin_table(token) if _is_builtin_name(token) else load_table(token)
 
 
-def _resolve_model(spec: str):
+_BALLS = {"mobius": MobiusModel, "einstein": EinsteinModel}
+
+
+def _carrier(spec: str):
+    """The carrier a --model spec names: a continuous model, or a CayleyTable
+    that TableModel has not admitted yet. A factor of ``product:`` may name a
+    table without ``table:``. A product of tables is ``product_table`` of
+    their tables, admitted once as a whole: its left translation by (a, b),
+    its identities and the inverses of (a, b) are the pairs of the factors'
+    ones, so it has bijective left translations, a unique identity and
+    unique inverses, and is admitted, exactly when both factors are."""
     spec = spec.strip()
-    if spec == "mobius":
-        return MobiusModel()
-    if spec == "einstein":
-        return EinsteinModel()
+    if spec in _BALLS:
+        return _BALLS[spec]()
     if spec.startswith("table:"):
-        return TableModel(_resolve_table(spec[len("table:"):]))
+        return _resolve_table(spec[len("table:"):])
     if spec.startswith("product:"):
         body = spec[len("product:"):]
         if "+" not in body:
             raise UsageError("product model needs the form product:<a>+<b>")
-        left, right = (_resolve_operand(s.strip()) for s in body.split("+", 1))
-        if left.is_exact and right.is_exact:
-            return TableModel(product_table(left.source, right.source))
-        # ProductModel refuses a table factor beside a continuous one
-        return ProductModel(left, right)
-    raise UsageError(
-        f"unknown model {spec!r}; expected mobius, einstein, "
-        "table:<name-or-path> or product:<a>+<b>"
-    )
+        factors = [s.strip() for s in body.split("+", 1)]
+        if "" in factors:
+            raise UsageError("product model has an empty factor; expected product:<a>+<b>")
+        left, right = (
+            _carrier(s) if s in _BALLS or s.startswith(("table:", "product:"))
+            else _resolve_table(s) for s in factors
+        )
+        if isinstance(left, CayleyTable) and isinstance(right, CayleyTable):
+            return product_table(left, right)
+        return ProductModel(left, right)  # refuses a table factor
+    raise UsageError(f"unknown model {spec!r}; expected mobius, einstein, "
+                     "table:<name-or-path> or product:<a>+<b>")
 
 
-def _resolve_operand(spec: str):
-    """Product factors may name a table without the table: prefix."""
-    if not spec:
-        raise UsageError("product model has an empty factor; expected product:<a>+<b>")
-    if spec in ("mobius", "einstein") or spec.startswith(("table:", "product:")):
-        return _resolve_model(spec)
-    return TableModel(_resolve_table(spec))
+def _resolve_model(spec: str):
+    """The model a --model spec names, a table admitted by TableModel."""
+    carrier = _carrier(spec)
+    return TableModel(carrier) if isinstance(carrier, CayleyTable) else carrier
 
 
-def _require_table(cfg: RunConfig):
-    if not cfg.model.startswith("table:"):
-        raise UsageError(f"suite {cfg.suite!r} needs --model table:<name-or-path>")
-    return _resolve_table(cfg.model[len("table:"):])
+def _table(cfg: RunConfig):
+    """The table --model names, a product of tables included, not admitted."""
+    if isinstance(table := _carrier(cfg.model), CayleyTable):
+        return table
+    raise UsageError(f"suite {cfg.suite!r} needs --model table:<name-or-path> or a table product")
 
 
 def _required(cfg: RunConfig, option: str):
@@ -126,11 +132,8 @@ def _required(cfg: RunConfig, option: str):
 
 
 def _build_chain(cfg: RunConfig, model):
-    if cfg.chain is not None:
-        spec = cfg.chain
-        if spec["kind"] == "radial_rapidity":
-            return RadialChain(model, spec["t0"], spec["ratio"], spec["depth"])
-        return FiniteChain(model, spec["subgyrogroup"])
+    if cfg.chain is not None:  # radial; run_suite has rewritten a finite spec
+        return RadialChain(model, cfg.chain["t0"], cfg.chain["ratio"], cfg.chain["depth"])
     if model.is_exact:
         if cfg.subgyrogroup is None:
             raise UsageError("finite chains need --subgyrogroup or --chain")
@@ -138,38 +141,31 @@ def _build_chain(cfg: RunConfig, model):
     return RadialChain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
 
 
-def _sampled(check, chain=False):
-    """Resolver and runner of a sampled suite over --model, or over the chain
-    built on it. A finite chain whose subset lacks the identity or is not
+def _sampled(check):
+    """Resolver and runner of a sampled suite over --model or, in a chain
+    suite, over the chain built on it; a finite spec arrives as --model and
+    --subgyrogroup. A finite chain whose subset lacks the identity or is not
     closed gives a failing report with the one check ``chain_condition``."""
-
-    def resolve(cfg: RunConfig):
-        model = _resolve_model(cfg.model)
-        if chain and cfg.chain is not None and cfg.chain["kind"] == "finite_discrete":
-            table = cfg.chain["table"]  # the spec's own table
-            try:
-                return TableModel(_resolve_table(table))
-            except AxiomViolationError as exc:
-                exc.carrier = f"table:{table}"
-                raise
-        return model
 
     def run(model, cfg: RunConfig):
         sampler = Sampler(cfg.seed)
         try:
-            target = _build_chain(cfg, model) if chain else model
+            target = _build_chain(cfg, model) if cfg.suite in _CHAIN_SUITES else model
         except ChainConditionError as exc:
             return chain_condition_report(
                 cfg.suite, "chain_condition", exc, model, sampler, cfg.tol
             )
         return check(target, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
 
-    return resolve, run
+    return (lambda cfg: _resolve_model(cfg.model)), run
 
 
 def _on_table(run):
-    """Resolver and runner of a suite on the table --model names."""
-    return (lambda cfg: TableModel(_require_table(cfg)).source), run
+    """Resolver and runner of a suite on the table --model names, admitted."""
+    return (lambda cfg: TableModel(_table(cfg)).source), run
+
+
+_CHAIN_SUITES = ("prenorm", "metric", "admissible")
 
 
 # suite name -> (description, resolver of what the suite runs on, runner);
@@ -182,22 +178,13 @@ SUITE_TABLE = {
     "strong-base": (
         "gyration stability of balls, norms and commuted sums", *_sampled(check_strong_base)
     ),
-    "prenorm": (
-        "dyadic scale family: sandwich, invariance, subadditivity",
-        *_sampled(check_prenorm_properties, chain=True),
-    ),
-    "metric": (
-        "pseudometric and quotient separation axioms",
-        *_sampled(check_metric_properties, chain=True),
-    ),
-    "admissible": (
-        "level-by-level double-sum admissibility of a chain",
-        *_sampled(validate_admissible_chain, chain=True),
-    ),
-    "table-validate": (
-        "exhaustive axiom check of a finite table",
-        _require_table, lambda t, cfg: validate_table(t),
-    ),
+    "prenorm": ("dyadic scale family: sandwich, invariance, subadditivity",
+                *_sampled(check_prenorm_properties)),
+    "metric": ("pseudometric and quotient separation axioms", *_sampled(check_metric_properties)),
+    "admissible": ("level-by-level double-sum admissibility of a chain",
+                   *_sampled(validate_admissible_chain)),
+    "table-validate": ("exhaustive axiom check of a finite table",
+                       _table, lambda t, cfg: validate_table(t)),
     "subgyrogroups": (
         "enumerate closed subsets of a finite table",
         *_on_table(lambda t, cfg: check_subgyrogroups(t)),
@@ -215,18 +202,27 @@ SUITES = {name: row[0] for name, row in SUITE_TABLE.items()}
 
 
 def run_suite(cfg: RunConfig):
-    """Execute one suite; returns (report, exit_code). A table that
-    TableModel refuses while the suite resolves its carrier gives a failing
-    report with the one check ``table_structure``, on the model --model
-    names, or on ``table:<name>`` when a finite chain spec's own table is
-    the one refused (the resolver sets it as the error's ``carrier``)."""
+    """Execute one suite; returns (report, exit_code). In a chain suite a
+    finite chain spec is short for ``--model table:<table> --subgyrogroup
+    <indices>`` and becomes them before anything is resolved; a value given
+    twice is a UsageError. A table that TableModel refuses while the suite
+    resolves its carrier gives a failing report on that model with the one
+    check ``table_structure``."""
     if cfg.suite not in SUITE_TABLE:
         raise UsageError(f"unknown suite {cfg.suite!r}")
+    chain = cfg.chain if cfg.suite in _CHAIN_SUITES else None
+    if chain is not None and cfg.depth is not None:
+        raise UsageError("the depth is given twice: by --depth and by --chain")
+    if chain is not None and chain["kind"] == "finite_discrete":
+        if cfg.subgyrogroup is not None:
+            raise UsageError("the subgyrogroup is given twice: by --subgyrogroup and by --chain")
+        cfg = replace(cfg, model=f"table:{chain['table']}", subgyrogroup=chain["subgyrogroup"],
+                      chain=None)
     _, resolve, run = SUITE_TABLE[cfg.suite]
     try:
         target = resolve(cfg)
     except AxiomViolationError as exc:
-        with suite_report(cfg.suite, getattr(exc, "carrier", cfg.model)) as report:
+        with suite_report(cfg.suite, cfg.model) as report:
             report.checks.append(witness_check("table_structure", {"error": str(exc)}))
     else:
         report = run(target, cfg)
@@ -289,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_at_least(0.0, float), default=None,
                    help="override both absolute and relative tolerance")
     p.add_argument("--chain", default=None,
-                   help='chain spec JSON, e.g. {"kind":"radial_rapidity","ratio":0.25}')
+                   help='chain spec JSON, e.g. {"kind":"radial_rapidity","ratio":0.25}; '
+                   '{"kind":"finite_discrete","table":T,"subgyrogroup":S} is short for '
+                   "--model table:T --subgyrogroup S")
     p.add_argument("--subgyrogroup", type=_indices, default=None,
                    help="comma-separated element indices, e.g. 0,2")
     p.add_argument("--depth", type=count, default=None,
-                   help=f"chain depth (default {DEFAULT_DEPTH})")
+                   help=f"radial chain depth without --chain (default {DEFAULT_DEPTH})")
     p.add_argument("--order", type=count, default=None, help="table order for search")
     p.add_argument("--max-results", type=count, default=None, help="cap search results")
     p.add_argument("--out", default=None, help="write the JSON report to this path")

@@ -229,7 +229,7 @@ class ProductModel(_Product, GyrogroupModel):
     left factor's columns followed by the right factor's."""
 
     def __init__(self, left: GyrogroupModel, right: GyrogroupModel):
-        if left.dim is None or right.dim is None:
+        if not all(isinstance(m, GyrogroupModel) and m.dim is not None for m in (left, right)):
             raise UsageError("continuous product requires two continuous models")
         self.left = left
         self.right = right

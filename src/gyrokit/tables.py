@@ -536,20 +536,21 @@ def s3_table() -> CayleyTable:
     return CayleyTable(table, labels, name="s3")
 
 
+def _is_builtin_name(name: str) -> bool:
+    """klein, s3 and z<n> in any case (z0 too, which builtin_table refuses)."""
+    return name.lower() in ("klein", "s3") or (name[:1].lower() == "z" and name[1:].isdecimal())
+
+
 def builtin_table(name: str) -> CayleyTable:
     name = name.lower()
     if name == "klein":
         return klein_table()
     if name == "s3":
         return s3_table()
-    if name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1:
-        n = int(name[1:])
+    if _is_builtin_name(name) and (n := int(name[1:])) >= 1:
         _check_tensor_size(n, name)
         return cyclic_table(n)
     raise UsageError(f"unknown built-in table {name!r}")
-
-
-BUILTIN_TABLE_NAMES = ("z1", "z2", "z3", "z4", "z5", "z6", "klein", "s3")
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,27 @@ def test_bad_ratio_chain_fails_exit_one(capsys):
          '{"kind":"finite_discrete","table":true,"subgyrogroup":[0]}'],
         ["prenorm", "--model", "table:z4", "--chain",
          '{"kind":"finite_discrete","table":["z4"],"subgyrogroup":[0]}'],
+        # a value given twice, once beside the chain spec and once in it
+        ["prenorm", "--chain", '{"kind":"radial_rapidity","depth":6}', "--depth", "8"],
+        ["metric", "--model", "table:z6", "--subgyrogroup", "0,2,4", "--chain",
+         '{"kind":"finite_discrete","table":"z6","subgyrogroup":[0,3]}'],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv,given", [
+    (["prenorm", "--chain", '{"kind":"radial_rapidity","depth":6}', "--depth", "8"],
+     ("--depth", "--chain")),
+    (["admissible", "--chain", '{"kind":"finite_discrete","table":"z6","subgyrogroup":[0,3]}',
+      "--subgyrogroup", "0,3"], ("--subgyrogroup", "--chain")),
+], ids=["depth", "subgyrogroup"])
+def test_a_value_given_twice_names_both_sources(capsys, argv, given):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "given twice" in err and all(source in err for source in given)
 
 
 def test_exit_codes_cover_every_error():
@@ -184,6 +200,13 @@ def test_radial_chain_underflowing_to_zero_exits_two(capsys, suite, ratio):
     code, out, err = run(capsys, suite, "--chain", chain, "--samples", "200")
     assert (code, out) == (2, "")
     assert "level 24 radius" in err and "underflows to 0" in err
+
+
+def test_a_name_that_is_no_builtin_is_a_path(capsys):
+    # 'z' and a digit that int() cannot read: looked up as a file, no traceback
+    code, out, err = run(capsys, "axioms", "--model", "table:z\u00b2")
+    assert (code, out) == (3, "")
+    assert "No such file" in err
 
 
 # a unique identity and unique inverses, but row 1 is not a bijection
@@ -396,3 +419,62 @@ def test_identities_finite_exhaustive(capsys):
         "twisted_right_cancellation",
         "triangle_decomposition",
     }
+
+
+# -- one carrier resolver ---------------------------------------------------------
+
+Z6_SPEC = '{"kind":"finite_discrete","table":"z6","subgyrogroup":[0,3]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["table-validate", "--model", "product:z2+z4"],
+    ["subgyrogroups", "--model", "product:z2+z4"],
+    ["cosets", "--model", "product:z2+z4", "--subgyrogroup", "0,4"],
+    ["cosets", "--model", "product:table:z2+z4", "--subgyrogroup", "0,4"],
+], ids=["table-validate", "subgyrogroups", "cosets", "cosets-prefixed"])
+def test_table_suites_run_on_a_table_product(capsys, argv):
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and payload["pass"]
+    assert payload["model"] == "product(z2,z4)"
+
+
+def _tensor_orders(monkeypatch):
+    import gyrokit.tables as tables
+
+    orders = []
+    real = tables.gyr_tensor
+    monkeypatch.setattr(tables, "gyr_tensor", lambda T: orders.append(T.shape[-1]) or real(T))
+    return orders
+
+
+def test_a_table_product_builds_one_gyration_tensor(capsys, monkeypatch):
+    orders = _tensor_orders(monkeypatch)
+    assert run(capsys, "axioms", "--model", "product:z5+z9")[0] == 0
+    assert orders == [45]
+
+
+def test_a_finite_spec_builds_only_its_own_tensor(capsys, monkeypatch):
+    # the spec is short for --model table:z6 --subgyrogroup 0,3, so z200's
+    # tensor is never built
+    orders = _tensor_orders(monkeypatch)
+    code, payload, _ = run_json(capsys, "metric", "--model", "table:z200", "--chain", Z6_SPEC)
+    assert code == 0 and payload["model"] == "z6"
+    assert orders == [6]
+
+
+def test_a_finite_spec_does_not_read_model(capsys):
+    # --model is not resolved beside a finite spec, so an unknown one is no error
+    code, payload, _ = run_json(capsys, "metric", "--model", "klingon", "--chain", Z6_SPEC)
+    _, want, _ = run_json(capsys, "metric", "--model", "table:z6", "--subgyrogroup", "0,3")
+    assert code == 0
+    assert scrub(payload) == scrub(want)
+
+
+def test_a_refused_factor_is_reported_through_the_product(capsys):
+    # row 1 of not_bijective is no bijection; in the product it is row (1,0)
+    path = CORPUS / "not_bijective.json"
+    code, payload, _ = run_json(capsys, "axioms", "--model", f"product:{path}+z2")
+    assert code == 1
+    [check] = payload["checks"]
+    assert (check["name"], check["pass"]) == ("table_structure", False)
+    assert "'(1,0)'" in check["witness"]["error"]

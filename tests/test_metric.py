@@ -258,3 +258,21 @@ def test_finite_metric_on_the_largest_table_fits_in_one_gib():
         capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_finite_spec_beside_the_largest_table_fits_in_256_mib():
+    # the spec is short for --model table:z6 --subgyrogroup 0,3, so z271,
+    # whose tensor alone is 152 MiB, is never built
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gyrokit.cli", "metric", "--model", "table:z271", "--chain",
+         '{"kind":"finite_discrete","table":"z6","subgyrogroup":[0,3]}'],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

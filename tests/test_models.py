@@ -278,6 +278,17 @@ def test_product_model_axioms():
     assert rep.passed
 
 
+@pytest.mark.parametrize("factor", ["table", "table_model"])
+def test_product_model_refuses_a_factor_that_is_not_continuous(factor):
+    from gyrokit.tables import TableModel, cyclic_table
+
+    table = cyclic_table(3)
+    other = table if factor == "table" else TableModel(table)
+    for left, right in ((MobiusModel(), other), (other, EinsteinModel())):
+        with pytest.raises(UsageError, match="two continuous models"):
+            ProductModel(left, right)
+
+
 def _product_operands(pm, n, k, seed):
     return pm.sample_operands(np.random.default_rng(seed), n, k, ToleranceConfig())
 
