@@ -129,6 +129,9 @@ CASES = [
     # a radial chain whose deepest radius t0 * ratio^depth underflows to 0
     ("prenorm-underflowing-chain", 2,
      ["prenorm", "--chain", '{"kind":"radial_rapidity","ratio":1e-20}', "--samples", "200"]),
+    # the table suites on table products; {(0,0),(1,0)} is a subgroup of z2 x z4
+    ("table-validate-product-tables", 0, ["table-validate", "--model", "product:z2+z3"]),
+    ("cosets-product", 0, ["cosets", "--model", "product:z2+z4", "--subgyrogroup", "0,4"]),
 ]
 
 _WALL = re.compile(r'"wall_time_s":[^,}]*')
