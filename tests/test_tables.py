@@ -673,13 +673,30 @@ def test_search_max_results():
     assert len(got) == 1
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _assert_first_k_tables(canonical_identity, k):
+    for n in range(1, 7):
+        everything = search_gyrogroups(n, canonical_identity)
+        got = search_gyrogroups(n, canonical_identity, max_results=k)
+        assert [(t.table.tobytes(), t.name, t.table.dtype) for t in got] == [
+            (t.table.tobytes(), t.name, t.table.dtype) for t in everything[:k]
+        ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_search_max_results_takes_k_of_the_raw_tables(k):
-    everything = [t.table.tobytes() for t in search_gyrogroups(6, canonical_identity=False)]
-    got = search_gyrogroups(6, canonical_identity=False, max_results=k)
-    assert len(got) == k
-    assert len({t.table.tobytes() for t in got}) == k
-    assert all(t.table.tobytes() in everything for t in got)
+    _assert_first_k_tables(False, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_search_max_results_takes_k_of_the_canonical_tables(k):
+    _assert_first_k_tables(True, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_search_canonical_tables_are_the_least_forms_of_the_raw_tables(n):
+    forms = {_canonical(t.table)[0] for t in search_gyrogroups(n, canonical_identity=False)}
+    found = search_gyrogroups(n)
+    assert [t.table.astype(np.uint8).tobytes() for t in found] == sorted(forms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
