@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     _EXHAUSTIVE_CAP,
-    _KERNEL_CELLS,
     AXIOM_CHECKS,
     GyrogroupModel,
     exhaustive_law_checks,
@@ -581,49 +580,55 @@ def _identity_fixing_perms(n: int):
     return perms, invs
 
 
-def _canonical_bytes(T: np.ndarray):
-    """Minimal relabeling (identity fixed at 0) of the table, as bytes.
-
-    All identity-fixing relabelings perm[T[inv, inv]] are built in one
-    gather, and the lexicographically smallest as uint8 bytes wins.
-    """
+def _relabelings(T: np.ndarray) -> np.ndarray:
+    """Every identity-fixing relabeling perm[T[inv, inv]] of the table, in
+    the order of :func:`_identity_fixing_perms`, as one ((n-1)!, n, n)
+    gather."""
     perms, invs = _identity_fixing_perms(T.shape[0])
-    relab = perms[np.arange(len(perms))[:, None, None], T[invs[:, :, None], invs[:, None, :]]]
-    flat = relab.astype(np.uint8).reshape(len(perms), -1)
+    return perms[np.arange(len(perms))[:, None, None], T[invs[:, :, None], invs[:, None, :]]]
+
+
+def _canonical_bytes(T: np.ndarray):
+    """Minimal relabeling (identity fixed at 0) of the table, as bytes: the
+    lexicographically smallest of :func:`_relabelings` as uint8 bytes."""
+    relab = _relabelings(T)
+    flat = relab.astype(np.uint8).reshape(len(relab), -1)
     best = np.lexsort(flat.T[::-1])[0]  # lexsort's last key is the primary one
     return flat[best].tobytes(), relab[best]
 
 
-def _inverse_symmetric_squares(n: int):
-    """Every reduced Latin square of order n, identity 0, that passes the
-    inverse prune, each as a flat list of its n * n entries.
+def _involution_squares(n: int, k: int):
+    """Every reduced Latin square of order n, identity 0, whose inverse map
+    is the involution (1 2)(3 4)...(2k-1 2k), each as a flat list of its
+    n * n entries.
 
-    Backtracks row by row, left to right, with one bitmask of used values
-    per row and per column; a cell takes its free values lowest bit first,
-    so in ascending order. At cell (r, c) with c < r, row c is complete,
-    so r + c must be 0 if c + r is, and must not be 0 otherwise.
+    The zeros sit at (x, inv[x]) before the fill starts. The fill
+    backtracks over the other cells of rows and columns 1..n-1, row by row,
+    left to right, with one bitmask of used values per row and per column;
+    a cell takes its free values lowest bit first, so in ascending order.
     """
+    inv = list(range(n))
+    for a in range(1, 2 * k, 2):
+        inv[a], inv[a + 1] = a + 1, a
     T = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
-    row_used = [1 << r for r in range(n)]
-    col_used = [1 << c for c in range(n)]
-    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    row_used = [1 << r | 1 for r in range(n)]  # bit 0: the zero placed in row r
+    col_used = [1 << c | 1 for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n) if c != inv[r]]
     every = (1 << n) - 1
 
-    def fill(k):
-        if k == len(cells):
+    def fill(i):
+        if i == len(cells):
             yield [v for row in T for v in row]
             return
-        r, c = cells[k]
+        r, c = cells[i]
         free = every & ~(row_used[r] | col_used[c])
-        if c < r:
-            free &= 1 if T[c][r] == 0 else ~1
         while free:
             bit = free & -free
             free ^= bit
             T[r][c] = bit.bit_length() - 1
             row_used[r] |= bit
             col_used[c] |= bit
-            yield from fill(k + 1)
+            yield from fill(i + 1)
             row_used[r] ^= bit
             col_used[c] ^= bit
 
@@ -633,60 +638,53 @@ def _inverse_symmetric_squares(n: int):
 def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=None):
     """Every valid operation table of the given order, identity at 0.
 
-    Backtracks over reduced Latin squares (:func:`_inverse_symmetric_squares`)
-    with the inverse prune: a square is abandoned as soon as x + y = 0
-    while y + x != 0. The prune is exact, since in a gyrogroup the left
-    inverse of x is also its right inverse; the squares it keeps come in
-    the unpruned order (order 6: 1,808 of 9,408). They go in stacks of
-    about _KERNEL_CELLS gyration-tensor entries, one tensor build per
-    stack, through :func:`_stack_law_holds`: the n^3 loop law, then the
-    n^4 automorphism law on the loop law's survivors only (order 6: 80 of
-    1,808). A reduced Latin square has an identity and bijective left
-    translations, and gyroassociativity holds by the construction of the
-    gyrations, so what passes both laws, in discovery order, is found.
+    The search fills only squares whose inverse map is a representative
+    involution. The inverse map of a table with identity 0 is an
+    involution that fixes 0, and an identity-fixing relabeling sigma turns
+    it into sigma inv sigma^-1. Two involutions are conjugate exactly when
+    they have the same number of 2-cycles, so every isomorphism class has a
+    member whose inverse map is (1 2)(3 4)...(2k-1 2k) for one k in
+    0..(n-1)//2: :func:`_involution_squares` (order 6: 184 squares, where
+    the inverse-symmetric reduced squares number 1,808). They go in one
+    stack and one tensor build (order 6: 184 * 6^3 entries, within
+    _KERNEL_CELLS) through :func:`_stack_law_holds`: the n^3 loop law, then
+    the n^4 automorphism law on the loop law's survivors only. A reduced
+    Latin square has an identity and bijective left translations, and
+    gyroassociativity holds by the construction of the gyrations, so what
+    passes both laws is valid, and its class is found.
 
-    By default valid squares are deduplicated up to identity-fixing
-    relabeling, and canonical representatives are returned sorted by
-    their serialized form. With ``canonical_identity=False`` every valid
-    reduced square is returned. The search stops once ``max_results``
-    tables are found. Deterministic.
+    By default each class is returned once, as its canonical form
+    (:func:`_canonical_bytes`). With ``canonical_identity=False`` every
+    valid reduced square is returned: the union of the found classes'
+    orbits under the identity-fixing relabelings. Either way the tables
+    are sorted by their uint8 bytes and named in that order. With
+    ``max_results`` the first that many are returned. An earlier search
+    met the reduced squares in lexicographic order and stopped after
+    ``max_results`` hits; the first square it met of each class was the
+    class's canonical form, so it returned the same least tables.
+    Deterministic.
     """
     if order < 1:
         raise UsageError("order must be >= 1")
     if order > 6:
         raise ResourceLimitError("exhaustive search is supported for order <= 6")
     n = order
-    results = []
-    seen = set()
-    squares = _inverse_symmetric_squares(n)
-    chunk = max(1, _KERNEL_CELLS // n**3)
-
-    def full():
-        return max_results is not None and len(results) >= max_results
-
-    while not full():
-        leaves = list(itertools.islice(squares, chunk))
-        if not leaves:
-            break
-        stack = np.array(leaves).reshape(-1, n, n)
-        B = gyr_tensor(stack)
-        loop = _stack_law_holds(stack, B, law_g4_loop, 3)
-        stack, B = stack[loop], B[loop]
-        for T in stack[_stack_law_holds(stack, B, law_g3_automorphism, 4)]:
-            if full():
-                break
-            if not canonical_identity:
-                results.append(CayleyTable(T))
-                continue
+    leaves = [sq for k in range((n - 1) // 2 + 1) for sq in _involution_squares(n, k)]
+    stack = np.array(leaves).reshape(-1, n, n)
+    B = gyr_tensor(stack)
+    loop = _stack_law_holds(stack, B, law_g4_loop, 3)
+    stack, B = stack[loop], B[loop]
+    found = {}
+    for T in stack[_stack_law_holds(stack, B, law_g3_automorphism, 4)]:
+        if canonical_identity:
             blob, relab = _canonical_bytes(T)
-            if blob not in seen:
-                seen.add(blob)
-                results.append(CayleyTable(relab))
-
-    results.sort(key=lambda t: t.table.astype(np.uint8).tobytes())
-    for i, t in enumerate(results):
-        t.name = f"search{n}_{i}"
-    return results
+            found[blob] = relab
+        else:
+            found.update((R.astype(np.uint8).tobytes(), R) for R in _relabelings(T))
+    keys = sorted(found)
+    if max_results is not None:
+        keys = keys[:max(max_results, 0)]
+    return [CayleyTable(found[blob], name=f"search{n}_{i}") for i, blob in enumerate(keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -713,9 +713,45 @@ def test_search_matches_brute_force_over_every_reduced_square(n):
     assert [t.name for t in found] == [f"search{n}_{i}" for i in range(len(found))]
 
 
-def test_search_inverse_prune_keeps_exactly_the_inverse_symmetric_squares():
-    from gyrokit.tables import _inverse_symmetric_squares
+def _inverse_symmetric_squares(n):
+    """Every reduced Latin square of order n, identity 0, with x + y = 0
+    exactly when y + x = 0, each as a flat list of its n * n entries, in
+    lexicographic order: the reference for order 6, where
+    _reduced_latin_squares is too slow.
 
+    Backtracks row by row, left to right, with one bitmask of used values
+    per row and per column; a cell takes its free values lowest bit first,
+    so in ascending order. At cell (r, c) with c < r, row c is complete,
+    so r + c must be 0 if c + r is, and must not be 0 otherwise.
+    """
+    T = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
+    row_used = [1 << r for r in range(n)]
+    col_used = [1 << c for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    every = (1 << n) - 1
+
+    def fill(k):
+        if k == len(cells):
+            yield [v for row in T for v in row]
+            return
+        r, c = cells[k]
+        free = every & ~(row_used[r] | col_used[c])
+        if c < r:
+            free &= 1 if T[c][r] == 0 else ~1
+        while free:
+            bit = free & -free
+            free ^= bit
+            T[r][c] = bit.bit_length() - 1
+            row_used[r] |= bit
+            col_used[c] |= bit
+            yield from fill(k + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+
+    yield from fill(0)
+
+
+def test_reference_inverse_prune_keeps_exactly_the_inverse_symmetric_squares():
     for n in range(1, 6):
         want = [
             sum(sq, []) for sq in _reduced_latin_squares(n)
@@ -725,14 +761,39 @@ def test_search_inverse_prune_keeps_exactly_the_inverse_symmetric_squares():
     assert sum(1 for _ in _inverse_symmetric_squares(6)) == 1808
 
 
+def _zeros_at(flat, n, inv):
+    return all(flat[x * n + inv[x]] == 0 for x in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_involution_fill_yields_exactly_the_reduced_squares_with_its_zeros(n):
+    from gyrokit.tables import _involution_squares
+
+    # brute force up to order 5; at order 6 the reference above
+    squares = (
+        [sum(sq, []) for sq in _reduced_latin_squares(n)] if n <= 5
+        else list(_inverse_symmetric_squares(n))
+    )
+    counts = []
+    for k in range((n - 1) // 2 + 1):
+        inv = list(range(n))
+        for a in range(1, 2 * k, 2):
+            inv[a], inv[a + 1] = a + 1, a
+        want = [sq for sq in squares if _zeros_at(sq, n, inv)]
+        assert list(_involution_squares(n, k)) == want
+        counts.append(len(want))
+    if n == 6:
+        assert counts == [48, 56, 80]
+
+
 def test_stacked_law_filter_matches_each_order_6_square():
     import gyrokit.core as core
-    from gyrokit.tables import _inverse_symmetric_squares, _stack_law_holds
+    from gyrokit.tables import _stack_law_holds
 
     stack = np.array(list(_inverse_symmetric_squares(6))).reshape(-1, 6, 6)
     B = gyr_tensor(stack)
     assert B.shape == (len(stack), 6, 6, 6)
-    step = core._KERNEL_CELLS // 6**3  # the search's stack size
+    step = core._KERNEL_CELLS // 6**3  # stacks that keep the law passes small
     holds = {}
     for law, arity in ((law_g4_loop, 3), (law_g3_automorphism, 4)):
         holds[law] = np.concatenate([
@@ -745,9 +806,13 @@ def test_stacked_law_filter_matches_each_order_6_square():
         ops = _TableOps(T, single)
         assert g4 == (exact_violation(ops, 6, law_g4_loop, 3) is None)
         assert g3 == (exact_violation(ops, 6, law_g3_automorphism, 4) is None)
-    assert holds[law_g4_loop].sum() == 80
     assert (holds[law_g4_loop] <= holds[law_g3_automorphism]).all()
     assert not holds[law_g3_automorphism].all()
+    # the survivors of both laws are exactly the search's raw tables
+    survivors = stack[holds[law_g4_loop] & holds[law_g3_automorphism]]
+    found = search_gyrogroups(6, canonical_identity=False)
+    assert len(survivors) == len(found) == 80
+    assert [T.tobytes() for T in survivors] == [t.table.tobytes() for t in found]
 
 
 def test_stacked_law_filter_rejects_and_accepts_per_table():
@@ -781,12 +846,14 @@ def test_search_filters_loop_law_survivors_by_the_automorphism_law(monkeypatch):
 def test_search_builds_one_gyration_tensor_per_stack(monkeypatch):
     import gyrokit.tables as tables
 
-    calls = []
-    real = tables.gyr_tensor
+    calls, forms = [], []
+    real, real_forms = tables.gyr_tensor, tables._canonical_bytes
     monkeypatch.setattr(tables, "gyr_tensor", lambda T: calls.append(T.shape) or real(T))
+    monkeypatch.setattr(tables, "_canonical_bytes", lambda T: forms.append(1) or real_forms(T))
     assert len(search_gyrogroups(6)) == 2
-    # 1,808 squares in stacks of 65536 // 6^3 = 303
-    assert len(calls) == 6 and all(len(shape) == 3 for shape in calls)
+    # 184 squares in one stack; 6 of them pass both laws
+    assert calls == [(184, 6, 6)]
+    assert len(forms) == 6
 
 
 def _canonical_by_loop(T):
