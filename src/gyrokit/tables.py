@@ -128,20 +128,23 @@ class CayleyTable:
         bad = np.flatnonzero((srt != np.arange(self.order)[None, :]).any(axis=1))
         return int(bad[0]) if len(bad) else None
 
-    def gyrations(self) -> np.ndarray:
-        """The gyration tensor ``gyr_tensor(self.table)``, computed once.
+    def _check_gyrations(self):
+        """Raise ResourceLimitError when the gyration tensor would be too
+        large, and AxiomViolationError when a left translation is not a
+        bijection, since the gyrations are then undefined; allocates no
+        tensor."""
+        _check_tensor_size(self.order, self.name)
+        row = self._non_bijective_row()
+        if row is not None:
+            raise AxiomViolationError(
+                f"left translation by {self.labels[row]!r} is not a bijection"
+            )
 
-        Raises ResourceLimitError, before allocating, when the tensor is
-        too large, and AxiomViolationError when a left translation is not
-        a bijection, since the gyrations are then undefined.
-        """
+    def gyrations(self) -> np.ndarray:
+        """The gyration tensor ``gyr_tensor(self.table)``, computed once,
+        after :meth:`_check_gyrations`."""
         if self._gyr is None:
-            _check_tensor_size(self.order, self.name)
-            row = self._non_bijective_row()
-            if row is not None:
-                raise AxiomViolationError(
-                    f"left translation by {self.labels[row]!r} is not a bijection"
-                )
+            self._check_gyrations()
             self._gyr = gyr_tensor(self.table)
         return self._gyr
 
@@ -356,13 +359,15 @@ class TableModel(_TableOps, GyrogroupModel):
     has_closed_gyr = True
 
     def __init__(self, t: CayleyTable):
+        # every refusal comes before the n^3 tensor is allocated
+        t._check_gyrations()
+        self._e = t.identity_index
+        self._inv = t.inverses()
         super().__init__(t.table, t.gyrations())
         self.source = t
         self.order = t.order
         self.labels = t.labels
         self.name = t.name
-        self._e = t.identity_index
-        self._inv = t.inverses()
 
     def neg(self, x):
         return self._inv[x]

@@ -462,6 +462,23 @@ def test_a_finite_spec_builds_only_its_own_tensor(capsys, monkeypatch):
     assert orders == [6]
 
 
+def test_a_table_without_identity_is_refused_before_its_tensor(capsys, monkeypatch, tmp_path):
+    # bijective rows, but x + y = (2x + y) mod 271 has no two-sided identity
+    n = 271
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps({
+        "order": n, "elements": list(range(n)),
+        "oplus": [[(2 * x + y) % n for y in range(n)] for x in range(n)],
+    }))
+    orders = _tensor_orders(monkeypatch)
+    code, payload, _ = run_json(capsys, "axioms", "--model", f"table:{path}")
+    assert code == 1
+    [check] = payload["checks"]
+    assert (check["name"], check["pass"]) == ("table_structure", False)
+    assert "0 two-sided identities" in check["witness"]["error"]
+    assert orders == []
+
+
 def test_a_finite_spec_does_not_read_model(capsys):
     # --model is not resolved beside a finite spec, so an unknown one is no error
     code, payload, _ = run_json(capsys, "metric", "--model", "klingon", "--chain", Z6_SPEC)
