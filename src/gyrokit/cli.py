@@ -111,10 +111,14 @@ def _carrier(spec: str):
                      "table:<name-or-path> or product:<a>+<b>")
 
 
+def _admit(carrier):
+    """A carrier as a model: a table admitted by TableModel."""
+    return TableModel(carrier) if isinstance(carrier, CayleyTable) else carrier
+
+
 def _resolve_model(spec: str):
     """The model a --model spec names, a table admitted by TableModel."""
-    carrier = _carrier(spec)
-    return TableModel(carrier) if isinstance(carrier, CayleyTable) else carrier
+    return _admit(_carrier(spec))
 
 
 def _table(cfg: RunConfig):
@@ -122,6 +126,12 @@ def _table(cfg: RunConfig):
     if isinstance(table := _carrier(cfg.model), CayleyTable):
         return table
     raise UsageError(f"suite {cfg.suite!r} needs --model table:<name-or-path> or a table product")
+
+
+def _refuse_unread(cfg: RunConfig, option: str, reader: str):
+    """UsageError when ``option`` is given although ``reader`` does not read it."""
+    if getattr(cfg, option) is not None:
+        raise UsageError(f"{reader} does not read --{option.replace('_', '-')}")
 
 
 def _required(cfg: RunConfig, option: str):
@@ -147,6 +157,15 @@ def _sampled(check):
     --subgyrogroup. A finite chain whose subset lacks the identity or is not
     closed gives a failing report with the one check ``chain_condition``."""
 
+    def resolve(cfg: RunConfig):
+        carrier = _carrier(cfg.model)
+        if cfg.suite in _CHAIN_SUITES:  # before a table is admitted
+            if isinstance(carrier, CayleyTable):
+                _refuse_unread(cfg, "depth", "a finite chain")
+            else:
+                _refuse_unread(cfg, "subgyrogroup", "a radial chain")
+        return _admit(carrier)
+
     def run(model, cfg: RunConfig):
         sampler = Sampler(cfg.seed)
         try:
@@ -157,7 +176,7 @@ def _sampled(check):
             )
         return check(target, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
 
-    return (lambda cfg: _resolve_model(cfg.model)), run
+    return resolve, run
 
 
 def _on_table(run):
@@ -200,17 +219,30 @@ SUITE_TABLE = {
 }
 SUITES = {name: row[0] for name, row in SUITE_TABLE.items()}
 
+# the suites that read each option whose default is None; the others refuse it
+_READERS = {
+    "chain": _CHAIN_SUITES,
+    "subgyrogroup": _CHAIN_SUITES + ("cosets",),
+    "depth": _CHAIN_SUITES,
+    "order": ("search",),
+    "max_results": ("search",),
+}
+
 
 def run_suite(cfg: RunConfig):
     """Execute one suite; returns (report, exit_code). In a chain suite a
     finite chain spec is short for ``--model table:<table> --subgyrogroup
     <indices>`` and becomes them before anything is resolved; a value given
-    twice is a UsageError. A table that TableModel refuses while the suite
-    resolves its carrier gives a failing report on that model with the one
-    check ``table_structure``."""
+    twice is a UsageError, and so is an option the suite does not read. A
+    table that TableModel refuses while the suite resolves its carrier
+    gives a failing report on that model with the one check
+    ``table_structure``."""
     if cfg.suite not in SUITE_TABLE:
         raise UsageError(f"unknown suite {cfg.suite!r}")
-    chain = cfg.chain if cfg.suite in _CHAIN_SUITES else None
+    for option, readers in _READERS.items():
+        if cfg.suite not in readers:
+            _refuse_unread(cfg, option, f"suite {cfg.suite!r}")
+    chain = cfg.chain
     if chain is not None and cfg.depth is not None:
         raise UsageError("the depth is given twice: by --depth and by --chain")
     if chain is not None and chain["kind"] == "finite_discrete":

@@ -237,6 +237,41 @@ def test_table_that_is_no_gyrogroup_is_one_structure_check(capsys, suite, args):
     assert payload["model"] == refused
 
 
+RADIAL = '{"kind":"radial_rapidity","ratio":0.25}'
+UNREAD = [
+    (["axioms", "--chain", RADIAL], "suite 'axioms' does not read --chain"),
+    (["search", "--order", "3", "--chain", RADIAL], "suite 'search' does not read --chain"),
+    (["identities", "--order", "3"], "suite 'identities' does not read --order"),
+    (["table-validate", "--model", "table:z6", "--max-results", "2"],
+     "suite 'table-validate' does not read --max-results"),
+    (["metric", "--model", "mobius", "--subgyrogroup", "0,3"],
+     "a radial chain does not read --subgyrogroup"),
+    (["search", "--order", "3", "--subgyrogroup", "0"],
+     "suite 'search' does not read --subgyrogroup"),
+    (["table-validate", "--model", "table:z6", "--subgyrogroup", "0,3"],
+     "suite 'table-validate' does not read --subgyrogroup"),
+    (["subgyrogroups", "--model", "table:z6", "--subgyrogroup", "0,3"],
+     "suite 'subgyrogroups' does not read --subgyrogroup"),
+    (["axioms", "--model", "table:z6", "--subgyrogroup", "0,3"],
+     "suite 'axioms' does not read --subgyrogroup"),
+    (["metric", "--model", "table:z6", "--subgyrogroup", "0,3", "--depth", "8"],
+     "a finite chain does not read --depth"),
+    (["axioms", "--depth", "8"], "suite 'axioms' does not read --depth"),
+    # refused before the table is admitted, so no table_structure report
+    (["prenorm", "--model", f"table:{CORPUS / 'no_identity.json'}", "--subgyrogroup", "0",
+      "--depth", "8"], "a finite chain does not read --depth"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,error", UNREAD, ids=[f"{a[0]}-{e.rsplit('--', 1)[1]}" for a, e in UNREAD]
+)
+def test_an_option_the_suite_does_not_read_exits_two(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert error in err
+
+
 @pytest.mark.parametrize(
     "suite,model,samples",
     [
