@@ -219,7 +219,7 @@ SUITE_TABLE = {
 }
 SUITES = {name: row[0] for name, row in SUITE_TABLE.items()}
 
-# the suites that read each option whose default is None; the others refuse it
+# the suites that read each suite-specific option; the others refuse it
 _READERS = {
     "chain": _CHAIN_SUITES,
     "subgyrogroup": _CHAIN_SUITES + ("cosets",),

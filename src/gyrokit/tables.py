@@ -644,30 +644,31 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     """Every valid operation table of the given order, identity at 0.
 
     The search fills only squares whose inverse map is a representative
-    involution. The inverse map of a table with identity 0 is an
-    involution that fixes 0, and an identity-fixing relabeling sigma turns
-    it into sigma inv sigma^-1. Two involutions are conjugate exactly when
-    they have the same number of 2-cycles, so every isomorphism class has a
-    member whose inverse map is (1 2)(3 4)...(2k-1 2k) for one k in
-    0..(n-1)//2: :func:`_involution_squares` (order 6: 184 squares, where
-    the inverse-symmetric reduced squares number 1,808). They go in one
+    involution. In a gyrogroup with identity 0 the inverse map x -> -x,
+    the y with x + y = 0, is an involution that fixes 0, and an
+    identity-fixing relabeling sigma turns it into sigma (-) sigma^-1. Two
+    involutions are conjugate exactly when they have the same number of
+    2-cycles, so every isomorphism class has a member whose inverse map is
+    (1 2)(3 4)...(2k-1 2k) for one k in 0..(n-1)//2:
+    :func:`_involution_squares` (order 6: 184 squares, of the 1,808
+    reduced squares with x + y = 0 exactly when y + x = 0). They go in one
     stack and one tensor build (order 6: 184 * 6^3 entries, within
-    _KERNEL_CELLS) through :func:`_stack_law_holds`: the n^3 loop law, then
-    the n^4 automorphism law on the loop law's survivors only. A reduced
-    Latin square has an identity and bijective left translations, and
-    gyroassociativity holds by the construction of the gyrations, so what
-    passes both laws is valid, and its class is found.
+    ``core._KERNEL_CELLS``) through :func:`_stack_law_holds`: the n^3 loop
+    law, then the n^4 automorphism law on the loop law's survivors only. A
+    reduced Latin square has an identity and bijective left translations,
+    and gyroassociativity holds by the construction of the gyrations, so
+    what passes both laws is valid, and its class is found.
 
     By default each class is returned once, as its canonical form
     (:func:`_canonical_bytes`). With ``canonical_identity=False`` every
     valid reduced square is returned: the union of the found classes'
     orbits under the identity-fixing relabelings. Either way the tables
-    are sorted by their uint8 bytes and named in that order. With
-    ``max_results`` the first that many are returned. An earlier search
-    met the reduced squares in lexicographic order and stopped after
-    ``max_results`` hits; the first square it met of each class was the
-    class's canonical form, so it returned the same least tables.
-    Deterministic.
+    are sorted by their uint8 bytes, cut to the first ``max_results`` and
+    named in that order. That is what a search returns that meets the
+    reduced squares in lexicographic order and stops after
+    ``max_results`` hits: relabeling keeps a square reduced and valid, so
+    the first square it meets of each class is the least of the class,
+    its canonical form. Deterministic.
     """
     if order < 1:
         raise UsageError("order must be >= 1")
