@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core import check_axioms, check_identities
 from .errors import (
@@ -63,7 +63,7 @@ class RunConfig:
     model: str = "mobius"
     samples: int = 10000
     seed: int = 42
-    tol: ToleranceConfig = field(default_factory=ToleranceConfig)
+    tol: ToleranceConfig | None = None
     chain: dict | None = None
     subgyrogroup: list | None = None
     depth: int | None = None
@@ -168,13 +168,12 @@ def _sampled(check):
 
     def run(model, cfg: RunConfig):
         sampler = Sampler(cfg.seed)
+        tol = cfg.tol or ToleranceConfig()
         try:
             target = _build_chain(cfg, model) if cfg.suite in _CHAIN_SUITES else model
         except ChainConditionError as exc:
-            return chain_condition_report(
-                cfg.suite, "chain_condition", exc, model, sampler, cfg.tol
-            )
-        return check(target, sampler=sampler, n_samples=cfg.samples, tol=cfg.tol)
+            return chain_condition_report(cfg.suite, "chain_condition", exc, model, sampler, tol)
+        return check(target, sampler=sampler, n_samples=cfg.samples, tol=tol)
 
     return resolve, run
 
@@ -185,6 +184,7 @@ def _on_table(run):
 
 
 _CHAIN_SUITES = ("prenorm", "metric", "admissible")
+_SAMPLED_SUITES = ("axioms", "identities", "strong-base") + _CHAIN_SUITES
 
 
 # suite name -> (description, resolver of what the suite runs on, runner);
@@ -226,6 +226,7 @@ _READERS = {
     "depth": _CHAIN_SUITES,
     "order": ("search",),
     "max_results": ("search",),
+    "tol": _SAMPLED_SUITES,
 }
 
 
@@ -353,9 +354,7 @@ def main(argv=None) -> int:
             model=args.model,
             samples=args.samples,
             seed=args.seed,
-            tol=ToleranceConfig() if args.tol is None else ToleranceConfig(
-                abs_tol=args.tol, rel_tol=args.tol
-            ),
+            tol=None if args.tol is None else ToleranceConfig(abs_tol=args.tol, rel_tol=args.tol),
             chain=None if args.chain is None else parse_chain_spec(args.chain),
             subgyrogroup=args.subgyrogroup,
             depth=args.depth,

@@ -259,24 +259,45 @@ def build_dyadic(chain: NeighborhoodChain) -> DyadicFamily:
 
 def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     """Least dyadic index (on the depth grid, capped at 2) whose set
-    contains each point. Greedy bit extraction over the levels; a bit is
-    set exactly when the finer levels cannot cover the remainder.
+    contains each point: the greedy bit extraction of ``_leading_bits``
+    over the points' rapidities, run through the deepest level."""
+    chain = family.chain
+    if isinstance(chain, FiniteChain):
+        return np.where(chain.level_member(0, x), 0.0, 1.0)
+    head, _ = _leading_bits(family, rapidity(family.model, x), family.depth)
+    return head
+
+
+def _leading_bits(family: DyadicFamily, rho, last: int):
+    """The greedy bit extraction of a radial chain's prenorm over the
+    rapidities ``rho``, run through level ``last``: returns ``(head, rem)``,
+    the value extracted so far and each remainder after level ``last``. A
+    bit is set exactly when the finer levels cannot cover the remainder.
+    Through ``family.depth`` the head is the prenorm N.
 
     The loop starts at the first level whose tail (the sum of the finer
     radii) is at most the largest remainder. Tails never increase, and no
     remainder changes before a bit is set, so no earlier level can set
     one; the start may land on a level whose tail equals that maximum,
-    which sets no bit either. The updates are unmasked: where the bit is
+    which sets no bit either. So a point's value does not depend on the
+    batch it is evaluated in. The updates are unmasked: where the bit is
     clear they add 0.0 to ``out``, which starts at 0 or 2 and so never
     holds a negative zero, and subtract 0.0 from ``rem``, which leaves
     every float unchanged, a negative zero included. Either leaves the
-    value as it was, so the result is that of the masked loop bit for
-    bit."""
-    chain = family.chain
-    if isinstance(chain, FiniteChain):
-        return np.where(chain.level_member(0, x), 0.0, 1.0)
-    rho = rapidity(family.model, x)
-    t = chain.t[: family.depth + 1].astype(float)
+    value as it was, so the result is that of the masked loop bit for bit.
+
+    Leading bits: N is the head plus the bits 2^-k set at the levels
+    k > ``last``, and those sum to less than 2^-last; the head is a
+    multiple of 2^-last (2 on a capped or NaN point, whose remainder is
+    0). So N < 2^-last exactly when head < 2^-last, and N <= 2^(1-last)
+    exactly when head < 2^(1-last), or head == 2^(1-last) with no later
+    bit. A remainder changes only when a bit is set and the deepest tail
+    is 0, so above the deepest level a later bit is set exactly when
+    rem > 0. At the deepest level a positive rem means that level's bit
+    is set, which makes the head an odd multiple of 2^-depth, never
+    2^(1-depth). So a head of 2^(1-last) has no later bit exactly when
+    rem <= 0."""
+    t = family.chain.t[: family.depth + 1].astype(float)
     tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
     full = float(t[0] + tails[0])
     capped = ~(rho <= full)  # NaN counts as beyond the top
@@ -284,11 +305,24 @@ def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     # a capped sample has rem = 0, which exceeds no tail
     rem = np.where(capped, 0.0, rho)
     start = int(np.searchsorted(-tails, -rem.max(initial=0.0)))
-    for n in range(start, family.depth + 1):
+    for n in range(start, last + 1):
         bit = rem > tails[n]
         out += bit * 2.0 ** -n
         rem -= bit * t[n]
-    return out
+    return out, rem
+
+
+def _sandwich_bounds(family: DyadicFamily, x, n: int):
+    """The bounds of level n's sandwich at the points ``x``: N(x) < 2^-n
+    and N(x) <= 2^(1-n). On a radial chain both are read from the
+    extraction through level n only, by the leading-bits lemma of
+    ``_leading_bits``."""
+    if isinstance(family.chain, FiniteChain):
+        N = family(x)
+        return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
+    head, rem = _leading_bits(family, rapidity(family.model, x), n)
+    top = 2.0 ** (1 - n)
+    return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +355,9 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
     """Points with rapidity uniform on [0, t_cap]; no boundary forcing."""
     check_sample_size(n, dim)
     rho = gen.uniform(0.0, t_cap, size=n)
-    return np.tanh(rho)[:, None] * bound * directions(gen, n, dim)
+    d = directions(gen, n, dim)
+    d *= (np.tanh(rho) * bound)[:, None]
+    return d
 
 
 def _within(limit, residual):
@@ -367,7 +403,15 @@ def check_prenorm_properties(
     tol: ToleranceConfig | None = None,
 ) -> VerificationReport:
     """Sandwich inclusions level by level, gyration invariance,
-    subadditivity, and inversion symmetry of the prenorm the chain induces."""
+    subadditivity, and inversion symmetry of the prenorm the chain induces.
+
+    The sandwich {N < 2^-n} ⊆ U_n ⊆ {N <= 2^(1-n)} reads N only against
+    2^-n and 2^(1-n), so on a radial chain level n is decided from the
+    extraction through level n alone: the bits below it sum to less than
+    2^-n, which leaves one case open, a head of exactly 2^(1-n), and that
+    one is decided by whether a later bit is set (the leading-bits lemma of
+    ``_leading_bits``). A failing level's witness still gives the full N,
+    evaluated on its one point."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -390,23 +434,20 @@ def check_prenorm_properties(
                 gen = sampler.stream("prenorm", f"sandwich_{n}")
                 t_n = float(chain.t[n])
                 pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * t_n)
-                note = None
-            N = family(pts)
-            inner = N < 2.0 ** -n
-            outer = N <= 2.0 ** (1 - n)
+                note = len(pts)
+            inner, outer = _sandwich_bounds(family, pts, n)
             member = chain.level_member(n, pts)
-            bad = np.count_nonzero((inner & ~member) | (member & ~outer))
+            failing = (inner & ~member) | (member & ~outer)
+            bad = np.count_nonzero(failing)
             res = CheckResult(
-                f"sandwich_level_{n}",
-                bad == 0,
-                float(bad) / max(1, len(N)),
-                note or len(N),
+                f"sandwich_level_{n}", bad == 0, float(bad) / max(1, len(pts)), note
             )
             if bad:
-                i = int(np.argmax((inner & ~member) | (member & ~outer)))
+                # the full N of the one point is its N in the batch
+                i = int(np.argmax(failing))
                 res.witness = {
                     "index": i,
-                    "prenorm": float(N[i]),
+                    "prenorm": float(family(pts[i:i + 1])[0]),
                     "member": bool(member[i]),
                 }
             report.checks.append(res)

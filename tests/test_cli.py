@@ -257,6 +257,13 @@ UNREAD = [
     (["metric", "--model", "table:z6", "--subgyrogroup", "0,3", "--depth", "8"],
      "a finite chain does not read --depth"),
     (["axioms", "--depth", "8"], "suite 'axioms' does not read --depth"),
+    (["search", "--order", "3", "--tol", "5"], "suite 'search' does not read --tol"),
+    (["table-validate", "--model", "table:z6", "--tol", "5"],
+     "suite 'table-validate' does not read --tol"),
+    (["subgyrogroups", "--model", "table:z6", "--tol", "5"],
+     "suite 'subgyrogroups' does not read --tol"),
+    (["cosets", "--model", "table:z6", "--subgyrogroup", "0,3", "--tol", "5"],
+     "suite 'cosets' does not read --tol"),
     # refused before the table is admitted, so no table_structure report
     (["prenorm", "--model", f"table:{CORPUS / 'no_identity.json'}", "--subgyrogroup", "0",
       "--depth", "8"], "a finite chain does not read --depth"),

@@ -11,6 +11,7 @@ from gyrokit.prenorm import (
     FiniteChain,
     RadialChain,
     _rapidity_ball,
+    _sandwich_bounds,
     build_dyadic,
     check_prenorm_properties,
     parse_chain_spec,
@@ -18,7 +19,7 @@ from gyrokit.prenorm import (
     rapidity,
     validate_admissible_chain,
 )
-from gyrokit.sampling import directions
+from gyrokit.sampling import Sampler, ball_points, directions
 from gyrokit.tables import cyclic_table, klein_table
 
 GRID24 = 2.0 ** -24
@@ -318,6 +319,132 @@ def test_greedy_loop_at_a_remainder_equal_to_a_tail(model, ratio):
         assert_same_bits(fam, x)
         assert_same_bits(fam, at)
     assert hits >= 5
+
+
+def full_sandwich_bounds(fam, x, n):
+    """Reference for _sandwich_bounds: both bounds read off the full N."""
+    N = masked_prenorm_eval(fam, x)
+    return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
+
+
+@MODELS
+@RATIOS
+def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
+    gen = np.random.default_rng(53)
+    dim, bound = model.dim, model.bound
+    # N exactly at the outer bound 2^(1-n), and just past it (a later bit)
+    at_top = past_top = hits = 0
+    for depth in (1, 24, 40):
+        for t0 in (0.01, 1.0, MAX_T0):
+            fam = build_dyadic(RadialChain(model, t0=t0, ratio=ratio, depth=depth))
+            t, tails = tails_of(fam)
+            top = float(t[0] + tails[0])
+            beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 20))[:, None]
+            beyond = beyond * bound * directions(gen, 20, dim)
+            nan_mix = _rapidity_ball(gen, 20, dim, bound, top)
+            nan_mix[::3] = np.nan
+            # points whose rapidity is a sandwich threshold t[n], t[n-1] or 2 t0
+            # exactly, or the next double above it
+            thresholds = [fam.threshold(Fraction(1, 2 ** n)) for n in range(depth + 1)]
+            thresholds += [fam.threshold(2)]
+            exact = np.concatenate([point_at_rapidity(model, r) for r in thresholds] + [
+                point_at_rapidity(model, np.nextafter(r, np.inf)) for r in thresholds
+            ])
+            hits += len(exact)
+            inputs = [
+                _rapidity_ball(gen, 500, dim, bound, 1.2 * top),
+                nan_mix,
+                np.full((3, dim), np.nan),
+                beyond,
+                np.zeros((0, dim)),
+                np.zeros((4, dim)),
+                _rapidity_ball(gen, 1, dim, bound, top)[0],  # a single point, 0-d result
+                exact,
+                *exact[:1],
+            ]
+            for n in range(depth + 1):
+                draws = _rapidity_ball(gen, 200, dim, bound, 2.2 * t[n])
+                for x in inputs + [draws]:
+                    got, want = _sandwich_bounds(fam, x, n), full_sandwich_bounds(fam, x, n)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape and np.array_equal(g, w)
+                N = masked_prenorm_eval(fam, np.concatenate([exact, draws]))
+                at_top += np.count_nonzero(N == 2.0 ** (1 - n))
+                past_top += np.count_nonzero((N > 2.0 ** (1 - n)) & (N < 2.0 ** (1 - n) + 2.0 ** -n))
+    assert hits >= 300 and at_top and past_top
+
+
+@MODELS
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("factor", [3.0, 0.05])
+def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, model, ratio,
+                                                                 factor):
+    # level n of a faulty chain is the ball of radius factor * t[n]; the
+    # sandwich's failing levels, residuals and witnesses must be those that
+    # the full N of every sample gives
+    def faulty(self, n, x):
+        return rapidity(self.model, x) <= factor * self.t[n]
+
+    monkeypatch.setattr(RadialChain, "level_member", faulty)
+    chain = RadialChain(model, ratio=ratio)
+    fam = build_dyadic(chain)
+    n_samples = 2000
+    rep = check_prenorm_properties(chain, Sampler(5), n_samples=n_samples)
+    failing_levels = 0
+    for n in range(chain.depth + 1):
+        gen = Sampler(5).stream("prenorm", f"sandwich_{n}")
+        pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * chain.t[n])
+        inner, outer = full_sandwich_bounds(fam, pts, n)
+        member = chain.level_member(n, pts)
+        failing = (inner & ~member) | (member & ~outer)
+        res = rep.check(f"sandwich_level_{n}")
+        assert res.passed == (not failing.any())
+        assert res.max_residual == np.count_nonzero(failing) / n_samples
+        assert res.samples == n_samples
+        if failing.any():
+            failing_levels += 1
+            i = int(np.argmax(failing))
+            assert res.witness == {
+                "index": i,
+                "prenorm": float(masked_prenorm_eval(fam, pts)[i]),
+                "member": bool(member[i]),
+            }
+        else:
+            assert res.witness is None
+    # at ratio 1/2 the index 2^(1-n) covers rapidity 2 t[n] only, so the
+    # 3 t[n] ball fails the outer bound on every level but the top one
+    # the 0.05 t[n] ball misses points with N < 2^-n, whose rapidity reaches
+    # tails[n] > 0.1 t[n], on every level but the deepest (N < 2^-depth is
+    # N = 0); the 3 t[n] ball holds points with N > 2^(1-n) only at ratio
+    # 1/2, where that index covers rapidity 2 t[n], on every level but the
+    # top (N <= 2 always)
+    assert failing_levels == (chain.depth if factor < 1 or ratio == 0.5 else 0)
+
+
+def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
+    # a passing radial run evaluates N only in its law checks: two points
+    # per row in gyration invariance, three in subadditivity, two in
+    # inversion symmetry
+    import gyrokit.prenorm as prenorm
+
+    sizes = []
+    real = prenorm.prenorm_eval
+    monkeypatch.setattr(prenorm, "prenorm_eval",
+                        lambda fam, x: sizes.append(len(x)) or real(fam, x))
+    n_samples = 1000
+    rep = check_prenorm_properties(RadialChain(MobiusModel(), ratio=0.25), n_samples=n_samples)
+    assert rep.passed
+    assert sizes == [n_samples] * 7
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rapidity_ball_is_ball_points_without_forcing(dim):
+    a, b = np.random.default_rng(59), np.random.default_rng(59)
+    for cap in (0.01, 1.0, 2.2 * MAX_T0):
+        got = _rapidity_ball(a, 1000, dim, 0.75, cap)
+        want = ball_points(b, 1000, dim, 0.75, t_max=cap, margin=None)
+        assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_prenorm_inversion_symmetry_bitwise():
