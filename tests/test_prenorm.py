@@ -369,8 +369,9 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
                     for g, w in zip(got, want):
                         assert g.shape == w.shape and np.array_equal(g, w)
                 N = masked_prenorm_eval(fam, np.concatenate([exact, draws]))
-                at_top += np.count_nonzero(N == 2.0 ** (1 - n))
-                past_top += np.count_nonzero((N > 2.0 ** (1 - n)) & (N < 2.0 ** (1 - n) + 2.0 ** -n))
+                bound_n = 2.0 ** (1 - n)
+                at_top += np.count_nonzero(N == bound_n)
+                past_top += np.count_nonzero((N > bound_n) & (N < bound_n + 2.0 ** -n))
     assert hits >= 300 and at_top and past_top
 
 
