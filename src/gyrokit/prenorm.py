@@ -296,7 +296,16 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     rem > 0. At the deepest level a positive rem means that level's bit
     is set, which makes the head an odd multiple of 2^-depth, never
     2^(1-depth). So a head of 2^(1-last) has no later bit exactly when
-    rem <= 0."""
+    rem <= 0.
+
+    Live set: every tail is >= 0, so a remainder <= 0 sets no further bit,
+    and its updates would add 0.0 to ``out`` and subtract 0.0 from ``rem``;
+    a dead point's (head, rem) is final. So the loop runs on the live
+    points only. After a level, when at least half of the points it ran on
+    are dead and at least two levels remain, it writes their values back
+    with an integer scatter and keeps the live ones by integer gathers
+    (``np.flatnonzero``); it stops once none is live. With one level left
+    a compaction would cost more than the level it thins."""
     t = family.chain.t[: family.depth + 1].astype(float)
     tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
     full = float(t[0] + tails[0])
@@ -305,10 +314,31 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     # a capped sample has rem = 0, which exceeds no tail
     rem = np.where(capped, 0.0, rho)
     start = int(np.searchsorted(-tails, -rem.max(initial=0.0)))
+    # flat views that write through to out and rem; the loop runs on head
+    # and tail, which are these views while idx is None and otherwise the
+    # values of the live points, whose flat indices idx holds
+    flat_out, flat_rem = out.reshape(-1), rem.reshape(-1)
+    head, tail, idx = flat_out, flat_rem, None
     for n in range(start, last + 1):
-        bit = rem > tails[n]
-        out += bit * 2.0 ** -n
-        rem -= bit * t[n]
+        bit = tail > tails[n]
+        head += bit * 2.0 ** -n
+        tail -= bit * t[n]
+        if last - n < 2:
+            continue
+        live = tail > 0.0
+        if 2 * np.count_nonzero(live) > len(tail):
+            continue
+        keep = np.flatnonzero(live)
+        if idx is not None:
+            flat_out[idx] = head
+            flat_rem[idx] = tail
+        idx = keep if idx is None else idx[keep]
+        head, tail = head[keep], tail[keep]
+        if not len(idx):
+            break
+    if idx is not None:
+        flat_out[idx] = head
+        flat_rem[idx] = tail
     return out, rem
 
 
@@ -411,7 +441,14 @@ def check_prenorm_properties(
     2^-n, which leaves one case open, a head of exactly 2^(1-n), and that
     one is decided by whether a later bit is set (the leading-bits lemma of
     ``_leading_bits``). A failing level's witness still gives the full N,
-    evaluated on its one point."""
+    evaluated on its one point.
+
+    Level n draws its points with rapidity up to 2.2 t[n], and for n >= 1
+    up to 1.1 t[n-1] where that is more: the outer bound N <= 2^(1-n)
+    covers rapidity t[n-1] = t[n] / ratio, so below ratio 1/2.2 a draw up to
+    2.2 t[n] alone never meets a point where the outer inclusion can fail.
+    Level 0's outer bound N <= 2 always holds. At ratio 1/2 both caps are
+    the same double."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -432,8 +469,10 @@ def check_prenorm_properties(
                 note = "exhaustive"
             else:
                 gen = sampler.stream("prenorm", f"sandwich_{n}")
-                t_n = float(chain.t[n])
-                pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * t_n)
+                cap = 2.2 * float(chain.t[n])
+                if n:
+                    cap = max(cap, 1.1 * float(chain.t[n - 1]))
+                pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
                 note = len(pts)
             inner, outer = _sandwich_bounds(family, pts, n)
             member = chain.level_member(n, pts)
@@ -718,6 +757,13 @@ def validate_admissible_chain(
 # chain specs (CLI surface)
 
 
+# the fields each chain kind reads
+_CHAIN_SPEC_FIELDS = {
+    "radial_rapidity": ("kind", "t0", "ratio", "depth"),
+    "finite_discrete": ("kind", "table", "subgyrogroup"),
+}
+
+
 def parse_chain_spec(spec) -> dict:
     """Normalize a chain description given as a dict or JSON text."""
     if isinstance(spec, str):
@@ -728,6 +774,13 @@ def parse_chain_spec(spec) -> dict:
     if not isinstance(spec, dict):
         raise UsageError("chain spec must be a JSON object")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _CHAIN_SPEC_FIELDS:
+        raise UsageError(f"unknown chain kind {kind!r}")
+    unread = [key for key in spec if key not in _CHAIN_SPEC_FIELDS[kind]]
+    if unread:
+        # a misspelt field would otherwise leave its default in force
+        raise UsageError(f"a {kind} chain spec has no field {unread[0]!r}; "
+                         f"its fields are {', '.join(_CHAIN_SPEC_FIELDS[kind])}")
     if kind == "radial_rapidity":
         out = {"kind": kind}
         for key, default in (("t0", 1.0), ("ratio", DEFAULT_RATIO), ("depth", DEFAULT_DEPTH)):
@@ -744,16 +797,14 @@ def parse_chain_spec(spec) -> dict:
         if not 1 <= out["depth"] <= MAX_DEPTH:
             raise UsageError(f"depth must lie in [1,{MAX_DEPTH}]")
         return out
-    if kind == "finite_discrete":
-        if "table" not in spec or "subgyrogroup" not in spec:
-            raise UsageError("finite chain spec needs 'table' and 'subgyrogroup'")
-        table = spec["table"]
-        if not isinstance(table, str) or not table:
-            raise UsageError(f"'table' must be a non-empty table name, got {table!r}")
-        sub = spec["subgyrogroup"]
-        if not isinstance(sub, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in sub
-        ):
-            raise UsageError("'subgyrogroup' must be a list of indices")
-        return {"kind": kind, "table": table, "subgyrogroup": sub}
-    raise UsageError(f"unknown chain kind {kind!r}")
+    if "table" not in spec or "subgyrogroup" not in spec:
+        raise UsageError("finite chain spec needs 'table' and 'subgyrogroup'")
+    table = spec["table"]
+    if not isinstance(table, str) or not table:
+        raise UsageError(f"'table' must be a non-empty table name, got {table!r}")
+    sub = spec["subgyrogroup"]
+    if not isinstance(sub, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in sub
+    ):
+        raise UsageError("'subgyrogroup' must be a list of indices")
+    return {"kind": kind, "table": table, "subgyrogroup": sub}

@@ -202,6 +202,19 @@ def test_radial_chain_underflowing_to_zero_exits_two(capsys, suite, ratio):
     assert "level 24 radius" in err and "underflows to 0" in err
 
 
+@pytest.mark.parametrize("suite,spec,field", [
+    ("prenorm", '{"kind":"radial_rapidity","ratoi":0.5}', "ratoi"),
+    ("metric", '{"kind":"radial_rapidity","ratio":0.5,"Depth":8}', "Depth"),
+    ("admissible", '{"kind":"finite_discrete","table":"z6","subgyrogroup":[0,3],"depth":2}',
+     "depth"),
+])
+def test_a_chain_spec_field_that_no_chain_reads_exits_two(capsys, suite, spec, field):
+    # a misspelt field is refused, not run with its default
+    code, out, err = run(capsys, suite, "--chain", spec, "--samples", "200")
+    assert (code, out) == (2, "")
+    assert f"has no field {field!r}" in err
+
+
 def test_a_name_that_is_no_builtin_is_a_path(capsys):
     # 'z' and a digit that int() cannot read: looked up as a file, no traceback
     code, out, err = run(capsys, "axioms", "--model", "table:z\u00b2")

@@ -10,6 +10,7 @@ from gyrokit.prenorm import (
     DyadicFamily,
     FiniteChain,
     RadialChain,
+    _leading_bits,
     _rapidity_ball,
     _sandwich_bounds,
     build_dyadic,
@@ -207,20 +208,25 @@ def tails_of(family):
     return t, np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
 
 
-def masked_prenorm_eval(family, x):
-    """Reference for prenorm_eval: the greedy extraction over every level,
-    each update masked by its bit."""
-    rho = rapidity(family.model, x)
+def masked_leading_bits(family, rho, last):
+    """Reference for _leading_bits: the greedy extraction over every point
+    and every level through ``last``, each update masked by its bit."""
     t, tails = tails_of(family)
     full = float(t[0] + tails[0])
     capped = ~(rho <= full)
     out = np.where(capped, 2.0, 0.0)
     rem = np.where(capped, 0.0, rho)
-    for n in range(family.depth + 1):
+    for n in range(last + 1):
         bit = rem > tails[n]
         np.add(out, 2.0 ** -n, out=out, where=bit)
         np.subtract(rem, t[n], out=rem, where=bit)
-    return out
+    return out, rem
+
+
+def masked_prenorm_eval(family, x):
+    """Reference for prenorm_eval: the masked extraction through the
+    deepest level."""
+    return masked_leading_bits(family, rapidity(family.model, x), family.depth)[0]
 
 
 def masked_index_of_rapidity(family, rho):
@@ -321,6 +327,57 @@ def test_greedy_loop_at_a_remainder_equal_to_a_tail(model, ratio):
     assert hits >= 5
 
 
+@MODELS
+@RATIOS
+def test_leading_bits_on_the_live_set_match_the_masked_loop_bitwise(monkeypatch, model,
+                                                                    ratio):
+    # the extraction runs on the live remainders only; head and rem must
+    # equal those of the masked loop over every point, sign bits included,
+    # for every last level, whatever the live set does
+    kept = []  # the length of each live set the loop compacts to
+    real = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: kept.append(int(a.sum())) or real(a))
+    gen = np.random.default_rng(61)
+    emptied = compacted_often = 0
+    for depth in (1, 24, 40):
+        fam = build_dyadic(RadialChain(model, ratio=ratio, depth=depth))
+        t, tails = tails_of(fam)
+        full = float(t[0] + tails[0])
+        dead = np.array([0.0, -0.0, np.nan, np.inf, 1.5 * full, np.nextafter(full, np.inf)])
+        k = min(depth, 10)
+        inputs = [
+            dead,
+            np.full(7, np.nan),
+            # a remainder equal to its first level's radius dies at that level,
+            # and the live set empties there
+            np.full(9, t[min(3, depth)]),
+            np.full(9, t[0]),
+            # a remainder equal to t[k] dies at level k, and at each of the
+            # first levels half of the live ones do
+            gen.permutation(np.repeat(t[:k + 1], 2 ** np.arange(k, -1, -1))),
+            # rapidities spread over every scale die level by level
+            full * 2.0 ** -gen.uniform(0.0, depth + 2.0, 3000),
+            np.concatenate([gen.uniform(0.0, full, 500), dead]),
+            gen.uniform(0.0, t[depth], 50),
+            np.zeros(0),
+            np.array(0.3 * full),  # 0-d
+            np.array(np.nan),
+            np.array(-0.0),
+        ]
+        for last in range(depth + 1):
+            for rho in inputs:
+                kept.clear()
+                got, want = _leading_bits(fam, rho, last), masked_leading_bits(fam, rho, last)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+                # a compaction leaves at least two levels to run, so a live
+                # set that empties does so before the last level
+                emptied += rho.size > 0 and kept[-1:] == [0]
+                compacted_often += len(kept) >= 3
+    assert emptied and compacted_often
+
+
 def full_sandwich_bounds(fam, x, n):
     """Reference for _sandwich_bounds: both bounds read off the full N."""
     N = masked_prenorm_eval(fam, x)
@@ -377,7 +434,7 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
 
 @MODELS
 @pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5])
-@pytest.mark.parametrize("factor", [3.0, 0.05])
+@pytest.mark.parametrize("factor", [5.0, 3.0, 1.5, 0.05])
 def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, model, ratio,
                                                                  factor):
     # level n of a faulty chain is the ball of radius factor * t[n]; the
@@ -394,7 +451,9 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
     failing_levels = 0
     for n in range(chain.depth + 1):
         gen = Sampler(5).stream("prenorm", f"sandwich_{n}")
-        pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, 2.2 * chain.t[n])
+        # the suite's cap: 2.2 t[n], and below level 0 at least 1.1 t[n-1]
+        cap = max(2.2 * chain.t[n], 1.1 * chain.t[n - 1]) if n else 2.2 * chain.t[0]
+        pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
         inner, outer = full_sandwich_bounds(fam, pts, n)
         member = chain.level_member(n, pts)
         failing = (inner & ~member) | (member & ~outer)
@@ -412,14 +471,14 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
             }
         else:
             assert res.witness is None
-    # at ratio 1/2 the index 2^(1-n) covers rapidity 2 t[n] only, so the
-    # 3 t[n] ball fails the outer bound on every level but the top one
     # the 0.05 t[n] ball misses points with N < 2^-n, whose rapidity reaches
     # tails[n] > 0.1 t[n], on every level but the deepest (N < 2^-depth is
-    # N = 0); the 3 t[n] ball holds points with N > 2^(1-n) only at ratio
-    # 1/2, where that index covers rapidity 2 t[n], on every level but the
-    # top (N <= 2 always)
-    assert failing_levels == (chain.depth if factor < 1 or ratio == 0.5 else 0)
+    # N = 0). The index 2^(1-n) covers rapidity t[n-1] = t[n] / ratio, so a
+    # ball of radius factor * t[n] holds points with N > 2^(1-n) exactly
+    # when factor > 1 / ratio, on every level but the top (N <= 2 always);
+    # the 1.5 t[n] ball, and the 3 and 5 t[n] balls below that bound, lie
+    # inside the sandwich
+    assert failing_levels == (chain.depth if factor < 1 or factor > 1 / ratio else 0)
 
 
 def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
@@ -634,6 +693,12 @@ def test_parse_chain_spec_finite():
         '{"kind": "radial_rapidity", "t0": "1.5"}',
         '{"kind": "radial_rapidity", "ratio": false}',
         '{"kind": "radial_rapidity", "ratio": "0.25"}',
+        '{"kind": ["radial_rapidity"]}',
+        # a field that the chain kind does not read
+        '{"kind": "radial_rapidity", "ratoi": 0.5}',
+        '{"kind": "radial_rapidity", "t0": 1.0, "subgyrogroup": [0]}',
+        '{"kind": "finite_discrete", "table": "z4", "subgyrogroup": [0], "depth": 3}',
+        '{"kind": "finite_discrete", "table": "z4", "subgyrogroup": [0], "ratio": 0.25}',
     ],
 )
 def test_parse_chain_spec_rejects(spec):

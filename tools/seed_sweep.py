@@ -28,12 +28,16 @@ LAW_MODELS = ("mobius", "einstein", "product:mobius+einstein")
 LAW_SUITES = ("axioms", "identities", "strong-base")
 CHAIN_MODELS = ("mobius", "einstein")
 CHAIN_SUITES = ("prenorm", "metric", "admissible")
-# the ratio 1/4 and 1/2 chains of the benchmark's metrization workload;
-# `admissible` exits 1 on the ratio 1/2 chain for every seed, since its
-# analytic condition asks for ratio <= 1/3
+# the ratio 1/4 and 1/2 chains of the benchmark's metrization workload, and
+# the ratio 0.1 chain, whose remainders die fastest in the prenorm's bit
+# extraction; `admissible` exits 1 on the ratio 1/2 chain for every seed,
+# since its analytic condition asks for ratio <= 1/3, and `metric` exits 1
+# on Einstein at ratio 0.1 for every seed: its levels reach below 1e-16, so
+# `rho_identity` measures the float64 rounding of -x + x (ROADMAP item 7)
 CHAINS = (
     '{"kind":"radial_rapidity","t0":1.0,"ratio":0.25,"depth":24}',
     '{"kind":"radial_rapidity","t0":1.0,"ratio":0.5,"depth":24}',
+    '{"kind":"radial_rapidity","t0":1.0,"ratio":0.1,"depth":24}',
 )
 
 
