@@ -55,7 +55,7 @@ _EXHAUSTIVE_CAP = 20_000_000
 
 WITNESSES = 3  # witness draws per base sample in the checks that take witness operands
 
-_KERNEL_CELLS = 1 << 16  # most tuples in one batch of first_violation
+_KERNEL_CELLS = 1 << 16  # most tuples in one batch of an exhaustive law pass
 
 _LAW_BLOCK_ROWS = 8192  # stream rows in one block of run_law_check's float64 pass
 
@@ -267,7 +267,7 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, rule=None):
     and the witness (``{"inputs", "residual"}``: the operands and residual
     of the worst failing row) come from :func:`~gyrokit.report.array_check`.
     Finite carriers are checked exactly, on every tuple, by
-    :func:`first_violation` instead.
+    :func:`exhaustive_law_checks` instead, which takes the same rules.
 
     The float64 pass (the law on traced ops, the boundary tracing and the
     rule) runs on blocks of ``_LAW_BLOCK_ROWS`` rows, so no model kernel
@@ -418,13 +418,17 @@ def _continuous_streams(model, gen, n, base, wit, tol):
     return streams
 
 
-def exhaustive_law_checks(ops, labels, checks):
+def exhaustive_law_checks(ops, labels, checks, rule=None):
     """Each law of ``checks``, (name, law, base, wit), on every tuple of the
-    carrier ``labels``, as CheckResults, through :func:`exact_violation`
-    (so the automorphism law runs once per distinct gyration of ``ops``).
-    Refused before the first runs when one law has more than
-    _EXHAUSTIVE_CAP operand tuples, n^k for k operands. A failure's
-    witness is first_violation's, as labels: ``{"inputs", "lhs", "rhs"}``."""
+    carrier ``labels``, as CheckResults; refused before the first runs when
+    one law has more than _EXHAUSTIVE_CAP operand tuples, n^k for k operands.
+
+    Without a ``rule``, through :func:`exact_violation` (so the automorphism
+    law runs once per distinct gyration of ``ops``), with first_violation's
+    witness in labels: ``{"inputs", "lhs", "rhs"}``. With one, as in
+    :func:`run_law_check`, on broadcast index grids, a run of values of the
+    first operand at a time (at most _KERNEL_CELLS tuples, or one value),
+    with the witness ``{"inputs", "residual"}``, the inputs in labels."""
     n = len(labels)
     for _, _, base, wit in checks:
         if n ** (base + wit) > _EXHAUSTIVE_CAP:
@@ -433,9 +437,23 @@ def exhaustive_law_checks(ops, labels, checks):
             )
     results = []
     for name, law, base, wit in checks:
-        bad = exact_violation(ops, n, law, base + wit)
-        results.append(witness_check(name, None if bad is None else {
-            "inputs": [labels[i] for i in bad[0]], "lhs": labels[bad[1]], "rhs": labels[bad[2]]
+        k = base + wit
+        if rule is None:
+            bad = exact_violation(ops, n, law, k)
+            results.append(witness_check(name, None if bad is None else {
+                "inputs": [labels[i] for i in bad[0]],
+                "lhs": labels[bad[1]], "rhs": labels[bad[2]],
+            }))
+            continue
+        residual, ok = np.empty((n,) * k), np.empty((n,) * k, dtype=bool)
+        idx = np.arange(n)
+        step = max(1, _KERNEL_CELLS // n ** (k - 1))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            residual[rows], ok[rows] = rule(law(ops, *np.ix_(idx[rows], *[idx] * (k - 1))))
+        results.append(array_check(name, residual, ok, "exhaustive", lambda i: {
+            "inputs": [labels[j] for j in np.unravel_index(i, residual.shape)],
+            "residual": float(residual.flat[i]),
         }))
     return results
 

@@ -4,23 +4,28 @@ which is the induced prenorm, and the pseudometric / quotient-metric layer.
 A chain is a decreasing sequence of sets around the identity. When
 consecutive levels shrink fast enough the chain extends to a family
 indexed by dyadic rationals in (0, 2], and the least dyadic index whose
-set contains a point is a prenorm on the carrier; calling the family
-evaluates it. The suites take the chain and build its family. Two
-routes are kept deliberately separate: set membership goes through the
-threshold recursion (for single indices; the bisection that inverts it
-carries each sample's lower threshold by the recursion's step), while
-prenorm values come from a greedy per-level bit extraction. They must
-agree, and the test suite holds them to that.
+set contains a point is a prenorm N on the carrier; calling the family
+evaluates it. The suites take the chain, build its family and state each
+check once; each chain kind supplies what differs. A ``RadialChain`` on a
+ball evaluates N by a greedy per-level bit extraction over rapidity
+(``_leading_bits``), needs radii that halve, and draws its operands with
+``_rapidity_ball`` for ``run_law_check``. A ``FiniteChain`` on a table has
+N the indicator of its base's complement, halves trivially, and takes
+``np.ix_`` index grids over the carrier for ``exhaustive_law_checks``.
+
+The recursion that defines the index sets' radii is read by no check; the
+tests keep it, as the reference that ``DyadicFamily.index_of_rapidity``
+(the metric suite's second route to N) is pinned against.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
 
 import numpy as np
 
-from .core import GyrogroupModel, law_triangle_decomposition, run_law_check
+from .core import GyrogroupModel, exhaustive_law_checks, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, check_sample_size, directions
@@ -44,21 +49,23 @@ def rapidity(model: GyrogroupModel, x) -> np.ndarray:
 
 
 class NeighborhoodChain:
-    """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model."""
+    """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model.
 
-    kind = "abstract"
+    A kind supplies ``level_member(n, x)``, ``describe()``, N as
+    ``prenorm(family, x)``, ``sandwich_bounds(family, x, n)`` (N < 2^-n and
+    N <= 2^(1-n)), ``check_halving()``, ``slack(tol, steps)`` (what a check
+    over values of N allows), ``reach`` (the rapidity from which N is 2,
+    the scale of the rows' sampling caps), its operands
+    (``sandwich_points``, ``triples``, and ``law_check``, which runs a row
+    (name, stream, caps, law, rule) on operands of its own), witness labels
+    (``labels_at(operands, i)``) and the checks only it runs
+    (``prenorm_rows``, ``metric_checks``, ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         if not 1 <= depth <= MAX_DEPTH:
             raise UsageError(f"chain depth must lie in [1,{MAX_DEPTH}], got {depth}")
         self.model = model
         self.depth = depth
-
-    def level_member(self, n: int, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
 
 
 class RadialChain(NeighborhoodChain):
@@ -80,24 +87,165 @@ class RadialChain(NeighborhoodChain):
         if not self.t[depth] > 0:
             # a level of radius 0 is {e}, which is no neighbourhood
             raise UsageError(f"level {depth} radius t0*ratio^{depth} underflows to 0")
+        self.reach = float(np.sum(self.t))
 
     def level_member(self, n, x):
         return rapidity(self.model, x) <= self.t[n]
 
     def describe(self):
-        return {
-            "kind": self.kind,
-            "t0": self.t0,
-            "ratio": self.ratio,
-            "depth": self.depth,
-        }
+        return {"kind": self.kind, "t0": self.t0, "ratio": self.ratio, "depth": self.depth}
+
+    def prenorm(self, family, x):
+        """The greedy bit extraction over the points' rapidities, run
+        through the family's deepest level."""
+        return _leading_bits(family, rapidity(self.model, x), family.depth)[0]
+
+    def sandwich_bounds(self, family, x, n):
+        """Both bounds read from the extraction through level n only, by
+        the leading-bits lemma of ``_leading_bits``."""
+        head, rem = _leading_bits(family, rapidity(self.model, x), n)
+        top = 2.0 ** (1 - n)
+        return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0))
+
+    def check_halving(self):
+        t = self.t
+        for n in range(self.depth):
+            if 2.0 * t[n + 1] > t[n] * (1.0 + 1e-12):
+                raise ChainConditionError(
+                    f"level {n + 1} does not halve: 2*{t[n + 1]:.6g} > {t[n]:.6g}",
+                    level=n + 1,
+                    witness={"t_n": float(t[n]), "t_next": float(t[n + 1])},
+                )
+
+    def slack(self, tol, steps=0):
+        """The float tolerance plus ``steps`` steps of the depth grid, to
+        which the extraction quantizes N."""
+        return tol.abs_tol + steps * 2.0 ** -self.depth
+
+    def _draw(self, sampler, suite, stream, caps, n_samples):
+        """One stream of points per rapidity cap, from one generator."""
+        gen = sampler.stream(suite, stream)
+        model = self.model
+        return [_rapidity_ball(gen, n_samples, model.dim, model.bound, c) for c in caps]
+
+    def sandwich_points(self, sampler, n, n_samples):
+        """Level n's draws: rapidity up to 2.2 t[n], and for n >= 1 up to
+        1.1 t[n-1] where that is more. The outer bound N <= 2^(1-n) covers
+        rapidity t[n-1] = t[n] / ratio, so below ratio 1/2.2 a draw up to
+        2.2 t[n] alone never meets a point where the outer inclusion can
+        fail. Level 0's outer bound N <= 2 always holds. At ratio 1/2 both
+        caps are the same double."""
+        cap = 2.2 * float(self.t[n])
+        if n:
+            cap = max(cap, 1.1 * float(self.t[n - 1]))
+        (pts,) = self._draw(sampler, "prenorm", f"sandwich_{n}", (cap,), n_samples)
+        return pts, len(pts)
+
+    def triples(self, sampler, n_samples):
+        """The metric suite's x, y and z, drawn up to rapidity 0.95 t0."""
+        return self._draw(sampler, "metric", "triples", (0.95 * self.t0,) * 3, n_samples), n_samples
+
+    def law_check(self, sampler, suite, row, n_samples, tol):
+        name, stream, caps, law, rule = row
+        operands = self._draw(sampler, suite, stream, caps, n_samples)
+        return run_law_check(self.model, name, law, operands, tol, rule)
+
+    @staticmethod
+    def labels_at(operands, i):
+        return [s[i].tolist() for s in operands]
+
+    def prenorm_rows(self, family, tol):
+        """At ratio 1/2 the thresholds are linear in the index, so N is the
+        grid ceiling of rapidity / t0: the row that checks that closed form."""
+        if self.ratio != 0.5:
+            return []
+        scale = 2.0 ** family.depth
+
+        def closed_form_gap(x):
+            expected = np.minimum(np.ceil(rapidity(self.model, x) / self.t0 * scale) / scale, 2.0)
+            return np.abs(family(x) - expected)
+
+        return [("closed_form_agreement", "closed_form", (1.9 * self.reach,),
+                 lambda ops, x: [(x,)], _within(self.slack(tol, 1), closed_form_gap))]
+
+    def metric_checks(self, family, operands, rxy, tol):
+        """The proof-step decomposition behind the triangle inequality, and
+        independent routes to rho(x, y) = N(-x + y) + N(-y + x): invert the
+        index sets' radii by bisection, and at ratio 1/2 the closed form."""
+        model = self.model
+        x, y, z = operands
+        checks = [run_law_check(
+            model, "decomposition_identity", law_triangle_decomposition, [x, y, z], tol
+        )]
+
+        def bisection_gap(xy, yx):
+            index = family.index_of_rapidity
+            oracle = index(rapidity(model, xy)) + index(rapidity(model, yx))
+            return np.abs(family(xy) + family(yx) - oracle)
+
+        def closed_form_gap(xy, yx):
+            oracle = 2.0 * np.arctanh(model.norm_fraction(xy)) / self.t0
+            return np.abs(family(xy) + family(yx) - oracle)
+
+        oracles = [("rho_oracle", bisection_gap)]
+        if self.ratio == 0.5:
+            oracles.append(("rho_closed_form", closed_form_gap))
+        limit = self.slack(tol, 4)
+        for name, gap in oracles:
+            checks.append(
+                run_law_check(model, name, _separations, [x, y], tol, _within(limit, gap))
+            )
+        return checks
+
+    def admissible_checks(self, sampler, n_samples, tol):
+        """The analytic condition 3 t[n+1] <= t[n]; per level, the double
+        sums of draws from the level below, with the worst case appended,
+        three copies of the extreme point on a fixed axis, where the radial
+        scales add exactly; and the identity in every level."""
+        model, t = self.model, self.t
+        cond_ok = bool((3.0 * t[1:] <= t[:-1] * (1.0 + 1e-12)).all())
+        cond = CheckResult("analytic_condition", cond_ok, 0.0, self.depth)
+        if not cond_ok:
+            lvl = int(np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))[0])
+            cond.max_residual = float(3.0 * t[lvl + 1] / t[lvl] - 1.0)
+            cond.witness = {"level": lvl + 1, "t_n": float(t[lvl]), "t_next": float(t[lvl + 1])}
+        checks = [cond]
+
+        per_level = max(16, n_samples // max(1, self.depth))
+        axis = np.zeros(model.dim)
+        axis[0] = 1.0
+        for n in range(self.depth):
+            gen = sampler.stream("admissible", f"level_{n}")
+            t_in = float(t[n + 1])
+            extreme = (model.bound * np.tanh(t_in)) * axis
+            uvw = [
+                np.vstack([_rapidity_ball(gen, per_level, model.dim, model.bound, t_in), extreme])
+                for _ in range(3)
+            ]
+            checks.append(run_law_check(
+                model, f"level_{n}_double_sum",
+                lambda ops, u, v, w: [(ops.oplus(u, ops.oplus(v, w)),)], uvw, tol,
+                _within(tol.abs_tol, lambda c: rapidity(model, c) - float(t[n])),
+            ))
+
+        # candidate base of the chain: the identity sits in every level
+        zero = model.zero_like(axis[None, :])
+        in_all = all(bool(self.level_member(n, zero).all()) for n in range(self.depth + 1))
+        checks.append(array_check(
+            "intersection_contains_identity", float(not in_all), in_all, self.depth + 1
+        ))
+        return checks, {"deepest_level_rapidity": float(t[self.depth])}
 
 
 class FiniteChain(NeighborhoodChain):
     """Constant chain on a finite model, or on a bare Cayley table: every
-    level is the same subset, so the chain has depth 1."""
+    level is the same subset, so the chain has depth 1. N is the indicator
+    of the complement of that subset, exactly, and every check runs on the
+    whole carrier."""
 
     kind = "finite_discrete"
+    # N never reaches 2, and no operand is drawn, so no cap is read
+    reach = math.inf
 
     def __init__(self, model: TableModel | CayleyTable, subgyrogroup):
         if isinstance(model, CayleyTable):
@@ -115,19 +263,105 @@ class FiniteChain(NeighborhoodChain):
         if not self._mask[e]:
             raise ChainConditionError("chain levels must contain the identity", level=0)
         if not _closed_under(model.source, H):
-            raise ChainConditionError(
-                "chain level is not closed under the operation", level=0
-            )
+            raise ChainConditionError("chain level is not closed under the operation", level=0)
 
     def level_member(self, n, x):
         return self._mask[np.asarray(x)]
 
     def describe(self):
-        return {
-            "kind": self.kind,
-            "table": self.model.name,
-            "subgyrogroup": self.H.tolist(),
-        }
+        return {"kind": self.kind, "table": self.model.name, "subgyrogroup": self.H.tolist()}
+
+    def prenorm(self, family, x):
+        return np.where(self.level_member(0, x), 0.0, 1.0)
+
+    def sandwich_bounds(self, family, x, n):
+        N = family(x)
+        return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
+
+    def check_halving(self):
+        """A constant chain halves trivially."""
+
+    def slack(self, tol, steps=0):
+        return 0.0  # N is exact
+
+    def sandwich_points(self, sampler, n, n_samples):
+        return np.arange(self.model.order), "exhaustive"
+
+    def triples(self, sampler, n_samples):
+        """x, y and z as broadcast index grids (``np.ix_``): N and each
+        separation are evaluated on the n or n² cells they read, and only
+        the triangle residuals span n³."""
+        r = np.arange(self.model.order)
+        return np.ix_(r, r, r), "exhaustive"
+
+    def law_check(self, sampler, suite, row, n_samples, tol):
+        name, _, caps, law, rule = row
+        checks = [(name, law, len(caps), 0)]
+        return exhaustive_law_checks(self.model, self.model.labels, checks, rule)[0]
+
+    def labels_at(self, operands, i):
+        shape = np.broadcast_shapes(*(np.shape(g) for g in operands))
+        return [self.model.labels[np.broadcast_to(g, shape).flat[i]] for g in operands]
+
+    def prenorm_rows(self, family, tol):
+        return []
+
+    def metric_checks(self, family, operands, rxy, tol):
+        """Invariance of d and rho under change of class representatives,
+        and the quotient's two values.
+
+        Each is checked one side at a time, as f(x + p, y + q) = f(x, y) for
+        all p, q in H exactly when f(x + p, y) = f(x, y) = f(x, y + p) for
+        all p in H (take q = e; conversely, move x first, then y): 2|H|
+        gathers for |H|² pairs. A failure's witness is the shift p, the side
+        it moves and the pair (x, y) whose value moves most."""
+        model, H = self.model, self.H
+        T, L = model.source.table, model.labels
+
+        def coset_check(name, f):
+            def moved(p, side):
+                return np.abs((f[T[:, p]] if side == "x" else f[:, T[:, p]]) - f)
+
+            def witness(i):
+                p, side = H[i // 2], "xy"[i % 2]
+                x, y = np.unravel_index(np.argmax(moved(p, side)), f.shape)
+                return {"shift": L[p], "side": side, "x": L[x], "y": L[y]}
+
+            shift = np.array([[moved(p, side).max() for side in "xy"] for p in H])
+            return array_check(name, shift, shift == 0, "exhaustive", witness)
+
+        N = family(np.arange(model.order))
+        rho = rxy[:, :, 0]
+        checks = [coset_check("d_coset_invariance", np.abs(N[:, None] - N[None, :])),
+                  coset_check("rho_coset_invariance", rho)]
+
+        # on the quotient the separation is two-valued: 0 on a shared
+        # class, the constant 2 across distinct classes
+        try:
+            _, pi = coset_partition(model.source, H.tolist())
+        except AxiomViolationError as exc:
+            checks.append(witness_check("rho_discrete_on_quotient", {"error": str(exc)}))
+            return checks
+        diff = np.abs(rho - np.where(pi[:, None] == pi[None, :], 0.0, 2.0))
+        checks.append(array_check("rho_discrete_on_quotient", diff, diff == 0, "exhaustive"))
+        return checks
+
+    def admissible_checks(self, sampler, n_samples, tol):
+        """Closure, the identity and the base of the chain, which is
+        constant, so its intersection is the base subset itself."""
+        model = self.model
+        ok = _closed_under(model.source, self.H)
+        member = self._mask[model.source.identity_index]
+        same = all(
+            bool((self.level_member(n, np.arange(model.order)) == self._mask).all())
+            for n in range(self.depth + 1)
+        )
+        checks = [
+            array_check("closure_all_levels", float(not ok), ok, "exhaustive"),
+            array_check("contains_identity", 0.0, member, "exhaustive"),
+            array_check("intersection_equals_base", float(not same), same, "exhaustive"),
+        ]
+        return checks, {"intersection": [model.labels[i] for i in self.H]}
 
 
 # ---------------------------------------------------------------------------
@@ -154,57 +388,14 @@ class DyadicFamily:
     def __call__(self, x) -> np.ndarray:
         return prenorm_eval(self, x)
 
-    # -- thresholds (radial chains only) --
-
-    def threshold(self, r) -> float:
-        """Rapidity radius of the index-r set, by the defining recursion."""
-        if not isinstance(self.chain, RadialChain):
-            raise UsageError("thresholds are defined for radial chains only")
-        m, n = _dyadic_terms(r, self.depth)
-        return self._thr(m, n)
-
-    def _thr(self, m, n):
-        t = self.chain.t
-        if n == 0:
-            if m == 1:
-                return float(t[0])
-            if m == 2:
-                return 2.0 * float(t[0])
-            raise UsageError(f"index {m} exceeds the top of the scale")
-        if m % 2 == 0:
-            return self._thr(m // 2, n - 1)
-        if m == 1:
-            return float(t[n])
-        return float(t[n]) + self._thr((m - 1) // 2, n - 1)
-
-    def member(self, r, x) -> np.ndarray:
-        """Vectorized membership of x in the index-r set.
-
-        For radial chains this is the analytic ball test: the point's
-        rapidity against the summed level radii prescribed by the binary
-        expansion of r. The reduction of composite sets to radius sums
-        is exact when collinear radial scales add under the operation;
-        the test suite certifies that numerically for both ball models.
-        """
-        x = np.asarray(x)
-        if isinstance(self.chain, FiniteChain):
-            if r > 2.0:
-                return np.ones(x.shape, dtype=bool)
-            return self.chain.level_member(0, x)
-        if r > 2.0:
-            return np.ones(np.shape(self.model.norm_fraction(x)), dtype=bool)
-        return rapidity(self.model, x) <= self.threshold(r)
-
     def index_of_rapidity(self, rho) -> np.ndarray:
-        """Least grid index whose set covers the given radial scale, found
-        by bisection. Every bracket [lo, lo + 2^(1-n)] halves in lockstep,
-        so the midpoint at step n is the odd index lo + 2^-n, whose
-        threshold by the recursion's step is t[n] + thr(lo); each sample
-        carries thr(lo) along, starting from thr(0) = 0. This is a second,
-        independent route to the prenorm value; anything beyond the top
-        of the scale, NaN included, clamps to 2."""
-        if not isinstance(self.chain, RadialChain):
-            raise UsageError("rapidity inversion is defined for radial chains only")
+        """On a radial chain, the least grid index whose set covers the
+        given radial scale, found by bisection. Every bracket [lo, lo +
+        2^(1-n)] halves in lockstep, so the midpoint at step n is the odd
+        index lo + 2^-n, whose radius is t[n] + radius(lo); each sample
+        carries radius(lo) along, starting from radius(0) = 0. This is a
+        second, independent route to the prenorm value; anything beyond the
+        top of the scale, NaN included, clamps to 2."""
         rho = np.asarray(rho, dtype=float)
         scale = 1 << self.depth
         lo = np.zeros(rho.shape, dtype=np.int64)
@@ -217,39 +408,10 @@ class DyadicFamily:
         return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
 
 
-def _dyadic_terms(r, depth):
-    fr = Fraction(r)
-    if fr <= 0:
-        raise UsageError(f"dyadic index must be positive, got {r}")
-    if fr > 2:
-        raise UsageError(f"dyadic index {r} exceeds 2")
-    m, den = fr.numerator, fr.denominator
-    n = den.bit_length() - 1
-    if den != 1 << n:
-        raise UsageError(f"index {r} is not dyadic")
-    if m == 2 and n == 0:
-        return 2, 0
-    while m % 2 == 0 and n > 0:
-        m //= 2
-        n -= 1
-    if n > depth:
-        raise UsageError(f"index {r} is finer than depth {depth}")
-    return m, n
-
-
 def build_dyadic(chain: NeighborhoodChain) -> DyadicFamily:
-    """Extend a chain to the dyadic family, enforcing the halving
+    """Extend a chain to the dyadic family, once it meets the halving
     condition: each level must fit twice into the one above."""
-    if isinstance(chain, RadialChain):
-        t = chain.t
-        for n in range(chain.depth):
-            if 2.0 * t[n + 1] > t[n] * (1.0 + 1e-12):
-                raise ChainConditionError(
-                    f"level {n + 1} does not halve: 2*{t[n + 1]:.6g} > {t[n]:.6g}",
-                    level=n + 1,
-                    witness={"t_n": float(t[n]), "t_next": float(t[n + 1])},
-                )
-    # finite chains are constant; closure was checked at construction
+    chain.check_halving()
     return DyadicFamily(chain)
 
 
@@ -259,13 +421,8 @@ def build_dyadic(chain: NeighborhoodChain) -> DyadicFamily:
 
 def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
     """Least dyadic index (on the depth grid, capped at 2) whose set
-    contains each point: the greedy bit extraction of ``_leading_bits``
-    over the points' rapidities, run through the deepest level."""
-    chain = family.chain
-    if isinstance(chain, FiniteChain):
-        return np.where(chain.level_member(0, x), 0.0, 1.0)
-    head, _ = _leading_bits(family, rapidity(family.model, x), family.depth)
-    return head
+    contains each point, as the family's chain evaluates it."""
+    return family.chain.prenorm(family, x)
 
 
 def _leading_bits(family: DyadicFamily, rho, last: int):
@@ -342,19 +499,6 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     return out, rem
 
 
-def _sandwich_bounds(family: DyadicFamily, x, n: int):
-    """The bounds of level n's sandwich at the points ``x``: N(x) < 2^-n
-    and N(x) <= 2^(1-n). On a radial chain both are read from the
-    extraction through level n only, by the leading-bits lemma of
-    ``_leading_bits``."""
-    if isinstance(family.chain, FiniteChain):
-        N = family(x)
-        return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
-    head, rem = _leading_bits(family, rapidity(family.model, x), n)
-    top = 2.0 ** (1 - n)
-    return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0))
-
-
 # ---------------------------------------------------------------------------
 # pseudometric and quotient metric
 
@@ -391,9 +535,10 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
 
 
 def _within(limit, residual):
-    """The ``run_law_check`` rule of a chain check: its law gives one tuple
-    of points, ``residual(*points)`` is each row's residual, and a row
-    passes when that is at most ``limit``."""
+    """The rule of a chain check, on ``run_law_check`` or
+    ``exhaustive_law_checks``: its law gives one tuple of points,
+    ``residual(*points)`` is each row's residual, and a row passes when that
+    is at most ``limit``."""
     def rule(tuples):
         (points,) = tuples
         r = residual(*points)
@@ -426,6 +571,26 @@ def chain_condition_report(
     return report
 
 
+def _prenorm_rows(family, tol):
+    """The law rows that the prenorm suite runs on every chain: (name,
+    stream, rapidity caps of the operands, law, rule)."""
+    chain = family.chain
+
+    def gap(a, b):
+        d = family(a) - family(b)
+        return np.abs(d, out=d)
+
+    return [
+        ("gyration_invariance", "gyration_invariance", (1.9 * chain.reach, 2.0, 2.0),
+         lambda ops, x, u, v: [(ops.gyr(u, v, x), x)], _within(chain.slack(tol), gap)),
+        ("subadditivity", "subadditivity", (1.2 * chain.reach, 1.2 * chain.reach),
+         lambda ops, x, y: [(ops.oplus(x, y), x, y)],
+         _within(chain.slack(tol, 1), lambda s, x, y: family(s) - (family(x) + family(y)))),
+        ("inversion_symmetry", "inversion_symmetry", (1.9 * chain.reach,),
+         lambda ops, x: [(ops.neg(x), x)], _within(0.0, gap)),
+    ]
+
+
 def check_prenorm_properties(
     chain: NeighborhoodChain,
     sampler: Sampler | None = None,
@@ -441,14 +606,8 @@ def check_prenorm_properties(
     2^-n, which leaves one case open, a head of exactly 2^(1-n), and that
     one is decided by whether a later bit is set (the leading-bits lemma of
     ``_leading_bits``). A failing level's witness still gives the full N,
-    evaluated on its one point.
-
-    Level n draws its points with rapidity up to 2.2 t[n], and for n >= 1
-    up to 1.1 t[n-1] where that is more: the outer bound N <= 2^(1-n)
-    covers rapidity t[n-1] = t[n] / ratio, so below ratio 1/2.2 a draw up to
-    2.2 t[n] alone never meets a point where the outer inclusion can fail.
-    Level 0's outer bound N <= 2 always holds. At ratio 1/2 both caps are
-    the same double."""
+    evaluated on its one point. The chain draws each level's points
+    (``sandwich_points``)."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -457,29 +616,18 @@ def check_prenorm_properties(
         return chain_condition_report(
             "prenorm", "halving_condition", exc, chain.model, sampler, tol, chain
         )
-    model = chain.model
     with suite_report(
-        "prenorm", model.name, sampler, tol,
+        "prenorm", chain.model.name, sampler, tol,
         depth=family.depth, notes={"chain": chain.describe()},
     ) as report:
-        finite = isinstance(chain, FiniteChain)
         for n in range(family.depth + 1):
-            if finite:
-                pts = np.arange(model.order)
-                note = "exhaustive"
-            else:
-                gen = sampler.stream("prenorm", f"sandwich_{n}")
-                cap = 2.2 * float(chain.t[n])
-                if n:
-                    cap = max(cap, 1.1 * float(chain.t[n - 1]))
-                pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-                note = len(pts)
-            inner, outer = _sandwich_bounds(family, pts, n)
+            pts, samples = chain.sandwich_points(sampler, n, n_samples)
+            inner, outer = chain.sandwich_bounds(family, pts, n)
             member = chain.level_member(n, pts)
             failing = (inner & ~member) | (member & ~outer)
             bad = np.count_nonzero(failing)
             res = CheckResult(
-                f"sandwich_level_{n}", bad == 0, float(bad) / max(1, len(pts)), note
+                f"sandwich_level_{n}", bad == 0, float(bad) / max(1, len(pts)), samples
             )
             if bad:
                 # the full N of the one point is its N in the batch
@@ -490,58 +638,8 @@ def check_prenorm_properties(
                     "member": bool(member[i]),
                 }
             report.checks.append(res)
-
-        if finite:
-            T = model.source.table
-            B = model.source.gyrations()
-            N_all = family(np.arange(model.order))
-            diff = np.abs(N_all[B] - N_all[None, None, :])  # (u, v, x)
-            L = model.labels
-
-            def gyration_witness(i):
-                u, v, x = np.unravel_index(i, diff.shape)
-                return {"pivots": [L[u], L[v]], "point": L[x]}
-
-            report.checks.append(array_check(
-                "gyration_invariance", diff, diff == 0, "exhaustive", gyration_witness
-            ))
-            sums = N_all[T] - (N_all[:, None] + N_all[None, :])
-            report.checks.append(array_check("subadditivity", sums, sums <= 0, "exhaustive"))
-            diff = np.abs(N_all[model.source.inverses()] - N_all)
-            report.checks.append(array_check("inversion_symmetry", diff, diff == 0, "exhaustive"))
-        else:
-            full = float(np.sum(chain.t))
-            scale = 2.0 ** family.depth
-
-            def gap(a, b):
-                return np.abs(family(a) - family(b))
-
-            def closed_form_gap(x):
-                # closed form at ratio 1/2: thresholds are linear in the
-                # index, so the prenorm is the grid ceiling of rapidity / t0
-                expected = np.minimum(np.ceil(rapidity(model, x) / chain.t0 * scale) / scale, 2.0)
-                return np.abs(family(x) - expected)
-
-            checks = [
-                # (name, stream, rapidity caps of the operands, law, limit, residual)
-                ("gyration_invariance", "gyration_invariance", (1.9 * full, 2.0, 2.0),
-                 lambda ops, x, u, v: [(ops.gyr(u, v, x), x)], tol.abs_tol, gap),
-                ("subadditivity", "subadditivity", (1.2 * full, 1.2 * full),
-                 lambda ops, x, y: [(ops.oplus(x, y), x, y)], family.grid_step + tol.abs_tol,
-                 lambda s, x, y: family(s) - (family(x) + family(y))),
-                ("inversion_symmetry", "inversion_symmetry", (1.9 * full,),
-                 lambda ops, x: [(ops.neg(x), x)], 0.0, gap),
-            ]
-            if chain.ratio == 0.5:
-                checks.append(("closed_form_agreement", "closed_form", (1.9 * full,),
-                               lambda ops, x: [(x,)], family.grid_step + tol.abs_tol,
-                               closed_form_gap))
-            for name, stream, caps, law, limit, residual in checks:
-                gen = sampler.stream("prenorm", stream)
-                pts = [_rapidity_ball(gen, n_samples, model.dim, model.bound, c) for c in caps]
-                report.checks.append(
-                    run_law_check(model, name, law, pts, tol, _within(limit, residual))
-                )
+        for row in _prenorm_rows(family, tol) + chain.prenorm_rows(family, tol):
+            report.checks.append(chain.law_check(sampler, "prenorm", row, n_samples, tol))
     return report
 
 
@@ -552,15 +650,9 @@ def check_metric_properties(
     tol: ToleranceConfig | None = None,
 ) -> VerificationReport:
     """Pseudometric axioms for d, metric axioms for the quotient
-    separation, agreement with the closed form where one exists, and
-    invariance under change of class representatives on finite models.
-
-    A finite chain is checked exhaustively on broadcast index grids
-    (``np.ix_``): N and each separation are evaluated on the n or n² cells
-    they read, and only the triangle residuals span n³. Coset invariance
-    is checked one side at a time, as rho(x + p, y + q) = rho(x, y) for
-    all p, q in H exactly when rho(x + p, y) = rho(x, y) = rho(x, y + p)
-    for all p in H (take q = e; conversely, move x first, then y)."""
+    separation on the chain's triples, then the chain's own checks:
+    agreement with independent routes on a radial chain, invariance under
+    change of class representatives on a finite one."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -571,113 +663,43 @@ def check_metric_properties(
         )
     model = chain.model
     with suite_report("metric", model.name, sampler, tol, depth=family.depth) as report:
-        finite = isinstance(chain, FiniteChain)
-        if finite:
-            pts = np.arange(model.order)
-            x, y, z = np.ix_(pts, pts, pts)
-            note = "exhaustive"
-            slack = 0.0
-        else:
-            gen = sampler.stream("metric", "triples")
-            cap = 0.95 * chain.t0
-            x = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-            y = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-            z = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
-            note = n_samples
-            slack = tol.abs_tol + 4.0 * family.grid_step
+        (x, y, z), samples = chain.triples(sampler, n_samples)
 
         # each prenorm value once; a group's arrays are released before the
         # next group allocates. First d = |N(a) - N(b)| on N(x), N(y), N(z).
         nx, ny, nz = family(x), family(y), family(z)
         dxy = np.abs(nx - ny)
         dxx = np.abs(nx - nx)
-        report.checks.append(array_check("d_identity", dxx, dxx == 0, note))
+        report.checks.append(array_check("d_identity", dxx, dxx == 0, samples))
         del dxx
         sym = np.abs(dxy - np.abs(ny - nx))
-        report.checks.append(array_check("d_symmetry", sym, sym == 0, note))
+        report.checks.append(array_check("d_symmetry", sym, sym == 0, samples))
         tri = np.abs(nx - nz) - (dxy + np.abs(ny - nz))
         del nx, ny, nz, dxy
-        report.checks.append(array_check("d_triangle", tri, tri <= tol.abs_tol, note))
+        report.checks.append(array_check("d_triangle", tri, tri <= chain.slack(tol), samples))
 
         # then rho(a, b) = N(-a + b) + N(-b + a) on the seven separations
         def n_sep(a, b):
             return family(model.oplus(model.neg(a), b))
 
-        n_xy, n_yx = n_sep(x, y), n_sep(y, x)
-        rxy = n_xy + n_yx
         # the prenorm is quantized to the depth grid, so separation of a
         # point from itself can only be bounded by the grid resolution
+        slack = chain.slack(tol, 4)
+        n_xy, n_yx = n_sep(x, y), n_sep(y, x)
+        rxy = n_xy + n_yx
         n_xx = n_sep(x, x)
         ident = n_xx + n_xx
-        report.checks.append(array_check("rho_identity", ident, ident <= slack, note))
+        report.checks.append(array_check("rho_identity", ident, ident <= slack, samples))
         sym = np.abs(rxy - (n_yx + n_xy))
-        report.checks.append(array_check("rho_symmetry", sym, sym == 0, note))
+        report.checks.append(array_check("rho_symmetry", sym, sym == 0, samples))
         del n_xy, n_yx, n_xx, ident, sym, tri
         tri = (n_sep(x, z) + n_sep(z, x)) - (rxy + (n_sep(y, z) + n_sep(z, y)))
-
-        def triple(i):
-            return {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
-
-        report.checks.append(
-            array_check("rho_triangle", tri, tri <= slack, note, None if finite else triple)
-        )
-
-        if not finite:
-            # the proof-step decomposition behind the triangle inequality
-            report.checks.append(run_law_check(
-                model, "decomposition_identity", law_triangle_decomposition, [x, y, z], tol
-            ))
-
-            # independent routes to rho(x, y) = N(-x + y) + N(-y + x): invert
-            # the threshold recursion by bisection, and at ratio 1/2 the
-            # closed form
-            def bisection_gap(xy, yx):
-                index = family.index_of_rapidity
-                oracle = index(rapidity(model, xy)) + index(rapidity(model, yx))
-                return np.abs(family(xy) + family(yx) - oracle)
-
-            def closed_form_gap(xy, yx):
-                oracle = 2.0 * np.arctanh(model.norm_fraction(xy)) / chain.t0
-                return np.abs(family(xy) + family(yx) - oracle)
-
-            oracles = [("rho_oracle", bisection_gap)]
-            if chain.ratio == 0.5:
-                oracles.append(("rho_closed_form", closed_form_gap))
-            limit = tol.abs_tol + 4.0 * family.grid_step
-            for name, gap in oracles:
-                report.checks.append(
-                    run_law_check(model, name, _separations, [x, y], tol, _within(limit, gap))
-                )
-
-        if finite:
-            H = chain.H
-            T = model.source.table
-            N_all = family(pts)
-            shift = np.abs(N_all[T[:, H]] - N_all[:, None])
-            report.checks.append(array_check("d_coset_invariance", shift, shift == 0, "exhaustive"))
-            # by the one-sided lemma (docstring), 2|H| gathers for |H|² pairs
-            rho = rxy[:, :, 0]
-            shift = np.array([
-                [np.abs(rho[T[:, p]] - rho).max(), np.abs(rho[:, T[:, p]] - rho).max()]
-                for p in H
-            ])
-            report.checks.append(
-                array_check("rho_coset_invariance", shift, shift == 0, "exhaustive")
-            )
-
-            # on the quotient the separation is two-valued: 0 on a shared
-            # class, the constant 2 across distinct classes
-            try:
-                _, pi = coset_partition(model.source, H.tolist())
-                expected = np.where(pi[:, None] == pi[None, :], 0.0, 2.0)
-                diff = np.abs(rho - expected)
-                report.checks.append(
-                    array_check("rho_discrete_on_quotient", diff, diff == 0, "exhaustive")
-                )
-            except AxiomViolationError as exc:
-                report.checks.append(
-                    witness_check("rho_discrete_on_quotient", {"error": str(exc)})
-                )
+        report.checks.append(array_check(
+            "rho_triangle", tri, tri <= slack, samples,
+            lambda i: dict(zip("xyz", chain.labels_at((x, y, z), i))),
+        ))
+        del tri
+        report.checks += chain.metric_checks(family, (x, y, z), rxy, tol)
     return report
 
 
@@ -687,69 +709,19 @@ def validate_admissible_chain(
     n_samples: int = 2000,
     tol: ToleranceConfig | None = None,
 ) -> VerificationReport:
-    """Level-by-level check that a double sum from one level stays in the
-    level above: u + (v + w) with u, v, w drawn from U_{n+1} must land in
-    U_n. Each level also gets the worst case appended deterministically,
-    three copies of the extreme point on a fixed axis, where the radial
-    scales add exactly."""
+    """Level-by-level check that the chain is admissible: a double sum
+    u + (v + w) of points of U_{n+1} must land in U_n, and the levels
+    meet in the chain's base, which holds the identity. How each kind
+    checks it is its ``admissible_checks``."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
-    model = chain.model
     with suite_report(
-        "admissible", model.name, sampler, tol,
+        "admissible", chain.model.name, sampler, tol,
         depth=chain.depth, notes={"chain": chain.describe()},
     ) as report:
-        if isinstance(chain, FiniteChain):
-            ok = _closed_under(model.source, chain.H)
-            report.checks.append(array_check("closure_all_levels", float(not ok), ok, "exhaustive"))
-            e = model.source.identity_index
-            report.checks.append(
-                array_check("contains_identity", 0.0, chain._mask[e], "exhaustive")
-            )
-            # the chain is constant, so its intersection is the base subset itself
-            same = all(
-                bool((chain.level_member(n, np.arange(model.order)) == chain._mask).all())
-                for n in range(chain.depth + 1)
-            )
-            report.checks.append(
-                array_check("intersection_equals_base", float(not same), same, "exhaustive")
-            )
-            report.notes["intersection"] = [model.labels[i] for i in chain.H]
-            return report
-
-        t = chain.t
-        cond_ok = bool((3.0 * t[1:] <= t[:-1] * (1.0 + 1e-12)).all())
-        cond = CheckResult("analytic_condition", cond_ok, 0.0, chain.depth)
-        if not cond_ok:
-            lvl = int(np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))[0])
-            cond.max_residual = float(3.0 * t[lvl + 1] / t[lvl] - 1.0)
-            cond.witness = {"level": lvl + 1, "t_n": float(t[lvl]), "t_next": float(t[lvl + 1])}
-        report.checks.append(cond)
-
-        per_level = max(16, n_samples // max(1, chain.depth))
-        axis = np.zeros(model.dim)
-        axis[0] = 1.0
-        for n in range(chain.depth):
-            gen = sampler.stream("admissible", f"level_{n}")
-            t_in = float(t[n + 1])
-            extreme = (model.bound * np.tanh(t_in)) * axis
-            uvw = [
-                np.vstack([_rapidity_ball(gen, per_level, model.dim, model.bound, t_in), extreme])
-                for _ in range(3)
-            ]
-            report.checks.append(run_law_check(
-                model, f"level_{n}_double_sum",
-                lambda ops, u, v, w: [(ops.oplus(u, ops.oplus(v, w)),)], uvw, tol,
-                _within(tol.abs_tol, lambda c: rapidity(model, c) - float(t[n])),
-            ))
-
-        # candidate base of the chain: the identity sits in every level
-        zero = model.zero_like(axis[None, :])
-        in_all = all(bool(chain.level_member(n, zero).all()) for n in range(chain.depth + 1))
-        report.checks.append(array_check(
-            "intersection_contains_identity", float(not in_all), in_all, chain.depth + 1
-        ))
-        report.notes["deepest_level_rapidity"] = float(t[chain.depth])
+        checks, notes = chain.admissible_checks(sampler, n_samples, tol)
+        report.checks += checks
+        report.notes.update(notes)
     return report
 
 

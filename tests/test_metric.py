@@ -205,17 +205,55 @@ FINITE_CASES = [
 )
 def test_rho_coset_invariance_one_sided_matches_joint(table, base):
     # the joint form: rho(x + p, y + q) against rho(x, y) for every (p, q)
-    # in H^2. The suite checks each side alone; the two must agree in
-    # verdict and residual, the failing non-L bases of g8 included
+    # in H^2, and the same for d. The suite checks each side alone; the two
+    # must agree in verdict and residual, the failing non-L bases of g8
+    # included. For d both also equal the largest |N(x + p) - N(x)|
     chain = FiniteChain(table, base)
-    rho = rho_table(build_dyadic(chain))
+    N = build_dyadic(chain)
+    nx = N(np.arange(table.order))
     T = table.table
-    shift = np.array([
-        [np.abs(rho[np.ix_(T[:, p], T[:, q])] - rho).max() for q in chain.H] for p in chain.H
-    ])
-    check = check_metric_properties(chain).check("rho_coset_invariance")
-    assert check.passed == bool((shift == 0).all())
-    assert check.max_residual == float(shift.max())
+    rep = check_metric_properties(chain)
+    for name, f in (("rho_coset_invariance", rho_table(N)),
+                    ("d_coset_invariance", np.abs(nx[:, None] - nx[None, :]))):
+        shift = np.array([
+            [np.abs(f[np.ix_(T[:, p], T[:, q])] - f).max() for q in chain.H] for p in chain.H
+        ])
+        check = rep.check(name)
+        assert check.passed == bool((shift == 0).all())
+        assert check.max_residual == float(shift.max())
+    moved = np.abs(nx[T[:, chain.H]] - nx[:, None])
+    assert rep.check("d_coset_invariance").max_residual == moved.max()
+
+
+def test_finite_metric_witnesses_replay():
+    # a g8 chain whose base, after construction, is {0, 2, 4}: the triangle
+    # and both coset checks fail, and each witness, evaluated again through
+    # the library's d and rho, moves by the recorded residual
+    table = load_table(ROOT / "tests" / "corpus" / "g8.json")
+    chain = FiniteChain(table, [0, 5])
+    chain._mask = np.isin(np.arange(table.order), [0, 2, 4])
+    N = build_dyadic(chain)
+    rep = check_metric_properties(chain)
+    T, labels = table.table, table.labels
+
+    def at(*names):
+        return [np.array([labels.index(v)]) for v in names]
+
+    tri = rep.check("rho_triangle")
+    x, y, z = at(*(tri.witness[k] for k in "xyz"))
+    rho = quotient_metric_rho
+    assert rho(N.model, N, x, z) - (rho(N.model, N, x, y) + rho(N.model, N, y, z)) == [
+        tri.max_residual
+    ]
+    for name, dist in (("d_coset_invariance", lambda a, b: pseudometric_d(N, a, b)),
+                       ("rho_coset_invariance", lambda a, b: rho(N.model, N, a, b))):
+        check = rep.check(name)
+        w = check.witness
+        assert not check.passed and set(w) == {"shift", "side", "x", "y"}
+        p, x, y = at(w["shift"], w["x"], w["y"])
+        shifted = (T[x, p], y) if w["side"] == "x" else (x, T[y, p])
+        assert np.abs(dist(*shifted) - dist(x, y)) == [check.max_residual]
+        assert check.max_residual > 0
 
 
 def test_finite_metric_reads_at_most_n_squared_cells(monkeypatch):
@@ -243,8 +281,8 @@ def test_finite_metric_reads_at_most_n_squared_cells(monkeypatch):
 
 
 def test_finite_metric_on_the_largest_table_fits_in_one_gib():
-    # z271 is the largest table the CLI admits. The address-space limit
-    # acts on the child process only
+    # z271 is the largest table the CLI admits; each chain suite on it runs
+    # in a child process, and the address-space limit acts on the child only
     resource = pytest.importorskip("resource")
     limit = 1 << 30
 
@@ -252,12 +290,13 @@ def test_finite_metric_on_the_largest_table_fits_in_one_gib():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gyrokit.cli", "metric", "--model", "table:z271",
-         "--subgyrogroup", "0"],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for suite in ("metric", "prenorm", "admissible"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gyrokit.cli", suite, "--model", "table:z271",
+             "--subgyrogroup", "0"],
+            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+        )
+        assert proc.returncode == 0, (suite, proc.stderr)
 
 
 def test_finite_spec_beside_the_largest_table_fits_in_256_mib():

@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,11 @@ from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
     MAX_T0,
-    DyadicFamily,
     FiniteChain,
     RadialChain,
     _leading_bits,
+    _prenorm_rows,
     _rapidity_ball,
-    _sandwich_bounds,
     build_dyadic,
     check_prenorm_properties,
     parse_chain_spec,
@@ -20,8 +21,8 @@ from gyrokit.prenorm import (
     rapidity,
     validate_admissible_chain,
 )
-from gyrokit.sampling import Sampler, ball_points, directions
-from gyrokit.tables import cyclic_table, klein_table
+from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
+from gyrokit.tables import cyclic_table, klein_table, load_table
 
 GRID24 = 2.0 ** -24
 
@@ -42,6 +43,44 @@ def bit_sum_threshold(t, r):
     return total
 
 
+# -- the reference: the index sets' radii by their defining recursion ----------
+
+
+def dyadic_terms(r, depth):
+    """(m, n) with r = m / 2^n in lowest terms; index 2 is (2, 0)."""
+    fr = Fraction(r)
+    m, den = fr.numerator, fr.denominator
+    n = den.bit_length() - 1
+    assert 0 < fr <= 2 and den == 1 << n and n <= depth, f"{r} is no index at depth {depth}"
+    return m, n
+
+
+def _thr(t, m, n):
+    """Radius of the index-m/2^n set: index 2^-n is level n, an odd index
+    adds the current level to the radius of the remainder, and index 2 is
+    level 0 applied twice."""
+    if n == 0:
+        assert m in (1, 2), f"index {m} exceeds the top of the scale"
+        return float(t[0]) if m == 1 else 2.0 * float(t[0])
+    if m % 2 == 0:
+        return _thr(t, m // 2, n - 1)
+    if m == 1:
+        return float(t[n])
+    return float(t[n]) + _thr(t, (m - 1) // 2, n - 1)
+
+
+def threshold(family, r):
+    """Rapidity radius of a radial family's index-r set, by the recursion."""
+    return _thr(family.chain.t, *dyadic_terms(r, family.depth))
+
+
+def member(family, r, x):
+    """Membership of the points x in a radial family's index-r set: the
+    ball of the reference radius, and above index 2 the whole carrier."""
+    rho = rapidity(family.model, x)
+    return np.ones(rho.shape, dtype=bool) if r > 2 else rho <= threshold(family, r)
+
+
 # -- dyadic thresholds ---------------------------------------------------------
 
 
@@ -53,32 +92,20 @@ def test_threshold_recursion_matches_bit_sum(ratio):
     for m in range(1, 2 ** (depth + 1) + 1):
         r = Fraction(m, 2 ** depth)
         want = bit_sum_threshold(fam.chain.t, r)
-        got = fam.threshold(r)
+        got = threshold(fam, r)
         if exact:
             assert got == want
         else:
             assert abs(got - want) <= 1e-14 * max(1.0, want)
 
 
-def test_threshold_rejects_bad_indices():
-    fam = build_dyadic(RadialChain(MobiusModel(), depth=8))
-    with pytest.raises(UsageError):
-        fam.threshold(Fraction(1, 3))
-    with pytest.raises(UsageError):
-        fam.threshold(2.5)
-    with pytest.raises(UsageError):
-        fam.threshold(0)
-    with pytest.raises(UsageError):
-        fam.threshold(Fraction(1, 2 ** 9))  # finer than depth
-
-
 def test_threshold_known_values():
     fam = build_dyadic(RadialChain(MobiusModel(), t0=1.0, ratio=0.25, depth=4))
-    assert fam.threshold(1) == 1.0
-    assert fam.threshold(2) == 2.0
-    assert fam.threshold(Fraction(1, 2)) == 0.25
-    assert fam.threshold(Fraction(3, 4)) == 0.25 + 0.0625
-    assert fam.threshold(Fraction(3, 2)) == 1.25
+    assert threshold(fam, 1) == 1.0
+    assert threshold(fam, 2) == 2.0
+    assert threshold(fam, Fraction(1, 2)) == 0.25
+    assert threshold(fam, Fraction(3, 4)) == 0.25 + 0.0625
+    assert threshold(fam, Fraction(3, 2)) == 1.25
 
 
 # -- membership ----------------------------------------------------------------
@@ -90,12 +117,10 @@ def test_member_matches_levels_and_extends():
     fam = build_dyadic(chain)
     gen = np.random.default_rng(7)
     pts = gen.uniform(-0.6, 0.6, (200, 2))
-    assert np.array_equal(fam.member(1, pts), chain.level_member(0, pts))
-    assert np.array_equal(fam.member(Fraction(1, 4), pts), chain.level_member(2, pts))
-    assert fam.member(2.5, pts).all()
-    assert fam.member(2.5, pts).shape == (200,)
-    with pytest.raises(UsageError):
-        fam.member(Fraction(1, 5), pts)
+    assert np.array_equal(member(fam, 1, pts), chain.level_member(0, pts))
+    assert np.array_equal(member(fam, Fraction(1, 4), pts), chain.level_member(2, pts))
+    assert member(fam, 2.5, pts).all()
+    assert member(fam, 2.5, pts).shape == (200,)
 
 
 def test_member_monotone_in_index():
@@ -103,9 +128,9 @@ def test_member_monotone_in_index():
     gen = np.random.default_rng(11)
     pts = gen.uniform(-0.7, 0.7, (500, 2))
     grid = [Fraction(m, 64) for m in range(1, 129)]
-    prev = fam.member(grid[0], pts)
+    prev = member(fam, grid[0], pts)
     for r in grid[1:]:
-        cur = fam.member(r, pts)
+        cur = member(fam, r, pts)
         assert (prev <= cur).all(), f"membership lost growing index to {r}"
         prev = cur
 
@@ -176,7 +201,7 @@ def test_index_of_rapidity_pins_the_recursion(ratio):
     depth = 8
     fam = build_dyadic(RadialChain(MobiusModel(), ratio=ratio, depth=depth))
     k = np.arange(1, 2 ** (depth + 1))
-    thr = np.array([fam.threshold(Fraction(int(m), 2 ** depth)) for m in k])
+    thr = np.array([threshold(fam, Fraction(int(m), 2 ** depth)) for m in k])
     assert np.array_equal(fam.index_of_rapidity(thr), k / 2 ** depth)
     above = np.nextafter(thr, np.inf)
     assert np.array_equal(fam.index_of_rapidity(above), (k + 1) / 2 ** depth)
@@ -188,14 +213,14 @@ def test_index_of_rapidity_pins_the_recursion(ratio):
 
 def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
     fam = build_dyadic(RadialChain(MobiusModel(), ratio=0.25, depth=24))
-    real = DyadicFamily._thr
+    real = _thr
     calls = []
 
-    def counted(self, m, n):
+    def counted(t, m, n):
         calls.append((m, n))
-        return real(self, m, n)
+        return real(t, m, n)
 
-    monkeypatch.setattr(DyadicFamily, "_thr", counted)
+    monkeypatch.setattr(sys.modules[__name__], "_thr", counted)
     rho = np.random.default_rng(37).uniform(0.0, 1.5, 10_000)
     got = fam.index_of_rapidity(rho)
     assert calls == []
@@ -379,7 +404,8 @@ def test_leading_bits_on_the_live_set_match_the_masked_loop_bitwise(monkeypatch,
 
 
 def full_sandwich_bounds(fam, x, n):
-    """Reference for _sandwich_bounds: both bounds read off the full N."""
+    """Reference for RadialChain.sandwich_bounds: both bounds read off the
+    full N."""
     N = masked_prenorm_eval(fam, x)
     return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
 
@@ -402,8 +428,8 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             nan_mix[::3] = np.nan
             # points whose rapidity is a sandwich threshold t[n], t[n-1] or 2 t0
             # exactly, or the next double above it
-            thresholds = [fam.threshold(Fraction(1, 2 ** n)) for n in range(depth + 1)]
-            thresholds += [fam.threshold(2)]
+            thresholds = [threshold(fam, Fraction(1, 2 ** n)) for n in range(depth + 1)]
+            thresholds += [threshold(fam, 2)]
             exact = np.concatenate([point_at_rapidity(model, r) for r in thresholds] + [
                 point_at_rapidity(model, np.nextafter(r, np.inf)) for r in thresholds
             ])
@@ -422,7 +448,8 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             for n in range(depth + 1):
                 draws = _rapidity_ball(gen, 200, dim, bound, 2.2 * t[n])
                 for x in inputs + [draws]:
-                    got, want = _sandwich_bounds(fam, x, n), full_sandwich_bounds(fam, x, n)
+                    got = fam.chain.sandwich_bounds(fam, x, n)
+                    want = full_sandwich_bounds(fam, x, n)
                     for g, w in zip(got, want):
                         assert g.shape == w.shape and np.array_equal(g, w)
                 N = masked_prenorm_eval(fam, np.concatenate([exact, draws]))
@@ -653,6 +680,50 @@ def test_discrete_prenorm_and_finite_suite():
     rep = check_prenorm_properties(chain)
     assert rep.passed
     assert all(c.samples == "exhaustive" for c in rep.checks)
+
+
+def patched_g8_chain():
+    """A chain on g8 whose base, after construction, is {0, 4}: not closed,
+    without the inverse 6 of 4, and moved by a gyration. A built chain's
+    base is a subgyrogroup, on which subadditivity and inversion symmetry
+    cannot fail."""
+    table = load_table(Path(__file__).resolve().parent / "corpus" / "g8.json")
+    chain = FiniteChain(table, [0, 5])
+    chain._mask = np.isin(np.arange(table.order), [0, 4])
+    return chain
+
+
+def test_finite_prenorm_rows_fail_where_their_witnesses_say():
+    # each row fails, and its law and rule, evaluated at the witness's
+    # inputs, give the recorded residual
+    chain = patched_g8_chain()
+    family = build_dyadic(chain)
+    rep = check_prenorm_properties(chain)
+    labels = chain.model.labels
+    rows = _prenorm_rows(family, ToleranceConfig())
+    assert [name for name, *_ in rows] == [
+        "gyration_invariance", "subadditivity", "inversion_symmetry"
+    ]
+    for name, _, caps, law, rule in rows:
+        check = rep.check(name)
+        assert not check.passed and check.samples == "exhaustive"
+        witness = check.witness
+        assert set(witness) == {"inputs", "residual"} and len(witness["inputs"]) == len(caps)
+        inputs = [np.array([labels.index(v)]) for v in witness["inputs"]]
+        residual, ok = rule(law(chain.model, *inputs))
+        assert residual[0] == witness["residual"] == check.max_residual > 0
+        assert not ok[0]
+
+
+def test_finite_prenorm_rows_do_not_depend_on_their_batches(monkeypatch):
+    # one value of the first operand per batch gives the report of one batch
+    import gyrokit.core as core
+
+    whole = check_prenorm_properties(patched_g8_chain()).to_dict()
+    monkeypatch.setattr(core, "_KERNEL_CELLS", 1)
+    batched = check_prenorm_properties(patched_g8_chain()).to_dict()
+    del whole["wall_time_s"], batched["wall_time_s"]
+    assert batched == whole
 
 
 # -- chain specs ---------------------------------------------------------------

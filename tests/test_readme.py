@@ -29,7 +29,7 @@ def test_readme_python_blocks_run_in_order():
     lines = out.getvalue().splitlines()
     # the comments in the examples state what they print
     assert lines[:3] == ["True", "True", "[0.29999995]"]
-    assert lines[3:] == ["True", "2", "[0. 1. 0. 1.]", "[0.]"]
+    assert lines[3:] == ["True", "2", "[0. 1. 0. 1.]", "[0.]", "[2.]"]
 
 
 def test_every_exported_name_resolves():
