@@ -93,7 +93,12 @@ class RadialChain(NeighborhoodChain):
         return rapidity(self.model, x) <= self.t[n]
 
     def describe(self):
-        return {"kind": self.kind, "t0": self.t0, "ratio": self.ratio, "depth": self.depth}
+        return {
+            "kind": self.kind,
+            "t0": self.t0,
+            "ratio": self.ratio,
+            "depth": self.depth,
+        }
 
     def prenorm(self, family, x):
         """The greedy bit extraction over the points' rapidities, run
@@ -263,13 +268,19 @@ class FiniteChain(NeighborhoodChain):
         if not self._mask[e]:
             raise ChainConditionError("chain levels must contain the identity", level=0)
         if not _closed_under(model.source, H):
-            raise ChainConditionError("chain level is not closed under the operation", level=0)
+            raise ChainConditionError(
+                "chain level is not closed under the operation", level=0
+            )
 
     def level_member(self, n, x):
         return self._mask[np.asarray(x)]
 
     def describe(self):
-        return {"kind": self.kind, "table": self.model.name, "subgyrogroup": self.H.tolist()}
+        return {
+            "kind": self.kind,
+            "table": self.model.name,
+            "subgyrogroup": self.H.tolist(),
+        }
 
     def prenorm(self, family, x):
         return np.where(self.level_member(0, x), 0.0, 1.0)
