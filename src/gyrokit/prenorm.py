@@ -57,9 +57,9 @@ class NeighborhoodChain:
     over values of N allows), ``reach`` (the rapidity from which N is 2,
     the scale of the rows' sampling caps), its operands
     (``sandwich_points``, ``triples``, and ``law_check``, which runs a row
-    (name, stream, caps, law, rule) on operands of its own), witness labels
-    (``labels_at(operands, i)``) and the checks only it runs
-    (``prenorm_rows``, ``metric_checks``, ``admissible_checks``)."""
+    (name, stream, caps, law, rule) on operands of its own or the triple's,
+    with the witness ``{"inputs", "residual"}``) and the checks only it
+    runs (``prenorm_rows``, ``metric_checks``, ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         if not 1 <= depth <= MAX_DEPTH:
@@ -150,14 +150,12 @@ class RadialChain(NeighborhoodChain):
         """The metric suite's x, y and z, drawn up to rapidity 0.95 t0."""
         return self._draw(sampler, "metric", "triples", (0.95 * self.t0,) * 3, n_samples), n_samples
 
-    def law_check(self, sampler, suite, row, n_samples, tol):
+    def law_check(self, sampler, suite, row, n_samples, tol, operands=None):
+        """On the first len(caps) ``operands`` given, or on its stream's draw."""
         name, stream, caps, law, rule = row
-        operands = self._draw(sampler, suite, stream, caps, n_samples)
-        return run_law_check(self.model, name, law, operands, tol, rule)
-
-    @staticmethod
-    def labels_at(operands, i):
-        return [s[i].tolist() for s in operands]
+        if operands is None:
+            operands = self._draw(sampler, suite, stream, caps, n_samples)
+        return run_law_check(self.model, name, law, operands[:len(caps)], tol, rule)
 
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
@@ -173,34 +171,28 @@ class RadialChain(NeighborhoodChain):
         return [("closed_form_agreement", "closed_form", (1.9 * self.reach,),
                  lambda ops, x: [(x,)], _within(self.slack(tol, 1), closed_form_gap))]
 
-    def metric_checks(self, family, operands, rxy, tol):
-        """The proof-step decomposition behind the triangle inequality, and
-        independent routes to rho(x, y) = N(-x + y) + N(-y + x): invert the
+    def metric_checks(self, family, operands, tol):
+        """On the triple, as the rho rows: the proof-step decomposition behind
+        the triangle inequality, and independent routes to rho: invert the
         index sets' radii by bisection, and at ratio 1/2 the closed form."""
         model = self.model
-        x, y, z = operands
-        checks = [run_law_check(
-            model, "decomposition_identity", law_triangle_decomposition, [x, y, z], tol
-        )]
 
         def bisection_gap(xy, yx):
             index = family.index_of_rapidity
             oracle = index(rapidity(model, xy)) + index(rapidity(model, yx))
-            return np.abs(family(xy) + family(yx) - oracle)
+            return np.abs(_rho(family, xy, yx) - oracle)
 
         def closed_form_gap(xy, yx):
             oracle = 2.0 * np.arctanh(model.norm_fraction(xy)) / self.t0
-            return np.abs(family(xy) + family(yx) - oracle)
+            return np.abs(_rho(family, xy, yx) - oracle)
 
-        oracles = [("rho_oracle", bisection_gap)]
+        rows = [("decomposition_identity", law_triangle_decomposition, 3, None),
+                ("rho_oracle", _separations, 2, bisection_gap)]
         if self.ratio == 0.5:
-            oracles.append(("rho_closed_form", closed_form_gap))
+            rows.append(("rho_closed_form", _separations, 2, closed_form_gap))
         limit = self.slack(tol, 4)
-        for name, gap in oracles:
-            checks.append(
-                run_law_check(model, name, _separations, [x, y], tol, _within(limit, gap))
-            )
-        return checks
+        return [run_law_check(model, name, law, operands[:k], tol, gap and _within(limit, gap))
+                for name, law, k, gap in rows]
 
     def admissible_checks(self, sampler, n_samples, tol):
         """The analytic condition 3 t[n+1] <= t[n]; per level, the double
@@ -305,19 +297,15 @@ class FiniteChain(NeighborhoodChain):
         r = np.arange(self.model.order)
         return np.ix_(r, r, r), "exhaustive"
 
-    def law_check(self, sampler, suite, row, n_samples, tol):
+    def law_check(self, sampler, suite, row, n_samples, tol, operands=None):
         name, _, caps, law, rule = row
         checks = [(name, law, len(caps), 0)]
         return exhaustive_law_checks(self.model, self.model.labels, checks, rule)[0]
 
-    def labels_at(self, operands, i):
-        shape = np.broadcast_shapes(*(np.shape(g) for g in operands))
-        return [self.model.labels[np.broadcast_to(g, shape).flat[i]] for g in operands]
-
     def prenorm_rows(self, family, tol):
         return []
 
-    def metric_checks(self, family, operands, rxy, tol):
+    def metric_checks(self, family, operands, tol):
         """Invariance of d and rho under change of class representatives,
         and the quotient's two values.
 
@@ -341,8 +329,9 @@ class FiniteChain(NeighborhoodChain):
             shift = np.array([[moved(p, side).max() for side in "xy"] for p in H])
             return array_check(name, shift, shift == 0, "exhaustive", witness)
 
-        N = family(np.arange(model.order))
-        rho = rxy[:, :, 0]
+        r = np.arange(model.order)
+        N = family(r)
+        rho = quotient_metric_rho(model, family, *np.ix_(r, r))
         checks = [coset_check("d_coset_invariance", np.abs(N[:, None] - N[None, :])),
                   coset_check("rho_coset_invariance", rho)]
 
@@ -407,12 +396,15 @@ class DyadicFamily:
         carries radius(lo) along, starting from radius(0) = 0. This is a
         second, independent route to the prenorm value; anything beyond the
         top of the scale, NaN included, clamps to 2."""
+        t = getattr(self.chain, "t", None)
+        if t is None:
+            raise UsageError("rapidity inversion needs the radii of a radial chain")
         rho = np.asarray(rho, dtype=float)
         scale = 1 << self.depth
         lo = np.zeros(rho.shape, dtype=np.int64)
         thr_lo = np.zeros(rho.shape)
         for n in range(self.depth + 1):
-            thr_mid = float(self.chain.t[n]) + thr_lo
+            thr_mid = float(t[n]) + thr_lo
             up = ~(rho <= thr_mid)
             lo += up * (scale >> n)
             thr_lo = np.where(up, thr_mid, thr_lo)
@@ -521,15 +513,21 @@ def pseudometric_d(N, x, y) -> np.ndarray:
 
 
 def _separations(ops, x, y):
-    """The law of the rho oracles: the separations -x + y and -y + x."""
+    """The law of the rows that read rho(x, y): the separations -x + y and
+    -y + x."""
     return [(ops.oplus(ops.neg(x), y), ops.oplus(ops.neg(y), x))]
 
 
+def _rho(N, xy, yx) -> np.ndarray:
+    """rho from the separations xy = -x + y and yx = -y + x: N(xy) + N(yx)."""
+    return N(xy) + N(yx)
+
+
 def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
-    """Symmetrized separation of the classes of x and y:
-    N(-x + y) + N(-y + x)."""
-    ((left, right),) = _separations(model, x, y)
-    return N(left) + N(right)
+    """Symmetrized separation of the classes of x and y, the metric of the
+    quotient by the chain's base; the metric suite's rows read the same
+    ``_rho`` on the separations that the law engine evaluates."""
+    return _rho(N, *_separations(model, x, y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +545,11 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
 
 def _within(limit, residual):
     """The rule of a chain check, on ``run_law_check`` or
-    ``exhaustive_law_checks``: its law gives one tuple of points,
-    ``residual(*points)`` is each row's residual, and a row passes when that
-    is at most ``limit``."""
+    ``exhaustive_law_checks``: its law gives tuples of points, ``residual``
+    of all their points in order is each row's residual, and a row passes
+    when that is at most ``limit``."""
     def rule(tuples):
-        (points,) = tuples
-        r = residual(*points)
+        r = residual(*(p for points in tuples for p in points))
         return r, r <= limit
 
     return rule
@@ -599,6 +596,26 @@ def _prenorm_rows(family, tol):
          _within(chain.slack(tol, 1), lambda s, x, y: family(s) - (family(x) + family(y)))),
         ("inversion_symmetry", "inversion_symmetry", (1.9 * chain.reach,),
          lambda ops, x: [(ops.neg(x), x)], _within(0.0, gap)),
+    ]
+
+
+def _metric_rows(family, tol):
+    """The rows of the quotient metric's axioms, as ``_prenorm_rows``. They
+    read the first len(caps) operands of the suite's one triple draw, whose
+    caps the chain sets (``triples``). ``rho_symmetry`` compares the halves
+    of rho, which a rounding flip at a bin edge may set one grid step apart."""
+    chain = family.chain
+    limit = chain.slack(tol, 4)  # rho is quantized to the depth grid
+    return [
+        ("rho_identity", "triples", (None,), lambda ops, x: _separations(ops, x, x),
+         _within(limit, lambda *s: _rho(family, *s))),
+        ("rho_symmetry", "triples", (None,) * 2, _separations,
+         _within(chain.slack(tol, 1), lambda xy, yx: np.abs(family(xy) - family(yx)))),
+        ("rho_triangle", "triples", (None,) * 3,
+         lambda ops, x, y, z: _separations(ops, x, z) + _separations(ops, x, y)
+         + _separations(ops, y, z),
+         _within(limit, lambda xz, zx, xy, yx, yz, zy:
+                 _rho(family, xz, zx) - (_rho(family, xy, yx) + _rho(family, yz, zy)))),
     ]
 
 
@@ -660,10 +677,10 @@ def check_metric_properties(
     n_samples: int = 10000,
     tol: ToleranceConfig | None = None,
 ) -> VerificationReport:
-    """Pseudometric axioms for d, metric axioms for the quotient
-    separation on the chain's triples, then the chain's own checks:
-    agreement with independent routes on a radial chain, invariance under
-    change of class representatives on a finite one."""
+    """Pseudometric axioms for d on the chain's triples, the quotient
+    metric's axioms as law rows on them (``_metric_rows``), then the chain's
+    own checks: agreement with independent routes on a radial chain,
+    invariance under change of class representatives on a finite one."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -672,13 +689,12 @@ def check_metric_properties(
         return chain_condition_report(
             "metric", "halving_condition", exc, chain.model, sampler, tol, chain
         )
-    model = chain.model
-    with suite_report("metric", model.name, sampler, tol, depth=family.depth) as report:
-        (x, y, z), samples = chain.triples(sampler, n_samples)
+    with suite_report("metric", chain.model.name, sampler, tol, depth=family.depth) as report:
+        operands, samples = chain.triples(sampler, n_samples)
 
         # each prenorm value once; a group's arrays are released before the
-        # next group allocates. First d = |N(a) - N(b)| on N(x), N(y), N(z).
-        nx, ny, nz = family(x), family(y), family(z)
+        # next group allocates. d = |N(a) - N(b)| on N(x), N(y), N(z)
+        nx, ny, nz = (family(p) for p in operands)
         dxy = np.abs(nx - ny)
         dxx = np.abs(nx - nx)
         report.checks.append(array_check("d_identity", dxx, dxx == 0, samples))
@@ -688,29 +704,10 @@ def check_metric_properties(
         tri = np.abs(nx - nz) - (dxy + np.abs(ny - nz))
         del nx, ny, nz, dxy
         report.checks.append(array_check("d_triangle", tri, tri <= chain.slack(tol), samples))
-
-        # then rho(a, b) = N(-a + b) + N(-b + a) on the seven separations
-        def n_sep(a, b):
-            return family(model.oplus(model.neg(a), b))
-
-        # the prenorm is quantized to the depth grid, so separation of a
-        # point from itself can only be bounded by the grid resolution
-        slack = chain.slack(tol, 4)
-        n_xy, n_yx = n_sep(x, y), n_sep(y, x)
-        rxy = n_xy + n_yx
-        n_xx = n_sep(x, x)
-        ident = n_xx + n_xx
-        report.checks.append(array_check("rho_identity", ident, ident <= slack, samples))
-        sym = np.abs(rxy - (n_yx + n_xy))
-        report.checks.append(array_check("rho_symmetry", sym, sym == 0, samples))
-        del n_xy, n_yx, n_xx, ident, sym, tri
-        tri = (n_sep(x, z) + n_sep(z, x)) - (rxy + (n_sep(y, z) + n_sep(z, y)))
-        report.checks.append(array_check(
-            "rho_triangle", tri, tri <= slack, samples,
-            lambda i: dict(zip("xyz", chain.labels_at((x, y, z), i))),
-        ))
         del tri
-        report.checks += chain.metric_checks(family, (x, y, z), rxy, tol)
+        for row in _metric_rows(family, tol):
+            report.checks.append(chain.law_check(sampler, "metric", row, n_samples, tol, operands))
+        report.checks += chain.metric_checks(family, operands, tol)
     return report
 
 

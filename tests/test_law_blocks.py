@@ -85,7 +85,8 @@ def test_small_blocks_keep_every_chain_report(monkeypatch, suite, model, ratio):
 ENGINE_CHECKS = {
     "prenorm": {"gyration_invariance", "subadditivity", "inversion_symmetry",
                 "closed_form_agreement"},
-    "metric": {"decomposition_identity", "rho_oracle", "rho_closed_form"},
+    "metric": {"rho_identity", "rho_symmetry", "rho_triangle", "decomposition_identity",
+               "rho_oracle", "rho_closed_form"},
 }
 
 

@@ -227,6 +227,13 @@ def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
     assert got.shape == rho.shape and ((got > 0) & (got <= 2)).all()
 
 
+def test_index_of_rapidity_refuses_a_finite_chain():
+    # a finite chain has no radii to invert
+    fam = build_dyadic(FiniteChain(cyclic_table(4), [0, 2]))
+    with pytest.raises(UsageError, match="radial"):
+        fam.index_of_rapidity(np.array([0.5]))
+
+
 def tails_of(family):
     """Sum of the finer radii below each level, as prenorm_eval forms it."""
     t = family.chain.t[: family.depth + 1].astype(float)
