@@ -186,13 +186,13 @@ class RadialChain(NeighborhoodChain):
             oracle = 2.0 * np.arctanh(model.norm_fraction(xy)) / self.t0
             return np.abs(_rho(family, xy, yx) - oracle)
 
-        rows = [("decomposition_identity", law_triangle_decomposition, 3, None),
-                ("rho_oracle", _separations, 2, bisection_gap)]
-        if self.ratio == 0.5:
-            rows.append(("rho_closed_form", _separations, 2, closed_form_gap))
         limit = self.slack(tol, 4)
-        return [run_law_check(model, name, law, operands[:k], tol, gap and _within(limit, gap))
-                for name, law, k, gap in rows]
+        rows = [("decomposition_identity", law_triangle_decomposition, 3, None),
+                ("rho_oracle", _separations, 2, _within(limit, bisection_gap))]
+        if self.ratio == 0.5:
+            rows.append(("rho_closed_form", _separations, 2, _within(limit, closed_form_gap)))
+        return [run_law_check(model, name, law, operands[:k], tol, rule)
+                for name, law, k, rule in rows]
 
     def admissible_checks(self, sampler, n_samples, tol):
         """The analytic condition 3 t[n+1] <= t[n]; per level, the double

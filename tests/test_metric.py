@@ -284,20 +284,20 @@ def offset_prenorm(shift):
 # positive first coordinate tells -x + y from -y + x, and N^2 is not
 # subadditive along a line
 RHO_FAULTS = [
-    ("rho_identity", lambda: FiniteChain(cyclic_table(12), [0, 4, 8]),
-     offset_prenorm(lambda x: 1.0)),
-    ("rho_symmetry", lambda: g8_chain([0, 5]), None),
-    ("rho_triangle", lambda: g8_chain([0, 5], [0, 2, 4]), None),
-    ("rho_identity", mobius_chain, offset_prenorm(lambda x: 2.0 ** -10)),
-    ("rho_symmetry", mobius_chain, offset_prenorm(lambda x: 2.0 ** -10 * (x[..., 0] > 0))),
-    ("rho_triangle", mobius_chain, lambda family, x: np.square(REAL_PRENORM(family, x))),
+    pytest.param("rho_identity", lambda: FiniteChain(cyclic_table(12), [0, 4, 8]),
+                 offset_prenorm(lambda x: 1.0), id="identity-table"),
+    pytest.param("rho_symmetry", lambda: g8_chain([0, 5]), None, id="symmetry-table"),
+    pytest.param("rho_triangle", lambda: g8_chain([0, 5], [0, 2, 4]), None, id="triangle-table"),
+    pytest.param("rho_identity", mobius_chain, offset_prenorm(lambda x: 2.0 ** -10),
+                 id="identity-ball"),
+    pytest.param("rho_symmetry", mobius_chain,
+                 offset_prenorm(lambda x: 2.0 ** -10 * (x[..., 0] > 0)), id="symmetry-ball"),
+    pytest.param("rho_triangle", mobius_chain,
+                 lambda family, x: np.square(REAL_PRENORM(family, x)), id="triangle-ball"),
 ]
 
 
-@pytest.mark.parametrize(
-    "name,make,fault", RHO_FAULTS,
-    ids=[f"{name}-{kind}" for (name, *_), kind in zip(RHO_FAULTS, ["table"] * 3 + ["ball"] * 3)],
-)
+@pytest.mark.parametrize("name,make,fault", RHO_FAULTS)
 def test_rho_rows_fail_where_their_witnesses_say(monkeypatch, name, make, fault):
     # each rho row fails under its fault (and passes without a patched
     # prenorm), and its law and rule, evaluated at the witness's inputs,
