@@ -111,14 +111,9 @@ def _carrier(spec: str):
                      "table:<name-or-path> or product:<a>+<b>")
 
 
-def _admit(carrier):
-    """A carrier as a model: a table admitted by TableModel."""
-    return TableModel(carrier) if isinstance(carrier, CayleyTable) else carrier
-
-
 def _resolve_model(spec: str):
     """The model a --model spec names, a table admitted by TableModel."""
-    return _admit(_carrier(spec))
+    return TableModel(c) if isinstance(c := _carrier(spec), CayleyTable) else c
 
 
 def _table(cfg: RunConfig):
@@ -141,81 +136,73 @@ def _required(cfg: RunConfig, option: str):
     return value
 
 
-def _build_chain(cfg: RunConfig, model):
-    if cfg.chain is not None:  # radial; run_suite has rewritten a finite spec
-        return RadialChain(model, cfg.chain["t0"], cfg.chain["ratio"], cfg.chain["depth"])
-    if model.is_exact:
-        if cfg.subgyrogroup is None:
-            raise UsageError("finite chains need --subgyrogroup or --chain")
-        return FiniteChain(model, cfg.subgyrogroup)
-    return RadialChain(model, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
+def _build_chain(cfg: RunConfig, carrier):
+    """The chain of a chain suite on the carrier --model names, the one place
+    that picks a chain kind. A table refuses --depth before TableModel admits
+    it, a ball refuses --subgyrogroup. --chain is radial (run_suite rewrote a
+    finite spec) and refuses a table; else a table gives a finite chain."""
+    if isinstance(carrier, CayleyTable):
+        _refuse_unread(cfg, "depth", "a finite chain")
+        carrier = TableModel(carrier)
+    else:
+        _refuse_unread(cfg, "subgyrogroup", "a radial chain")
+    if cfg.chain is not None:
+        return RadialChain(carrier, cfg.chain["t0"], cfg.chain["ratio"], cfg.chain["depth"])
+    if not carrier.is_exact:
+        return RadialChain(carrier, depth=DEFAULT_DEPTH if cfg.depth is None else cfg.depth)
+    if cfg.subgyrogroup is None:
+        raise UsageError("finite chains need --subgyrogroup or --chain")
+    return FiniteChain(carrier, cfg.subgyrogroup)
 
 
 def _sampled(check):
-    """Resolver and runner of a sampled suite over --model or, in a chain
-    suite, over the chain built on it; a finite spec arrives as --model and
-    --subgyrogroup. A finite chain whose subset lacks the identity or is not
-    closed gives a failing report with the one check ``chain_condition``."""
+    """Runner of a sampled suite on the model --model names."""
+    return lambda cfg: check(_resolve_model(cfg.model), sampler=Sampler(cfg.seed),
+                             n_samples=cfg.samples, tol=cfg.tol or ToleranceConfig())
 
-    def resolve(cfg: RunConfig):
+
+def _chained(check):
+    """Runner of a chain suite on the chain ``_build_chain`` builds. A finite
+    chain whose subset lacks the identity or is not closed gives a failing
+    report with the one check ``chain_condition``."""
+
+    def run(cfg: RunConfig):
         carrier = _carrier(cfg.model)
-        if cfg.suite in _CHAIN_SUITES:  # before a table is admitted
-            if isinstance(carrier, CayleyTable):
-                _refuse_unread(cfg, "depth", "a finite chain")
-            else:
-                _refuse_unread(cfg, "subgyrogroup", "a radial chain")
-        return _admit(carrier)
-
-    def run(model, cfg: RunConfig):
-        sampler = Sampler(cfg.seed)
-        tol = cfg.tol or ToleranceConfig()
+        sampler, tol = Sampler(cfg.seed), cfg.tol or ToleranceConfig()
         try:
-            target = _build_chain(cfg, model) if cfg.suite in _CHAIN_SUITES else model
+            chain = _build_chain(cfg, carrier)
         except ChainConditionError as exc:
-            return chain_condition_report(cfg.suite, "chain_condition", exc, model, sampler, tol)
-        return check(target, sampler=sampler, n_samples=cfg.samples, tol=tol)
+            return chain_condition_report(cfg.suite, "chain_condition", exc, carrier, sampler, tol)
+        return check(chain, sampler=sampler, n_samples=cfg.samples, tol=tol)
 
-    return resolve, run
-
-
-def _on_table(run):
-    """Resolver and runner of a suite on the table --model names, admitted."""
-    return (lambda cfg: TableModel(_table(cfg)).source), run
+    return run
 
 
 _CHAIN_SUITES = ("prenorm", "metric", "admissible")
 _SAMPLED_SUITES = ("axioms", "identities", "strong-base") + _CHAIN_SUITES
 
 
-# suite name -> (description, resolver of what the suite runs on, runner);
-# both take the RunConfig, and the runner also what was resolved
+# suite name -> (description, runner); the runner takes the RunConfig and
+# returns the report
 SUITE_TABLE = {
-    "axioms": ("gyrogroup axioms on a sampled or exhaustive carrier", *_sampled(check_axioms)),
-    "identities": (
-        "derived cancellation and decomposition identities", *_sampled(check_identities)
-    ),
-    "strong-base": (
-        "gyration stability of balls, norms and commuted sums", *_sampled(check_strong_base)
-    ),
+    "axioms": ("gyrogroup axioms on a sampled or exhaustive carrier", _sampled(check_axioms)),
+    "identities": ("derived cancellation and decomposition identities",
+                   _sampled(check_identities)),
+    "strong-base": ("gyration stability of balls, norms and commuted sums",
+                    _sampled(check_strong_base)),
     "prenorm": ("dyadic scale family: sandwich, invariance, subadditivity",
-                *_sampled(check_prenorm_properties)),
-    "metric": ("pseudometric and quotient separation axioms", *_sampled(check_metric_properties)),
+                _chained(check_prenorm_properties)),
+    "metric": ("pseudometric and quotient separation axioms", _chained(check_metric_properties)),
     "admissible": ("level-by-level double-sum admissibility of a chain",
-                   *_sampled(validate_admissible_chain)),
+                   _chained(validate_admissible_chain)),
     "table-validate": ("exhaustive axiom check of a finite table",
-                       _table, lambda t, cfg: validate_table(t)),
-    "subgyrogroups": (
-        "enumerate closed subsets of a finite table",
-        *_on_table(lambda t, cfg: check_subgyrogroups(t)),
-    ),
-    "cosets": (
-        "left coset partition induced by an invariant subset",
-        *_on_table(lambda t, cfg: check_cosets(t, _required(cfg, "subgyrogroup"))),
-    ),
-    "search": (
-        "exhaustive search for tables of a small order",
-        lambda cfg: None, lambda _, cfg: check_search(_required(cfg, "order"), cfg.max_results),
-    ),
+                       lambda cfg: validate_table(_table(cfg))),
+    "subgyrogroups": ("enumerate closed subsets of a finite table",
+                      lambda cfg: check_subgyrogroups(TableModel(_table(cfg)).source)),
+    "cosets": ("left coset partition induced by an invariant subset", lambda cfg: check_cosets(
+        TableModel(_table(cfg)).source, _required(cfg, "subgyrogroup"))),
+    "search": ("exhaustive search for tables of a small order",
+               lambda cfg: check_search(_required(cfg, "order"), cfg.max_results)),
 }
 SUITES = {name: row[0] for name, row in SUITE_TABLE.items()}
 
@@ -233,10 +220,10 @@ _READERS = {
 def run_suite(cfg: RunConfig):
     """Execute one suite; returns (report, exit_code). In a chain suite a
     finite chain spec is short for ``--model table:<table> --subgyrogroup
-    <indices>`` and becomes them before anything is resolved; a value given
-    twice is a UsageError, and so is an option the suite does not read. A
-    table that TableModel refuses while the suite resolves its carrier
-    gives a failing report on that model with the one check
+    <indices>`` and becomes them before the runner starts; a value given
+    twice is a UsageError, and so is an option the suite does not read. An
+    ``AxiomViolationError`` from the runner, a table that TableModel
+    refuses, gives a failing report on that model with the one check
     ``table_structure``."""
     if cfg.suite not in SUITE_TABLE:
         raise UsageError(f"unknown suite {cfg.suite!r}")
@@ -251,14 +238,11 @@ def run_suite(cfg: RunConfig):
             raise UsageError("the subgyrogroup is given twice: by --subgyrogroup and by --chain")
         cfg = replace(cfg, model=f"table:{chain['table']}", subgyrogroup=chain["subgyrogroup"],
                       chain=None)
-    _, resolve, run = SUITE_TABLE[cfg.suite]
     try:
-        target = resolve(cfg)
+        report = SUITE_TABLE[cfg.suite][1](cfg)
     except AxiomViolationError as exc:
         with suite_report(cfg.suite, cfg.model) as report:
             report.checks.append(witness_check("table_structure", {"error": str(exc)}))
-    else:
-        report = run(target, cfg)
     return report, 0 if report.passed else 1
 
 

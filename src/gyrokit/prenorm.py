@@ -28,8 +28,8 @@ import numpy as np
 from .core import GyrogroupModel, exhaustive_law_checks, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
-from .sampling import Sampler, ToleranceConfig, check_sample_size, directions
-from .tables import CayleyTable, TableModel, _closed_under, coset_partition
+from .sampling import Sampler, ToleranceConfig, ball_points
+from .tables import CayleyTable, TableModel, _closed_under, _subset_indices, coset_partition
 
 DEFAULT_RATIO = 0.25
 DEFAULT_DEPTH = 24
@@ -200,10 +200,10 @@ class RadialChain(NeighborhoodChain):
         three copies of the extreme point on a fixed axis, where the radial
         scales add exactly; and the identity in every level."""
         model, t = self.model, self.t
-        cond_ok = bool((3.0 * t[1:] <= t[:-1] * (1.0 + 1e-12)).all())
-        cond = CheckResult("analytic_condition", cond_ok, 0.0, self.depth)
-        if not cond_ok:
-            lvl = int(np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))[0])
+        violated = np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))
+        cond = CheckResult("analytic_condition", len(violated) == 0, 0.0, self.depth)
+        if len(violated):
+            lvl = int(violated[0])
             cond.max_residual = float(3.0 * t[lvl + 1] / t[lvl] - 1.0)
             cond.witness = {"level": lvl + 1, "t_n": float(t[lvl]), "t_next": float(t[lvl + 1])}
         checks = [cond]
@@ -250,10 +250,7 @@ class FiniteChain(NeighborhoodChain):
         if not isinstance(model, TableModel):
             raise UsageError("finite chains need a table-backed model")
         super().__init__(model, 1)
-        H = np.array(sorted(set(int(i) for i in subgyrogroup)), dtype=np.int64)
-        if len(H) == 0 or H[0] < 0 or H[-1] >= model.order:
-            raise UsageError("subgyrogroup indices out of range")
-        self.H = H
+        self.H = H = np.array(_subset_indices(model.order, subgyrogroup), dtype=np.int64)
         self._mask = np.zeros(model.order, dtype=bool)
         self._mask[H] = True
         e = model.source.identity_index
@@ -535,12 +532,8 @@ def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
 
 
 def _rapidity_ball(gen, n, dim, bound, t_cap):
-    """Points with rapidity uniform on [0, t_cap]; no boundary forcing."""
-    check_sample_size(n, dim)
-    rho = gen.uniform(0.0, t_cap, size=n)
-    d = directions(gen, n, dim)
-    d *= (np.tanh(rho) * bound)[:, None]
-    return d
+    """Points with rapidity uniform on [0, t_cap], unforced; the benchmark traces this name."""
+    return ball_points(gen, n, dim, bound, t_max=t_cap, margin=None)
 
 
 def _within(limit, residual):

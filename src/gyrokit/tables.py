@@ -389,6 +389,15 @@ class SubgyrogroupSet:
         return len(self.elements)
 
 
+def _subset_indices(order: int, subgyrogroup) -> list:
+    """The sorted distinct indices of a base subset of a carrier; a
+    UsageError unless there is one and each lies in [0, order)."""
+    H = sorted(set(int(i) for i in subgyrogroup))
+    if not H or H[0] < 0 or H[-1] >= order:
+        raise UsageError(f"subgyrogroup indices must lie in [0,{order}), got {H}")
+    return H
+
+
 def _closed_under(t: CayleyTable, H: np.ndarray) -> bool:
     """Whether H + H lies in H; for a nonempty H on a table with bijective
     left translations, an identity and two-sided inverses, whether H is a
@@ -728,9 +737,7 @@ def check_subgyrogroups(t: CayleyTable) -> VerificationReport:
 def check_cosets(t: CayleyTable, subgyrogroup) -> VerificationReport:
     """Check that the given indices form a subgyrogroup invariant under
     every gyration, and that its left cosets partition the carrier."""
-    H = sorted(set(subgyrogroup))
-    if not H or H[0] < 0 or H[-1] >= t.order:
-        raise UsageError(f"subgyrogroup indices must lie in [0,{t.order}), got {H}")
+    H = _subset_indices(t.order, subgyrogroup)
     with suite_report("cosets", t.name) as report:
         try:
             is_l = is_L_subgyrogroup(t, H)

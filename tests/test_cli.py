@@ -146,6 +146,15 @@ def test_a_value_given_twice_names_both_sources(capsys, argv, given):
     assert "given twice" in err and all(source in err for source in given)
 
 
+def test_cosets_and_finite_chains_refuse_base_indices_alike(capsys):
+    lines = set()
+    for suite in ("cosets", "metric"):
+        code, out, err = run(capsys, suite, "--model", "table:z4", "--subgyrogroup", "0,9")
+        assert (code, out) == (2, "")
+        lines.add(err)
+    assert lines == {"gyro: subgyrogroup indices must lie in [0,4), got [0, 9]\n"}
+
+
 def test_exit_codes_cover_every_error():
     errors = set(GyroError.__subclasses__())
     assert errors <= set(EXIT_CODES)
@@ -309,11 +318,10 @@ def test_oversized_sample_count_exits_two(capsys, suite, model, samples):
 def test_memory_error_exits_two(capsys, monkeypatch):
     # numpy's failed allocations subclass MemoryError: a request the machine
     # cannot hold is refused as usage, not reported as a failed check
-    def exhausted(target, cfg):
+    def exhausted(cfg):
         raise MemoryError("Unable to allocate 152. MiB for an array")
 
-    description, resolve, _ = SUITE_TABLE["metric"]
-    monkeypatch.setitem(SUITE_TABLE, "metric", (description, resolve, exhausted))
+    monkeypatch.setitem(SUITE_TABLE, "metric", (SUITE_TABLE["metric"][0], exhausted))
     code, out, err = run(capsys, "metric", "--model", "table:z4", "--subgyrogroup", "0")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["gyro: Unable to allocate 152. MiB for an array"]

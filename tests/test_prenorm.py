@@ -21,7 +21,7 @@ from gyrokit.prenorm import (
     rapidity,
     validate_admissible_chain,
 )
-from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
+from gyrokit.sampling import Sampler, ToleranceConfig, directions
 from gyrokit.tables import cyclic_table, klein_table, load_table
 
 GRID24 = 2.0 ** -24
@@ -529,16 +529,6 @@ def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
     rep = check_prenorm_properties(RadialChain(MobiusModel(), ratio=0.25), n_samples=n_samples)
     assert rep.passed
     assert sizes == [n_samples] * 7
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_rapidity_ball_is_ball_points_without_forcing(dim):
-    a, b = np.random.default_rng(59), np.random.default_rng(59)
-    for cap in (0.01, 1.0, 2.2 * MAX_T0):
-        got = _rapidity_ball(a, 1000, dim, 0.75, cap)
-        want = ball_points(b, 1000, dim, 0.75, t_max=cap, margin=None)
-        assert got.tobytes() == want.tobytes()
-    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_prenorm_inversion_symmetry_bitwise():
