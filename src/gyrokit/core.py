@@ -311,20 +311,34 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, rule=None):
     )
 
 
+def _batches(sizes):
+    """The batches of an exhaustive pass over every index tuple of shape
+    ``sizes``, in lexicographic order, as ``(at, grids)``: the batch's block
+    of the full array (one slice per leading operand) and its ``np.ix_``
+    grids. A batch fixes the least k leading operands that keep one value
+    of operand k within _KERNEL_CELLS tuples, and takes a run of operand
+    k's values and every value of the rest, so its arrays stay in cache; at
+    arity 3, k = 1 once n^2 > _KERNEL_CELLS (orders 257 to 271)."""
+    k = 0
+    while math.prod(sizes[k + 1:]) > _KERNEL_CELLS:
+        k += 1
+    step = _KERNEL_CELLS // math.prod(sizes[k + 1:])
+    idx = np.arange(max(sizes))
+    rest = [idx[:size] for size in sizes[k + 1:]]
+    for head in itertools.product(*map(range, sizes[:k])):
+        for lo in range(0, sizes[k], step):
+            at = (*(slice(h, h + 1) for h in head), slice(lo, min(lo + step, sizes[k])))
+            yield at, np.ix_(*(idx[s] for s in at), *rest)
+
+
 def first_violation(ops, n, law, arity, pivots=None):
     """First tuple, in lexicographic order, at which ``law`` fails on the
     carrier {0, ..., n-1}, as ``(tuple, lhs, rhs)`` with the two sides of
     its first differing comparison; None when the law holds everywhere.
 
-    The law runs on broadcast index grids, one batch of at most
-    _KERNEL_CELLS tuples at a time, so that each batch's index and value
-    arrays stay in cache. A batch fixes the first k operands, takes a run
-    of values of the next one and every value of the rest, with the least
-    k that fits: k = 0 while one first operand's tuples fit (a small
-    carrier is one batch), and k = 1 once n^2 > _KERNEL_CELLS at arity 3,
-    as in ``identities`` on orders 257 to 271. Batches go in
+    The law runs on the batches of :func:`_batches`, which go in
     lexicographic order, so the first failing batch holds the first
-    failing tuple.
+    failing tuple, and the tuple is read off the batch's grids.
 
     ``pivots``, an (m, 2) array of (x, y) pairs in lexicographic order,
     makes the first two operands run together over those pairs only, as
@@ -335,40 +349,22 @@ def first_violation(ops, n, law, arity, pivots=None):
     does, so the first failing tuple has a first pair as its pivots. On
     z64 the automorphism law then runs on 64^2 tuples instead of 64^4.
     """
-    if pivots is None:
-        sizes = (n,) * arity
-    else:
-        px, py = pivots[:, 0], pivots[:, 1]
-        sizes = (len(pivots),) + (n,) * (arity - 2)
-    k = 0
-    while math.prod(sizes[k + 1:]) > _KERNEL_CELLS:
-        k += 1
-    rest = sizes[k + 1:]
-    step = _KERNEL_CELLS // math.prod(rest)
-    idx = np.arange(max(sizes))
-    for head in itertools.product(*map(range, sizes[:k])):
-        fixed = [idx[h:h + 1] for h in head]
-        for lo in range(0, sizes[k], step):
-            run = idx[lo:min(lo + step, sizes[k])]
-            grids = np.ix_(*fixed, run, *[idx[:n]] * len(rest))
-            if pivots is not None:
-                grids = (px[grids[0]], py[grids[0]], *grids[1:])
-            pairs = law(ops, *grids)
-            bad = None
+    sizes = (n,) * arity if pivots is None else (len(pivots),) + (n,) * (arity - 2)
+    for _, grids in _batches(sizes):
+        if pivots is not None:
+            grids = (pivots[grids[0], 0], pivots[grids[0], 1], *grids[1:])
+        pairs = law(ops, *grids)
+        bad = None
+        for lhs, rhs in pairs:
+            ne = lhs != rhs
+            bad = ne if bad is None else bad | ne
+        if bad.any():
+            shape = np.broadcast_shapes(*(g.shape for g in grids))
+            at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
             for lhs, rhs in pairs:
-                ne = lhs != rhs
-                bad = ne if bad is None else bad | ne
-            if bad.any():
-                shape = (1,) * k + (len(run),) + rest
-                at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
-                origin = (*head, lo) + (0,) * len(rest)
-                for lhs, rhs in pairs:
-                    l, r = np.broadcast_to(lhs, shape)[at], np.broadcast_to(rhs, shape)[at]
-                    if l != r:
-                        found = [o + int(a) for o, a in zip(origin, at)]
-                        if pivots is not None:
-                            found[:1] = pivots[found[0]].tolist()
-                        return tuple(found), int(l), int(r)
+                l, r = np.broadcast_to(lhs, shape)[at], np.broadcast_to(rhs, shape)[at]
+                if l != r:
+                    return tuple(int(np.broadcast_to(g, shape)[at]) for g in grids), int(l), int(r)
     return None
 
 
@@ -426,9 +422,8 @@ def exhaustive_law_checks(ops, labels, checks, rule=None):
     Without a ``rule``, through :func:`exact_violation` (so the automorphism
     law runs once per distinct gyration of ``ops``), with first_violation's
     witness in labels: ``{"inputs", "lhs", "rhs"}``. With one, as in
-    :func:`run_law_check`, on broadcast index grids, a run of values of the
-    first operand at a time (at most _KERNEL_CELLS tuples, or one value),
-    with the witness ``{"inputs", "residual"}``, the inputs in labels."""
+    :func:`run_law_check`, on the batches of :func:`_batches`, with the
+    witness ``{"inputs", "residual"}``, the inputs in labels."""
     n = len(labels)
     for _, _, base, wit in checks:
         if n ** (base + wit) > _EXHAUSTIVE_CAP:
@@ -446,11 +441,8 @@ def exhaustive_law_checks(ops, labels, checks, rule=None):
             }))
             continue
         residual, ok = np.empty((n,) * k), np.empty((n,) * k, dtype=bool)
-        idx = np.arange(n)
-        step = max(1, _KERNEL_CELLS // n ** (k - 1))
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            residual[rows], ok[rows] = rule(law(ops, *np.ix_(idx[rows], *[idx] * (k - 1))))
+        for at, grids in _batches(residual.shape):
+            residual[at], ok[at] = rule(law(ops, *grids))
         results.append(array_check(name, residual, ok, "exhaustive", lambda i: {
             "inputs": [labels[j] for j in np.unravel_index(i, residual.shape)],
             "residual": float(residual.flat[i]),

@@ -62,10 +62,26 @@ class NeighborhoodChain:
     runs (``prenorm_rows``, ``metric_checks``, ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
-        if not 1 <= depth <= MAX_DEPTH:
-            raise UsageError(f"chain depth must lie in [1,{MAX_DEPTH}], got {depth}")
         self.model = model
         self.depth = depth
+
+
+def radial_radii(t0, ratio, depth):
+    """The level radii t0 * ratio^n, n = 0..depth, of a radial chain, or a
+    UsageError: the one check of (t0, ratio, depth), which parse_chain_spec
+    runs too. Ranges are compared before any conversion, so an integer too
+    large for a float is refused, not overflowed."""
+    if not 0.0 < ratio < 1.0:
+        raise UsageError(f"ratio must lie in (0,1), got {ratio}")
+    if not 0.0 < t0 <= MAX_T0:
+        raise UsageError(f"t0 must lie in (0,{MAX_T0:g}], got {t0}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise UsageError(f"chain depth must lie in [1,{MAX_DEPTH}], got {depth}")
+    t = t0 * ratio ** np.arange(depth + 1)
+    if not t[depth] > 0:
+        # a level of radius 0 is {e}, which is no neighbourhood
+        raise UsageError(f"level {depth} radius t0*ratio^{depth} underflows to 0")
+    return t
 
 
 class RadialChain(NeighborhoodChain):
@@ -76,17 +92,10 @@ class RadialChain(NeighborhoodChain):
     def __init__(self, model, t0=1.0, ratio=DEFAULT_RATIO, depth=DEFAULT_DEPTH):
         if model.is_exact:
             raise UsageError("radial chains need a continuous model")
-        if not 0.0 < ratio < 1.0:
-            raise UsageError(f"ratio must lie in (0,1), got {ratio}")
-        if not 0.0 < t0 <= MAX_T0:
-            raise UsageError(f"t0 must lie in (0,{MAX_T0:g}], got {t0}")
+        self.t = radial_radii(t0, ratio, depth)
         super().__init__(model, depth)
         self.t0 = float(t0)
         self.ratio = float(ratio)
-        self.t = t0 * ratio ** np.arange(depth + 1)
-        if not self.t[depth] > 0:
-            # a level of radius 0 is {e}, which is no neighbourhood
-            raise UsageError(f"level {depth} radius t0*ratio^{depth} underflows to 0")
         self.reach = float(np.sum(self.t))
 
     def level_member(self, n, x):
@@ -738,11 +747,12 @@ _CHAIN_SPEC_FIELDS = {
 
 
 def parse_chain_spec(spec) -> dict:
-    """Normalize a chain description given as a dict or JSON text."""
+    """Normalize a chain description given as a dict or JSON text; a radial
+    spec is refused before any model is built, as RadialChain refuses it."""
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise UsageError(f"chain spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise UsageError("chain spec must be a JSON object")
@@ -762,19 +772,14 @@ def parse_chain_spec(spec) -> dict:
             if isinstance(v, bool) or not isinstance(v, (int, type(default))):
                 what = "an integer" if key == "depth" else "a number"
                 raise UsageError(f"chain spec field {key!r} must be {what}, got {v!r}")
-            out[key] = type(default)(v)
-        if not out["t0"] > 0:
-            raise UsageError("t0 must be positive")
-        if not 0.0 < out["ratio"] < 1.0:
-            raise UsageError("ratio must lie in (0,1)")
-        if not 1 <= out["depth"] <= MAX_DEPTH:
-            raise UsageError(f"depth must lie in [1,{MAX_DEPTH}]")
-        return out
+            out[key] = v
+        radial_radii(out["t0"], out["ratio"], out["depth"])
+        return {**out, "t0": float(out["t0"]), "ratio": float(out["ratio"])}
     if "table" not in spec or "subgyrogroup" not in spec:
         raise UsageError("finite chain spec needs 'table' and 'subgyrogroup'")
     table = spec["table"]
-    if not isinstance(table, str) or not table:
-        raise UsageError(f"'table' must be a non-empty table name, got {table!r}")
+    if not isinstance(table, str):  # an empty name is refused where it is resolved
+        raise UsageError(f"'table' must be a table name, got {table!r}")
     sub = spec["subgyrogroup"]
     if not isinstance(sub, list) or not all(
         isinstance(i, int) and not isinstance(i, bool) for i in sub

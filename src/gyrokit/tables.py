@@ -31,6 +31,7 @@ from .core import (
     _EXHAUSTIVE_CAP,
     AXIOM_CHECKS,
     GyrogroupModel,
+    _batches,
     exhaustive_law_checks,
     law_g3_automorphism,
     law_g4_loop,
@@ -181,7 +182,7 @@ def load_table(path) -> CayleyTable:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
         raise TableFormatError(f"{path}: not valid JSON ({exc})") from exc
     return table_from_dict(raw, name=_stem(path))
 
@@ -573,13 +574,13 @@ def builtin_table(name: str) -> CayleyTable:
 def _stack_law_holds(stack: np.ndarray, B: np.ndarray, law, arity: int) -> np.ndarray:
     """Whether each table of a stack (m, n, n), with gyration tensors
     B (m, n, n, n), satisfies ``law`` on every tuple of ``arity``
-    operands, for all m tables in one pass; m may be 0."""
+    operands; m may be 0. The table is one more leading operand of the
+    batches (``core._batches``), so all m tables run in the same batches."""
     m, n = stack.shape[:2]
-    table, *operands = np.ix_(np.arange(m), *[np.arange(n)] * arity)
-    ops = _TableOps(stack, B, table)
     ok = np.ones(m, dtype=bool)
-    for lhs, rhs in law(ops, *operands):
-        ok &= (lhs == rhs).all(axis=tuple(range(1, arity + 1)))
+    for at, (table, *operands) in _batches((m,) + (n,) * arity):
+        for lhs, rhs in law(_TableOps(stack, B, table), *operands):
+            ok[at[0]] &= (lhs == rhs).all(axis=tuple(range(1, arity + 1)))
     return ok
 
 
@@ -661,10 +662,10 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     (1 2)(3 4)...(2k-1 2k) for one k in 0..(n-1)//2:
     :func:`_involution_squares` (order 6: 184 squares, of the 1,808
     reduced squares with x + y = 0 exactly when y + x = 0). They go in one
-    stack and one tensor build (order 6: 184 * 6^3 entries, within
-    ``core._KERNEL_CELLS``) through :func:`_stack_law_holds`: the n^3 loop
-    law, then the n^4 automorphism law on the loop law's survivors only. A
-    reduced Latin square has an identity and bijective left translations,
+    stack and one tensor build through :func:`_stack_law_holds`, in
+    batches within ``core._KERNEL_CELLS`` (order 6: one batch per law):
+    the n^3 loop law, then the n^4 automorphism law on the loop law's
+    survivors only (order 6: 6 of 184). A reduced Latin square has an identity and bijective left translations,
     and gyroassociativity holds by the construction of the gyrations, so
     what passes both laws is valid, and its class is found.
 

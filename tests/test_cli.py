@@ -201,6 +201,18 @@ def test_tuple_cap_on_z67(capsys, suite, code):
         assert out == "" and "infeasible" in err
 
 
+@pytest.mark.parametrize("model", [
+    f"table:{CORPUS / 'not_bijective.json'}", f"table:{CORPUS / 'no_such_table.json'}",
+])
+def test_radial_spec_is_refused_before_the_model(capsys, model):
+    # the spec is checked when it is parsed, so a table that would be
+    # refused (exit 1) or that cannot be read (exit 3) is never looked at
+    chain = '{"kind":"radial_rapidity","t0":9.5}'
+    code, out, err = run(capsys, "prenorm", "--model", model, "--chain", chain)
+    assert (code, out) == (2, "")
+    assert "t0 must lie in (0,9], got 9.5" in err
+
+
 @pytest.mark.parametrize("suite,ratio", [
     ("prenorm", "1e-20"), ("metric", "1e-20"), ("admissible", "1e-300"),
 ])

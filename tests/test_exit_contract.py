@@ -11,11 +11,18 @@ malformed ones included. For each:
 - exit 3 comes only when a named file cannot be read or parsed (a table
   file, or --out);
 - every other input exits 2, with nothing on stdout.
+
+The size refusals run apart, each in a child process under a 256 MiB
+address-space limit: they exit 2 before anything of their size is
+allocated.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +31,10 @@ from hypothesis import strategies as st
 
 from gyrokit.cli import SUITES, main
 
-CORPUS = Path(__file__).resolve().parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "corpus"
+# stands for the directory of the files that the test writes itself
+TMP = "{tmp}"
 
 BALLS = ["mobius", "einstein"]
 # table tokens: built-in names, and files that load (some of them refused
@@ -35,9 +45,11 @@ TABLES = ["z1", "z2", "z4", "z6", "Z3", "klein", "s3", "z272", "z0"] + [
      "latin5.json")
 ]
 # files that cannot be read or parsed as a table: missing, not JSON, JSON
-# that is no table, and a directory
-BAD_FILES = [str(CORPUS / "no_such_table.json"), str(CORPUS.parent.parent / "README.md"),
-             str(CORPUS / "axioms-mobius.json"), str(CORPUS)]
+# that is no table, a directory, bytes that are not UTF-8, and an integer
+# literal past Python's 4,300-digit conversion limit
+BAD_FILES = [str(CORPUS / "no_such_table.json"), str(ROOT / "README.md"),
+             str(CORPUS / "axioms-mobius.json"), str(CORPUS),
+             f"{TMP}/not_utf8.json", f"{TMP}/long_int.json"]
 
 suites = st.sampled_from(sorted(SUITES) + ["nope"])
 
@@ -143,7 +155,13 @@ def argvs(draw):
 
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("exit-contract")
+    """The directory of --out, which also holds the unreadable table files
+    that BAD_FILES names under TMP."""
+    path = tmp_path_factory.mktemp("exit-contract")
+    (path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    (path / "long_int.json").write_text(
+        '{"order": 1' + "0" * 5000 + ', "elements": [0], "oplus": [[0]]}', encoding="utf-8")
+    return path
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -155,8 +173,20 @@ def out_dir(tmp_path_factory):
 @example(case=(["admissible", "--model=table:z4", "--subgyrogroup=0,1"], False, None))
 @example(case=(["metric", f"--model=table:{CORPUS / 'not_bijective.json'}",
                 "--subgyrogroup=0"], False, "file"))
+# a radial field of 401 digits once escaped as OverflowError, a literal past
+# 4,300 digits as ValueError, and a table file that is not UTF-8 as
+# UnicodeDecodeError
+@example(case=(["prenorm", '--chain={"kind":"radial_rapidity","t0":1' + "0" * 400 + "}"],
+               False, None))
+@example(case=(["metric", '--chain={"kind":"radial_rapidity","ratio":1' + "0" * 400 + "}"],
+               False, None))
+@example(case=(["metric", '--chain={"kind":"radial_rapidity","depth":1' + "0" * 5000 + "}"],
+               False, None))
+@example(case=(["axioms", f"--model=table:{TMP}/not_utf8.json"], True, None))
+@example(case=(["table-validate", f"--model=product:z2+{TMP}/long_int.json"], True, None))
 def test_exit_code_contract(case, out_dir):
     argv, bad_file, out = case
+    argv = [a.replace(TMP, str(out_dir)) for a in argv]
     out_path = out_dir / "report.json"
     out_path.unlink(missing_ok=True)
     if out is not None:
@@ -179,3 +209,26 @@ def test_exit_code_contract(case, out_dir):
     assert stdout == "", (argv, code)
     if code == 3:
         assert bad_file or out == "directory", argv
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["table-validate", "--model", "table:z272"], "table z272 is too large"),
+    (["axioms", "--model", "table:z67"], "infeasible for order 67"),
+    (["axioms", "--model", "einstein", "--samples", "1111112"], "3333336 samples of dimension 3"),
+    (["search", "--order", "7"], "supported for order <= 6"),
+])
+def test_size_refusals_exit_two_under_256_mib(argv, message):
+    # each refusal comes before the allocation it refuses
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gyrokit.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert message in proc.stderr

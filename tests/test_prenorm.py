@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gyrokit.core import exhaustive_law_checks
 from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
@@ -723,6 +724,40 @@ def test_finite_prenorm_rows_do_not_depend_on_their_batches(monkeypatch):
     assert batched == whole
 
 
+def test_finite_rule_row_batches_stay_within_the_kernel_cells(monkeypatch):
+    # at 50 cells one first operand's 8^2 tuples on g8 exceed the cap, so a
+    # batch fixes x and takes a run of 6 values of u (48 tuples, then 16)
+    import gyrokit.core as core
+
+    chain = patched_g8_chain()
+    model = chain.model
+    name, _, caps, law, rule = _prenorm_rows(build_dyadic(chain), ToleranceConfig())[0]
+    assert (name, len(caps)) == ("gyration_invariance", 3)
+    batches, results = [], []
+
+    class Recording:
+        def gyr(self, x, y, z):
+            results.append(np.size(r := model.gyr(x, y, z)))
+            return r
+
+    def recorded(rec, *grids):
+        batches.append(int(np.prod(np.broadcast_shapes(*(g.shape for g in grids)))))
+        return law(rec, *grids)
+
+    def run():
+        batches.clear()
+        results.clear()
+        checks = [(name, recorded, len(caps), 0)]
+        return exhaustive_law_checks(Recording(), model.labels, checks, rule)[0].to_dict()
+
+    whole = run()
+    assert batches == results == [8**3]
+    monkeypatch.setattr(core, "_KERNEL_CELLS", 50)
+    assert run() == whole and not whole["pass"]
+    assert max(batches) == max(results) == 48
+    assert sum(batches) == 8**3
+
+
 # -- chain specs ---------------------------------------------------------------
 
 
@@ -731,7 +766,21 @@ def test_parse_chain_spec_radial():
     assert out == {"kind": "radial_rapidity", "t0": 1.0, "ratio": 0.5, "depth": 10}
     assert parse_chain_spec({"kind": "radial_rapidity"})["depth"] == 24
     # an integer t0 or ratio is a number like any other
-    assert parse_chain_spec('{"kind": "radial_rapidity", "t0": 19}')["t0"] == 19.0
+    assert parse_chain_spec('{"kind": "radial_rapidity", "t0": 2}')["t0"] == 2.0
+
+
+@pytest.mark.parametrize("fields", [
+    {"t0": 9.5}, {"t0": 0}, {"t0": -1}, {"t0": 10**400}, {"ratio": 1}, {"ratio": 10**400},
+    {"depth": 0}, {"depth": 41}, {"ratio": 1e-20}, {"ratio": 1e-300, "depth": 2},
+])
+def test_chain_spec_is_refused_with_the_radial_chains_message(fields):
+    # one check of (t0, ratio, depth): the spec is refused at parse time,
+    # before any model, with the message RadialChain gives
+    with pytest.raises(UsageError) as built:
+        RadialChain(MobiusModel(), **fields)
+    with pytest.raises(UsageError) as parsed:
+        parse_chain_spec({"kind": "radial_rapidity", **fields})
+    assert str(parsed.value) == str(built.value)
 
 
 def test_parse_chain_spec_finite():

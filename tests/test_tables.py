@@ -815,6 +815,50 @@ def test_stacked_law_filter_matches_each_order_6_square():
     assert [T.tobytes() for T in survivors] == [t.table.tobytes() for t in found]
 
 
+def test_search_filter_batches_stay_within_the_kernel_cells(monkeypatch):
+    # at 30 cells one square's 6^2 tuples per first operand exceed the cap,
+    # so a batch fixes the square and the first two operands and takes a
+    # run of 5 values of the third
+    import gyrokit.core as core
+    import gyrokit.tables as tables
+
+    batches, results = [], []
+
+    class Recording(_TableOps):
+        def oplus(self, x, y):
+            results.append(np.size(r := super().oplus(x, y)))
+            return r
+
+        def gyr(self, x, y, z):
+            results.append(np.size(r := super().gyr(x, y, z)))
+            return r
+
+    def recorded(law):
+        def run(ops, *grids):
+            # the table grid, ops._base, is one more operand of the batch
+            shape = np.broadcast_shapes(ops._base.shape, *(g.shape for g in grids))
+            batches.append(int(np.prod(shape)))
+            return law(ops, *grids)
+        return run
+
+    def search():
+        batches.clear()
+        results.clear()
+        return [(t.name, t.table.tobytes()) for t in search_gyrogroups(6, canonical_identity=False)]
+
+    monkeypatch.setattr(tables, "_TableOps", Recording)
+    monkeypatch.setattr(tables, "law_g4_loop", recorded(law_g4_loop))
+    monkeypatch.setattr(tables, "law_g3_automorphism", recorded(law_g3_automorphism))
+    whole = search()
+    # one batch per law: the 184 squares' loop law, its 6 survivors' automorphism law
+    assert batches == [184 * 6**3, 6 * 6**4]
+    assert max(results) <= core._KERNEL_CELLS
+    monkeypatch.setattr(core, "_KERNEL_CELLS", 30)
+    assert search() == whole and len(whole) == 80
+    assert max(batches) == max(results) == 30
+    assert sum(batches) == 184 * 6**3 + 6 * 6**4
+
+
 def test_stacked_law_filter_rejects_and_accepts_per_table():
     from gyrokit.tables import _stack_law_holds
 
