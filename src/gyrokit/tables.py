@@ -665,9 +665,10 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     stack and one tensor build through :func:`_stack_law_holds`, in
     batches within ``core._KERNEL_CELLS`` (order 6: one batch per law):
     the n^3 loop law, then the n^4 automorphism law on the loop law's
-    survivors only (order 6: 6 of 184). A reduced Latin square has an identity and bijective left translations,
-    and gyroassociativity holds by the construction of the gyrations, so
-    what passes both laws is valid, and its class is found.
+    survivors only (order 6: 6 of 184). A reduced Latin square has an
+    identity and bijective left translations, and gyroassociativity holds
+    by the construction of the gyrations, so what passes both laws is
+    valid, and its class is found.
 
     By default each class is returned once, as its canonical form
     (:func:`_canonical_bytes`). With ``canonical_identity=False`` every

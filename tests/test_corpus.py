@@ -111,7 +111,7 @@ CASES = [
      ["admissible", "--model", "table:g8.json", "--subgyrogroup", "0,2,5,7"]),
     # exhaustive checks on the largest corpus carriers, orders 45 and 41;
     # the automorphism law runs over pivot classes, so every batch still
-    # holds whole first operands (k = 0 in first_violation)
+    # holds whole first operands (k = 0 in core._batches)
     ("axioms-product-loop5-z9", 1, ["axioms", "--model", "product:loop5.json+z9"]),
     ("axioms-product-z9-loop5", 1, ["axioms", "--model", "product:z9+loop5.json"]),
     ("table-validate-z41", 0, ["table-validate", "--model", "table:z41"]),
