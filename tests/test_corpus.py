@@ -52,6 +52,11 @@ CASES = [
     ("strong-base-mobius", 0, ["strong-base", "--samples", "300"]),
     ("strong-base-einstein", 0, ["strong-base", "--model", "einstein", "--samples", "200"]),
     ("prenorm-mobius", 0, ["prenorm", "--chain", CHAIN_025, "--samples", "300"]),
+    ("prenorm-einstein", 0,
+     ["prenorm", "--model", "einstein", "--chain", CHAIN_025, "--samples", "300"]),
+    ("prenorm-product-balls", 0,
+     ["prenorm", "--model", "product:mobius+einstein", "--chain", CHAIN_025,
+      "--samples", "300"]),
     ("prenorm-z4", 0, ["prenorm", "--model", "table:z4", "--subgyrogroup", "0,2"]),
     ("prenorm-ratio-0.6", 1, ["prenorm", "--chain", CHAIN_060, "--samples", "200"]),
     ("prenorm-default-chain", 0, ["prenorm", "--depth", "6", "--samples", "200"]),
