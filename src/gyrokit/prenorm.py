@@ -9,7 +9,9 @@ evaluates it. The suites take the chain, build its family and state each
 check once; each chain kind supplies what differs. A ``RadialChain`` on a
 ball evaluates N by a greedy per-level bit extraction over rapidity
 (``_leading_bits``), needs radii that halve, and draws its operands with
-``_rapidity_ball`` for ``run_law_check``. A ``FiniteChain`` on a table has
+``ball_points`` for ``run_law_check``; its sandwich levels, which read
+nothing of a point but its rapidity, draw rapidities alone, on one axis
+(``_rapidity_ball``). A ``FiniteChain`` on a table has
 N the indicator of its base's complement, halves trivially, and takes
 ``np.ix_`` index grids over the carrier for ``exhaustive_law_checks``.
 
@@ -28,7 +30,7 @@ import numpy as np
 from .core import GyrogroupModel, exhaustive_law_checks, law_triangle_decomposition, run_law_check
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
-from .sampling import Sampler, ToleranceConfig, ball_points
+from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size
 from .tables import CayleyTable, TableModel, _closed_under, _subset_indices, coset_partition
 
 DEFAULT_RATIO = 0.25
@@ -66,17 +68,26 @@ class NeighborhoodChain:
         self.depth = depth
 
 
+def _shown(v):
+    """A refused chain parameter as its message gives it: an integer of
+    more than 20 digits by its size alone, since Python will not print one
+    of more than 4300 digits and a message needs none of them."""
+    if isinstance(v, int) and abs(v) >= 10**20:
+        return f"an integer of about {int(math.log10(abs(v))) + 1} digits"
+    return v
+
+
 def radial_radii(t0, ratio, depth):
     """The level radii t0 * ratio^n, n = 0..depth, of a radial chain, or a
     UsageError: the one check of (t0, ratio, depth), which parse_chain_spec
     runs too. Ranges are compared before any conversion, so an integer too
     large for a float is refused, not overflowed."""
     if not 0.0 < ratio < 1.0:
-        raise UsageError(f"ratio must lie in (0,1), got {ratio}")
+        raise UsageError(f"ratio must lie in (0,1), got {_shown(ratio)}")
     if not 0.0 < t0 <= MAX_T0:
-        raise UsageError(f"t0 must lie in (0,{MAX_T0:g}], got {t0}")
+        raise UsageError(f"t0 must lie in (0,{MAX_T0:g}], got {_shown(t0)}")
     if not 1 <= depth <= MAX_DEPTH:
-        raise UsageError(f"chain depth must lie in [1,{MAX_DEPTH}], got {depth}")
+        raise UsageError(f"chain depth must lie in [1,{MAX_DEPTH}], got {_shown(depth)}")
     t = t0 * ratio ** np.arange(depth + 1)
     if not t[depth] > 0:
         # a level of radius 0 is {e}, which is no neighbourhood
@@ -140,7 +151,8 @@ class RadialChain(NeighborhoodChain):
         """One stream of points per rapidity cap, from one generator."""
         gen = sampler.stream(suite, stream)
         model = self.model
-        return [_rapidity_ball(gen, n_samples, model.dim, model.bound, c) for c in caps]
+        return [ball_points(gen, n_samples, model.dim, model.bound, t_max=c, margin=None)
+                for c in caps]
 
     def sandwich_points(self, sampler, n, n_samples):
         """Level n's draws: rapidity up to 2.2 t[n], and for n >= 1 up to
@@ -152,8 +164,8 @@ class RadialChain(NeighborhoodChain):
         cap = 2.2 * float(self.t[n])
         if n:
             cap = max(cap, 1.1 * float(self.t[n - 1]))
-        (pts,) = self._draw(sampler, "prenorm", f"sandwich_{n}", (cap,), n_samples)
-        return pts, len(pts)
+        gen = sampler.stream("prenorm", f"sandwich_{n}")
+        return _rapidity_ball(gen, n_samples, self.model.dim, self.model.bound, cap), n_samples
 
     def triples(self, sampler, n_samples):
         """The metric suite's x, y and z, drawn up to rapidity 0.95 t0."""
@@ -225,7 +237,8 @@ class RadialChain(NeighborhoodChain):
             t_in = float(t[n + 1])
             extreme = (model.bound * np.tanh(t_in)) * axis
             uvw = [
-                np.vstack([_rapidity_ball(gen, per_level, model.dim, model.bound, t_in), extreme])
+                np.vstack([ball_points(gen, per_level, model.dim, model.bound, t_max=t_in,
+                                       margin=None), extreme])
                 for _ in range(3)
             ]
             checks.append(run_law_check(
@@ -541,8 +554,22 @@ def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
 
 
 def _rapidity_ball(gen, n, dim, bound, t_cap):
-    """Points with rapidity uniform on [0, t_cap], unforced; the benchmark traces this name."""
-    return ball_points(gen, n, dim, bound, t_max=t_cap, margin=None)
+    """n points on the first axis of a radius-``bound`` ball, with
+    rapidity uniform on [0, t_cap]; the benchmark traces this name.
+
+    For draws whose checks read nothing of a point but its rapidity: the
+    rapidities are the doubles that ``ball_points(gen, n, dim, bound,
+    t_max=t_cap)`` draws first, and no direction is drawn. The norm of
+    (r, 0, ...) is r exactly, where a rotated point's may be an ulp off.
+    On a product the points lie in the first factor, whose norm fraction
+    is then the product's."""
+    check_sample_size(n, dim)
+    rho = gen.uniform(0.0, t_cap, n)
+    np.tanh(rho, out=rho)
+    rho *= bound
+    pts = np.zeros((n, dim))
+    pts[:, 0] = rho
+    return pts
 
 
 def _within(limit, residual):

@@ -6,9 +6,12 @@ perturbs the samples other checks see.
 
 Continuous carriers are sampled in (rapidity, direction) coordinates:
 rapidity uniform on [0, t_max], direction uniform on the circle/sphere.
-A fixed 1% slice of each operand stream is forced to the carrier
-boundary at distance ``boundary_margin``; distinct operands use distinct
-index strides so the forced points of two operands never coincide.
+A check that reads nothing of a point but its rapidity, such as a radial
+chain's sandwich level, draws the rapidity alone and puts the point on
+the first axis (``prenorm._rapidity_ball``). A fixed 1% slice of each
+operand stream is forced to the carrier boundary at distance
+``boundary_margin``; distinct operands use distinct index strides so the
+forced points of two operands never coincide.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ tracer.install()
 print("installed")
 """
 
-# the ratio-1/4 radial metric and the finite prenorm on z24, in process
+# the ratio-1/4 radial metric, the finite prenorm on z24 and the ratio-1/4
+# radial prenorm, in process
 RUN = """
 import contextlib, io, json
 from gyrokit.cli import main
@@ -31,6 +32,8 @@ runs = [
     ["metric", "--model", "mobius", "--samples", "200",
      "--chain", '{"kind":"radial_rapidity","ratio":0.25}'],
     ["prenorm", "--model", "table:z24", "--subgyrogroup", "0,6,12,18"],
+    ["prenorm", "--model", "mobius", "--samples", "200",
+     "--chain", '{"kind":"radial_rapidity","ratio":0.25}'],
 ]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [tracer.call(f"cli:{argv[0]}", main, argv) for argv in runs]
@@ -58,10 +61,12 @@ def test_traced_chain_suites_record_every_prenorm_hook():
     installed, result = run(RUN)
     assert installed == "installed"
     result = json.loads(result)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     spans = result["spans"]
-    # invocation 0 is the radial metric, 1 the finite prenorm
-    assert spans["prenorm:eval"] == [0, 1]
+    # invocation 0 is the radial metric, 1 the finite prenorm, 2 the radial
+    # prenorm, whose sandwich levels alone draw through _rapidity_ball
+    assert spans["prenorm:eval"] == [0, 1, 2]
     assert 0 in spans["prenorm:oracle"]
-    assert 0 in spans["sampling:_rapidity_ball"]
+    assert 0 in spans["sampling:ball_points"]
+    assert spans["sampling:_rapidity_ball"] == [2]
     assert 0 in spans["core:run_law_check"]

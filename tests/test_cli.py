@@ -152,6 +152,13 @@ def test_a_value_given_twice_names_both_sources(capsys, argv, given):
     assert "given twice" in err and all(source in err for source in given)
 
 
+def test_a_long_integer_chain_field_is_refused_in_a_short_message(capsys):
+    code, out, err = run(capsys, "prenorm", "--chain",
+                         '{"kind":"radial_rapidity","t0":1' + "0" * 400 + "}")
+    assert (code, out) == (2, "")
+    assert err == "gyro: t0 must lie in (0,9], got an integer of about 401 digits\n"
+
+
 def test_cosets_and_finite_chains_refuse_base_indices_alike(capsys):
     lines = set()
     for suite in ("cosets", "metric"):

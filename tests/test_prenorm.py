@@ -7,7 +7,8 @@ import pytest
 
 from gyrokit.core import exhaustive_law_checks
 from gyrokit.errors import ChainConditionError, UsageError
-from gyrokit.models import EinsteinModel, MobiusModel
+from gyrokit import prenorm, sampling
+from gyrokit.models import EinsteinModel, MobiusModel, ProductModel
 from gyrokit.prenorm import (
     MAX_T0,
     FiniteChain,
@@ -22,7 +23,7 @@ from gyrokit.prenorm import (
     rapidity,
     validate_admissible_chain,
 )
-from gyrokit.sampling import Sampler, ToleranceConfig, directions
+from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
 from gyrokit.tables import cyclic_table, klein_table, load_table
 
 GRID24 = 2.0 ** -24
@@ -319,20 +320,21 @@ def test_greedy_loops_match_masked_reference_bitwise(model, ratio):
             beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 50))[:, None]
             beyond = beyond * bound * directions(gen, 50, dim)
             assert (prenorm_eval(fam, beyond) == 2.0).all()
-            nan_mix = _rapidity_ball(gen, 20, dim, bound, top)
+            nan_mix = ball_points(gen, 20, dim, bound, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             inputs = [
-                _rapidity_ball(gen, 2000, dim, bound, 1.2 * top),
+                ball_points(gen, 2000, dim, bound, t_max=1.2 * top, margin=None),
                 nan_mix,
                 np.full((4, dim), np.nan),
                 np.zeros((0, dim)),
                 np.zeros((5, dim)),
                 beyond,
-                _rapidity_ball(gen, 1, dim, bound, top),
-                _rapidity_ball(gen, 1, dim, bound, top)[0],  # a single point, 0-d result
+                ball_points(gen, 1, dim, bound, t_max=top, margin=None),
+                # a single point, 0-d result
+                ball_points(gen, 1, dim, bound, t_max=top, margin=None)[0],
             ]
-            # the sandwich check's draws, which leave the coarse levels dead
-            inputs += [_rapidity_ball(gen, 500, dim, bound, 2.2 * t[n])
+            # draws up to the sandwich check's caps, which leave the coarse levels dead
+            inputs += [ball_points(gen, 500, dim, bound, t_max=2.2 * t[n], margin=None)
                        for n in sorted({0, depth // 2, depth})]
             for x in inputs:
                 assert_same_bits(fam, x)
@@ -352,7 +354,7 @@ def test_greedy_loop_at_a_remainder_equal_to_a_tail(model, ratio):
         if not len(at):
             continue
         hits += 1
-        below = _rapidity_ball(gen, 200, model.dim, model.bound, 0.9 * tails[k])
+        below = ball_points(gen, 200, model.dim, model.bound, t_max=0.9 * tails[k], margin=None)
         x = np.concatenate([below, at])
         assert rapidity(model, x).max() == tails[k]
         assert_same_bits(fam, x)
@@ -432,7 +434,7 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             top = float(t[0] + tails[0])
             beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 20))[:, None]
             beyond = beyond * bound * directions(gen, 20, dim)
-            nan_mix = _rapidity_ball(gen, 20, dim, bound, top)
+            nan_mix = ball_points(gen, 20, dim, bound, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             # points whose rapidity is a sandwich threshold t[n], t[n-1] or 2 t0
             # exactly, or the next double above it
@@ -443,18 +445,19 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             ])
             hits += len(exact)
             inputs = [
-                _rapidity_ball(gen, 500, dim, bound, 1.2 * top),
+                ball_points(gen, 500, dim, bound, t_max=1.2 * top, margin=None),
                 nan_mix,
                 np.full((3, dim), np.nan),
                 beyond,
                 np.zeros((0, dim)),
                 np.zeros((4, dim)),
-                _rapidity_ball(gen, 1, dim, bound, top)[0],  # a single point, 0-d result
+                # a single point, 0-d result
+                ball_points(gen, 1, dim, bound, t_max=top, margin=None)[0],
                 exact,
                 *exact[:1],
             ]
             for n in range(depth + 1):
-                draws = _rapidity_ball(gen, 200, dim, bound, 2.2 * t[n])
+                draws = ball_points(gen, 200, dim, bound, t_max=2.2 * t[n], margin=None)
                 for x in inputs + [draws]:
                     got = fam.chain.sandwich_bounds(fam, x, n)
                     want = full_sandwich_bounds(fam, x, n)
@@ -514,6 +517,91 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
     # the 1.5 t[n] ball, and the 3 and 5 t[n] balls below that bound, lie
     # inside the sandwich
     assert failing_levels == (chain.depth if factor < 1 or factor > 1 / ratio else 0)
+
+
+class FirstUniform:
+    """A generator that keeps what its first ``uniform`` call draws."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.first = None
+
+    def uniform(self, *args, **kwargs):
+        out = self.gen.uniform(*args, **kwargs)
+        if self.first is None:
+            self.first = out.copy()
+        return out
+
+    def normal(self, *args, **kwargs):
+        return self.gen.normal(*args, **kwargs)
+
+
+def level_cap(chain, n):
+    """The suite's cap on level n: 2.2 t[n], and below level 0 at least 1.1 t[n-1]."""
+    return max(2.2 * chain.t[n], 1.1 * chain.t[n - 1]) if n else 2.2 * chain.t[0]
+
+
+BALLS = pytest.mark.parametrize(
+    "model", [MobiusModel(), EinsteinModel(), ProductModel(MobiusModel(), EinsteinModel())],
+    ids=["mobius", "einstein", "product"])
+
+
+@BALLS
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5])
+def test_rapidity_ball_is_ball_points_first_draw_on_the_first_axis(model, ratio):
+    # a sandwich level's points carry the rapidities that a full ball draw
+    # from the same seed would, and nothing else
+    chain = RadialChain(model, ratio=ratio)
+    for n in (0, 1, 12, chain.depth):
+        cap = level_cap(chain, n)
+        recorded = FirstUniform(n)
+        ball_points(recorded, 300, model.dim, model.bound, t_max=cap, margin=None)
+        rho = recorded.first
+        pts = _rapidity_ball(np.random.default_rng(n), 300, model.dim, model.bound, cap)
+        assert pts.shape == (300, model.dim)
+        assert pts[:, 0].tobytes() == (model.bound * np.tanh(rho)).tobytes()
+        assert pts[:, 1:].tobytes() == np.zeros((300, model.dim - 1)).tobytes()
+        # the norm of (r, 0, ...) is r exactly
+        assert np.array_equal(model.norm_fraction(pts), np.tanh(rho))
+
+
+@MODELS
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5])
+def test_sandwich_levels_decide_each_point_as_the_direction_draw_did(model, ratio):
+    # on a correct chain each point's bounds and membership read its
+    # rapidity alone, so a draw in full directions from the level's stream
+    # gives the same verdict point by point
+    chain = RadialChain(model, ratio=ratio)
+    fam = build_dyadic(chain)
+    for n in range(chain.depth + 1):
+        pts, _ = chain.sandwich_points(Sampler(9), n, 2000)
+        old = ball_points(Sampler(9).stream("prenorm", f"sandwich_{n}"), 2000, model.dim,
+                          model.bound, t_max=level_cap(chain, n), margin=None)
+        got = chain.sandwich_bounds(fam, pts, n) + (chain.level_member(n, pts),)
+        want = chain.sandwich_bounds(fam, old, n) + (chain.level_member(n, old),)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        inner, outer, member = got
+        assert not ((inner & ~member) | (member & ~outer)).any()
+
+
+@BALLS
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+def test_only_the_law_rows_draw_directions(monkeypatch, model, ratio):
+    # each sandwich level draws its points through _rapidity_ball, which
+    # draws no direction; each operand stream of a law row draws one
+    calls = []
+    real_directions, real_ball = sampling.directions, prenorm._rapidity_ball
+    monkeypatch.setattr(sampling, "directions",
+                        lambda *a: calls.append("directions") or real_directions(*a))
+    monkeypatch.setattr(prenorm, "_rapidity_ball",
+                        lambda *a: calls.append("level") or real_ball(*a))
+    chain = RadialChain(model, ratio=ratio, depth=12)
+    rep = check_prenorm_properties(chain, Sampler(3), n_samples=500)
+    assert rep.passed
+    fam, tol = build_dyadic(chain), ToleranceConfig()
+    streams = sum(len(row[2]) for row in _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol))
+    assert calls == ["level"] * (chain.depth + 1) + ["directions"] * streams
 
 
 def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
@@ -631,9 +719,9 @@ def test_admissible_sampled_triples_stay_below_extreme():
     model = MobiusModel()
     t_in = 0.25
     gen = np.random.default_rng(41)
-    u = _rapidity_ball(gen, 3000, 2, 1.0, t_in)
-    v = _rapidity_ball(gen, 3000, 2, 1.0, t_in)
-    w = _rapidity_ball(gen, 3000, 2, 1.0, t_in)
+    u = ball_points(gen, 3000, 2, 1.0, t_max=t_in, margin=None)
+    v = ball_points(gen, 3000, 2, 1.0, t_max=t_in, margin=None)
+    w = ball_points(gen, 3000, 2, 1.0, t_max=t_in, margin=None)
     comp = model.oplus(u, model.oplus(v, w))
     assert rapidity(model, comp).max() <= 3.0 * t_in + 1e-12
 
@@ -781,6 +869,14 @@ def test_chain_spec_is_refused_with_the_radial_chains_message(fields):
     with pytest.raises(UsageError) as parsed:
         parse_chain_spec({"kind": "radial_rapidity", **fields})
     assert str(parsed.value) == str(built.value)
+
+
+@pytest.mark.parametrize("fields", [{"t0": 10**5000}, {"ratio": -10**5000}, {"depth": 10**5000}])
+def test_a_refused_integer_too_long_to_print_is_named_by_its_size(fields):
+    # Python refuses to print an integer of more than 4300 digits, which
+    # once turned this refusal into a ValueError raised from its message
+    with pytest.raises(UsageError, match=r"got an integer of about 5001 digits$"):
+        RadialChain(MobiusModel(), **fields)
 
 
 def test_parse_chain_spec_finite():
