@@ -11,7 +11,8 @@ ball evaluates N by a greedy per-level bit extraction over rapidity
 (``_leading_bits``), needs radii that halve, and draws its operands with
 ``ball_points`` for ``run_law_check``; its sandwich levels, which read
 nothing of a point but its rapidity, draw rapidities alone, on one axis
-(``_rapidity_ball``). A ``FiniteChain`` on a table has
+(``_rapidity_ball``), and compute each point's rapidity once, for both
+bounds and the membership (``sandwich``). A ``FiniteChain`` on a table has
 N the indicator of its base's complement, halves trivially, and takes
 ``np.ix_`` index grids over the carrier for ``exhaustive_law_checks``.
 
@@ -54,14 +55,15 @@ class NeighborhoodChain:
     """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model.
 
     A kind supplies ``level_member(n, x)``, ``describe()``, N as
-    ``prenorm(family, x)``, ``sandwich_bounds(family, x, n)`` (N < 2^-n and
-    N <= 2^(1-n)), ``check_halving()``, ``slack(tol, steps)`` (what a check
-    over values of N allows), ``reach`` (the rapidity from which N is 2,
-    the scale of the rows' sampling caps), its operands
-    (``sandwich_points``, ``triples``, and ``law_check``, which runs a row
-    (name, stream, caps, law, rule) on operands of its own or the triple's,
-    with the witness ``{"inputs", "residual"}``) and the checks only it
-    runs (``prenorm_rows``, ``metric_checks``, ``admissible_checks``)."""
+    ``prenorm(family, x)``, ``sandwich(family, x, n)`` (N < 2^-n,
+    N <= 2^(1-n) and membership in U_n), ``check_halving()``,
+    ``slack(tol, steps)`` (what a check over values of N allows), ``reach``
+    (the rapidity from which N is 2, the scale of the rows' sampling
+    caps), its operands (``sandwich_points``, ``triples``, and
+    ``law_check``, which runs a row (name, stream, caps, law, rule) on
+    operands of its own or the triple's, with the witness ``{"inputs",
+    "residual"}``) and the checks only it runs (``prenorm_rows``,
+    ``metric_checks``, ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
@@ -125,12 +127,14 @@ class RadialChain(NeighborhoodChain):
         through the family's deepest level."""
         return _leading_bits(family, rapidity(self.model, x), family.depth)[0]
 
-    def sandwich_bounds(self, family, x, n):
+    def sandwich(self, family, x, n):
         """Both bounds read from the extraction through level n only, by
-        the leading-bits lemma of ``_leading_bits``."""
-        head, rem = _leading_bits(family, rapidity(self.model, x), n)
+        the leading-bits lemma of ``_leading_bits``, and the membership,
+        all from one rapidity per point."""
+        rho = rapidity(self.model, x)
+        head, rem = _leading_bits(family, rho, n)
         top = 2.0 ** (1 - n)
-        return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0))
+        return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0)), rho <= self.t[n]
 
     def check_halving(self):
         t = self.t
@@ -296,9 +300,9 @@ class FiniteChain(NeighborhoodChain):
     def prenorm(self, family, x):
         return np.where(self.level_member(0, x), 0.0, 1.0)
 
-    def sandwich_bounds(self, family, x, n):
+    def sandwich(self, family, x, n):
         N = family(x)
-        return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
+        return N < 2.0 ** -n, N <= 2.0 ** (1 - n), self.level_member(n, x)
 
     def check_halving(self):
         """A constant chain halves trivially."""
@@ -403,6 +407,13 @@ class DyadicFamily:
         self.model = chain.model
         self.depth = chain.depth
         self.grid_step = 2.0 ** -self.depth
+        t = getattr(chain, "t", None)
+        if t is not None:
+            # what ``_leading_bits`` reads on every call: the radii, the sum
+            # of the finer radii below each level, and the top of the scale
+            self.radii = t[: self.depth + 1].astype(float)
+            self.tails = np.concatenate([np.cumsum(self.radii[::-1])[::-1][1:], [0.0]])
+            self.full = float(self.radii[0] + self.tails[0])
 
     def __call__(self, x) -> np.ndarray:
         return prenorm_eval(self, x)
@@ -412,9 +423,12 @@ class DyadicFamily:
         given radial scale, found by bisection. Every bracket [lo, lo +
         2^(1-n)] halves in lockstep, so the midpoint at step n is the odd
         index lo + 2^-n, whose radius is t[n] + radius(lo); each sample
-        carries radius(lo) along, starting from radius(0) = 0. This is a
-        second, independent route to the prenorm value; anything beyond the
-        top of the scale, NaN included, clamps to 2."""
+        carries radius(lo) along, starting from radius(0) = 0, by adding
+        t[n] where it moves up and 0.0 elsewhere. radius(lo) starts at +0.0
+        and only grows, so adding 0.0 leaves it as it was, and radius(lo) +
+        t[n] is the midpoint's t[n] + radius(lo) exactly. This is a second,
+        independent route to the prenorm value; anything beyond the top of
+        the scale, NaN included, clamps to 2."""
         t = getattr(self.chain, "t", None)
         if t is None:
             raise UsageError("rapidity inversion needs the radii of a radial chain")
@@ -423,10 +437,10 @@ class DyadicFamily:
         lo = np.zeros(rho.shape, dtype=np.int64)
         thr_lo = np.zeros(rho.shape)
         for n in range(self.depth + 1):
-            thr_mid = float(t[n]) + thr_lo
-            up = ~(rho <= thr_mid)
+            t_n = float(t[n])
+            up = ~(rho <= t_n + thr_lo)
             lo += up * (scale >> n)
-            thr_lo = np.where(up, thr_mid, thr_lo)
+            thr_lo += up * t_n
         return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
 
 
@@ -453,6 +467,13 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     the value extracted so far and each remainder after level ``last``. A
     bit is set exactly when the finer levels cannot cover the remainder.
     Through ``family.depth`` the head is the prenorm N.
+
+    Start state: a capped point (rapidity beyond the family's ``full``
+    scale, or NaN) has head 2 and remainder 0, any other head 0 and its
+    rapidity as remainder. ``rem`` starts as a copy of the rapidities,
+    and only when a point is capped is 0.0 written over the capped ones
+    and ``out`` set to 2.0 there; otherwise ``out`` is zeros. The radii,
+    tails and ``full`` are the family's, computed once.
 
     The loop starts at the first level whose tail (the sum of the finer
     radii) is at most the largest remainder. Tails never increase, and no
@@ -485,18 +506,21 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     with an integer scatter and keeps the live ones by integer gathers
     (``np.flatnonzero``); it stops once none is live. With one level left
     a compaction would cost more than the level it thins."""
-    t = family.chain.t[: family.depth + 1].astype(float)
-    tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
-    full = float(t[0] + tails[0])
-    capped = ~(rho <= full)  # NaN counts as beyond the top
-    out = np.where(capped, 2.0, 0.0)
-    # a capped sample has rem = 0, which exceeds no tail
-    rem = np.where(capped, 0.0, rho)
-    start = int(np.searchsorted(-tails, -rem.max(initial=0.0)))
+    t, tails = family.radii, family.tails
     # flat views that write through to out and rem; the loop runs on head
     # and tail, which are these views while idx is None and otherwise the
     # values of the live points, whose flat indices idx holds
-    flat_out, flat_rem = out.reshape(-1), rem.reshape(-1)
+    rem = np.array(rho, dtype=float)
+    flat_rem = rem.reshape(-1)
+    capped = ~(flat_rem <= family.full)  # NaN counts as beyond the top
+    if capped.any():
+        flat_out = capped * 2.0
+        # a capped sample has rem = 0, which exceeds no tail
+        np.copyto(flat_rem, 0.0, where=capped)
+    else:
+        flat_out = np.zeros(len(flat_rem))
+    out = flat_out.reshape(rem.shape)
+    start = int(np.searchsorted(-tails, -flat_rem.max(initial=0.0)))
     head, tail, idx = flat_out, flat_rem, None
     for n in range(start, last + 1):
         bit = tail > tails[n]
@@ -636,8 +660,10 @@ def _metric_rows(family, tol):
     chain = family.chain
     limit = chain.slack(tol, 4)  # rho is quantized to the depth grid
     return [
-        ("rho_identity", "triples", (None,), lambda ops, x: _separations(ops, x, x),
-         _within(limit, lambda *s: _rho(family, *s))),
+        # both separations of (x, x) are -x + x, so rho(x, x) is 2 N(-x + x),
+        # which equals N + N exactly
+        ("rho_identity", "triples", (None,), lambda ops, x: [(ops.oplus(ops.neg(x), x),)],
+         _within(limit, lambda s: 2.0 * family(s))),
         ("rho_symmetry", "triples", (None,) * 2, _separations,
          _within(chain.slack(tol, 1), lambda xy, yx: np.abs(family(xy) - family(yx)))),
         ("rho_triangle", "triples", (None,) * 3,
@@ -664,7 +690,8 @@ def check_prenorm_properties(
     one is decided by whether a later bit is set (the leading-bits lemma of
     ``_leading_bits``). A failing level's witness still gives the full N,
     evaluated on its one point. The chain draws each level's points
-    (``sandwich_points``)."""
+    (``sandwich_points``) and gives their bounds and membership
+    (``sandwich``)."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -679,8 +706,7 @@ def check_prenorm_properties(
     ) as report:
         for n in range(family.depth + 1):
             pts, samples = chain.sandwich_points(sampler, n, n_samples)
-            inner, outer = chain.sandwich_bounds(family, pts, n)
-            member = chain.level_member(n, pts)
+            inner, outer, member = chain.sandwich(family, pts, n)
             failing = (inner & ~member) | (member & ~outer)
             bad = np.count_nonzero(failing)
             res = CheckResult(

@@ -414,7 +414,7 @@ def test_leading_bits_on_the_live_set_match_the_masked_loop_bitwise(monkeypatch,
 
 
 def full_sandwich_bounds(fam, x, n):
-    """Reference for RadialChain.sandwich_bounds: both bounds read off the
+    """Reference for the bounds of RadialChain.sandwich: both read off the
     full N."""
     N = masked_prenorm_eval(fam, x)
     return N < 2.0 ** -n, N <= 2.0 ** (1 - n)
@@ -459,7 +459,7 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             for n in range(depth + 1):
                 draws = ball_points(gen, 200, dim, bound, t_max=2.2 * t[n], margin=None)
                 for x in inputs + [draws]:
-                    got = fam.chain.sandwich_bounds(fam, x, n)
+                    got = fam.chain.sandwich(fam, x, n)[:2]
                     want = full_sandwich_bounds(fam, x, n)
                     for g, w in zip(got, want):
                         assert g.shape == w.shape and np.array_equal(g, w)
@@ -477,11 +477,18 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
                                                                  factor):
     # level n of a faulty chain is the ball of radius factor * t[n]; the
     # sandwich's failing levels, residuals and witnesses must be those that
-    # the full N of every sample gives
-    def faulty(self, n, x):
+    # the full N of every sample gives. The fault is the membership that
+    # the suite reads, the third value of the chain's sandwich
+    real_sandwich = RadialChain.sandwich
+
+    def faulty_member(self, n, x):
         return rapidity(self.model, x) <= factor * self.t[n]
 
-    monkeypatch.setattr(RadialChain, "level_member", faulty)
+    def faulty(self, family, x, n):
+        inner, outer, _ = real_sandwich(self, family, x, n)
+        return inner, outer, faulty_member(self, n, x)
+
+    monkeypatch.setattr(RadialChain, "sandwich", faulty)
     chain = RadialChain(model, ratio=ratio)
     fam = build_dyadic(chain)
     n_samples = 2000
@@ -493,7 +500,7 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
         cap = max(2.2 * chain.t[n], 1.1 * chain.t[n - 1]) if n else 2.2 * chain.t[0]
         pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
         inner, outer = full_sandwich_bounds(fam, pts, n)
-        member = chain.level_member(n, pts)
+        member = faulty_member(chain, n, pts)
         failing = (inner & ~member) | (member & ~outer)
         res = rep.check(f"sandwich_level_{n}")
         assert res.passed == (not failing.any())
@@ -577,8 +584,7 @@ def test_sandwich_levels_decide_each_point_as_the_direction_draw_did(model, rati
         pts, _ = chain.sandwich_points(Sampler(9), n, 2000)
         old = ball_points(Sampler(9).stream("prenorm", f"sandwich_{n}"), 2000, model.dim,
                           model.bound, t_max=level_cap(chain, n), margin=None)
-        got = chain.sandwich_bounds(fam, pts, n) + (chain.level_member(n, pts),)
-        want = chain.sandwich_bounds(fam, old, n) + (chain.level_member(n, old),)
+        got, want = chain.sandwich(fam, pts, n), chain.sandwich(fam, old, n)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         inner, outer, member = got
@@ -602,6 +608,123 @@ def test_only_the_law_rows_draw_directions(monkeypatch, model, ratio):
     fam, tol = build_dyadic(chain), ToleranceConfig()
     streams = sum(len(row[2]) for row in _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol))
     assert calls == ["level"] * (chain.depth + 1) + ["directions"] * streams
+
+
+@BALLS
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+def test_each_sandwich_level_reads_one_rapidity(monkeypatch, model, ratio):
+    # a level's bounds and its membership read the same rapidities, computed
+    # once; every other rapidity of the run is the law rows' own, counted by
+    # running those rows alone on the same streams
+    calls = []
+    real = prenorm.rapidity
+    monkeypatch.setattr(prenorm, "rapidity", lambda *a: calls.append(1) or real(*a))
+    chain = RadialChain(model, ratio=ratio, depth=12)
+    fam, tol = build_dyadic(chain), ToleranceConfig()
+    for row in _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol):
+        chain.law_check(Sampler(3), "prenorm", row, 500, tol)
+    in_rows = len(calls)
+    assert in_rows
+    calls.clear()
+    rep = check_prenorm_properties(chain, Sampler(3), n_samples=500)
+    assert rep.passed
+    assert len(calls) - in_rows == chain.depth + 1
+
+
+def parent_leading_bits(family, rho, last):
+    """Reference for _leading_bits: the extraction as it was written when
+    its start state came from two whole-array ``np.where`` calls and its
+    radii, tails and top were recomputed on every call."""
+    t = family.chain.t[: family.depth + 1].astype(float)
+    tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
+    full = float(t[0] + tails[0])
+    capped = ~(rho <= full)
+    out = np.where(capped, 2.0, 0.0)
+    rem = np.where(capped, 0.0, rho)
+    start = int(np.searchsorted(-tails, -rem.max(initial=0.0)))
+    flat_out, flat_rem = out.reshape(-1), rem.reshape(-1)
+    head, tail, idx = flat_out, flat_rem, None
+    for n in range(start, last + 1):
+        bit = tail > tails[n]
+        head += bit * 2.0 ** -n
+        tail -= bit * t[n]
+        if last - n < 2:
+            continue
+        live = tail > 0.0
+        if 2 * np.count_nonzero(live) > len(tail):
+            continue
+        keep = np.flatnonzero(live)
+        if idx is not None:
+            flat_out[idx] = head
+            flat_rem[idx] = tail
+        idx = keep if idx is None else idx[keep]
+        head, tail = head[keep], tail[keep]
+        if not len(idx):
+            break
+    if idx is not None:
+        flat_out[idx] = head
+        flat_rem[idx] = tail
+    return out, rem
+
+
+def parent_index_of_rapidity(family, rho):
+    """Reference for DyadicFamily.index_of_rapidity: the bisection as it
+    was written when it carried radius(lo) with ``np.where``."""
+    t = family.chain.t
+    rho = np.asarray(rho, dtype=float)
+    scale = 1 << family.depth
+    lo = np.zeros(rho.shape, dtype=np.int64)
+    thr_lo = np.zeros(rho.shape)
+    for n in range(family.depth + 1):
+        thr_mid = float(t[n]) + thr_lo
+        up = ~(rho <= thr_mid)
+        lo += up * (scale >> n)
+        thr_lo = np.where(up, thr_mid, thr_lo)
+    return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
+
+
+def same_doubles(got, want):
+    """Equal shapes and equal int64 views: the same doubles, sign bits and
+    NaN payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5])
+def test_greedy_loops_match_the_parent_code_bitwise(ratio):
+    # the start state without np.where, the cached radii and the carry by
+    # addition leave every double of both routes as it was
+    gen = np.random.default_rng(67)
+    for depth in (1, 8, 24, 40):
+        fam = build_dyadic(RadialChain(MobiusModel(), ratio=ratio, depth=depth))
+        t, tails = tails_of(fam)
+        full = float(t[0] + tails[0])
+        edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, full,
+                          np.nextafter(full, np.inf), np.nextafter(full, 0.0), 1.5 * full])
+        exact = np.concatenate([t, tails, np.nextafter(t, np.inf), np.nextafter(t, 0.0),
+                                np.nextafter(tails, np.inf), np.nextafter(tails, 0.0)])
+        spread = full * 2.0 ** -gen.uniform(0.0, depth + 2.0, 2000)
+        inputs = [
+            edges,
+            exact,
+            gen.permutation(np.concatenate([spread, edges, exact])),
+            spread,  # nothing capped
+            gen.uniform(0.0, full, 500),
+            gen.uniform(1.01 * full, 2.0 * full, 50),  # everything capped
+            np.full(5, np.nan),
+            np.zeros(0),
+            np.array(0.3 * full),  # 0-d
+            np.array(np.nan),
+            np.array(-0.0),
+            np.array(np.inf),
+        ]
+        for rho in inputs:
+            assert same_doubles(fam.index_of_rapidity(rho), parent_index_of_rapidity(fam, rho))
+            for last in range(depth + 1):
+                got, want = _leading_bits(fam, rho, last), parent_leading_bits(fam, rho, last)
+                for g, w in zip(got, want):
+                    assert same_doubles(g, w), (depth, last)
 
 
 def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):

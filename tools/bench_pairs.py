@@ -20,7 +20,9 @@ unscaled pass and import seconds, ``peak_rss_mb``, ``ok_ratio`` and the
 benchmark's ``correct`` flag. The summary gives each side's median and
 quartiles per metric, the number of pairs in which the change was faster
 by ``wall_s`` (divided by the speed factor) and by the unscaled pass, the
-number in which it had the lower ``peak_rss_mb``, and an exact two-sided
+number in which it had the lower ``peak_rss_mb``, the number in which its
+speed factor was lower (the factor is timed after the ops, so a count far
+from half shows that it moved with the code), and an exact two-sided
 sign-test p-value for each count, with tied pairs dropped.
 """
 
@@ -105,6 +107,7 @@ def summarize(records, pairs):
         ("wall_s", "change_faster_pairs", "sign_test_p"),
         ("unscaled_pass_s", "change_faster_pairs_unscaled", "sign_test_p_unscaled"),
         ("peak_rss_mb", "change_lower_rss_pairs", "sign_test_p_rss"),
+        ("speed_factor", "change_lower_factor_pairs", "sign_test_p_factor"),
     ):
         value = {(r["pair"], r["side"]): r[metric] for r in records}
         wins = sum(value[(i, "change")] < value[(i, "parent")] for i in range(pairs))
@@ -184,7 +187,11 @@ def main(argv=None):
           f"{summary['parent']['peak_rss_mb']['median']:.2f} -> "
           f"{summary['change']['peak_rss_mb']['median']:.2f}, change lower in "
           f"{summary['change_lower_rss_pairs']}/{args.pairs} "
-          f"(p {summary['sign_test_p_rss']:.3g}); wrote {path}")
+          f"(p {summary['sign_test_p_rss']:.3g}); speed factor median "
+          f"{summary['parent']['speed_factor']['median']:.4f} -> "
+          f"{summary['change']['speed_factor']['median']:.4f}, change lower in "
+          f"{summary['change_lower_factor_pairs']}/{args.pairs} "
+          f"(p {summary['sign_test_p_factor']:.3g}); wrote {path}")
     return 0
 
 

@@ -47,16 +47,19 @@ def test_one_pair_head_against_head(tmp_path):
     assert summary["change_faster_pairs_unscaled"] in (0, 1)
     assert summary["change_lower_rss_pairs"] in (0, 1)
     assert summary["sign_test_p"] == summary["sign_test_p_unscaled"] == 1.0
-    assert summary["sign_test_p_rss"] == 1.0
+    assert summary["sign_test_p_rss"] == summary["sign_test_p_factor"] == 1.0
+    assert summary["change_lower_factor_pairs"] in (0, 1)
     for side in ("parent", "change"):
         wall = summary[side]["wall_s"]
         assert wall["q1"] == wall["median"] == wall["q3"]
     assert list(work.iterdir()) == []  # the extracted trees are removed
 
 
-def _record(pair, side, wall_s, unscaled_pass_s, peak_rss_mb=60.0):
+def _record(pair, side, wall_s, unscaled_pass_s, peak_rss_mb=60.0, speed_factor=None):
+    if speed_factor is None:
+        speed_factor = unscaled_pass_s / wall_s
     return {"pair": pair, "side": side, "wall_s": wall_s, "setup_s": 0.1,
-            "speed_factor": unscaled_pass_s / wall_s, "unscaled_pass_s": unscaled_pass_s,
+            "speed_factor": speed_factor, "unscaled_pass_s": unscaled_pass_s,
             "unscaled_import_s": 0.2, "peak_rss_mb": peak_rss_mb, "ok_ratio": 1.0}
 
 
@@ -105,3 +108,23 @@ def test_summarize_counts_pairs_with_lower_peak_rss():
     assert summary["sign_test_p"] == 1.0  # every wall_s pair tied
     assert summary["parent"]["peak_rss_mb"]["median"] == pytest.approx(76.05)
     assert summary["change"]["peak_rss_mb"]["median"] == pytest.approx(71.55)
+
+
+def test_summarize_counts_pairs_with_a_lower_speed_factor():
+    bench = _load_tool()
+    # (parent, change) speed factor per pair, with the same unscaled pass on
+    # both sides: a factor that falls with the change makes scaled wall_s
+    # read slower though the pass did not move. Lower, lower, lower, a tie,
+    # higher
+    pairs = [(1.00, 0.70), (0.98, 0.66), (1.02, 0.72), (0.90, 0.90), (0.95, 1.01)]
+    records = []
+    for i, (parent, change) in enumerate(pairs):
+        records += [_record(i, "parent", 1.0 / parent, 1.0, speed_factor=parent),
+                    _record(i, "change", 1.0 / change, 1.0, speed_factor=change)]
+    summary = bench.summarize(records, len(pairs))
+    assert summary["change_lower_factor_pairs"] == 3
+    assert summary["sign_test_p_factor"] == 0.625  # 3 of 4 decided pairs: 2 * 5/16
+    assert summary["change_faster_pairs_unscaled"] == 0
+    assert summary["change_faster_pairs"] == 1  # only the pair whose factor rose
+    assert summary["parent"]["speed_factor"]["median"] == 0.98
+    assert summary["change"]["speed_factor"]["median"] == pytest.approx(0.72)
