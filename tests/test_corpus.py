@@ -131,6 +131,13 @@ CASES = [
     ("admissible-finite-spec-no-identity", 1,
      ["admissible", "--model", "mobius", "--chain", CHAIN_NO_IDENTITY]),
     ("table-validate-z67", 2, ["table-validate", "--model", "table:z67"]),
+    # a t0 = 7 chain on the Einstein ball: about 270 rows of each (x, y)
+    # stream pass beyond the stress threshold, so the rows that read rho(x,
+    # y) are redone in double-double; rho_symmetry and rho_closed_form fail
+    # there on the float64 rounding of the separations (ROADMAP item 7)
+    ("metric-einstein-t0-7", 1,
+     ["metric", "--model", "einstein", "--chain",
+      '{"kind":"radial_rapidity","t0":7.0,"ratio":0.5,"depth":24}', "--samples", "500"]),
     # a radial chain whose deepest radius t0 * ratio^depth underflows to 0
     ("prenorm-underflowing-chain", 2,
      ["prenorm", "--chain", '{"kind":"radial_rapidity","ratio":1e-20}', "--samples", "200"]),
