@@ -18,8 +18,9 @@ that each kernel's temporaries stay in cache instead of being fresh
 megabyte arrays per call. Laws, kernels and rules must work row by row
 (elementwise + - * /, sqrt, maximum), so that a row's values do not
 depend on the block it falls in; the per-row results are gathered into
-whole-stream arrays, and the double-double re-evaluation and the verdict
-run once per check on those.
+whole-stream arrays, and the double-double re-evaluation and the verdicts
+run once per pass on those. One pass may serve several checks on the same
+law and streams (``run_law_group``), each with its own rule.
 
 The checks that take witness operands pair each base sample with
 ``WITNESSES`` witness points. Their base streams are row-repeat views
@@ -57,7 +58,7 @@ WITNESSES = 3  # witness draws per base sample in the checks that take witness o
 
 _KERNEL_CELLS = 1 << 16  # most tuples in one batch of an exhaustive law pass
 
-_LAW_BLOCK_ROWS = 8192  # stream rows in one block of run_law_check's float64 pass
+_LAW_BLOCK_ROWS = 8192  # stream rows in one block of run_law_group's float64 pass
 
 
 class GyrogroupModel:
@@ -269,27 +270,45 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, rule=None):
     Finite carriers are checked exactly, on every tuple, by
     :func:`exhaustive_law_checks` instead, which takes the same rules.
 
+    This is :func:`run_law_group` with the one rule: the law's pass, its
+    boundary tracing and its double-double re-evaluation are that engine's.
+    """
+    rule = rule if rule is not None else element_rule(model, tol)
+    return run_law_group(model, (name,), law, streams, lambda tuples: [rule(tuples)])[0]
+
+
+def run_law_group(model, names, law, streams, rules):
+    """Evaluate one law on sampled operand streams of a continuous carrier
+    for several rules at once; returns one CheckResult per name, as
+    :func:`run_law_check` would give for each name with its own rule.
+
+    ``rules(tuples)`` reduces the law's tuples to one ``(residual, ok)``
+    per name, in order, so what the rules share (a row's prenorms, say) is
+    computed once per block. The rows' stressed set depends on the law and
+    the streams only, so one pass serves every rule.
+
     The float64 pass (the law on traced ops, the boundary tracing and the
-    rule) runs on blocks of ``_LAW_BLOCK_ROWS`` rows, so no model kernel
+    rules) runs on blocks of ``_LAW_BLOCK_ROWS`` rows, so no model kernel
     sees more rows than one block; the blocks write into whole-stream
     ``residual``, ``ok`` and ``peak`` arrays. The stressed rows are then
-    re-evaluated in double-double in one pass, the rule reading their
-    points lowered to float64, and the verdict is taken over the whole
+    re-evaluated in double-double in one pass, the rules reading their
+    points lowered to float64, and each verdict is taken over the whole
     stream, exactly as if the float64 pass had run on it in one piece.
 
     Streams are read by ``len``, by unit-step slice (the blocks) and by
     integer index (the stressed rows and the witness) only, so a stream
     may be an (n, d) array or a ``_RowRepeat`` view of one.
     """
-    rule = rule if rule is not None else element_rule(model, tol)
     n = len(streams[0])
-    residual, ok, peak = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+    residual, ok = np.empty((len(names), n)), np.empty((len(names), n), dtype=bool)
+    peak = np.empty(n)
     for lo in range(0, n, _LAW_BLOCK_ROWS):
         rows = slice(lo, lo + _LAW_BLOCK_ROWS)
         block = [s[rows] for s in streams]
         traced = _TracedOps(model)
         traced.note_inputs(block)
-        residual[rows], ok[rows] = rule(law(traced, *block))
+        for j, (r, o) in enumerate(rules(law(traced, *block))):
+            residual[j, rows], ok[j, rows] = r, o
         peak[rows] = traced.peak
 
     ext = model.extended()
@@ -300,15 +319,14 @@ def run_law_check(model, name, law, streams, tol: ToleranceConfig, rule=None):
         if stressed.size:
             sub = [ext.lift(s[stressed]) for s in streams]
             redone = [tuple(map(ext.lower, points)) for points in law(ext, *sub)]
-            residual[stressed], ok[stressed] = rule(redone)
+            for j, (r, o) in enumerate(rules(redone)):
+                residual[j, stressed], ok[j, stressed] = r, o
 
-    return array_check(
-        name, residual, ok, n,
-        lambda i: {
-            "inputs": [s[i].tolist() for s in streams],
-            "residual": float(residual[i]),
-        },
-    )
+    def witness(res):
+        return lambda i: {"inputs": [s[i].tolist() for s in streams], "residual": float(res[i])}
+
+    return [array_check(name, residual[j], ok[j], n, witness(residual[j]))
+            for j, name in enumerate(names)]
 
 
 def _batches(sizes):

@@ -28,7 +28,13 @@ import math
 
 import numpy as np
 
-from .core import GyrogroupModel, exhaustive_law_checks, law_triangle_decomposition, run_law_check
+from .core import (
+    GyrogroupModel,
+    exhaustive_law_checks,
+    law_triangle_decomposition,
+    run_law_check,
+    run_law_group,
+)
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size
@@ -55,15 +61,17 @@ class NeighborhoodChain:
     """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model.
 
     A kind supplies ``level_member(n, x)``, ``describe()``, N as
-    ``prenorm(family, x)``, ``sandwich(family, x, n)`` (N < 2^-n,
+    ``prenorm(family, x)`` and, for several arrays of points at once, as
+    ``prenorms(family, points)``, ``sandwich(family, x, n)`` (N < 2^-n,
     N <= 2^(1-n) and membership in U_n), ``check_halving()``,
     ``slack(tol, steps)`` (what a check over values of N allows), ``reach``
     (the rapidity from which N is 2, the scale of the rows' sampling
     caps), its operands (``sandwich_points``, ``triples``, and
     ``law_check``, which runs a row (name, stream, caps, law, rule) on
     operands of its own or the triple's, with the witness ``{"inputs",
-    "residual"}``) and the checks only it runs (``prenorm_rows``,
-    ``metric_checks``, ``admissible_checks``)."""
+    "residual"}``, and ``law_checks``, which runs the metric suite's rows
+    on the triple), and the checks only it runs (``prenorm_rows``,
+    ``metric_rows``, ``metric_checks``, ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
@@ -127,6 +135,12 @@ class RadialChain(NeighborhoodChain):
         through the family's deepest level."""
         return _leading_bits(family, rapidity(self.model, x), family.depth)[0]
 
+    def prenorms(self, family, points):
+        """N of each array of ``points``, from one ``prenorm_eval`` over
+        their concatenation: the extraction is pointwise (``_leading_bits``),
+        so each value is the one its array alone would give."""
+        return np.split(family(np.concatenate(points)), np.cumsum([len(p) for p in points[:-1]]))
+
     def sandwich(self, family, x, n):
         """Both bounds read from the extraction through level n only, by
         the leading-bits lemma of ``_leading_bits``, and the membership,
@@ -182,6 +196,27 @@ class RadialChain(NeighborhoodChain):
             operands = self._draw(sampler, suite, stream, caps, n_samples)
         return run_law_check(self.model, name, law, operands[:len(caps)], tol, rule)
 
+    def law_checks(self, sampler, suite, rows, n_samples, tol, operands):
+        """Each row on the first len(caps) ``operands``, in row order. The
+        rows that share a law on the same operands run as one pass of the law
+        engine (``run_law_group``), and their rules (``_PrenormRule``) read
+        each block's prenorms once for all of them: the rows that read
+        rho(x, y) are one such group."""
+        groups = {}
+        for i, (_, _, caps, law, _) in enumerate(rows):
+            groups.setdefault((law, len(caps)), []).append(i)
+        out = [None] * len(rows)
+        for (law, k), at in groups.items():
+            if len(at) == 1:
+                out[at[0]] = self.law_check(sampler, suite, rows[at[0]], n_samples, tol, operands)
+                continue
+            rule = _PrenormRule.merged([rows[i][4] for i in at])
+            names = [rows[i][0] for i in at]
+            results = run_law_group(self.model, names, law, operands[:k], rule.results)
+            for i, result in zip(at, results):
+                out[i] = result
+        return out
+
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
         grid ceiling of rapidity / t0: the row that checks that closed form."""
@@ -189,35 +224,43 @@ class RadialChain(NeighborhoodChain):
             return []
         scale = 2.0 ** family.depth
 
-        def closed_form_gap(x):
-            expected = np.minimum(np.ceil(rapidity(self.model, x) / self.t0 * scale) / scale, 2.0)
-            return np.abs(family(x) - expected)
+        def closed_form_gap(ns, points):
+            rho = rapidity(self.model, points[0])
+            return np.abs(ns[0] - np.minimum(np.ceil(rho / self.t0 * scale) / scale, 2.0))
 
-        return [("closed_form_agreement", "closed_form", (1.9 * self.reach,),
-                 lambda ops, x: [(x,)], _within(self.slack(tol, 1), closed_form_gap))]
+        return [("closed_form_agreement", "closed_form", (1.9 * self.reach,), lambda ops, x: [(x,)],
+                 _PrenormRule(family, (self.slack(tol, 1), closed_form_gap)))]
 
-    def metric_checks(self, family, operands, tol):
-        """On the triple, as the rho rows: the proof-step decomposition behind
-        the triangle inequality, and independent routes to rho: invert the
-        index sets' radii by bisection, and at ratio 1/2 the closed form."""
+    def metric_rows(self, family, tol):
+        """Rows on the triple, as ``_metric_rows``: the proof-step
+        decomposition behind the triangle inequality, and independent routes
+        to rho: invert the index sets' radii by bisection, over the
+        rapidities of both separations at once, and at ratio 1/2 the closed
+        form. The last two read rho(x, y) as ``rho_symmetry`` does, so
+        ``law_checks`` runs the three as one group."""
         model = self.model
 
-        def bisection_gap(xy, yx):
-            index = family.index_of_rapidity
-            oracle = index(rapidity(model, xy)) + index(rapidity(model, yx))
-            return np.abs(_rho(family, xy, yx) - oracle)
+        def bisection_gap(ns, seps):
+            xy, yx = np.split(family.index_of_rapidity(rapidity(model, np.concatenate(seps))), 2)
+            return np.abs((ns[0] + ns[1]) - (xy + yx))
 
-        def closed_form_gap(xy, yx):
-            oracle = 2.0 * np.arctanh(model.norm_fraction(xy)) / self.t0
-            return np.abs(_rho(family, xy, yx) - oracle)
+        def closed_form_gap(ns, seps):
+            oracle = 2.0 * np.arctanh(model.norm_fraction(seps[0])) / self.t0
+            return np.abs((ns[0] + ns[1]) - oracle)
 
         limit = self.slack(tol, 4)
-        rows = [("decomposition_identity", law_triangle_decomposition, 3, None),
-                ("rho_oracle", _separations, 2, _within(limit, bisection_gap))]
+        rows = [("decomposition_identity", "triples", (None,) * 3, law_triangle_decomposition,
+                 None),
+                ("rho_oracle", "triples", (None,) * 2, _separations,
+                 _PrenormRule(family, (limit, bisection_gap)))]
         if self.ratio == 0.5:
-            rows.append(("rho_closed_form", _separations, 2, _within(limit, closed_form_gap)))
-        return [run_law_check(model, name, law, operands[:k], tol, rule)
-                for name, law, k, rule in rows]
+            rows.append(("rho_closed_form", "triples", (None,) * 2, _separations,
+                         _PrenormRule(family, (limit, closed_form_gap))))
+        return rows
+
+    def metric_checks(self, family, operands, tol):
+        """A radial chain's own metric checks are all rows (``metric_rows``)."""
+        return []
 
     def admissible_checks(self, sampler, n_samples, tol):
         """The analytic condition 3 t[n+1] <= t[n]; per level, the double
@@ -300,6 +343,11 @@ class FiniteChain(NeighborhoodChain):
     def prenorm(self, family, x):
         return np.where(self.level_member(0, x), 0.0, 1.0)
 
+    def prenorms(self, family, points):
+        """N of each array of ``points`` on its own: the arrays are index
+        grids of different shapes."""
+        return [family(p) for p in points]
+
     def sandwich(self, family, x, n):
         N = family(x)
         return N < 2.0 ** -n, N <= 2.0 ** (1 - n), self.level_member(n, x)
@@ -325,7 +373,13 @@ class FiniteChain(NeighborhoodChain):
         checks = [(name, law, len(caps), 0)]
         return exhaustive_law_checks(self.model, self.model.labels, checks, rule)[0]
 
+    def law_checks(self, sampler, suite, rows, n_samples, tol, operands):
+        return [self.law_check(sampler, suite, row, n_samples, tol, operands) for row in rows]
+
     def prenorm_rows(self, family, tol):
+        return []
+
+    def metric_rows(self, family, tol):
         return []
 
     def metric_checks(self, family, operands, tol):
@@ -561,16 +615,13 @@ def _separations(ops, x, y):
     return [(ops.oplus(ops.neg(x), y), ops.oplus(ops.neg(y), x))]
 
 
-def _rho(N, xy, yx) -> np.ndarray:
-    """rho from the separations xy = -x + y and yx = -y + x: N(xy) + N(yx)."""
-    return N(xy) + N(yx)
-
-
 def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
     """Symmetrized separation of the classes of x and y, the metric of the
-    quotient by the chain's base; the metric suite's rows read the same
-    ``_rho`` on the separations that the law engine evaluates."""
-    return _rho(N, *_separations(model, x, y)[0])
+    quotient by the chain's base: N(xy) + N(yx) on the separations xy = -x
+    + y and yx = -y + x, as the metric suite's rows read it on the
+    separations that the law engine evaluates."""
+    xy, yx = _separations(model, x, y)[0]
+    return N(xy) + N(yx)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +659,40 @@ def _within(limit, residual):
     return rule
 
 
+class _PrenormRule:
+    """The rule of a chain check whose residuals read N of every point its
+    law gives: ``checks`` are ``(limit, residual)`` pairs, where
+    ``residual(ns, points)`` takes those points in order and their values
+    of N, and a row passes a check when its residual is at most ``limit``.
+
+    ``results(tuples)`` gives one ``(residual, ok)`` per check, all from
+    one reading of N per block (the chain's ``prenorms``), so the checks
+    of rows merged into one rule (``merged``) share it; that is the rules
+    argument of ``run_law_group``. Called, a rule of one check is a rule
+    of ``run_law_check`` and ``exhaustive_law_checks``."""
+
+    def __init__(self, family, *checks):
+        self.family = family
+        self.checks = checks
+
+    @classmethod
+    def merged(cls, rules):
+        return cls(rules[0].family, *(check for rule in rules for check in rule.checks))
+
+    def results(self, tuples):
+        points = [p for t in tuples for p in t]
+        ns = self.family.chain.prenorms(self.family, points)
+        out = []
+        for limit, residual in self.checks:
+            r = residual(ns, points)
+            out.append((r, r <= limit))
+        return out
+
+    def __call__(self, tuples):
+        (result,) = self.results(tuples)
+        return result
+
+
 # ---------------------------------------------------------------------------
 # property suites
 
@@ -637,18 +722,18 @@ def _prenorm_rows(family, tol):
     stream, rapidity caps of the operands, law, rule)."""
     chain = family.chain
 
-    def gap(a, b):
-        d = family(a) - family(b)
-        return np.abs(d, out=d)
+    def gap(ns, _):
+        return np.abs(ns[0] - ns[1])
 
     return [
         ("gyration_invariance", "gyration_invariance", (1.9 * chain.reach, 2.0, 2.0),
-         lambda ops, x, u, v: [(ops.gyr(u, v, x), x)], _within(chain.slack(tol), gap)),
+         lambda ops, x, u, v: [(ops.gyr(u, v, x), x)],
+         _PrenormRule(family, (chain.slack(tol), gap))),
         ("subadditivity", "subadditivity", (1.2 * chain.reach, 1.2 * chain.reach),
          lambda ops, x, y: [(ops.oplus(x, y), x, y)],
-         _within(chain.slack(tol, 1), lambda s, x, y: family(s) - (family(x) + family(y)))),
+         _PrenormRule(family, (chain.slack(tol, 1), lambda ns, _: ns[0] - (ns[1] + ns[2])))),
         ("inversion_symmetry", "inversion_symmetry", (1.9 * chain.reach,),
-         lambda ops, x: [(ops.neg(x), x)], _within(0.0, gap)),
+         lambda ops, x: [(ops.neg(x), x)], _PrenormRule(family, (0.0, gap))),
     ]
 
 
@@ -663,14 +748,16 @@ def _metric_rows(family, tol):
         # both separations of (x, x) are -x + x, so rho(x, x) is 2 N(-x + x),
         # which equals N + N exactly
         ("rho_identity", "triples", (None,), lambda ops, x: [(ops.oplus(ops.neg(x), x),)],
-         _within(limit, lambda s: 2.0 * family(s))),
+         _PrenormRule(family, (limit, lambda ns, _: 2.0 * ns[0]))),
         ("rho_symmetry", "triples", (None,) * 2, _separations,
-         _within(chain.slack(tol, 1), lambda xy, yx: np.abs(family(xy) - family(yx)))),
+         _PrenormRule(family, (chain.slack(tol, 1), lambda ns, _: np.abs(ns[0] - ns[1])))),
+        # rho(x, z) - (rho(x, y) + rho(y, z)) on the separations xz, zx, xy,
+        # yx, yz, zy
         ("rho_triangle", "triples", (None,) * 3,
          lambda ops, x, y, z: _separations(ops, x, z) + _separations(ops, x, y)
          + _separations(ops, y, z),
-         _within(limit, lambda xz, zx, xy, yx, yz, zy:
-                 _rho(family, xz, zx) - (_rho(family, xy, yx) + _rho(family, yz, zy)))),
+         _PrenormRule(family, (limit, lambda ns, _:
+                               (ns[0] + ns[1]) - ((ns[2] + ns[3]) + (ns[4] + ns[5]))))),
     ]
 
 
@@ -760,8 +847,8 @@ def check_metric_properties(
         del nx, ny, nz, dxy
         report.checks.append(array_check("d_triangle", tri, tri <= chain.slack(tol), samples))
         del tri
-        for row in _metric_rows(family, tol):
-            report.checks.append(chain.law_check(sampler, "metric", row, n_samples, tol, operands))
+        rows = _metric_rows(family, tol) + chain.metric_rows(family, tol)
+        report.checks += chain.law_checks(sampler, "metric", rows, n_samples, tol, operands)
         report.checks += chain.metric_checks(family, operands, tol)
     return report
 

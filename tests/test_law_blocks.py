@@ -94,25 +94,38 @@ ENGINE_CHECKS = {
 @pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
 def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls, ratio):
     # with a stress threshold below every norm fraction, each row is
-    # stressed: each engine check lifts every row of each operand stream
-    # once, and on the ratio 1/4 chain each check still passes
+    # stressed: each engine pass, of one check or of a group of checks on
+    # one law, lifts every row of each operand stream once, and its lifts
+    # count for each of its checks; on the ratio 1/4 chain each check
+    # still passes
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
-    real_check, real_lift = prenorm.run_law_check, models._BallExtended.lift
-    current, lifted = [None], {}
+    real_check, real_group = prenorm.run_law_check, prenorm.run_law_group
+    real_lift = models._BallExtended.lift
+    current, lifted = [()], {}
+
+    def engine(names, streams, run):
+        current[0] = names
+        for name in names:
+            lifted[name] = (len(streams), len(streams[0]), [])
+        try:
+            return run()
+        finally:
+            current[0] = ()
 
     def check(model, name, law, streams, tol, rule=None):
-        current[0] = name
-        lifted[name] = (len(streams), len(streams[0]), [])
-        try:
-            return real_check(model, name, law, streams, tol, rule)
-        finally:
-            current[0] = None
+        return engine((name,), streams, lambda: real_check(model, name, law, streams, tol, rule))
+
+    def group(model, names, law, streams, rules):
+        return engine(names, streams, lambda: real_group(model, names, law, streams, rules))
 
     def lift(self, x):
-        lifted[current[0]][2].append(len(x))
+        assert current[0]
+        for name in current[0]:
+            lifted[name][2].append(len(x))
         return real_lift(self, x)
 
     monkeypatch.setattr(prenorm, "run_law_check", check)
+    monkeypatch.setattr(prenorm, "run_law_group", group)
     monkeypatch.setattr(models._BallExtended, "lift", lift)
     chain = RadialChain(cls(), ratio=ratio, depth=8)
     reports = [

@@ -7,18 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gyrokit.core as core_mod
 import gyrokit.prenorm as prenorm_mod
+from gyrokit.core import _LAW_BLOCK_ROWS, run_law_check
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
     FiniteChain,
     RadialChain,
     _metric_rows,
+    _separations,
     build_dyadic,
     check_metric_properties,
     pseudometric_d,
     quotient_metric_rho,
 )
-from gyrokit.sampling import ToleranceConfig
+from gyrokit.sampling import Sampler, ToleranceConfig
 from gyrokit.tables import (
     TableModel,
     builtin_table,
@@ -143,6 +146,62 @@ def test_metric_suite_einstein():
     model = EinsteinModel()
     rep = check_metric_properties(RadialChain(model, ratio=0.25, depth=20), n_samples=1500)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+
+# -- the rows that read rho(x, y) as one group ---------------------------------
+
+# (model, t0, ratio, stress threshold or None); at t0 = 7 about 270 rows of
+# each (x, y) stream are stressed, and a threshold of -1 stresses every row
+GROUP_CASES = [
+    pytest.param(MobiusModel, 1.0, 0.25, None, id="mobius-quarter"),
+    pytest.param(MobiusModel, 1.0, 0.5, None, id="mobius-half"),
+    pytest.param(EinsteinModel, 1.0, 0.25, None, id="einstein-quarter"),
+    pytest.param(EinsteinModel, 1.0, 0.5, None, id="einstein-half"),
+    pytest.param(EinsteinModel, 7.0, 0.5, None, id="einstein-t0-7"),
+    pytest.param(MobiusModel, 1.0, 0.5, -1.0, id="mobius-half-all-stressed"),
+    pytest.param(EinsteinModel, 1.0, 0.25, -1.0, id="einstein-quarter-all-stressed"),
+]
+
+
+@pytest.mark.parametrize("cls,t0,ratio,stress", GROUP_CASES)
+def test_grouped_rho_rows_equal_their_separate_checks(monkeypatch, cls, t0, ratio, stress):
+    # the rows on the law _separations run as one group in the suite; each
+    # of their results is the one a run_law_check of the row alone, with
+    # its own rule, gives on the same triple
+    if stress is not None:
+        monkeypatch.setattr(core_mod, "STRESS_NORM_FRACTION", stress)
+    chain = RadialChain(cls(), t0=t0, ratio=ratio, depth=24)
+    n_samples, tol = 10_000, ToleranceConfig()
+    family = build_dyadic(chain)
+    operands, _ = chain.triples(Sampler(5), n_samples)
+    rows = [row for row in _metric_rows(family, tol) + chain.metric_rows(family, tol)
+            if row[3] is _separations]
+    names = ["rho_symmetry", "rho_oracle"] + (["rho_closed_form"] if ratio == 0.5 else [])
+    assert [row[0] for row in rows] == names
+    report = check_metric_properties(chain, Sampler(5), n_samples, tol)
+    for name, _, caps, law, rule in rows:
+        alone = run_law_check(chain.model, name, law, operands[:len(caps)], tol, rule)
+        assert report.check(name).to_dict() == alone.to_dict(), name
+    if t0 == 7.0:
+        assert not report.check("rho_symmetry").passed
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+def test_the_rho_group_runs_its_law_once_per_block(monkeypatch, ratio):
+    # _separations is the law of the (x, y) group, once per block for all
+    # of its rows, and three times per block in rho_triangle's law
+    calls = [0]
+    real = prenorm_mod._separations
+
+    def separations(ops, x, y):
+        calls[0] += 1
+        return real(ops, x, y)
+
+    monkeypatch.setattr(prenorm_mod, "_separations", separations)
+    n_samples = 2 * _LAW_BLOCK_ROWS + 1
+    rep = check_metric_properties(mobius_chain(ratio=ratio), n_samples=n_samples)
+    assert rep.passed
+    assert calls[0] == 3 * (1 + 3)
 
 
 # -- finite quotients ----------------------------------------------------------

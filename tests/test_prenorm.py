@@ -730,17 +730,30 @@ def test_greedy_loops_match_the_parent_code_bitwise(ratio):
 def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
     # a passing radial run evaluates N only in its law checks: two points
     # per row in gyration invariance, three in subadditivity, two in
-    # inversion symmetry
+    # inversion symmetry, each row's read in one call per block
     import gyrokit.prenorm as prenorm
 
-    sizes = []
-    real = prenorm.prenorm_eval
-    monkeypatch.setattr(prenorm, "prenorm_eval",
-                        lambda fam, x: sizes.append(len(x)) or real(fam, x))
+    sizes, in_sandwich = [], [False]
+    real, real_sandwich = prenorm.prenorm_eval, RadialChain.sandwich
+
+    def sandwich(self, family, x, n):
+        in_sandwich[0] = True
+        try:
+            return real_sandwich(self, family, x, n)
+        finally:
+            in_sandwich[0] = False
+
+    def prenorm_eval(fam, x):
+        assert not in_sandwich[0]
+        sizes.append(len(x))
+        return real(fam, x)
+
+    monkeypatch.setattr(prenorm, "prenorm_eval", prenorm_eval)
+    monkeypatch.setattr(RadialChain, "sandwich", sandwich)
     n_samples = 1000
     rep = check_prenorm_properties(RadialChain(MobiusModel(), ratio=0.25), n_samples=n_samples)
     assert rep.passed
-    assert sizes == [n_samples] * 7
+    assert sum(sizes) == 7 * n_samples
 
 
 def test_prenorm_inversion_symmetry_bitwise():
