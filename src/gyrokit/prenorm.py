@@ -9,7 +9,7 @@ evaluates it. The suites take the chain, build its family and state each
 check once; each chain kind supplies what differs. A ``RadialChain`` on a
 ball evaluates N by a greedy per-level bit extraction over rapidity
 (``_leading_bits``), needs radii that halve, and draws its operands with
-``ball_points`` for ``run_law_check``; its sandwich levels, which read
+``ball_points`` for ``law_checks``; its sandwich levels, which read
 nothing of a point but its rapidity, draw rapidities alone, on one axis
 (``_rapidity_ball``), and compute each point's rapidity once, for both
 bounds and the membership (``sandwich``). A ``FiniteChain`` on a table has
@@ -67,11 +67,11 @@ class NeighborhoodChain:
     ``slack(tol, steps)`` (what a check over values of N allows), ``reach``
     (the rapidity from which N is 2, the scale of the rows' sampling
     caps), its operands (``sandwich_points``, ``triples``, and
-    ``law_check``, which runs a row (name, stream, caps, law, rule) on
-    operands of its own or the triple's, with the witness ``{"inputs",
-    "residual"}``, and ``law_checks``, which runs the metric suite's rows
-    on the triple), and the checks only it runs (``prenorm_rows``,
-    ``metric_rows``, ``metric_checks``, ``admissible_checks``)."""
+    ``law_checks``, which runs rows (name, stream, caps, law, rule) in row
+    order on operands of their own or the triple's, with the witness
+    ``{"inputs", "residual"}``), and the checks only it runs
+    (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
+    ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
@@ -113,11 +113,15 @@ class RadialChain(NeighborhoodChain):
     def __init__(self, model, t0=1.0, ratio=DEFAULT_RATIO, depth=DEFAULT_DEPTH):
         if model.is_exact:
             raise UsageError("radial chains need a continuous model")
-        self.t = radial_radii(t0, ratio, depth)
+        self.t = t = radial_radii(t0, ratio, depth)
         super().__init__(model, depth)
         self.t0 = float(t0)
         self.ratio = float(ratio)
-        self.reach = float(np.sum(self.t))
+        self.reach = float(np.sum(t))
+        # what ``_leading_bits`` reads besides the radii: the sum of the
+        # finer radii below each level, and the top of the scale
+        self.tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
+        self.full = float(t[0] + self.tails[0])
 
     def level_member(self, n, x):
         return rapidity(self.model, x) <= self.t[n]
@@ -189,30 +193,30 @@ class RadialChain(NeighborhoodChain):
         """The metric suite's x, y and z, drawn up to rapidity 0.95 t0."""
         return self._draw(sampler, "metric", "triples", (0.95 * self.t0,) * 3, n_samples), n_samples
 
-    def law_check(self, sampler, suite, row, n_samples, tol, operands=None):
-        """On the first len(caps) ``operands`` given, or on its stream's draw."""
-        name, stream, caps, law, rule = row
-        if operands is None:
-            operands = self._draw(sampler, suite, stream, caps, n_samples)
-        return run_law_check(self.model, name, law, operands[:len(caps)], tol, rule)
-
-    def law_checks(self, sampler, suite, rows, n_samples, tol, operands):
-        """Each row on the first len(caps) ``operands``, in row order. The
-        rows that share a law on the same operands run as one pass of the law
-        engine (``run_law_group``), and their rules (``_PrenormRule``) read
-        each block's prenorms once for all of them: the rows that read
-        rho(x, y) are one such group."""
+    def law_checks(self, sampler, suite, rows, n_samples, tol, operands=None):
+        """Each row in row order, on the first len(caps) ``operands`` given,
+        or on its stream's draw. The rows that share a stream, caps and law
+        read the same operands, so they run as one pass of the law engine
+        (``run_law_group``), and their rules (``_PrenormRule``) read each
+        block's prenorms once for all of them: the rows that read rho(x, y)
+        are one such group. A group of one runs through ``run_law_check``.
+        Each group's draw is released before the next group draws."""
         groups = {}
-        for i, (_, _, caps, law, _) in enumerate(rows):
-            groups.setdefault((law, len(caps)), []).append(i)
+        for i, (_, stream, caps, law, _) in enumerate(rows):
+            groups.setdefault((stream, caps, law), []).append(i)
         out = [None] * len(rows)
-        for (law, k), at in groups.items():
+        for (stream, caps, law), at in groups.items():
+            if operands is None:
+                streams = self._draw(sampler, suite, stream, caps, n_samples)
+            else:
+                streams = operands[:len(caps)]
+            names, rules = [rows[i][0] for i in at], [rows[i][4] for i in at]
             if len(at) == 1:
-                out[at[0]] = self.law_check(sampler, suite, rows[at[0]], n_samples, tol, operands)
-                continue
-            rule = _PrenormRule.merged([rows[i][4] for i in at])
-            names = [rows[i][0] for i in at]
-            results = run_law_group(self.model, names, law, operands[:k], rule.results)
+                results = [run_law_check(self.model, names[0], law, streams, tol, rules[0])]
+            else:
+                rule = _PrenormRule.merged(rules)
+                results = run_law_group(self.model, names, law, streams, rule.results)
+            del streams
             for i, result in zip(at, results):
                 out[i] = result
         return out
@@ -258,7 +262,7 @@ class RadialChain(NeighborhoodChain):
                          _PrenormRule(family, (limit, closed_form_gap))))
         return rows
 
-    def metric_checks(self, family, operands, tol):
+    def metric_checks(self, family):
         """A radial chain's own metric checks are all rows (``metric_rows``)."""
         return []
 
@@ -368,13 +372,11 @@ class FiniteChain(NeighborhoodChain):
         r = np.arange(self.model.order)
         return np.ix_(r, r, r), "exhaustive"
 
-    def law_check(self, sampler, suite, row, n_samples, tol, operands=None):
-        name, _, caps, law, rule = row
-        checks = [(name, law, len(caps), 0)]
-        return exhaustive_law_checks(self.model, self.model.labels, checks, rule)[0]
-
-    def law_checks(self, sampler, suite, rows, n_samples, tol, operands):
-        return [self.law_check(sampler, suite, row, n_samples, tol, operands) for row in rows]
+    def law_checks(self, sampler, suite, rows, n_samples, tol, operands=None):
+        """Each row on every tuple of the carrier, in row order."""
+        return [exhaustive_law_checks(self.model, self.model.labels,
+                                      [(name, law, len(caps), 0)], rule)[0]
+                for name, _, caps, law, rule in rows]
 
     def prenorm_rows(self, family, tol):
         return []
@@ -382,7 +384,7 @@ class FiniteChain(NeighborhoodChain):
     def metric_rows(self, family, tol):
         return []
 
-    def metric_checks(self, family, operands, tol):
+    def metric_checks(self, family):
         """Invariance of d and rho under change of class representatives,
         and the quotient's two values.
 
@@ -461,13 +463,6 @@ class DyadicFamily:
         self.model = chain.model
         self.depth = chain.depth
         self.grid_step = 2.0 ** -self.depth
-        t = getattr(chain, "t", None)
-        if t is not None:
-            # what ``_leading_bits`` reads on every call: the radii, the sum
-            # of the finer radii below each level, and the top of the scale
-            self.radii = t[: self.depth + 1].astype(float)
-            self.tails = np.concatenate([np.cumsum(self.radii[::-1])[::-1][1:], [0.0]])
-            self.full = float(self.radii[0] + self.tails[0])
 
     def __call__(self, x) -> np.ndarray:
         return prenorm_eval(self, x)
@@ -522,12 +517,12 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     bit is set exactly when the finer levels cannot cover the remainder.
     Through ``family.depth`` the head is the prenorm N.
 
-    Start state: a capped point (rapidity beyond the family's ``full``
+    Start state: a capped point (rapidity beyond the chain's ``full``
     scale, or NaN) has head 2 and remainder 0, any other head 0 and its
     rapidity as remainder. ``rem`` starts as a copy of the rapidities,
     and only when a point is capped is 0.0 written over the capped ones
-    and ``out`` set to 2.0 there; otherwise ``out`` is zeros. The radii,
-    tails and ``full`` are the family's, computed once.
+    and ``out`` set to 2.0 there; otherwise ``out`` is zeros. The radii
+    ``t``, tails and ``full`` are the chain's, computed once.
 
     The loop starts at the first level whose tail (the sum of the finer
     radii) is at most the largest remainder. Tails never increase, and no
@@ -560,13 +555,14 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     with an integer scatter and keeps the live ones by integer gathers
     (``np.flatnonzero``); it stops once none is live. With one level left
     a compaction would cost more than the level it thins."""
-    t, tails = family.radii, family.tails
+    chain = family.chain
+    t, tails = chain.t, chain.tails
     # flat views that write through to out and rem; the loop runs on head
     # and tail, which are these views while idx is None and otherwise the
     # values of the live points, whose flat indices idx holds
     rem = np.array(rho, dtype=float)
     flat_rem = rem.reshape(-1)
-    capped = ~(flat_rem <= family.full)  # NaN counts as beyond the top
+    capped = ~(flat_rem <= chain.full)  # NaN counts as beyond the top
     if capped.any():
         flat_out = capped * 2.0
         # a capped sample has rem = 0, which exceeds no tail
@@ -808,8 +804,8 @@ def check_prenorm_properties(
                     "member": bool(member[i]),
                 }
             report.checks.append(res)
-        for row in _prenorm_rows(family, tol) + chain.prenorm_rows(family, tol):
-            report.checks.append(chain.law_check(sampler, "prenorm", row, n_samples, tol))
+        rows = _prenorm_rows(family, tol) + chain.prenorm_rows(family, tol)
+        report.checks += chain.law_checks(sampler, "prenorm", rows, n_samples, tol)
     return report
 
 
@@ -849,7 +845,7 @@ def check_metric_properties(
         del tri
         rows = _metric_rows(family, tol) + chain.metric_rows(family, tol)
         report.checks += chain.law_checks(sampler, "metric", rows, n_samples, tol, operands)
-        report.checks += chain.metric_checks(family, operands, tol)
+        report.checks += chain.metric_checks(family)
     return report
 
 

@@ -97,26 +97,31 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
     # stressed: each engine pass, of one check or of a group of checks on
     # one law, lifts every row of each operand stream once, and its lifts
     # count for each of its checks; on the ratio 1/4 chain each check
-    # still passes
+    # still passes. Each check runs through the entry that the tracer sees
+    # (run_law_check) unless it shares the (x, y) group's one pass
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
     real_check, real_group = prenorm.run_law_check, prenorm.run_law_group
     real_lift = models._BallExtended.lift
-    current, lifted = [()], {}
+    current, lifted, entry, groups = [()], {}, {}, []
 
-    def engine(names, streams, run):
+    def engine(kind, names, streams, run):
         current[0] = names
         for name in names:
             lifted[name] = (len(streams), len(streams[0]), [])
+            entry[name] = kind
         try:
             return run()
         finally:
             current[0] = ()
 
     def check(model, name, law, streams, tol, rule=None):
-        return engine((name,), streams, lambda: real_check(model, name, law, streams, tol, rule))
+        return engine("check", (name,), streams,
+                      lambda: real_check(model, name, law, streams, tol, rule))
 
     def group(model, names, law, streams, rules):
-        return engine(names, streams, lambda: real_group(model, names, law, streams, rules))
+        groups.append(list(names))
+        return engine("group", names, streams,
+                      lambda: real_group(model, names, law, streams, rules))
 
     def lift(self, x):
         assert current[0]
@@ -140,6 +145,9 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
     assert set(lifted) == engine
     for name, (k, n, rows) in lifted.items():
         assert rows == [n] * k, name
+    grouped = ["rho_symmetry", "rho_oracle"] + ["rho_closed_form"] * (ratio == 0.5)
+    assert groups == [grouped]
+    assert entry == {name: "group" if name in grouped else "check" for name in engine}
     if ratio == 0.25:
         for rep in reports:
             assert all(c.passed for c in rep.checks if c.name in engine), rep.suite

@@ -1,4 +1,5 @@
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -621,14 +622,35 @@ def test_each_sandwich_level_reads_one_rapidity(monkeypatch, model, ratio):
     monkeypatch.setattr(prenorm, "rapidity", lambda *a: calls.append(1) or real(*a))
     chain = RadialChain(model, ratio=ratio, depth=12)
     fam, tol = build_dyadic(chain), ToleranceConfig()
-    for row in _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol):
-        chain.law_check(Sampler(3), "prenorm", row, 500, tol)
+    chain.law_checks(Sampler(3), "prenorm", _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol),
+                     500, tol)
     in_rows = len(calls)
     assert in_rows
     calls.clear()
     rep = check_prenorm_properties(chain, Sampler(3), n_samples=500)
     assert rep.passed
     assert len(calls) - in_rows == chain.depth + 1
+
+
+@BALLS
+def test_each_law_row_draw_is_released_before_the_next_draw(monkeypatch, model):
+    # the prenorm rows each draw their own streams: when a row draws, every
+    # stream an earlier row drew has been freed, so no two rows' operands
+    # are alive at once
+    refs = []
+    real = RadialChain._draw
+
+    def draw(self, *args):
+        assert all(ref() is None for ref in refs)
+        streams = real(self, *args)
+        refs.extend(weakref.ref(s) for s in streams)
+        return streams
+
+    monkeypatch.setattr(RadialChain, "_draw", draw)
+    chain = RadialChain(model, ratio=0.5, depth=8)
+    assert check_prenorm_properties(chain, Sampler(3), n_samples=500).passed
+    # gyration_invariance, subadditivity, inversion_symmetry, closed_form_agreement
+    assert len(refs) == 3 + 2 + 1 + 1
 
 
 def parent_leading_bits(family, rho, last):
