@@ -28,8 +28,9 @@ DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
 # rows x dim of one point stream. At this cap the law suites peak at 50-96
 # bytes per such value (ru_maxrss of a CLI child, the most of three runs;
-# Python 3.11, numpy 2.4, Linux): axioms 547 MiB on Mobius and 486 MiB on
-# Einstein, identities 662 and 595 MiB, strong-base 913 and 824 MiB.
+# Python 3.11, numpy 2.4, Linux): axioms 558 MiB on Mobius and 486 MiB on
+# Einstein, identities 658 and 596 MiB, strong-base 913 and 824 MiB. The
+# axioms peaks are pinned in tests/test_metric.py.
 MAX_SAMPLE_VALUES = 10_000_000
 
 

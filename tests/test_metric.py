@@ -9,7 +9,7 @@ import pytest
 
 import gyrokit.core as core_mod
 import gyrokit.prenorm as prenorm_mod
-from gyrokit.core import _LAW_BLOCK_ROWS, run_law_check
+from gyrokit.core import _LAW_BLOCK_ROWS, WITNESSES, run_law_check
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
     FiniteChain,
@@ -21,7 +21,7 @@ from gyrokit.prenorm import (
     pseudometric_d,
     quotient_metric_rho,
 )
-from gyrokit.sampling import Sampler, ToleranceConfig
+from gyrokit.sampling import MAX_SAMPLE_VALUES, Sampler, ToleranceConfig
 from gyrokit.tables import (
     TableModel,
     builtin_table,
@@ -442,6 +442,34 @@ def test_finite_metric_on_the_largest_table_fits_in_one_gib():
         )
         assert proc.returncode == 0, (suite, proc.stderr)
         assert int(proc.stderr.split()[-1]) / 1024 <= 1.1 * peak_mib, suite
+
+
+# the axioms suite's peak through PEAK_CHILD at the largest sample count
+# that MAX_SAMPLE_VALUES admits, in MiB, the most of three runs (Python
+# 3.11, numpy 2.4, Linux)
+AXIOMS_CAP_PEAK_MIB = {("mobius", 1666666): 557.9, ("einstein", 1111111): 486.0}
+
+
+def test_law_suites_at_the_sample_cap_keep_their_peaks():
+    # a rise of more than 5% shows, in a child under a 1 GiB address space
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    for (model, samples), peak_mib in AXIOMS_CAP_PEAK_MIB.items():
+        # the witness checks draw WITNESSES rows per sample
+        values = WITNESSES * {"mobius": 2, "einstein": 3}[model]
+        assert samples * values <= MAX_SAMPLE_VALUES < (samples + 1) * values
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_CHILD, "axioms", "--model", model,
+             "--samples", str(samples)],
+            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+        )
+        assert proc.returncode == 0, (model, proc.stderr)
+        assert int(proc.stderr.split()[-1]) / 1024 <= 1.05 * peak_mib, model
 
 
 def test_finite_spec_beside_the_largest_table_fits_in_256_mib():
