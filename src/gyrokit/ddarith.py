@@ -33,19 +33,28 @@ def _quick_two_sum(a, b):
     return s, b - (s - a)
 
 
-def _two_prod(a, b):
-    p = a * b
+def _split(a):
+    """a = ah + al exactly, each half with at most 26 significant bits."""
     ca = _SPLIT * a
     ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLIT * b
-    bh = cb - (cb - b)
-    bl = b - bh
+    return ah, a - ah
+
+
+def _two_prod(a, b, a_halves=None):
+    # a_halves: _split(a), when the caller multiplies by a more than once
+    p = a * b
+    ah, al = _split(a) if a_halves is None else a_halves
+    bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 class DD:
-    """A numpy array of double-double values."""
+    """A numpy array of double-double values.
+
+    A float constant operand is a DD with scalar words, ``DD(c, 0.0)``: the
+    formulas broadcast it, bit for bit as full arrays of c and 0.0 would
+    give, without allocating them.
+    """
 
     __slots__ = ("hi", "lo")
 
@@ -53,14 +62,10 @@ class DD:
         self.hi = np.asarray(hi, dtype=np.float64)
         self.lo = np.zeros_like(self.hi) if lo is None else lo
 
-    @classmethod
-    def const(cls, c, like):
-        return cls(np.full_like(like.hi, float(c)))
-
     def _coerce(self, other):
         if isinstance(other, DD):
             return other
-        return DD.const(other, self)
+        return DD(float(other), 0.0)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -84,30 +89,38 @@ class DD:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        p, e = _two_prod(self.hi, other.hi)
+        return self._times(self._coerce(other))
+
+    __rmul__ = __mul__
+
+    def _times(self, other, halves=None):
+        # halves: _split(self.hi), shared by the products of one division
+        p, e = _two_prod(self.hi, other.hi, halves)
         e = e + (self.hi * other.lo + self.lo * other.hi)
         p, e = _quick_two_sum(p, e)
         return DD(p, e)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = self._coerce(other)
+        halves = _split(other.hi)
         q1 = self.hi / other.hi
-        r = self - other * DD(np.asarray(q1))
+        r = self - other._times(DD(q1, 0.0), halves)
         q2 = r.hi / other.hi
-        r = r - other * DD(np.asarray(q2))
+        r = r - other._times(DD(q2, 0.0), halves)
         q3 = r.hi / other.hi
         s, e = _quick_two_sum(q1, q2)
-        return DD(s, e) + DD(np.asarray(q3))
+        return DD(s, e) + DD(q3, 0.0)
 
     def __rtruediv__(self, other):
-        return DD.const(other, self) / self
+        return self._coerce(other) / self
 
     def sqrt(self):
-        r = 1.0 / np.sqrt(self.hi)
-        a = DD(np.asarray(self.hi * r))
+        # 1/sqrt(hi) is inf at an exact zero, and 0 * inf is NaN; there r
+        # is 0 instead, so the root is 0
+        with np.errstate(divide="ignore"):
+            r = 1.0 / np.sqrt(self.hi)
+        r = np.where(self.hi == 0.0, 0.0, r)
+        a = DD(self.hi * r, 0.0)
         err = self - a * a
         half_r = 0.5 * r
         return a + DD(err.hi * half_r, err.lo * half_r)
