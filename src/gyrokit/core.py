@@ -41,6 +41,7 @@ from .sampling import (
     Sampler,
     ToleranceConfig,
     check_sample_size,
+    rowdot,
     rownorm,
     sample_operands,
 )
@@ -96,7 +97,9 @@ class GyrogroupModel:
         return rownorm(np.asarray(a, float) - np.asarray(b, float))
 
     def magnitude(self, a):
-        return rownorm(np.asarray(a, float))
+        # a value of the float64 law pass carries its squared norm (_Normed)
+        sq = getattr(a, "sq", None)
+        return rownorm(np.asarray(a, float)) if sq is None else np.sqrt(sq)
 
     def norm_fraction(self, a):
         """Carrier norm as a fraction of the boundary radius."""
@@ -120,21 +123,40 @@ def derived_gyration(ops, x, y, z):
     return ops.oplus(ops.neg(xy), ops.oplus(x, ops.oplus(y, z)))
 
 
+class _Normed(np.ndarray):
+    """A value of the float64 law pass with ``sq``, its per-point squared
+    norm ``rowdot(a, a)``, computed once when the value is traced. The
+    boundary trace (``norm_fraction``), ``magnitude`` in the rules and the
+    ball kernels read it; values derived from it by numpy do not carry it."""
+
+
+def _normed(a, sq):
+    """The array ``a`` as a _Normed view that carries ``sq``."""
+    out = a.view(_Normed)
+    out.sq = sq
+    return out
+
+
 class _TracedOps:
-    """Duck-typed ops that record the largest norm fraction per sample."""
+    """Duck-typed ops that record the largest norm fraction per sample.
+
+    On a model whose ``magnitude`` is the Euclidean norm, each traced value
+    is a ``_Normed`` view that carries its squared norm."""
 
     def __init__(self, model):
         self._m = model
+        self._sq = type(model).magnitude is GyrogroupModel.magnitude
         self.peak = None
 
     def _note(self, r):
+        if self._sq:
+            r = _normed(r, rowdot(r, r))
         f = self._m.norm_fraction(r)
         self.peak = f if self.peak is None else np.maximum(self.peak, f)
         return r
 
     def note_inputs(self, streams):
-        for s in streams:
-            self._note(s)
+        return [self._note(s) for s in streams]
 
     def oplus(self, x, y):
         return self._note(self._m.oplus(x, y))
@@ -306,7 +328,7 @@ def run_law_group(model, names, law, streams, rules):
         rows = slice(lo, lo + _LAW_BLOCK_ROWS)
         block = [s[rows] for s in streams]
         traced = _TracedOps(model)
-        traced.note_inputs(block)
+        block = traced.note_inputs(block)
         for j, (r, o) in enumerate(rules(law(traced, *block))):
             residual[j, rows], ok[j, rows] = r, o
         peak[rows] = traced.peak

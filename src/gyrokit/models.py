@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import GyrogroupModel, element_rule, run_law_check
+from .core import GyrogroupModel, _normed, element_rule, run_law_check
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions
@@ -29,9 +29,25 @@ from .sampling import Sampler, ToleranceConfig, coldot, directions
 # the disk kernels work on (re, im) parts
 
 
+class _Point(list):
+    """A point's coordinate columns, as the kernels take them, with the
+    per-point values they share: ``sq``, the squared norm of a float64
+    point when its caller has computed it (``core``'s float64 pass), and
+    ``g``, 1/gamma, which ``_inv_gamma`` computes once per point."""
+
+    __slots__ = ("sq", "g")
+
+    def __init__(self, cols, sq=None):
+        super().__init__(cols)
+        self.sq = sq
+        self.g = None
+
+
 def _cols(a):
+    # a value of the float64 law pass carries its squared norm (core._Normed)
+    sq = getattr(a, "sq", None)
     a = np.asarray(a, float)
-    return [a[..., i] for i in range(a.shape[-1])]
+    return _Point([a[..., i] for i in range(a.shape[-1])], sq)
 
 
 def _arith(cols):
@@ -73,9 +89,12 @@ def _m_gyr_parts(a, b, z):
 
 
 def _inv_gamma(u):
-    """1/gamma_u = sqrt(1 - |u|^2), which stays finite up to the boundary."""
-    dot, sqrt = _arith(u)
-    return sqrt(1.0 - dot(u, u))
+    """1/gamma_u = sqrt(1 - |u|^2), which stays finite up to the boundary;
+    computed once per point and kept on it, from its ``sq`` when it has one."""
+    if u.g is None:
+        dot, sqrt = _arith(u)
+        u.g = sqrt(1.0 - (dot(u, u) if u.sq is None else u.sq))
+    return u.g
 
 
 def _e_oplus_cols(u, v):
@@ -98,9 +117,10 @@ def _e_gyr_coeffs(gu, gv, uv, uw, vw):
     and gv = 1/gamma_v, which stay finite up to the boundary. Only
     + - * / are used, so the arguments may be float arrays or DD values.
     """
+    pu, pv = 1.0 + gu, 1.0 + gv
     d = 1.0 + uv + gu * gv
-    a = (vw - (1.0 - gv) / (1.0 + gu) * uw + 2.0 * uv * vw / ((1.0 + gu) * (1.0 + gv))) / d
-    b = -(uw + (1.0 - gu) / (1.0 + gv) * vw) / d
+    a = (vw - (1.0 - gv) / pu * uw + 2.0 * uv * vw / (pu * pv)) / d
+    b = -(uw + (1.0 - gu) / pv * vw) / d
     return a, b
 
 
@@ -116,8 +136,9 @@ def _e_gyr_cols(u, v, w):
 
 class _BallExtended:
     """Double-double kernel set of a ball model, used by the suite engine
-    on stressed samples. Points are lists of DD coordinate columns on the
-    unit ball; ``lift`` and ``lower`` convert from and to radius ``c``."""
+    on stressed samples. Points are ``_Point`` lists of DD coordinate
+    columns on the unit ball, so each point's 1/gamma is computed once;
+    ``lift`` and ``lower`` convert from and to radius ``c``."""
 
     def __init__(self, oplus_cols, gyr_cols, c):
         self._oplus = oplus_cols
@@ -128,23 +149,25 @@ class _BallExtended:
         cols = dd.lift_vector(x)
         if self._c != 1.0:
             cols = [col / self._c for col in cols]
-        return cols
+        return _Point(cols)
 
     def lower(self, rep):
         out = dd.lower_vector(rep)
         return out * self._c if self._c != 1.0 else out
 
     def zero_like(self, rep):
-        return [dd.DD(np.zeros_like(col.hi)) for col in rep]
+        return _Point([dd.DD(np.zeros_like(col.hi)) for col in rep])
 
     def neg(self, a):
-        return [-col for col in a]
+        out = _Point([-col for col in a])
+        out.g = a.g  # |-a|^2 is |a|^2 bit for bit
+        return out
 
     def oplus(self, a, b):
-        return self._oplus(a, b)
+        return _Point(self._oplus(a, b))
 
     def gyr(self, a, b, z):
-        return self._gyr(a, b, z)
+        return _Point(self._gyr(a, b, z))
 
 
 class _BallModel(GyrogroupModel):
@@ -165,7 +188,10 @@ class _BallModel(GyrogroupModel):
         return self._on_columns(self._oplus_cols, a, b)
 
     def neg(self, a):
-        return -np.asarray(a, float)
+        sq = getattr(a, "sq", None)
+        out = -np.asarray(a, float)
+        # |-a|^2 is |a|^2 bit for bit, so a traced value's squared norm carries over
+        return out if sq is None else _normed(out, sq)
 
     def gyr(self, a, b, z):
         return self._on_columns(self._gyr_cols, a, b, z)

@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from gyrokit import core, models, prenorm
+from gyrokit import core, ddarith, models, prenorm, sampling
 from gyrokit.cli import main
 from gyrokit.core import law_g3, law_g4_loop, run_law_check
 from gyrokit.models import EinsteinModel, MobiusModel, check_strong_base
@@ -167,8 +167,10 @@ def test_a_rule_reads_float64_points_on_double_double_rows(monkeypatch):
     streams = m.sample_operands(np.random.default_rng(3), 100, 2, tol)
     law = lambda ops, x, y: [(ops.oplus(x, y), ops.oplus(y, x))]  # noqa: E731
     assert run_law_check(m, "commutation", law, streams, tol, rule).passed
-    # the float64 block, then the double-double pass over every row
-    assert seen == [[(np.ndarray, np.dtype(np.float64), (100, 2))] * 2] * 2
+    # the float64 block, whose traced points carry their squared norms,
+    # then the double-double pass over every row, lowered to float64
+    assert seen == [[(cls, np.dtype(np.float64), (100, 2))] * 2
+                    for cls in (core._Normed, np.ndarray)]
 
 
 def test_small_blocks_keep_a_witness_beyond_the_first_block(monkeypatch):
@@ -223,6 +225,52 @@ def test_no_kernel_call_exceeds_one_block(cls):
     # the three inputs and every traced result cover each row once per call site
     assert sum(m.rows["norm_fraction"]) % n == 0
     assert sum(m.rows["norm_fraction"]) >= 3 * n
+
+
+# -- each per-point value once per pass ----------------------------------------
+
+
+def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch):
+    # Einstein G3 with every row stressed. In the float64 pass a squared
+    # norm is a coldot of a point's columns with themselves; the boundary
+    # trace, the kernels' 1/gamma and the rule's magnitudes all read one per
+    # traced value and block. In the double-double pass a 1/gamma is one
+    # DD.sqrt, computed once for each point that a kernel reads it of.
+    # Every point is kept alive, so no address is reused within the run
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
+    alive, squares = [], []
+    real_coldot, real_gamma, real_sqrt = sampling.coldot, models._inv_gamma, ddarith.DD.sqrt
+    dd_points, roots = [], [0]
+
+    def coldot(p, q):
+        if all(a.__array_interface__ == b.__array_interface__ for a, b in zip(p, q)):
+            alive.append(p)
+            squares.append(p[0].__array_interface__["data"][0])
+        return real_coldot(p, q)
+
+    def inv_gamma(u):
+        if isinstance(u[0], ddarith.DD):
+            dd_points.append(u)
+        return real_gamma(u)
+
+    def sqrt(self):
+        roots[0] += 1
+        return real_sqrt(self)
+
+    m, n = EinsteinModel(), 100
+    streams = m.sample_operands(np.random.default_rng(2), n, 3, ToleranceConfig())
+    monkeypatch.setattr(sampling, "coldot", coldot)
+    monkeypatch.setattr(models, "coldot", coldot)
+    monkeypatch.setattr(models, "_inv_gamma", inv_gamma)
+    monkeypatch.setattr(ddarith.DD, "sqrt", sqrt)
+    assert run_law_check(m, "G3_gyroassociativity", law_g3, streams, ToleranceConfig()).passed
+    # per block x, y, z, y + z, x + y, gyr[x, y]z, both sides and the rule's
+    # lhs - rhs; then the rule on the double-double rows, lowered to float64
+    blocks = -(-n // SMALL_BLOCK)
+    assert len(squares) == len(set(squares)) == 9 * blocks + 3
+    # x and y, read as pivots, and x + y, added on the left
+    assert roots[0] == len({id(u) for u in dd_points}) == 3
 
 
 # -- in-place sampling draws the old bits -------------------------------------
