@@ -127,7 +127,8 @@ class _Normed(np.ndarray):
     """A value of the float64 law pass with ``sq``, its per-point squared
     norm ``rowdot(a, a)``, computed once when the value is traced. The
     boundary trace (``norm_fraction``), ``magnitude`` in the rules and the
-    ball kernels read it; values derived from it by numpy do not carry it."""
+    ball kernels read it, and a traced negation keeps it; values derived
+    from it by numpy do not carry it."""
 
 
 def _normed(a, sq):
@@ -140,17 +141,14 @@ def _normed(a, sq):
 class _TracedOps:
     """Duck-typed ops that record the largest norm fraction per sample.
 
-    On a model whose ``magnitude`` is the Euclidean norm, each traced value
-    is a ``_Normed`` view that carries its squared norm."""
+    Each traced value is a ``_Normed`` view that carries its squared norm."""
 
     def __init__(self, model):
         self._m = model
-        self._sq = type(model).magnitude is GyrogroupModel.magnitude
         self.peak = None
 
     def _note(self, r):
-        if self._sq:
-            r = _normed(r, rowdot(r, r))
+        r = _normed(r, rowdot(r, r))
         f = self._m.norm_fraction(r)
         self.peak = f if self.peak is None else np.maximum(self.peak, f)
         return r
@@ -162,7 +160,8 @@ class _TracedOps:
         return self._note(self._m.oplus(x, y))
 
     def neg(self, x):
-        return self._m.neg(x)
+        # x is a traced value, and |-x|^2 is |x|^2 bit for bit
+        return _normed(self._m.neg(x), x.sq)
 
     def zero_like(self, x):
         return self._m.zero_like(x)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import GyrogroupModel, _normed, element_rule, run_law_check
+from .core import GyrogroupModel, element_rule, run_law_check
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions
@@ -188,10 +188,7 @@ class _BallModel(GyrogroupModel):
         return self._on_columns(self._oplus_cols, a, b)
 
     def neg(self, a):
-        sq = getattr(a, "sq", None)
-        out = -np.asarray(a, float)
-        # |-a|^2 is |a|^2 bit for bit, so a traced value's squared norm carries over
-        return out if sq is None else _normed(out, sq)
+        return -np.asarray(a, float)
 
     def gyr(self, a, b, z):
         return self._on_columns(self._gyr_cols, a, b, z)
