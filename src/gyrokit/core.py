@@ -14,18 +14,15 @@ each side rounded to float64 once at the end. The verdict therefore
 reflects the algebra, not the conditioning of the sample.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
-that each kernel's temporaries stay in cache instead of being fresh
-megabyte arrays per call. Laws, kernels and rules must work row by row
-(elementwise + - * /, sqrt, maximum), so that a row's values do not
-depend on the block it falls in; the per-row results are gathered into
-whole-stream arrays, and the double-double re-evaluation and the verdicts
-run once per pass on those. One pass may serve several checks on the same
-law and streams (``run_law_group``), each with its own rule.
+each kernel's temporaries stay in cache; laws, kernels and rules work row
+by row, so a row's values do not depend on its block (``run_law_group``).
 
-The checks that take witness operands pair each base sample with
-``WITNESSES`` witness points. Their base streams are row-repeat views
-(``_RowRepeat``) that read like ``np.repeat`` copies but hold only the
-base rows, so the law engine reads streams by slice and by index only.
+Every sampled law row runs through one driver, ``_run_rows``: a row names
+its stream, the operands of that stream's draw it reads, its law and its
+rule. Rows that share a stream read one draw, rows that also share their
+operands and law run as one ``run_law_group`` pass, and each draw is
+released after the last row that reads it. Witness operands pair each base
+row with ``WITNESSES`` witness rows through ``_RowRepeat`` views.
 """
 
 from __future__ import annotations
@@ -280,19 +277,16 @@ def element_rule(model, tol: ToleranceConfig, distance=None):
 
 def run_law_check(model, name, law, streams, tol: ToleranceConfig, rule=None):
     """Evaluate one law on sampled operand streams of a continuous
-    carrier; returns a CheckResult over one sample per stream row.
+    carrier; returns a CheckResult over one sample per stream row. This is
+    :func:`run_law_group` with the one rule.
 
     ``law(ops, *operands)`` returns a list of tuples of points, and
     ``rule(tuples) -> (residual, ok)`` reduces them to one residual and
     one pass flag per row; the default is :func:`element_rule`, which
-    reads the tuples as (lhs, rhs) pairs. The verdict, ``max_residual``
-    and the witness (``{"inputs", "residual"}``: the operands and residual
-    of the worst failing row) come from :func:`~gyrokit.report.array_check`.
-    Finite carriers are checked exactly, on every tuple, by
-    :func:`exhaustive_law_checks` instead, which takes the same rules.
-
-    This is :func:`run_law_group` with the one rule: the law's pass, its
-    boundary tracing and its double-double re-evaluation are that engine's.
+    reads the tuples as (lhs, rhs) pairs. The witness is ``{"inputs",
+    "residual"}`` of the worst failing row (:func:`~gyrokit.report.array_check`).
+    Finite carriers are checked exactly by :func:`exhaustive_law_checks`,
+    which takes the same rules.
     """
     rule = rule if rule is not None else element_rule(model, tol)
     return run_law_group(model, (name,), law, streams, lambda tuples: [rule(tuples)])[0]
@@ -440,19 +434,6 @@ class _RowRepeat:
         return self.base[key // WITNESSES]
 
 
-def _continuous_streams(model, gen, n, base, wit, tol):
-    """The ``base`` operand streams of ``n`` points each, and, when the
-    check takes ``wit`` witness operands, those ``n * WITNESSES`` points
-    each. Each base row then pairs with WITNESSES witness rows: the base
-    streams become ``_RowRepeat`` views of length ``n * WITNESSES``, which
-    read as ``np.repeat`` copies would but hold only the n base rows."""
-    streams = model.sample_operands(gen, n, base, tol)
-    if wit:
-        streams = [_RowRepeat(s) for s in streams]
-        streams += model.sample_operands(gen, n * WITNESSES, wit, tol, offset=base)
-    return streams
-
-
 def exhaustive_law_checks(ops, labels, checks, rule=None):
     """Each law of ``checks``, (name, law, base, wit), on every tuple of the
     carrier ``labels``, as CheckResults; refused before the first runs when
@@ -489,6 +470,37 @@ def exhaustive_law_checks(ops, labels, checks, rule=None):
     return results
 
 
+def _run_rows(model, rows, draw, tol: ToleranceConfig):
+    """The CheckResults of the law ``rows`` on a continuous carrier, in row
+    order. A row ``(name, stream, reads, law, rule)`` runs ``law`` and
+    ``rule`` (None: :func:`element_rule`) on the operands ``reads`` of the
+    list ``draw(stream)``. Rows that share a stream, reads and law run as
+    one :func:`run_law_group` pass on their rules' ``merged`` rule, in the
+    order of their first row; a group of one runs through
+    :func:`run_law_check`, the name the benchmark traces. Rows that share a
+    stream read one draw, released before the last group that reads it."""
+    groups = {}
+    for i, (_, stream, reads, law, _) in enumerate(rows):
+        groups.setdefault((stream, tuple(reads), law), []).append(i)
+    last = {key[0]: key for key in groups}
+    draws, out = {}, {}
+    for key, at in groups.items():
+        stream, reads, law = key
+        if stream not in draws:
+            draws[stream] = draw(stream)
+        streams = [draws[stream][j] for j in reads]
+        if last[stream] == key:
+            del draws[stream]
+        names, rules = [rows[i][0] for i in at], [rows[i][4] for i in at]
+        if len(at) == 1:
+            results = [run_law_check(model, names[0], law, streams, tol, rules[0])]
+        else:
+            results = run_law_group(model, names, law, streams, rules[0].merged(rules).results)
+        del streams
+        out.update(zip(at, results))
+    return [out[i] for i in range(len(rows))]
+
+
 def _run_suite(model, suite, checks, sampler, n_samples, tol):
     sampler = sampler if sampler is not None else Sampler()
     tol = tol if tol is not None else ToleranceConfig()
@@ -501,10 +513,20 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol):
         if model.is_exact:
             report.checks = exhaustive_law_checks(model, model.labels, checks)
             return report
-        for name, law, base, wit in checks:
-            gen = sampler.stream(suite, name)
-            streams = _continuous_streams(model, gen, n_samples, base, wit, tol)
-            report.checks.append(run_law_check(model, name, law, streams, tol))
+        arity = {name: (base, wit) for name, _, base, wit in checks}
+
+        def draw(stream):
+            # n rows per base operand and n * WITNESSES per witness operand
+            base, wit = arity[stream]
+            gen = sampler.stream(suite, stream)
+            streams = model.sample_operands(gen, n_samples, base, tol)
+            if wit:
+                streams = [_RowRepeat(s) for s in streams]
+                streams += model.sample_operands(gen, n_samples * WITNESSES, wit, tol, offset=base)
+            return streams
+
+        rows = [(name, name, range(base + wit), law, None) for name, law, base, wit in checks]
+        report.checks = _run_rows(model, rows, draw, tol)
     return report
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import GyrogroupModel, element_rule, run_law_check
+from .core import GyrogroupModel, _run_rows, element_rule
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions
@@ -345,15 +345,19 @@ def check_strong_base(
 ) -> VerificationReport:
     """Verify that gyrations fix the given centered balls setwise.
 
-    For each radius r the check samples pivot pairs (x, y) and points of
-    the ball U, and asserts that gyr[x, y] maps U into U and that every
+    For each radius r the check samples pivot pairs (x, y) and points p and
+    q of the ball U, and asserts that gyr[x, y] maps U into U and that every
     sampled target of U is hit from inside U via the opposite gyration
-    (whose inverse relationship is itself checked by a roundtrip).
-    Norm preservation and the norm-level commutation law are included;
-    the disk model also gets the unimodularity of its rotation factor.
+    (whose inverse relationship is itself checked by a roundtrip). The
+    three rows of a radius read one draw of x, y, p and q. Norm
+    preservation and the norm-level commutation law are included; the disk
+    model also gets the unimodularity of its rotation factor.
 
-    ``center`` (default the identity) lets callers probe an off-center
-    ball, which is expected to fail for generic pivots.
+    Each radius must lie in (0, bound], and no two may share the tag
+    ``r={r:g}`` that names their checks and their stream; either is a
+    ``UsageError`` before anything is drawn. ``center`` (default the
+    identity) lets callers probe an off-center ball, which is expected to
+    fail for generic pivots.
     """
     if model.dim is None:
         raise UsageError("the base-invariance check applies to continuous models")
@@ -362,47 +366,47 @@ def check_strong_base(
     suite = "strong-base"
     if ball_radii is None:
         ball_radii = [0.9 * model.bound, 0.5 * model.bound, 0.25 * model.bound]
-    center = (
-        np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
-    )
+    center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
+    rows, radii = [], {}  # radii: stream -> radius
+    for radius in ball_radii:
+        r = float(radius)
+        tag = f"r={r:g}"
+        stream = f"ball_invariance_{tag}"
+        if not 0.0 < r <= model.bound:  # NaN fails too
+            raise UsageError(f"ball radius must lie in (0,{model.bound:g}], got {r!r}")
+        if stream in radii:
+            raise UsageError(f"ball radii {radii[stream]!r} and {r!r} share the tag {tag}")
+        radii[stream] = r
+        inside = element_rule(model, tol, _membership_excess(model, center, r))
+        # x, y, p, q; the roundtrip compares points
+        rows += [(f"ball_forward_{tag}", stream, (0, 1, 2),
+                  lambda ops, x, y, p: [(ops.gyr(x, y, p), p)], inside),
+                 (f"ball_preimage_{tag}", stream, (0, 1, 3),
+                  lambda ops, x, y, q: [(ops.gyr(y, x, q), q)], inside),
+                 (f"ball_roundtrip_{tag}", stream, (0, 1, 3),
+                  lambda ops, x, y, q: [(ops.gyr(x, y, ops.gyr(y, x, q)), q)], None)]
+    norm = element_rule(model, tol, _norm_compare(model))
+    rows += [("norm_preservation", "norm_preservation", (0, 1, 2),
+              lambda ops, x, y, z: [(ops.gyr(x, y, z), z)], norm),
+             ("commutation_norm", "commutation_norm", (0, 1),
+              lambda ops, x, y: [(ops.oplus(x, y), ops.oplus(y, x))], norm)]
 
-    def ball_stream(gen, n, radius):
-        # Euclidean-uniform points of the ball around `center`
-        u = gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim)
-        d = directions(gen, n, model.dim)
-        d *= (radius * u)[:, None]
-        d += center
-        return d
+    def draw(stream):
+        gen = sampler.stream(suite, stream)
+        if stream not in radii:  # a norm row's own stream, of the operands it reads
+            (reads,) = [row[2] for row in rows if row[1] == stream]
+            return model.sample_operands(gen, n_samples, len(reads), tol)
+        out = model.sample_operands(gen, n_samples, 2, tol)
+        for _ in range(2):  # p, then q: Euclidean-uniform points of the ball around `center`
+            u = gen.uniform(0.0, 1.0, n_samples) ** (1.0 / model.dim)
+            d = directions(gen, n_samples, model.dim)
+            d *= (radii[stream] * u)[:, None]
+            d += center
+            out.append(d)
+        return out
 
     with suite_report(suite, model.name, sampler, tol) as report:
-        for radius in ball_radii:
-            r = float(radius)
-            tag = f"r={r:g}"
-            gen = sampler.stream(suite, f"ball_invariance_{tag}")
-            x, y = model.sample_operands(gen, n_samples, 2, tol)
-            p = ball_stream(gen, n_samples, r)
-            q = ball_stream(gen, n_samples, r)
-            inside = element_rule(model, tol, _membership_excess(model, center, r))
-            # (kind, law, target stream, rule); the roundtrip compares points
-            for kind, law, target, rule in [
-                ("forward", lambda ops, x, y, p: [(ops.gyr(x, y, p), p)], p, inside),
-                ("preimage", lambda ops, x, y, q: [(ops.gyr(y, x, q), q)], q, inside),
-                ("roundtrip",
-                 lambda ops, x, y, q: [(ops.gyr(x, y, ops.gyr(y, x, q)), q)], q, None),
-            ]:
-                report.checks.append(
-                    run_law_check(model, f"ball_{kind}_{tag}", law, [x, y, target], tol, rule)
-                )
-
-        norm = element_rule(model, tol, _norm_compare(model))
-        for name, arity, law in [
-            ("norm_preservation", 3, lambda ops, x, y, z: [(ops.gyr(x, y, z), z)]),
-            ("commutation_norm", 2, lambda ops, x, y: [(ops.oplus(x, y), ops.oplus(y, x))]),
-        ]:
-            gen = sampler.stream(suite, name)
-            streams = model.sample_operands(gen, n_samples, arity, tol)
-            report.checks.append(run_law_check(model, name, law, streams, tol, norm))
-
+        report.checks = _run_rows(model, rows, draw, tol)
         if isinstance(model, MobiusModel):
             gen = sampler.stream(suite, "rotation_factor_modulus")
             a, b = model.sample_operands(gen, n_samples, 2, tol)

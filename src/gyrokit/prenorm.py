@@ -8,11 +8,11 @@ set contains a point is a prenorm N on the carrier; calling the family
 evaluates it. The suites take the chain, build its family and state each
 check once; each chain kind supplies what differs. A ``RadialChain`` on a
 ball evaluates N by a greedy per-level bit extraction over rapidity
-(``_leading_bits``), needs radii that halve, and draws its operands with
-``ball_points`` for ``law_checks``; its sandwich levels, which read
-nothing of a point but its rapidity, draw rapidities alone, on one axis
-(``_rapidity_ball``), and compute each point's rapidity once, for both
-bounds and the membership (``sandwich``). A ``FiniteChain`` on a table has
+(``_leading_bits``), needs radii that halve, and runs its law rows on
+``ball_points`` draws through ``core._run_rows``; its sandwich levels,
+which read nothing of a point but its rapidity, draw rapidities alone, on
+one axis (``_rapidity_ball``), and compute each point's rapidity once, for
+both bounds and the membership (``sandwich``). A ``FiniteChain`` on a table has
 N the indicator of its base's complement, halves trivially, and takes
 ``np.ix_`` index grids over the carrier for ``exhaustive_law_checks``.
 
@@ -28,13 +28,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    GyrogroupModel,
-    exhaustive_law_checks,
-    law_triangle_decomposition,
-    run_law_check,
-    run_law_group,
-)
+from .core import GyrogroupModel, _run_rows, exhaustive_law_checks, law_triangle_decomposition
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size
@@ -66,12 +60,10 @@ class NeighborhoodChain:
     N <= 2^(1-n) and membership in U_n), ``check_halving()``,
     ``slack(tol, steps)`` (what a check over values of N allows), ``reach``
     (the rapidity from which N is 2, the scale of the rows' sampling
-    caps), its operands (``sandwich_points``, ``triples``, and
-    ``law_checks``, which runs rows (name, stream, caps, law, rule) in row
-    order on operands of their own or the triple's, with the witness
-    ``{"inputs", "residual"}``), and the checks only it runs
-    (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
-    ``admissible_checks``)."""
+    caps), its operands (``sandwich_points``, ``triples``), ``law_checks``,
+    which runs rows (name, stream, caps, law, rule) in row order, and the
+    checks only it runs (``prenorm_rows``, ``metric_rows``,
+    ``metric_checks(family)``, ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
@@ -194,32 +186,18 @@ class RadialChain(NeighborhoodChain):
         return self._draw(sampler, "metric", "triples", (0.95 * self.t0,) * 3, n_samples), n_samples
 
     def law_checks(self, sampler, suite, rows, n_samples, tol, operands=None):
-        """Each row in row order, on the first len(caps) ``operands`` given,
-        or on its stream's draw. The rows that share a stream, caps and law
-        read the same operands, so they run as one pass of the law engine
-        (``run_law_group``), and their rules (``_PrenormRule``) read each
-        block's prenorms once for all of them: the rows that read rho(x, y)
-        are one such group. A group of one runs through ``run_law_check``.
-        Each group's draw is released before the next group draws."""
-        groups = {}
-        for i, (_, stream, caps, law, _) in enumerate(rows):
-            groups.setdefault((stream, caps, law), []).append(i)
-        out = [None] * len(rows)
-        for (stream, caps, law), at in groups.items():
-            if operands is None:
-                streams = self._draw(sampler, suite, stream, caps, n_samples)
-            else:
-                streams = operands[:len(caps)]
-            names, rules = [rows[i][0] for i in at], [rows[i][4] for i in at]
-            if len(at) == 1:
-                results = [run_law_check(self.model, names[0], law, streams, tol, rules[0])]
-            else:
-                rule = _PrenormRule.merged(rules)
-                results = run_law_group(self.model, names, law, streams, rule.results)
-            del streams
-            for i, result in zip(at, results):
-                out[i] = result
-        return out
+        """The rows on ``core._run_rows``, each on the first len(caps)
+        ``operands`` given, or on its stream's draw: the rows that read
+        rho(x, y) run as one pass, their ``_PrenormRule`` rules merged."""
+        caps = {stream: c for _, stream, c, _, _ in rows}
+
+        def draw(stream):
+            if operands is not None:
+                return operands
+            return self._draw(sampler, suite, stream, caps[stream], n_samples)
+
+        return _run_rows(self.model, [(name, stream, range(len(c)), law, rule)
+                                      for name, stream, c, law, rule in rows], draw, tol)
 
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
@@ -283,20 +261,24 @@ class RadialChain(NeighborhoodChain):
         per_level = max(16, n_samples // max(1, self.depth))
         axis = np.zeros(model.dim)
         axis[0] = 1.0
-        for n in range(self.depth):
-            gen = sampler.stream("admissible", f"level_{n}")
-            t_in = float(t[n + 1])
+        below = {f"level_{n}": float(t[n + 1]) for n in range(self.depth)}
+
+        def draw(stream):
+            t_in = below[stream]
             extreme = (model.bound * np.tanh(t_in)) * axis
-            uvw = [
-                np.vstack([ball_points(gen, per_level, model.dim, model.bound, t_max=t_in,
-                                       margin=None), extreme])
-                for _ in range(3)
-            ]
-            checks.append(run_law_check(
-                model, f"level_{n}_double_sum",
-                lambda ops, u, v, w: [(ops.oplus(u, ops.oplus(v, w)),)], uvw, tol,
-                _within(tol.abs_tol, lambda c: rapidity(model, c) - float(t[n])),
-            ))
+            return [np.vstack([p, extreme])
+                    for p in self._draw(sampler, "admissible", stream, (t_in,) * 3, per_level)]
+
+        def within(t_n):  # the double sum lands in the level of radius t_n
+            def rule(tuples):
+                ((c,),) = tuples
+                r = rapidity(model, c) - t_n
+                return r, r <= tol.abs_tol
+            return rule
+
+        checks += _run_rows(model, [(f"level_{n}_double_sum", f"level_{n}", range(3),
+                                     lambda ops, u, v, w: [(ops.oplus(u, ops.oplus(v, w)),)],
+                                     within(float(t[n]))) for n in range(self.depth)], draw, tol)
 
         # candidate base of the chain: the identity sits in every level
         zero = model.zero_like(axis[None, :])
@@ -643,18 +625,6 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
     return pts
 
 
-def _within(limit, residual):
-    """The rule of a chain check, on ``run_law_check`` or
-    ``exhaustive_law_checks``: its law gives tuples of points, ``residual``
-    of all their points in order is each row's residual, and a row passes
-    when that is at most ``limit``."""
-    def rule(tuples):
-        r = residual(*(p for points in tuples for p in points))
-        return r, r <= limit
-
-    return rule
-
-
 class _PrenormRule:
     """The rule of a chain check whose residuals read N of every point its
     law gives: ``checks`` are ``(limit, residual)`` pairs, where
@@ -663,9 +633,9 @@ class _PrenormRule:
 
     ``results(tuples)`` gives one ``(residual, ok)`` per check, all from
     one reading of N per block (the chain's ``prenorms``), so the checks
-    of rows merged into one rule (``merged``) share it; that is the rules
-    argument of ``run_law_group``. Called, a rule of one check is a rule
-    of ``run_law_check`` and ``exhaustive_law_checks``."""
+    of rows merged into one rule (``merged``, which ``core._run_rows``
+    calls) share it. Called, a rule of one check is a rule of
+    ``run_law_check`` and ``exhaustive_law_checks``."""
 
     def __init__(self, family, *checks):
         self.family = family
@@ -763,18 +733,18 @@ def check_prenorm_properties(
     n_samples: int = 10000,
     tol: ToleranceConfig | None = None,
 ) -> VerificationReport:
-    """Sandwich inclusions level by level, gyration invariance,
-    subadditivity, and inversion symmetry of the prenorm the chain induces.
+    """Sandwich inclusions level by level, then gyration invariance,
+    subadditivity and inversion symmetry of the prenorm the chain induces.
 
-    The sandwich {N < 2^-n} ⊆ U_n ⊆ {N <= 2^(1-n)} reads N only against
-    2^-n and 2^(1-n), so on a radial chain level n is decided from the
-    extraction through level n alone: the bits below it sum to less than
-    2^-n, which leaves one case open, a head of exactly 2^(1-n), and that
-    one is decided by whether a later bit is set (the leading-bits lemma of
-    ``_leading_bits``). A failing level's witness still gives the full N,
-    evaluated on its one point. The chain draws each level's points
-    (``sandwich_points``) and gives their bounds and membership
-    (``sandwich``)."""
+    The chain draws each level's points (``sandwich_points``) and gives
+    their bounds and membership (``sandwich``). The sandwich {N < 2^-n} ⊆
+    U_n ⊆ {N <= 2^(1-n)} reads N only against 2^-n and 2^(1-n), so on a
+    radial chain level n is decided from the extraction through level n
+    alone (the leading-bits lemma of ``_leading_bits``); a failing level's
+    witness still gives the full N of its one point. The law rows run
+    through ``chain.law_checks``: on a radial chain each on its own
+    stream's draw, on the one driver ``core._run_rows``, which releases
+    each draw after its row; on a finite chain on every tuple."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:
@@ -818,7 +788,9 @@ def check_metric_properties(
     """Pseudometric axioms for d on the chain's triples, the quotient
     metric's axioms as law rows on them (``_metric_rows``), then the chain's
     own checks: agreement with independent routes on a radial chain,
-    invariance under change of class representatives on a finite one."""
+    invariance under change of class representatives on a finite one. On a
+    radial chain every row reads the one triple through ``core._run_rows``,
+    and the rows that read rho(x, y) share one law pass."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:

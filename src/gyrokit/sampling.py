@@ -26,11 +26,11 @@ from .errors import ResourceLimitError, SamplingError
 
 DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
-# rows x dim of one point stream. At this cap the law suites peak at 50-96
+# rows x dim of one point stream. At this cap the law suites peak at 39-70
 # bytes per such value (ru_maxrss of a CLI child, the most of three runs;
-# Python 3.11, numpy 2.4, Linux): axioms 558 MiB on Mobius and 486 MiB on
-# Einstein, identities 658 and 596 MiB, strong-base 913 and 824 MiB. The
-# axioms peaks are pinned in tests/test_metric.py.
+# Python 3.11, numpy 2.4, Linux): axioms 412 MiB on Mobius and 369 MiB on
+# Einstein, identities 668 and 508 MiB, strong-base 461 and 426 MiB. The
+# Mobius peaks and Einstein's axioms peak are pinned in tests/test_metric.py.
 MAX_SAMPLE_VALUES = 10_000_000
 
 

@@ -3,8 +3,10 @@
 A rename in the package would otherwise show up only as a failing traced
 benchmark run, so this installs the tracer in a fresh interpreter. A
 refactor that calls past a hooked name would leave its layer's metrics at
-zero without an error, so the tracer also runs two chain suites there and
-each hook must record spans.
+zero without an error, so the tracer also runs two chain suites and two
+law suites there: each hook must record spans, and each law suite's checks
+must reach the hooked ``run_law_check`` under the names the benchmark
+counts its stressed samples by.
 """
 
 import json
@@ -23,24 +25,30 @@ tracer.install()
 print("installed")
 """
 
-# the ratio-1/4 radial metric, the finite prenorm on z24 and the ratio-1/4
-# radial prenorm, in process
+# the ratio-1/4 radial metric, the finite prenorm on z24, the ratio-1/4
+# radial prenorm, and axioms and strong-base on Einstein, in process
 RUN = """
 import contextlib, io, json
 from gyrokit.cli import main
+from workloads import SUITE_CHECKS
 runs = [
     ["metric", "--model", "mobius", "--samples", "200",
      "--chain", '{"kind":"radial_rapidity","ratio":0.25}'],
     ["prenorm", "--model", "table:z24", "--subgyrogroup", "0,6,12,18"],
     ["prenorm", "--model", "mobius", "--samples", "200",
      "--chain", '{"kind":"radial_rapidity","ratio":0.25}'],
+    ["axioms", "--model", "einstein", "--samples", "200"],
+    ["strong-base", "--model", "einstein", "--samples", "200"],
 ]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [tracer.call(f"cli:{argv[0]}", main, argv) for argv in runs]
-spans = {}
-for name, _, _, _, invocation, _ in tracer.spans:
+spans, laws = {}, [[] for _ in runs]
+for name, _, _, _, invocation, data in tracer.spans:
     spans.setdefault(name, set()).add(invocation)
-print(json.dumps({"codes": codes, "spans": {k: sorted(v) for k, v in spans.items()}}))
+    if name == "core:run_law_check":
+        laws[invocation].append(data[0])
+print(json.dumps({"codes": codes, "spans": {k: sorted(v) for k, v in spans.items()},
+                  "laws": laws, "suite_checks": SUITE_CHECKS}))
 """
 
 
@@ -61,7 +69,7 @@ def test_traced_chain_suites_record_every_prenorm_hook():
     installed, result = run(RUN)
     assert installed == "installed"
     result = json.loads(result)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     spans = result["spans"]
     # invocation 0 is the radial metric, 1 the finite prenorm, 2 the radial
     # prenorm, whose sandwich levels alone draw through _rapidity_ball
@@ -70,3 +78,8 @@ def test_traced_chain_suites_record_every_prenorm_hook():
     assert 0 in spans["sampling:ball_points"]
     assert spans["sampling:_rapidity_ball"] == [2]
     assert 0 in spans["core:run_law_check"]
+    # each law suite's checks, in report order, each through the hooked
+    # run_law_check (from the tracer's _law_note): the names that
+    # core.law_checks and the ddarith.stressed.* counts read
+    for i, suite in ((3, "axioms"), (4, "strong-base")):
+        assert result["laws"][i] == list(result["suite_checks"][suite]), suite

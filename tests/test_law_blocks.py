@@ -80,9 +80,13 @@ def test_small_blocks_keep_every_chain_report(monkeypatch, suite, model, ratio):
 
 # -- the chain checks reach double-double -------------------------------------
 
-# the chain checks that run on the law engine, by suite; the admissible
-# levels are level_<n>_double_sum
+# the checks that run on the law engine, by suite; the admissible levels
+# are level_<n>_double_sum
 ENGINE_CHECKS = {
+    "axioms": {name for name, *_ in core.AXIOM_CHECKS},
+    "identities": {name for name, *_ in core.IDENTITY_CHECKS},
+    "strong-base": {f"ball_{kind}_r={r}" for kind in ("forward", "preimage", "roundtrip")
+                    for r in ("0.9", "0.5", "0.25")} | {"norm_preservation", "commutation_norm"},
     "prenorm": {"gyration_invariance", "subadditivity", "inversion_symmetry",
                 "closed_form_agreement"},
     "metric": {"rho_identity", "rho_symmetry", "rho_triangle", "decomposition_identity",
@@ -97,10 +101,12 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
     # stressed: each engine pass, of one check or of a group of checks on
     # one law, lifts every row of each operand stream once, and its lifts
     # count for each of its checks; on the ratio 1/4 chain each check
-    # still passes. Each check runs through the entry that the tracer sees
-    # (run_law_check) unless it shares the (x, y) group's one pass
+    # still passes. The law-row driver (core._run_rows) runs each check
+    # through the entry that the tracer sees (run_law_check) unless it
+    # shares the (x, y) group's one pass; run_law_check's own pass is
+    # run_law_group's too, and counts as the check's
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
-    real_check, real_group = prenorm.run_law_check, prenorm.run_law_group
+    real_check, real_group = core.run_law_check, core.run_law_group
     real_lift = models._BallExtended.lift
     current, lifted, entry, groups = [()], {}, {}, []
 
@@ -119,6 +125,8 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
                       lambda: real_check(model, name, law, streams, tol, rule))
 
     def group(model, names, law, streams, rules):
+        if current[0]:
+            return real_group(model, names, law, streams, rules)
         groups.append(list(names))
         return engine("group", names, streams,
                       lambda: real_group(model, names, law, streams, rules))
@@ -129,16 +137,20 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
             lifted[name][2].append(len(x))
         return real_lift(self, x)
 
-    monkeypatch.setattr(prenorm, "run_law_check", check)
-    monkeypatch.setattr(prenorm, "run_law_group", group)
+    monkeypatch.setattr(core, "run_law_check", check)
+    monkeypatch.setattr(core, "run_law_group", group)
     monkeypatch.setattr(models._BallExtended, "lift", lift)
     chain = RadialChain(cls(), ratio=ratio, depth=8)
+    sampler = Sampler(3)
     reports = [
+        core.check_axioms(cls(), sampler, n_samples=300),
+        core.check_identities(cls(), sampler, n_samples=300),
+        check_strong_base(cls(), sampler=sampler, n_samples=300),
         check_prenorm_properties(chain, n_samples=300),
         check_metric_properties(chain, n_samples=300),
         validate_admissible_chain(chain, n_samples=300),
     ]
-    engine = ENGINE_CHECKS["prenorm"] | ENGINE_CHECKS["metric"]
+    engine = set().union(*ENGINE_CHECKS.values())
     engine |= {f"level_{n}_double_sum" for n in range(8)}
     if ratio != 0.5:
         engine -= {"closed_form_agreement", "rho_closed_form"}
@@ -149,7 +161,7 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
     assert groups == [grouped]
     assert entry == {name: "group" if name in grouped else "check" for name in engine}
     if ratio == 0.25:
-        for rep in reports:
+        for rep in reports[3:]:
             assert all(c.passed for c in rep.checks if c.name in engine), rep.suite
 
 
@@ -330,7 +342,7 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
         seen[name] = [s.copy() for s in streams]
         return run_law_check(model_, name, law, streams, tol, rule)
 
-    monkeypatch.setattr(models, "run_law_check", record)
+    monkeypatch.setattr(core, "run_law_check", record)
     tol = ToleranceConfig()
     n = 1003
     check_strong_base(model, sampler=Sampler(9), n_samples=n, tol=tol, center=center)

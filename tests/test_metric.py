@@ -444,10 +444,15 @@ def test_finite_metric_on_the_largest_table_fits_in_one_gib():
         assert int(proc.stderr.split()[-1]) / 1024 <= 1.1 * peak_mib, suite
 
 
-# the axioms suite's peak through PEAK_CHILD at the largest sample count
-# that MAX_SAMPLE_VALUES admits, in MiB, the most of three runs (Python
-# 3.11, numpy 2.4, Linux)
-AXIOMS_CAP_PEAK_MIB = {("mobius", 1666666): 557.9, ("einstein", 1111111): 486.0}
+# each law suite's peak through PEAK_CHILD at the largest sample count that
+# MAX_SAMPLE_VALUES admits, in MiB, the most of three runs once each draw is
+# released after the last row that reads it (Python 3.11, numpy 2.4, Linux)
+LAW_CAP_PEAK_MIB = {
+    ("axioms", "mobius", 1666666): 411.7,
+    ("axioms", "einstein", 1111111): 369.1,
+    ("identities", "mobius", 5000000): 668.0,
+    ("strong-base", "mobius", 5000000): 460.5,
+}
 
 
 def test_law_suites_at_the_sample_cap_keep_their_peaks():
@@ -459,17 +464,17 @@ def test_law_suites_at_the_sample_cap_keep_their_peaks():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    for (model, samples), peak_mib in AXIOMS_CAP_PEAK_MIB.items():
-        # the witness checks draw WITNESSES rows per sample
-        values = WITNESSES * {"mobius": 2, "einstein": 3}[model]
+    for (suite, model, samples), peak_mib in LAW_CAP_PEAK_MIB.items():
+        # the axioms' witness checks draw WITNESSES rows per sample
+        values = (WITNESSES if suite == "axioms" else 1) * {"mobius": 2, "einstein": 3}[model]
         assert samples * values <= MAX_SAMPLE_VALUES < (samples + 1) * values
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_CHILD, "axioms", "--model", model,
+            [sys.executable, "-c", PEAK_CHILD, suite, "--model", model,
              "--samples", str(samples)],
             capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
         )
-        assert proc.returncode == 0, (model, proc.stderr)
-        assert int(proc.stderr.split()[-1]) / 1024 <= 1.05 * peak_mib, model
+        assert proc.returncode == 0, (suite, model, proc.stderr)
+        assert int(proc.stderr.split()[-1]) / 1024 <= 1.05 * peak_mib, (suite, model)
 
 
 def test_finite_spec_beside_the_largest_table_fits_in_256_mib():

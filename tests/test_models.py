@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,31 @@ def test_strong_base_detects_noninvariant_set():
     failing = [c for c in rep.checks if not c.passed]
     assert any(c.name.startswith("ball_") for c in failing)
     assert all(c.witness is not None for c in failing if c.name.startswith("ball_"))
+
+
+def test_strong_base_refuses_bad_radii_before_drawing(monkeypatch):
+    # a radius outside (0, bound] or not finite, or two radii whose tags
+    # r={r:g} collide (they would name six checks three ways and read one
+    # stream), is refused before any stream is opened
+    opened = []
+    real = Sampler.stream
+    monkeypatch.setattr(Sampler, "stream",
+                        lambda self, suite, check: opened.append(check) or real(self, suite, check))
+    for model, radii, message in [
+        (MobiusModel(), [0.5, 0.5000001], "share the tag r=0.5"),
+        (EinsteinModel(), [1.5], "(0,1], got 1.5"),
+        (EinsteinModel(2.5), [0.5, 2.6], "(0,2.5], got 2.6"),
+        (MobiusModel(), [-0.5], "got -0.5"),
+        (MobiusModel(), [0.0], "got 0.0"),
+        (MobiusModel(), [float("nan")], "got nan"),
+        (MobiusModel(), [float("inf")], "got inf"),
+    ]:
+        with pytest.raises(UsageError, match=re.escape(message)):
+            check_strong_base(model, ball_radii=radii, sampler=Sampler(1), n_samples=100)
+    assert opened == []
+    # the whole carrier is a ball of radius bound, fixed by every gyration
+    rep = check_strong_base(EinsteinModel(2.5), ball_radii=[2.5], sampler=Sampler(1), n_samples=100)
+    assert rep.passed and opened[0] == "ball_invariance_r=2.5"
 
 
 def test_strong_base_rejects_finite_model():

@@ -1,7 +1,8 @@
 """The witness checks read their base streams through a row-repeat view.
 
-``core._continuous_streams`` pairs each base sample of ``G3_automorphism``
-and ``G4_loop`` with ``WITNESSES`` witness points. The base streams are
+The axiom suite's draw (``core._run_suite`` hands it to the law-row driver
+``core._run_rows``) pairs each base sample of ``G3_automorphism`` and
+``G4_loop`` with ``WITNESSES`` witness points. The base streams are
 ``core._RowRepeat`` views that read like ``np.repeat`` copies but hold
 only the base rows. These tests pin that the view gives the copies' bits
 for every read the law engine makes, that reports built on it equal the
@@ -17,8 +18,8 @@ from gyrokit import core
 from gyrokit.cli import _resolve_model
 from gyrokit.core import (
     WITNESSES,
-    _continuous_streams,
     _RowRepeat,
+    check_axioms,
     law_g3_automorphism,
     law_g4_loop,
     run_law_check,
@@ -32,6 +33,16 @@ MODELS = ["mobius", "einstein", "product:mobius+einstein"]
 
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def axiom_draw(model, n, seed):
+    """The draw that the axiom suite at ``n`` samples hands the driver;
+    nothing is drawn until it is called with a check's name."""
+    draws = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_run_rows", lambda model, rows, draw, tol: draws.append(draw) or [])
+        check_axioms(model, Sampler(seed), n_samples=n)
+    return draws[0]
 
 
 # -- the view reads as the repeated copy -----------------------------------------
@@ -102,8 +113,7 @@ def test_reports_match_the_repeated_copies(monkeypatch, spec, name, law, n_base,
     n = 100
     tol0 = ToleranceConfig(abs_tol=0.0, rel_tol=0.0)
     # at seed 5 every one of these checks has its witness on a repeated row
-    gen = Sampler(5).stream("axioms", name)
-    streams = _continuous_streams(model, gen, n, n_base, n_wit, ToleranceConfig())
+    streams = axiom_draw(model, n, 5)(name)
     assert [type(s) for s in streams] == [_RowRepeat] * n_base + [np.ndarray] * n_wit
     copies = [np.repeat(s.base, WITNESSES, axis=0) for s in streams[:n_base]] + streams[n_base:]
     monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
@@ -125,11 +135,11 @@ def test_reports_match_the_repeated_copies(monkeypatch, spec, name, law, n_base,
 def test_witness_streams_hold_only_base_and_witness_rows(spec):
     model = _resolve_model(spec)
     n, d = 20_000, model.dim
-    gen, tol = np.random.default_rng(1), ToleranceConfig()
-    _continuous_streams(model, gen, 1, 2, 2, tol)  # lazy imports and caches, untraced
+    axiom_draw(model, 1, 1)("G3_automorphism")  # lazy imports and caches, untraced
+    draw = axiom_draw(model, n, 1)
     tracemalloc.start()
     try:
-        streams = _continuous_streams(model, gen, n, 2, 2, tol)
+        streams = draw("G3_automorphism")
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
