@@ -147,7 +147,7 @@ def test_law_suite_rows(monkeypatch, model, suite, run, checks):
         return out
 
     passes = spy.assert_rows(suite, reference)
-    assert [names for names in passes.values()] == [[name] for name, *_ in checks]
+    assert list(passes.values()) == [[name] for name, *_ in checks]
 
 
 @MODELS
@@ -170,7 +170,6 @@ def test_strong_base_rows(monkeypatch, model):
     passes = spy.assert_rows("strong-base", reference)
     # nine ball rows on three draws, and the two norm rows on their own
     assert len(passes) == 11
-    assert [stream for _, stream in spy.opened].count("ball_invariance_r=0.9") == 1
 
 
 @MODELS
