@@ -58,12 +58,12 @@ class NeighborhoodChain:
     ``prenorm(family, x)`` and, for several arrays of points at once, as
     ``prenorms(family, points)``, ``sandwich(family, x, n)`` (N < 2^-n,
     N <= 2^(1-n) and membership in U_n), ``check_halving()``,
-    ``slack(tol, steps)`` (what a check over values of N allows), ``reach``
-    (the rapidity from which N is 2, the scale of the rows' sampling
-    caps), its operands (``sandwich_points``, ``triples``), ``law_checks``,
-    which runs rows (name, stream, caps, law, rule) in row order, and the
-    checks only it runs (``prenorm_rows``, ``metric_rows``,
-    ``metric_checks(family)``, ``admissible_checks``)."""
+    ``slack(tol, steps)`` (what a check over values of N allows), the
+    sandwich levels' operands (``sandwich_points``), ``law_checks``, which
+    runs the driver rows (name, stream, reads, law, rule) of
+    ``core._run_rows`` in row order, and the checks only it runs
+    (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
+    ``admissible_checks``)."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
@@ -109,7 +109,16 @@ class RadialChain(NeighborhoodChain):
         super().__init__(model, depth)
         self.t0 = float(t0)
         self.ratio = float(ratio)
+        # the rapidity from which N is 2, and by stream the rapidity cap of
+        # each operand that the stream's law rows read
         self.reach = float(np.sum(t))
+        self.caps = {
+            "gyration_invariance": (1.9 * self.reach, 2.0, 2.0),
+            "subadditivity": (1.2 * self.reach,) * 2,
+            "inversion_symmetry": (1.9 * self.reach,),
+            "closed_form": (1.9 * self.reach,),
+            "triples": (0.95 * self.t0,) * 3,
+        }
         # what ``_leading_bits`` reads besides the radii: the sum of the
         # finer radii below each level, and the top of the scale
         self.tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
@@ -181,23 +190,12 @@ class RadialChain(NeighborhoodChain):
         gen = sampler.stream("prenorm", f"sandwich_{n}")
         return _rapidity_ball(gen, n_samples, self.model.dim, self.model.bound, cap), n_samples
 
-    def triples(self, sampler, n_samples):
-        """The metric suite's x, y and z, drawn up to rapidity 0.95 t0."""
-        return self._draw(sampler, "metric", "triples", (0.95 * self.t0,) * 3, n_samples), n_samples
-
-    def law_checks(self, sampler, suite, rows, n_samples, tol, operands=None):
-        """The rows on ``core._run_rows``, each on the first len(caps)
-        ``operands`` given, or on its stream's draw: the rows that read
-        rho(x, y) run as one pass, their ``_PrenormRule`` rules merged."""
-        caps = {stream: c for _, stream, c, _, _ in rows}
-
-        def draw(stream):
-            if operands is not None:
-                return operands
-            return self._draw(sampler, suite, stream, caps[stream], n_samples)
-
-        return _run_rows(self.model, [(name, stream, range(len(c)), law, rule)
-                                      for name, stream, c, law, rule in rows], draw, tol)
+    def law_checks(self, sampler, suite, rows, n_samples, tol):
+        """The driver rows on ``core._run_rows``, each stream drawn up to its
+        ``caps``: rows that share a stream, reads and law run as one pass,
+        their ``_PrenormRule`` rules merged."""
+        return _run_rows(self.model, rows, lambda stream: self._draw(
+            sampler, suite, stream, self.caps[stream], n_samples), tol)
 
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
@@ -210,7 +208,7 @@ class RadialChain(NeighborhoodChain):
             rho = rapidity(self.model, points[0])
             return np.abs(ns[0] - np.minimum(np.ceil(rho / self.t0 * scale) / scale, 2.0))
 
-        return [("closed_form_agreement", "closed_form", (1.9 * self.reach,), lambda ops, x: [(x,)],
+        return [("closed_form_agreement", "closed_form", (0,), lambda ops, x: [(x,)],
                  _PrenormRule(family, (self.slack(tol, 1), closed_form_gap)))]
 
     def metric_rows(self, family, tol):
@@ -231,12 +229,11 @@ class RadialChain(NeighborhoodChain):
             return np.abs((ns[0] + ns[1]) - oracle)
 
         limit = self.slack(tol, 4)
-        rows = [("decomposition_identity", "triples", (None,) * 3, law_triangle_decomposition,
-                 None),
-                ("rho_oracle", "triples", (None,) * 2, _separations,
+        rows = [("decomposition_identity", "triples", (0, 1, 2), law_triangle_decomposition, None),
+                ("rho_oracle", "triples", (0, 1), _separations,
                  _PrenormRule(family, (limit, bisection_gap)))]
         if self.ratio == 0.5:
-            rows.append(("rho_closed_form", "triples", (None,) * 2, _separations,
+            rows.append(("rho_closed_form", "triples", (0, 1), _separations,
                          _PrenormRule(family, (limit, closed_form_gap))))
         return rows
 
@@ -296,8 +293,6 @@ class FiniteChain(NeighborhoodChain):
     whole carrier."""
 
     kind = "finite_discrete"
-    # N never reaches 2, and no operand is drawn, so no cap is read
-    reach = math.inf
 
     def __init__(self, model: TableModel | CayleyTable, subgyrogroup):
         if isinstance(model, CayleyTable):
@@ -347,18 +342,11 @@ class FiniteChain(NeighborhoodChain):
     def sandwich_points(self, sampler, n, n_samples):
         return np.arange(self.model.order), "exhaustive"
 
-    def triples(self, sampler, n_samples):
-        """x, y and z as broadcast index grids (``np.ix_``): N and each
-        separation are evaluated on the n or n² cells they read, and only
-        the triangle residuals span n³."""
-        r = np.arange(self.model.order)
-        return np.ix_(r, r, r), "exhaustive"
-
-    def law_checks(self, sampler, suite, rows, n_samples, tol, operands=None):
+    def law_checks(self, sampler, suite, rows, n_samples, tol):
         """Each row on every tuple of the carrier, in row order."""
         return [exhaustive_law_checks(self.model, self.model.labels,
-                                      [(name, law, len(caps), 0)], rule)[0]
-                for name, _, caps, law, rule in rows]
+                                      [(name, law, len(reads), 0)], rule)[0]
+                for name, _, reads, law, rule in rows]
 
     def prenorm_rows(self, family, tol):
         return []
@@ -683,43 +671,73 @@ def chain_condition_report(
     return report
 
 
+def _chain_suite(suite, chain, sampler, tol):
+    """``(sampler, tol, family, refused)`` of a chain suite: the defaults,
+    and the chain's dyadic family, or None and the suite's report when the
+    chain fails the halving condition."""
+    sampler = sampler or Sampler()
+    tol = tol or ToleranceConfig()
+    try:
+        return sampler, tol, build_dyadic(chain), None
+    except ChainConditionError as exc:
+        return sampler, tol, None, chain_condition_report(
+            suite, "halving_condition", exc, chain.model, sampler, tol, chain
+        )
+
+
 def _prenorm_rows(family, tol):
-    """The law rows that the prenorm suite runs on every chain: (name,
-    stream, rapidity caps of the operands, law, rule)."""
+    """The law rows that the prenorm suite runs on every chain, as driver
+    rows (name, stream, reads, law, rule)."""
     chain = family.chain
 
     def gap(ns, _):
         return np.abs(ns[0] - ns[1])
 
     return [
-        ("gyration_invariance", "gyration_invariance", (1.9 * chain.reach, 2.0, 2.0),
+        ("gyration_invariance", "gyration_invariance", (0, 1, 2),
          lambda ops, x, u, v: [(ops.gyr(u, v, x), x)],
          _PrenormRule(family, (chain.slack(tol), gap))),
-        ("subadditivity", "subadditivity", (1.2 * chain.reach, 1.2 * chain.reach),
+        ("subadditivity", "subadditivity", (0, 1),
          lambda ops, x, y: [(ops.oplus(x, y), x, y)],
          _PrenormRule(family, (chain.slack(tol, 1), lambda ns, _: ns[0] - (ns[1] + ns[2])))),
-        ("inversion_symmetry", "inversion_symmetry", (1.9 * chain.reach,),
+        ("inversion_symmetry", "inversion_symmetry", (0,),
          lambda ops, x: [(ops.neg(x), x)], _PrenormRule(family, (0.0, gap))),
     ]
 
 
+def _triple(ops, x, y, z):
+    """The law of the d rows: the triple itself, whose prenorms they read."""
+    return [(x, y, z)]
+
+
 def _metric_rows(family, tol):
-    """The rows of the quotient metric's axioms, as ``_prenorm_rows``. They
-    read the first len(caps) operands of the suite's one triple draw, whose
-    caps the chain sets (``triples``). ``rho_symmetry`` compares the halves
-    of rho, which a rounding flip at a bin edge may set one grid step apart."""
+    """The rows of the pseudometric's and the quotient metric's axioms, as
+    ``_prenorm_rows``, on the suite's one triple stream. The d rows share
+    one law, so they read N(x), N(y) and N(z) once; ``rho_symmetry``
+    compares the halves of rho, which a rounding flip at a bin edge may set
+    one grid step apart."""
     chain = family.chain
     limit = chain.slack(tol, 4)  # rho is quantized to the depth grid
+
+    def d(ns, i, j):  # d on the prenorms N(x), N(y), N(z)
+        return np.abs(ns[i] - ns[j])
+
     return [
+        ("d_identity", "triples", (0, 1, 2), _triple,
+         _PrenormRule(family, (0.0, lambda ns, _: d(ns, 0, 0)))),
+        ("d_symmetry", "triples", (0, 1, 2), _triple,
+         _PrenormRule(family, (0.0, lambda ns, _: np.abs(d(ns, 0, 1) - d(ns, 1, 0))))),
+        ("d_triangle", "triples", (0, 1, 2), _triple, _PrenormRule(family, (
+            chain.slack(tol), lambda ns, _: d(ns, 0, 2) - (d(ns, 0, 1) + d(ns, 1, 2))))),
         # both separations of (x, x) are -x + x, so rho(x, x) is 2 N(-x + x),
         # which equals N + N exactly
-        ("rho_identity", "triples", (None,), lambda ops, x: [(ops.oplus(ops.neg(x), x),)],
+        ("rho_identity", "triples", (0,), lambda ops, x: [(ops.oplus(ops.neg(x), x),)],
          _PrenormRule(family, (limit, lambda ns, _: 2.0 * ns[0]))),
-        ("rho_symmetry", "triples", (None,) * 2, _separations,
+        ("rho_symmetry", "triples", (0, 1), _separations,
          _PrenormRule(family, (chain.slack(tol, 1), lambda ns, _: np.abs(ns[0] - ns[1])))),
         # rho(x, z) - (rho(x, y) + rho(y, z)) on the separations xz, zx, xy,
         # yx, yz, zy
-        ("rho_triangle", "triples", (None,) * 3,
+        ("rho_triangle", "triples", (0, 1, 2),
          lambda ops, x, y, z: _separations(ops, x, z) + _separations(ops, x, y)
          + _separations(ops, y, z),
          _PrenormRule(family, (limit, lambda ns, _:
@@ -745,14 +763,9 @@ def check_prenorm_properties(
     through ``chain.law_checks``: on a radial chain each on its own
     stream's draw, on the one driver ``core._run_rows``, which releases
     each draw after its row; on a finite chain on every tuple."""
-    sampler = sampler or Sampler()
-    tol = tol or ToleranceConfig()
-    try:
-        family = build_dyadic(chain)
-    except ChainConditionError as exc:
-        return chain_condition_report(
-            "prenorm", "halving_condition", exc, chain.model, sampler, tol, chain
-        )
+    sampler, tol, family, refused = _chain_suite("prenorm", chain, sampler, tol)
+    if refused is not None:
+        return refused
     with suite_report(
         "prenorm", chain.model.name, sampler, tol,
         depth=family.depth, notes={"chain": chain.describe()},
@@ -785,38 +798,18 @@ def check_metric_properties(
     n_samples: int = 10000,
     tol: ToleranceConfig | None = None,
 ) -> VerificationReport:
-    """Pseudometric axioms for d on the chain's triples, the quotient
-    metric's axioms as law rows on them (``_metric_rows``), then the chain's
-    own checks: agreement with independent routes on a radial chain,
-    invariance under change of class representatives on a finite one. On a
-    radial chain every row reads the one triple through ``core._run_rows``,
-    and the rows that read rho(x, y) share one law pass."""
-    sampler = sampler or Sampler()
-    tol = tol or ToleranceConfig()
-    try:
-        family = build_dyadic(chain)
-    except ChainConditionError as exc:
-        return chain_condition_report(
-            "metric", "halving_condition", exc, chain.model, sampler, tol, chain
-        )
+    """The axioms of the pseudometric d and of the quotient metric as law
+    rows (``_metric_rows``), then the chain's own: agreement with
+    independent routes on a radial chain, invariance under change of class
+    representatives on a finite one. On a radial chain every row reads the
+    one triple, drawn and released by ``core._run_rows``; the d rows share
+    one pass, and so do the rows that read rho(x, y)."""
+    sampler, tol, family, refused = _chain_suite("metric", chain, sampler, tol)
+    if refused is not None:
+        return refused
     with suite_report("metric", chain.model.name, sampler, tol, depth=family.depth) as report:
-        operands, samples = chain.triples(sampler, n_samples)
-
-        # each prenorm value once; a group's arrays are released before the
-        # next group allocates. d = |N(a) - N(b)| on N(x), N(y), N(z)
-        nx, ny, nz = (family(p) for p in operands)
-        dxy = np.abs(nx - ny)
-        dxx = np.abs(nx - nx)
-        report.checks.append(array_check("d_identity", dxx, dxx == 0, samples))
-        del dxx
-        sym = np.abs(dxy - np.abs(ny - nx))
-        report.checks.append(array_check("d_symmetry", sym, sym == 0, samples))
-        tri = np.abs(nx - nz) - (dxy + np.abs(ny - nz))
-        del nx, ny, nz, dxy
-        report.checks.append(array_check("d_triangle", tri, tri <= chain.slack(tol), samples))
-        del tri
         rows = _metric_rows(family, tol) + chain.metric_rows(family, tol)
-        report.checks += chain.law_checks(sampler, "metric", rows, n_samples, tol, operands)
+        report.checks += chain.law_checks(sampler, "metric", rows, n_samples, tol)
         report.checks += chain.metric_checks(family)
     return report
 

@@ -2,12 +2,13 @@
 
 Four row lists run on it: the axiom and identity suites (``core._run_suite``),
 the strong base, a radial chain's prenorm and metric rows
-(``RadialChain.law_checks``) and its admissible levels. On each, these tests
-pin that every generator stream is opened once, that each row reads the
-operands of its stream in the order the generator gave them before the
-driver, that each draw is dead once the last row that reads it has its
-result, and that a row that shares its pass with no other runs through
-``run_law_check``, the name the benchmark's tracer wraps.
+(``RadialChain.law_checks``, whose draws read the chain's one cap table) and
+its admissible levels. On each, these tests pin that every generator stream
+is opened once, that each row reads the operands of its stream in the order
+the generator gave them before the driver, that each draw is dead once the
+last row that reads it has its result, and that a row that shares its pass
+with no other runs through ``run_law_check``, the name the benchmark's
+tracer wraps.
 """
 
 import weakref
@@ -20,6 +21,7 @@ from gyrokit.core import WITNESSES, check_axioms, check_identities
 from gyrokit.models import EinsteinModel, MobiusModel, check_strong_base
 from gyrokit.prenorm import (
     RadialChain,
+    _metric_rows,
     _prenorm_rows,
     build_dyadic,
     check_metric_properties,
@@ -37,11 +39,9 @@ class Spy:
     opens, the rows the driver is given, the entry each row runs through,
     a copy of the operands each row reads, and weakrefs to them. At every
     stream opened, every engine call and the driver's return, each draw
-    whose rows all have their results must be dead; ``kept`` names the
-    streams whose operands the caller holds (the metric suite's triple)."""
+    whose rows all have their results must be dead."""
 
-    def __init__(self, monkeypatch, kept=()):
-        self.kept = set(kept)
+    def __init__(self, monkeypatch):
         self.opened, self.rows = [], []
         self.entry, self.read, self.refs, self.done = {}, {}, {}, set()
         self.inside = False
@@ -94,7 +94,7 @@ class Spy:
         for name, stream, *_ in self.rows:
             readers.setdefault(stream, []).append(name)
         for stream, names in readers.items():
-            if stream in self.kept or not self.done.issuperset(names):
+            if not self.done.issuperset(names):
                 continue
             for name in names:
                 assert all(ref() is None for ref in self.refs[name]), (stream, name)
@@ -177,8 +177,9 @@ def test_radial_prenorm_rows(monkeypatch, model):
     spy = Spy(monkeypatch)
     chain = RadialChain(model, ratio=0.5, depth=DEPTH)
     check_prenorm_properties(chain, Sampler(SEED), n_samples=N)
-    family = build_dyadic(chain)
-    caps = {row[1]: row[2] for row in _prenorm_rows(family, TOL) + chain.prenorm_rows(family, TOL)}
+    reach = float(np.sum(chain.t))
+    caps = {"gyration_invariance": (1.9 * reach, 2.0, 2.0), "subadditivity": (1.2 * reach,) * 2,
+            "inversion_symmetry": (1.9 * reach,), "closed_form": (1.9 * reach,)}
 
     def reference(stream):
         gen = generator("prenorm", stream)
@@ -191,9 +192,8 @@ def test_radial_prenorm_rows(monkeypatch, model):
 
 @MODELS
 def test_radial_metric_rows(monkeypatch, model):
-    # the triple is drawn by the suite before its d rows, which read it
-    # too, so the suite holds it and only its own rows release nothing
-    spy = Spy(monkeypatch, kept=["triples"])
+    # every row reads the one triple, which is dead after the last of them
+    spy = Spy(monkeypatch)
     chain = RadialChain(model, ratio=0.5, depth=DEPTH)
     check_metric_properties(chain, Sampler(SEED), n_samples=N)
 
@@ -203,9 +203,28 @@ def test_radial_metric_rows(monkeypatch, model):
                 for _ in range(3)]
 
     passes = spy.assert_rows("metric", reference)
-    assert sorted(map(sorted, passes.values())) == sorted([
-        ["rho_identity"], ["rho_closed_form", "rho_oracle", "rho_symmetry"], ["rho_triangle"],
-        ["decomposition_identity"]])
+    assert list(passes.values()) == [
+        ["d_identity", "d_symmetry", "d_triangle"], ["rho_identity"],
+        ["rho_symmetry", "rho_oracle", "rho_closed_form"], ["rho_triangle"],
+        ["decomposition_identity"]]
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+def test_radial_law_row_streams_each_have_one_cap_entry(ratio):
+    # every stream that a radial prenorm or metric row reads has its caps in
+    # the chain's one table, one cap for each operand its rows read; at
+    # ratio 1/2, where every row runs, the table has no other entry
+    chain = RadialChain(MobiusModel(), ratio=ratio, depth=DEPTH)
+    family = build_dyadic(chain)
+    rows = (_prenorm_rows(family, TOL) + chain.prenorm_rows(family, TOL)
+            + _metric_rows(family, TOL) + chain.metric_rows(family, TOL))
+    read = {}
+    for _, stream, reads, *_ in rows:
+        read.setdefault(stream, set()).update(reads)
+    assert set(read) <= set(chain.caps)
+    assert (set(read) == set(chain.caps)) == (ratio == 0.5)
+    for stream, operands in read.items():
+        assert operands == set(range(len(chain.caps[stream]))), stream
 
 
 @MODELS

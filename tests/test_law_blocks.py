@@ -89,8 +89,8 @@ ENGINE_CHECKS = {
                     for r in ("0.9", "0.5", "0.25")} | {"norm_preservation", "commutation_norm"},
     "prenorm": {"gyration_invariance", "subadditivity", "inversion_symmetry",
                 "closed_form_agreement"},
-    "metric": {"rho_identity", "rho_symmetry", "rho_triangle", "decomposition_identity",
-               "rho_oracle", "rho_closed_form"},
+    "metric": {"d_identity", "d_symmetry", "d_triangle", "rho_identity", "rho_symmetry",
+               "rho_triangle", "decomposition_identity", "rho_oracle", "rho_closed_form"},
 }
 
 
@@ -103,8 +103,9 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
     # count for each of its checks; on the ratio 1/4 chain each check
     # still passes. The law-row driver (core._run_rows) runs each check
     # through the entry that the tracer sees (run_law_check) unless it
-    # shares the (x, y) group's one pass; run_law_check's own pass is
-    # run_law_group's too, and counts as the check's
+    # shares a group's one pass (the d rows, the (x, y) rows);
+    # run_law_check's own pass is run_law_group's too, and counts as the
+    # check's
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
     real_check, real_group = core.run_law_check, core.run_law_group
     real_lift = models._BallExtended.lift
@@ -157,9 +158,11 @@ def test_chain_checks_redo_every_stressed_row_in_double_double(monkeypatch, cls,
     assert set(lifted) == engine
     for name, (k, n, rows) in lifted.items():
         assert rows == [n] * k, name
-    grouped = ["rho_symmetry", "rho_oracle"] + ["rho_closed_form"] * (ratio == 0.5)
-    assert groups == [grouped]
-    assert entry == {name: "group" if name in grouped else "check" for name in engine}
+    grouped = [["d_identity", "d_symmetry", "d_triangle"],
+               ["rho_symmetry", "rho_oracle"] + ["rho_closed_form"] * (ratio == 0.5)]
+    assert groups == grouped
+    assert entry == {name: "group" if any(name in g for g in grouped) else "check"
+                     for name in engine}
     if ratio == 0.25:
         for rep in reports[3:]:
             assert all(c.passed for c in rep.checks if c.name in engine), rep.suite

@@ -16,12 +16,13 @@ from gyrokit.prenorm import (
     RadialChain,
     _metric_rows,
     _separations,
+    _triple,
     build_dyadic,
     check_metric_properties,
     pseudometric_d,
     quotient_metric_rho,
 )
-from gyrokit.sampling import MAX_SAMPLE_VALUES, Sampler, ToleranceConfig
+from gyrokit.sampling import MAX_SAMPLE_VALUES, Sampler, ToleranceConfig, ball_points
 from gyrokit.tables import (
     TableModel,
     builtin_table,
@@ -148,10 +149,11 @@ def test_metric_suite_einstein():
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-# -- the rows that read rho(x, y) as one group ---------------------------------
+# -- the d rows and the rows that read rho(x, y), each as one group -----------
 
 # (model, t0, ratio, stress threshold or None); at t0 = 7 about 270 rows of
-# each (x, y) stream are stressed, and a threshold of -1 stresses every row
+# each (x, y) stream are stressed, and a threshold of -1 stresses every row,
+# so each group takes the double-double lift and lower on every row
 GROUP_CASES = [
     pytest.param(MobiusModel, 1.0, 0.25, None, id="mobius-quarter"),
     pytest.param(MobiusModel, 1.0, 0.5, None, id="mobius-half"),
@@ -165,22 +167,26 @@ GROUP_CASES = [
 
 @pytest.mark.parametrize("cls,t0,ratio,stress", GROUP_CASES)
 def test_grouped_rho_rows_equal_their_separate_checks(monkeypatch, cls, t0, ratio, stress):
-    # the rows on the law _separations run as one group in the suite; each
-    # of their results is the one a run_law_check of the row alone, with
-    # its own rule, gives on the same triple
+    # the d rows on the law _triple and the rows on the law _separations
+    # each run as one group in the suite; each of their results is the one
+    # a run_law_check of the row alone, with its own rule, gives on the
+    # same triple
     if stress is not None:
         monkeypatch.setattr(core_mod, "STRESS_NORM_FRACTION", stress)
     chain = RadialChain(cls(), t0=t0, ratio=ratio, depth=24)
     n_samples, tol = 10_000, ToleranceConfig()
     family = build_dyadic(chain)
-    operands, _ = chain.triples(Sampler(5), n_samples)
+    gen = Sampler(5).stream("metric", "triples")
+    model = chain.model
+    operands = [ball_points(gen, n_samples, model.dim, model.bound, t_max=0.95 * t0, margin=None)
+                for _ in range(3)]
     rows = [row for row in _metric_rows(family, tol) + chain.metric_rows(family, tol)
-            if row[3] is _separations]
-    names = ["rho_symmetry", "rho_oracle"] + (["rho_closed_form"] if ratio == 0.5 else [])
-    assert [row[0] for row in rows] == names
+            if row[3] in (_triple, _separations)]
+    names = ["d_identity", "d_symmetry", "d_triangle", "rho_symmetry", "rho_oracle"]
+    assert [row[0] for row in rows] == names + ["rho_closed_form"] * (ratio == 0.5)
     report = check_metric_properties(chain, Sampler(5), n_samples, tol)
-    for name, _, caps, law, rule in rows:
-        alone = run_law_check(chain.model, name, law, operands[:len(caps)], tol, rule)
+    for name, _, reads, law, rule in rows:
+        alone = run_law_check(model, name, law, [operands[j] for j in reads], tol, rule)
         assert report.check(name).to_dict() == alone.to_dict(), name
     if t0 == 7.0:
         assert not report.check("rho_symmetry").passed
@@ -369,10 +375,11 @@ def test_rho_rows_fail_where_their_witnesses_say(monkeypatch, name, make, fault)
     check = check_metric_properties(chain, n_samples=2000).check(name)
     assert not check.passed
     rows = {row[0]: row for row in _metric_rows(family, ToleranceConfig())}
-    assert list(rows) == ["rho_identity", "rho_symmetry", "rho_triangle"]
+    assert list(rows) == ["d_identity", "d_symmetry", "d_triangle",
+                          "rho_identity", "rho_symmetry", "rho_triangle"]
     witness = check.witness
-    _, _, caps, law, rule = rows[name]
-    assert set(witness) == {"inputs", "residual"} and len(witness["inputs"]) == len(caps)
+    _, _, reads, law, rule = rows[name]
+    assert set(witness) == {"inputs", "residual"} and len(witness["inputs"]) == len(reads)
     if chain.model.is_exact:
         inputs = [np.array([chain.model.labels.index(v)]) for v in witness["inputs"]]
     else:

@@ -948,11 +948,11 @@ def test_finite_prenorm_rows_fail_where_their_witnesses_say():
     assert [name for name, *_ in rows] == [
         "gyration_invariance", "subadditivity", "inversion_symmetry"
     ]
-    for name, _, caps, law, rule in rows:
+    for name, _, reads, law, rule in rows:
         check = rep.check(name)
         assert not check.passed and check.samples == "exhaustive"
         witness = check.witness
-        assert set(witness) == {"inputs", "residual"} and len(witness["inputs"]) == len(caps)
+        assert set(witness) == {"inputs", "residual"} and len(witness["inputs"]) == len(reads)
         inputs = [np.array([labels.index(v)]) for v in witness["inputs"]]
         residual, ok = rule(law(chain.model, *inputs))
         assert residual[0] == witness["residual"] == check.max_residual > 0
@@ -977,8 +977,8 @@ def test_finite_rule_row_batches_stay_within_the_kernel_cells(monkeypatch):
 
     chain = patched_g8_chain()
     model = chain.model
-    name, _, caps, law, rule = _prenorm_rows(build_dyadic(chain), ToleranceConfig())[0]
-    assert (name, len(caps)) == ("gyration_invariance", 3)
+    name, _, reads, law, rule = _prenorm_rows(build_dyadic(chain), ToleranceConfig())[0]
+    assert (name, len(reads)) == ("gyration_invariance", 3)
     batches, results = [], []
 
     class Recording:
@@ -993,7 +993,7 @@ def test_finite_rule_row_batches_stay_within_the_kernel_cells(monkeypatch):
     def run():
         batches.clear()
         results.clear()
-        checks = [(name, recorded, len(caps), 0)]
+        checks = [(name, recorded, len(reads), 0)]
         return exhaustive_law_checks(Recording(), model.labels, checks, rule)[0].to_dict()
 
     whole = run()
