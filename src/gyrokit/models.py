@@ -357,9 +357,9 @@ def check_strong_base(
     ``r={r:g}`` that names their checks and their stream; either is a
     ``UsageError`` before anything is drawn. ``center`` (default the
     identity) lets callers probe an off-center ball, which is expected to
-    fail for generic pivots; one that is not a point of the carrier (of
-    another dimension, not finite, or on or beyond the boundary) is a
-    ``UsageError`` too.
+    fail for generic pivots; one that is not a point of the carrier (not
+    numbers, of another shape, not finite, or on or beyond the boundary)
+    is a ``UsageError`` too.
     """
     if model.dim is None:
         raise UsageError("the base-invariance check applies to continuous models")
@@ -368,9 +368,13 @@ def check_strong_base(
     suite = "strong-base"
     if ball_radii is None:
         ball_radii = [0.9 * model.bound, 0.5 * model.bound, 0.25 * model.bound]
-    center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
-    if center.shape != (model.dim,) or not model.norm_fraction(center) < 1.0:  # NaN fails too
-        raise UsageError(f"ball center must be a point of {model.name}, got {center.tolist()}")
+    try:  # a point of the carrier; NaN fails the norm test too
+        center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
+        refused = center.shape != (model.dim,) or not model.norm_fraction(center) < 1.0
+    except (TypeError, ValueError):  # not numbers, or ragged
+        refused = True
+    if refused:
+        raise UsageError(f"ball center must be a point of {model.name}, got {center!r}")
     rows, radii = [], {}  # radii: stream -> radius
     for radius in ball_radii:
         r = float(radius)

@@ -191,9 +191,8 @@ class RadialChain(NeighborhoodChain):
         return _rapidity_ball(gen, n_samples, self.model.dim, self.model.bound, cap), n_samples
 
     def law_checks(self, sampler, suite, rows, n_samples, tol):
-        """The driver rows on ``core._run_rows``, each stream drawn up to its
-        ``caps``: rows that share a stream, reads and law run as one pass,
-        their ``_PrenormRule`` rules merged."""
+        """The rows on ``core._run_rows``, each stream drawn up to its ``caps``;
+        rows of one stream, reads and law share one pass, their rules merged."""
         return _run_rows(self.model, rows, lambda stream: self._draw(
             sampler, suite, stream, self.caps[stream], n_samples), tol)
 
@@ -672,9 +671,8 @@ def chain_condition_report(
 
 
 def _chain_suite(suite, chain, sampler, tol):
-    """``(sampler, tol, family, refused)`` of a chain suite: the defaults,
-    and the chain's dyadic family, or None and the suite's report when the
-    chain fails the halving condition."""
+    """``(sampler, tol, family, refused)`` of a chain suite: the defaults, and
+    the dyadic family, or None and the report of a failed halving condition."""
     sampler = sampler or Sampler()
     tol = tol or ToleranceConfig()
     try:

@@ -407,9 +407,11 @@ def test_strong_base_refuses_bad_radii_before_drawing(monkeypatch):
         with pytest.raises(UsageError, match=re.escape(message)):
             check_strong_base(model, ball_radii=radii, sampler=Sampler(1), n_samples=100)
     assert opened == []
-    # so is a center that is no point of the carrier: of the wrong shape, not
-    # finite, or on or outside the boundary
+    # so is a center that is no point of the carrier: not numbers, of the
+    # wrong shape, not finite, or on or outside the boundary
     for model, center in [
+        (MobiusModel(), "ab"),
+        (MobiusModel(), [[0.0], [0.0, 0.0]]),
         (MobiusModel(), [0.0, 0.0, 0.0]),
         (MobiusModel(), [[0.0, 0.0]]),
         (MobiusModel(), [5.0, 0.0]),
@@ -418,7 +420,7 @@ def test_strong_base_refuses_bad_radii_before_drawing(monkeypatch):
         (EinsteinModel(2.5), [0.0, 2.5, 0.0]),
         (EinsteinModel(2.5), [0.0, -float("inf"), 0.0]),
     ]:
-        with pytest.raises(UsageError, match=re.escape(f"got {np.asarray(center).tolist()}")):
+        with pytest.raises(UsageError, match=re.escape(f"be a point of {model.name}, got")):
             check_strong_base(model, sampler=Sampler(1), n_samples=100, center=center)
     assert opened == []
     # the whole carrier is a ball of radius bound, fixed by every gyration
