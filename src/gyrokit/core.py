@@ -14,8 +14,11 @@ each side rounded to float64 once at the end. The verdict therefore
 reflects the algebra, not the conditioning of the sample.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
-each kernel's temporaries stay in cache; laws, kernels and rules work row
-by row, so a row's values do not depend on its block (``run_law_group``).
+each kernel's temporaries stay in cache, and marks each row stressed or
+not with one bool; the double-double pass then runs on blocks of
+``_LAW_BLOCK_ROWS`` stressed rows. Laws, kernels and rules work row by row,
+so a row's values do not depend on its block (``run_law_group``), and
+neither pass holds more working memory than one block needs.
 
 Every sampled law row runs through one driver, ``_run_rows``: a row names
 its stream, the operands of that stream's draw it reads, its law and its
@@ -305,10 +308,12 @@ def run_law_group(model, names, law, streams, rules):
     The float64 pass (the law on traced ops, the boundary tracing and the
     rules) runs on blocks of ``_LAW_BLOCK_ROWS`` rows, so no model kernel
     sees more rows than one block; the blocks write into whole-stream
-    ``residual``, ``ok`` and ``peak`` arrays. The stressed rows are then
-    re-evaluated in double-double in one pass, the rules reading their
-    points lowered to float64, and each verdict is taken over the whole
-    stream, exactly as if the float64 pass had run on it in one piece.
+    ``residual`` and ``ok`` arrays and a bool ``stress`` flag per row. The
+    stressed rows are then re-evaluated in double-double, in blocks of
+    ``_LAW_BLOCK_ROWS`` stressed rows, the rules reading their points
+    lowered to float64; each block overwrites its rows' residuals and
+    flags. Each verdict is taken over the whole stream, exactly as if both
+    passes had run on it in one piece.
 
     Streams are read by ``len``, by unit-step slice (the blocks) and by
     integer index (the stressed rows and the witness) only, so a stream
@@ -316,7 +321,7 @@ def run_law_group(model, names, law, streams, rules):
     """
     n = len(streams[0])
     residual, ok = np.empty((len(names), n)), np.empty((len(names), n), dtype=bool)
-    peak = np.empty(n)
+    stress = np.empty(n, dtype=bool)
     for lo in range(0, n, _LAW_BLOCK_ROWS):
         rows = slice(lo, lo + _LAW_BLOCK_ROWS)
         block = [s[rows] for s in streams]
@@ -324,18 +329,19 @@ def run_law_group(model, names, law, streams, rules):
         block = traced.note_inputs(block)
         for j, (r, o) in enumerate(rules(law(traced, *block))):
             residual[j, rows], ok[j, rows] = r, o
-        peak[rows] = traced.peak
+        stress[rows] = traced.peak > STRESS_NORM_FRACTION
 
     ext = model.extended()
     if ext is not None:
         # row indices, not a mask: numpy selects rows of an (n, d) stream
         # several times faster by index, and one index serves every stream
-        stressed = np.flatnonzero(peak > STRESS_NORM_FRACTION)
-        if stressed.size:
-            sub = [ext.lift(s[stressed]) for s in streams]
+        stressed = np.flatnonzero(stress)
+        for lo in range(0, stressed.size, _LAW_BLOCK_ROWS):
+            at = stressed[lo:lo + _LAW_BLOCK_ROWS]
+            sub = [ext.lift(s[at]) for s in streams]
             redone = [tuple(map(ext.lower, points)) for points in law(ext, *sub)]
             for j, (r, o) in enumerate(rules(redone)):
-                residual[j, stressed], ok[j, stressed] = r, o
+                residual[j, at], ok[j, at] = r, o
 
     def witness(res):
         return lambda i: {"inputs": [s[i].tolist() for s in streams], "residual": float(res[i])}

@@ -26,11 +26,11 @@ from .errors import ResourceLimitError, SamplingError
 
 DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
-# rows x dim of one point stream. At this cap the law suites peak at 39-70
+# rows x dim of one point stream. At this cap the law suites peak at 34-48
 # bytes per such value (ru_maxrss of a CLI child, the most of three runs;
-# Python 3.11, numpy 2.4, Linux): axioms 412 MiB on Mobius and 369 MiB on
-# Einstein, identities 668 and 508 MiB, strong-base 461 and 426 MiB. The
-# Mobius peaks and Einstein's axioms peak are pinned in tests/test_metric.py.
+# Python 3.11, numpy 2.4, Linux): axioms 342 MiB on Mobius and 325 MiB on
+# Einstein, identities 342 and 342 MiB, strong-base 456 and 418 MiB. All six
+# are pinned in tests/test_metric.py.
 MAX_SAMPLE_VALUES = 10_000_000
 
 
@@ -141,16 +141,20 @@ def ball_points(
     Radii are tanh of a uniform rapidity. When ``forced_offset`` is given,
     indices forced_offset::100 are placed at Euclidean distance
     bound*margin from the boundary.
+
+    The radii are computed in place in the rapidity draw, so the call
+    holds no whole-stream temporary beside that draw and what it returns.
     """
     check_sample_size(n, dim)
-    rho = gen.uniform(0.0, t_max, n)
-    r = np.tanh(rho)
+    r = gen.uniform(0.0, t_max, n)
+    np.tanh(r, out=r)
     if forced_offset is not None:
         if margin is None or margin <= 0:
             raise SamplingError("boundary forcing requires a positive margin")
         r[forced_offset::FORCED_STRIDE] = 1.0 - margin
+    r *= bound
     d = directions(gen, n, dim)
-    d *= (bound * r)[:, None]
+    d *= r[:, None]
     return d
 
 

@@ -280,12 +280,42 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
     monkeypatch.setattr(models, "_inv_gamma", inv_gamma)
     monkeypatch.setattr(ddarith.DD, "sqrt", sqrt)
     assert run_law_check(m, "G3_gyroassociativity", law_g3, streams, ToleranceConfig()).passed
-    # per block x, y, z, y + z, x + y, gyr[x, y]z, both sides and the rule's
-    # lhs - rhs; then the rule on the double-double rows, lowered to float64
+    # per float64 block x, y, z, y + z, x + y, gyr[x, y]z, both sides and the
+    # rule's lhs - rhs; then per double-double block of as many stressed
+    # rows the rule's two sides and lhs - rhs, lowered to float64
     blocks = -(-n // SMALL_BLOCK)
-    assert len(squares) == len(set(squares)) == 9 * blocks + 3
-    # x and y, read as pivots, and x + y, added on the left
-    assert roots[0] == len({id(u) for u in dd_points}) == 3
+    assert len(squares) == len(set(squares)) == 9 * blocks + 3 * blocks
+    # per double-double block x and y, read as pivots, and x + y, added on
+    # the left
+    assert roots[0] == len({id(u) for u in dd_points}) == 3 * blocks
+
+
+# -- a law pass holds one block of working memory -----------------------------
+
+
+def test_a_law_pass_holds_one_block_beside_its_per_row_arrays(monkeypatch):
+    # Einstein G3 with every row stressed, so the double-double pass redoes
+    # every row. Beside the streams, drawn before tracing starts, a pass
+    # holds 18 bytes a row: the float64 residual, the ok flag, the stress
+    # flag and the stressed row's int64 index. Its working memory, both
+    # passes' temporaries, is one block's, whatever the stream length: a
+    # double-double pass over all n rows at once would hold some 600 bytes
+    # a row here
+    tracemalloc = pytest.importorskip("tracemalloc")
+    block = 256
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", block)
+    m, tol = EinsteinModel(), ToleranceConfig()
+    peaks = {}
+    for blocks in (4, 32):
+        streams = m.sample_operands(np.random.default_rng(1), blocks * block, 3, tol)
+        tracemalloc.start()
+        try:
+            assert run_law_check(m, "G3_gyroassociativity", law_g3, streams, tol).passed
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[32] - peaks[4]) / (28 * block) <= 18 + 2
 
 
 # -- in-place sampling draws the old bits -------------------------------------
@@ -364,3 +394,34 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
         _, _, fq = seen[f"ball_preimage_{tag}"]
         for got, want in ((fx, x), (fy, y), (fp, p), (fq, q)):
             assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bound", [1.0, 0.5])
+@pytest.mark.parametrize("offset", [None, 17])
+def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(dim, bound, offset):
+    # the radii are tanh of the rapidity draw, forced points included,
+    # scaled by bound: the same bits as the expression below, computed in
+    # the draw itself, so beside its points a call holds the draw and what
+    # directions holds, and no radius or scaled-radius array. The scale
+    # multiplies through numpy's ufunc buffer of getbufsize() doubles
+    tracemalloc = pytest.importorskip("tracemalloc")
+    n = 20011
+    gen = np.random.default_rng(6)
+    rho = gen.uniform(0.0, 3.0, n)
+    r = np.tanh(rho)
+    if offset is not None:
+        r[offset::FORCED_STRIDE] = 1.0 - 1e-6
+    want = directions(gen, n, dim) * (bound * r)[:, None]
+
+    tracemalloc.start()
+    try:
+        directions(np.random.default_rng(6), n, dim)
+        beside = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got = ball_points(np.random.default_rng(6), n, dim, bound, forced_offset=offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(got, want)
+    assert peak <= rho.nbytes + beside + 8 * np.getbufsize() + 4096
