@@ -18,7 +18,8 @@ each kernel's temporaries stay in cache, and marks each row stressed or
 not with one bool; the double-double pass then runs on blocks of
 ``_LAW_BLOCK_ROWS`` stressed rows. Laws, kernels and rules work row by row,
 so a row's values do not depend on its block (``run_law_group``), and
-neither pass holds more working memory than one block needs.
+beside the per-row residuals and flags neither pass holds more than one
+block's working memory.
 
 Every sampled law row runs through one driver, ``_run_rows``: a row names
 its stream, the operands of that stream's draw it reads, its law and its

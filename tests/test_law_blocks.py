@@ -4,13 +4,15 @@
 stream rows. These tests pin that the block size cannot change a report,
 the chain suites' included, that no model kernel is handed more than one
 block, that the chain checks redo their stressed rows in double-double as
-the law suites do, and that the in-place sampling arithmetic draws the
-same bits as the broadcast expressions it replaced.
+the law suites do, that a law pass's working memory is one block's
+whatever the stream length, and that the in-place sampling arithmetic
+draws the same bits as the broadcast expressions it replaced.
 """
 
 import contextlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,7 +303,6 @@ def test_a_law_pass_holds_one_block_beside_its_per_row_arrays(monkeypatch):
     # passes' temporaries, is one block's, whatever the stream length: a
     # double-double pass over all n rows at once would hold some 600 bytes
     # a row here
-    tracemalloc = pytest.importorskip("tracemalloc")
     block = 256
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
     monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", block)
@@ -404,8 +405,8 @@ def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(dim, bound,
     # scaled by bound: the same bits as the expression below, computed in
     # the draw itself, so beside its points a call holds the draw and what
     # directions holds, and no radius or scaled-radius array. The scale
-    # multiplies through numpy's ufunc buffer of getbufsize() doubles
-    tracemalloc = pytest.importorskip("tracemalloc")
+    # multiplies through numpy's ufunc buffer of getbufsize() doubles; at
+    # this n one n-row array outweighs that buffer and the slack
     n = 20011
     gen = np.random.default_rng(6)
     rho = gen.uniform(0.0, 3.0, n)
