@@ -21,12 +21,13 @@ so a row's values do not depend on its block (``run_law_group``), and
 beside the per-row residuals and flags neither pass holds more than one
 block's working memory.
 
-Every sampled law row runs through one driver, ``_run_rows``: a row names
-its stream, the operands of that stream's draw it reads, its law and its
+Every law row runs through one driver, ``_run_rows``: a row names its
+stream, the operands of that stream's draw it reads, its law and its
 rule. Rows that share a stream read one draw, rows that also share their
 operands and law run as one ``run_law_group`` pass, and each draw is
 released after the last row that reads it. Witness operands pair each base
-row with ``WITNESSES`` witness rows through ``_RowRepeat`` views.
+row with ``WITNESSES`` witness rows through ``_RowRepeat`` views. On a
+finite carrier each row runs on every tuple, and nothing is drawn.
 """
 
 from __future__ import annotations
@@ -441,25 +442,26 @@ class _RowRepeat:
         return self.base[key // WITNESSES]
 
 
-def exhaustive_law_checks(ops, labels, checks, rule=None):
-    """Each law of ``checks``, (name, law, base, wit), on every tuple of the
-    carrier ``labels``, as CheckResults; refused before the first runs when
-    one law has more than _EXHAUSTIVE_CAP operand tuples, n^k for k operands.
+def exhaustive_law_checks(ops, labels, rows):
+    """Each row ``(name, stream, reads, law, rule)`` of :func:`_run_rows` on
+    every tuple of len(reads) operands of the carrier ``labels``, one pass
+    per row, as CheckResults; refused before the first runs when one row
+    has more than _EXHAUSTIVE_CAP operand tuples, n^k for k operands.
 
-    Without a ``rule``, through :func:`exact_violation` (so the automorphism
+    Without a rule, through :func:`exact_violation` (so the automorphism
     law runs once per distinct gyration of ``ops``), with first_violation's
     witness in labels: ``{"inputs", "lhs", "rhs"}``. With one, as in
     :func:`run_law_check`, on the batches of :func:`_batches`, with the
     witness ``{"inputs", "residual"}``, the inputs in labels."""
     n = len(labels)
-    for _, _, base, wit in checks:
-        if n ** (base + wit) > _EXHAUSTIVE_CAP:
+    for _, _, reads, _, _ in rows:
+        if n ** len(reads) > _EXHAUSTIVE_CAP:
             raise ResourceLimitError(
-                f"exhaustive check over {base + wit} operands infeasible for order {n}"
+                f"exhaustive check over {len(reads)} operands infeasible for order {n}"
             )
     results = []
-    for name, law, base, wit in checks:
-        k = base + wit
+    for name, _, reads, law, rule in rows:
+        k = len(reads)
         if rule is None:
             bad = exact_violation(ops, n, law, k)
             results.append(witness_check(name, None if bad is None else {
@@ -478,14 +480,21 @@ def exhaustive_law_checks(ops, labels, checks, rule=None):
 
 
 def _run_rows(model, rows, draw, tol: ToleranceConfig):
-    """The CheckResults of the law ``rows`` on a continuous carrier, in row
-    order. A row ``(name, stream, reads, law, rule)`` runs ``law`` and
-    ``rule`` (None: :func:`element_rule`) on the operands ``reads`` of the
-    list ``draw(stream)``. Rows that share a stream, reads and law run as
-    one :func:`run_law_group` pass on their rules' ``merged`` rule, in the
-    order of their first row; a group of one runs through
+    """The CheckResults of the law ``rows`` on ``model``, in row order. A row
+    ``(name, stream, reads, law, rule)`` runs ``law`` and ``rule`` on
+    len(reads) operands: on an exact carrier on every tuple, compared exactly
+    without a rule (:func:`exhaustive_law_checks`), and ``draw`` is never
+    called; otherwise on the operands ``reads`` of the list ``draw(stream)``,
+    with :func:`element_rule` for None. There rows that share a stream, reads
+    and law run as one :func:`run_law_group` pass on their rules' ``merged``
+    rule, in the order of their first row; a group of one runs through
     :func:`run_law_check`, the name the benchmark traces. Rows that share a
     stream read one draw, released before the last group that reads it."""
+    if model.is_exact:
+        # one pass per row: a shared pass would hold every rule's n^k
+        # residual and ok arrays at once, about 3 x 179 MB for the three d_*
+        # rows on z271, past the 1 GiB that the metric suite must fit in there
+        return exhaustive_law_checks(model, model.labels, rows)
     groups = {}
     for i, (_, stream, reads, law, _) in enumerate(rows):
         groups.setdefault((stream, tuple(reads), law), []).append(i)
@@ -517,9 +526,6 @@ def _run_suite(model, suite, checks, sampler, n_samples, tol):
         expanded = any(wit for _, _, _, wit in checks)
         check_sample_size(n_samples * WITNESSES if expanded else n_samples, model.dim)
     with suite_report(suite, model.name, sampler, tol) as report:
-        if model.is_exact:
-            report.checks = exhaustive_law_checks(model, model.labels, checks)
-            return report
         arity = {name: (base, wit) for name, _, base, wit in checks}
 
         def draw(stream):

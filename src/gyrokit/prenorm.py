@@ -6,15 +6,16 @@ consecutive levels shrink fast enough the chain extends to a family
 indexed by dyadic rationals in (0, 2], and the least dyadic index whose
 set contains a point is a prenorm N on the carrier; calling the family
 evaluates it. The suites take the chain, build its family and state each
-check once; each chain kind supplies what differs. A ``RadialChain`` on a
+check once; each chain kind supplies what differs. Both kinds run their
+law rows through the one driver, ``core._run_rows``. A ``RadialChain`` on a
 ball evaluates N by a greedy per-level bit extraction over rapidity
-(``_leading_bits``), needs radii that halve, and runs its law rows on
-``ball_points`` draws through ``core._run_rows``; its sandwich levels,
-which read nothing of a point but its rapidity, draw rapidities alone, on
-one axis (``_rapidity_ball``), and compute each point's rapidity once, for
-both bounds and the membership (``sandwich``). A ``FiniteChain`` on a table has
-N the indicator of its base's complement, halves trivially, and takes
-``np.ix_`` index grids over the carrier for ``exhaustive_law_checks``.
+(``_leading_bits``), needs radii that halve, and draws its rows' operands
+with ``ball_points``; its sandwich levels, which read nothing of a point but
+its rapidity, draw rapidities alone, on one axis (``_rapidity_ball``), and
+compute each point's rapidity once, for both bounds and the membership
+(``sandwich``). A ``FiniteChain`` on a table has N the indicator of its
+base's complement, halves trivially, and its rows run on every tuple of
+the carrier, as ``np.ix_`` index grids.
 
 The recursion that defines the index sets' radii is read by no check; the
 tests keep it, as the reference that ``DyadicFamily.index_of_rapidity``
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import GyrogroupModel, _run_rows, exhaustive_law_checks, law_triangle_decomposition
+from .core import GyrogroupModel, _run_rows, law_triangle_decomposition
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size
@@ -59,15 +60,20 @@ class NeighborhoodChain:
     ``prenorms(family, points)``, ``sandwich(family, x, n)`` (N < 2^-n,
     N <= 2^(1-n) and membership in U_n), ``check_halving()``,
     ``slack(tol, steps)`` (what a check over values of N allows), the
-    sandwich levels' operands (``sandwich_points``), ``law_checks``, which
-    runs the driver rows (name, stream, reads, law, rule) of
-    ``core._run_rows`` in row order, and the checks only it runs
-    (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
-    ``admissible_checks``)."""
+    sandwich levels' operands (``sandwich_points``) and the checks only it
+    runs (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
+    ``admissible_checks``). Both kinds run their driver rows (name, stream,
+    reads, law, rule) through the one ``law_checks``."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
         self.depth = depth
+
+    def law_checks(self, sampler, suite, rows, n_samples, tol):
+        """The rows on ``core._run_rows``, in row order: a radial chain's
+        streams drawn up to its ``caps``, a finite chain's on every tuple."""
+        return _run_rows(self.model, rows, lambda stream: self._draw(
+            sampler, suite, stream, self.caps[stream], n_samples), tol)
 
 
 def _shown(v):
@@ -189,12 +195,6 @@ class RadialChain(NeighborhoodChain):
             cap = max(cap, 1.1 * float(self.t[n - 1]))
         gen = sampler.stream("prenorm", f"sandwich_{n}")
         return _rapidity_ball(gen, n_samples, self.model.dim, self.model.bound, cap), n_samples
-
-    def law_checks(self, sampler, suite, rows, n_samples, tol):
-        """The rows on ``core._run_rows``, each stream drawn up to its ``caps``;
-        rows of one stream, reads and law share one pass, their rules merged."""
-        return _run_rows(self.model, rows, lambda stream: self._draw(
-            sampler, suite, stream, self.caps[stream], n_samples), tol)
 
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
@@ -341,12 +341,6 @@ class FiniteChain(NeighborhoodChain):
     def sandwich_points(self, sampler, n, n_samples):
         return np.arange(self.model.order), "exhaustive"
 
-    def law_checks(self, sampler, suite, rows, n_samples, tol):
-        """Each row on every tuple of the carrier, in row order."""
-        return [exhaustive_law_checks(self.model, self.model.labels,
-                                      [(name, law, len(reads), 0)], rule)[0]
-                for name, _, reads, law, rule in rows]
-
     def prenorm_rows(self, family, tol):
         return []
 
@@ -395,21 +389,17 @@ class FiniteChain(NeighborhoodChain):
         return checks
 
     def admissible_checks(self, sampler, n_samples, tol):
-        """Closure, the identity and the base of the chain, which is
-        constant, so its intersection is the base subset itself."""
-        model = self.model
-        ok = _closed_under(model.source, self.H)
-        member = self._mask[model.source.identity_index]
-        same = all(
-            bool((self.level_member(n, np.arange(model.order)) == self._mask).all())
-            for n in range(self.depth + 1)
-        )
-        checks = [
-            array_check("closure_all_levels", float(not ok), ok, "exhaustive"),
-            array_check("contains_identity", 0.0, member, "exhaustive"),
-            array_check("intersection_equals_base", float(not same), same, "exhaustive"),
-        ]
-        return checks, {"intersection": [model.labels[i] for i in self.H]}
+        """Every level is the base H, a subgyrogroup by construction, so the
+        double sums stay in it and the levels meet in it. What can fail is
+        that every gyration gyr[a, b] maps H onto itself (into suffices: it is
+        injective), as on neighbourhoods of a strongly topological gyrogroup;
+        the witness is the lexicographically first (a, b, h) leaving H."""
+        H, L, B = self.H, self.model.labels, self.model.source.gyrations()
+        witness = None
+        for a, b, i in np.argwhere(~self._mask[B[:, :, H]])[:1]:
+            witness = {"inputs": [L[a], L[b], L[H[i]]], "image": L[B[a, b, H[i]]]}
+        checks = [witness_check("levels_invariant_under_gyrations", witness)]
+        return checks, {"intersection": [L[i] for i in H]}
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +747,10 @@ def check_prenorm_properties(
     U_n ⊆ {N <= 2^(1-n)} reads N only against 2^-n and 2^(1-n), so on a
     radial chain level n is decided from the extraction through level n
     alone (the leading-bits lemma of ``_leading_bits``); a failing level's
-    witness still gives the full N of its one point. The law rows run
-    through ``chain.law_checks``: on a radial chain each on its own
-    stream's draw, on the one driver ``core._run_rows``, which releases
-    each draw after its row; on a finite chain on every tuple."""
+    witness still gives the full N of its one point. The law rows run on
+    the one driver ``core._run_rows`` (``chain.law_checks``): on a radial
+    chain each on its own stream's draw, which the driver releases after
+    its row; on a finite chain on every tuple."""
     sampler, tol, family, refused = _chain_suite("prenorm", chain, sampler, tol)
     if refused is not None:
         return refused

@@ -342,7 +342,8 @@ def validate_table(t: CayleyTable) -> VerificationReport:
 
         B = t.gyrations()
         report.notes["all_gyrations_identity"] = bool((B == np.arange(n)).all())
-        report.checks += exhaustive_law_checks(_TableOps(T, B), L, _TABLE_LAWS)
+        rows = [(name, name, range(base + wit), law, None) for name, law, base, wit in _TABLE_LAWS]
+        report.checks += exhaustive_law_checks(_TableOps(T, B), L, rows)
     return report
 
 
@@ -409,6 +410,7 @@ def _closed_under(t: CayleyTable, H: np.ndarray) -> bool:
 
 
 def _is_L(t: CayleyTable, B, H: np.ndarray) -> bool:
+    """Whether H is an L-subgyrogroup: gyr[a, h](H) = H for every a and every h in H."""
     inH = np.zeros(t.order, dtype=bool)
     inH[H] = True
     return bool(inH[B[:, H][:, :, H]].all())
@@ -428,8 +430,8 @@ def _closure(t: CayleyTable, seed) -> frozenset:
 
 
 def enumerate_subgyrogroups(t: CayleyTable) -> list:
-    """All subsets that carry the induced structure, flagged for the
-    strong (all-pivot) invariance property.
+    """All subsets that carry the induced structure, each flagged as an
+    L-subgyrogroup or not (:func:`_is_L`).
 
     Closure growth: starting from the identity alone, every subgyrogroup
     found is grown by each element it lacks and closed again under the
@@ -494,8 +496,8 @@ def _left_cosets(t: CayleyTable, H):
 def coset_partition(t: CayleyTable, H):
     """Left cosets a + H as a partition, plus the projection index map.
 
-    Only available when H has the strong invariance property; otherwise
-    the blocks may overlap and the call refuses.
+    Only available when H is an L-subgyrogroup; otherwise the blocks may
+    overlap and the call refuses.
     """
     elems = tuple(sorted(H))
     if not is_L_subgyrogroup(t, elems):
@@ -720,7 +722,7 @@ def check_search(order: int, max_results=None) -> VerificationReport:
 
 
 def check_subgyrogroups(t: CayleyTable) -> VerificationReport:
-    """List every subgyrogroup of a table, flagged for all-pivot invariance."""
+    """List every subgyrogroup of a table, each flagged as an L-subgyrogroup or not."""
     with suite_report("subgyrogroups", t.name) as report:
         subs = enumerate_subgyrogroups(t)
         report.checks.append(witness_check("enumeration"))
@@ -737,8 +739,8 @@ def check_subgyrogroups(t: CayleyTable) -> VerificationReport:
 
 
 def check_cosets(t: CayleyTable, subgyrogroup) -> VerificationReport:
-    """Check that the given indices form a subgyrogroup invariant under
-    every gyration, and that its left cosets partition the carrier."""
+    """Check that the given indices form an L-subgyrogroup (the check
+    ``invariant_under_all_gyrations``) whose left cosets partition the carrier."""
     H = _subset_indices(t.order, subgyrogroup)
     with suite_report("cosets", t.name) as report:
         try:

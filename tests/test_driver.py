@@ -1,25 +1,29 @@
-"""Every sampled law row runs through one driver, ``core._run_rows``.
+"""Every law row runs through one driver, ``core._run_rows``.
 
-Four row lists run on it: the axiom and identity suites (``core._run_suite``),
-the strong base, a radial chain's prenorm and metric rows
-(``RadialChain.law_checks``, whose draws read the chain's one cap table) and
-its admissible levels. On each, these tests pin that every generator stream
+Four sampled row lists run on it: the axiom and identity suites
+(``core._run_suite``), the strong base, a radial chain's prenorm and metric
+rows (``law_checks``, whose draws read the chain's one cap table) and its
+admissible levels. On each, these tests pin that every generator stream
 is opened once, that each row reads the operands of its stream in the order
 the generator gave them before the driver, that each draw is dead once the
 last row that reads it has its result, and that a row that shares its pass
 with no other runs through ``run_law_check``, the name the benchmark's
-tracer wraps.
+tracer wraps. On an exact carrier, a table model or a finite chain, they pin
+that the driver draws nothing and runs each row on its own exhaustive pass.
 """
 
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gyrokit import core, models, prenorm
 from gyrokit.core import WITNESSES, check_axioms, check_identities
+from gyrokit.errors import ResourceLimitError
 from gyrokit.models import EinsteinModel, MobiusModel, check_strong_base
 from gyrokit.prenorm import (
+    FiniteChain,
     RadialChain,
     _metric_rows,
     _prenorm_rows,
@@ -29,6 +33,9 @@ from gyrokit.prenorm import (
     validate_admissible_chain,
 )
 from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, derive_seed, directions
+from gyrokit.tables import TableModel, cyclic_table, load_table
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 SEED, N, DEPTH = 7, 200, 6
 TOL = ToleranceConfig()
@@ -245,3 +252,77 @@ def test_radial_admissible_rows(monkeypatch, model):
 
     passes = spy.assert_rows("admissible", reference)
     assert len(passes) == DEPTH
+
+
+# -- exact carriers -----------------------------------------------------------
+
+
+def never(stream):
+    raise AssertionError(f"drew {stream!r} on an exact carrier")
+
+
+def exact_rows(carrier):
+    """A carrier's model and its suites' law rows: the axioms and identities
+    on loop5, which fail some of them, or the prenorm and metric rows of the
+    chain on g8 with base {0, 5}, whose gyration_invariance fails."""
+    if carrier == "table":
+        model = TableModel(load_table(CORPUS / "loop5.json"))
+        checks = core.AXIOM_CHECKS + core.IDENTITY_CHECKS
+        return model, [(name, name, range(base + wit), law, None)
+                       for name, law, base, wit in checks]
+    family = build_dyadic(FiniteChain(load_table(CORPUS / "g8.json"), [0, 5]))
+    return family.model, _prenorm_rows(family, TOL) + _metric_rows(family, TOL)
+
+
+EXACT = pytest.mark.parametrize("carrier", ["table", "chain"])
+
+
+@EXACT
+def test_exact_suites_never_draw(monkeypatch, carrier):
+    # every law row of the suites on an exact carrier reaches the driver,
+    # which runs it without calling the draw
+    model, rows = exact_rows(carrier)
+    real, seen = core._run_rows, []
+
+    def run_rows(m, rows, draw, tol):
+        seen.extend(name for name, *_ in rows)
+        return real(m, rows, never, tol)
+
+    for module in (core, prenorm):
+        monkeypatch.setattr(module, "_run_rows", run_rows)
+    if carrier == "table":
+        reports = [check_axioms(model), check_identities(model)]
+    else:
+        chain = FiniteChain(model, [0, 5])
+        reports = [check_prenorm_properties(chain), check_metric_properties(chain)]
+    assert seen == [name for name, *_ in rows]
+    assert {c.name for rep in reports for c in rep.checks} >= set(seen)
+    assert not all(rep.passed for rep in reports)
+
+
+@EXACT
+def test_exact_rows_run_in_row_order_one_pass_each(carrier):
+    # in any order the driver gives each row's result in its place, as one
+    # exhaustive_law_checks call on that row alone gives it
+    model, rows = exact_rows(carrier)
+    for order in (rows, rows[::-1]):
+        got = core._run_rows(model, order, never, TOL)
+        want = [core.exhaustive_law_checks(model, model.labels, [row])[0] for row in order]
+        assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+        assert [c.name for c in got] == [name for name, *_ in order]
+    assert not all(c.passed for c in got)
+
+
+def test_exact_rows_are_refused_together_before_any_law_runs():
+    # z67 has 67^4 > _EXHAUSTIVE_CAP automorphism tuples: the driver refuses
+    # the list before the G1 row ahead of it runs
+    model = TableModel(cyclic_table(67))
+    ran = []
+    rows = [("G1_identity", "G1_identity", range(1),
+             lambda ops, x: ran.append(x) or core.law_g1(ops, x), None),
+            ("G3_automorphism", "G3_automorphism", range(4), core.law_g3_automorphism, None)]
+    assert 67 ** 3 <= core._EXHAUSTIVE_CAP < 67 ** 4
+    with pytest.raises(ResourceLimitError, match="over 4 operands infeasible for order 67"):
+        core._run_rows(model, rows, never, TOL)
+    assert ran == []
+    assert core._run_rows(model, rows[:1], never, TOL)[0].passed and len(ran) == 1

@@ -888,12 +888,22 @@ def test_admissible_finite_chain():
     rep = validate_admissible_chain(FiniteChain(cyclic_table(4), [0, 2]))
     assert rep.passed
     names = [c.name for c in rep.checks]
-    assert names == [
-        "closure_all_levels",
-        "contains_identity",
-        "intersection_equals_base",
-    ]
+    assert names == ["levels_invariant_under_gyrations"]
     assert rep.notes["intersection"] == ["0", "2"]
+
+
+def test_finite_admissible_fails_where_its_witness_says():
+    # g8's subgyrogroup {0, 5} is moved by a gyration: the witness (a, b, h)
+    # has its image off the base, and every (a, b, h) before it stays on it
+    table = load_table(Path(__file__).resolve().parent / "corpus" / "g8.json")
+    rep = validate_admissible_chain(FiniteChain(table, [0, 5]))
+    (check,) = rep.checks
+    assert not rep.passed and check.samples == "exhaustive"
+    a, b, h = (table.labels.index(v) for v in check.witness["inputs"])
+    on_base = np.isin(table.gyrations()[:, :, [0, 5]], [0, 5])
+    assert table.labels[table.gyrations()[a, b, h]] == check.witness["image"]
+    assert not on_base[a, b, [0, 5].index(h)]
+    assert on_base.reshape(-1)[:(a * 8 + b) * 2 + [0, 5].index(h)].all()
 
 
 # -- induced prenorm suites ----------------------------------------------------
@@ -993,8 +1003,8 @@ def test_finite_rule_row_batches_stay_within_the_kernel_cells(monkeypatch):
     def run():
         batches.clear()
         results.clear()
-        checks = [(name, recorded, len(reads), 0)]
-        return exhaustive_law_checks(Recording(), model.labels, checks, rule)[0].to_dict()
+        rows = [(name, name, reads, recorded, rule)]
+        return exhaustive_law_checks(Recording(), model.labels, rows)[0].to_dict()
 
     whole = run()
     assert batches == results == [8**3]
