@@ -60,6 +60,9 @@ CASES = [
     ("prenorm-z4", 0, ["prenorm", "--model", "table:z4", "--subgyrogroup", "0,2"]),
     ("prenorm-ratio-0.6", 1, ["prenorm", "--chain", CHAIN_060, "--samples", "200"]),
     ("prenorm-default-chain", 0, ["prenorm", "--depth", "6", "--samples", "200"]),
+    # at ratio 1/2 prenorm adds closed_form_agreement, N against the grid
+    # ceiling of rapidity / t0
+    ("prenorm-mobius-half", 0, ["prenorm", "--chain", CHAIN_050, "--samples", "300"]),
     ("metric-mobius-half", 0, ["metric", "--chain", CHAIN_050, "--samples", "300"]),
     ("metric-einstein", 0,
      ["metric", "--model", "einstein", "--chain", CHAIN_025, "--samples", "300"]),
@@ -101,6 +104,7 @@ CASES = [
     ("prenorm-g8", 1, ["prenorm", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
     ("metric-g8", 1, ["metric", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
     ("cosets-g8", 1, ["cosets", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
+    ("admissible-g8", 1, ["admissible", "--model", "table:g8.json", "--subgyrogroup", "0,5"]),
     # g8 itself passes every exhaustive law; its gyrations form two classes,
     # the identity and one nontrivial permutation
     ("axioms-g8", 0, ["axioms", "--model", "table:g8.json"]),
