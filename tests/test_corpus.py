@@ -30,6 +30,7 @@ CORPUS = Path(__file__).resolve().parent / "corpus"
 
 CHAIN_025 = '{"kind": "radial_rapidity", "ratio": 0.25, "depth": 8}'
 CHAIN_050 = '{"kind": "radial_rapidity", "ratio": 0.5, "depth": 12}'
+CHAIN_010 = '{"kind":"radial_rapidity","t0":1.0,"ratio":0.1,"depth":24}'
 CHAIN_060 = '{"kind": "radial_rapidity", "ratio": 0.6, "depth": 6}'
 CHAIN_Z6 = '{"kind": "finite_discrete", "table": "z6", "subgyrogroup": [0, 2, 4]}'
 CHAIN_050_D8 = '{"kind":"radial_rapidity","ratio":0.5,"depth":8}'
@@ -63,6 +64,9 @@ CASES = [
     # at ratio 1/2 prenorm adds closed_form_agreement, N against the grid
     # ceiling of rapidity / t0
     ("prenorm-mobius-half", 0, ["prenorm", "--chain", CHAIN_050, "--samples", "300"]),
+    # the sweep's ratio-0.1 chain, whose remainders die fastest in the bit
+    # extraction (prenorm._leading_bits)
+    ("prenorm-mobius-ratio-0.1", 0, ["prenorm", "--chain", CHAIN_010, "--samples", "300"]),
     ("metric-mobius-half", 0, ["metric", "--chain", CHAIN_050, "--samples", "300"]),
     ("metric-einstein", 0,
      ["metric", "--model", "einstein", "--chain", CHAIN_025, "--samples", "300"]),
