@@ -158,7 +158,7 @@ def _build_chain(cfg: RunConfig, carrier):
 def _sampled(check):
     """Runner of a sampled suite on the model --model names."""
     return lambda cfg: check(_resolve_model(cfg.model), sampler=Sampler(cfg.seed),
-                             n_samples=cfg.samples, tol=cfg.tol or ToleranceConfig())
+                             n_samples=cfg.samples, tol=cfg.tol)
 
 
 def _chained(check):

@@ -71,15 +71,14 @@ class GyrogroupModel:
     axes) and may override ``gyr`` with a closed form (and set
     ``has_closed_gyr``); otherwise ``gyr`` is :func:`derived_gyration`,
     which is also the oracle that ``law_gyration_agreement`` checks a
-    closed form against. Continuous models set ``dim``/``bound``, draw
-    their operands through ``sample_operands`` and may supply
-    ``extended()`` double-double kernels; exact models set ``is_exact``
-    and ``order`` and work on broadcast index arrays.
+    closed form against. Continuous models are balls of radius 1: they
+    set ``dim``, draw their operands through ``sample_operands`` and may
+    supply ``extended()`` double-double kernels; exact models set
+    ``is_exact`` and ``order`` and work on broadcast index arrays.
     """
 
     name = "abstract"
     dim: int | None = None
-    bound = 1.0
     is_exact = False
     has_closed_gyr = False
 
@@ -104,8 +103,8 @@ class GyrogroupModel:
         return rownorm(np.asarray(a, float)) if sq is None else np.sqrt(sq)
 
     def norm_fraction(self, a):
-        """Carrier norm as a fraction of the boundary radius."""
-        return self.magnitude(a) / self.bound
+        """Carrier norm as a fraction of the boundary radius, which is 1."""
+        return self.magnitude(a)
 
     def extended(self):
         """Double-double kernel set for stressed samples, or None."""
@@ -114,9 +113,7 @@ class GyrogroupModel:
     def sample_operands(self, gen, n, k, tol: ToleranceConfig, offset=0):
         if self.dim is None:
             raise NotImplementedError("sampling requires a continuous carrier")
-        return sample_operands(
-            gen, n, self.dim, k, bound=self.bound, margin=tol.boundary_margin, offset=offset
-        )
+        return sample_operands(gen, n, self.dim, k, margin=tol.boundary_margin, offset=offset)
 
 
 def derived_gyration(ops, x, y, z):

@@ -1,11 +1,11 @@
-"""Continuous gyrogroup models on the unit disk and the velocity ball.
+"""Continuous gyrogroup models on the unit disk and the unit velocity ball.
 
 Disk elements are real pairs (re, im) in arrays of shape (..., 2);
-velocity elements are real 3-vectors in units of the model's speed
-bound. Each model's addition and gyration are written once, as kernels
-on lists of coordinate columns of the unit ball: the float64 model
-methods pass numpy columns and the double-double kernel set passes DD
-columns. Only the per-point dot product and the square root depend on
+velocity elements are real 3-vectors in units of the speed of light, so
+both carriers are the open unit ball. Each model's addition and gyration
+are written once, as kernels on lists of coordinate columns: the float64
+model methods pass numpy columns and the double-double kernel set passes
+DD columns. Only the per-point dot product and the square root depend on
 the precision (``_arith``); the rest is + - * /, and no complex dtype is
 involved.
 
@@ -85,7 +85,7 @@ def _m_gyr_parts(a, b, z):
 
 
 # ---------------------------------------------------------------------------
-# velocity-ball kernels on coordinate columns (unit speed bound; callers rescale)
+# velocity-ball kernels on coordinate columns (unit speed of light)
 
 
 def _inv_gamma(u):
@@ -137,23 +137,17 @@ def _e_gyr_cols(u, v, w):
 class _BallExtended:
     """Double-double kernel set of a ball model, used by the suite engine
     on stressed samples. Points are ``_Point`` lists of DD coordinate
-    columns on the unit ball, so each point's 1/gamma is computed once;
-    ``lift`` and ``lower`` convert from and to radius ``c``."""
+    columns, so each point's 1/gamma is computed once."""
 
-    def __init__(self, oplus_cols, gyr_cols, c):
+    def __init__(self, oplus_cols, gyr_cols):
         self._oplus = oplus_cols
         self._gyr = gyr_cols
-        self._c = float(c)
 
     def lift(self, x):
-        cols = dd.lift_vector(x)
-        if self._c != 1.0:
-            cols = [col / self._c for col in cols]
-        return _Point(cols)
+        return _Point(dd.lift_vector(x))
 
     def lower(self, rep):
-        out = dd.lower_vector(rep)
-        return out * self._c if self._c != 1.0 else out
+        return dd.lower_vector(rep)
 
     def zero_like(self, rep):
         return _Point([dd.DD(np.zeros_like(col.hi)) for col in rep])
@@ -171,18 +165,14 @@ class _BallExtended:
 
 
 class _BallModel(GyrogroupModel):
-    """A ball of radius ``bound`` whose addition and gyration are the
-    unit-ball column kernels ``_oplus_cols`` and ``_gyr_cols``, shared by
-    the float64 methods and the double-double ``extended()`` set."""
+    """The unit ball with the column kernels ``_oplus_cols`` and
+    ``_gyr_cols`` as addition and gyration, shared by the float64 methods
+    and the double-double ``extended()`` set."""
 
     has_closed_gyr = True
 
     def _on_columns(self, kernel, *points):
-        c = self.bound
-        if c != 1.0:
-            points = [np.asarray(p, float) / c for p in points]
-        out = np.stack(kernel(*[_cols(p) for p in points]), axis=-1)
-        return out * c if c != 1.0 else out
+        return np.stack(kernel(*[_cols(p) for p in points]), axis=-1)
 
     def oplus(self, a, b):
         return self._on_columns(self._oplus_cols, a, b)
@@ -194,7 +184,7 @@ class _BallModel(GyrogroupModel):
         return self._on_columns(self._gyr_cols, a, b, z)
 
     def extended(self):
-        return _BallExtended(self._oplus_cols, self._gyr_cols, self.bound)
+        return _BallExtended(self._oplus_cols, self._gyr_cols)
 
 
 class MobiusModel(_BallModel):
@@ -202,29 +192,23 @@ class MobiusModel(_BallModel):
 
     name = "mobius"
     dim = 2
-    bound = 1.0
     _oplus_cols = staticmethod(_m_oplus_parts)
     _gyr_cols = staticmethod(_m_gyr_parts)
 
 
 class EinsteinModel(_BallModel):
-    """The radius-c velocity ball with relativistic composition.
+    """The unit velocity ball (speed of light 1) with relativistic
+    composition.
 
     ``gyr`` is Ungar's closed form; the three-addition composition
     :func:`~gyrokit.core.derived_gyration` is the oracle it is checked
     against.
     """
 
+    name = "einstein"
     dim = 3
     _oplus_cols = staticmethod(_e_oplus_cols)
     _gyr_cols = staticmethod(_e_gyr_cols)
-
-    def __init__(self, c: float = 1.0):
-        if c <= 0:
-            raise ValueError("speed bound must be positive")
-        self.c = float(c)
-        self.bound = self.c
-        self.name = "einstein" if self.c == 1.0 else f"einstein(c={self.c:g})"
 
 
 class _Product:
@@ -272,9 +256,6 @@ class ProductModel(_Product, GyrogroupModel):
 
     def magnitude(self, a):
         return np.maximum(*self._per_factor("magnitude", a))
-
-    def norm_fraction(self, a):
-        return np.maximum(*self._per_factor("norm_fraction", a))
 
     def extended(self):
         el, er = self.left.extended(), self.right.extended()
@@ -353,7 +334,7 @@ def check_strong_base(
     preservation and the norm-level commutation law are included; the disk
     model also gets the unimodularity of its rotation factor.
 
-    Each radius must lie in (0, bound], and no two may share the tag
+    Each radius must lie in (0, 1], and no two may share the tag
     ``r={r:g}`` that names their checks and their stream; either is a
     ``UsageError`` before anything is drawn. ``center`` (default the
     identity) lets callers probe an off-center ball, which is expected to
@@ -367,7 +348,7 @@ def check_strong_base(
     tol = tol if tol is not None else ToleranceConfig()
     suite = "strong-base"
     if ball_radii is None:
-        ball_radii = [0.9 * model.bound, 0.5 * model.bound, 0.25 * model.bound]
+        ball_radii = [0.9, 0.5, 0.25]
     try:  # a point of the carrier; NaN fails the norm test too
         center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
         refused = center.shape != (model.dim,) or not model.norm_fraction(center) < 1.0
@@ -380,8 +361,8 @@ def check_strong_base(
         r = float(radius)
         tag = f"r={r:g}"
         stream = f"ball_invariance_{tag}"
-        if not 0.0 < r <= model.bound:  # NaN fails too
-            raise UsageError(f"ball radius must lie in (0,{model.bound:g}], got {r!r}")
+        if not 0.0 < r <= 1.0:  # NaN fails too
+            raise UsageError(f"ball radius must lie in (0,1], got {r!r}")
         if stream in radii:
             raise UsageError(f"ball radii {radii[stream]!r} and {r!r} share the tag {tag}")
         radii[stream] = r

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .core import GyrogroupModel, _run_rows, law_triangle_decomposition
-from .errors import AxiomViolationError, ChainConditionError, UsageError
+from .errors import AxiomViolationError, ChainConditionError, SamplingError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size
 from .tables import CayleyTable, TableModel, _closed_under, _subset_indices, coset_partition
@@ -115,20 +115,19 @@ class RadialChain(NeighborhoodChain):
         super().__init__(model, depth)
         self.t0 = float(t0)
         self.ratio = float(ratio)
-        # the rapidity from which N is 2, and by stream the rapidity cap of
-        # each operand that the stream's law rows read
-        self.reach = float(np.sum(t))
-        self.caps = {
-            "gyration_invariance": (1.9 * self.reach, 2.0, 2.0),
-            "subadditivity": (1.2 * self.reach,) * 2,
-            "inversion_symmetry": (1.9 * self.reach,),
-            "closed_form": (1.9 * self.reach,),
-            "triples": (0.95 * self.t0,) * 3,
-        }
         # what ``_leading_bits`` reads besides the radii: the sum of the
-        # finer radii below each level, and the top of the scale
+        # finer radii below each level, and the top of the scale, the
+        # rapidity from which N is 2
         self.tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
         self.full = float(t[0] + self.tails[0])
+        # by stream, the rapidity cap of each operand that its law rows read
+        self.caps = {
+            "gyration_invariance": (1.9 * self.full, 2.0, 2.0),
+            "subadditivity": (1.2 * self.full,) * 2,
+            "inversion_symmetry": (1.9 * self.full,),
+            "closed_form": (1.9 * self.full,),
+            "triples": (0.95 * self.t0,) * 3,
+        }
 
     def level_member(self, n, x):
         return rapidity(self.model, x) <= self.t[n]
@@ -179,9 +178,7 @@ class RadialChain(NeighborhoodChain):
     def _draw(self, sampler, suite, stream, caps, n_samples):
         """One stream of points per rapidity cap, from one generator."""
         gen = sampler.stream(suite, stream)
-        model = self.model
-        return [ball_points(gen, n_samples, model.dim, model.bound, t_max=c, margin=None)
-                for c in caps]
+        return [ball_points(gen, n_samples, self.model.dim, t_max=c, margin=None) for c in caps]
 
     def sandwich_points(self, sampler, n, n_samples):
         """Level n's draws: rapidity up to 2.2 t[n], and for n >= 1 up to
@@ -194,7 +191,7 @@ class RadialChain(NeighborhoodChain):
         if n:
             cap = max(cap, 1.1 * float(self.t[n - 1]))
         gen = sampler.stream("prenorm", f"sandwich_{n}")
-        return _rapidity_ball(gen, n_samples, self.model.dim, self.model.bound, cap), n_samples
+        return _rapidity_ball(gen, n_samples, self.model.dim, cap), n_samples
 
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
@@ -244,7 +241,11 @@ class RadialChain(NeighborhoodChain):
         """The analytic condition 3 t[n+1] <= t[n]; per level, the double
         sums of draws from the level below, with the worst case appended,
         three copies of the extreme point on a fixed axis, where the radial
-        scales add exactly; and the identity in every level."""
+        scales add exactly; and the identity in every level. A sample count
+        below 1 is refused before any stream opens, as the other chain
+        suites' draws refuse it."""
+        if n_samples < 1:
+            raise SamplingError("sample count must be >= 1")
         model, t = self.model, self.t
         violated = np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))
         cond = CheckResult("analytic_condition", len(violated) == 0, 0.0, self.depth)
@@ -261,7 +262,7 @@ class RadialChain(NeighborhoodChain):
 
         def draw(stream):
             t_in = below[stream]
-            extreme = (model.bound * np.tanh(t_in)) * axis
+            extreme = np.tanh(t_in) * axis
             return [np.vstack([p, extreme])
                     for p in self._draw(sampler, "admissible", stream, (t_in,) * 3, per_level)]
 
@@ -583,12 +584,12 @@ def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
 # sampling helpers local to the metric suites
 
 
-def _rapidity_ball(gen, n, dim, bound, t_cap):
-    """n points on the first axis of a radius-``bound`` ball, with
-    rapidity uniform on [0, t_cap]; the benchmark traces this name.
+def _rapidity_ball(gen, n, dim, t_cap):
+    """n points on the first axis of the unit ball, with rapidity uniform
+    on [0, t_cap]; the benchmark traces this name.
 
     For draws whose checks read nothing of a point but its rapidity: the
-    rapidities are the doubles that ``ball_points(gen, n, dim, bound,
+    rapidities are the doubles that ``ball_points(gen, n, dim,
     t_max=t_cap)`` draws first, and no direction is drawn. The norm of
     (r, 0, ...) is r exactly, where a rotated point's may be an ulp off.
     On a product the points lie in the first factor, whose norm fraction
@@ -596,7 +597,6 @@ def _rapidity_ball(gen, n, dim, bound, t_cap):
     check_sample_size(n, dim)
     rho = gen.uniform(0.0, t_cap, n)
     np.tanh(rho, out=rho)
-    rho *= bound
     pts = np.zeros((n, dim))
     pts[:, 0] = rho
     return pts

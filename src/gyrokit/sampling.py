@@ -131,16 +131,15 @@ def ball_points(
     gen: np.random.Generator,
     n: int,
     dim: int,
-    bound: float = 1.0,
     t_max: float = DEFAULT_T_MAX,
     margin: float | None = 1e-6,
     forced_offset: int | None = None,
 ) -> np.ndarray:
-    """Sample n carrier points of a radius-``bound`` ball.
+    """Sample n carrier points of the unit ball.
 
     Radii are tanh of a uniform rapidity. When ``forced_offset`` is given,
-    indices forced_offset::100 are placed at Euclidean distance
-    bound*margin from the boundary.
+    indices forced_offset::100 are placed at Euclidean distance margin
+    from the boundary.
 
     The radii are computed in place in the rapidity draw, so the call
     holds no whole-stream temporary beside that draw and what it returns.
@@ -152,7 +151,6 @@ def ball_points(
         if margin is None or margin <= 0:
             raise SamplingError("boundary forcing requires a positive margin")
         r[forced_offset::FORCED_STRIDE] = 1.0 - margin
-    r *= bound
     d = directions(gen, n, dim)
     d *= r[:, None]
     return d
@@ -163,7 +161,6 @@ def sample_operands(
     n: int,
     dim: int,
     k: int,
-    bound: float = 1.0,
     margin: float = 1e-6,
     offset: int = 0,
 ) -> list:
@@ -175,6 +172,6 @@ def sample_operands(
     the number of operands already drawn as ``offset``.
     """
     return [
-        ball_points(gen, n, dim, bound, margin=margin, forced_offset=(offset + j) % FORCED_STRIDE)
+        ball_points(gen, n, dim, margin=margin, forced_offset=(offset + j) % FORCED_STRIDE)
         for j in range(k)
     ]

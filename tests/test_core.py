@@ -60,7 +60,7 @@ def test_directions_unit_norm():
 
 def test_ball_points_forced_boundary_slice():
     gen = np.random.default_rng(0)
-    pts = ball_points(gen, 500, 2, bound=1.0, margin=1e-6, forced_offset=3)
+    pts = ball_points(gen, 500, 2, margin=1e-6, forced_offset=3)
     r = np.linalg.norm(pts, axis=1)
     assert np.allclose(r[3::FORCED_STRIDE], 1.0 - 1e-6, atol=1e-15)
     assert (r < 1.0).all()
@@ -101,7 +101,7 @@ def test_sample_cap_refuses_before_drawing():
     with pytest.raises(ResourceLimitError):
         ball_points(None, MAX_SAMPLE_VALUES // 3 + 1, 3)
     with pytest.raises(ResourceLimitError):
-        _rapidity_ball(None, MAX_SAMPLE_VALUES // 2 + 1, 2, 1.0, 1.0)
+        _rapidity_ball(None, MAX_SAMPLE_VALUES // 2 + 1, 2, 1.0)
     with pytest.raises(SamplingError):
         ball_points(None, 0, 3)
     check_sample_size(MAX_SAMPLE_VALUES // 3, 3)  # the cap itself is allowed
@@ -131,8 +131,7 @@ def test_sample_operands_disjoint_forcing():
 
 @pytest.mark.parametrize(
     "model",
-    [MobiusModel(), EinsteinModel(), EinsteinModel(2.5),
-     ProductModel(MobiusModel(), EinsteinModel())],
+    [MobiusModel(), EinsteinModel(), ProductModel(MobiusModel(), EinsteinModel())],
     ids=lambda m: m.name,
 )
 @pytest.mark.parametrize("offset", [0, 1, 2, 99])
@@ -148,8 +147,7 @@ def test_sample_operands_offset_draws_the_witness_streams(model, offset):
             rights = witness_streams(m.right, gen, n, count)
             return [np.concatenate([a, b], axis=-1) for a, b in zip(lefts, rights)]
         return [
-            ball_points(gen, n, m.dim, m.bound, margin=tol.boundary_margin,
-                        forced_offset=(offset + j) % 100)
+            ball_points(gen, n, m.dim, margin=tol.boundary_margin, forced_offset=(offset + j) % 100)
             for j in range(count)
         ]
 
@@ -283,7 +281,6 @@ def test_relative_tolerance_scales_with_magnitude():
     class Skewed(GyrogroupModel):
         name = "skewed"
         dim = 1
-        bound = 1e9
 
         def oplus(self, x, y):
             return x + y

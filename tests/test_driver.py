@@ -184,14 +184,13 @@ def test_radial_prenorm_rows(monkeypatch, model):
     spy = Spy(monkeypatch)
     chain = RadialChain(model, ratio=0.5, depth=DEPTH)
     check_prenorm_properties(chain, Sampler(SEED), n_samples=N)
-    reach = float(np.sum(chain.t))
-    caps = {"gyration_invariance": (1.9 * reach, 2.0, 2.0), "subadditivity": (1.2 * reach,) * 2,
-            "inversion_symmetry": (1.9 * reach,), "closed_form": (1.9 * reach,)}
+    top = chain.full
+    caps = {"gyration_invariance": (1.9 * top, 2.0, 2.0), "subadditivity": (1.2 * top,) * 2,
+            "inversion_symmetry": (1.9 * top,), "closed_form": (1.9 * top,)}
 
     def reference(stream):
         gen = generator("prenorm", stream)
-        return [ball_points(gen, N, model.dim, model.bound, t_max=c, margin=None)
-                for c in caps[stream]]
+        return [ball_points(gen, N, model.dim, t_max=c, margin=None) for c in caps[stream]]
 
     passes = spy.assert_rows("prenorm", reference)
     assert len(passes) == len(caps) == 4
@@ -206,7 +205,7 @@ def test_radial_metric_rows(monkeypatch, model):
 
     def reference(stream):
         gen = generator("metric", stream)
-        return [ball_points(gen, N, model.dim, model.bound, t_max=0.95 * chain.t0, margin=None)
+        return [ball_points(gen, N, model.dim, t_max=0.95 * chain.t0, margin=None)
                 for _ in range(3)]
 
     passes = spy.assert_rows("metric", reference)
@@ -234,6 +233,17 @@ def test_radial_law_row_streams_each_have_one_cap_entry(ratio):
         assert operands == set(range(len(chain.caps[stream]))), stream
 
 
+def test_radial_law_row_caps_read_the_top_of_the_scale():
+    # the caps scale `full`, the rapidity from which the bit extraction caps
+    # N at 2; on the ratio-0.1 chain a pairwise sum of the radii is below it
+    chain = RadialChain(MobiusModel(), t0=1.0, ratio=0.1, depth=24)
+    assert float(np.sum(chain.t)) < chain.full
+    top = chain.full
+    assert chain.caps["gyration_invariance"] == (1.9 * top, 2.0, 2.0)
+    assert chain.caps["subadditivity"] == (1.2 * top,) * 2
+    assert chain.caps["inversion_symmetry"] == chain.caps["closed_form"] == (1.9 * top,)
+
+
 @MODELS
 def test_radial_admissible_rows(monkeypatch, model):
     spy = Spy(monkeypatch)
@@ -246,9 +256,9 @@ def test_radial_admissible_rows(monkeypatch, model):
         t_in = float(chain.t[int(stream.removeprefix("level_")) + 1])
         gen = generator("admissible", stream)
         extreme = np.zeros((1, model.dim))
-        extreme[0, 0] = model.bound * np.tanh(t_in)
-        return [np.vstack([ball_points(gen, per_level, model.dim, model.bound, t_max=t_in,
-                                       margin=None), extreme]) for _ in range(3)]
+        extreme[0, 0] = np.tanh(t_in)
+        return [np.vstack([ball_points(gen, per_level, model.dim, t_max=t_in, margin=None),
+                           extreme]) for _ in range(3)]
 
     passes = spy.assert_rows("admissible", reference)
     assert len(passes) == DEPTH

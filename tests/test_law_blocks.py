@@ -336,11 +336,11 @@ def _old_directions(gen, n, dim):
     return v / norm[:, None]
 
 
-def _old_ball_points(gen, n, dim, bound, margin=1e-6, forced_offset=None):
+def _old_ball_points(gen, n, dim, margin=1e-6, forced_offset=None):
     r = np.tanh(gen.uniform(0.0, 3.0, n))
     if forced_offset is not None:
         r[forced_offset::FORCED_STRIDE] = 1.0 - margin
-    return (bound * r)[:, None] * _old_directions(gen, n, dim)
+    return r[:, None] * _old_directions(gen, n, dim)
 
 
 def _same_bits(a, b):
@@ -356,19 +356,18 @@ def test_directions_match_the_broadcast_expression(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("bound", [1.0, 2.5])
 @pytest.mark.parametrize("offset", [None, 17])
-def test_ball_points_match_the_broadcast_expression(dim, bound, offset):
-    got = ball_points(np.random.default_rng(4), 5003, dim, bound, forced_offset=offset)
-    want = _old_ball_points(np.random.default_rng(4), 5003, dim, bound, forced_offset=offset)
+def test_ball_points_match_the_broadcast_expression(dim, offset):
+    got = ball_points(np.random.default_rng(4), 5003, dim, forced_offset=offset)
+    want = _old_ball_points(np.random.default_rng(4), 5003, dim, forced_offset=offset)
     assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("model,center", [
     (MobiusModel(), None),
     (EinsteinModel(), None),
-    (EinsteinModel(2.5), [0.3, -0.1, 0.2]),
-], ids=["mobius", "einstein", "einstein-c2.5-off-center"])
+    (EinsteinModel(), [0.3, -0.1, 0.2]),
+], ids=["mobius", "einstein", "einstein-off-center"])
 def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, center):
     seen = {}
 
@@ -381,11 +380,10 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
     n = 1003
     check_strong_base(model, sampler=Sampler(9), n_samples=n, tol=tol, center=center)
     c = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
-    for r in (0.9 * model.bound, 0.5 * model.bound, 0.25 * model.bound):
+    for r in (0.9, 0.5, 0.25):
         tag = f"r={r:g}"
         gen = Sampler(9).stream("strong-base", f"ball_invariance_{tag}")
-        x, y = [_old_ball_points(gen, n, model.dim, model.bound, forced_offset=j)
-                for j in range(2)]
+        x, y = [_old_ball_points(gen, n, model.dim, forced_offset=j) for j in range(2)]
         p, q = [
             c + (r * gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim))[:, None]
             * _old_directions(gen, n, model.dim)
@@ -398,29 +396,28 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("bound", [1.0, 0.5])
 @pytest.mark.parametrize("offset", [None, 17])
-def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(dim, bound, offset):
-    # the radii are tanh of the rapidity draw, forced points included,
-    # scaled by bound: the same bits as the expression below, computed in
-    # the draw itself, so beside its points a call holds the draw and what
-    # directions holds, and no radius or scaled-radius array. The scale
-    # multiplies through numpy's ufunc buffer of getbufsize() doubles; at
-    # this n one n-row array outweighs that buffer and the slack
+def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(dim, offset):
+    # the radii are tanh of the rapidity draw, forced points included: the
+    # same bits as the expression below, computed in the draw itself, so
+    # beside its points a call holds the draw and what directions holds,
+    # and no radius array. The radii multiply the directions through
+    # numpy's ufunc buffer of getbufsize() doubles; at this n one n-row
+    # array outweighs that buffer and the slack
     n = 20011
     gen = np.random.default_rng(6)
     rho = gen.uniform(0.0, 3.0, n)
     r = np.tanh(rho)
     if offset is not None:
         r[offset::FORCED_STRIDE] = 1.0 - 1e-6
-    want = directions(gen, n, dim) * (bound * r)[:, None]
+    want = directions(gen, n, dim) * r[:, None]
 
     tracemalloc.start()
     try:
         directions(np.random.default_rng(6), n, dim)
         beside = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        got = ball_points(np.random.default_rng(6), n, dim, bound, forced_offset=offset)
+        got = ball_points(np.random.default_rng(6), n, dim, forced_offset=offset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -61,13 +61,6 @@ def test_einstein_oplus_collinear():
     assert got == pytest.approx([0.8, 0.0, 0.0], abs=1e-15)
 
 
-def test_einstein_oplus_with_c():
-    c = 2.99792458e8
-    u = np.array([[0.5 * c, 0.0, 0.0]])
-    got = EinsteinModel(c).oplus(u, u)[0]
-    assert got[0] == pytest.approx(0.8 * c, rel=1e-14)
-
-
 def test_einstein_gyr_collinear_is_identity():
     u = np.array([[0.3, 0.0, 0.0]])
     v = np.array([[0.4, 0.0, 0.0]])
@@ -145,14 +138,13 @@ def test_extended_fixes_boundary_left_cancellation():
 # -- closed-form Einstein gyration ---------------------------------------------
 
 
-@pytest.mark.parametrize("c", [1.0, 2.0])
-def test_einstein_closed_gyr_matches_derived(c):
-    m = EinsteinModel(c)
+def test_einstein_closed_gyr_matches_derived():
+    m = EinsteinModel()
     assert m.has_closed_gyr
     gen = np.random.default_rng(7)
     # moderate rapidity, where the derived composition is well conditioned
-    u, v, w = (ball_points(gen, 4000, 3, c, t_max=1.5, margin=None) for _ in range(3))
-    assert np.abs(m.gyr(u, v, w) - derived_gyration(m, u, v, w)).max() <= 1e-13 * c
+    u, v, w = (ball_points(gen, 4000, 3, t_max=1.5, margin=None) for _ in range(3))
+    assert np.abs(m.gyr(u, v, w) - derived_gyration(m, u, v, w)).max() <= 1e-13
 
 
 def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
@@ -181,7 +173,7 @@ def test_gyration_agreement_catches_swapped_pivots():
             return super().gyr(v, u, w)
 
         def extended(self):
-            return SwappedExtended(self._oplus_cols, self._gyr_cols, self.c)
+            return SwappedExtended(self._oplus_cols, self._gyr_cols)
 
     bad = check_identities(Swapped(), Sampler(42), 2000).check("gyration_agreement")
     assert not bad.passed
@@ -244,27 +236,23 @@ def _dd_bytes(cols):
     return b"".join(c.hi.tobytes() + c.lo.tobytes() for c in cols)
 
 
-@pytest.mark.parametrize("c", [1.0, 2.0])
-def test_einstein_kernels_bit_identical_to_references(c):
-    m = EinsteinModel(c)
+def test_einstein_kernels_bit_identical_to_references():
+    m = EinsteinModel()
     gen = np.random.default_rng(17)
     # every 100th row of each operand sits at the forced boundary radius
     u, v, w = m.sample_operands(gen, 20000, 3, ToleranceConfig())
-    assert np.isclose(m.magnitude(u[::100]), c * (1.0 - 1e-6), rtol=1e-12).all()
+    assert np.isclose(m.magnitude(u[::100]), 1.0 - 1e-6, rtol=1e-12).all()
 
-    want_oplus = c * _ref_oplus_rows(u / c, v / c) if c != 1.0 else _ref_oplus_rows(u, v)
-    want_gyr = c * _ref_gyr_rows(u / c, v / c, w / c) if c != 1.0 else _ref_gyr_rows(u, v, w)
-    assert m.oplus(u, v).tobytes() == want_oplus.tobytes()
-    assert m.gyr(u, v, w).tobytes() == want_gyr.tobytes()
+    assert m.oplus(u, v).tobytes() == _ref_oplus_rows(u, v).tobytes()
+    assert m.gyr(u, v, w).tobytes() == _ref_gyr_rows(u, v, w).tobytes()
 
     ext = m.extended()
     U, V, W = (ext.lift(a) for a in (u, v, w))
-    ref_lift = [col / c for col in dd.lift_vector(u)] if c != 1.0 else dd.lift_vector(u)
-    assert _dd_bytes(U) == _dd_bytes(ref_lift)
+    assert _dd_bytes(U) == _dd_bytes(dd.lift_vector(u))
     assert _dd_bytes(ext.oplus(U, V)) == _dd_bytes(_ref_oplus_dd(U, V))
     assert _dd_bytes(ext.gyr(U, V, W)) == _dd_bytes(_ref_gyr_dd(U, V, W))
     lowered = ext.lower(ext.gyr(U, V, W))
-    assert lowered.tobytes() == (dd.lower_vector(_ref_gyr_dd(U, V, W)) * c).tobytes()
+    assert lowered.tobytes() == dd.lower_vector(_ref_gyr_dd(U, V, W)).tobytes()
 
 
 # -- product construction ----------------------------------------------------
@@ -296,7 +284,7 @@ def _product_operands(pm, n, k, seed):
 
 
 def test_product_float_ops_are_the_factor_ops_bit_for_bit():
-    pm = ProductModel(MobiusModel(), EinsteinModel(2.5))
+    pm = ProductModel(MobiusModel(), EinsteinModel())
     x, y, z = _product_operands(pm, 3000, 3, 21)
     parts = [(p[:, :2], p[:, 2:]) for p in (x, y, z)]
     (x1, x2), (y1, y2), (z1, z2) = parts
@@ -321,7 +309,7 @@ def test_product_float_ops_are_the_factor_ops_bit_for_bit():
 
 
 def test_product_extended_ops_are_the_factor_ops_bit_for_bit():
-    pm = ProductModel(MobiusModel(), EinsteinModel(2.5))
+    pm = ProductModel(MobiusModel(), EinsteinModel())
     ext = pm.extended()
     el, er = pm.left.extended(), pm.right.extended()
     x, y, z = _product_operands(pm, 3000, 3, 22)
@@ -388,7 +376,7 @@ def test_strong_base_detects_noninvariant_set():
 
 
 def test_strong_base_refuses_bad_radii_before_drawing(monkeypatch):
-    # a radius outside (0, bound] or not finite, or two radii whose tags
+    # a radius outside (0, 1] or not finite, or two radii whose tags
     # r={r:g} collide (they would name six checks three ways and read one
     # stream), is refused before any stream is opened
     opened = []
@@ -398,7 +386,7 @@ def test_strong_base_refuses_bad_radii_before_drawing(monkeypatch):
     for model, radii, message in [
         (MobiusModel(), [0.5, 0.5000001], "share the tag r=0.5"),
         (EinsteinModel(), [1.5], "(0,1], got 1.5"),
-        (EinsteinModel(2.5), [0.5, 2.6], "(0,2.5], got 2.6"),
+        (EinsteinModel(), [0.5, 1.0000001], "(0,1], got 1.0000001"),
         (MobiusModel(), [-0.5], "got -0.5"),
         (MobiusModel(), [0.0], "got 0.0"),
         (MobiusModel(), [float("nan")], "got nan"),
@@ -417,15 +405,15 @@ def test_strong_base_refuses_bad_radii_before_drawing(monkeypatch):
         (MobiusModel(), [5.0, 0.0]),
         (MobiusModel(), [1.0, 0.0]),
         (MobiusModel(), [float("nan"), 0.0]),
-        (EinsteinModel(2.5), [0.0, 2.5, 0.0]),
-        (EinsteinModel(2.5), [0.0, -float("inf"), 0.0]),
+        (EinsteinModel(), [0.0, 1.0, 0.0]),
+        (EinsteinModel(), [0.0, -float("inf"), 0.0]),
     ]:
         with pytest.raises(UsageError, match=re.escape(f"be a point of {model.name}, got")):
             check_strong_base(model, sampler=Sampler(1), n_samples=100, center=center)
     assert opened == []
-    # the whole carrier is a ball of radius bound, fixed by every gyration
-    rep = check_strong_base(EinsteinModel(2.5), ball_radii=[2.5], sampler=Sampler(1), n_samples=100)
-    assert rep.passed and opened[0] == "ball_invariance_r=2.5"
+    # the whole carrier is the ball of radius 1, fixed by every gyration
+    rep = check_strong_base(EinsteinModel(), ball_radii=[1.0], sampler=Sampler(1), n_samples=100)
+    assert rep.passed and opened[0] == "ball_invariance_r=1"
 
 
 def test_strong_base_rejects_finite_model():

@@ -1,3 +1,4 @@
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from gyrokit.core import exhaustive_law_checks
-from gyrokit.errors import ChainConditionError, UsageError
+from gyrokit.errors import ChainConditionError, SamplingError, UsageError
 from gyrokit import prenorm, sampling
 from gyrokit.models import EinsteinModel, MobiusModel, ProductModel
 from gyrokit.prenorm import (
@@ -297,7 +298,7 @@ def assert_same_bits(fam, x):
 def point_at_rapidity(model, target):
     """Points on the first axis whose rapidity is exactly ``target``; the
     doubles next to tanh(target) are searched, so the result may be empty."""
-    x0 = np.tanh(target) * model.bound
+    x0 = np.tanh(target)
     pts = np.zeros((129, model.dim))
     pts[:, 0] = x0 + np.arange(-64, 65) * np.spacing(x0)
     return pts[rapidity(model, pts) == target][:1]
@@ -312,30 +313,30 @@ RATIOS = pytest.mark.parametrize("ratio", [0.1, 0.25, 1 / 3, 0.49, 0.5])
 @RATIOS
 def test_greedy_loops_match_masked_reference_bitwise(model, ratio):
     gen = np.random.default_rng(43)
-    dim, bound = model.dim, model.bound
+    dim = model.dim
     for depth in (1, 24, 40):
         for t0 in (0.01, 1.0, MAX_T0):
             fam = build_dyadic(RadialChain(model, t0=t0, ratio=ratio, depth=depth))
             t, tails = tails_of(fam)
             top = float(t[0] + tails[0])
             beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 50))[:, None]
-            beyond = beyond * bound * directions(gen, 50, dim)
+            beyond = beyond * directions(gen, 50, dim)
             assert (prenorm_eval(fam, beyond) == 2.0).all()
-            nan_mix = ball_points(gen, 20, dim, bound, t_max=top, margin=None)
+            nan_mix = ball_points(gen, 20, dim, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             inputs = [
-                ball_points(gen, 2000, dim, bound, t_max=1.2 * top, margin=None),
+                ball_points(gen, 2000, dim, t_max=1.2 * top, margin=None),
                 nan_mix,
                 np.full((4, dim), np.nan),
                 np.zeros((0, dim)),
                 np.zeros((5, dim)),
                 beyond,
-                ball_points(gen, 1, dim, bound, t_max=top, margin=None),
+                ball_points(gen, 1, dim, t_max=top, margin=None),
                 # a single point, 0-d result
-                ball_points(gen, 1, dim, bound, t_max=top, margin=None)[0],
+                ball_points(gen, 1, dim, t_max=top, margin=None)[0],
             ]
             # draws up to the sandwich check's caps, which leave the coarse levels dead
-            inputs += [ball_points(gen, 500, dim, bound, t_max=2.2 * t[n], margin=None)
+            inputs += [ball_points(gen, 500, dim, t_max=2.2 * t[n], margin=None)
                        for n in sorted({0, depth // 2, depth})]
             for x in inputs:
                 assert_same_bits(fam, x)
@@ -355,7 +356,7 @@ def test_greedy_loop_at_a_remainder_equal_to_a_tail(model, ratio):
         if not len(at):
             continue
         hits += 1
-        below = ball_points(gen, 200, model.dim, model.bound, t_max=0.9 * tails[k], margin=None)
+        below = ball_points(gen, 200, model.dim, t_max=0.9 * tails[k], margin=None)
         x = np.concatenate([below, at])
         assert rapidity(model, x).max() == tails[k]
         assert_same_bits(fam, x)
@@ -425,7 +426,7 @@ def full_sandwich_bounds(fam, x, n):
 @RATIOS
 def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
     gen = np.random.default_rng(53)
-    dim, bound = model.dim, model.bound
+    dim = model.dim
     # N exactly at the outer bound 2^(1-n), and just past it (a later bit)
     at_top = past_top = hits = 0
     for depth in (1, 24, 40):
@@ -434,8 +435,8 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             t, tails = tails_of(fam)
             top = float(t[0] + tails[0])
             beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 20))[:, None]
-            beyond = beyond * bound * directions(gen, 20, dim)
-            nan_mix = ball_points(gen, 20, dim, bound, t_max=top, margin=None)
+            beyond = beyond * directions(gen, 20, dim)
+            nan_mix = ball_points(gen, 20, dim, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             # points whose rapidity is a sandwich threshold t[n], t[n-1] or 2 t0
             # exactly, or the next double above it
@@ -446,19 +447,19 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             ])
             hits += len(exact)
             inputs = [
-                ball_points(gen, 500, dim, bound, t_max=1.2 * top, margin=None),
+                ball_points(gen, 500, dim, t_max=1.2 * top, margin=None),
                 nan_mix,
                 np.full((3, dim), np.nan),
                 beyond,
                 np.zeros((0, dim)),
                 np.zeros((4, dim)),
                 # a single point, 0-d result
-                ball_points(gen, 1, dim, bound, t_max=top, margin=None)[0],
+                ball_points(gen, 1, dim, t_max=top, margin=None)[0],
                 exact,
                 *exact[:1],
             ]
             for n in range(depth + 1):
-                draws = ball_points(gen, 200, dim, bound, t_max=2.2 * t[n], margin=None)
+                draws = ball_points(gen, 200, dim, t_max=2.2 * t[n], margin=None)
                 for x in inputs + [draws]:
                     got = fam.chain.sandwich(fam, x, n)[:2]
                     want = full_sandwich_bounds(fam, x, n)
@@ -499,7 +500,7 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
         gen = Sampler(5).stream("prenorm", f"sandwich_{n}")
         # the suite's cap: 2.2 t[n], and below level 0 at least 1.1 t[n-1]
         cap = max(2.2 * chain.t[n], 1.1 * chain.t[n - 1]) if n else 2.2 * chain.t[0]
-        pts = _rapidity_ball(gen, n_samples, model.dim, model.bound, cap)
+        pts = _rapidity_ball(gen, n_samples, model.dim, cap)
         inner, outer = full_sandwich_bounds(fam, pts, n)
         member = faulty_member(chain, n, pts)
         failing = (inner & ~member) | (member & ~outer)
@@ -563,11 +564,11 @@ def test_rapidity_ball_is_ball_points_first_draw_on_the_first_axis(model, ratio)
     for n in (0, 1, 12, chain.depth):
         cap = level_cap(chain, n)
         recorded = FirstUniform(n)
-        ball_points(recorded, 300, model.dim, model.bound, t_max=cap, margin=None)
+        ball_points(recorded, 300, model.dim, t_max=cap, margin=None)
         rho = recorded.first
-        pts = _rapidity_ball(np.random.default_rng(n), 300, model.dim, model.bound, cap)
+        pts = _rapidity_ball(np.random.default_rng(n), 300, model.dim, cap)
         assert pts.shape == (300, model.dim)
-        assert pts[:, 0].tobytes() == (model.bound * np.tanh(rho)).tobytes()
+        assert pts[:, 0].tobytes() == np.tanh(rho).tobytes()
         assert pts[:, 1:].tobytes() == np.zeros((300, model.dim - 1)).tobytes()
         # the norm of (r, 0, ...) is r exactly
         assert np.array_equal(model.norm_fraction(pts), np.tanh(rho))
@@ -584,7 +585,7 @@ def test_sandwich_levels_decide_each_point_as_the_direction_draw_did(model, rati
     for n in range(chain.depth + 1):
         pts, _ = chain.sandwich_points(Sampler(9), n, 2000)
         old = ball_points(Sampler(9).stream("prenorm", f"sandwich_{n}"), 2000, model.dim,
-                          model.bound, t_max=level_cap(chain, n), margin=None)
+                          t_max=level_cap(chain, n), margin=None)
         got, want = chain.sandwich(fam, pts, n), chain.sandwich(fam, old, n)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -872,14 +873,33 @@ def test_admissible_half_witness_is_the_axis_extreme():
     assert u == v == w_
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_radial_admissible_refuses_a_sample_count_below_one_before_drawing(
+    monkeypatch, n_samples
+):
+    # as prenorm and metric do; a count of 1 still draws 16 points a level,
+    # and the extreme point makes 17
+    opened = []
+    real = Sampler.stream
+    monkeypatch.setattr(Sampler, "stream",
+                        lambda self, suite, check: opened.append(check) or real(self, suite, check))
+    chain = RadialChain(MobiusModel(), depth=4)
+    with pytest.raises(SamplingError, match=re.escape("sample count must be >= 1")):
+        validate_admissible_chain(chain, Sampler(1), n_samples=n_samples)
+    assert opened == []
+    rep = validate_admissible_chain(chain, Sampler(1), n_samples=1)
+    assert rep.check("level_0_double_sum").samples == 17
+    assert len(opened) == chain.depth
+
+
 def test_admissible_sampled_triples_stay_below_extreme():
     # the deterministic extreme really is the worst case of the level
     model = MobiusModel()
     t_in = 0.25
     gen = np.random.default_rng(41)
-    u = ball_points(gen, 3000, 2, 1.0, t_max=t_in, margin=None)
-    v = ball_points(gen, 3000, 2, 1.0, t_max=t_in, margin=None)
-    w = ball_points(gen, 3000, 2, 1.0, t_max=t_in, margin=None)
+    u = ball_points(gen, 3000, 2, t_max=t_in, margin=None)
+    v = ball_points(gen, 3000, 2, t_max=t_in, margin=None)
+    w = ball_points(gen, 3000, 2, t_max=t_in, margin=None)
     comp = model.oplus(u, model.oplus(v, w))
     assert rapidity(model, comp).max() <= 3.0 * t_in + 1e-12
 
