@@ -34,7 +34,7 @@ from .prenorm import (
     validate_admissible_chain,
 )
 from .report import canonical_json, suite_report, witness_check
-from .sampling import Sampler, ToleranceConfig
+from .sampling import Sampler, ToleranceConfig, suite_prologue
 from .tables import (
     CayleyTable,
     TableModel,
@@ -168,7 +168,7 @@ def _chained(check):
 
     def run(cfg: RunConfig):
         carrier = _carrier(cfg.model)
-        sampler, tol = Sampler(cfg.seed), cfg.tol or ToleranceConfig()
+        sampler, tol = suite_prologue(Sampler(cfg.seed), cfg.tol)
         try:
             chain = _build_chain(cfg, carrier)
         except ChainConditionError as exc:

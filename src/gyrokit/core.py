@@ -39,14 +39,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .report import array_check, suite_report, witness_check
-from .sampling import (
-    Sampler,
-    ToleranceConfig,
-    check_sample_size,
-    rowdot,
-    rownorm,
-    sample_operands,
-)
+from .sampling import ToleranceConfig, rowdot, rownorm, sample_operands, suite_prologue
 
 # rapidity beyond which a float64 intermediate is no longer trusted;
 # cosh(5.5)^2 * eps stays two orders below the default tolerance
@@ -515,13 +508,10 @@ def _run_rows(model, rows, draw, tol: ToleranceConfig):
 
 
 def _run_suite(model, suite, checks, sampler, n_samples, tol):
-    sampler = sampler if sampler is not None else Sampler()
-    tol = tol if tol is not None else ToleranceConfig()
-    if not model.is_exact:
-        # refuse the whole suite before its first check allocates anything;
-        # checks with witness operands draw WITNESSES witness rows per sample
-        expanded = any(wit for _, _, _, wit in checks)
-        check_sample_size(n_samples * WITNESSES if expanded else n_samples, model.dim)
+    """The report of ``checks`` ``(name, law, base, wit)``, a stream each, once
+    ``suite_prologue`` admits the largest: a witness draw, if a check has one."""
+    rows = n_samples * (WITNESSES if any(wit for *_, wit in checks) else 1)
+    sampler, tol = suite_prologue(sampler, tol, model.dim, n_samples, rows)
     with suite_report(suite, model.name, sampler, tol) as report:
         arity = {name: (base, wit) for name, _, base, wit in checks}
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import GyrogroupModel, _run_rows, element_rule
+from .core import _LAW_BLOCK_ROWS, GyrogroupModel, _run_rows, element_rule
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
-from .sampling import Sampler, ToleranceConfig, coldot, directions
+from .sampling import Sampler, ToleranceConfig, coldot, directions, suite_prologue
 
 # ---------------------------------------------------------------------------
 # column kernels on the unit ball: float64 columns and DD values alike;
@@ -309,9 +309,9 @@ def _norm_compare(model):
 
 
 def _membership_excess(model, center, radius):
+    """The excess of |⊖center ⊕ l| over the radius: 0 in center ⊕ B(radius)."""
     def compare(l, _r):
-        d = model.distance(l, np.broadcast_to(center, np.asarray(l).shape))
-        return np.maximum(0.0, d - radius)
+        return np.maximum(0.0, model.magnitude(model.oplus(model.neg(center), l)) - radius)
 
     return compare
 
@@ -324,28 +324,27 @@ def check_strong_base(
     tol: ToleranceConfig | None = None,
     center=None,
 ) -> VerificationReport:
-    """Verify that gyrations fix the given centered balls setwise.
+    """Verify that gyrations fix the given balls setwise.
 
     For each radius r the check samples pivot pairs (x, y) and points p and
-    q of the ball U, and asserts that gyr[x, y] maps U into U and that every
+    q of U = c ⊕ B(r), the paper's neighbourhood of the center c (default
+    the identity), as c ⊕ (Euclidean-uniform points of B(r)); l is in U when
+    |⊖c ⊕ l| <= r. It asserts that gyr[x, y] maps U into U and that every
     sampled target of U is hit from inside U via the opposite gyration
     (whose inverse relationship is itself checked by a roundtrip). The
     three rows of a radius read one draw of x, y, p and q. Norm
     preservation and the norm-level commutation law are included; the disk
     model also gets the unimodularity of its rotation factor.
 
-    Each radius must lie in (0, 1], and no two may share the tag
-    ``r={r:g}`` that names their checks and their stream; either is a
-    ``UsageError`` before anything is drawn. ``center`` (default the
-    identity) lets callers probe an off-center ball, which is expected to
-    fail for generic pivots; one that is not a point of the carrier (not
-    numbers, of another shape, not finite, or on or beyond the boundary)
-    is a ``UsageError`` too.
+    Before anything is drawn, ``suite_prologue`` refuses the sample count,
+    and a radius outside (0, 1], two radii that share the tag ``r={r:g}`` of
+    their checks and stream, or a center off the carrier (not numbers, of
+    another shape, not finite, or on or beyond the boundary) is a
+    ``UsageError``. An off-center ball is expected to fail for generic pivots.
     """
     if model.dim is None:
         raise UsageError("the base-invariance check applies to continuous models")
-    sampler = sampler if sampler is not None else Sampler()
-    tol = tol if tol is not None else ToleranceConfig()
+    sampler, tol = suite_prologue(sampler, tol, model.dim, n_samples)
     suite = "strong-base"
     if ball_radii is None:
         ball_radii = [0.9, 0.5, 0.25]
@@ -386,11 +385,12 @@ def check_strong_base(
             (reads,) = [row[2] for row in rows if row[1] == stream]
             return model.sample_operands(gen, n_samples, len(reads), tol)
         out = model.sample_operands(gen, n_samples, 2, tol)
-        for _ in range(2):  # p, then q: Euclidean-uniform points of the ball around `center`
+        for _ in range(2):  # p, then q: center ⊕ a Euclidean-uniform point of B(r)
             u = gen.uniform(0.0, 1.0, n_samples) ** (1.0 / model.dim)
             d = directions(gen, n_samples, model.dim)
             d *= (radii[stream] * u)[:, None]
-            d += center
+            for lo in range(0, n_samples, _LAW_BLOCK_ROWS):  # in place, a block at a time
+                d[lo:lo + _LAW_BLOCK_ROWS] = model.oplus(center, d[lo:lo + _LAW_BLOCK_ROWS])
             out.append(d)
         return out
 

@@ -30,9 +30,9 @@ import math
 import numpy as np
 
 from .core import GyrogroupModel, _run_rows, law_triangle_decomposition
-from .errors import AxiomViolationError, ChainConditionError, SamplingError, UsageError
+from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
-from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size
+from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size, suite_prologue
 from .tables import CayleyTable, TableModel, _closed_under, _subset_indices, coset_partition
 
 DEFAULT_RATIO = 0.25
@@ -237,15 +237,12 @@ class RadialChain(NeighborhoodChain):
         """A radial chain's own metric checks are all rows (``metric_rows``)."""
         return []
 
-    def admissible_checks(self, sampler, n_samples, tol):
+    def admissible_checks(self, sampler, per_level, tol):
         """The analytic condition 3 t[n+1] <= t[n]; per level, the double
-        sums of draws from the level below, with the worst case appended,
-        three copies of the extreme point on a fixed axis, where the radial
-        scales add exactly; and the identity in every level. A sample count
-        below 1 is refused before any stream opens, as the other chain
-        suites' draws refuse it."""
-        if n_samples < 1:
-            raise SamplingError("sample count must be >= 1")
+        sums of ``per_level`` draws from the level below, with the worst
+        case appended, three copies of the extreme point on a fixed axis,
+        where the radial scales add exactly; and the identity in every
+        level."""
         model, t = self.model, self.t
         violated = np.flatnonzero(3.0 * t[1:] > t[:-1] * (1.0 + 1e-12))
         cond = CheckResult("analytic_condition", len(violated) == 0, 0.0, self.depth)
@@ -255,7 +252,6 @@ class RadialChain(NeighborhoodChain):
             cond.witness = {"level": lvl + 1, "t_n": float(t[lvl]), "t_next": float(t[lvl + 1])}
         checks = [cond]
 
-        per_level = max(16, n_samples // max(1, self.depth))
         axis = np.zeros(model.dim)
         axis[0] = 1.0
         below = {f"level_{n}": float(t[n + 1]) for n in range(self.depth)}
@@ -389,7 +385,7 @@ class FiniteChain(NeighborhoodChain):
         checks.append(array_check("rho_discrete_on_quotient", diff, diff == 0, "exhaustive"))
         return checks
 
-    def admissible_checks(self, sampler, n_samples, tol):
+    def admissible_checks(self, sampler, per_level, tol):
         """Every level is the base H, a subgyrogroup by construction, so the
         double sums stay in it and the levels meet in it. What can fail is
         that every gyration gyr[a, b] maps H onto itself (into suffices: it is
@@ -660,17 +656,18 @@ def chain_condition_report(
     return report
 
 
-def _chain_suite(suite, chain, sampler, tol):
-    """``(sampler, tol, family, refused)`` of a chain suite: the defaults, and
-    the dyadic family, or None and the report of a failed halving condition."""
-    sampler = sampler or Sampler()
-    tol = tol or ToleranceConfig()
+def _chain_suite(suite, chain, sampler, n_samples, tol):
+    """``(sampler, tol, family, refused)`` of a chain suite: its prologue and
+    the dyadic family, or None and the report of a failed halving condition,
+    which draws nothing and so refuses no count."""
     try:
-        return sampler, tol, build_dyadic(chain), None
+        family = build_dyadic(chain)
     except ChainConditionError as exc:
+        sampler, tol = suite_prologue(sampler, tol)
         return sampler, tol, None, chain_condition_report(
             suite, "halving_condition", exc, chain.model, sampler, tol, chain
         )
+    return (*suite_prologue(sampler, tol, chain.model.dim, n_samples), family, None)
 
 
 def _prenorm_rows(family, tol):
@@ -751,7 +748,7 @@ def check_prenorm_properties(
     the one driver ``core._run_rows`` (``chain.law_checks``): on a radial
     chain each on its own stream's draw, which the driver releases after
     its row; on a finite chain on every tuple."""
-    sampler, tol, family, refused = _chain_suite("prenorm", chain, sampler, tol)
+    sampler, tol, family, refused = _chain_suite("prenorm", chain, sampler, n_samples, tol)
     if refused is not None:
         return refused
     with suite_report(
@@ -792,7 +789,7 @@ def check_metric_properties(
     representatives on a finite one. On a radial chain every row reads the
     one triple, drawn and released by ``core._run_rows``; the d rows share
     one pass, and so do the rows that read rho(x, y)."""
-    sampler, tol, family, refused = _chain_suite("metric", chain, sampler, tol)
+    sampler, tol, family, refused = _chain_suite("metric", chain, sampler, n_samples, tol)
     if refused is not None:
         return refused
     with suite_report("metric", chain.model.name, sampler, tol, depth=family.depth) as report:
@@ -811,14 +808,14 @@ def validate_admissible_chain(
     """Level-by-level check that the chain is admissible: a double sum
     u + (v + w) of points of U_{n+1} must land in U_n, and the levels
     meet in the chain's base, which holds the identity. How each kind
-    checks it is its ``admissible_checks``."""
-    sampler = sampler or Sampler()
-    tol = tol or ToleranceConfig()
+    checks it is its ``admissible_checks``, on ``per_level`` points a level."""
+    per_level = max(16, n_samples // chain.depth)
+    sampler, tol = suite_prologue(sampler, tol, chain.model.dim, n_samples, per_level)
     with suite_report(
         "admissible", chain.model.name, sampler, tol,
         depth=chain.depth, notes={"chain": chain.describe()},
     ) as report:
-        checks, notes = chain.admissible_checks(sampler, n_samples, tol)
+        checks, notes = chain.admissible_checks(sampler, per_level, tol)
         report.checks += checks
         report.notes.update(notes)
     return report

@@ -127,6 +127,18 @@ def check_sample_size(rows: int, dim: int) -> None:
         )
 
 
+def suite_prologue(sampler, tol, dim=None, n_samples=None, rows=None):
+    """``(sampler, tol)``, ``Sampler()`` and ``ToleranceConfig()`` for None, of
+    a suite before its first stream. On a carrier of ``dim`` coordinates it
+    refuses a count ``n_samples`` below 1 and a largest stream of ``rows``
+    points (default the count) past the cap; without ``dim`` it refuses none."""
+    if dim is not None:
+        if n_samples < 1:
+            raise SamplingError("sample count must be >= 1")
+        check_sample_size(n_samples if rows is None else rows, dim)
+    return sampler or Sampler(), tol or ToleranceConfig()
+
+
 def ball_points(
     gen: np.random.Generator,
     n: int,

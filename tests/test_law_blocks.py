@@ -384,9 +384,10 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
         tag = f"r={r:g}"
         gen = Sampler(9).stream("strong-base", f"ball_invariance_{tag}")
         x, y = [_old_ball_points(gen, n, model.dim, forced_offset=j) for j in range(2)]
+        # the points c ⊕ B(r); at c = 0, c ⊕ v is v bit for bit
         p, q = [
-            c + (r * gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim))[:, None]
-            * _old_directions(gen, n, model.dim)
+            model.oplus(c, (r * gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim))[:, None]
+                        * _old_directions(gen, n, model.dim))
             for _ in range(2)
         ]
         fx, fy, fp = seen[f"ball_forward_{tag}"]

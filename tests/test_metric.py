@@ -2,6 +2,7 @@ import copy
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -466,7 +467,10 @@ LAW_CAP_PEAK_MIB = {
 
 
 def test_law_suites_at_the_sample_cap_keep_their_peaks():
-    # a rise of more than 5% shows, in a child under a 1 GiB address space
+    # a rise of more than 5% shows, in a child under a 1 GiB address space.
+    # The children run two at a time, each with its own limit, 300 s timeout
+    # and peak (RUSAGE_SELF of the child); this thread alone starts them, as
+    # preexec_fn requires
     resource = pytest.importorskip("resource")
     limit = 1 << 30
 
@@ -474,17 +478,31 @@ def test_law_suites_at_the_sample_cap_keep_their_peaks():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    for (suite, model, samples), peak_mib in LAW_CAP_PEAK_MIB.items():
-        # the axioms' witness checks draw WITNESSES rows per sample
-        values = (WITNESSES if suite == "axioms" else 1) * {"mobius": 2, "einstein": 3}[model]
-        assert samples * values <= MAX_SAMPLE_VALUES < (samples + 1) * values
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_CHILD, suite, "--model", model,
-             "--samples", str(samples)],
-            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
-        )
-        assert proc.returncode == 0, (suite, model, proc.stderr)
-        assert int(proc.stderr.split()[-1]) / 1024 <= 1.05 * peak_mib, (suite, model)
+    pending, running = list(LAW_CAP_PEAK_MIB.items()), []
+    try:
+        while pending or running:
+            while pending and len(running) < 2:
+                (suite, model, samples), peak_mib = pending.pop(0)
+                # the axioms' witness checks draw WITNESSES rows per sample
+                values = ((WITNESSES if suite == "axioms" else 1)
+                          * {"mobius": 2, "einstein": 3}[model])
+                assert samples * values <= MAX_SAMPLE_VALUES < (samples + 1) * values
+                proc = subprocess.Popen(
+                    [sys.executable, "-c", PEAK_CHILD, suite, "--model", model,
+                     "--samples", str(samples)],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                    preexec_fn=cap,
+                )
+                running.append((suite, model, peak_mib, proc, time.monotonic() + 300))
+            suite, model, peak_mib, proc, deadline = running[0]
+            _, stderr = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
+            running.pop(0)
+            assert proc.returncode == 0, (suite, model, stderr)
+            assert int(stderr.split()[-1]) / 1024 <= 1.05 * peak_mib, (suite, model)
+    finally:  # a failed or timed-out child leaves no other running
+        for *_, proc, _ in running:
+            proc.kill()
+            proc.communicate()
 
 
 def test_finite_spec_beside_the_largest_table_fits_in_256_mib():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gyrokit.core import exhaustive_law_checks
-from gyrokit.errors import ChainConditionError, SamplingError, UsageError
+from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit import prenorm, sampling
 from gyrokit.models import EinsteinModel, MobiusModel, ProductModel
 from gyrokit.prenorm import (
@@ -871,25 +871,6 @@ def test_admissible_half_witness_is_the_axis_extreme():
     u, v, w_ = w["inputs"]
     assert u == pytest.approx([np.tanh(0.5), 0.0], abs=1e-15)
     assert u == v == w_
-
-
-@pytest.mark.parametrize("n_samples", [0, -5])
-def test_radial_admissible_refuses_a_sample_count_below_one_before_drawing(
-    monkeypatch, n_samples
-):
-    # as prenorm and metric do; a count of 1 still draws 16 points a level,
-    # and the extreme point makes 17
-    opened = []
-    real = Sampler.stream
-    monkeypatch.setattr(Sampler, "stream",
-                        lambda self, suite, check: opened.append(check) or real(self, suite, check))
-    chain = RadialChain(MobiusModel(), depth=4)
-    with pytest.raises(SamplingError, match=re.escape("sample count must be >= 1")):
-        validate_admissible_chain(chain, Sampler(1), n_samples=n_samples)
-    assert opened == []
-    rep = validate_admissible_chain(chain, Sampler(1), n_samples=1)
-    assert rep.check("level_0_double_sum").samples == 17
-    assert len(opened) == chain.depth
 
 
 def test_admissible_sampled_triples_stay_below_extreme():
