@@ -13,6 +13,16 @@ are re-evaluated with the model's compensated double-double kernels,
 each side rounded to float64 once at the end. The verdict therefore
 reflects the algebra, not the conditioning of the sample.
 
+Both passes evaluate laws on one point representation, ``_Point``: a list
+of contiguous coordinate columns, float64 arrays in the float64 pass and
+double-double values in the other, which keeps the per-point values that
+several ops read (the squared norm, the norm, 1/gamma). The float64 pass
+turns each input block into columns once and each op returns its kernel's
+columns, so no op stacks or splits a point; the double-double pass lowers
+its points to float64 columns, so the rules read both passes' points alike.
+A model whose ops take arrays only (``_on_points`` false) is traced on
+(n, d) arrays.
+
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
 each kernel's temporaries stay in cache, and marks each row stressed or
 not with one bool; the double-double pass then runs on blocks of
@@ -39,7 +49,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .report import array_check, suite_report, witness_check
-from .sampling import ToleranceConfig, rowdot, rownorm, sample_operands, suite_prologue
+from .sampling import ToleranceConfig, coldot, rownorm, sample_operands, suite_prologue
 
 # rapidity beyond which a float64 intermediate is no longer trusted;
 # cosh(5.5)^2 * eps stays two orders below the default tolerance
@@ -67,13 +77,18 @@ class GyrogroupModel:
     closed form against. Continuous models are balls of radius 1: they
     set ``dim``, draw their operands through ``sample_operands`` and may
     supply ``extended()`` double-double kernels; exact models set
-    ``is_exact`` and ``order`` and work on broadcast index arrays.
+    ``is_exact`` and ``order`` and work on broadcast index arrays. A
+    continuous model whose ops also take ``_Point`` columns, and return
+    one for them, sets ``_on_points``; the law passes then hand it points,
+    and ``zero_like``, ``distance`` and ``magnitude`` read them here.
     """
 
     name = "abstract"
     dim: int | None = None
     is_exact = False
     has_closed_gyr = False
+    # whether oplus, neg and gyr take _Point columns, as the law passes give them
+    _on_points = False
 
     def oplus(self, x, y):
         raise NotImplementedError
@@ -82,18 +97,27 @@ class GyrogroupModel:
         raise NotImplementedError
 
     def zero_like(self, x):
+        if isinstance(x, _Point):
+            return _Point([np.zeros_like(c) for c in x])
         return np.zeros_like(x)
 
     def gyr(self, x, y, z):
         return derived_gyration(self, x, y, z)
 
     def distance(self, a, b):
+        if isinstance(a, _Point):
+            d = [p - q for p, q in zip(a, b)]
+            return np.sqrt(coldot(d, d))
         return rownorm(np.asarray(a, float) - np.asarray(b, float))
 
     def magnitude(self, a):
-        # a value of the float64 law pass carries its squared norm (_Normed)
-        sq = getattr(a, "sq", None)
-        return rownorm(np.asarray(a, float)) if sq is None else np.sqrt(sq)
+        if isinstance(a, _Point):  # its norm, computed once
+            if a.norm is None:
+                if a.sq is None:
+                    a.sq = coldot(a, a)
+                a.norm = np.sqrt(a.sq)
+            return a.norm
+        return rownorm(np.asarray(a, float))
 
     def norm_fraction(self, a):
         """Carrier norm as a fraction of the boundary radius, which is 1."""
@@ -115,45 +139,65 @@ def derived_gyration(ops, x, y, z):
     return ops.oplus(ops.neg(xy), ops.oplus(x, ops.oplus(y, z)))
 
 
-class _Normed(np.ndarray):
-    """A value of the float64 law pass with ``sq``, its per-point squared
-    norm ``rowdot(a, a)``, computed once when the value is traced. The
-    boundary trace (``norm_fraction``), ``magnitude`` in the rules and the
-    ball kernels read it, and a traced negation keeps it; values derived
-    from it by numpy do not carry it."""
+class _Point(list):
+    """A point's coordinate columns, the one form in which both law passes
+    carry a traced value to the kernels and the rules: float64 arrays in the
+    float64 pass, ``ddarith.DD`` values in the double-double pass.
+
+    It keeps the per-point values that several ops and the rules read, each
+    computed once, on first use: ``sq``, the squared norm of a float64 point,
+    and ``norm``, its square root (``magnitude``, which the boundary trace
+    calls); ``g``, 1/gamma (``models._inv_gamma``); and ``piv``, the pivot
+    part of the last gyration that took this point as its first pivot
+    (``models._BallModel._gyr_cols``)."""
+
+    __slots__ = ("sq", "norm", "g", "piv", "__weakref__")
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.sq = self.norm = self.g = self.piv = None
+
+    @classmethod
+    def of(cls, rows):
+        """The (..., d) array ``rows`` as d contiguous columns."""
+        rows = np.asarray(rows, float)
+        return cls([np.ascontiguousarray(rows[..., i]) for i in range(rows.shape[-1])])
 
 
-def _normed(a, sq):
-    """The array ``a`` as a _Normed view that carries ``sq``."""
-    out = a.view(_Normed)
-    out.sq = sq
-    return out
+def _stacked(a):
+    """A point as one (..., d) array, for a consumer that needs one; an
+    array is returned as it is."""
+    return np.stack(a, axis=-1) if isinstance(a, _Point) else a
 
 
 class _TracedOps:
     """Duck-typed ops that record the largest norm fraction per sample.
 
-    Each traced value is a ``_Normed`` view that carries its squared norm."""
+    On a model that takes ``_Point`` columns (``_on_points``), each input
+    row block becomes a ``_Point`` of contiguous columns once, and each op
+    returns the kernel's own columns as one, so the trace, later ops and the
+    rule read each point's norm values from it; otherwise values are arrays.
+    Every op goes through the model's public method."""
 
     def __init__(self, model):
         self._m = model
         self.peak = None
 
     def _note(self, r):
-        r = _normed(r, rowdot(r, r))
         f = self._m.norm_fraction(r)
         self.peak = f if self.peak is None else np.maximum(self.peak, f)
         return r
 
     def note_inputs(self, streams):
-        return [self._note(s) for s in streams]
+        of = _Point.of if self._m._on_points else np.asarray
+        return [self._note(of(s)) for s in streams]
 
     def oplus(self, x, y):
         return self._note(self._m.oplus(x, y))
 
     def neg(self, x):
-        # x is a traced value, and |-x|^2 is |x|^2 bit for bit
-        return _normed(self._m.neg(x), x.sq)
+        # |-x| is |x| bit for bit, so a negated point keeps x's norm values
+        return self._m.neg(x)
 
     def zero_like(self, x):
         return self._m.zero_like(x)
@@ -314,12 +358,12 @@ def run_law_group(model, names, law, streams, rules):
     n = len(streams[0])
     residual, ok = np.empty((len(names), n)), np.empty((len(names), n), dtype=bool)
     stress = np.empty(n, dtype=bool)
+    # no variable holds a block's points, so none outlives its block
     for lo in range(0, n, _LAW_BLOCK_ROWS):
         rows = slice(lo, lo + _LAW_BLOCK_ROWS)
-        block = [s[rows] for s in streams]
         traced = _TracedOps(model)
-        block = traced.note_inputs(block)
-        for j, (r, o) in enumerate(rules(law(traced, *block))):
+        for j, (r, o) in enumerate(rules(law(traced, *traced.note_inputs(
+                s[rows] for s in streams)))):
             residual[j, rows], ok[j, rows] = r, o
         stress[rows] = traced.peak > STRESS_NORM_FRACTION
 
@@ -327,19 +371,27 @@ def run_law_group(model, names, law, streams, rules):
     if ext is not None:
         # row indices, not a mask: numpy selects rows of an (n, d) stream
         # several times faster by index, and one index serves every stream
-        stressed = np.flatnonzero(stress)
-        for lo in range(0, stressed.size, _LAW_BLOCK_ROWS):
-            at = stressed[lo:lo + _LAW_BLOCK_ROWS]
-            sub = [ext.lift(s[at]) for s in streams]
-            redone = [tuple(map(ext.lower, points)) for points in law(ext, *sub)]
-            for j, (r, o) in enumerate(rules(redone)):
-                residual[j, at], ok[j, at] = r, o
+        _redo_stressed(ext, law, streams, rules, np.flatnonzero(stress), residual, ok)
 
     def witness(res):
         return lambda i: {"inputs": [s[i].tolist() for s in streams], "residual": float(res[i])}
 
     return [array_check(name, residual[j], ok[j], n, witness(residual[j]))
             for j, name in enumerate(names)]
+
+
+def _redo_stressed(ext, law, streams, rules, stressed, residual, ok):
+    """The double-double pass of :func:`run_law_group` on the rows
+    ``stressed``, in blocks of ``_LAW_BLOCK_ROWS``: each block's points,
+    lowered to float64, overwrite its rows' residuals and flags. Neither a
+    block's points nor the row indices outlive the pass."""
+    def redone(at):  # the law on the rows at, its points lowered to float64
+        return [tuple(map(ext.lower, p)) for p in law(ext, *[ext.lift(s[at]) for s in streams])]
+
+    for lo in range(0, stressed.size, _LAW_BLOCK_ROWS):
+        at = stressed[lo:lo + _LAW_BLOCK_ROWS]
+        for j, (r, o) in enumerate(rules(redone(at))):
+            residual[j, at], ok[j, at] = r, o
 
 
 def _batches(sizes):

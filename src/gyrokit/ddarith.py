@@ -133,13 +133,15 @@ class DD:
 
 
 def lift_vector(x: np.ndarray) -> list:
-    """(n, d) float array -> list of d DD columns."""
+    """(n, d) float array -> list of d contiguous DD columns, each with the
+    scalar low word 0.0."""
     x = np.asarray(x, dtype=np.float64)
-    return [DD(np.ascontiguousarray(x[..., i])) for i in range(x.shape[-1])]
+    return [DD(np.ascontiguousarray(x[..., i]), 0.0) for i in range(x.shape[-1])]
 
 
-def lower_vector(cols: list) -> np.ndarray:
-    return np.stack([c.value() for c in cols], axis=-1)
+def lower_vector(cols: list) -> list:
+    """list of d DD columns -> list of d float64 columns, each rounded once."""
+    return [c.value() for c in cols]
 
 
 def dot(u: list, v: list) -> DD:

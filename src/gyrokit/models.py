@@ -3,11 +3,15 @@
 Disk elements are real pairs (re, im) in arrays of shape (..., 2);
 velocity elements are real 3-vectors in units of the speed of light, so
 both carriers are the open unit ball. Each model's addition and gyration
-are written once, as kernels on lists of coordinate columns: the float64
-model methods pass numpy columns and the double-double kernel set passes
-DD columns. Only the per-point dot product and the square root depend on
-the precision (``_arith``); the rest is + - * /, and no complex dtype is
-involved.
+are written once, as kernels on lists of coordinate columns. Both law
+passes evaluate laws on ``_Point`` columns, float64 arrays in the float64
+pass and DD values in the double-double kernel set, and the model methods
+take (n, d) arrays too, split into columns and stacked again. Only the
+per-point dot product and the square root depend on the precision
+(``_arith``); the rest is + - * /, and no complex dtype is involved. A
+gyration is ``_apply(_pivots(u, v), w)``: the part that depends on the
+pivots alone is computed once for the gyrations of one law evaluation
+that share them.
 
 The models run these kernels unguarded, because the suites must be free
 to compose arbitrarily close to the boundary; the suite engine
@@ -16,10 +20,12 @@ re-evaluates stressed compositions in double-double.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import ddarith as dd
-from .core import _LAW_BLOCK_ROWS, GyrogroupModel, _run_rows, element_rule
+from .core import _LAW_BLOCK_ROWS, GyrogroupModel, _Point, _run_rows, _stacked, element_rule
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions, suite_prologue
@@ -27,27 +33,6 @@ from .sampling import Sampler, ToleranceConfig, coldot, directions, suite_prolog
 # ---------------------------------------------------------------------------
 # column kernels on the unit ball: float64 columns and DD values alike;
 # the disk kernels work on (re, im) parts
-
-
-class _Point(list):
-    """A point's coordinate columns, as the kernels take them, with the
-    per-point values they share: ``sq``, the squared norm of a float64
-    point when its caller has computed it (``core``'s float64 pass), and
-    ``g``, 1/gamma, which ``_inv_gamma`` computes once per point."""
-
-    __slots__ = ("sq", "g")
-
-    def __init__(self, cols, sq=None):
-        super().__init__(cols)
-        self.sq = sq
-        self.g = None
-
-
-def _cols(a):
-    # a value of the float64 law pass carries its squared norm (core._Normed)
-    sq = getattr(a, "sq", None)
-    a = np.asarray(a, float)
-    return _Point([a[..., i] for i in range(a.shape[-1])], sq)
 
 
 def _arith(cols):
@@ -62,8 +47,10 @@ def _cmul(a, b):
     return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
 
 
-def _cdiv(a, b):
-    den = b[0] * b[0] + b[1] * b[1]
+def _cdiv(a, b, den=None):
+    # den: |b|^2, when the caller divides by b more than once
+    if den is None:
+        den = b[0] * b[0] + b[1] * b[1]
     return [(a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den]
 
 
@@ -79,9 +66,15 @@ def _m_gyr_factor(a, b):
     return [1.0 + num[0], num[1]], [1.0 + den[0], den[1]]
 
 
-def _m_gyr_parts(a, b, z):
+def _m_gyr_pivots(a, b):
+    """gyr[a, b]'s rotation factor as its num and den parts, and |den|^2."""
     num, den = _m_gyr_factor(a, b)
-    return _cdiv(_cmul(z, num), den)
+    return num, den, den[0] * den[0] + den[1] * den[1]
+
+
+def _m_gyr_apply(piv, z):
+    num, den, sq = piv
+    return _cdiv(_cmul(z, num), den, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +100,36 @@ def _e_oplus_cols(u, v):
     return [(u[i] + v[i] * g + u[i] * coef) / d for i in range(len(u))]
 
 
-def _e_gyr_coeffs(gu, gv, uv, uw, vw):
+def _e_gyr_pivots(u, v):
+    """The part of gyr[u, v] that depends on the pivots alone: their
+    columns and the pivot terms of the coefficients (``_e_gyr_coeffs``)."""
+    dot, _ = _arith(u)
+    gu, gv, uv = _inv_gamma(u), _inv_gamma(v), dot(u, v)
+    pu, pv = 1.0 + gu, 1.0 + gv
+    return (list(u), list(v), (1.0 - gv) / pu, 2.0 * uv, pu * pv, (1.0 - gu) / pv,
+            1.0 + uv + gu * gv)
+
+
+def _e_gyr_coeffs(piv, uw, vw):
     """Coefficients (a, b) with gyr[u, v]w = w + a*u + b*v on the unit ball.
 
     Ungar's closed form (Analytic Hyperbolic Geometry and Albert
     Einstein's Special Theory of Relativity, 2008) is w + (A u + B v)/D
     with polynomial A, B, D in gamma_u, gamma_v and the dot products.
     Dividing A, B and D by gamma_u*gamma_v writes them in gu = 1/gamma_u
-    and gv = 1/gamma_v, which stay finite up to the boundary. Only
-    + - * / are used, so the arguments may be float arrays or DD values.
+    and gv = 1/gamma_v, which stay finite up to the boundary: with pu =
+    1 + gu, pv = 1 + gv and d = 1 + uv + gu*gv, a = (vw - (1 - gv)/pu*uw +
+    2*uv*vw/(pu*pv))/d and b = -(uw + (1 - gu)/pv*vw)/d. Only + - * / are
+    used, so the values may be float arrays or DD values.
     """
-    pu, pv = 1.0 + gu, 1.0 + gv
-    d = 1.0 + uv + gu * gv
-    a = (vw - (1.0 - gv) / pu * uw + 2.0 * uv * vw / (pu * pv)) / d
-    b = -(uw + (1.0 - gu) / pv * vw) / d
-    return a, b
+    _, _, cu, uv2, pp, cv, d = piv
+    return (vw - cu * uw + uv2 * vw / pp) / d, -(uw + cv * vw) / d
 
 
-def _e_gyr_cols(u, v, w):
+def _e_gyr_apply(piv, w):
+    u, v = piv[:2]
     dot, _ = _arith(u)
-    a, b = _e_gyr_coeffs(_inv_gamma(u), _inv_gamma(v), dot(u, v), dot(u, w), dot(v, w))
+    a, b = _e_gyr_coeffs(piv, dot(u, w), dot(v, w))
     return [w[i] + a * u[i] + b * v[i] for i in range(len(w))]
 
 
@@ -136,21 +139,20 @@ def _e_gyr_cols(u, v, w):
 
 class _BallExtended:
     """Double-double kernel set of a ball model, used by the suite engine
-    on stressed samples. Points are ``_Point`` lists of DD coordinate
-    columns, so each point's 1/gamma is computed once."""
+    on stressed samples: the model's own column kernels on ``_Point`` lists
+    of DD coordinate columns, so each point's 1/gamma is computed once."""
 
-    def __init__(self, oplus_cols, gyr_cols):
-        self._oplus = oplus_cols
-        self._gyr = gyr_cols
+    def __init__(self, model):
+        self._m = model
 
     def lift(self, x):
         return _Point(dd.lift_vector(x))
 
     def lower(self, rep):
-        return dd.lower_vector(rep)
+        return _Point(dd.lower_vector(rep))
 
     def zero_like(self, rep):
-        return _Point([dd.DD(np.zeros_like(col.hi)) for col in rep])
+        return _Point([dd.DD(np.zeros_like(col.hi), 0.0) for col in rep])
 
     def neg(self, a):
         out = _Point([-col for col in a])
@@ -158,33 +160,51 @@ class _BallExtended:
         return out
 
     def oplus(self, a, b):
-        return _Point(self._oplus(a, b))
+        return _Point(self._m._oplus_cols(a, b))
 
     def gyr(self, a, b, z):
-        return _Point(self._gyr(a, b, z))
+        return _Point(self._m._gyr_cols(a, b, z))
 
 
 class _BallModel(GyrogroupModel):
     """The unit ball with the column kernels ``_oplus_cols`` and
-    ``_gyr_cols`` as addition and gyration, shared by the float64 methods
-    and the double-double ``extended()`` set."""
+    ``_apply(_pivots(u, v), w)`` as addition and gyration, shared by the
+    float64 methods and the double-double ``extended()`` set. The methods
+    take ``_Point`` columns, as the law passes give them, and return the
+    kernel's columns as a ``_Point``; (n, d) arrays in give an array out."""
 
     has_closed_gyr = True
+    _on_points = True
 
     def _on_columns(self, kernel, *points):
-        return np.stack(kernel(*[_cols(p) for p in points]), axis=-1)
+        if isinstance(points[0], _Point):
+            return _Point(kernel(*points))
+        return np.stack(kernel(*map(_Point.of, points)), axis=-1)
+
+    def _gyr_cols(self, u, v, w):
+        """gyr[u, v]w on columns of either precision. The pivot part is kept
+        on u, with a weak reference to v, so the next gyration by the same
+        pivots reuses it; it lives as long as u and holds no reference to u."""
+        memo = u.piv
+        if memo is None or memo[0]() is not v:
+            memo = u.piv = (weakref.ref(v), self._pivots(u, v))
+        return self._apply(memo[1], w)
 
     def oplus(self, a, b):
         return self._on_columns(self._oplus_cols, a, b)
 
     def neg(self, a):
+        if isinstance(a, _Point):
+            out = _Point([-c for c in a])
+            out.sq, out.norm, out.g = a.sq, a.norm, a.g  # |-a| is |a| bit for bit
+            return out
         return -np.asarray(a, float)
 
     def gyr(self, a, b, z):
         return self._on_columns(self._gyr_cols, a, b, z)
 
     def extended(self):
-        return _BallExtended(self._oplus_cols, self._gyr_cols)
+        return _BallExtended(self)
 
 
 class MobiusModel(_BallModel):
@@ -193,7 +213,8 @@ class MobiusModel(_BallModel):
     name = "mobius"
     dim = 2
     _oplus_cols = staticmethod(_m_oplus_parts)
-    _gyr_cols = staticmethod(_m_gyr_parts)
+    _pivots = staticmethod(_m_gyr_pivots)
+    _apply = staticmethod(_m_gyr_apply)
 
 
 class EinsteinModel(_BallModel):
@@ -208,7 +229,8 @@ class EinsteinModel(_BallModel):
     name = "einstein"
     dim = 3
     _oplus_cols = staticmethod(_e_oplus_cols)
-    _gyr_cols = staticmethod(_e_gyr_cols)
+    _pivots = staticmethod(_e_gyr_pivots)
+    _apply = staticmethod(_e_gyr_apply)
 
 
 class _Product:
@@ -242,13 +264,19 @@ class ProductModel(_Product, GyrogroupModel):
         self.right = right
         self.dim = left.dim + right.dim
         self.has_closed_gyr = left.has_closed_gyr and right.has_closed_gyr
+        self._on_points = left._on_points and right._on_points
         self.name = f"product({left.name},{right.name})"
 
     def _split(self, x):
+        k = self.left.dim
+        if isinstance(x, _Point):  # the columns, by factor dimension
+            return _Point(x[:k]), _Point(x[k:])
         x = np.asarray(x, float)
-        return x[..., : self.left.dim], x[..., self.left.dim :]
+        return x[..., :k], x[..., k:]
 
     def _join(self, a, b):
+        if isinstance(a, _Point):
+            return _Point(a + b)
         return np.concatenate([a, b], axis=-1)
 
     def distance(self, a, b):
@@ -309,9 +337,14 @@ def _norm_compare(model):
 
 
 def _membership_excess(model, center, radius):
-    """The excess of |⊖center ⊕ l| over the radius: 0 in center ⊕ B(radius)."""
+    """The excess of |⊖center ⊕ l| over the radius: 0 in center ⊕ B(radius).
+    At the identity center ⊖center ⊕ l is l bit for bit, so l is read as it is."""
+    if not center.any():
+        return lambda l, _r: np.maximum(0.0, model.magnitude(l) - radius)
+
     def compare(l, _r):
-        return np.maximum(0.0, model.magnitude(model.oplus(model.neg(center), l)) - radius)
+        l = model.oplus(model.neg(center), _stacked(l))
+        return np.maximum(0.0, model.magnitude(l) - radius)
 
     return compare
 
@@ -329,9 +362,11 @@ def check_strong_base(
     For each radius r the check samples pivot pairs (x, y) and points p and
     q of U = c ⊕ B(r), the paper's neighbourhood of the center c (default
     the identity), as c ⊕ (Euclidean-uniform points of B(r)); l is in U when
-    |⊖c ⊕ l| <= r. It asserts that gyr[x, y] maps U into U and that every
-    sampled target of U is hit from inside U via the opposite gyration
-    (whose inverse relationship is itself checked by a roundtrip). The
+    |⊖c ⊕ l| <= r. At the identity, where c ⊕ v is v bit for bit, neither
+    the draw nor the membership test adds the center. It asserts that
+    gyr[x, y] maps U into U and that every sampled target of U is hit from
+    inside U via the opposite gyration (whose inverse relationship is
+    itself checked by a roundtrip). The
     three rows of a radius read one draw of x, y, p and q. Norm
     preservation and the norm-level commutation law are included; the disk
     model also gets the unimodularity of its rotation factor.
@@ -389,8 +424,9 @@ def check_strong_base(
             u = gen.uniform(0.0, 1.0, n_samples) ** (1.0 / model.dim)
             d = directions(gen, n_samples, model.dim)
             d *= (radii[stream] * u)[:, None]
-            for lo in range(0, n_samples, _LAW_BLOCK_ROWS):  # in place, a block at a time
-                d[lo:lo + _LAW_BLOCK_ROWS] = model.oplus(center, d[lo:lo + _LAW_BLOCK_ROWS])
+            if center.any():  # the identity ⊕ v is v bit for bit
+                for lo in range(0, n_samples, _LAW_BLOCK_ROWS):  # in place, a block at a time
+                    d[lo:lo + _LAW_BLOCK_ROWS] = model.oplus(center, d[lo:lo + _LAW_BLOCK_ROWS])
             out.append(d)
         return out
 
@@ -399,7 +435,7 @@ def check_strong_base(
         if isinstance(model, MobiusModel):
             gen = sampler.stream(suite, "rotation_factor_modulus")
             a, b = model.sample_operands(gen, n_samples, 2, tol)
-            num, den = _m_gyr_factor(_cols(a), _cols(b))
+            num, den = _m_gyr_factor(a.T, b.T)  # column views of the whole stream
             dev = np.abs(
                 np.sqrt(num[0] ** 2 + num[1] ** 2) / np.sqrt(den[0] ** 2 + den[1] ** 2) - 1.0
             )

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import GyrogroupModel, _run_rows, law_triangle_decomposition
+from .core import GyrogroupModel, _run_rows, _stacked, law_triangle_decomposition
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size, suite_prologue
@@ -619,7 +619,8 @@ class _PrenormRule:
         return cls(rules[0].family, *(check for rule in rules for check in rule.checks))
 
     def results(self, tuples):
-        points = [p for t in tuples for p in t]
+        # N reads each point once, as one (n, d) array
+        points = [_stacked(p) for t in tuples for p in t]
         ns = self.family.chain.prenorms(self.family, points)
         out = []
         for limit, residual in self.checks:

@@ -76,11 +76,12 @@ def coldot(p, q):
     for fewer than eight coordinates: numpy sums such a short axis left to
     right from +0.0, which the leading ``0.0 +`` reproduces (it turns an
     all -0.0 row into +0.0). Column arithmetic is several times faster
-    than numpy's reduce over an axis of length 2 or 3.
+    than numpy's reduce over an axis of length 2 or 3, and the sum is
+    accumulated in place, as the columns of a point share one shape.
     """
     s = 0.0 + p[0] * q[0]
     for i in range(1, len(p)):
-        s = s + p[i] * q[i]
+        s += p[i] * q[i]
     return s
 
 

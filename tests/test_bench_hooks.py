@@ -4,9 +4,10 @@ A rename in the package would otherwise show up only as a failing traced
 benchmark run, so this installs the tracer in a fresh interpreter. A
 refactor that calls past a hooked name would leave its layer's metrics at
 zero without an error, so the tracer also runs two chain suites and two
-law suites there: each hook must record spans, and each law suite's checks
+law suites there: each hook must record spans, each law suite's checks
 must reach the hooked ``run_law_check`` under the names the benchmark
-counts its stressed samples by.
+counts its stressed samples by, and the axioms must reach the models'
+hooked ``oplus`` and ``gyr`` and the hooked ``norm_fraction``.
 """
 
 import json
@@ -83,3 +84,7 @@ def test_traced_chain_suites_record_every_prenorm_hook():
     # core.law_checks and the ddarith.stressed.* counts read
     for i, suite in ((3, "axioms"), (4, "strong-base")):
         assert result["laws"][i] == list(result["suite_checks"][suite]), suite
+    # the law passes call the model's hooked oplus and gyr and trace through
+    # the hooked norm_fraction, which models.* and core.trace_s read
+    for name in ("models:oplus", "models:gyr", "core:norm_fraction"):
+        assert 3 in spans.get(name, []), name

@@ -5,6 +5,7 @@ import pytest
 
 from gyrokit.core import (
     GyrogroupModel,
+    _Point,
     check_axioms,
     check_identities,
     derived_gyration,
@@ -212,11 +213,29 @@ def test_report_metadata_recorded():
     assert rep.wall_time_s > 0
 
 
+def _scaled(out):
+    """A model op's result with every coordinate scaled by 1 + 1e-6: the
+    law passes' _Point columns, or an (n, d) array."""
+    if isinstance(out, _Point):
+        return _Point([c * (1.0 + 1e-6) for c in out])
+    return out * (1.0 + 1e-6)
+
+
 class _BrokenModel(MobiusModel):
     """Deliberately wrong addition to exercise failure reporting."""
 
     def oplus(self, x, y):
-        return super().oplus(x, y) * (1.0 + 1e-6)
+        return _scaled(super().oplus(x, y))
+
+    def extended(self):
+        return None
+
+
+class _BrokenGyration(EinsteinModel):
+    """A deliberately wrong closed-form gyration."""
+
+    def gyr(self, x, y, z):
+        return _scaled(super().gyr(x, y, z))
 
     def extended(self):
         return None
@@ -229,6 +248,22 @@ def test_failure_produces_witness():
     assert failing
     w = failing[0].witness
     assert w is not None and "residual" in w
+
+
+@pytest.mark.parametrize("model, axioms, identities", [
+    (_BrokenModel, {"G1_identity", "G3_gyroassociativity", "G4_loop"},
+     {"left_cancellation", "right_cancellation", "twisted_right_cancellation",
+      "gyration_agreement", "triangle_decomposition"}),
+    (_BrokenGyration, {"G3_gyroassociativity", "G3_automorphism"},
+     {"right_cancellation", "twisted_right_cancellation", "gyration_agreement",
+      "triangle_decomposition"}),
+], ids=["oplus", "gyr"])
+def test_the_traced_pass_calls_a_subclass_override(model, axioms, identities):
+    # the law pass calls the model's public oplus and gyr on its points, so
+    # an override that breaks either fails exactly the checks that read it
+    for suite, failing in ((check_axioms, axioms), (check_identities, identities)):
+        rep = suite(model(), Sampler(42), 300)
+        assert {c.name for c in rep.checks if not c.passed} == failing
 
 
 def test_boundary_stress_needs_extended_precision():

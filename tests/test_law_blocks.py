@@ -175,8 +175,9 @@ def test_a_rule_reads_float64_points_on_double_double_rows(monkeypatch):
     seen = []
 
     def rule(tuples):
-        seen.append([(type(p), p.dtype, p.shape) for points in tuples for p in points])
-        r = np.zeros(len(tuples[0][0]))
+        seen.append([(type(p), [(c.dtype, c.shape) for c in p])
+                     for points in tuples for p in points])
+        r = np.zeros(len(tuples[0][0][0]))
         return r, r <= 0.0
 
     m = MobiusModel()
@@ -184,10 +185,9 @@ def test_a_rule_reads_float64_points_on_double_double_rows(monkeypatch):
     streams = m.sample_operands(np.random.default_rng(3), 100, 2, tol)
     law = lambda ops, x, y: [(ops.oplus(x, y), ops.oplus(y, x))]  # noqa: E731
     assert run_law_check(m, "commutation", law, streams, tol, rule).passed
-    # the float64 block, whose traced points carry their squared norms,
-    # then the double-double pass over every row, lowered to float64
-    assert seen == [[(cls, np.dtype(np.float64), (100, 2))] * 2
-                    for cls in (core._Normed, np.ndarray)]
+    # the float64 block, then the double-double pass over every row,
+    # lowered to float64: both give the rule points of two float64 columns
+    assert seen == [[(core._Point, [(np.dtype(np.float64), (100,))] * 2)] * 2] * 2
 
 
 def test_small_blocks_keep_a_witness_beyond_the_first_block(monkeypatch):
@@ -207,6 +207,12 @@ def test_small_blocks_keep_a_witness_beyond_the_first_block(monkeypatch):
 # -- no kernel call exceeds one block ------------------------------------------
 
 
+def _point_rows(a):
+    """The rows of a point the law pass hands the model: _Point columns."""
+    assert isinstance(a, core._Point)
+    return len(a[0])
+
+
 def _recording(cls):
     class Recording(cls):
         def __init__(self):
@@ -214,15 +220,15 @@ def _recording(cls):
             self.rows = {"oplus": [], "gyr": [], "norm_fraction": []}
 
         def oplus(self, a, b):
-            self.rows["oplus"].append(len(a))
+            self.rows["oplus"].append(_point_rows(a))
             return super().oplus(a, b)
 
         def gyr(self, a, b, z):
-            self.rows["gyr"].append(len(a))
+            self.rows["gyr"].append(_point_rows(a))
             return super().gyr(a, b, z)
 
         def norm_fraction(self, a):
-            self.rows["norm_fraction"].append(len(a))
+            self.rows["norm_fraction"].append(_point_rows(a))
             return super().norm_fraction(a)
 
     return Recording()
@@ -251,14 +257,16 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
     # Einstein G3 with every row stressed. In the float64 pass a squared
     # norm is a coldot of a point's columns with themselves; the boundary
     # trace, the kernels' 1/gamma and the rule's magnitudes all read one per
-    # traced value and block. In the double-double pass a 1/gamma is one
-    # DD.sqrt, computed once for each point that a kernel reads it of.
-    # Every point is kept alive, so no address is reused within the run
+    # traced value and block. A 1/gamma, float64 or double-double, is
+    # computed once per point that a kernel reads it of, whichever ops read
+    # it (a DD one is one DD.sqrt). Every point is kept alive, so no address
+    # is reused within the run
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
     monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
     alive, squares = [], []
     real_coldot, real_gamma, real_sqrt = sampling.coldot, models._inv_gamma, ddarith.DD.sqrt
-    dd_points, roots = [], [0]
+    gammas = {"float64": [], "dd": []}  # per computed 1/gamma, the id of its point
+    roots = [0]
 
     def coldot(p, q):
         if all(a.__array_interface__ == b.__array_interface__ for a, b in zip(p, q)):
@@ -267,8 +275,9 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
         return real_coldot(p, q)
 
     def inv_gamma(u):
-        if isinstance(u[0], ddarith.DD):
-            dd_points.append(u)
+        alive.append(u)
+        if u.g is None:
+            gammas["dd" if isinstance(u[0], ddarith.DD) else "float64"].append(id(u))
         return real_gamma(u)
 
     def sqrt(self):
@@ -277,8 +286,8 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
 
     m, n = EinsteinModel(), 100
     streams = m.sample_operands(np.random.default_rng(2), n, 3, ToleranceConfig())
-    monkeypatch.setattr(sampling, "coldot", coldot)
-    monkeypatch.setattr(models, "coldot", coldot)
+    for module in (sampling, core, models):
+        monkeypatch.setattr(module, "coldot", coldot)
     monkeypatch.setattr(models, "_inv_gamma", inv_gamma)
     monkeypatch.setattr(ddarith.DD, "sqrt", sqrt)
     assert run_law_check(m, "G3_gyroassociativity", law_g3, streams, ToleranceConfig()).passed
@@ -287,9 +296,37 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
     # rows the rule's two sides and lhs - rhs, lowered to float64
     blocks = -(-n // SMALL_BLOCK)
     assert len(squares) == len(set(squares)) == 9 * blocks + 3 * blocks
-    # per double-double block x and y, read as pivots, and x + y, added on
-    # the left
-    assert roots[0] == len({id(u) for u in dd_points}) == 3 * blocks
+    # per block of either pass x and y, read by y + z, x + (y + z), x + y and
+    # gyr[x, y]z, and x + y, added on the left: five ops read six 1/gammas
+    for kind in ("float64", "dd"):
+        assert len(gammas[kind]) == len(set(gammas[kind])) == 3 * blocks, kind
+    assert roots[0] == 3 * blocks
+
+
+@pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
+def test_gyrations_by_shared_pivots_compute_their_pivot_part_once(monkeypatch, cls):
+    # G3_automorphism's three gyr[x, y] per block, every row stressed: in
+    # each pass, float64 and double-double, one pivot part per block and
+    # three applications of it
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
+    calls = []
+
+    def counted(name, kernel):
+        def run(*args):
+            calls.append((name, isinstance(args[-1][0], ddarith.DD)))
+            return kernel(*args)
+        return staticmethod(run)
+
+    for name in ("_pivots", "_apply"):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    m, tol, n = cls(), ToleranceConfig(), 100
+    streams = m.sample_operands(np.random.default_rng(4), n, 4, tol)
+    assert run_law_check(m, "G3_automorphism", core.law_g3_automorphism, streams, tol).passed
+    blocks = -(-n // SMALL_BLOCK)
+    for dd in (False, True):
+        assert calls.count(("_pivots", dd)) == blocks, dd
+        assert calls.count(("_apply", dd)) == 3 * blocks, dd
 
 
 # -- a law pass holds one block of working memory -----------------------------
@@ -394,6 +431,82 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
         _, _, fq = seen[f"ball_preimage_{tag}"]
         for got, want in ((fx, x), (fy, y), (fp, p), (fq, q)):
             assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("center", [None, "zeros"])
+@pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
+def test_the_identity_center_adds_nothing(monkeypatch, cls, center):
+    # at the identity center, given or by default, the ball's p and q are
+    # the Euclidean draw of B(r) byte for byte, and neither the draw nor the
+    # membership rule adds the center: no ⊕ reads a lone point
+    seen, lone = {}, []
+
+    class Recording(cls):
+        def oplus(self, a, b):
+            if any(isinstance(p, np.ndarray) and p.ndim == 1 for p in (a, b)):
+                lone.append((a, b))
+            return super().oplus(a, b)
+
+    def record(model_, name, law, streams, tol, rule=None):
+        seen[name] = [s.copy() for s in streams]
+        return run_law_check(model_, name, law, streams, tol, rule)
+
+    monkeypatch.setattr(core, "run_law_check", record)
+    model, tol, n = Recording(), ToleranceConfig(), 1003
+    c = None if center is None else np.zeros(model.dim)
+    rep = check_strong_base(model, sampler=Sampler(9), n_samples=n, tol=tol, center=c)
+    assert rep.passed and lone == []
+    for r in (0.9, 0.5, 0.25):
+        tag = f"r={r:g}"
+        gen = Sampler(9).stream("strong-base", f"ball_invariance_{tag}")
+        model.sample_operands(gen, n, 2, tol)
+        p, q = [(r * gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim))[:, None]
+                * directions(gen, n, model.dim) for _ in range(2)]
+        assert _same_bits(seen[f"ball_forward_{tag}"][2], p)
+        assert _same_bits(seen[f"ball_preimage_{tag}"][2], q)
+
+
+# -- the float64 pass on contiguous columns ------------------------------------
+
+
+def _contiguous(value):
+    """Every array under ``value`` (lists, tuples, DD words) is C-contiguous."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_contiguous, value))
+    if isinstance(value, ddarith.DD):
+        return _contiguous(value.hi) and (np.ndim(value.lo) == 0 or _contiguous(value.lo))
+    return not isinstance(value, np.ndarray) or value.flags.c_contiguous
+
+
+@pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
+def test_law_passes_stack_nothing_and_feed_the_kernels_contiguous_columns(monkeypatch, cls):
+    # every law of the axiom and identity suites, with every row stressed so
+    # both passes run: no np.stack anywhere, and every column that reaches a
+    # kernel, float64 or double-double, is C-contiguous
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    stacks, calls = [], []
+    real_stack = np.stack
+
+    def stack(*args, **kwargs):
+        stacks.append(len(args[0]))
+        return real_stack(*args, **kwargs)
+
+    def checked(name, kernel):
+        def run(*args):
+            calls.append(name)
+            assert _contiguous(args), name
+            return kernel(*args)
+        return staticmethod(run)
+
+    for name in ("_oplus_cols", "_pivots", "_apply"):
+        monkeypatch.setattr(cls, name, checked(name, getattr(cls, name)))
+    monkeypatch.setattr(np, "stack", stack)
+    m, tol = cls(), ToleranceConfig()
+    for name, law, base, wit in core.AXIOM_CHECKS + core.IDENTITY_CHECKS:
+        streams = m.sample_operands(np.random.default_rng(5), 300, base + wit, tol)
+        assert run_law_check(m, name, law, streams, tol).passed, name
+    assert stacks == []
+    assert set(calls) == {"_oplus_cols", "_pivots", "_apply"}
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from gyrokit.errors import UsageError
-from gyrokit.core import check_identities, derived_gyration
+from gyrokit.core import _stacked, check_identities, derived_gyration
 from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
     ProductModel,
-    _BallExtended,
+    _e_gyr_pivots,
     check_strong_base,
 )
 from gyrokit import ddarith as dd
@@ -107,7 +107,7 @@ def test_extended_matches_double_mobius():
     gen = np.random.default_rng(5)
     x = 0.5 * gen.uniform(-1, 1, (100, 2))
     y = 0.5 * gen.uniform(-1, 1, (100, 2))
-    lo = ext.lower(ext.oplus(ext.lift(x), ext.lift(y)))
+    lo = _stacked(ext.lower(ext.oplus(ext.lift(x), ext.lift(y))))
     assert np.allclose(lo, m.oplus(x, y), atol=1e-14)
 
 
@@ -117,7 +117,7 @@ def test_extended_matches_double_einstein():
     gen = np.random.default_rng(5)
     x = 0.4 * gen.uniform(-1, 1, (100, 3))
     y = 0.4 * gen.uniform(-1, 1, (100, 3))
-    lo = ext.lower(ext.oplus(ext.lift(x), ext.lift(y)))
+    lo = _stacked(ext.lower(ext.oplus(ext.lift(x), ext.lift(y))))
     assert np.allclose(lo, m.oplus(x, y), atol=1e-14)
 
 
@@ -129,7 +129,7 @@ def test_extended_fixes_boundary_left_cancellation():
     x = np.array([[1.0 - 1e-6, 0.0]])
     y = np.array([[0.0, 1.0 - 1e-6]])
     xe, ye = ext.lift(x), ext.lift(y)
-    back = ext.lower(ext.oplus(ext.neg(xe), ext.oplus(xe, ye)))
+    back = _stacked(ext.lower(ext.oplus(ext.neg(xe), ext.oplus(xe, ye))))
     assert np.abs(back - y).max() <= 1e-14
 
 
@@ -154,24 +154,17 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
     v = (1.0 - 1e-6) * directions(gen, 2000, 3)
     w = ball_points(gen, 2000, 3)
     U, V, W = ext.lift(u), ext.lift(v), ext.lift(w)
-    closed = ext.lower(ext.gyr(U, V, W))
-    derived = ext.lower(derived_gyration(ext, U, V, W))
+    closed = _stacked(ext.lower(ext.gyr(U, V, W)))
+    derived = _stacked(ext.lower(derived_gyration(ext, U, V, W)))
     assert np.abs(closed - derived).max() <= 1e-15
 
 
 def test_gyration_agreement_catches_swapped_pivots():
-    # gyr[v, u] is the inverse rotation of gyr[u, v]; a model that
-    # swaps the pivots in both precisions must fail the agreement check
-    class SwappedExtended(_BallExtended):
-        def gyr(self, u, v, w):
-            return super().gyr(v, u, w)
-
+    # gyr[v, u] is the inverse rotation of gyr[u, v]; a model whose
+    # gyration takes its pivot half with the pivots swapped, in both
+    # precisions, must fail the agreement check
     class Swapped(EinsteinModel):
-        def gyr(self, u, v, w):
-            return super().gyr(v, u, w)
-
-        def extended(self):
-            return SwappedExtended(self._oplus_cols, self._gyr_cols)
+        _pivots = staticmethod(lambda u, v: _e_gyr_pivots(v, u))
 
     bad = check_identities(Swapped(), Sampler(42), 2000).check("gyration_agreement")
     assert not bad.passed
@@ -231,7 +224,8 @@ def _ref_gyr_dd(u, v, w):
 
 
 def _dd_bytes(cols):
-    return b"".join(c.hi.tobytes() + c.lo.tobytes() for c in cols)
+    # a lifted column's low word is the scalar 0.0
+    return b"".join(c.hi.tobytes() + np.asarray(c.lo).tobytes() for c in cols)
 
 
 def test_einstein_kernels_bit_identical_to_references():
@@ -247,10 +241,13 @@ def test_einstein_kernels_bit_identical_to_references():
     ext = m.extended()
     U, V, W = (ext.lift(a) for a in (u, v, w))
     assert _dd_bytes(U) == _dd_bytes(dd.lift_vector(u))
+    assert all(np.ndim(c.lo) == 0 and c.lo == 0.0 for c in U)
+    assert b"".join(c.hi.tobytes() for c in U) == u.T.tobytes()
     assert _dd_bytes(ext.oplus(U, V)) == _dd_bytes(_ref_oplus_dd(U, V))
     assert _dd_bytes(ext.gyr(U, V, W)) == _dd_bytes(_ref_gyr_dd(U, V, W))
-    lowered = ext.lower(ext.gyr(U, V, W))
-    assert lowered.tobytes() == dd.lower_vector(_ref_gyr_dd(U, V, W)).tobytes()
+    lowered = _stacked(ext.lower(ext.gyr(U, V, W)))
+    want = np.stack([c.value() for c in _ref_gyr_dd(U, V, W)], axis=-1)
+    assert lowered.tobytes() == want.tobytes()
 
 
 # -- product construction ----------------------------------------------------
@@ -329,8 +326,8 @@ def test_product_extended_ops_are_the_factor_ops_bit_for_bit():
         derived_gyration(el, X[0], Y[0], Z[0]),
         derived_gyration(er, X[1], Y[1], Z[1]),
     )
-    assert ext.lower(X).tobytes() == np.concatenate(
-        [el.lower(X[0]), er.lower(X[1])], axis=-1
+    assert _stacked(ext.lower(X)).tobytes() == np.concatenate(
+        [_stacked(el.lower(X[0])), _stacked(er.lower(X[1]))], axis=-1
     ).tobytes()
 
 

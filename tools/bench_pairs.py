@@ -24,6 +24,17 @@ number in which it had the lower ``peak_rss_mb``, the number in which its
 speed factor was lower (the factor is timed after the ops, so a count far
 from half shows that it moved with the code), and an exact two-sided
 sign-test p-value for each count, with tied pairs dropped.
+
+It also judges every end-to-end metric of ``BENCHMARK.json`` against its
+bound (``judgement``): the change of the median, as a fraction of the
+parent's median and signed so that positive is worse, is ``within`` or
+``worse`` than the bound; where the run-to-run spread (the larger of the
+two sides' interquartile ranges, as the same fraction) exceeds the bound,
+it is ``unresolved``, unless every run of the change reads better than
+every run of the parent. For ``wall_s`` it says whether a claimed gain
+holds (``wall_s_claim``): the change faster in at least nine tenths of the
+pairs by both the scaled and the unscaled measure, ties counting for
+neither, and the median gap above the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -95,7 +106,35 @@ def sign_test_p(wins, losses):
     return min(1.0, 2.0 * tail)
 
 
-def summarize(records, pairs):
+def end_to_end_metrics():
+    """``(name, better, bound)`` of each end-to-end metric of BENCHMARK.json."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [(m["name"], m["better"], m["bound"]) for m in doc["end_to_end"]]
+
+
+def judge(parent, change, better, bound):
+    """The verdict on one end-to-end metric from each side's runs: the
+    median change as a fraction of the parent's median, positive when worse,
+    the spread as the same fraction, and ``within``, ``worse`` or
+    ``unresolved``."""
+    sign = 1.0 if better == "lower" else -1.0
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    scale = abs(pm) or 1.0
+    worse = sign * (cm - pm) / scale
+    spread = max(p3 - p1, c3 - c1) / scale
+    if all(sign * (c - p) < 0 for c in change for p in parent):
+        verdict = "within"  # every run of the change reads better
+    elif spread > bound:
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if worse > bound else "within"
+    return {"parent_median": pm, "change_median": cm, "change": worse, "spread": spread,
+            "bound": bound, "verdict": verdict}
+
+
+def summarize(records, pairs, metrics=None):
+    """The summary of ``records``; ``metrics`` are the end-to-end metrics
+    judged, ``(name, better, bound)``, by default BENCHMARK.json's."""
     out = {"pairs": pairs}
     for side in SIDES:
         rows = [r for r in records if r["side"] == side]
@@ -117,6 +156,18 @@ def summarize(records, pairs):
     parent, change = out["parent"]["wall_s"], out["change"]["wall_s"]
     out["wall_s_median_gap"] = parent["median"] - change["median"]
     out["parent_wall_s_iqr"] = parent["q3"] - parent["q1"]
+    out["judgement"] = {
+        name: judge([r[name] for r in records if r["side"] == "parent"],
+                    [r[name] for r in records if r["side"] == "change"], better, bound)
+        for name, better, bound in (end_to_end_metrics() if metrics is None else metrics)
+    }
+    need = math.ceil(0.9 * pairs)
+    out["wall_s_claim"] = {
+        "pairs_needed": need,
+        "holds": (out["change_faster_pairs"] >= need
+                  and out["change_faster_pairs_unscaled"] >= need
+                  and out["wall_s_median_gap"] > out["parent_wall_s_iqr"]),
+    }
     return out
 
 
@@ -192,6 +243,14 @@ def main(argv=None):
           f"{summary['change']['speed_factor']['median']:.4f}, change lower in "
           f"{summary['change_lower_factor_pairs']}/{args.pairs} "
           f"(p {summary['sign_test_p_factor']:.3g}); wrote {path}")
+    for name, j in summary["judgement"].items():
+        print(f"{args.workload}: {name} median {j['parent_median']:.4g} -> "
+              f"{j['change_median']:.4g}, {100 * j['change']:+.2f}% worse, spread "
+              f"{100 * j['spread']:.2f}%, bound {100 * j['bound']:.0f}%: {j['verdict']}")
+    claim = summary["wall_s_claim"]
+    print(f"{args.workload}: a wall_s gain {'holds' if claim['holds'] else 'does not hold'} "
+          f"(faster in {claim['pairs_needed']}/{args.pairs} pairs needed scaled and unscaled, "
+          f"and a median gap above the parent's IQR)")
     return 0
 
 

@@ -128,3 +128,69 @@ def test_summarize_counts_pairs_with_a_lower_speed_factor():
     assert summary["change_faster_pairs"] == 1  # only the pair whose factor rose
     assert summary["parent"]["speed_factor"]["median"] == 0.98
     assert summary["change"]["speed_factor"]["median"] == pytest.approx(0.72)
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # a median 2% worse, runs within 1%: inside the 5% bound
+    ([1.00, 1.01, 0.99, 1.00], [1.02, 1.03, 1.01, 1.02], "lower", "within"),
+    # 10% worse with a tight spread: past the bound
+    ([1.00, 1.01, 0.99, 1.00], [1.10, 1.11, 1.09, 1.10], "lower", "worse"),
+    # the same median, but the parent's runs spread 20%: no verdict
+    ([0.80, 1.00, 1.20, 1.00], [1.00, 1.01, 0.99, 1.00], "lower", "unresolved"),
+    # a wide spread where every change run reads better than every parent run
+    ([1.60, 1.40, 1.50, 1.45], [1.00, 1.30, 0.80, 1.10], "lower", "within"),
+    # a higher-is-better ratio that falls 2% past its 1% bound
+    ([1.0, 1.0, 1.0, 1.0], [0.98, 0.98, 0.98, 0.98], "higher", "worse"),
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "higher", "within"),
+])
+def test_judge_reads_the_median_against_the_bound_and_the_spread(parent, change, better, verdict):
+    bound = 0.01 if better == "higher" else 0.05
+    assert _load_tool().judge(parent, change, better, bound)["verdict"] == verdict
+
+
+def test_judge_signs_the_change_as_worse():
+    bench = _load_tool()
+    slower = bench.judge([1.0] * 3, [1.1] * 3, "lower", 0.25)
+    assert slower["change"] == pytest.approx(0.1) and slower["spread"] == 0.0
+    assert slower["verdict"] == "within"
+    lower_ratio = bench.judge([1.0] * 3, [0.9] * 3, "higher", 0.01)
+    assert lower_ratio["change"] == pytest.approx(0.1) and lower_ratio["verdict"] == "worse"
+
+
+def _claim_records(pairs):
+    """Records of (parent wall_s, change wall_s, parent unscaled, change
+    unscaled) pairs."""
+    records = []
+    for i, (pw, cw, pu, cu) in enumerate(pairs):
+        records += [_record(i, "parent", pw, pu), _record(i, "change", cw, cu)]
+    return records
+
+
+def test_summarize_judges_every_end_to_end_metric_of_the_benchmark():
+    bench = _load_tool()
+    pairs = [(1.0 + 0.01 * i, 0.9 + 0.01 * i, 1.0, 0.9) for i in range(10)]
+    summary = bench.summarize(_claim_records(pairs), 10)
+    assert set(summary["judgement"]) == {"wall_s", "setup_s", "peak_rss_mb", "ok_ratio"}
+    for name in ("setup_s", "peak_rss_mb", "ok_ratio"):
+        assert summary["judgement"][name]["verdict"] == "within", name
+    wall = summary["judgement"]["wall_s"]
+    assert wall["bound"] == 0.25 and wall["verdict"] == "within"
+    assert wall["change"] == pytest.approx(-0.1 / 1.045)
+
+
+@pytest.mark.parametrize("pairs, holds", [
+    # faster in 10/10 pairs both ways, the gap 0.1 above the parent's IQR 0.045
+    ([(1.0 + 0.01 * i, 0.9 + 0.01 * i, 1.0, 0.9) for i in range(10)], True),
+    # faster in 9/10 pairs scaled and unscaled: the claim still holds
+    ([(1.0 + 0.01 * i, 0.9 + 0.01 * i, 1.0, 0.9) for i in range(9)]
+     + [(1.0, 1.05, 1.0, 1.05)], True),
+    # faster in 8/10 pairs unscaled only
+    ([(1.0 + 0.01 * i, 0.9 + 0.01 * i, 1.0, 0.9 if i < 8 else 1.1) for i in range(10)], False),
+    # faster in every pair, but by less than the parent's IQR of 0.45
+    ([(1.0 + 0.1 * i, 0.99 + 0.1 * i, 1.0, 0.9) for i in range(10)], False),
+])
+def test_summarize_says_whether_a_wall_s_gain_holds(pairs, holds):
+    metrics = [("wall_s", "lower", 0.25)]
+    summary = _load_tool().summarize(_claim_records(pairs), len(pairs), metrics)
+    assert summary["wall_s_claim"] == {"pairs_needed": 9, "holds": holds}
+    assert set(summary["judgement"]) == {"wall_s"}
