@@ -155,9 +155,7 @@ class _BallExtended:
         return _Point([dd.DD(np.zeros_like(col.hi), 0.0) for col in rep])
 
     def neg(self, a):
-        out = _Point([-col for col in a])
-        out.g = a.g  # |-a|^2 is |a|^2 bit for bit
-        return out
+        return self._m.neg(a)
 
     def oplus(self, a, b):
         return _Point(self._m._oplus_cols(a, b))
@@ -194,7 +192,7 @@ class _BallModel(GyrogroupModel):
         return self._on_columns(self._oplus_cols, a, b)
 
     def neg(self, a):
-        if isinstance(a, _Point):
+        if isinstance(a, _Point):  # of either precision
             out = _Point([-c for c in a])
             out.sq, out.norm, out.g = a.sq, a.norm, a.g  # |-a| is |a| bit for bit
             return out
