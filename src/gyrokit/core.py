@@ -20,8 +20,6 @@ several ops read (the squared norm, the norm, 1/gamma). The float64 pass
 turns each input block into columns once and each op returns its kernel's
 columns, so no op stacks or splits a point; the double-double pass lowers
 its points to float64 columns, so the rules read both passes' points alike.
-A model whose ops take arrays only (``_on_points`` false) is traced on
-(n, d) arrays.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
 each kernel's temporaries stay in cache, and marks each row stressed or
@@ -77,18 +75,16 @@ class GyrogroupModel:
     closed form against. Continuous models are balls of radius 1: they
     set ``dim``, draw their operands through ``sample_operands`` and may
     supply ``extended()`` double-double kernels; exact models set
-    ``is_exact`` and ``order`` and work on broadcast index arrays. A
-    continuous model whose ops also take ``_Point`` columns, and return
-    one for them, sets ``_on_points``; the law passes then hand it points,
-    and ``zero_like``, ``distance`` and ``magnitude`` read them here.
+    ``is_exact`` and ``order`` and work on broadcast index arrays. The
+    law passes hand a continuous model's ``oplus``, ``neg`` and ``gyr``
+    ``_Point`` columns, and each returns a ``_Point``; ``zero_like``,
+    ``distance`` and ``magnitude`` read them here.
     """
 
     name = "abstract"
     dim: int | None = None
     is_exact = False
     has_closed_gyr = False
-    # whether oplus, neg and gyr take _Point columns, as the law passes give them
-    _on_points = False
 
     def oplus(self, x, y):
         raise NotImplementedError
@@ -149,35 +145,41 @@ class _Point(list):
     and ``norm``, its square root (``magnitude``, which the boundary trace
     calls); ``g``, 1/gamma (``models._inv_gamma``); and ``piv``, the pivot
     part of the last gyration that took this point as its first pivot
-    (``models._BallModel._gyr_cols``)."""
+    (``models._BallModel._gyr_cols``). A point made from rows (``of``)
+    keeps them as ``rows``."""
 
-    __slots__ = ("sq", "norm", "g", "piv", "__weakref__")
+    __slots__ = ("sq", "norm", "g", "piv", "rows", "__weakref__")
 
     def __init__(self, cols):
         super().__init__(cols)
-        self.sq = self.norm = self.g = self.piv = None
+        self.sq = self.norm = self.g = self.piv = self.rows = None
 
     @classmethod
     def of(cls, rows):
-        """The (..., d) array ``rows`` as d contiguous columns."""
+        """The (..., d) array ``rows`` as d contiguous columns, each of
+        shape (...)."""
         rows = np.asarray(rows, float)
-        return cls([np.ascontiguousarray(rows[..., i]) for i in range(rows.shape[-1])])
+        out = cls([rows[..., i].copy() for i in range(rows.shape[-1])])
+        out.rows = rows
+        return out
 
 
 def _stacked(a):
-    """A point as one (..., d) array, for a consumer that needs one; an
-    array is returned as it is."""
-    return np.stack(a, axis=-1) if isinstance(a, _Point) else a
+    """A point as one (..., d) array, for a consumer that needs one: the
+    rows a point was made from, or its columns stacked; an array is
+    returned as it is."""
+    if not isinstance(a, _Point):
+        return a
+    return np.stack(a, axis=-1) if a.rows is None else a.rows
 
 
 class _TracedOps:
     """Duck-typed ops that record the largest norm fraction per sample.
 
-    On a model that takes ``_Point`` columns (``_on_points``), each input
-    row block becomes a ``_Point`` of contiguous columns once, and each op
-    returns the kernel's own columns as one, so the trace, later ops and the
-    rule read each point's norm values from it; otherwise values are arrays.
-    Every op goes through the model's public method."""
+    Each input row block becomes a ``_Point`` of contiguous columns once,
+    and each op returns the kernel's own columns as one, so the trace, later
+    ops and the rule read each point's norm values from it. Every op goes
+    through the model's public method."""
 
     def __init__(self, model):
         self._m = model
@@ -189,8 +191,7 @@ class _TracedOps:
         return r
 
     def note_inputs(self, streams):
-        of = _Point.of if self._m._on_points else np.asarray
-        return [self._note(of(s)) for s in streams]
+        return [self._note(_Point.of(s)) for s in streams]
 
     def oplus(self, x, y):
         return self._note(self._m.oplus(x, y))

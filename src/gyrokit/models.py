@@ -172,7 +172,6 @@ class _BallModel(GyrogroupModel):
     kernel's columns as a ``_Point``; (n, d) arrays in give an array out."""
 
     has_closed_gyr = True
-    _on_points = True
 
     def _on_columns(self, kernel, *points):
         if isinstance(points[0], _Point):
@@ -262,7 +261,6 @@ class ProductModel(_Product, GyrogroupModel):
         self.right = right
         self.dim = left.dim + right.dim
         self.has_closed_gyr = left.has_closed_gyr and right.has_closed_gyr
-        self._on_points = left._on_points and right._on_points
         self.name = f"product({left.name},{right.name})"
 
     def _split(self, x):

@@ -31,8 +31,13 @@ def test_mobius_oplus_imag_axis():
 def test_mobius_oplus_pair_interface():
     # a single unbatched (re, im) pair in, the same shape out
     got = MobiusModel().oplus([0.5, 0.0], [0.5, 0.0])
-    assert isinstance(got, np.ndarray)
+    assert isinstance(got, np.ndarray) and got.shape == (2,)
     assert np.allclose(got, [0.8, 0.0], atol=1e-15)
+    for model in (MobiusModel(), EinsteinModel()):
+        x = [0.5] + [0.0] * (model.dim - 1)
+        y = [0.0, 0.5] + [0.0] * (model.dim - 2)
+        for got in (model.oplus(x, y), model.gyr(x, y, x), model.neg(x)):
+            assert isinstance(got, np.ndarray) and got.shape == (model.dim,)
 
 
 def test_mobius_gyr_oracle():
