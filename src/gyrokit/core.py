@@ -143,16 +143,14 @@ class _Point(list):
     It keeps the per-point values that several ops and the rules read, each
     computed once, on first use: ``sq``, the squared norm of a float64 point,
     and ``norm``, its square root (``magnitude``, which the boundary trace
-    calls); ``g``, 1/gamma (``models._inv_gamma``); and ``piv``, the pivot
-    part of the last gyration that took this point as its first pivot
-    (``models._BallModel._gyr_cols``). A point made from rows (``of``)
-    keeps them as ``rows``."""
+    calls); and ``g``, 1/gamma (``models._inv_gamma``). A point made from
+    rows (``of``) keeps them as ``rows``."""
 
-    __slots__ = ("sq", "norm", "g", "piv", "rows", "__weakref__")
+    __slots__ = ("sq", "norm", "g", "rows")
 
     def __init__(self, cols):
         super().__init__(cols)
-        self.sq = self.norm = self.g = self.piv = self.rows = None
+        self.sq = self.norm = self.g = self.rows = None
 
     @classmethod
     def of(cls, rows):

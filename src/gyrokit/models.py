@@ -8,10 +8,7 @@ passes evaluate laws on ``_Point`` columns, float64 arrays in the float64
 pass and DD values in the double-double kernel set, and the model methods
 take (n, d) arrays too, split into columns and stacked again. Only the
 per-point dot product and the square root depend on the precision
-(``_arith``); the rest is + - * /, and no complex dtype is involved. A
-gyration is ``_apply(_pivots(u, v), w)``: the part that depends on the
-pivots alone is computed once for the gyrations of one law evaluation
-that share them.
+(``_arith``); the rest is + - * /, and no complex dtype is involved.
 
 The models run these kernels unguarded, because the suites must be free
 to compose arbitrarily close to the boundary; the suite engine
@@ -19,8 +16,6 @@ re-evaluates stressed compositions in double-double.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -47,10 +42,8 @@ def _cmul(a, b):
     return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
 
 
-def _cdiv(a, b, den=None):
-    # den: |b|^2, when the caller divides by b more than once
-    if den is None:
-        den = b[0] * b[0] + b[1] * b[1]
+def _cdiv(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
     return [(a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den]
 
 
@@ -66,15 +59,9 @@ def _m_gyr_factor(a, b):
     return [1.0 + num[0], num[1]], [1.0 + den[0], den[1]]
 
 
-def _m_gyr_pivots(a, b):
-    """gyr[a, b]'s rotation factor as its num and den parts, and |den|^2."""
+def _m_gyr_parts(a, b, z):
     num, den = _m_gyr_factor(a, b)
-    return num, den, den[0] * den[0] + den[1] * den[1]
-
-
-def _m_gyr_apply(piv, z):
-    num, den, sq = piv
-    return _cdiv(_cmul(z, num), den, sq)
+    return _cdiv(_cmul(z, num), den)
 
 
 # ---------------------------------------------------------------------------
@@ -100,36 +87,26 @@ def _e_oplus_cols(u, v):
     return [(u[i] + v[i] * g + u[i] * coef) / d for i in range(len(u))]
 
 
-def _e_gyr_pivots(u, v):
-    """The part of gyr[u, v] that depends on the pivots alone: their
-    columns and the pivot terms of the coefficients (``_e_gyr_coeffs``)."""
-    dot, _ = _arith(u)
-    gu, gv, uv = _inv_gamma(u), _inv_gamma(v), dot(u, v)
-    pu, pv = 1.0 + gu, 1.0 + gv
-    return (list(u), list(v), (1.0 - gv) / pu, 2.0 * uv, pu * pv, (1.0 - gu) / pv,
-            1.0 + uv + gu * gv)
-
-
-def _e_gyr_coeffs(piv, uw, vw):
+def _e_gyr_coeffs(gu, gv, uv, uw, vw):
     """Coefficients (a, b) with gyr[u, v]w = w + a*u + b*v on the unit ball.
 
     Ungar's closed form (Analytic Hyperbolic Geometry and Albert
     Einstein's Special Theory of Relativity, 2008) is w + (A u + B v)/D
     with polynomial A, B, D in gamma_u, gamma_v and the dot products.
     Dividing A, B and D by gamma_u*gamma_v writes them in gu = 1/gamma_u
-    and gv = 1/gamma_v, which stay finite up to the boundary: with pu =
-    1 + gu, pv = 1 + gv and d = 1 + uv + gu*gv, a = (vw - (1 - gv)/pu*uw +
-    2*uv*vw/(pu*pv))/d and b = -(uw + (1 - gu)/pv*vw)/d. Only + - * / are
-    used, so the values may be float arrays or DD values.
+    and gv = 1/gamma_v, which stay finite up to the boundary. Only
+    + - * / are used, so the arguments may be float arrays or DD values.
     """
-    _, _, cu, uv2, pp, cv, d = piv
-    return (vw - cu * uw + uv2 * vw / pp) / d, -(uw + cv * vw) / d
+    pu, pv = 1.0 + gu, 1.0 + gv
+    d = 1.0 + uv + gu * gv
+    a = (vw - (1.0 - gv) / pu * uw + 2.0 * uv * vw / (pu * pv)) / d
+    b = -(uw + (1.0 - gu) / pv * vw) / d
+    return a, b
 
 
-def _e_gyr_apply(piv, w):
-    u, v = piv[:2]
+def _e_gyr_cols(u, v, w):
     dot, _ = _arith(u)
-    a, b = _e_gyr_coeffs(piv, dot(u, w), dot(v, w))
+    a, b = _e_gyr_coeffs(_inv_gamma(u), _inv_gamma(v), dot(u, v), dot(u, w), dot(v, w))
     return [w[i] + a * u[i] + b * v[i] for i in range(len(w))]
 
 
@@ -166,7 +143,7 @@ class _BallExtended:
 
 class _BallModel(GyrogroupModel):
     """The unit ball with the column kernels ``_oplus_cols`` and
-    ``_apply(_pivots(u, v), w)`` as addition and gyration, shared by the
+    ``_gyr_cols`` as addition and gyration, shared by the
     float64 methods and the double-double ``extended()`` set. The methods
     take ``_Point`` columns, as the law passes give them, and return the
     kernel's columns as a ``_Point``; (n, d) arrays in give an array out."""
@@ -177,15 +154,6 @@ class _BallModel(GyrogroupModel):
         if isinstance(points[0], _Point):
             return _Point(kernel(*points))
         return np.stack(kernel(*map(_Point.of, points)), axis=-1)
-
-    def _gyr_cols(self, u, v, w):
-        """gyr[u, v]w on columns of either precision. The pivot part is kept
-        on u, with a weak reference to v, so the next gyration by the same
-        pivots reuses it; it lives as long as u and holds no reference to u."""
-        memo = u.piv
-        if memo is None or memo[0]() is not v:
-            memo = u.piv = (weakref.ref(v), self._pivots(u, v))
-        return self._apply(memo[1], w)
 
     def oplus(self, a, b):
         return self._on_columns(self._oplus_cols, a, b)
@@ -210,8 +178,7 @@ class MobiusModel(_BallModel):
     name = "mobius"
     dim = 2
     _oplus_cols = staticmethod(_m_oplus_parts)
-    _pivots = staticmethod(_m_gyr_pivots)
-    _apply = staticmethod(_m_gyr_apply)
+    _gyr_cols = staticmethod(_m_gyr_parts)
 
 
 class EinsteinModel(_BallModel):
@@ -226,8 +193,7 @@ class EinsteinModel(_BallModel):
     name = "einstein"
     dim = 3
     _oplus_cols = staticmethod(_e_oplus_cols)
-    _pivots = staticmethod(_e_gyr_pivots)
-    _apply = staticmethod(_e_gyr_apply)
+    _gyr_cols = staticmethod(_e_gyr_cols)
 
 
 class _Product:

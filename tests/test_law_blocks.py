@@ -303,32 +303,6 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
     assert roots[0] == 3 * blocks
 
 
-@pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
-def test_gyrations_by_shared_pivots_compute_their_pivot_part_once(monkeypatch, cls):
-    # G3_automorphism's three gyr[x, y] per block, every row stressed: in
-    # each pass, float64 and double-double, one pivot part per block and
-    # three applications of it
-    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
-    monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
-    calls = []
-
-    def counted(name, kernel):
-        def run(*args):
-            calls.append((name, isinstance(args[-1][0], ddarith.DD)))
-            return kernel(*args)
-        return staticmethod(run)
-
-    for name in ("_pivots", "_apply"):
-        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
-    m, tol, n = cls(), ToleranceConfig(), 100
-    streams = m.sample_operands(np.random.default_rng(4), n, 4, tol)
-    assert run_law_check(m, "G3_automorphism", core.law_g3_automorphism, streams, tol).passed
-    blocks = -(-n // SMALL_BLOCK)
-    for dd in (False, True):
-        assert calls.count(("_pivots", dd)) == blocks, dd
-        assert calls.count(("_apply", dd)) == 3 * blocks, dd
-
-
 # -- a law pass holds one block of working memory -----------------------------
 
 
@@ -478,6 +452,19 @@ def _contiguous(value):
     return not isinstance(value, np.ndarray) or value.flags.c_contiguous
 
 
+def test_a_rule_stacks_an_input_point_from_its_rows_and_a_result_from_its_columns():
+    # a rule that needs (n, d) rows, as the prenorm rules do, gets an input
+    # point's own rows back, not a copy, and a computed point's columns
+    # stacked; each point's columns are C-contiguous copies of its rows
+    m = MobiusModel()
+    rows = m.sample_operands(np.random.default_rng(6), 50, 2, ToleranceConfig())
+    x, y = (core._Point.of(r[10:40]) for r in rows)
+    assert core._stacked(x) is x.rows and _same_bits(x.rows, rows[0][10:40])
+    assert _contiguous(list(x)) and not any(np.shares_memory(c, rows[0]) for c in x)
+    xy = m.oplus(x, y)
+    assert xy.rows is None and _same_bits(core._stacked(xy), m.oplus(rows[0], rows[1])[10:40])
+
+
 @pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
 def test_law_passes_stack_nothing_and_feed_the_kernels_contiguous_columns(monkeypatch, cls):
     # every law of the axiom and identity suites, with every row stressed so
@@ -498,7 +485,7 @@ def test_law_passes_stack_nothing_and_feed_the_kernels_contiguous_columns(monkey
             return kernel(*args)
         return staticmethod(run)
 
-    for name in ("_oplus_cols", "_pivots", "_apply"):
+    for name in ("_oplus_cols", "_gyr_cols"):
         monkeypatch.setattr(cls, name, checked(name, getattr(cls, name)))
     monkeypatch.setattr(np, "stack", stack)
     m, tol = cls(), ToleranceConfig()
@@ -506,7 +493,7 @@ def test_law_passes_stack_nothing_and_feed_the_kernels_contiguous_columns(monkey
         streams = m.sample_operands(np.random.default_rng(5), 300, base + wit, tol)
         assert run_law_check(m, name, law, streams, tol).passed, name
     assert stacks == []
-    assert set(calls) == {"_oplus_cols", "_pivots", "_apply"}
+    assert set(calls) == {"_oplus_cols", "_gyr_cols"}
 
 
 @pytest.mark.parametrize("dim", [2, 3])

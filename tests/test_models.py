@@ -7,7 +7,7 @@ from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
     ProductModel,
-    _e_gyr_pivots,
+    _e_gyr_cols,
     check_strong_base,
 )
 from gyrokit import ddarith as dd
@@ -166,10 +166,10 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
 
 def test_gyration_agreement_catches_swapped_pivots():
     # gyr[v, u] is the inverse rotation of gyr[u, v]; a model whose
-    # gyration takes its pivot half with the pivots swapped, in both
-    # precisions, must fail the agreement check
+    # gyration kernel swaps the pivots, in both precisions, must fail the
+    # agreement check
     class Swapped(EinsteinModel):
-        _pivots = staticmethod(lambda u, v: _e_gyr_pivots(v, u))
+        _gyr_cols = staticmethod(lambda u, v, w: _e_gyr_cols(v, u, w))
 
     bad = check_identities(Swapped(), Sampler(42), 2000).check("gyration_agreement")
     assert not bad.passed
