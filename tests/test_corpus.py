@@ -68,6 +68,11 @@ CASES = [
     # extraction (prenorm._leading_bits)
     ("prenorm-mobius-ratio-0.1", 0, ["prenorm", "--chain", CHAIN_010, "--samples", "300"]),
     ("metric-mobius-half", 0, ["metric", "--chain", CHAIN_050, "--samples", "300"]),
+    # the metric rows on a product, whose points keep no norm: every row
+    # that reads N or rho computes each point's norm factor by factor
+    ("metric-product-balls", 0,
+     ["metric", "--model", "product:mobius+einstein", "--chain", CHAIN_050,
+      "--samples", "200"]),
     ("metric-einstein", 0,
      ["metric", "--model", "einstein", "--chain", CHAIN_025, "--samples", "300"]),
     ("metric-ratio-0.6", 1, ["metric", "--chain", CHAIN_060, "--samples", "200"]),
