@@ -16,10 +16,12 @@ reflects the algebra, not the conditioning of the sample.
 Both passes evaluate laws on one point representation, ``_Point``: a list
 of contiguous coordinate columns, float64 arrays in the float64 pass and
 double-double values in the other, which keeps the per-point values that
-several ops read (the squared norm, the norm, 1/gamma). The float64 pass
-turns each input block into columns once and each op returns its kernel's
-columns, so no op stacks or splits a point; the double-double pass lowers
-its points to float64 columns, so the rules read both passes' points alike.
+several ops and rules read (the squared norm, the norm, 1/gamma). The
+float64 pass turns each input block into columns once and each op returns
+its kernel's columns; the double-double pass lowers its points to float64
+columns, so the rules, the chain rules' prenorms included, read both
+passes' points alike. From the first op to the last rule no point is
+stacked back into rows.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
 each kernel's temporaries stay in cache, and marks each row stressed or
@@ -137,38 +139,35 @@ def derived_gyration(ops, x, y, z):
 
 class _Point(list):
     """A point's coordinate columns, the one form in which both law passes
-    carry a traced value to the kernels and the rules: float64 arrays in the
-    float64 pass, ``ddarith.DD`` values in the double-double pass.
+    carry a traced value from the first op to the last rule: float64 arrays
+    in the float64 pass, ``ddarith.DD`` values in the double-double pass.
 
     It keeps the per-point values that several ops and the rules read, each
     computed once, on first use: ``sq``, the squared norm of a float64 point,
     and ``norm``, its square root (``magnitude``, which the boundary trace
-    calls); and ``g``, 1/gamma (``models._inv_gamma``). A point made from
-    rows (``of``) keeps them as ``rows``."""
+    calls); and ``g``, 1/gamma (``models._inv_gamma``)."""
 
-    __slots__ = ("sq", "norm", "g", "rows")
+    __slots__ = ("sq", "norm", "g")
 
     def __init__(self, cols):
         super().__init__(cols)
-        self.sq = self.norm = self.g = self.rows = None
+        self.sq = self.norm = self.g = None
 
     @classmethod
     def of(cls, rows):
         """The (..., d) array ``rows`` as d contiguous columns, each of
         shape (...)."""
         rows = np.asarray(rows, float)
-        out = cls([rows[..., i].copy() for i in range(rows.shape[-1])])
-        out.rows = rows
+        return cls([rows[..., i].copy() for i in range(rows.shape[-1])])
+
+    @classmethod
+    def joined(cls, points):
+        """The float64 ``points`` one after another, as one point that keeps
+        their norms when each keeps its own."""
+        out = cls([np.concatenate(cols) for cols in zip(*points)])
+        if all(p.norm is not None for p in points):
+            out.norm = np.concatenate([p.norm for p in points])
         return out
-
-
-def _stacked(a):
-    """A point as one (..., d) array, for a consumer that needs one: the
-    rows a point was made from, or its columns stacked; an array is
-    returned as it is."""
-    if not isinstance(a, _Point):
-        return a
-    return np.stack(a, axis=-1) if a.rows is None else a.rows
 
 
 class _TracedOps:

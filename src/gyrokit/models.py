@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ddarith as dd
-from .core import _LAW_BLOCK_ROWS, GyrogroupModel, _Point, _run_rows, _stacked, element_rule
+from .core import _LAW_BLOCK_ROWS, GyrogroupModel, _Point, _run_rows, element_rule
 from .errors import UsageError
 from .report import VerificationReport, array_check, suite_report
 from .sampling import Sampler, ToleranceConfig, coldot, directions, suite_prologue
@@ -303,10 +303,10 @@ def _membership_excess(model, center, radius):
     At the identity center ⊖center ⊕ l is l bit for bit, so l is read as it is."""
     if not center.any():
         return lambda l, _r: np.maximum(0.0, model.magnitude(l) - radius)
+    neg_c = model.neg(_Point.of(center))  # once per rule: a kernel keeps its 1/gamma
 
     def compare(l, _r):
-        l = model.oplus(model.neg(center), _stacked(l))
-        return np.maximum(0.0, model.magnitude(l) - radius)
+        return np.maximum(0.0, model.magnitude(model.oplus(neg_c, l)) - radius)
 
     return compare
 

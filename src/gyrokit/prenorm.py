@@ -10,7 +10,8 @@ check once; each chain kind supplies what differs. Both kinds run their
 law rows through the one driver, ``core._run_rows``. A ``RadialChain`` on a
 ball evaluates N by a greedy per-level bit extraction over rapidity
 (``_leading_bits``), needs radii that halve, and draws its rows' operands
-with ``ball_points``; its sandwich levels, which read nothing of a point but
+with ``ball_points``; its rules read the law pass's points, unstacked and
+with their kept norms. Its sandwich levels, which read nothing of a point but
 its rapidity, draw rapidities alone, on one axis (``_rapidity_ball``), and
 compute each point's rapidity once, for both bounds and the membership
 (``sandwich``). A ``FiniteChain`` on a table has N the indicator of its
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .core import GyrogroupModel, _run_rows, _stacked, law_triangle_decomposition
+from .core import GyrogroupModel, _Point, _run_rows, law_triangle_decomposition
 from .errors import AxiomViolationError, ChainConditionError, UsageError
 from .report import CheckResult, VerificationReport, array_check, suite_report, witness_check
 from .sampling import Sampler, ToleranceConfig, ball_points, check_sample_size, suite_prologue
@@ -56,9 +57,9 @@ class NeighborhoodChain:
     """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model.
 
     A kind supplies ``level_member(n, x)``, ``describe()``, N as
-    ``prenorm(family, x)`` and, for several arrays of points at once, as
-    ``prenorms(family, points)``, ``sandwich(family, x, n)`` (N < 2^-n,
-    N <= 2^(1-n) and membership in U_n), ``check_halving()``,
+    ``prenorm(family, x)`` and, for a rule block's points as the law pass
+    gives them, as ``prenorms(family, points)``, ``sandwich(family, x, n)``
+    (N < 2^-n, N <= 2^(1-n) and membership in U_n), ``check_halving()``,
     ``slack(tol, steps)`` (what a check over values of N allows), the
     sandwich levels' operands (``sandwich_points``) and the checks only it
     runs (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
@@ -146,10 +147,10 @@ class RadialChain(NeighborhoodChain):
         return _leading_bits(family, rapidity(self.model, x), family.depth)[0]
 
     def prenorms(self, family, points):
-        """N of each array of ``points``, from one ``prenorm_eval`` over
-        their concatenation: the extraction is pointwise (``_leading_bits``),
-        so each value is the one its array alone would give."""
-        return np.split(family(np.concatenate(points)), np.cumsum([len(p) for p in points[:-1]]))
+        """N of each of the law pass's ``points``, from one ``prenorm_eval``
+        over them joined with their norms: the extraction is pointwise
+        (``_leading_bits``), so each value is the one its point alone gives."""
+        return np.split(family(_Point.joined(points)), np.cumsum([len(p[0]) for p in points[:-1]]))
 
     def sandwich(self, family, x, n):
         """Both bounds read from the extraction through level n only, by
@@ -217,7 +218,8 @@ class RadialChain(NeighborhoodChain):
         model = self.model
 
         def bisection_gap(ns, seps):
-            xy, yx = np.split(family.index_of_rapidity(rapidity(model, np.concatenate(seps))), 2)
+            xy, yx = np.split(family.index_of_rapidity(
+                np.concatenate([rapidity(model, s) for s in seps])), 2)
             return np.abs((ns[0] + ns[1]) - (xy + yx))
 
         def closed_form_gap(ns, seps):
@@ -605,10 +607,10 @@ class _PrenormRule:
     of N, and a row passes a check when its residual is at most ``limit``.
 
     ``results(tuples)`` gives one ``(residual, ok)`` per check, all from
-    one reading of N per block (the chain's ``prenorms``), so the checks
-    of rows merged into one rule (``merged``, which ``core._run_rows``
-    calls) share it. Called, a rule of one check is a rule of
-    ``run_law_check`` and ``exhaustive_law_checks``."""
+    one reading of N per block (the chain's ``prenorms``, on the law pass's
+    points as they are), so the checks of rows merged into one rule
+    (``merged``, which ``core._run_rows`` calls) share it. Called, a rule of
+    one check is a rule of ``run_law_check`` and ``exhaustive_law_checks``."""
 
     def __init__(self, family, *checks):
         self.family = family
@@ -619,8 +621,7 @@ class _PrenormRule:
         return cls(rules[0].family, *(check for rule in rules for check in rule.checks))
 
     def results(self, tuples):
-        # N reads each point once, as one (n, d) array
-        points = [_stacked(p) for t in tuples for p in t]
+        points = [p for t in tuples for p in t]
         ns = self.family.chain.prenorms(self.family, points)
         out = []
         for limit, residual in self.checks:

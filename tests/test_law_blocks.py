@@ -20,7 +20,7 @@ import pytest
 from gyrokit import core, ddarith, models, prenorm, sampling
 from gyrokit.cli import main
 from gyrokit.core import law_g3, law_g4_loop, run_law_check
-from gyrokit.models import EinsteinModel, MobiusModel, check_strong_base
+from gyrokit.models import EinsteinModel, MobiusModel, ProductModel, check_strong_base
 from gyrokit.prenorm import (
     RadialChain,
     check_metric_properties,
@@ -253,6 +253,20 @@ def test_no_kernel_call_exceeds_one_block(cls):
 # -- each per-point value once per pass ----------------------------------------
 
 
+def _on_squares(monkeypatch, record):
+    """Call ``record(p)`` on each squared norm that a law pass computes: a
+    ``coldot`` of a point's columns with themselves, wherever it is called."""
+    real_coldot = sampling.coldot
+
+    def coldot(p, q):
+        if all(a.__array_interface__ == b.__array_interface__ for a, b in zip(p, q)):
+            record(p)
+        return real_coldot(p, q)
+
+    for module in (sampling, core, models):
+        monkeypatch.setattr(module, "coldot", coldot)
+
+
 def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch):
     # Einstein G3 with every row stressed. In the float64 pass a squared
     # norm is a coldot of a point's columns with themselves; the boundary
@@ -264,15 +278,13 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
     monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
     monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", SMALL_BLOCK)
     alive, squares = [], []
-    real_coldot, real_gamma, real_sqrt = sampling.coldot, models._inv_gamma, ddarith.DD.sqrt
+    real_gamma, real_sqrt = models._inv_gamma, ddarith.DD.sqrt
     gammas = {"float64": [], "dd": []}  # per computed 1/gamma, the id of its point
     roots = [0]
 
-    def coldot(p, q):
-        if all(a.__array_interface__ == b.__array_interface__ for a, b in zip(p, q)):
-            alive.append(p)
-            squares.append(p[0].__array_interface__["data"][0])
-        return real_coldot(p, q)
+    def square(p):
+        alive.append(p)
+        squares.append(p[0].__array_interface__["data"][0])
 
     def inv_gamma(u):
         alive.append(u)
@@ -286,8 +298,7 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
 
     m, n = EinsteinModel(), 100
     streams = m.sample_operands(np.random.default_rng(2), n, 3, ToleranceConfig())
-    for module in (sampling, core, models):
-        monkeypatch.setattr(module, "coldot", coldot)
+    _on_squares(monkeypatch, square)
     monkeypatch.setattr(models, "_inv_gamma", inv_gamma)
     monkeypatch.setattr(ddarith.DD, "sqrt", sqrt)
     assert run_law_check(m, "G3_gyroassociativity", law_g3, streams, ToleranceConfig()).passed
@@ -412,12 +423,18 @@ def test_strong_base_balls_match_the_broadcast_expression(monkeypatch, model, ce
 def test_the_identity_center_adds_nothing(monkeypatch, cls, center):
     # at the identity center, given or by default, the ball's p and q are
     # the Euclidean draw of B(r) byte for byte, and neither the draw nor the
-    # membership rule adds the center: no ⊕ reads a lone point
+    # membership rule adds the center: no ⊕ reads a lone point, given as a
+    # (d,) array or as a point of 0-d columns
     seen, lone = {}, []
+
+    def is_lone(p):
+        if isinstance(p, core._Point):
+            return np.ndim(p[0]) == 0
+        return isinstance(p, np.ndarray) and p.ndim == 1
 
     class Recording(cls):
         def oplus(self, a, b):
-            if any(isinstance(p, np.ndarray) and p.ndim == 1 for p in (a, b)):
+            if is_lone(a) or is_lone(b):
                 lone.append((a, b))
             return super().oplus(a, b)
 
@@ -438,6 +455,11 @@ def test_the_identity_center_adds_nothing(monkeypatch, cls, center):
                 * directions(gen, n, model.dim) for _ in range(2)]
         assert _same_bits(seen[f"ball_forward_{tag}"][2], p)
         assert _same_bits(seen[f"ball_preimage_{tag}"][2], q)
+    # off the identity both the draw and the membership rule add the
+    # center, as a (d,) array and as a point of 0-d columns
+    off = [0.3] + [0.0] * (model.dim - 1)
+    check_strong_base(model, ball_radii=[0.5], sampler=Sampler(9), n_samples=50, center=off)
+    assert {isinstance(a, core._Point) for a, _ in lone} == {False, True}
 
 
 # -- the float64 pass on contiguous columns ------------------------------------
@@ -452,17 +474,14 @@ def _contiguous(value):
     return not isinstance(value, np.ndarray) or value.flags.c_contiguous
 
 
-def test_a_rule_stacks_an_input_point_from_its_rows_and_a_result_from_its_columns():
-    # a rule that needs (n, d) rows, as the prenorm rules do, gets an input
-    # point's own rows back, not a copy, and a computed point's columns
-    # stacked; each point's columns are C-contiguous copies of its rows
+def test_an_input_point_is_contiguous_columns_that_share_no_memory_with_its_stream():
+    # an input block's point holds C-contiguous copies of its rows'
+    # coordinates, so no kernel or rule reads the stream through it
     m = MobiusModel()
     rows = m.sample_operands(np.random.default_rng(6), 50, 2, ToleranceConfig())
-    x, y = (core._Point.of(r[10:40]) for r in rows)
-    assert core._stacked(x) is x.rows and _same_bits(x.rows, rows[0][10:40])
+    x = core._Point.of(rows[0][10:40])
     assert _contiguous(list(x)) and not any(np.shares_memory(c, rows[0]) for c in x)
-    xy = m.oplus(x, y)
-    assert xy.rows is None and _same_bits(core._stacked(xy), m.oplus(rows[0], rows[1])[10:40])
+    assert all(_same_bits(c, rows[0][10:40, i].copy()) for i, c in enumerate(x))
 
 
 @pytest.mark.parametrize("cls", [MobiusModel, EinsteinModel], ids=["mobius", "einstein"])
@@ -494,6 +513,63 @@ def test_law_passes_stack_nothing_and_feed_the_kernels_contiguous_columns(monkey
         assert run_law_check(m, name, law, streams, tol).passed, name
     assert stacks == []
     assert set(calls) == {"_oplus_cols", "_gyr_cols"}
+
+
+@pytest.mark.parametrize("make", [
+    MobiusModel, EinsteinModel, lambda: ProductModel(MobiusModel(), EinsteinModel()),
+], ids=["mobius", "einstein", "product"])
+def test_no_chain_rule_stacks_a_point(monkeypatch, make):
+    # radial prenorm and metric at ratio 1/2, where closed_form_agreement,
+    # rho_oracle and rho_closed_form run too: no law pass stacks a point into
+    # rows, each rule block reads N through one prenorm_eval over its points
+    # joined, and a ball point reaches the chain rules with the norm that
+    # its trace computed, so no chain rule squares a norm. A product point
+    # keeps no norm, and its rules compute the factors' norms
+    in_pass, in_rule = [False], [False]
+    stacks, blocks, evals, rule_squares = [], [0], [0], []
+    real_group, real_results = core.run_law_group, prenorm._PrenormRule.results
+    real_stack, real_eval = np.stack, prenorm.prenorm_eval
+
+    def during(flag, run):
+        flag[0] = True
+        try:
+            return run()
+        finally:
+            flag[0] = False
+
+    def group(*args):
+        return during(in_pass, lambda: real_group(*args))
+
+    def results(self, tuples):
+        blocks[0] += 1
+        return during(in_rule, lambda: real_results(self, tuples))
+
+    def stack(*args, **kwargs):
+        if in_pass[0]:
+            stacks.append(len(args[0]))
+        return real_stack(*args, **kwargs)
+
+    def prenorm_eval(family, x):
+        assert in_rule[0] and isinstance(x, core._Point)
+        evals[0] += 1
+        return real_eval(family, x)
+
+    _on_squares(monkeypatch, lambda p: in_rule[0] and rule_squares.append(p))
+    monkeypatch.setattr(core, "run_law_group", group)
+    monkeypatch.setattr(prenorm._PrenormRule, "results", results)
+    monkeypatch.setattr(np, "stack", stack)
+    monkeypatch.setattr(prenorm, "prenorm_eval", prenorm_eval)
+    chain = RadialChain(make(), ratio=0.5, depth=12)
+    for check in (check_prenorm_properties, check_metric_properties):
+        assert check(chain, n_samples=300).passed
+    assert stacks == []
+    # one block of each of the four prenorm rows and of the four metric passes
+    # that read N: the d rows, rho_identity, the (x, y) rows and rho_triangle
+    assert evals[0] == blocks[0] == 8
+    if not isinstance(chain.model, ProductModel):
+        assert rule_squares == []
+    else:
+        assert rule_squares
 
 
 @pytest.mark.parametrize("dim", [2, 3])

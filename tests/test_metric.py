@@ -10,7 +10,7 @@ import pytest
 
 import gyrokit.core as core_mod
 import gyrokit.prenorm as prenorm_mod
-from gyrokit.core import _LAW_BLOCK_ROWS, WITNESSES, run_law_check
+from gyrokit.core import _LAW_BLOCK_ROWS, WITNESSES, _Point, run_law_check
 from gyrokit.models import EinsteinModel, MobiusModel
 from gyrokit.prenorm import (
     FiniteChain,
@@ -347,8 +347,8 @@ def offset_prenorm(shift):
 # subgyrogroup that some gyration moves, so N(-x + y) and N(-y + x) differ;
 # the base {0, 2, 4} is not closed, so rho is no pseudometric. On a ball
 # the prenorm N + 2^-10 puts rho(x, x) at 2^-9, N + 2^-10 on points with a
-# positive first coordinate tells -x + y from -y + x, and N^2 is not
-# subadditive along a line
+# positive first coordinate (the first column of the law pass's point) tells
+# -x + y from -y + x, and N^2 is not subadditive along a line
 RHO_FAULTS = [
     pytest.param("rho_identity", lambda: FiniteChain(cyclic_table(12), [0, 4, 8]),
                  offset_prenorm(lambda x: 1.0), id="identity-table"),
@@ -357,7 +357,7 @@ RHO_FAULTS = [
     pytest.param("rho_identity", mobius_chain, offset_prenorm(lambda x: 2.0 ** -10),
                  id="identity-ball"),
     pytest.param("rho_symmetry", mobius_chain,
-                 offset_prenorm(lambda x: 2.0 ** -10 * (x[..., 0] > 0)), id="symmetry-ball"),
+                 offset_prenorm(lambda x: 2.0 ** -10 * (x[0] > 0)), id="symmetry-ball"),
     pytest.param("rho_triangle", mobius_chain,
                  lambda family, x: np.square(REAL_PRENORM(family, x)), id="triangle-ball"),
 ]
@@ -383,8 +383,8 @@ def test_rho_rows_fail_where_their_witnesses_say(monkeypatch, name, make, fault)
     assert set(witness) == {"inputs", "residual"} and len(witness["inputs"]) == len(reads)
     if chain.model.is_exact:
         inputs = [np.array([chain.model.labels.index(v)]) for v in witness["inputs"]]
-    else:
-        inputs = [np.array([v]) for v in witness["inputs"]]
+    else:  # the law pass hands the law points of coordinate columns
+        inputs = [_Point.of(np.array([v])) for v in witness["inputs"]]
     residual, ok = rule(law(chain.model, *inputs))
     assert residual[0] == witness["residual"] == check.max_residual > 0
     assert not ok[0]

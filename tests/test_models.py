@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrokit.errors import UsageError
-from gyrokit.core import _stacked, check_identities, derived_gyration
+from gyrokit.core import check_identities, derived_gyration
 from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
@@ -12,6 +12,11 @@ from gyrokit.models import (
 )
 from gyrokit import ddarith as dd
 from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
+
+
+def _stacked(point):
+    """A lowered point's float64 columns as one (n, d) array of rows."""
+    return np.stack(point, axis=-1)
 
 
 # -- frozen values, hand-computed from the defining formulas -----------------

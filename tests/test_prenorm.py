@@ -768,7 +768,7 @@ def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
 
     def prenorm_eval(fam, x):
         assert not in_sandwich[0]
-        sizes.append(len(x))
+        sizes.append(len(x[0]))  # a law pass's point: the rows of its first column
         return real(fam, x)
 
     monkeypatch.setattr(prenorm, "prenorm_eval", prenorm_eval)
