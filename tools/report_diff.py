@@ -79,13 +79,17 @@ def _merged(a, b):
     return list(a) + [k for k in b if k not in a]
 
 
-def _number(v):
-    return json.dumps(v)
+def _witness_keys(witness):
+    return str(sorted(witness) if isinstance(witness, dict) else [])
 
 
-def _witness_keys(check):
-    w = check.get("witness")
-    return sorted(w) if isinstance(w, dict) else []
+# the moves of a check found on both sides: (kind, field, how a value prints)
+FIELDS = (
+    ("verdict", "pass", lambda v: "pass" if v else "fail"),
+    ("max_residual", "max_residual", json.dumps),
+    ("samples", "samples_or_exhaustive", json.dumps),
+    ("witness", "witness", _witness_keys),
+)
 
 
 def moves(old, new):
@@ -99,26 +103,13 @@ def moves(old, new):
             at = f"{case} :: {name}"
             if name not in b:
                 out.append(("removed", f"removed  {at}"))
-                continue
-            if name not in a:
+            elif name not in a:
                 out.append(("added", f"added  {at}"))
-                continue
-            x, y = a[name], b[name]
-            if x.get("pass") != y.get("pass"):
-                out.append(("verdict", f"verdict  {at}: "
-                            f"{'pass' if x.get('pass') else 'fail'} -> "
-                            f"{'pass' if y.get('pass') else 'fail'}"))
-            if _number(x.get("max_residual")) != _number(y.get("max_residual")):
-                out.append(("max_residual", f"max_residual  {at}: "
-                            f"{_number(x.get('max_residual'))} -> "
-                            f"{_number(y.get('max_residual'))}"))
-            if x.get("samples_or_exhaustive") != y.get("samples_or_exhaustive"):
-                out.append(("samples", f"samples  {at}: "
-                            f"{_number(x.get('samples_or_exhaustive'))} -> "
-                            f"{_number(y.get('samples_or_exhaustive'))}"))
-            if _witness_keys(x) != _witness_keys(y):
-                out.append(("witness", f"witness  {at}: "
-                            f"{_witness_keys(x)} -> {_witness_keys(y)}"))
+            else:
+                for kind, field, shown in FIELDS:
+                    was, now = shown(a[name].get(field)), shown(b[name].get(field))
+                    if was != now:
+                        out.append((kind, f"{kind}  {at}: {was} -> {now}"))
     return out
 
 
