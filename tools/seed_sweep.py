@@ -26,7 +26,7 @@ from gyrokit.cli import main as gyro
 
 LAW_MODELS = ("mobius", "einstein", "product:mobius+einstein")
 LAW_SUITES = ("axioms", "identities", "strong-base")
-CHAIN_MODELS = ("mobius", "einstein")
+CHAIN_MODELS = ("mobius", "einstein", "product:mobius+einstein")
 CHAIN_SUITES = ("prenorm", "metric", "admissible")
 # the ratio 1/4 and 1/2 chains of the benchmark's metrization workload, and
 # the ratio 0.1 chain, whose remainders die fastest in the prenorm's bit
@@ -44,7 +44,13 @@ CHAIN_SUITES = ("prenorm", "metric", "admissible")
 # (60k for `prenorm`), so the sweep also compares double-double results on
 # points where 1 - |x|^2 has lost every digit; all three suites exit 1
 # there on every seed, `admissible` as at ratio 1/2 and `prenorm` and
-# `metric` as item 7 describes for large t0
+# `metric` as item 7 describes for large t0.
+# The product of the two balls runs every chain too, since its radial draws
+# take the same route as a ball's. At seed 0 `admissible` exits 1 at ratio
+# 1/2, as on the balls; `metric` fails `rho_identity` at ratio 0.1, from the
+# Einstein factor (item 7); and at t0 = 9 `prenorm` and `metric` exit 0
+# where Mobius exits 1, because a product point's rapidity, the larger of
+# its factors', falls below the drawn one (ROADMAP items 18 and 23)
 CHAINS = (
     '{"kind":"radial_rapidity","t0":1.0,"ratio":0.25,"depth":24}',
     '{"kind":"radial_rapidity","t0":1.0,"ratio":0.5,"depth":24}',
