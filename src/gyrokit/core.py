@@ -80,7 +80,9 @@ class GyrogroupModel:
     ``is_exact`` and ``order`` and work on broadcast index arrays. The
     law passes hand a continuous model's ``oplus``, ``neg`` and ``gyr``
     ``_Point`` columns, and each returns a ``_Point``; ``zero_like``,
-    ``distance`` and ``magnitude`` read them here.
+    ``distance`` and ``magnitude`` read them here. Every radial draw and
+    rapidity read goes through the ball's chart, ``rapidity`` and its inverse
+    ``radii``, which a product inherits.
     """
 
     name = "abstract"
@@ -121,6 +123,16 @@ class GyrogroupModel:
         """Carrier norm as a fraction of the boundary radius, which is 1."""
         return self.magnitude(a)
 
+    def rapidity(self, x):
+        """artanh of the norm fraction; the additive radial scale of the ball."""
+        frac = np.clip(self.norm_fraction(x), 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.arctanh(frac)
+
+    def radii(self, rho):
+        """The norms of the points at rapidities ``rho`` on a ray, in place."""
+        return np.tanh(rho, out=rho)
+
     def extended(self):
         """Double-double kernel set for stressed samples, or None."""
         return None
@@ -128,7 +140,7 @@ class GyrogroupModel:
     def sample_operands(self, gen, n, k, tol: ToleranceConfig, offset=0):
         if self.dim is None:
             raise NotImplementedError("sampling requires a continuous carrier")
-        return sample_operands(gen, n, self.dim, k, margin=tol.boundary_margin, offset=offset)
+        return sample_operands(gen, n, self, k, margin=tol.boundary_margin, offset=offset)
 
 
 def derived_gyration(ops, x, y, z):

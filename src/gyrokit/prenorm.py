@@ -8,15 +8,15 @@ set contains a point is a prenorm N on the carrier; calling the family
 evaluates it. The suites take the chain, build its family and state each
 check once; each chain kind supplies what differs. Both kinds run their
 law rows through the one driver, ``core._run_rows``. A ``RadialChain`` on a
-ball evaluates N by a greedy per-level bit extraction over rapidity
-(``_leading_bits``), needs radii that halve, and draws its rows' operands
-with ``ball_points``; its rules read the law pass's points, unstacked and
-with their kept norms. Its sandwich levels, which read nothing of a point but
-its rapidity, draw rapidities alone, on one axis (``_rapidity_ball``), and
-compute each point's rapidity once, for both bounds and the membership
-(``sandwich``). A ``FiniteChain`` on a table has N the indicator of its
-base's complement, halves trivially, and its rows run on every tuple of
-the carrier, as ``np.ix_`` index grids.
+ball evaluates N by a greedy per-level bit extraction (``_leading_bits``)
+over the model's rapidity (``model.rapidity``), needs radii that halve,
+and draws its rows' operands with ``ball_points``; its rules read the law
+pass's points, unstacked and with their kept norms. Its sandwich levels,
+which read nothing of a point but its rapidity, draw rapidities alone, on
+one axis (``_rapidity_ball``), and compute each point's rapidity once, for
+both bounds and the membership (``sandwich``). A ``FiniteChain`` on a table
+has N the indicator of its base's complement, halves trivially, and its
+rows run on every tuple of the carrier, as ``np.ix_`` index grids.
 
 The recursion that defines the index sets' radii is read by no check; the
 tests keep it, as the reference that ``DyadicFamily.index_of_rapidity``
@@ -39,18 +39,11 @@ from .tables import CayleyTable, TableModel, _closed_under, _subset_indices, cos
 DEFAULT_RATIO = 0.25
 DEFAULT_DEPTH = 24
 MAX_DEPTH = 40  # grid indices m / 2^depth stay exact in int64 and float64
-# the metric suite composes separations of rapidity up to 1.9 t0, and
-# float64 holds a norm fraction below 1 only up to artanh(1 - 2^-53) ~ 18.7;
-# rounding in the sums loses the ball earlier (at t0 = 9.8 already), so the
-# bound on t0 keeps a margin
+# a bound of the ball's chart: the metric suite composes separations of
+# rapidity up to 1.9 t0, and float64 holds a norm fraction below 1 only up
+# to artanh(1 - 2^-53) ~ 18.7; rounding in the sums loses the ball earlier
+# (at t0 = 9.8 already), so the bound on t0 keeps a margin
 MAX_T0 = 9.0
-
-
-def rapidity(model: GyrogroupModel, x) -> np.ndarray:
-    """artanh of the norm fraction; the additive radial scale of the ball."""
-    frac = np.clip(model.norm_fraction(x), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        return np.arctanh(frac)
 
 
 class NeighborhoodChain:
@@ -131,7 +124,7 @@ class RadialChain(NeighborhoodChain):
         }
 
     def level_member(self, n, x):
-        return rapidity(self.model, x) <= self.t[n]
+        return self.model.rapidity(x) <= self.t[n]
 
     def describe(self):
         return {
@@ -144,7 +137,7 @@ class RadialChain(NeighborhoodChain):
     def prenorm(self, family, x):
         """The greedy bit extraction over the points' rapidities, run
         through the family's deepest level."""
-        return _leading_bits(family, rapidity(self.model, x), family.depth)[0]
+        return _leading_bits(family, self.model.rapidity(x), family.depth)[0]
 
     def prenorms(self, family, points):
         """N of each of the law pass's ``points``, from one ``prenorm_eval``
@@ -156,7 +149,7 @@ class RadialChain(NeighborhoodChain):
         """Both bounds read from the extraction through level n only, by
         the leading-bits lemma of ``_leading_bits``, and the membership,
         all from one rapidity per point."""
-        rho = rapidity(self.model, x)
+        rho = self.model.rapidity(x)
         head, rem = _leading_bits(family, rho, n)
         top = 2.0 ** (1 - n)
         return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0)), rho <= self.t[n]
@@ -179,7 +172,7 @@ class RadialChain(NeighborhoodChain):
     def _draw(self, sampler, suite, stream, caps, n_samples):
         """One stream of points per rapidity cap, from one generator."""
         gen = sampler.stream(suite, stream)
-        return [ball_points(gen, n_samples, self.model.dim, t_max=c, margin=None) for c in caps]
+        return [ball_points(gen, n_samples, self.model, t_max=c, margin=None) for c in caps]
 
     def sandwich_points(self, sampler, n, n_samples):
         """Level n's draws: rapidity up to 2.2 t[n], and for n >= 1 up to
@@ -192,7 +185,7 @@ class RadialChain(NeighborhoodChain):
         if n:
             cap = max(cap, 1.1 * float(self.t[n - 1]))
         gen = sampler.stream("prenorm", f"sandwich_{n}")
-        return _rapidity_ball(gen, n_samples, self.model.dim, cap), n_samples
+        return _rapidity_ball(gen, n_samples, self.model, cap), n_samples
 
     def prenorm_rows(self, family, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
@@ -202,7 +195,7 @@ class RadialChain(NeighborhoodChain):
         scale = 2.0 ** family.depth
 
         def closed_form_gap(ns, points):
-            rho = rapidity(self.model, points[0])
+            rho = self.model.rapidity(points[0])
             return np.abs(ns[0] - np.minimum(np.ceil(rho / self.t0 * scale) / scale, 2.0))
 
         return [("closed_form_agreement", "closed_form", (0,), lambda ops, x: [(x,)],
@@ -219,11 +212,11 @@ class RadialChain(NeighborhoodChain):
 
         def bisection_gap(ns, seps):
             xy, yx = np.split(family.index_of_rapidity(
-                np.concatenate([rapidity(model, s) for s in seps])), 2)
+                np.concatenate([model.rapidity(s) for s in seps])), 2)
             return np.abs((ns[0] + ns[1]) - (xy + yx))
 
         def closed_form_gap(ns, seps):
-            oracle = 2.0 * np.arctanh(model.norm_fraction(seps[0])) / self.t0
+            oracle = 2.0 * model.rapidity(seps[0]) / self.t0
             return np.abs((ns[0] + ns[1]) - oracle)
 
         limit = self.slack(tol, 4)
@@ -260,14 +253,14 @@ class RadialChain(NeighborhoodChain):
 
         def draw(stream):
             t_in = below[stream]
-            extreme = np.tanh(t_in) * axis
+            extreme = model.radii(np.array([t_in])) * axis
             return [np.vstack([p, extreme])
                     for p in self._draw(sampler, "admissible", stream, (t_in,) * 3, per_level)]
 
         def within(t_n):  # the double sum lands in the level of radius t_n
             def rule(tuples):
                 ((c,),) = tuples
-                r = rapidity(model, c) - t_n
+                r = model.rapidity(c) - t_n
                 return r, r <= tol.abs_tol
             return rule
 
@@ -582,21 +575,19 @@ def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
 # sampling helpers local to the metric suites
 
 
-def _rapidity_ball(gen, n, dim, t_cap):
-    """n points on the first axis of the unit ball, with rapidity uniform
-    on [0, t_cap]; the benchmark traces this name.
+def _rapidity_ball(gen, n, model, t_cap):
+    """n points on the first axis of the unit ball, at ``model.radii`` of a
+    rapidity uniform on [0, t_cap]; the benchmark traces this name.
 
     For draws whose checks read nothing of a point but its rapidity: the
-    rapidities are the doubles that ``ball_points(gen, n, dim,
+    rapidities are the doubles that ``ball_points(gen, n, model,
     t_max=t_cap)`` draws first, and no direction is drawn. The norm of
     (r, 0, ...) is r exactly, where a rotated point's may be an ulp off.
     On a product the points lie in the first factor, whose norm fraction
     is then the product's."""
-    check_sample_size(n, dim)
-    rho = gen.uniform(0.0, t_cap, n)
-    np.tanh(rho, out=rho)
-    pts = np.zeros((n, dim))
-    pts[:, 0] = rho
+    check_sample_size(n, model.dim)
+    pts = np.zeros((n, model.dim))
+    pts[:, 0] = model.radii(gen.uniform(0.0, t_cap, n))
     return pts
 
 

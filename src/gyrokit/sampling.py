@@ -4,8 +4,8 @@ One root seed governs a whole run. Each (suite, check) pair gets its own
 generator derived by hashing, so adding or reordering checks never
 perturbs the samples other checks see.
 
-Continuous carriers are sampled in (rapidity, direction) coordinates:
-rapidity uniform on [0, t_max], direction uniform on the circle/sphere.
+Continuous carriers are sampled in the chart of ``model.radii``: rapidity
+uniform on [0, t_max], direction uniform on the circle/sphere.
 A check that reads nothing of a point but its rapidity, such as a radial
 chain's sandwich level, draws the rapidity alone and puts the point on
 the first axis (``prenorm._rapidity_ball``). A fixed 1% slice of each
@@ -143,28 +143,27 @@ def suite_prologue(sampler, tol, dim=None, n_samples=None, rows=None):
 def ball_points(
     gen: np.random.Generator,
     n: int,
-    dim: int,
+    model,
     t_max: float = DEFAULT_T_MAX,
     margin: float | None = 1e-6,
     forced_offset: int | None = None,
 ) -> np.ndarray:
     """Sample n carrier points of the unit ball.
 
-    Radii are tanh of a uniform rapidity. When ``forced_offset`` is given,
-    indices forced_offset::100 are placed at Euclidean distance margin
-    from the boundary.
+    Radii are ``model.radii`` of a uniform rapidity. When ``forced_offset``
+    is given, indices forced_offset::100 are then placed at Euclidean
+    distance margin from the boundary.
 
     The radii are computed in place in the rapidity draw, so the call
     holds no whole-stream temporary beside that draw and what it returns.
     """
-    check_sample_size(n, dim)
-    r = gen.uniform(0.0, t_max, n)
-    np.tanh(r, out=r)
+    check_sample_size(n, model.dim)
+    r = model.radii(gen.uniform(0.0, t_max, n))
     if forced_offset is not None:
         if margin is None or margin <= 0:
             raise SamplingError("boundary forcing requires a positive margin")
         r[forced_offset::FORCED_STRIDE] = 1.0 - margin
-    d = directions(gen, n, dim)
+    d = directions(gen, n, model.dim)
     d *= r[:, None]
     return d
 
@@ -172,7 +171,7 @@ def ball_points(
 def sample_operands(
     gen: np.random.Generator,
     n: int,
-    dim: int,
+    model,
     k: int,
     margin: float = 1e-6,
     offset: int = 0,
@@ -185,6 +184,6 @@ def sample_operands(
     the number of operands already drawn as ``offset``.
     """
     return [
-        ball_points(gen, n, dim, margin=margin, forced_offset=(offset + j) % FORCED_STRIDE)
+        ball_points(gen, n, model, margin=margin, forced_offset=(offset + j) % FORCED_STRIDE)
         for j in range(k)
     ]

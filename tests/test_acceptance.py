@@ -17,7 +17,6 @@ from gyrokit.prenorm import (
     build_dyadic,
     check_metric_properties,
     check_prenorm_properties,
-    rapidity,
     validate_admissible_chain,
 )
 from gyrokit.report import canonical_json

@@ -61,7 +61,7 @@ def test_directions_unit_norm():
 
 def test_ball_points_forced_boundary_slice():
     gen = np.random.default_rng(0)
-    pts = ball_points(gen, 500, 2, margin=1e-6, forced_offset=3)
+    pts = ball_points(gen, 500, MobiusModel(), margin=1e-6, forced_offset=3)
     r = np.linalg.norm(pts, axis=1)
     assert np.allclose(r[3::FORCED_STRIDE], 1.0 - 1e-6, atol=1e-15)
     assert (r < 1.0).all()
@@ -100,17 +100,17 @@ def test_sample_cap_refuses_before_drawing():
 
     # no generator: a refused request must fail before it draws anything
     with pytest.raises(ResourceLimitError):
-        ball_points(None, MAX_SAMPLE_VALUES // 3 + 1, 3)
+        ball_points(None, MAX_SAMPLE_VALUES // 3 + 1, EinsteinModel())
     with pytest.raises(ResourceLimitError):
-        _rapidity_ball(None, MAX_SAMPLE_VALUES // 2 + 1, 2, 1.0)
+        _rapidity_ball(None, MAX_SAMPLE_VALUES // 2 + 1, MobiusModel(), 1.0)
     with pytest.raises(SamplingError):
-        ball_points(None, 0, 3)
+        ball_points(None, 0, EinsteinModel())
     check_sample_size(MAX_SAMPLE_VALUES // 3, 3)  # the cap itself is allowed
 
 
 def test_sample_operands_disjoint_forcing():
     gen = np.random.default_rng(0)
-    ops = sample_operands(gen, 400, 2, 3)
+    ops = sample_operands(gen, 400, MobiusModel(), 3)
     radii = [np.linalg.norm(o, axis=1) for o in ops]
     near = [r > 1.0 - 1e-5 for r in radii]
     # no index has two operands at the boundary at once
@@ -137,7 +137,7 @@ def test_sample_operands_offset_draws_the_witness_streams(model, offset):
             rights = witness_streams(m.right, gen, n, count)
             return [np.concatenate([a, b], axis=-1) for a, b in zip(lefts, rights)]
         return [
-            ball_points(gen, n, m.dim, margin=tol.boundary_margin, forced_offset=(offset + j) % 100)
+            ball_points(gen, n, m, margin=tol.boundary_margin, forced_offset=(offset + j) % 100)
             for j in range(count)
         ]
 

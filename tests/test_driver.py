@@ -190,7 +190,7 @@ def test_radial_prenorm_rows(monkeypatch, model):
 
     def reference(stream):
         gen = generator("prenorm", stream)
-        return [ball_points(gen, N, model.dim, t_max=c, margin=None) for c in caps[stream]]
+        return [ball_points(gen, N, model, t_max=c, margin=None) for c in caps[stream]]
 
     passes = spy.assert_rows("prenorm", reference)
     assert len(passes) == len(caps) == 4
@@ -205,7 +205,7 @@ def test_radial_metric_rows(monkeypatch, model):
 
     def reference(stream):
         gen = generator("metric", stream)
-        return [ball_points(gen, N, model.dim, t_max=0.95 * chain.t0, margin=None)
+        return [ball_points(gen, N, model, t_max=0.95 * chain.t0, margin=None)
                 for _ in range(3)]
 
     passes = spy.assert_rows("metric", reference)
@@ -257,7 +257,7 @@ def test_radial_admissible_rows(monkeypatch, model):
         gen = generator("admissible", stream)
         extreme = np.zeros((1, model.dim))
         extreme[0, 0] = np.tanh(t_in)
-        return [np.vstack([ball_points(gen, per_level, model.dim, t_max=t_in, margin=None),
+        return [np.vstack([ball_points(gen, per_level, model, t_max=t_in, margin=None),
                            extreme]) for _ in range(3)]
 
     passes = spy.assert_rows("admissible", reference)

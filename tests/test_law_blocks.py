@@ -38,6 +38,7 @@ from gyrokit.sampling import (
 )
 
 _WALL = re.compile(r'"wall_time_s":[^,}]*')
+_BALLS = {2: MobiusModel(), 3: EinsteinModel()}  # by dimension
 SMALL_BLOCK = 7  # divides none of the stream lengths below
 
 
@@ -239,7 +240,7 @@ def test_no_kernel_call_exceeds_one_block(cls):
     m = _recording(cls)
     n = 300_000
     gen = np.random.default_rng(11)
-    streams = [ball_points(gen, n, m.dim, forced_offset=j) for j in range(3)]
+    streams = [ball_points(gen, n, m, forced_offset=j) for j in range(3)]
     result = run_law_check(m, "G4_loop", law_g4_loop, streams, ToleranceConfig())
     assert result.passed and result.samples == n
     for kernel, rows in m.rows.items():
@@ -380,7 +381,7 @@ def test_directions_match_the_broadcast_expression(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("offset", [None, 17])
 def test_ball_points_match_the_broadcast_expression(dim, offset):
-    got = ball_points(np.random.default_rng(4), 5003, dim, forced_offset=offset)
+    got = ball_points(np.random.default_rng(4), 5003, _BALLS[dim], forced_offset=offset)
     want = _old_ball_points(np.random.default_rng(4), 5003, dim, forced_offset=offset)
     assert _same_bits(got, want)
 
@@ -592,7 +593,7 @@ def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(dim, offset
         directions(np.random.default_rng(6), n, dim)
         beside = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        got = ball_points(np.random.default_rng(6), n, dim, forced_offset=offset)
+        got = ball_points(np.random.default_rng(6), n, _BALLS[dim], forced_offset=offset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

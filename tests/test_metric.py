@@ -179,7 +179,7 @@ def test_grouped_rho_rows_equal_their_separate_checks(monkeypatch, cls, t0, rati
     family = build_dyadic(chain)
     gen = Sampler(5).stream("metric", "triples")
     model = chain.model
-    operands = [ball_points(gen, n_samples, model.dim, t_max=0.95 * t0, margin=None)
+    operands = [ball_points(gen, n_samples, model, t_max=0.95 * t0, margin=None)
                 for _ in range(3)]
     rows = [row for row in _metric_rows(family, tol) + chain.metric_rows(family, tol)
             if row[3] in (_triple, _separations)]

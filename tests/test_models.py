@@ -151,7 +151,7 @@ def test_einstein_closed_gyr_matches_derived():
     assert m.has_closed_gyr
     gen = np.random.default_rng(7)
     # moderate rapidity, where the derived composition is well conditioned
-    u, v, w = (ball_points(gen, 4000, 3, t_max=1.5, margin=None) for _ in range(3))
+    u, v, w = (ball_points(gen, 4000, m, t_max=1.5, margin=None) for _ in range(3))
     assert np.abs(m.gyr(u, v, w) - derived_gyration(m, u, v, w)).max() <= 1e-13
 
 
@@ -162,7 +162,7 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
     # both pivots at the forced-boundary radius
     u = (1.0 - 1e-6) * directions(gen, 2000, 3)
     v = (1.0 - 1e-6) * directions(gen, 2000, 3)
-    w = ball_points(gen, 2000, 3)
+    w = ball_points(gen, 2000, m)
     U, V, W = ext.lift(u), ext.lift(v), ext.lift(w)
     closed = _stacked(ext.lower(ext.gyr(U, V, W)))
     derived = _stacked(ext.lower(derived_gyration(ext, U, V, W)))

@@ -22,7 +22,6 @@ from gyrokit.prenorm import (
     check_prenorm_properties,
     parse_chain_spec,
     prenorm_eval,
-    rapidity,
     validate_admissible_chain,
 )
 from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
@@ -81,7 +80,7 @@ def threshold(family, r):
 def member(family, r, x):
     """Membership of the points x in a radial family's index-r set: the
     ball of the reference radius, and above index 2 the whole carrier."""
-    rho = rapidity(family.model, x)
+    rho = family.model.rapidity(x)
     return np.ones(rho.shape, dtype=bool) if r > 2 else rho <= threshold(family, r)
 
 
@@ -194,7 +193,7 @@ def test_prenorm_eval_vs_index_bisection_dual_route():
     gen = np.random.default_rng(23)
     pts = gen.uniform(-0.7, 0.7, (3000, 2))
     greedy = prenorm_eval(fam, pts)
-    bisect = fam.index_of_rapidity(rapidity(fam.model, pts))
+    bisect = fam.index_of_rapidity(fam.model.rapidity(pts))
     assert np.abs(greedy - bisect).max() <= fam.grid_step + 1e-12
 
 
@@ -262,7 +261,7 @@ def masked_leading_bits(family, rho, last):
 def masked_prenorm_eval(family, x):
     """Reference for prenorm_eval: the masked extraction through the
     deepest level."""
-    return masked_leading_bits(family, rapidity(family.model, x), family.depth)[0]
+    return masked_leading_bits(family, family.model.rapidity(x), family.depth)[0]
 
 
 def masked_index_of_rapidity(family, rho):
@@ -289,7 +288,7 @@ def assert_same_bits(fam, x):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     _, tails = tails_of(fam)
     full = float(fam.chain.t[0] + tails[0])
-    rho = np.append(rapidity(fam.model, x), [np.nan, -1.0, -0.0, 0.0, np.inf, full,
+    rho = np.append(fam.model.rapidity(x), [np.nan, -1.0, -0.0, 0.0, np.inf, full,
                                              np.nextafter(full, np.inf)])
     got, want = fam.index_of_rapidity(rho), masked_index_of_rapidity(fam, rho)
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
@@ -301,7 +300,7 @@ def point_at_rapidity(model, target):
     x0 = np.tanh(target)
     pts = np.zeros((129, model.dim))
     pts[:, 0] = x0 + np.arange(-64, 65) * np.spacing(x0)
-    return pts[rapidity(model, pts) == target][:1]
+    return pts[model.rapidity(pts) == target][:1]
 
 
 MODELS = pytest.mark.parametrize("model", [MobiusModel(), EinsteinModel()],
@@ -322,21 +321,21 @@ def test_greedy_loops_match_masked_reference_bitwise(model, ratio):
             beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 50))[:, None]
             beyond = beyond * directions(gen, 50, dim)
             assert (prenorm_eval(fam, beyond) == 2.0).all()
-            nan_mix = ball_points(gen, 20, dim, t_max=top, margin=None)
+            nan_mix = ball_points(gen, 20, model, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             inputs = [
-                ball_points(gen, 2000, dim, t_max=1.2 * top, margin=None),
+                ball_points(gen, 2000, model, t_max=1.2 * top, margin=None),
                 nan_mix,
                 np.full((4, dim), np.nan),
                 np.zeros((0, dim)),
                 np.zeros((5, dim)),
                 beyond,
-                ball_points(gen, 1, dim, t_max=top, margin=None),
+                ball_points(gen, 1, model, t_max=top, margin=None),
                 # a single point, 0-d result
-                ball_points(gen, 1, dim, t_max=top, margin=None)[0],
+                ball_points(gen, 1, model, t_max=top, margin=None)[0],
             ]
             # draws up to the sandwich check's caps, which leave the coarse levels dead
-            inputs += [ball_points(gen, 500, dim, t_max=2.2 * t[n], margin=None)
+            inputs += [ball_points(gen, 500, model, t_max=2.2 * t[n], margin=None)
                        for n in sorted({0, depth // 2, depth})]
             for x in inputs:
                 assert_same_bits(fam, x)
@@ -356,9 +355,9 @@ def test_greedy_loop_at_a_remainder_equal_to_a_tail(model, ratio):
         if not len(at):
             continue
         hits += 1
-        below = ball_points(gen, 200, model.dim, t_max=0.9 * tails[k], margin=None)
+        below = ball_points(gen, 200, model, t_max=0.9 * tails[k], margin=None)
         x = np.concatenate([below, at])
-        assert rapidity(model, x).max() == tails[k]
+        assert model.rapidity(x).max() == tails[k]
         assert_same_bits(fam, x)
         assert_same_bits(fam, at)
     assert hits >= 5
@@ -436,7 +435,7 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             top = float(t[0] + tails[0])
             beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 20))[:, None]
             beyond = beyond * directions(gen, 20, dim)
-            nan_mix = ball_points(gen, 20, dim, t_max=top, margin=None)
+            nan_mix = ball_points(gen, 20, model, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             # points whose rapidity is a sandwich threshold t[n], t[n-1] or 2 t0
             # exactly, or the next double above it
@@ -447,19 +446,19 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             ])
             hits += len(exact)
             inputs = [
-                ball_points(gen, 500, dim, t_max=1.2 * top, margin=None),
+                ball_points(gen, 500, model, t_max=1.2 * top, margin=None),
                 nan_mix,
                 np.full((3, dim), np.nan),
                 beyond,
                 np.zeros((0, dim)),
                 np.zeros((4, dim)),
                 # a single point, 0-d result
-                ball_points(gen, 1, dim, t_max=top, margin=None)[0],
+                ball_points(gen, 1, model, t_max=top, margin=None)[0],
                 exact,
                 *exact[:1],
             ]
             for n in range(depth + 1):
-                draws = ball_points(gen, 200, dim, t_max=2.2 * t[n], margin=None)
+                draws = ball_points(gen, 200, model, t_max=2.2 * t[n], margin=None)
                 for x in inputs + [draws]:
                     got = fam.chain.sandwich(fam, x, n)[:2]
                     want = full_sandwich_bounds(fam, x, n)
@@ -484,7 +483,7 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
     real_sandwich = RadialChain.sandwich
 
     def faulty_member(self, n, x):
-        return rapidity(self.model, x) <= factor * self.t[n]
+        return self.model.rapidity(x) <= factor * self.t[n]
 
     def faulty(self, family, x, n):
         inner, outer, _ = real_sandwich(self, family, x, n)
@@ -500,7 +499,7 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
         gen = Sampler(5).stream("prenorm", f"sandwich_{n}")
         # the suite's cap: 2.2 t[n], and below level 0 at least 1.1 t[n-1]
         cap = max(2.2 * chain.t[n], 1.1 * chain.t[n - 1]) if n else 2.2 * chain.t[0]
-        pts = _rapidity_ball(gen, n_samples, model.dim, cap)
+        pts = _rapidity_ball(gen, n_samples, model, cap)
         inner, outer = full_sandwich_bounds(fam, pts, n)
         member = faulty_member(chain, n, pts)
         failing = (inner & ~member) | (member & ~outer)
@@ -564,9 +563,9 @@ def test_rapidity_ball_is_ball_points_first_draw_on_the_first_axis(model, ratio)
     for n in (0, 1, 12, chain.depth):
         cap = level_cap(chain, n)
         recorded = FirstUniform(n)
-        ball_points(recorded, 300, model.dim, t_max=cap, margin=None)
+        ball_points(recorded, 300, model, t_max=cap, margin=None)
         rho = recorded.first
-        pts = _rapidity_ball(np.random.default_rng(n), 300, model.dim, cap)
+        pts = _rapidity_ball(np.random.default_rng(n), 300, model, cap)
         assert pts.shape == (300, model.dim)
         assert pts[:, 0].tobytes() == np.tanh(rho).tobytes()
         assert pts[:, 1:].tobytes() == np.zeros((300, model.dim - 1)).tobytes()
@@ -584,7 +583,7 @@ def test_sandwich_levels_decide_each_point_as_the_direction_draw_did(model, rati
     fam = build_dyadic(chain)
     for n in range(chain.depth + 1):
         pts, _ = chain.sandwich_points(Sampler(9), n, 2000)
-        old = ball_points(Sampler(9).stream("prenorm", f"sandwich_{n}"), 2000, model.dim,
+        old = ball_points(Sampler(9).stream("prenorm", f"sandwich_{n}"), 2000, model,
                           t_max=level_cap(chain, n), margin=None)
         got, want = chain.sandwich(fam, pts, n), chain.sandwich(fam, old, n)
         for g, w in zip(got, want):
@@ -619,8 +618,8 @@ def test_each_sandwich_level_reads_one_rapidity(monkeypatch, model, ratio):
     # once; every other rapidity of the run is the law rows' own, counted by
     # running those rows alone on the same streams
     calls = []
-    real = prenorm.rapidity
-    monkeypatch.setattr(prenorm, "rapidity", lambda *a: calls.append(1) or real(*a))
+    real = model.rapidity
+    monkeypatch.setattr(model, "rapidity", lambda x: calls.append(1) or real(x))
     chain = RadialChain(model, ratio=ratio, depth=12)
     fam, tol = build_dyadic(chain), ToleranceConfig()
     chain.law_checks(Sampler(3), "prenorm", _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol),
@@ -878,11 +877,11 @@ def test_admissible_sampled_triples_stay_below_extreme():
     model = MobiusModel()
     t_in = 0.25
     gen = np.random.default_rng(41)
-    u = ball_points(gen, 3000, 2, t_max=t_in, margin=None)
-    v = ball_points(gen, 3000, 2, t_max=t_in, margin=None)
-    w = ball_points(gen, 3000, 2, t_max=t_in, margin=None)
+    u = ball_points(gen, 3000, model, t_max=t_in, margin=None)
+    v = ball_points(gen, 3000, model, t_max=t_in, margin=None)
+    w = ball_points(gen, 3000, model, t_max=t_in, margin=None)
     comp = model.oplus(u, model.oplus(v, w))
-    assert rapidity(model, comp).max() <= 3.0 * t_in + 1e-12
+    assert model.rapidity(comp).max() <= 3.0 * t_in + 1e-12
 
 
 def test_admissible_finite_chain():
