@@ -244,8 +244,18 @@ class ProductModel(_Product, GyrogroupModel):
     def distance(self, a, b):
         return np.maximum(*self._per_factor("distance", a, b))
 
+    def neg(self, x):
+        out = super().neg(x)
+        if isinstance(x, _Point):  # |-x| is |x| bit for bit, factor by factor
+            out.norm = x.norm
+        return out
+
     def magnitude(self, a):
-        return np.maximum(*self._per_factor("magnitude", a))
+        if not isinstance(a, _Point):
+            return np.maximum(*self._per_factor("magnitude", a))
+        if a.norm is None:  # the larger factor norm, computed once
+            a.norm = np.maximum(*self._per_factor("magnitude", a))
+        return a.norm
 
     def extended(self):
         el, er = self.left.extended(), self.right.extended()

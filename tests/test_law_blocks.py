@@ -523,9 +523,8 @@ def test_no_chain_rule_stacks_a_point(monkeypatch, make):
     # radial prenorm and metric at ratio 1/2, where closed_form_agreement,
     # rho_oracle and rho_closed_form run too: no law pass stacks a point into
     # rows, each rule block reads N through one prenorm_eval over its points
-    # joined, and a ball point reaches the chain rules with the norm that
-    # its trace computed, so no chain rule squares a norm (a product point
-    # keeps no norm, so that last part holds on the balls only)
+    # joined, and every point, a product's too, reaches the chain rules with
+    # the norm that its trace computed, so no chain rule squares a norm
     in_pass, in_rule = [False], [False]
     stacks, blocks, evals, rule_squares = [], [0], [0], []
     real_group, real_results = core.run_law_group, prenorm._PrenormRule.results
@@ -567,8 +566,7 @@ def test_no_chain_rule_stacks_a_point(monkeypatch, make):
     # one block of each of the four prenorm rows and of the four metric passes
     # that read N: the d rows, rho_identity, the (x, y) rows and rho_triangle
     assert evals[0] == blocks[0] == 8
-    if not isinstance(chain.model, ProductModel):
-        assert rule_squares == []
+    assert rule_squares == []
 
 
 @pytest.mark.parametrize("dim", [2, 3])
