@@ -19,6 +19,7 @@ from gyrokit.prenorm import (
     _prenorm_rows,
     _rapidity_ball,
     build_dyadic,
+    check_metric_properties,
     check_prenorm_properties,
     parse_chain_spec,
     prenorm_eval,
@@ -630,6 +631,69 @@ def test_each_sandwich_level_reads_one_rapidity(monkeypatch, model, ratio):
     rep = check_prenorm_properties(chain, Sampler(3), n_samples=500)
     assert rep.passed
     assert len(calls) - in_rows == chain.depth + 1
+
+
+class DoubledMobius(MobiusModel):
+    """The disk with its rapidity counted twice, 2 artanh|x| (Einstein's
+    scale), so the points at rapidity rho have norm tanh(rho / 2)."""
+
+    def rapidity(self, x):
+        return 2.0 * super().rapidity(x)
+
+    def radii(self, rho):
+        rho *= 0.5
+        return super().radii(rho)
+
+
+class RecordingChart(DoubledMobius):
+    """``DoubledMobius`` counting the calls of its two maps."""
+
+    def __init__(self):
+        self.calls = {"rapidity": 0, "radii": 0}
+
+    def rapidity(self, x):
+        self.calls["rapidity"] += 1
+        return super().rapidity(x)
+
+    def radii(self, rho):
+        self.calls["radii"] += 1
+        return super().radii(rho)
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+def test_the_radial_suites_measure_in_the_model_s_own_chart(ratio):
+    # a chain on the doubled disk is one of balls in the doubled rapidity:
+    # its draws, its prenorm and its closed forms must all read that scale
+    chain = RadialChain(DoubledMobius(), ratio=ratio)
+    assert check_prenorm_properties(chain, Sampler(7), n_samples=2000).passed
+    assert check_metric_properties(chain, Sampler(7), n_samples=2000).passed
+    rep = validate_admissible_chain(chain, Sampler(7))
+    ball = validate_admissible_chain(RadialChain(MobiusModel(), ratio=ratio), Sampler(7))
+    # below ratio 1/3 the double sums stay in the level above; at ratio 1/2
+    # the analytic condition fails, and the same checks fail as on the ball
+    assert rep.passed == (ratio == 0.25)
+    assert ([c.name for c in rep.checks if not c.passed]
+            == [c.name for c in ball.checks if not c.passed])
+    if ratio == 0.5:
+        assert not rep.check("analytic_condition").passed
+
+
+@pytest.mark.parametrize("suite", [check_prenorm_properties, check_metric_properties,
+                                   validate_admissible_chain], ids=lambda f: f.__name__)
+def test_every_radial_suite_calls_both_maps_of_the_model(suite):
+    model = RecordingChart()
+    suite(RadialChain(model, ratio=0.5, depth=12), Sampler(3), n_samples=500)
+    assert model.calls["rapidity"] > 0 and model.calls["radii"] > 0, model.calls
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5])
+def test_each_sandwich_level_draws_up_to_its_cap_in_the_model_s_rapidity(ratio):
+    model = DoubledMobius()
+    chain = RadialChain(model, ratio=ratio)
+    for n in range(chain.depth + 1):
+        pts, _ = chain.sandwich_points(Sampler(9), n, 2000)
+        cap = level_cap(chain, n)
+        assert 0.99 * cap < model.rapidity(pts).max() <= cap * (1.0 + 1e-12), n
 
 
 @BALLS
