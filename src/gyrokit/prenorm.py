@@ -1,12 +1,12 @@
-"""Nested neighborhood chains, the dyadic scale family they generate,
-which is the induced prenorm, and the pseudometric / quotient-metric layer.
+"""Nested neighborhood chains, the prenorm each induces through its dyadic
+scale family, and the pseudometric / quotient-metric layer.
 
 A chain is a decreasing sequence of sets around the identity. When
 consecutive levels shrink fast enough the chain extends to a family
 indexed by dyadic rationals in (0, 2], and the least dyadic index whose
-set contains a point is a prenorm N on the carrier; calling the family
-evaluates it. The suites take the chain, build its family and state each
-check once; each chain kind supplies what differs. Both kinds run their
+set contains a point is a prenorm N on the carrier; calling the chain
+evaluates it. The suites take the chain, check that it halves and state
+each check once; each chain kind supplies what differs. Both kinds run their
 law rows through the one driver, ``core._run_rows``. A ``RadialChain`` on a
 ball evaluates N by a greedy per-level bit extraction (``_leading_bits``)
 over the model's rapidity (``model.rapidity``), needs radii that halve,
@@ -19,7 +19,7 @@ has N the indicator of its base's complement, halves trivially, and its
 rows run on every tuple of the carrier, as ``np.ix_`` index grids.
 
 The recursion that defines the index sets' radii is read by no check; the
-tests keep it, as the reference that ``DyadicFamily.index_of_rapidity``
+tests keep it, as the reference that ``index_of_rapidity``
 (the metric suite's second route to N) is pinned against.
 """
 
@@ -47,21 +47,54 @@ MAX_T0 = 9.0
 
 
 class NeighborhoodChain:
-    """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model.
+    """Decreasing sets U_0 ⊇ U_1 ⊇ ... around the identity of a model, and
+    the prenorm N they induce: ``chain(x)`` is ``prenorm_eval(chain, x)``,
+    the least dyadic index r = m / 2^n in (0, 2] whose set holds x. Index
+    2^-n is level n; an odd index adds the current level to the extension
+    of the remainder; index 2 is one extra application of level 0 on top
+    of index 1. Indices above 2 mean the whole carrier.
 
     A kind supplies ``level_member(n, x)``, ``describe()``, N as
-    ``prenorm(family, x)`` and, for a rule block's points as the law pass
-    gives them, as ``prenorms(family, points)``, ``sandwich(family, x, n)``
-    (N < 2^-n, N <= 2^(1-n) and membership in U_n), ``check_halving()``,
-    ``slack(tol, steps)`` (what a check over values of N allows), the
-    sandwich levels' operands (``sandwich_points``) and the checks only it
-    runs (``prenorm_rows``, ``metric_rows``, ``metric_checks(family)``,
+    ``prenorm(x)`` and, for a rule block's points as the law pass gives
+    them, as ``prenorms(points)``, ``sandwich(x, n)`` (N < 2^-n, N <=
+    2^(1-n) and membership in U_n), ``check_halving()``, ``slack(tol,
+    steps)`` (what a check over values of N allows), the sandwich levels'
+    operands (``sandwich_points``) and the checks only it runs
+    (``prenorm_rows``, ``metric_rows``, ``metric_checks()``,
     ``admissible_checks``). Both kinds run their driver rows (name, stream,
     reads, law, rule) through the one ``law_checks``."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
         self.depth = depth
+
+    def __call__(self, x) -> np.ndarray:
+        return prenorm_eval(self, x)
+
+    def index_of_rapidity(self, rho) -> np.ndarray:
+        """On a radial chain, the least grid index whose set covers the
+        given radial scale, found by bisection. Every bracket [lo, lo +
+        2^(1-n)] halves in lockstep, so the midpoint at step n is the odd
+        index lo + 2^-n, whose radius is t[n] + radius(lo); each sample
+        carries radius(lo) along, starting from radius(0) = 0, by adding
+        t[n] where it moves up and 0.0 elsewhere. radius(lo) starts at +0.0
+        and only grows, so adding 0.0 leaves it as it was, and radius(lo) +
+        t[n] is the midpoint's t[n] + radius(lo) exactly. This is a second,
+        independent route to the prenorm value; anything beyond the top of
+        the scale, NaN included, clamps to 2."""
+        t = getattr(self, "t", None)
+        if t is None:
+            raise UsageError("rapidity inversion needs the radii of a radial chain")
+        rho = np.asarray(rho, dtype=float)
+        scale = 1 << self.depth
+        lo = np.zeros(rho.shape, dtype=np.int64)
+        thr_lo = np.zeros(rho.shape)
+        for n in range(self.depth + 1):
+            t_n = float(t[n])
+            up = ~(rho <= t_n + thr_lo)
+            lo += up * (scale >> n)
+            thr_lo += up * t_n
+        return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
 
     def law_checks(self, sampler, suite, rows, n_samples, tol):
         """The rows on ``core._run_rows``, in row order: a radial chain's
@@ -134,23 +167,23 @@ class RadialChain(NeighborhoodChain):
             "depth": self.depth,
         }
 
-    def prenorm(self, family, x):
+    def prenorm(self, x):
         """The greedy bit extraction over the points' rapidities, run
-        through the family's deepest level."""
-        return _leading_bits(family, self.model.rapidity(x), family.depth)[0]
+        through the deepest level."""
+        return _leading_bits(self, self.model.rapidity(x), self.depth)[0]
 
-    def prenorms(self, family, points):
+    def prenorms(self, points):
         """N of each of the law pass's ``points``, from one ``prenorm_eval``
         over them joined with their norms: the extraction is pointwise
         (``_leading_bits``), so each value is the one its point alone gives."""
-        return np.split(family(_Point.joined(points)), np.cumsum([len(p[0]) for p in points[:-1]]))
+        return np.split(self(_Point.joined(points)), np.cumsum([len(p[0]) for p in points[:-1]]))
 
-    def sandwich(self, family, x, n):
+    def sandwich(self, x, n):
         """Both bounds read from the extraction through level n only, by
         the leading-bits lemma of ``_leading_bits``, and the membership,
         all from one rapidity per point."""
         rho = self.model.rapidity(x)
-        head, rem = _leading_bits(family, rho, n)
+        head, rem = _leading_bits(self, rho, n)
         top = 2.0 ** (1 - n)
         return head < 2.0 ** -n, (head < top) | ((head == top) & (rem <= 0)), rho <= self.t[n]
 
@@ -187,21 +220,21 @@ class RadialChain(NeighborhoodChain):
         gen = sampler.stream("prenorm", f"sandwich_{n}")
         return _rapidity_ball(gen, n_samples, self.model, cap), n_samples
 
-    def prenorm_rows(self, family, tol):
+    def prenorm_rows(self, tol):
         """At ratio 1/2 the thresholds are linear in the index, so N is the
         grid ceiling of rapidity / t0: the row that checks that closed form."""
         if self.ratio != 0.5:
             return []
-        scale = 2.0 ** family.depth
+        scale = 2.0 ** self.depth
 
         def closed_form_gap(ns, points):
             rho = self.model.rapidity(points[0])
             return np.abs(ns[0] - np.minimum(np.ceil(rho / self.t0 * scale) / scale, 2.0))
 
         return [("closed_form_agreement", "closed_form", (0,), lambda ops, x: [(x,)],
-                 _PrenormRule(family, (self.slack(tol, 1), closed_form_gap)))]
+                 _PrenormRule(self, (self.slack(tol, 1), closed_form_gap)))]
 
-    def metric_rows(self, family, tol):
+    def metric_rows(self, tol):
         """Rows on the triple, as ``_metric_rows``: the proof-step
         decomposition behind the triangle inequality, and independent routes
         to rho: invert the index sets' radii by bisection, over the
@@ -211,7 +244,7 @@ class RadialChain(NeighborhoodChain):
         model = self.model
 
         def bisection_gap(ns, seps):
-            xy, yx = np.split(family.index_of_rapidity(
+            xy, yx = np.split(self.index_of_rapidity(
                 np.concatenate([model.rapidity(s) for s in seps])), 2)
             return np.abs((ns[0] + ns[1]) - (xy + yx))
 
@@ -222,13 +255,13 @@ class RadialChain(NeighborhoodChain):
         limit = self.slack(tol, 4)
         rows = [("decomposition_identity", "triples", (0, 1, 2), law_triangle_decomposition, None),
                 ("rho_oracle", "triples", (0, 1), _separations,
-                 _PrenormRule(family, (limit, bisection_gap)))]
+                 _PrenormRule(self, (limit, bisection_gap)))]
         if self.ratio == 0.5:
             rows.append(("rho_closed_form", "triples", (0, 1), _separations,
-                         _PrenormRule(family, (limit, closed_form_gap))))
+                         _PrenormRule(self, (limit, closed_form_gap))))
         return rows
 
-    def metric_checks(self, family):
+    def metric_checks(self):
         """A radial chain's own metric checks are all rows (``metric_rows``)."""
         return []
 
@@ -312,16 +345,16 @@ class FiniteChain(NeighborhoodChain):
             "subgyrogroup": self.H.tolist(),
         }
 
-    def prenorm(self, family, x):
+    def prenorm(self, x):
         return np.where(self.level_member(0, x), 0.0, 1.0)
 
-    def prenorms(self, family, points):
+    def prenorms(self, points):
         """N of each array of ``points`` on its own: the arrays are index
         grids of different shapes."""
-        return [family(p) for p in points]
+        return [self(p) for p in points]
 
-    def sandwich(self, family, x, n):
-        N = family(x)
+    def sandwich(self, x, n):
+        N = self(x)
         return N < 2.0 ** -n, N <= 2.0 ** (1 - n), self.level_member(n, x)
 
     def check_halving(self):
@@ -333,13 +366,13 @@ class FiniteChain(NeighborhoodChain):
     def sandwich_points(self, sampler, n, n_samples):
         return np.arange(self.model.order), "exhaustive"
 
-    def prenorm_rows(self, family, tol):
+    def prenorm_rows(self, tol):
         return []
 
-    def metric_rows(self, family, tol):
+    def metric_rows(self, tol):
         return []
 
-    def metric_checks(self, family):
+    def metric_checks(self):
         """Invariance of d and rho under change of class representatives,
         and the quotient's two values.
 
@@ -364,8 +397,8 @@ class FiniteChain(NeighborhoodChain):
             return array_check(name, shift, shift == 0, "exhaustive", witness)
 
         r = np.arange(model.order)
-        N = family(r)
-        rho = quotient_metric_rho(model, family, *np.ix_(r, r))
+        N = self(r)
+        rho = quotient_metric_rho(self, *np.ix_(r, r))
         checks = [coset_check("d_coset_invariance", np.abs(N[:, None] - N[None, :])),
                   coset_check("rho_coset_invariance", rho)]
 
@@ -395,78 +428,33 @@ class FiniteChain(NeighborhoodChain):
 
 
 # ---------------------------------------------------------------------------
-# dyadic extension
+# the prenorm
 
 
-class DyadicFamily:
-    """The chain extended to dyadic indices r = m / 2^n in (0, 2], and the
-    prenorm N it induces: ``family(x)`` is ``prenorm_eval(family, x)``.
-
-    Index 2^-n is level n of the chain; an odd index adds the current
-    level to the extension of the remainder; index 2 is one extra
-    application of level 0 on top of index 1. Indices above 2 mean the
-    whole carrier. On a finite chain N is the indicator of the complement
-    of the base subset: 0 on it, 1 off it.
-    """
-
-    def __init__(self, chain: NeighborhoodChain):
-        self.chain = chain
-        self.model = chain.model
-        self.depth = chain.depth
-        self.grid_step = 2.0 ** -self.depth
-
-    def __call__(self, x) -> np.ndarray:
-        return prenorm_eval(self, x)
-
-    def index_of_rapidity(self, rho) -> np.ndarray:
-        """On a radial chain, the least grid index whose set covers the
-        given radial scale, found by bisection. Every bracket [lo, lo +
-        2^(1-n)] halves in lockstep, so the midpoint at step n is the odd
-        index lo + 2^-n, whose radius is t[n] + radius(lo); each sample
-        carries radius(lo) along, starting from radius(0) = 0, by adding
-        t[n] where it moves up and 0.0 elsewhere. radius(lo) starts at +0.0
-        and only grows, so adding 0.0 leaves it as it was, and radius(lo) +
-        t[n] is the midpoint's t[n] + radius(lo) exactly. This is a second,
-        independent route to the prenorm value; anything beyond the top of
-        the scale, NaN included, clamps to 2."""
-        t = getattr(self.chain, "t", None)
-        if t is None:
-            raise UsageError("rapidity inversion needs the radii of a radial chain")
-        rho = np.asarray(rho, dtype=float)
-        scale = 1 << self.depth
-        lo = np.zeros(rho.shape, dtype=np.int64)
-        thr_lo = np.zeros(rho.shape)
-        for n in range(self.depth + 1):
-            t_n = float(t[n])
-            up = ~(rho <= t_n + thr_lo)
-            lo += up * (scale >> n)
-            thr_lo += up * t_n
-        return np.where(rho <= 0.0, 0.0, (lo + 1) / scale)
+# a public export, and the name under which the benchmark's tracer wraps
+# ``index_of_rapidity``
+DyadicFamily = NeighborhoodChain
 
 
-def build_dyadic(chain: NeighborhoodChain) -> DyadicFamily:
-    """Extend a chain to the dyadic family, once it meets the halving
-    condition: each level must fit twice into the one above."""
+def build_dyadic(chain: NeighborhoodChain) -> NeighborhoodChain:
+    """The chain as its prenorm N, once it meets the halving condition:
+    each level must fit twice into the one above."""
     chain.check_halving()
-    return DyadicFamily(chain)
+    return chain
 
 
-# ---------------------------------------------------------------------------
-# prenorm
-
-
-def prenorm_eval(family: DyadicFamily, x) -> np.ndarray:
+def prenorm_eval(chain: NeighborhoodChain, x) -> np.ndarray:
     """Least dyadic index (on the depth grid, capped at 2) whose set
-    contains each point, as the family's chain evaluates it."""
-    return family.chain.prenorm(family, x)
+    contains each point, as the chain evaluates it."""
+    return chain.prenorm(x)
 
 
-def _leading_bits(family: DyadicFamily, rho, last: int):
+def _leading_bits(chain: RadialChain, rho, last: int):
     """The greedy bit extraction of a radial chain's prenorm over the
     rapidities ``rho``, run through level ``last``: returns ``(head, rem)``,
     the value extracted so far and each remainder after level ``last``. A
     bit is set exactly when the finer levels cannot cover the remainder.
-    Through ``family.depth`` the head is the prenorm N.
+    Through ``chain.depth`` the head is the prenorm N.
 
     Start state: a capped point (rapidity beyond the chain's ``full``
     scale, or NaN) has head 2 and remainder 0, any other head 0 and its
@@ -506,7 +494,6 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
     with an integer scatter and keeps the live ones by integer gathers
     (``np.flatnonzero``); it stops once none is live. With one level left
     a compaction would cost more than the level it thins."""
-    chain = family.chain
     t, tails = chain.t, chain.tails
     # flat views that write through to out and rem; the loop runs on head
     # and tail, which are these views while idx is None and otherwise the
@@ -552,7 +539,7 @@ def _leading_bits(family: DyadicFamily, rho, last: int):
 
 def pseudometric_d(N, x, y) -> np.ndarray:
     """d(x, y) = |N(x) - N(y)|; a pseudometric for any prenorm N, such as
-    a dyadic family."""
+    a chain."""
     return np.abs(N(x) - N(y))
 
 
@@ -562,12 +549,12 @@ def _separations(ops, x, y):
     return [(ops.oplus(ops.neg(x), y), ops.oplus(ops.neg(y), x))]
 
 
-def quotient_metric_rho(model: GyrogroupModel, N, x, y) -> np.ndarray:
+def quotient_metric_rho(N, x, y) -> np.ndarray:
     """Symmetrized separation of the classes of x and y, the metric of the
-    quotient by the chain's base: N(xy) + N(yx) on the separations xy = -x
-    + y and yx = -y + x, as the metric suite's rows read it on the
-    separations that the law engine evaluates."""
-    xy, yx = _separations(model, x, y)[0]
+    quotient by the base of the chain N: N(xy) + N(yx) on the separations
+    xy = -x + y and yx = -y + x in N's model, as the metric suite's rows
+    read it on the separations that the law engine evaluates."""
+    xy, yx = _separations(N.model, x, y)[0]
     return N(xy) + N(yx)
 
 
@@ -603,17 +590,17 @@ class _PrenormRule:
     (``merged``, which ``core._run_rows`` calls) share it. Called, a rule of
     one check is a rule of ``run_law_check`` and ``exhaustive_law_checks``."""
 
-    def __init__(self, family, *checks):
-        self.family = family
+    def __init__(self, chain, *checks):
+        self.chain = chain
         self.checks = checks
 
     @classmethod
     def merged(cls, rules):
-        return cls(rules[0].family, *(check for rule in rules for check in rule.checks))
+        return cls(rules[0].chain, *(check for rule in rules for check in rule.checks))
 
     def results(self, tuples):
         points = [p for t in tuples for p in t]
-        ns = self.family.chain.prenorms(self.family, points)
+        ns = self.chain.prenorms(points)
         out = []
         for limit, residual in self.checks:
             r = residual(ns, points)
@@ -636,7 +623,7 @@ def chain_condition_report(
     before its checks ran: the single failing check ``check``, whose
     witness is the error and the level it names.
 
-    A chain that was built but has no dyadic family (``halving_condition``)
+    A chain that was built but does not halve (``halving_condition``)
     is passed as ``chain``: the check counts its levels and the notes
     describe it. A finite chain whose subset lacks the identity or is not
     closed is never built (``chain_condition``), and its check is
@@ -650,23 +637,22 @@ def chain_condition_report(
 
 
 def _chain_suite(suite, chain, sampler, n_samples, tol):
-    """``(sampler, tol, family, refused)`` of a chain suite: its prologue and
-    the dyadic family, or None and the report of a failed halving condition,
-    which draws nothing and so refuses no count."""
+    """``(sampler, tol, refused)`` of a chain suite: its prologue and None
+    once the chain halves (``build_dyadic``), or else the report of the
+    failed halving condition, which draws nothing and so refuses no count."""
     try:
-        family = build_dyadic(chain)
+        build_dyadic(chain)
     except ChainConditionError as exc:
         sampler, tol = suite_prologue(sampler, tol)
-        return sampler, tol, None, chain_condition_report(
+        return sampler, tol, chain_condition_report(
             suite, "halving_condition", exc, chain.model, sampler, tol, chain
         )
-    return (*suite_prologue(sampler, tol, chain.model.dim, n_samples), family, None)
+    return (*suite_prologue(sampler, tol, chain.model.dim, n_samples), None)
 
 
-def _prenorm_rows(family, tol):
+def _prenorm_rows(chain, tol):
     """The law rows that the prenorm suite runs on every chain, as driver
     rows (name, stream, reads, law, rule)."""
-    chain = family.chain
 
     def gap(ns, _):
         return np.abs(ns[0] - ns[1])
@@ -674,12 +660,12 @@ def _prenorm_rows(family, tol):
     return [
         ("gyration_invariance", "gyration_invariance", (0, 1, 2),
          lambda ops, x, u, v: [(ops.gyr(u, v, x), x)],
-         _PrenormRule(family, (chain.slack(tol), gap))),
+         _PrenormRule(chain, (chain.slack(tol), gap))),
         ("subadditivity", "subadditivity", (0, 1),
          lambda ops, x, y: [(ops.oplus(x, y), x, y)],
-         _PrenormRule(family, (chain.slack(tol, 1), lambda ns, _: ns[0] - (ns[1] + ns[2])))),
+         _PrenormRule(chain, (chain.slack(tol, 1), lambda ns, _: ns[0] - (ns[1] + ns[2])))),
         ("inversion_symmetry", "inversion_symmetry", (0,),
-         lambda ops, x: [(ops.neg(x), x)], _PrenormRule(family, (0.0, gap))),
+         lambda ops, x: [(ops.neg(x), x)], _PrenormRule(chain, (0.0, gap))),
     ]
 
 
@@ -688,13 +674,12 @@ def _triple(ops, x, y, z):
     return [(x, y, z)]
 
 
-def _metric_rows(family, tol):
+def _metric_rows(chain, tol):
     """The rows of the pseudometric's and the quotient metric's axioms, as
     ``_prenorm_rows``, on the suite's one triple stream. The d rows share
     one law, so they read N(x), N(y) and N(z) once; ``rho_symmetry``
     compares the halves of rho, which a rounding flip at a bin edge may set
     one grid step apart."""
-    chain = family.chain
     limit = chain.slack(tol, 4)  # rho is quantized to the depth grid
 
     def d(ns, i, j):  # d on the prenorms N(x), N(y), N(z)
@@ -702,23 +687,23 @@ def _metric_rows(family, tol):
 
     return [
         ("d_identity", "triples", (0, 1, 2), _triple,
-         _PrenormRule(family, (0.0, lambda ns, _: d(ns, 0, 0)))),
+         _PrenormRule(chain, (0.0, lambda ns, _: d(ns, 0, 0)))),
         ("d_symmetry", "triples", (0, 1, 2), _triple,
-         _PrenormRule(family, (0.0, lambda ns, _: np.abs(d(ns, 0, 1) - d(ns, 1, 0))))),
-        ("d_triangle", "triples", (0, 1, 2), _triple, _PrenormRule(family, (
+         _PrenormRule(chain, (0.0, lambda ns, _: np.abs(d(ns, 0, 1) - d(ns, 1, 0))))),
+        ("d_triangle", "triples", (0, 1, 2), _triple, _PrenormRule(chain, (
             chain.slack(tol), lambda ns, _: d(ns, 0, 2) - (d(ns, 0, 1) + d(ns, 1, 2))))),
         # both separations of (x, x) are -x + x, so rho(x, x) is 2 N(-x + x),
         # which equals N + N exactly
         ("rho_identity", "triples", (0,), lambda ops, x: [(ops.oplus(ops.neg(x), x),)],
-         _PrenormRule(family, (limit, lambda ns, _: 2.0 * ns[0]))),
+         _PrenormRule(chain, (limit, lambda ns, _: 2.0 * ns[0]))),
         ("rho_symmetry", "triples", (0, 1), _separations,
-         _PrenormRule(family, (chain.slack(tol, 1), lambda ns, _: np.abs(ns[0] - ns[1])))),
+         _PrenormRule(chain, (chain.slack(tol, 1), lambda ns, _: np.abs(ns[0] - ns[1])))),
         # rho(x, z) - (rho(x, y) + rho(y, z)) on the separations xz, zx, xy,
         # yx, yz, zy
         ("rho_triangle", "triples", (0, 1, 2),
          lambda ops, x, y, z: _separations(ops, x, z) + _separations(ops, x, y)
          + _separations(ops, y, z),
-         _PrenormRule(family, (limit, lambda ns, _:
+         _PrenormRule(chain, (limit, lambda ns, _:
                                (ns[0] + ns[1]) - ((ns[2] + ns[3]) + (ns[4] + ns[5]))))),
     ]
 
@@ -741,16 +726,16 @@ def check_prenorm_properties(
     the one driver ``core._run_rows`` (``chain.law_checks``): on a radial
     chain each on its own stream's draw, which the driver releases after
     its row; on a finite chain on every tuple."""
-    sampler, tol, family, refused = _chain_suite("prenorm", chain, sampler, n_samples, tol)
+    sampler, tol, refused = _chain_suite("prenorm", chain, sampler, n_samples, tol)
     if refused is not None:
         return refused
     with suite_report(
         "prenorm", chain.model.name, sampler, tol,
-        depth=family.depth, notes={"chain": chain.describe()},
+        depth=chain.depth, notes={"chain": chain.describe()},
     ) as report:
-        for n in range(family.depth + 1):
+        for n in range(chain.depth + 1):
             pts, samples = chain.sandwich_points(sampler, n, n_samples)
-            inner, outer, member = chain.sandwich(family, pts, n)
+            inner, outer, member = chain.sandwich(pts, n)
             failing = (inner & ~member) | (member & ~outer)
             bad = np.count_nonzero(failing)
             res = CheckResult(
@@ -761,11 +746,11 @@ def check_prenorm_properties(
                 i = int(np.argmax(failing))
                 res.witness = {
                     "index": i,
-                    "prenorm": float(family(pts[i:i + 1])[0]),
+                    "prenorm": float(chain(pts[i:i + 1])[0]),
                     "member": bool(member[i]),
                 }
             report.checks.append(res)
-        rows = _prenorm_rows(family, tol) + chain.prenorm_rows(family, tol)
+        rows = _prenorm_rows(chain, tol) + chain.prenorm_rows(tol)
         report.checks += chain.law_checks(sampler, "prenorm", rows, n_samples, tol)
     return report
 
@@ -782,13 +767,13 @@ def check_metric_properties(
     representatives on a finite one. On a radial chain every row reads the
     one triple, drawn and released by ``core._run_rows``; the d rows share
     one pass, and so do the rows that read rho(x, y)."""
-    sampler, tol, family, refused = _chain_suite("metric", chain, sampler, n_samples, tol)
+    sampler, tol, refused = _chain_suite("metric", chain, sampler, n_samples, tol)
     if refused is not None:
         return refused
-    with suite_report("metric", chain.model.name, sampler, tol, depth=family.depth) as report:
-        rows = _metric_rows(family, tol) + chain.metric_rows(family, tol)
+    with suite_report("metric", chain.model.name, sampler, tol, depth=chain.depth) as report:
+        rows = _metric_rows(chain, tol) + chain.metric_rows(tol)
         report.checks += chain.law_checks(sampler, "metric", rows, n_samples, tol)
-        report.checks += chain.metric_checks(family)
+        report.checks += chain.metric_checks()
     return report
 
 

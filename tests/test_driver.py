@@ -27,7 +27,6 @@ from gyrokit.prenorm import (
     RadialChain,
     _metric_rows,
     _prenorm_rows,
-    build_dyadic,
     check_metric_properties,
     check_prenorm_properties,
     validate_admissible_chain,
@@ -221,9 +220,8 @@ def test_radial_law_row_streams_each_have_one_cap_entry(ratio):
     # the chain's one table, one cap for each operand its rows read; at
     # ratio 1/2, where every row runs, the table has no other entry
     chain = RadialChain(MobiusModel(), ratio=ratio, depth=DEPTH)
-    family = build_dyadic(chain)
-    rows = (_prenorm_rows(family, TOL) + chain.prenorm_rows(family, TOL)
-            + _metric_rows(family, TOL) + chain.metric_rows(family, TOL))
+    rows = (_prenorm_rows(chain, TOL) + chain.prenorm_rows(TOL)
+            + _metric_rows(chain, TOL) + chain.metric_rows(TOL))
     read = {}
     for _, stream, reads, *_ in rows:
         read.setdefault(stream, set()).update(reads)
@@ -280,8 +278,8 @@ def exact_rows(carrier):
         checks = core.AXIOM_CHECKS + core.IDENTITY_CHECKS
         return model, [(name, name, range(base + wit), law, None)
                        for name, law, base, wit in checks]
-    family = build_dyadic(FiniteChain(load_table(CORPUS / "g8.json"), [0, 5]))
-    return family.model, _prenorm_rows(family, TOL) + _metric_rows(family, TOL)
+    chain = FiniteChain(load_table(CORPUS / "g8.json"), [0, 5])
+    return chain.model, _prenorm_rows(chain, TOL) + _metric_rows(chain, TOL)
 
 
 EXACT = pytest.mark.parametrize("carrier", ["table", "chain"])

@@ -549,10 +549,10 @@ def test_no_chain_rule_stacks_a_point(monkeypatch, make):
             stacks.append(len(args[0]))
         return real_stack(*args, **kwargs)
 
-    def prenorm_eval(family, x):
+    def prenorm_eval(chain, x):
         assert in_rule[0] and isinstance(x, core._Point)
         evals[0] += 1
-        return real_eval(family, x)
+        return real_eval(chain, x)
 
     _on_squares(monkeypatch, lambda p: in_rule[0] and rule_squares.append(p))
     monkeypatch.setattr(core, "run_law_group", group)

@@ -60,7 +60,7 @@ def test_rho_closed_form_ratio_half():
     y = gen.uniform(-0.5, 0.5, (400, 2))
     sep = model.norm_fraction(model.oplus(model.neg(x), y))
     oracle = 2.0 * np.arctanh(sep)
-    got = quotient_metric_rho(model, N, x, y)
+    got = quotient_metric_rho(N, x, y)
     assert np.abs(got - oracle).max() <= 1e-9 + 4.0 * 2.0 ** -24
 
 
@@ -122,9 +122,9 @@ def test_rho_oracle_catches_a_truncated_prenorm(monkeypatch):
 
     real = prenorm_mod.prenorm_eval
 
-    def truncated(family, x):
-        coarse = copy.copy(family)
-        coarse.depth = family.depth - 4
+    def truncated(chain, x):
+        coarse = copy.copy(chain)
+        coarse.depth = chain.depth - 4
         return real(coarse, x)
 
     monkeypatch.setattr(prenorm_mod, "prenorm_eval", truncated)
@@ -176,12 +176,11 @@ def test_grouped_rho_rows_equal_their_separate_checks(monkeypatch, cls, t0, rati
         monkeypatch.setattr(core_mod, "STRESS_NORM_FRACTION", stress)
     chain = RadialChain(cls(), t0=t0, ratio=ratio, depth=24)
     n_samples, tol = 10_000, ToleranceConfig()
-    family = build_dyadic(chain)
     gen = Sampler(5).stream("metric", "triples")
     model = chain.model
     operands = [ball_points(gen, n_samples, model, t_max=0.95 * t0, margin=None)
                 for _ in range(3)]
-    rows = [row for row in _metric_rows(family, tol) + chain.metric_rows(family, tol)
+    rows = [row for row in _metric_rows(chain, tol) + chain.metric_rows(tol)
             if row[3] in (_triple, _separations)]
     names = ["d_identity", "d_symmetry", "d_triangle", "rho_symmetry", "rho_oracle"]
     assert [row[0] for row in rows] == names + ["rho_closed_form"] * (ratio == 0.5)
@@ -218,7 +217,7 @@ def rho_table(N):
     """rho(a, b) over every pair of elements, as an (order, order) array."""
     pts = np.arange(N.model.order)
     xg, yg = np.meshgrid(pts, pts, indexing="ij")
-    return quotient_metric_rho(N.model, N, xg.ravel(), yg.ravel()).reshape(len(pts), len(pts))
+    return quotient_metric_rho(N, xg.ravel(), yg.ravel()).reshape(len(pts), len(pts))
 
 
 def test_finite_metric_z4_discrete_quotient():
@@ -242,9 +241,9 @@ def test_finite_rho_values_by_hand():
     N = build_dyadic(FiniteChain(cyclic_table(4), [0, 2]))
     assert N(np.arange(4)).tolist() == [0.0, 1.0, 0.0, 1.0]
     rho = quotient_metric_rho
-    assert rho(N.model, N, np.array([0]), np.array([2]))[0] == 0.0
-    assert rho(N.model, N, np.array([0]), np.array([1]))[0] == 2.0
-    assert rho(N.model, N, np.array([1]), np.array([3]))[0] == 0.0
+    assert rho(N, np.array([0]), np.array([2]))[0] == 0.0
+    assert rho(N, np.array([0]), np.array([1]))[0] == 2.0
+    assert rho(N, np.array([1]), np.array([3]))[0] == 0.0
     assert pseudometric_d(N, np.array([1]), np.array([3]))[0] == 0.0
 
 
@@ -311,11 +310,11 @@ def test_finite_metric_witnesses_replay():
     assert set(tri.witness) == {"inputs", "residual"}
     x, y, z = at(*tri.witness["inputs"])
     rho = quotient_metric_rho
-    assert rho(N.model, N, x, z) - (rho(N.model, N, x, y) + rho(N.model, N, y, z)) == [
+    assert rho(N, x, z) - (rho(N, x, y) + rho(N, y, z)) == [
         tri.witness["residual"]
     ] == [tri.max_residual]
     for name, dist in (("d_coset_invariance", lambda a, b: pseudometric_d(N, a, b)),
-                       ("rho_coset_invariance", lambda a, b: rho(N.model, N, a, b))):
+                       ("rho_coset_invariance", lambda a, b: rho(N, a, b))):
         check = rep.check(name)
         w = check.witness
         assert not check.passed and set(w) == {"shift", "side", "x", "y"}
@@ -340,7 +339,7 @@ REAL_PRENORM = prenorm_mod.prenorm_eval
 
 def offset_prenorm(shift):
     """A prenorm that adds ``shift(x)`` to the true one."""
-    return lambda family, x: REAL_PRENORM(family, x) + shift(x)
+    return lambda chain, x: REAL_PRENORM(chain, x) + shift(x)
 
 
 # (row, chain, prenorm_eval in force or None). On g8 the base {0, 5} is a
@@ -359,7 +358,7 @@ RHO_FAULTS = [
     pytest.param("rho_symmetry", mobius_chain,
                  offset_prenorm(lambda x: 2.0 ** -10 * (x[0] > 0)), id="symmetry-ball"),
     pytest.param("rho_triangle", mobius_chain,
-                 lambda family, x: np.square(REAL_PRENORM(family, x)), id="triangle-ball"),
+                 lambda chain, x: np.square(REAL_PRENORM(chain, x)), id="triangle-ball"),
 ]
 
 
@@ -369,13 +368,12 @@ def test_rho_rows_fail_where_their_witnesses_say(monkeypatch, name, make, fault)
     # prenorm), and its law and rule, evaluated at the witness's inputs,
     # give the recorded residual
     chain = make()
-    family = build_dyadic(chain)
     if fault is not None:
         assert check_metric_properties(chain, n_samples=2000).check(name).passed
         monkeypatch.setattr(prenorm_mod, "prenorm_eval", fault)
     check = check_metric_properties(chain, n_samples=2000).check(name)
     assert not check.passed
-    rows = {row[0]: row for row in _metric_rows(family, ToleranceConfig())}
+    rows = {row[0]: row for row in _metric_rows(chain, ToleranceConfig())}
     assert list(rows) == ["d_identity", "d_symmetry", "d_triangle",
                           "rho_identity", "rho_symmetry", "rho_triangle"]
     witness = check.witness
@@ -401,9 +399,9 @@ def test_finite_metric_reads_at_most_n_squared_cells(monkeypatch):
         cells["oplus"].append(np.size(out))
         return out
 
-    def prenorm_eval(family, x):
+    def prenorm_eval(chain, x):
         cells["prenorm_eval"].append(np.size(x))
-        return real_eval(family, x)
+        return real_eval(chain, x)
 
     monkeypatch.setattr(TableModel, "oplus", oplus)
     monkeypatch.setattr(prenorm_mod, "prenorm_eval", prenorm_eval)

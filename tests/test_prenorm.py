@@ -73,16 +73,16 @@ def _thr(t, m, n):
     return float(t[n]) + _thr(t, (m - 1) // 2, n - 1)
 
 
-def threshold(family, r):
-    """Rapidity radius of a radial family's index-r set, by the recursion."""
-    return _thr(family.chain.t, *dyadic_terms(r, family.depth))
+def threshold(chain, r):
+    """Rapidity radius of a radial chain's index-r set, by the recursion."""
+    return _thr(chain.t, *dyadic_terms(r, chain.depth))
 
 
-def member(family, r, x):
-    """Membership of the points x in a radial family's index-r set: the
+def member(chain, r, x):
+    """Membership of the points x in a radial chain's index-r set: the
     ball of the reference radius, and above index 2 the whole carrier."""
-    rho = family.model.rapidity(x)
-    return np.ones(rho.shape, dtype=bool) if r > 2 else rho <= threshold(family, r)
+    rho = chain.model.rapidity(x)
+    return np.ones(rho.shape, dtype=bool) if r > 2 else rho <= threshold(chain, r)
 
 
 # -- dyadic thresholds ---------------------------------------------------------
@@ -95,7 +95,7 @@ def test_threshold_recursion_matches_bit_sum(ratio):
     exact = ratio in (0.5, 0.25)  # binary-fraction radii sum exactly
     for m in range(1, 2 ** (depth + 1) + 1):
         r = Fraction(m, 2 ** depth)
-        want = bit_sum_threshold(fam.chain.t, r)
+        want = bit_sum_threshold(fam.t, r)
         got = threshold(fam, r)
         if exact:
             assert got == want
@@ -195,7 +195,7 @@ def test_prenorm_eval_vs_index_bisection_dual_route():
     pts = gen.uniform(-0.7, 0.7, (3000, 2))
     greedy = prenorm_eval(fam, pts)
     bisect = fam.index_of_rapidity(fam.model.rapidity(pts))
-    assert np.abs(greedy - bisect).max() <= fam.grid_step + 1e-12
+    assert np.abs(greedy - bisect).max() <= 2.0 ** -fam.depth + 1e-12
 
 
 @pytest.mark.parametrize("ratio", [0.25, 0.3])
@@ -209,7 +209,7 @@ def test_index_of_rapidity_pins_the_recursion(ratio):
     assert np.array_equal(fam.index_of_rapidity(thr), k / 2 ** depth)
     above = np.nextafter(thr, np.inf)
     assert np.array_equal(fam.index_of_rapidity(above), (k + 1) / 2 ** depth)
-    top = float(np.sum(fam.chain.t))
+    top = float(np.sum(fam.t))
     edges = np.array([0.0, -0.0, -1e-300, -1.0, -np.inf, np.inf, np.nan, 1.5 * top, 2.0 * top])
     want = np.array([0.0] * 5 + [2.0] * 4)
     assert np.array_equal(fam.index_of_rapidity(edges), want)
@@ -232,22 +232,23 @@ def test_index_of_rapidity_makes_no_per_index_lookups(monkeypatch):
 
 
 def test_index_of_rapidity_refuses_a_finite_chain():
-    # a finite chain has no radii to invert
-    fam = build_dyadic(FiniteChain(cyclic_table(4), [0, 2]))
-    with pytest.raises(UsageError, match="radial"):
-        fam.index_of_rapidity(np.array([0.5]))
+    # a finite chain has no radii to invert: the base class refuses
+    chain = FiniteChain(cyclic_table(4), [0, 2])
+    with pytest.raises(UsageError,
+                       match=r"^rapidity inversion needs the radii of a radial chain$"):
+        chain.index_of_rapidity(np.array([0.5]))
 
 
-def tails_of(family):
+def tails_of(chain):
     """Sum of the finer radii below each level, as prenorm_eval forms it."""
-    t = family.chain.t[: family.depth + 1].astype(float)
+    t = chain.t[: chain.depth + 1].astype(float)
     return t, np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
 
 
-def masked_leading_bits(family, rho, last):
+def masked_leading_bits(chain, rho, last):
     """Reference for _leading_bits: the greedy extraction over every point
     and every level through ``last``, each update masked by its bit."""
-    t, tails = tails_of(family)
+    t, tails = tails_of(chain)
     full = float(t[0] + tails[0])
     capped = ~(rho <= full)
     out = np.where(capped, 2.0, 0.0)
@@ -259,21 +260,21 @@ def masked_leading_bits(family, rho, last):
     return out, rem
 
 
-def masked_prenorm_eval(family, x):
+def masked_prenorm_eval(chain, x):
     """Reference for prenorm_eval: the masked extraction through the
     deepest level."""
-    return masked_leading_bits(family, family.model.rapidity(x), family.depth)[0]
+    return masked_leading_bits(chain, chain.model.rapidity(x), chain.depth)[0]
 
 
-def masked_index_of_rapidity(family, rho):
-    """Reference for DyadicFamily.index_of_rapidity: the bisection with
+def masked_index_of_rapidity(chain, rho):
+    """Reference for index_of_rapidity: the bisection with
     masked updates."""
     rho = np.asarray(rho, dtype=float)
-    scale = 1 << family.depth
+    scale = 1 << chain.depth
     lo = np.zeros(rho.shape, dtype=np.int64)
     thr_lo = np.zeros(rho.shape)
-    for n in range(family.depth + 1):
-        thr_mid = float(family.chain.t[n]) + thr_lo
+    for n in range(chain.depth + 1):
+        thr_mid = float(chain.t[n]) + thr_lo
         up = ~(rho <= thr_mid)
         np.add(lo, scale >> n, out=lo, where=up)
         np.copyto(thr_lo, thr_mid, where=up)
@@ -288,7 +289,7 @@ def assert_same_bits(fam, x):
     assert got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     _, tails = tails_of(fam)
-    full = float(fam.chain.t[0] + tails[0])
+    full = float(fam.t[0] + tails[0])
     rho = np.append(fam.model.rapidity(x), [np.nan, -1.0, -0.0, 0.0, np.inf, full,
                                              np.nextafter(full, np.inf)])
     got, want = fam.index_of_rapidity(rho), masked_index_of_rapidity(fam, rho)
@@ -461,7 +462,7 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             for n in range(depth + 1):
                 draws = ball_points(gen, 200, model, t_max=2.2 * t[n], margin=None)
                 for x in inputs + [draws]:
-                    got = fam.chain.sandwich(fam, x, n)[:2]
+                    got = fam.sandwich(x, n)[:2]
                     want = full_sandwich_bounds(fam, x, n)
                     for g, w in zip(got, want):
                         assert g.shape == w.shape and np.array_equal(g, w)
@@ -486,8 +487,8 @@ def test_a_failing_sandwich_reports_what_the_full_prenorm_gives(monkeypatch, mod
     def faulty_member(self, n, x):
         return self.model.rapidity(x) <= factor * self.t[n]
 
-    def faulty(self, family, x, n):
-        inner, outer, _ = real_sandwich(self, family, x, n)
+    def faulty(self, x, n):
+        inner, outer, _ = real_sandwich(self, x, n)
         return inner, outer, faulty_member(self, n, x)
 
     monkeypatch.setattr(RadialChain, "sandwich", faulty)
@@ -586,7 +587,7 @@ def test_sandwich_levels_decide_each_point_as_the_direction_draw_did(model, rati
         pts, _ = chain.sandwich_points(Sampler(9), n, 2000)
         old = ball_points(Sampler(9).stream("prenorm", f"sandwich_{n}"), 2000, model,
                           t_max=level_cap(chain, n), margin=None)
-        got, want = chain.sandwich(fam, pts, n), chain.sandwich(fam, old, n)
+        got, want = chain.sandwich(pts, n), chain.sandwich(old, n)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         inner, outer, member = got
@@ -607,8 +608,8 @@ def test_only_the_law_rows_draw_directions(monkeypatch, model, ratio):
     chain = RadialChain(model, ratio=ratio, depth=12)
     rep = check_prenorm_properties(chain, Sampler(3), n_samples=500)
     assert rep.passed
-    fam, tol = build_dyadic(chain), ToleranceConfig()
-    streams = sum(len(row[2]) for row in _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol))
+    tol = ToleranceConfig()
+    streams = sum(len(row[2]) for row in _prenorm_rows(chain, tol) + chain.prenorm_rows(tol))
     assert calls == ["level"] * (chain.depth + 1) + ["directions"] * streams
 
 
@@ -622,8 +623,8 @@ def test_each_sandwich_level_reads_one_rapidity(monkeypatch, model, ratio):
     real = model.rapidity
     monkeypatch.setattr(model, "rapidity", lambda x: calls.append(1) or real(x))
     chain = RadialChain(model, ratio=ratio, depth=12)
-    fam, tol = build_dyadic(chain), ToleranceConfig()
-    chain.law_checks(Sampler(3), "prenorm", _prenorm_rows(fam, tol) + chain.prenorm_rows(fam, tol),
+    tol = ToleranceConfig()
+    chain.law_checks(Sampler(3), "prenorm", _prenorm_rows(chain, tol) + chain.prenorm_rows(tol),
                      500, tol)
     in_rows = len(calls)
     assert in_rows
@@ -717,11 +718,11 @@ def test_each_law_row_draw_is_released_before_the_next_draw(monkeypatch, model):
     assert len(refs) == 3 + 2 + 1 + 1
 
 
-def parent_leading_bits(family, rho, last):
+def parent_leading_bits(chain, rho, last):
     """Reference for _leading_bits: the extraction as it was written when
     its start state came from two whole-array ``np.where`` calls and its
     radii, tails and top were recomputed on every call."""
-    t = family.chain.t[: family.depth + 1].astype(float)
+    t = chain.t[: chain.depth + 1].astype(float)
     tails = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
     full = float(t[0] + tails[0])
     capped = ~(rho <= full)
@@ -753,15 +754,15 @@ def parent_leading_bits(family, rho, last):
     return out, rem
 
 
-def parent_index_of_rapidity(family, rho):
-    """Reference for DyadicFamily.index_of_rapidity: the bisection as it
+def parent_index_of_rapidity(chain, rho):
+    """Reference for index_of_rapidity: the bisection as it
     was written when it carried radius(lo) with ``np.where``."""
-    t = family.chain.t
+    t = chain.t
     rho = np.asarray(rho, dtype=float)
-    scale = 1 << family.depth
+    scale = 1 << chain.depth
     lo = np.zeros(rho.shape, dtype=np.int64)
     thr_lo = np.zeros(rho.shape)
-    for n in range(family.depth + 1):
+    for n in range(chain.depth + 1):
         thr_mid = float(t[n]) + thr_lo
         up = ~(rho <= thr_mid)
         lo += up * (scale >> n)
@@ -822,10 +823,10 @@ def test_the_sandwich_sends_no_point_through_prenorm_eval(monkeypatch):
     sizes, in_sandwich = [], [False]
     real, real_sandwich = prenorm.prenorm_eval, RadialChain.sandwich
 
-    def sandwich(self, family, x, n):
+    def sandwich(self, x, n):
         in_sandwich[0] = True
         try:
-            return real_sandwich(self, family, x, n)
+            return real_sandwich(self, x, n)
         finally:
             in_sandwich[0] = False
 
@@ -861,7 +862,7 @@ def test_prenorm_collinear_near_additivity_ratio_half():
     v = np.stack([np.tanh(b), np.zeros_like(b)], axis=-1)
     lhs = N(model.oplus(u, v))
     rhs = N(u) + N(v)
-    assert np.abs(lhs - rhs).max() <= 2.0 * N.grid_step + 1e-12
+    assert np.abs(lhs - rhs).max() <= 2.0 * 2.0 ** -N.depth + 1e-12
 
 
 # -- chain construction guards -------------------------------------------------
@@ -876,9 +877,11 @@ def test_build_dyadic_requires_halving():
 
 
 def test_build_dyadic_accepts_half_and_truncates():
-    fam = build_dyadic(RadialChain(MobiusModel(), ratio=0.5, depth=8))
-    assert fam.depth == 8
-    assert fam.grid_step == 2.0 ** -8
+    # a chain that halves is its own prenorm N, on the grid of its depth
+    chain = RadialChain(MobiusModel(), ratio=0.5, depth=8)
+    assert build_dyadic(chain) is chain
+    assert chain.depth == 8
+    assert chain(np.array([[np.tanh(2.0 ** -9), 0.0]]))[0] == 2.0 ** -8
 
 
 def test_radial_chain_refuses_a_level_that_underflows_to_zero():
@@ -1015,10 +1018,9 @@ def test_finite_prenorm_rows_fail_where_their_witnesses_say():
     # each row fails, and its law and rule, evaluated at the witness's
     # inputs, give the recorded residual
     chain = patched_g8_chain()
-    family = build_dyadic(chain)
     rep = check_prenorm_properties(chain)
     labels = chain.model.labels
-    rows = _prenorm_rows(family, ToleranceConfig())
+    rows = _prenorm_rows(chain, ToleranceConfig())
     assert [name for name, *_ in rows] == [
         "gyration_invariance", "subadditivity", "inversion_symmetry"
     ]
@@ -1051,7 +1053,7 @@ def test_finite_rule_row_batches_stay_within_the_kernel_cells(monkeypatch):
 
     chain = patched_g8_chain()
     model = chain.model
-    name, _, reads, law, rule = _prenorm_rows(build_dyadic(chain), ToleranceConfig())[0]
+    name, _, reads, law, rule = _prenorm_rows(chain, ToleranceConfig())[0]
     assert (name, len(reads)) == ("gyration_invariance", 3)
     batches, results = [], []
 
