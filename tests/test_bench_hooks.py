@@ -75,6 +75,7 @@ def test_traced_chain_suites_record_every_prenorm_hook():
     # invocation 0 is the radial metric, 1 the finite prenorm, 2 the radial
     # prenorm, whose sandwich levels alone draw through _rapidity_ball
     assert spans["prenorm:eval"] == [0, 1, 2]
+    assert spans["prenorm:build"] == [0, 1, 2]
     assert 0 in spans["prenorm:oracle"]
     assert 0 in spans["sampling:ball_points"]
     assert spans["sampling:_rapidity_ball"] == [2]
