@@ -175,8 +175,14 @@ class RadialChain(NeighborhoodChain):
     def prenorms(self, points):
         """N of each of the law pass's ``points``, from one ``prenorm_eval``
         over them joined with their norms: the extraction is pointwise
-        (``_leading_bits``), so each value is the one its point alone gives."""
-        return np.split(self(_Point.joined(points)), np.cumsum([len(p[0]) for p in points[:-1]]))
+        (``_leading_bits``), so each value is the one its point alone gives.
+        A point that kept no norm (a lowered one) takes its slice of the
+        joined point's, its own bit for bit, so no rule squares it again."""
+        joined, cuts = _Point.joined(points), np.cumsum([len(p[0]) for p in points[:-1]])
+        ns = np.split(self(joined), cuts)
+        for p, norm in zip(points, np.split(joined.norm, cuts)):
+            p.norm = norm if p.norm is None else p.norm
+        return ns
 
     def sandwich(self, x, n):
         """Both bounds read from the extraction through level n only, by
@@ -431,9 +437,7 @@ class FiniteChain(NeighborhoodChain):
 # the prenorm
 
 
-# a public export, and the name under which the benchmark's tracer wraps
-# ``index_of_rapidity``
-DyadicFamily = NeighborhoodChain
+DyadicFamily = NeighborhoodChain  # exported; the benchmark's tracer wraps its index_of_rapidity
 
 
 def build_dyadic(chain: NeighborhoodChain) -> NeighborhoodChain:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gyrokit.core import exhaustive_law_checks
+from gyrokit.core import _Point, exhaustive_law_checks
 from gyrokit.errors import ChainConditionError, UsageError
 from gyrokit import prenorm, sampling
 from gyrokit.models import EinsteinModel, MobiusModel, ProductModel
@@ -25,7 +25,7 @@ from gyrokit.prenorm import (
     prenorm_eval,
     validate_admissible_chain,
 )
-from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, directions
+from gyrokit.sampling import Sampler, ToleranceConfig, ball_points, coldot, directions
 from gyrokit.tables import cyclic_table, klein_table, load_table
 
 GRID24 = 2.0 ** -24
@@ -592,6 +592,26 @@ def test_sandwich_levels_decide_each_point_as_the_direction_draw_did(model, rati
             assert np.array_equal(g, w)
         inner, outer, member = got
         assert not ((inner & ~member) | (member & ~outer)).any()
+
+
+@BALLS
+def test_prenorms_hand_the_joined_norm_back_to_each_point_that_kept_none(model):
+    # a lowered point keeps no norm; prenorms computes the joined point's
+    # norm for N, and each point that kept none takes its slice: the norm it
+    # would compute itself, bit for bit, so no rule squares it again. A
+    # point's kept norm stays the array it was
+    chain = RadialChain(model, ratio=0.5, depth=12)
+    gen = np.random.default_rng(71)
+    points = [_Point.of(ball_points(gen, n, model, t_max=2.0, margin=None))
+              for n in (5, 1, 17, 3)]
+    kept = model.magnitude(points[2])
+    ns = chain.prenorms(points)
+    assert points[2].norm is kept
+    for p, n in zip(points, ns):
+        alone = _Point(p)
+        assert np.array_equal(n, chain(alone))
+        own = model.magnitude(alone) if isinstance(model, ProductModel) else np.sqrt(coldot(p, p))
+        assert p.norm.shape == own.shape and p.norm.tobytes() == own.tobytes()
 
 
 @BALLS
