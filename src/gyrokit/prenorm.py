@@ -181,7 +181,8 @@ class RadialChain(NeighborhoodChain):
         joined, cuts = _Point.joined(points), np.cumsum([len(p[0]) for p in points[:-1]])
         ns = np.split(self(joined), cuts)
         for p, norm in zip(points, np.split(joined.norm, cuts)):
-            p.norm = norm if p.norm is None else p.norm
+            if p.norm is None:
+                p.norm = norm
         return ns
 
     def sandwich(self, x, n):
