@@ -44,6 +44,12 @@ CASES = [
     ("axioms-product-tables", 0, ["axioms", "--model", "product:z2+z3"]),
     ("axioms-product-balls", 0,
      ["axioms", "--model", "product:mobius+einstein", "--samples", "200"]),
+    # the identity laws on a product, and a product whose right factor is a
+    # product; both send stressed rows through double-double
+    ("identities-product-balls", 0,
+     ["identities", "--model", "product:mobius+einstein", "--samples", "200"]),
+    ("axioms-product-nested", 0,
+     ["axioms", "--model", "product:mobius+product:einstein+mobius", "--samples", "200"]),
     ("axioms-no-identity", 1, ["axioms", "--model", "table:no_identity.json"]),
     ("identities-einstein", 0,
      ["identities", "--model", "einstein", "--samples", "300", "--seed", "7"]),
