@@ -1,9 +1,12 @@
-"""Continuous gyrogroup models on the unit disk and the unit velocity ball.
+"""Continuous gyrogroup models: the unit disk, the unit velocity ball and
+coordinatewise products of continuous models.
 
 Disk elements are real pairs (re, im) in arrays of shape (..., 2);
 velocity elements are real 3-vectors in units of the speed of light, so
-both carriers are the open unit ball. Each model's addition and gyration
-are written once, as kernels on lists of coordinate columns. Both law
+both carriers are the open unit ball; a product point is its left factor's
+coordinates followed by its right factor's. Each model's addition and
+gyration are written once, as kernels on lists of coordinate columns (a
+product's apply each factor's operation to the factor's columns). Both law
 passes evaluate laws on ``_Point`` columns, float64 arrays in the float64
 pass and DD values in the double-double kernel set, and the model methods
 take (n, d) arrays too, split into columns and stacked again. Only the
@@ -115,9 +118,10 @@ def _e_gyr_cols(u, v, w):
 
 
 class _BallExtended:
-    """Double-double kernel set of a ball model, used by the suite engine
-    on stressed samples: the model's own column kernels on ``_Point`` lists
-    of DD coordinate columns, so each point's 1/gamma is computed once."""
+    """Double-double kernel set of a column model (a ball or a product),
+    used by the suite engine on stressed samples: the model's own column
+    kernels on ``_Point`` lists of DD coordinate columns, so each ball
+    point's 1/gamma is computed once."""
 
     def __init__(self, model):
         self._m = model
@@ -142,11 +146,12 @@ class _BallExtended:
 
 
 class _BallModel(GyrogroupModel):
-    """The unit ball with the column kernels ``_oplus_cols`` and
-    ``_gyr_cols`` as addition and gyration, shared by the
-    float64 methods and the double-double ``extended()`` set. The methods
-    take ``_Point`` columns, as the law passes give them, and return the
-    kernel's columns as a ``_Point``; (n, d) arrays in give an array out."""
+    """A column model, the unit ball or a product of continuous models: the
+    column kernels ``_oplus_cols`` and ``_gyr_cols`` are its addition and
+    gyration, shared by the float64 methods and the double-double
+    ``extended()`` set. The methods take ``_Point`` columns, as the law
+    passes give them, and return the kernel's columns as a ``_Point``;
+    (n, d) arrays in give an array out."""
 
     has_closed_gyr = True
 
@@ -196,29 +201,13 @@ class EinsteinModel(_BallModel):
     _gyr_cols = staticmethod(_e_gyr_cols)
 
 
-class _Product:
-    """The product's operations, written once for both precisions: a point
-    splits into its two factor points (``_split``), each factor applies its
-    own operation, and the results join again (``_join``)."""
-
-    def _per_factor(self, op, *points):
-        parts = [self._split(p) for p in points]
-        return (getattr(self.left, op)(*[a for a, _ in parts]),
-                getattr(self.right, op)(*[b for _, b in parts]))
-
-    def oplus(self, x, y):
-        return self._join(*self._per_factor("oplus", x, y))
-
-    def neg(self, x):
-        return self._join(*self._per_factor("neg", x))
-
-    def gyr(self, x, y, z):
-        return self._join(*self._per_factor("gyr", x, y, z))
-
-
-class ProductModel(_Product, GyrogroupModel):
+class ProductModel(_BallModel):
     """Coordinatewise product of two continuous models; a point is the
-    left factor's columns followed by the right factor's."""
+    left factor's columns followed by the right factor's. Its column
+    kernels apply each factor's own ``oplus`` and ``gyr`` to the factor's
+    columns, so the product runs the column models' float64 methods and
+    double-double kernel set. Its inverse is the factors' inverses, and its
+    magnitude and distance are the larger of the factors'."""
 
     def __init__(self, left: GyrogroupModel, right: GyrogroupModel):
         if not all(isinstance(m, GyrogroupModel) and m.dim is not None for m in (left, right)):
@@ -229,23 +218,30 @@ class ProductModel(_Product, GyrogroupModel):
         self.has_closed_gyr = left.has_closed_gyr and right.has_closed_gyr
         self.name = f"product({left.name},{right.name})"
 
-    def _split(self, x):
+    def _per_factor(self, op, *points):
+        """Each factor's ``op`` on its columns of the ``points``, which are
+        ``_Point`` columns of either precision or (..., d) arrays."""
         k = self.left.dim
-        if isinstance(x, _Point):  # the columns, by factor dimension
-            return _Point(x[:k]), _Point(x[k:])
-        x = np.asarray(x, float)
-        return x[..., :k], x[..., k:]
+        points = [p if isinstance(p, _Point) else _Point.of(p) for p in points]
+        return (getattr(self.left, op)(*[_Point(p[:k]) for p in points]),
+                getattr(self.right, op)(*[_Point(p[k:]) for p in points]))
 
-    def _join(self, a, b):
-        if isinstance(a, _Point):
-            return _Point(a + b)
-        return np.concatenate([a, b], axis=-1)
+    def _factor_cols(self, op, *points):
+        left, right = self._per_factor(op, *points)
+        return left + right
+
+    def _oplus_cols(self, a, b):
+        return self._factor_cols("oplus", a, b)
+
+    def _gyr_cols(self, a, b, z):
+        return self._factor_cols("gyr", a, b, z)
 
     def distance(self, a, b):
         return np.maximum(*self._per_factor("distance", a, b))
 
     def neg(self, x):
-        out = super().neg(x)
+        # factor by factor: a factor's inverse need not be coordinate negation
+        out = self._on_columns(lambda p: self._factor_cols("neg", p), x)
         if isinstance(x, _Point):  # |-x| is |x| bit for bit, factor by factor
             out.norm = x.norm
         return out
@@ -258,43 +254,14 @@ class ProductModel(_Product, GyrogroupModel):
         return a.norm
 
     def extended(self):
-        el, er = self.left.extended(), self.right.extended()
-        if el is None or er is None:
+        if self.left.extended() is None or self.right.extended() is None:
             return None
-        return _ProductExtended(self, el, er)
+        return _BallExtended(self)
 
     def sample_operands(self, gen, n, k, tol, offset=0):
         lefts = self.left.sample_operands(gen, n, k, tol, offset=offset)
         rights = self.right.sample_operands(gen, n, k, tol, offset=offset)
-        return [self._join(a, b) for a, b in zip(lefts, rights)]
-
-
-class _ProductExtended(_Product):
-    """The factors' double-double kernel sets as the product's; a point is
-    the pair of the factors' points."""
-
-    def __init__(self, model, el, er):
-        self._m = model
-        self.left = el
-        self.right = er
-
-    @staticmethod
-    def _split(rep):
-        return rep
-
-    @staticmethod
-    def _join(a, b):
-        return a, b
-
-    def lift(self, x):
-        a, b = self._m._split(x)
-        return self.left.lift(a), self.right.lift(b)
-
-    def lower(self, rep):
-        return self._m._join(*self._per_factor("lower", rep))
-
-    def zero_like(self, rep):
-        return self._per_factor("zero_like", rep)
+        return [np.concatenate([a, b], axis=-1) for a, b in zip(lefts, rights)]
 
 
 # ---------------------------------------------------------------------------

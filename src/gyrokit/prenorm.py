@@ -212,7 +212,7 @@ class RadialChain(NeighborhoodChain):
     def _draw(self, sampler, suite, stream, caps, n_samples):
         """One stream of points per rapidity cap, from one generator."""
         gen = sampler.stream(suite, stream)
-        return [ball_points(gen, n_samples, self.model, t_max=c, margin=None) for c in caps]
+        return [ball_points(gen, n_samples, self.model, t_max=c) for c in caps]
 
     def sandwich_points(self, sampler, n, n_samples):
         """Level n's draws: rapidity up to 2.2 t[n], and for n >= 1 up to

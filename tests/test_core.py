@@ -283,6 +283,35 @@ def test_boundary_stress_needs_extended_precision():
     assert rep.check("gyration_agreement").max_residual <= 1e-9
 
 
+@pytest.mark.parametrize("left, redone", [(MobiusModel, True), (_BrokenModel, False)],
+                         ids=["both-factors-extended", "left-factor-without"])
+def test_a_product_redoes_stressed_rows_only_when_both_factors_can(monkeypatch, left, redone):
+    # a product has a double-double kernel set exactly when both factors
+    # have one; _BrokenModel has none, so neither has the product, and its
+    # stressed rows keep the residuals and verdicts of the float64 pass
+    from gyrokit import core
+
+    pm = ProductModel(left(), EinsteinModel())
+    assert (pm.extended() is not None) == redone
+    real_check = core.array_check
+
+    def rows(threshold):  # every row's residual and verdict, check by check
+        monkeypatch.setattr(core, "STRESS_NORM_FRACTION", threshold)
+        seen = []
+
+        def capture(name, residual, ok, samples, witness=None):
+            seen.append((name, residual.tobytes(), ok.tobytes()))
+            return real_check(name, residual, ok, samples, witness)
+
+        monkeypatch.setattr(core, "array_check", capture)
+        check_identities(pm, Sampler(42), 300)
+        return seen
+
+    every_row_stressed, none_stressed = rows(-1.0), rows(2.0)
+    assert len(every_row_stressed) == len(core.IDENTITY_CHECKS)
+    assert (every_row_stressed != none_stressed) == redone
+
+
 def test_exhaustive_cap():
     from gyrokit.core import _run_suite
     from gyrokit.tables import TableModel, cyclic_table

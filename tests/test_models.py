@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrokit.errors import UsageError
-from gyrokit.core import check_identities, derived_gyration
+from gyrokit.core import _Point, check_identities, derived_gyration
 from gyrokit.models import (
     EinsteinModel,
     MobiusModel,
@@ -314,30 +314,35 @@ def test_product_float_ops_are_the_factor_ops_bit_for_bit():
 
 
 def test_product_extended_ops_are_the_factor_ops_bit_for_bit():
+    # a product's double-double point is a _Point of its columns, the left
+    # factor's first, and each op is the factors' double-double ops on
+    # their slices of the columns
     pm = ProductModel(MobiusModel(), EinsteinModel())
     ext = pm.extended()
     el, er = pm.left.extended(), pm.right.extended()
     x, y, z = _product_operands(pm, 3000, 3, 22)
     X, Y, Z = (ext.lift(p) for p in (x, y, z))
-    assert _dd_bytes(X[0]) == _dd_bytes(el.lift(x[:, :2]))
-    assert _dd_bytes(X[1]) == _dd_bytes(er.lift(x[:, 2:]))
+    (X1, X2), (Y1, Y2), (Z1, Z2) = ((_Point(p[:2]), _Point(p[2:])) for p in (X, Y, Z))
 
     def same(got, left, right):
-        assert _dd_bytes(got[0]) == _dd_bytes(left)
-        assert _dd_bytes(got[1]) == _dd_bytes(right)
+        assert isinstance(got, _Point)
+        assert [_dd_bytes([c]) for c in got] == [_dd_bytes([c]) for c in [*left, *right]]
 
-    same(ext.oplus(X, Y), el.oplus(X[0], Y[0]), er.oplus(X[1], Y[1]))
-    same(ext.neg(X), el.neg(X[0]), er.neg(X[1]))
-    same(ext.gyr(X, Y, Z), el.gyr(X[0], Y[0], Z[0]), er.gyr(X[1], Y[1], Z[1]))
-    same(ext.zero_like(X), el.zero_like(X[0]), er.zero_like(X[1]))
+    same(X, el.lift(x[:, :2]), er.lift(x[:, 2:]))
+    same(ext.oplus(X, Y), el.oplus(X1, Y1), er.oplus(X2, Y2))
+    same(ext.neg(X), el.neg(X1), er.neg(X2))
+    same(ext.gyr(X, Y, Z), el.gyr(X1, Y1, Z1), er.gyr(X2, Y2, Z2))
+    same(ext.zero_like(X), el.zero_like(X1), er.zero_like(X2))
     # the derived gyration of the product is the derived gyration of each factor
     same(
         derived_gyration(ext, X, Y, Z),
-        derived_gyration(el, X[0], Y[0], Z[0]),
-        derived_gyration(er, X[1], Y[1], Z[1]),
+        derived_gyration(el, X1, Y1, Z1),
+        derived_gyration(er, X2, Y2, Z2),
     )
-    assert _stacked(ext.lower(X)).tobytes() == np.concatenate(
-        [_stacked(el.lower(X[0])), _stacked(er.lower(X[1]))], axis=-1
+    lowered = ext.lower(X)
+    assert isinstance(lowered, _Point)
+    assert _stacked(lowered).tobytes() == np.concatenate(
+        [_stacked(el.lower(X1)), _stacked(er.lower(X2))], axis=-1
     ).tobytes()
 
 
