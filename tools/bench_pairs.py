@@ -12,9 +12,15 @@ files. Pair i runs ``perfbench/run.py --workload W --seed FIRST+i --seconds S
 --trace 0`` once in each tree, the parent first on even pairs and the change
 first on odd ones, so a drift in machine speed does not favour one side.
 
+``--workload`` must be one that BENCHMARK.json lists; any other name is
+refused before a tree is extracted.
+
 The result is appended to ``BENCH_<change-sha>.json`` in ``--out`` (default:
 the current directory), so every set of pairs run for one change, on any
-workload, stays in its file. Each record holds one run: pair, side, whether
+workload, stays in its file. When a run fails, the pairs completed before
+it are still written, with their summary, the number of pairs asked for
+(``pairs_requested``) and the failed run's message (``error``), and the
+tool then exits non-zero; a claimed gain never holds on such a run. Each record holds one run: pair, side, whether
 it ran first, seed, ``wall_s``, ``setup_s``, the machine speed factor, the
 unscaled pass and import seconds, ``peak_rss_mb``, ``ok_ratio`` and the
 benchmark's ``correct`` flag. The summary gives each side's median and
@@ -73,14 +79,19 @@ def extract(sha, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run that exited non-zero."""
+
+
 def run_once(tree, workload, seed, seconds):
-    """One untraced benchmark run in ``tree``; its metrics as a flat dict."""
+    """One untraced benchmark run in ``tree``; its metrics as a flat dict.
+    Raises RunFailed when the run exits non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-4000:]}")
+        raise RunFailed(f"bench_pairs: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                        f"{proc.stderr[-4000:]}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     speed = next(m for m in map(SPEED_LINE.search, lines) if m)
@@ -106,10 +117,14 @@ def sign_test_p(wins, losses):
     return min(1.0, 2.0 * tail)
 
 
+def benchmark():
+    """The parsed BENCHMARK.json of this checkout."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def end_to_end_metrics():
     """``(name, better, bound)`` of each end-to-end metric of BENCHMARK.json."""
-    doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [(m["name"], m["better"], m["bound"]) for m in doc["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in benchmark()["end_to_end"]]
 
 
 def judge(parent, change, better, bound):
@@ -171,11 +186,83 @@ def summarize(records, pairs, metrics=None):
     return out
 
 
+def run_pairs(trees, workload, pairs, first_seed, seconds):
+    """The records of every pair completed, and the message of the run that
+    stopped the pairs, or None. A pair that a failed run cut short leaves
+    no record."""
+    records = []
+    for i in range(pairs):
+        seed = first_seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = []
+        for position, side in enumerate(order):
+            try:
+                row = run_once(trees[side], workload, seed, seconds)
+            except RunFailed as exc:
+                return records, str(exc)
+            pair.append({"pair": i, "side": side, "first": position == 0, "seed": seed, **row})
+            print(f"pair {i} seed {seed} {side:6s} wall_s {row['wall_s']:.4f} "
+                  f"factor {row['speed_factor']:.4f} unscaled {row['unscaled_pass_s']:.4f} "
+                  f"rss {row['peak_rss_mb']:.2f}", file=sys.stderr)
+        records += pair
+    return records, None
+
+
+def write_run(out_dir, shas, args, records, error):
+    """Append the run of the completed pairs ``records`` to the change's
+    BENCH file and print its summary; ``error`` is the message of the run
+    that stopped the pairs early, or None."""
+    pairs = len(records) // 2
+    path = out_dir / f"BENCH_{shas['change'][:12]}.json"
+    doc = {"parent": shas["parent"], "change": shas["change"], "runs": []}
+    if path.exists():
+        old = json.loads(path.read_text(encoding="utf-8"))
+        if (old.get("parent"), old.get("change")) == (doc["parent"], doc["change"]):
+            doc = old
+    summary = summarize(records, pairs)
+    run = {
+        "workload": args.workload,
+        "first_seed": args.first_seed,
+        "seconds": args.seconds,
+        "records": records,
+        "summary": summary,
+    }
+    if error is not None:
+        # a run of the change or the parent failed, so no gain is shown
+        summary["wall_s_claim"]["holds"] = False
+        run.update(pairs_requested=args.pairs, error=error)
+    doc["runs"].append(run)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{args.workload}: wall_s median {summary['parent']['wall_s']['median']:.4f} -> "
+          f"{summary['change']['wall_s']['median']:.4f}, change faster in "
+          f"{summary['change_faster_pairs']}/{pairs} scaled "
+          f"(p {summary['sign_test_p']:.3g}) and "
+          f"{summary['change_faster_pairs_unscaled']}/{pairs} unscaled "
+          f"(p {summary['sign_test_p_unscaled']:.3g}); peak_rss_mb median "
+          f"{summary['parent']['peak_rss_mb']['median']:.2f} -> "
+          f"{summary['change']['peak_rss_mb']['median']:.2f}, change lower in "
+          f"{summary['change_lower_rss_pairs']}/{pairs} "
+          f"(p {summary['sign_test_p_rss']:.3g}); speed factor median "
+          f"{summary['parent']['speed_factor']['median']:.4f} -> "
+          f"{summary['change']['speed_factor']['median']:.4f}, change lower in "
+          f"{summary['change_lower_factor_pairs']}/{pairs} "
+          f"(p {summary['sign_test_p_factor']:.3g}); wrote {path}")
+    for name, j in summary["judgement"].items():
+        print(f"{args.workload}: {name} median {j['parent_median']:.4g} -> "
+              f"{j['change_median']:.4g}, {100 * j['change']:+.2f}% worse, spread "
+              f"{100 * j['spread']:.2f}%, bound {100 * j['bound']:.0f}%: {j['verdict']}")
+    claim = summary["wall_s_claim"]
+    print(f"{args.workload}: a wall_s gain {'holds' if claim['holds'] else 'does not hold'} "
+          f"(faster in {claim['pairs_needed']}/{pairs} pairs needed scaled and unscaled, "
+          f"and a median gap above the parent's IQR)")
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     p.add_argument("parent", help="git revision of the parent")
     p.add_argument("change", help="git revision of the change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   choices=[w["name"] for w in benchmark()["workloads"]])
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--first-seed", type=int, default=1000,
                    help="seed of the first pair; pair i uses FIRST + i (default 1000)")
@@ -200,57 +287,17 @@ def main(argv=None):
         trees = {side: work / side for side in SIDES}
         for side in SIDES:
             extract(shas[side], trees[side])
-        records = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                row = run_once(trees[side], args.workload, seed, args.seconds)
-                records.append({"pair": i, "side": side, "first": position == 0,
-                                "seed": seed, **row})
-                print(f"pair {i} seed {seed} {side:6s} wall_s {row['wall_s']:.4f} "
-                      f"factor {row['speed_factor']:.4f} unscaled {row['unscaled_pass_s']:.4f} "
-                      f"rss {row['peak_rss_mb']:.2f}", file=sys.stderr)
+        records, error = run_pairs(trees, args.workload, args.pairs, args.first_seed,
+                                   args.seconds)
     finally:
         shutil.rmtree(work)
 
-    path = out_dir / f"BENCH_{shas['change'][:12]}.json"
-    doc = {"parent": shas["parent"], "change": shas["change"], "runs": []}
-    if path.exists():
-        old = json.loads(path.read_text(encoding="utf-8"))
-        if (old.get("parent"), old.get("change")) == (doc["parent"], doc["change"]):
-            doc = old
-    summary = summarize(records, args.pairs)
-    doc["runs"].append({
-        "workload": args.workload,
-        "first_seed": args.first_seed,
-        "seconds": args.seconds,
-        "records": records,
-        "summary": summary,
-    })
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{args.workload}: wall_s median {summary['parent']['wall_s']['median']:.4f} -> "
-          f"{summary['change']['wall_s']['median']:.4f}, change faster in "
-          f"{summary['change_faster_pairs']}/{args.pairs} scaled "
-          f"(p {summary['sign_test_p']:.3g}) and "
-          f"{summary['change_faster_pairs_unscaled']}/{args.pairs} unscaled "
-          f"(p {summary['sign_test_p_unscaled']:.3g}); peak_rss_mb median "
-          f"{summary['parent']['peak_rss_mb']['median']:.2f} -> "
-          f"{summary['change']['peak_rss_mb']['median']:.2f}, change lower in "
-          f"{summary['change_lower_rss_pairs']}/{args.pairs} "
-          f"(p {summary['sign_test_p_rss']:.3g}); speed factor median "
-          f"{summary['parent']['speed_factor']['median']:.4f} -> "
-          f"{summary['change']['speed_factor']['median']:.4f}, change lower in "
-          f"{summary['change_lower_factor_pairs']}/{args.pairs} "
-          f"(p {summary['sign_test_p_factor']:.3g}); wrote {path}")
-    for name, j in summary["judgement"].items():
-        print(f"{args.workload}: {name} median {j['parent_median']:.4g} -> "
-              f"{j['change_median']:.4g}, {100 * j['change']:+.2f}% worse, spread "
-              f"{100 * j['spread']:.2f}%, bound {100 * j['bound']:.0f}%: {j['verdict']}")
-    claim = summary["wall_s_claim"]
-    print(f"{args.workload}: a wall_s gain {'holds' if claim['holds'] else 'does not hold'} "
-          f"(faster in {claim['pairs_needed']}/{args.pairs} pairs needed scaled and unscaled, "
-          f"and a median gap above the parent's IQR)")
+    # the pairs completed before a failed run are kept, with their summary
+    pairs = len(records) // 2
+    if pairs:
+        write_run(out_dir, shas, args, records, error)
+    if error is not None:
+        raise SystemExit(f"{error}\nbench_pairs: stopped after {pairs} of {args.pairs} pairs")
     return 0
 
 

@@ -1,6 +1,7 @@
-"""Tests of tools/bench_pairs.py: its summary on synthetic records, and a
-smoke test of one pair at --seconds 0, HEAD against HEAD. Not part of
-tier-1 (the smoke test runs the benchmark twice); run them with
+"""Tests of tools/bench_pairs.py: its summary on synthetic records, its
+refusals and failed runs on stubbed runs, and a smoke test of one pair at
+--seconds 0, HEAD against HEAD. Not part of tier-1 (the smoke test runs
+the benchmark twice); run them with
 
     python3 -m pytest -q tools/test_bench_pairs.py
 """
@@ -53,6 +54,67 @@ def test_one_pair_head_against_head(tmp_path):
         wall = summary[side]["wall_s"]
         assert wall["q1"] == wall["median"] == wall["q3"]
     assert list(work.iterdir()) == []  # the extracted trees are removed
+
+
+def test_a_failed_run_keeps_the_pairs_completed_before_it(tmp_path, monkeypatch):
+    bench = _load_tool()
+    monkeypatch.setattr(bench, "extract", lambda sha, dest: dest.mkdir(parents=True))
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append((tree.name, seed))
+        if len(runs) == 8:  # the second run of the fourth pair
+            raise bench.RunFailed("bench_pairs: run.py exited 1")
+        wall = 0.9 if tree.name == "change" else 1.0  # the change wins every pair
+        return {"wall_s": wall, "setup_s": 0.1, "speed_factor": 1.0,
+                "unscaled_pass_s": wall, "unscaled_import_s": 0.2, "peak_rss_mb": 60.0,
+                "ok_ratio": 1.0, "correct": True}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    argv = ["HEAD", "HEAD", "--workload", "finite-tables", "--pairs", "5", "--seconds", "0",
+            "--first-seed", "7", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit, match="run.py exited 1\nbench_pairs: stopped after 3 of 5"):
+        bench.main(argv)
+    assert len(runs) == 8 and runs[-2:] == [("change", 10), ("parent", 10)]
+    (path,) = tmp_path.glob("BENCH_*.json")
+    (run,) = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    assert run["error"] == "bench_pairs: run.py exited 1" and run["pairs_requested"] == 5
+    # the half of the cut pair is dropped; the three whole pairs are summarized
+    assert [(r["pair"], r["side"]) for r in run["records"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change")
+    ]
+    summary = run["summary"]
+    assert summary["pairs"] == 3
+    # faster in 3 of 3 pairs, but a failed run shows no gain
+    assert summary["change_faster_pairs"] == summary["change_faster_pairs_unscaled"] == 3
+    assert not summary["wall_s_claim"]["holds"]
+
+
+def test_a_failed_first_run_writes_no_file(tmp_path, monkeypatch):
+    bench = _load_tool()
+    monkeypatch.setattr(bench, "extract", lambda sha, dest: dest.mkdir(parents=True))
+
+    def run_once(tree, workload, seed, seconds):
+        raise bench.RunFailed("bench_pairs: run.py exited 2")
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    with pytest.raises(SystemExit, match="stopped after 0 of 2 pairs"):
+        bench.main(["HEAD", "HEAD", "--workload", "finite-tables", "--pairs", "2",
+                    "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_workload_is_refused_before_any_extraction(monkeypatch, capsys):
+    bench = _load_tool()
+
+    def extract(sha, dest):
+        raise AssertionError("extracted a tree for an unknown workload")
+
+    monkeypatch.setattr(bench, "extract", extract)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["HEAD", "HEAD", "--workload", "finite-table", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'finite-table'" in capsys.readouterr().err
 
 
 def _record(pair, side, wall_s, unscaled_pass_s, peak_rss_mb=60.0, speed_factor=None):
