@@ -41,6 +41,19 @@ def test_string_escaping():
     assert s == '{"k":"a\\"b\\\\c\\n"}'
 
 
+def test_json_string_round_trips_every_ascii_character():
+    import json
+
+    from gyrokit.report import _json_string
+
+    wide = "\u00e9\u2028\uffff\U0001d49c"  # two-, three- and four-byte UTF-8
+    for s in [*map(chr, range(0x80)), wide, ""]:
+        for text in (s, f"gyr[{s}]z"):
+            got = _json_string(text)
+            assert json.loads(got) == text, repr(text)
+            assert min(map(ord, got)) >= 0x20  # no raw control character
+
+
 def test_report_pass_iff_all_checks_pass():
     r = VerificationReport(suite="axioms", tolerances={})
     r.checks.append(CheckResult("a", True, 0.0, 10))
