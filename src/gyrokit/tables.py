@@ -16,6 +16,15 @@ nonempty subset H with H + H in H is a subgyrogroup: left translation by
 a in H is injective, so it permutes H, and H holds the identity and the
 inverse of a; and gyr[a, b]c, the unique w with (a + b) + w =
 a + (b + c), lies in H for a, b, c in H.
+
+The same argument gives the right-coset lemma that the enumeration
+rests on: on such a table, for a subgyrogroup H, an element g and h in
+H, the closure of H and h + g equals the closure of H and g. The closure
+S of H and g holds h + g, so it holds the closure S' of H and h + g.
+S' is finite and closed and holds h, so left translation by h, being
+injective, permutes S'; the one element it maps to h + g, which is g,
+lies in S', so S' holds S. One closure thus serves the whole right coset
+H + g.
 """
 
 from __future__ import annotations
@@ -434,24 +443,32 @@ def enumerate_subgyrogroups(t: CayleyTable) -> list:
     L-subgyrogroup or not (:func:`_is_L`).
 
     Closure growth: starting from the identity alone, every subgyrogroup
-    found is grown by each element it lacks and closed again under the
-    operation, which makes it a subgyrogroup (see the module docstring).
-    Every subgyrogroup H is reached this way, by adding the elements of H
-    one at a time, since each closure stays inside H.
+    H found is grown by one element g of each right coset H + g outside H
+    and closed again under the operation, which makes it a subgyrogroup
+    (see the module docstring). By the right-coset lemma there, each h + g
+    with h in H gives the same closure as g, so after one closure the
+    whole coset T[H, g] is done. Every subgyrogroup K is still reached,
+    by adding elements of K one at a time: each closure stays inside K,
+    and an element h + g of K that is skipped has the closure of g.
 
     Raises AxiomViolationError when the table lacks bijective left
     translations, a unique identity or unique two-sided inverses.
     """
     B = t.gyrations()
     t.inverses()
+    T = t.table
     frontier = {frozenset({t.identity_index})}
     seen = set(frontier)
     while frontier:
         nxt = set()
         for H in frontier:
+            arr = np.fromiter(H, dtype=np.int64)
+            done = np.zeros(t.order, dtype=bool)
+            done[arr] = True
             for g in range(t.order):
-                if g in H:
+                if done[g]:
                     continue
+                done[T[arr, g]] = True
                 grown = _closure(t, H | {g})
                 if grown not in seen:
                     seen.add(grown)

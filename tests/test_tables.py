@@ -550,6 +550,98 @@ def test_closure_growth_finds_every_subgyrogroup(name):
         assert not L[(0, 5)] and not L[(0, 7)] and L[(0, 2, 5, 7)]
 
 
+def _grow_by_every_element(t):
+    """Closure growth without the right-coset lemma, the reference: every
+    subgyrogroup found is grown by each element it lacks. Returns each
+    subgyrogroup with its L flag, by size then elements."""
+    from gyrokit.tables import _closure
+
+    frontier = {frozenset({t.identity_index})}
+    seen = set(frontier)
+    while frontier:
+        nxt = set()
+        for H in frontier:
+            for g in range(t.order):
+                if g not in H:
+                    grown = _closure(t, H | {g})
+                    if grown not in seen:
+                        seen.add(grown)
+                        nxt.add(grown)
+        frontier = nxt
+    B = t.gyrations()
+    subs = sorted((tuple(sorted(H)) for H in seen), key=lambda h: (len(h), h))
+    return [(H, bool(np.isin(B[:, H][:, :, H], H).all())) for H in subs]
+
+
+def _row_only_table(rng, n):
+    """A random order-n table with identity 0, bijective rows and two-sided
+    inverses (an involution), whose columns are not all permutations."""
+    while True:
+        inv = list(range(n))
+        rest = rng.permutation(np.arange(1, n)).tolist()
+        for _ in range(rng.integers(len(rest) // 2 + 1)):
+            a, b = rest.pop(), rest.pop()
+            inv[a], inv[b] = b, a
+        rows = [list(range(n))]
+        for x in range(1, n):
+            values = rng.permutation([v for v in range(1, n) if v != x]).tolist()
+            rows.append([x if y == 0 else 0 if y == inv[x] else values.pop()
+                         for y in range(n)])
+        t = CayleyTable(rows, name=f"rows{n}")
+        if not (np.sort(t.table, axis=0) == np.arange(n)[:, None]).all():
+            return t
+
+
+_COSET_TABLES = {
+    **{f"z{n}": (lambda n=n: cyclic_table(n)) for n in range(9, 41)},
+    "z2xz12": lambda: product_table(cyclic_table(2), cyclic_table(12)),
+    "s3xklein": lambda: product_table(s3_table(), klein_table()),
+    "loop5": lambda: CayleyTable(LOOP5, name="loop5"),
+}
+
+
+@pytest.mark.parametrize("name", list(_COSET_TABLES))
+def test_one_closure_per_right_coset_matches_growth_by_every_element(name):
+    t = _COSET_TABLES[name]()
+    got = [(s.elements, s.is_L_subgyrogroup) for s in enumerate_subgyrogroups(t)]
+    assert got == _grow_by_every_element(t)
+
+
+def test_one_closure_per_right_coset_on_every_raw_order_6_table():
+    tables = search_gyrogroups(6, canonical_identity=False)
+    assert len(tables) == 80
+    for t in tables:
+        got = [(s.elements, s.is_L_subgyrogroup) for s in enumerate_subgyrogroups(t)]
+        assert got == _grow_by_every_element(t), t.table.tolist()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_one_closure_per_right_coset_needs_only_bijective_rows(n):
+    # the lemma uses left translations only, so tables whose columns repeat
+    # values must enumerate as the reference does too
+    rng = np.random.default_rng(4700 + n)
+    for _ in range(100):
+        t = _row_only_table(rng, n)
+        assert len(t.identity_candidates()) == 1 and t._non_bijective_row() is None
+        t.inverses()
+        got = [(s.elements, s.is_L_subgyrogroup) for s in enumerate_subgyrogroups(t)]
+        assert got == _grow_by_every_element(t), t.table.tolist()
+
+
+def test_one_closure_per_right_coset_on_z24(monkeypatch):
+    import gyrokit.tables as tables
+
+    calls = []
+    closure = tables._closure
+    monkeypatch.setattr(tables, "_closure", lambda t, seed: calls.append(1) or closure(t, seed))
+    t = cyclic_table(24)
+    assert len(enumerate_subgyrogroups(t)) == 8
+    assert len(calls) == 52
+    calls.clear()
+    _grow_by_every_element(t)  # the reference closes each subgroup's lacking elements
+    assert len(calls) == 132
+
+
 @pytest.mark.parametrize("name", [*SMALL_TABLES, "loop5"])
 def test_operation_closure_is_the_subgyrogroup_definition(name):
     # LOOP5 has bijective left translations and two-sided inverses but fails
