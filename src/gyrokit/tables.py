@@ -632,14 +632,16 @@ def _canonical_bytes(T: np.ndarray):
 
 
 def _involution_squares(n: int, k: int):
-    """Every reduced Latin square of order n, identity 0, whose inverse map
-    is the involution (1 2)(3 4)...(2k-1 2k), each as a flat list of its
-    n * n entries.
+    """The list of every reduced Latin square of order n, identity 0, whose
+    inverse map is the involution (1 2)(3 4)...(2k-1 2k), each square a
+    flat list of its n * n entries.
 
     The zeros sit at (x, inv[x]) before the fill starts. The fill
     backtracks over the other cells of rows and columns 1..n-1, row by row,
     left to right, with one bitmask of used values per row and per column;
     a cell takes its free values lowest bit first, so in ascending order.
+    Each finished square is appended to the list, so the list is in the
+    order the fill meets them.
     """
     inv = list(range(n))
     for a in range(1, 2 * k, 2):
@@ -649,10 +651,11 @@ def _involution_squares(n: int, k: int):
     col_used = [1 << c | 1 for c in range(n)]
     cells = [(r, c) for r in range(1, n) for c in range(1, n) if c != inv[r]]
     every = (1 << n) - 1
+    squares = []
 
     def fill(i):
         if i == len(cells):
-            yield [v for row in T for v in row]
+            squares.append([v for row in T for v in row])
             return
         r, c = cells[i]
         free = every & ~(row_used[r] | col_used[c])
@@ -662,11 +665,12 @@ def _involution_squares(n: int, k: int):
             T[r][c] = bit.bit_length() - 1
             row_used[r] |= bit
             col_used[c] |= bit
-            yield from fill(i + 1)
+            fill(i + 1)
             row_used[r] ^= bit
             col_used[c] ^= bit
 
-    yield from fill(0)
+    fill(0)
+    return squares
 
 
 def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=None):
