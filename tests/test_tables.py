@@ -857,25 +857,147 @@ def _zeros_at(flat, n, inv):
     return all(flat[x * n + inv[x]] == 0 for x in range(n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_involution_fill_yields_exactly_the_reduced_squares_with_its_zeros(n):
-    from gyrokit.tables import _involution_squares
+def _involution(n, k):
+    inv = list(range(n))
+    for a in range(1, 2 * k, 2):
+        inv[a], inv[a + 1] = a + 1, a
+    return inv
 
-    # brute force up to order 5; at order 6 the reference above
+
+def _latin_involution_squares(n, k):
+    """The cell-by-cell Latin fill that the row fill replaced, the
+    reference: every reduced Latin square of order n, identity 0, whose
+    inverse map is the involution (1 2)(3 4)...(2k-1 2k), each a flat
+    list of its n * n entries, in lexicographic order.
+
+    The zeros sit at (x, inv[x]) before the fill starts. The fill
+    backtracks over the other cells of rows and columns 1..n-1, row by row,
+    left to right, with one bitmask of used values per row and per column;
+    a cell takes its free values lowest bit first, so in ascending order.
+    """
+    inv = _involution(n, k)
+    T = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
+    row_used = [1 << r | 1 for r in range(n)]  # bit 0: the zero placed in row r
+    col_used = [1 << c | 1 for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n) if c != inv[r]]
+    every = (1 << n) - 1
+    squares = []
+
+    def fill(i):
+        if i == len(cells):
+            squares.append([v for row in T for v in row])
+            return
+        r, c = cells[i]
+        free = every & ~(row_used[r] | col_used[c])
+        while free:
+            bit = free & -free
+            free ^= bit
+            T[r][c] = bit.bit_length() - 1
+            row_used[r] |= bit
+            col_used[c] |= bit
+            fill(i + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+
+    fill(0)
+    return squares
+
+
+def _squares_with_zeros(n):
+    """Every reduced square of order n by brute force up to order 5, and
+    at order 6 the inverse-symmetric ones of the reference above, with
+    the involution ``_involution(n, k)`` as a function of k."""
     squares = (
         [sum(sq, []) for sq in _reduced_latin_squares(n)] if n <= 5
         else list(_inverse_symmetric_squares(n))
     )
+    return lambda k: [sq for sq in squares if _zeros_at(sq, n, _involution(n, k))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_involution_fill_yields_exactly_the_reduced_squares_with_its_zeros(n):
+    # the reference Latin fill, which the search must match below
+    with_zeros = _squares_with_zeros(n)
     counts = []
     for k in range((n - 1) // 2 + 1):
-        inv = list(range(n))
-        for a in range(1, 2 * k, 2):
-            inv[a], inv[a + 1] = a + 1, a
-        want = [sq for sq in squares if _zeros_at(sq, n, inv)]
-        assert list(_involution_squares(n, k)) == want
+        want = with_zeros(k)
+        assert _latin_involution_squares(n, k) == want
         counts.append(len(want))
     if n == 6:
         assert counts == [48, 56, 80]
+
+
+def _is_bol_square(flat, n, inv):
+    """Whether the rows L_a of a flat square satisfy L_-a = L_a^-1 and
+    L_a L_b L_a = L_{a + (b + a)} for every a, b: a plain loop."""
+    L = [flat[a * n:(a + 1) * n] for a in range(n)]
+    for a in range(n):
+        if any(L[inv[a]][L[a][x]] != x for x in range(n)):
+            return False
+        for b in range(n):
+            c = L[a][L[b][a]]
+            if any(L[a][L[b][L[a][x]]] != L[c][x] for x in range(n)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_row_fill_yields_exactly_the_bol_squares_with_its_zeros(n):
+    from gyrokit.tables import _involution_squares
+
+    with_zeros = _squares_with_zeros(n)
+    counts = []
+    for k in range((n - 1) // 2 + 1):
+        inv = _involution(n, k)
+        want = [sq for sq in with_zeros(k) if _is_bol_square(sq, n, inv)]
+        assert _involution_squares(n, k) == want
+        counts.append(len(want))
+    if n == 5:
+        assert counts == [0, 0, 2]
+    if n == 6:
+        assert counts == [0, 2, 4]
+
+
+def _search_results(*args):
+    return [(t.name, t.table.dtype, t.table.tobytes()) for t in search_gyrogroups(*args)]
+
+
+@pytest.mark.parametrize("args", [(), (False,), (True, 1)], ids=["canonical", "raw", "max-1"])
+def test_row_fill_search_matches_the_latin_fill_search(args, monkeypatch):
+    import gyrokit.tables as tables
+
+    for n in range(1, 7):
+        got = _search_results(n, *args)
+        with monkeypatch.context() as m:
+            m.setattr(tables, "_involution_squares", _latin_involution_squares)
+            assert _search_results(n, *args) == got
+
+
+def test_row_candidates_split_the_permutations_by_first_entry_and_zero():
+    from gyrokit.tables import _row_candidates
+
+    for n in range(1, 7):
+        candidates = _row_candidates(n)
+        everything = list(itertools.permutations(range(n)))
+        for a in range(n):
+            for j in range(n):
+                want = [p for p in everything if p[0] == a and p[j] == 0]
+                assert [p for p, _ in candidates[a][j]] == want
+                for p, mask in candidates[a][j]:
+                    assert mask == sum(1 << (c * n + v) for c, v in enumerate(p))
+        assert _row_candidates(n) is candidates
+
+
+def test_identity_fixing_perms_are_the_row_fills_first_permutations():
+    from gyrokit.tables import _identity_fixing_perms
+
+    for n in range(1, 7):
+        perms, invs = _identity_fixing_perms(n)
+        want = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))])
+        assert perms.dtype == want.dtype and np.array_equal(perms, want)
+        want_invs = np.argsort(want, axis=1)
+        assert invs.dtype == want_invs.dtype and np.array_equal(invs, want_invs)
+        assert not perms.flags.writeable and not invs.flags.writeable
 
 
 def test_stacked_law_filter_matches_each_order_6_square():
@@ -942,13 +1064,13 @@ def test_search_filter_batches_stay_within_the_kernel_cells(monkeypatch):
     monkeypatch.setattr(tables, "law_g4_loop", recorded(law_g4_loop))
     monkeypatch.setattr(tables, "law_g3_automorphism", recorded(law_g3_automorphism))
     whole = search()
-    # one batch per law: the 184 squares' loop law, its 6 survivors' automorphism law
-    assert batches == [184 * 6**3, 6 * 6**4]
+    # one batch per law: the 6 leaves' loop law, its 6 survivors' automorphism law
+    assert batches == [6 * 6**3, 6 * 6**4]
     assert max(results) <= core._KERNEL_CELLS
     monkeypatch.setattr(core, "_KERNEL_CELLS", 30)
     assert search() == whole and len(whole) == 80
     assert max(batches) == max(results) == 30
-    assert sum(batches) == 184 * 6**3 + 6 * 6**4
+    assert sum(batches) == 6 * 6**3 + 6 * 6**4
 
 
 def test_stacked_law_filter_rejects_and_accepts_per_table():
@@ -987,8 +1109,8 @@ def test_search_builds_one_gyration_tensor_per_stack(monkeypatch):
     monkeypatch.setattr(tables, "gyr_tensor", lambda T: calls.append(T.shape) or real(T))
     monkeypatch.setattr(tables, "_canonical_bytes", lambda T: forms.append(1) or real_forms(T))
     assert len(search_gyrogroups(6)) == 2
-    # 184 squares in one stack; 6 of them pass both laws
-    assert calls == [(184, 6, 6)]
+    # the row fill's 6 leaves in one stack; all 6 pass both laws
+    assert calls == [(6, 6, 6)]
     assert len(forms) == 6
 
 
