@@ -9,6 +9,7 @@ same configuration produce byte-identical output except for the
 from __future__ import annotations
 
 import math
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -177,19 +178,19 @@ def _canon(obj, out):
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
+def _escape(match):
+    ch = match[0]
+    return _ESCAPES.get(ch) or f"\\u{ord(ch):04x}"
 
 
 def _json_string(s):
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+    """A JSON string literal: '"' and backslash escaped, newline, return
+    and tab by their short escapes, any other control character as
+    \\u00XX, and everything else, non-ASCII included, as it is."""
+    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
 
 
 def canonical_json(obj) -> str:

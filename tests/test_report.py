@@ -54,6 +54,23 @@ def test_json_string_round_trips_every_ascii_character():
             assert min(map(ord, got)) >= 0x20  # no raw control character
 
 
+def test_json_string_escapes_exactly_as_reports_were_written():
+    # json.loads accepts \b and \u0008 alike, so pin the bytes themselves
+    from gyrokit.report import _json_string
+
+    cases = {
+        "\b": b'"\\u0008"',
+        "\f": b'"\\u000c"',
+        "\x01": b'"\\u0001"',
+        "\x1f": b'"\\u001f"',
+        "\x7f": b'"\x7f"',
+        "\u2028": b'"\xe2\x80\xa8"',
+        'a"b\\c\n\r\td': b'"a\\"b\\\\c\\n\\r\\td"',
+    }
+    for text, want in cases.items():
+        assert _json_string(text).encode() == want, repr(text)
+
+
 def test_report_pass_iff_all_checks_pass():
     r = VerificationReport(suite="axioms", tolerances={})
     r.checks.append(CheckResult("a", True, 0.0, 10))
