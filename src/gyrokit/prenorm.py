@@ -57,12 +57,14 @@ class NeighborhoodChain:
     A kind supplies ``level_member(n, x)``, ``describe()``, N as
     ``prenorm(x)`` and, for a rule block's points as the law pass gives
     them, as ``prenorms(points)``, ``sandwich(x, n)`` (N < 2^-n, N <=
-    2^(1-n) and membership in U_n), ``check_halving()``, ``slack(tol,
-    steps)`` (what a check over values of N allows), the sandwich levels'
-    operands (``sandwich_points``) and the checks only it runs
-    (``prenorm_rows``, ``metric_rows``, ``metric_checks()``,
-    ``admissible_checks``). Both kinds run their driver rows (name, stream,
-    reads, law, rule) through the one ``law_checks``."""
+    2^(1-n) and membership in U_n), ``slack(tol, steps)`` (what a check
+    over values of N allows), the sandwich levels' operands
+    (``sandwich_points``) and ``admissible_checks``. It may add a halving
+    check (``check_halving()``, which raises on a chain that does not
+    halve) and checks only it runs (``prenorm_rows``, ``metric_rows``,
+    ``metric_checks()``); by default there are none. Both kinds run their
+    driver rows (name, stream, reads, law, rule) through the one
+    ``law_checks``."""
 
     def __init__(self, model: GyrogroupModel, depth: int):
         self.model = model
@@ -101,6 +103,18 @@ class NeighborhoodChain:
         streams drawn up to its ``caps``, a finite chain's on every tuple."""
         return _run_rows(self.model, rows, lambda stream: self._draw(
             sampler, suite, stream, self.caps[stream], n_samples), tol)
+
+    def check_halving(self):
+        """A chain halves unless its kind says otherwise."""
+
+    def prenorm_rows(self, tol):
+        return []
+
+    def metric_rows(self, tol):
+        return []
+
+    def metric_checks(self):
+        return []
 
 
 def _shown(v):
@@ -268,10 +282,6 @@ class RadialChain(NeighborhoodChain):
                          _PrenormRule(self, (limit, closed_form_gap))))
         return rows
 
-    def metric_checks(self):
-        """A radial chain's own metric checks are all rows (``metric_rows``)."""
-        return []
-
     def admissible_checks(self, sampler, per_level, tol):
         """The analytic condition 3 t[n+1] <= t[n]; per level, the double
         sums of ``per_level`` draws from the level below, with the worst
@@ -364,20 +374,11 @@ class FiniteChain(NeighborhoodChain):
         N = self(x)
         return N < 2.0 ** -n, N <= 2.0 ** (1 - n), self.level_member(n, x)
 
-    def check_halving(self):
-        """A constant chain halves trivially."""
-
     def slack(self, tol, steps=0):
         return 0.0  # N is exact
 
     def sandwich_points(self, sampler, n, n_samples):
         return np.arange(self.model.order), "exhaustive"
-
-    def prenorm_rows(self, tol):
-        return []
-
-    def metric_rows(self, tol):
-        return []
 
     def metric_checks(self):
         """Invariance of d and rho under change of class representatives,
