@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -614,30 +615,40 @@ def _stack_law_holds(stack: np.ndarray, B: np.ndarray, law, arity: int) -> np.nd
     return ok
 
 
+def _column_mask(n: int, p) -> int:
+    """The row p of an order-n table as the int with bits c * n + p(c):
+    two rows repeat a value in some column exactly when their masks meet."""
+    mask = 0
+    for c, v in enumerate(p):
+        mask |= 1 << (c * n + v)
+    return mask
+
+
 @functools.lru_cache(maxsize=None)
-def _row_candidates(n: int):
-    """Every permutation p of range(n) with its column mask, the int with
-    bits c * n + p(c), split by first entry a and the position j of 0:
-    ``_row_candidates(n)[a][j]`` lists, in lexicographic order, the (p,
-    mask) pairs with p(0) = a and p(j) = 0, the candidates for row a of a
-    table where -a = j. Built once per n, as tuples, and shared by every
-    caller."""
-    candidates = [[[] for _ in range(n)] for _ in range(n)]
-    for p in itertools.permutations(range(n)):
-        mask = 0
-        for c, v in enumerate(p):
-            mask |= 1 << (c * n + v)
-        candidates[p[0]][p.index(0)].append((p, mask))
-    return tuple(tuple(map(tuple, split)) for split in candidates)
+def _permutations(n: int):
+    """Every permutation of range(n) as a tuple, in lexicographic order,
+    split by first entry: ``_permutations(n)[a]`` holds the (n-1)! with
+    p(0) = a. Built once per n and shared by every caller."""
+    block = math.factorial(n - 1)
+    perms = tuple(itertools.permutations(range(n)))
+    return tuple(perms[a * block:(a + 1) * block] for a in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_candidates(n: int, a: int, j: int):
+    """The candidates for row a of an order-n table where -a = j: each
+    permutation p of :func:`_permutations` with p(0) = a and p(j) = 0, in
+    lexicographic order, paired with its column mask, the int with bits
+    c * n + p(c)."""
+    return tuple((p, _column_mask(n, p)) for p in _permutations(n)[a] if p[j] == 0)
 
 
 @functools.lru_cache(maxsize=None)
 def _identity_fixing_perms(n: int):
     """Every permutation of range(n) that fixes 0, in lexicographic order,
     and the inverse of each, as two read-only ((n-1)!, n) arrays shared by
-    every caller: the row fill's candidates for row 0, the first (n-1)!
-    permutations in lexicographic order."""
-    perms = np.array([p for p, _ in _row_candidates(n)[0][0]])
+    every caller: the first block of :func:`_permutations`."""
+    perms = np.array(_permutations(n)[0])
     invs = np.argsort(perms, axis=1)
     perms.flags.writeable = invs.flags.writeable = False
     return perms, invs
@@ -681,7 +692,6 @@ def _involution_squares(n: int, k: int):
     inv = list(range(n))
     for a in range(1, 2 * k, 2):
         inv[a], inv[a + 1] = a + 1, a
-    candidates = _row_candidates(n)
     squares = []
 
     def place(rows, r, q, todo):
@@ -708,9 +718,7 @@ def _involution_squares(n: int, k: int):
                 continue
             if q[inv[r]]:
                 return None
-            mask = 0
-            for c, v in enumerate(q):
-                mask |= 1 << (c * n + v)
+            mask = _column_mask(n, q)
             if used & mask:
                 return None
             used |= mask
@@ -722,7 +730,7 @@ def _involution_squares(n: int, k: int):
             squares.append([v for row in rows for v in row])
             return
         a = rows.index(None)
-        for p, mask in candidates[a][inv[a]]:
+        for p, mask in _row_candidates(n, a, inv[a]):
             if used & mask:
                 continue
             branch, todo = list(rows), []
@@ -731,8 +739,8 @@ def _involution_squares(n: int, k: int):
             if settled is not None:
                 fill(branch, settled)
 
-    identity, mask = candidates[0][0][0]
-    fill([identity] + [None] * (n - 1), mask)
+    identity = tuple(range(n))
+    fill([identity] + [None] * (n - 1), _column_mask(n, identity))
     return squares
 
 

@@ -973,19 +973,21 @@ def test_row_fill_search_matches_the_latin_fill_search(args, monkeypatch):
             assert _search_results(n, *args) == got
 
 
-def test_row_candidates_split_the_permutations_by_first_entry_and_zero():
-    from gyrokit.tables import _row_candidates
+def test_row_candidates_are_the_permutations_by_first_entry_and_zero():
+    from gyrokit.tables import _permutations, _row_candidates
 
     for n in range(1, 7):
-        candidates = _row_candidates(n)
         everything = list(itertools.permutations(range(n)))
+        blocks = _permutations(n)
+        assert [p for block in blocks for p in block] == everything
+        assert all(p[0] == a for a, block in enumerate(blocks) for p in block)
         for a in range(n):
             for j in range(n):
                 want = [p for p in everything if p[0] == a and p[j] == 0]
-                assert [p for p, _ in candidates[a][j]] == want
-                for p, mask in candidates[a][j]:
+                candidates = _row_candidates(n, a, j)
+                assert [p for p, _ in candidates] == want
+                for p, mask in candidates:
                     assert mask == sum(1 << (c * n + v) for c, v in enumerate(p))
-        assert _row_candidates(n) is candidates
 
 
 def test_identity_fixing_perms_are_the_row_fills_first_permutations():
