@@ -694,22 +694,9 @@ def _involution_squares(n: int, k: int):
         inv[a], inv[a + 1] = a + 1, a
     squares = []
 
-    def place(rows, r, q, todo):
-        """Set row r to q and queue the (index, row) pairs it forces."""
-        rows[r] = q
-        q_inv = [0] * n
-        for c, v in enumerate(q):
-            q_inv[v] = c
-        todo.append((inv[r], tuple(q_inv)))
-        for b, s in enumerate(rows):
-            if s is not None:
-                todo.append((q[s[r]], tuple([q[s[y]] for y in q])))
-                if b != r:
-                    todo.append((s[q[b]], tuple([s[q[y]] for y in s])))
-
     def settle(rows, used, todo):
-        """Place every queued row and what it forces in turn: the filled
-        rows' column mask, or None on a conflict."""
+        """Place every queued (index, row) pair and the rows each forces
+        in turn: the filled rows' column mask, or None on a conflict."""
         while todo:
             r, q = todo.pop()
             if rows[r] is not None:
@@ -722,7 +709,16 @@ def _involution_squares(n: int, k: int):
             if used & mask:
                 return None
             used |= mask
-            place(rows, r, q, todo)
+            rows[r] = q
+            q_inv = [0] * n
+            for c, v in enumerate(q):
+                q_inv[v] = c
+            todo.append((inv[r], tuple(q_inv)))
+            for b, s in enumerate(rows):
+                if s is not None:
+                    todo.append((q[s[r]], tuple([q[s[y]] for y in q])))
+                    if b != r:
+                        todo.append((s[q[b]], tuple([s[q[y]] for y in s])))
         return used
 
     def fill(rows, used):
@@ -731,13 +727,11 @@ def _involution_squares(n: int, k: int):
             return
         a = rows.index(None)
         for p, mask in _row_candidates(n, a, inv[a]):
-            if used & mask:
-                continue
-            branch, todo = list(rows), []
-            place(branch, a, p, todo)
-            settled = settle(branch, used | mask, todo)
-            if settled is not None:
-                fill(branch, settled)
+            if not used & mask:
+                branch = list(rows)
+                settled = settle(branch, used, [(a, p)])
+                if settled is not None:
+                    fill(branch, settled)
 
     identity = tuple(range(n))
     fill([identity] + [None] * (n - 1), _column_mask(n, identity))
