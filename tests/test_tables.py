@@ -903,24 +903,22 @@ def _latin_involution_squares(n, k):
     return squares
 
 
-def _squares_with_zeros(n):
+def _reference_squares(n):
     """Every reduced square of order n by brute force up to order 5, and
-    at order 6 the inverse-symmetric ones of the reference above, with
-    the involution ``_involution(n, k)`` as a function of k."""
-    squares = (
-        [sum(sq, []) for sq in _reduced_latin_squares(n)] if n <= 5
-        else list(_inverse_symmetric_squares(n))
-    )
-    return lambda k: [sq for sq in squares if _zeros_at(sq, n, _involution(n, k))]
+    at order 6 the inverse-symmetric ones of the reference above."""
+    if n <= 5:
+        return [sum(sq, []) for sq in _reduced_latin_squares(n)]
+    return list(_inverse_symmetric_squares(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_involution_fill_yields_exactly_the_reduced_squares_with_its_zeros(n):
     # the reference Latin fill, which the search must match below
-    with_zeros = _squares_with_zeros(n)
+    squares = _reference_squares(n)
     counts = []
     for k in range((n - 1) // 2 + 1):
-        want = with_zeros(k)
+        inv = _involution(n, k)
+        want = [sq for sq in squares if _zeros_at(sq, n, inv)]
         assert _latin_involution_squares(n, k) == want
         counts.append(len(want))
     if n == 6:
@@ -945,11 +943,11 @@ def _is_bol_square(flat, n, inv):
 def test_row_fill_yields_exactly_the_bol_squares_with_its_zeros(n):
     from gyrokit.tables import _involution_squares
 
-    with_zeros = _squares_with_zeros(n)
+    squares = _reference_squares(n)
     counts = []
     for k in range((n - 1) // 2 + 1):
         inv = _involution(n, k)
-        want = [sq for sq in with_zeros(k) if _is_bol_square(sq, n, inv)]
+        want = [sq for sq in squares if _zeros_at(sq, n, inv) and _is_bol_square(sq, n, inv)]
         assert _involution_squares(n, k) == want
         counts.append(len(want))
     if n == 5:
