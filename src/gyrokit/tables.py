@@ -34,8 +34,8 @@ L_-a = L_a^-1 and L_a L_b L_a = L_{a + (b + a)}. So each chosen row fixes
 its inverse's row and, with every row already there, two more rows, and
 a conflict prunes the branch before the table is complete. Every
 gyrogroup table meets no conflict on the way to its own rows, so each
-class is still found; at order 6 the fill reaches 24 nodes and 6 leaves,
-where the cell-by-cell Latin fill returned 184 squares.
+class is still found. At order 6 the fill reaches 24 nodes and returns 6
+leaves.
 """
 
 from __future__ import annotations
@@ -755,15 +755,14 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     both, so no table of a class is lost; the Bol closure alone does not
     give the automorphism law, so the laws still decide. At order 6 the
     fill reaches 24 nodes (the three roots, one per involution, and the
-    21 rows it chose that met no conflict) and 6 leaves, where the
-    cell-by-cell Latin fill gave 184 of the 1,808 reduced squares with
-    x + y = 0 exactly when y + x = 0. The leaves go in one stack and one
-    tensor build through :func:`_stack_law_holds`, in batches within
-    ``core._KERNEL_CELLS`` (order 6: one batch per law): the n^3 loop law,
-    then the n^4 automorphism law on the loop law's survivors only (order
-    6: all 6). A reduced Latin square has an identity and bijective left
-    translations, and gyroassociativity holds by the construction of the
-    gyrations, so what passes both laws is valid, and its class is found.
+    21 rows it chose that met no conflict) and 6 leaves. The leaves go in
+    one stack and one tensor build through :func:`_stack_law_holds`, in
+    batches within ``core._KERNEL_CELLS`` (order 6: one batch per law):
+    the n^3 loop law, then the n^4 automorphism law on the loop law's
+    survivors only (order 6: all 6). A reduced Latin square has an
+    identity and bijective left translations, and gyroassociativity holds
+    by the construction of the gyrations, so what passes both laws is
+    valid, and its class is found.
 
     By default each class is returned once, as its canonical form
     (:func:`_canonical_bytes`). With ``canonical_identity=False`` every
