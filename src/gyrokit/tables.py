@@ -638,8 +638,7 @@ def _permutations(n: int):
 def _row_candidates(n: int, a: int, j: int):
     """The candidates for row a of an order-n table where -a = j: each
     permutation p of :func:`_permutations` with p(0) = a and p(j) = 0, in
-    lexicographic order, paired with its column mask, the int with bits
-    c * n + p(c)."""
+    lexicographic order, paired with its :func:`_column_mask`."""
     return tuple((p, _column_mask(n, p)) for p in _permutations(n)[a] if p[j] == 0)
 
 
