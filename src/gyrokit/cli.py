@@ -9,6 +9,7 @@ One suite per invocation. Reports go to stdout as canonical JSON (or to
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -287,7 +288,14 @@ def _indices(text):
     return indices
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared ``gyro`` parser, built on first use.
+
+    Every call returns the same object, so callers must not extend it (no
+    further ``add_argument``, no new defaults). Reuse is safe because
+    ``parse_args`` leaves the parser as it was, every ``type=`` is a pure
+    function, and the help width is read each time help is formatted."""
     count = _at_least(1, int)
     p = argparse.ArgumentParser(
         prog="gyro",

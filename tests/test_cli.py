@@ -1,10 +1,12 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from gyrokit import check_subgyrogroups
-from gyrokit.cli import EXIT_CODES, SUITE_TABLE, SUITES, main
+from gyrokit.cli import EXIT_CODES, SUITE_TABLE, SUITES, build_parser, main
 from gyrokit.errors import GyroError
 from gyrokit.sampling import MAX_SAMPLE_VALUES
 from gyrokit.tables import cyclic_table
@@ -571,3 +573,77 @@ def test_a_refused_factor_is_reported_through_the_product(capsys):
     [check] = payload["checks"]
     assert (check["name"], check["pass"]) == ("table_structure", False)
     assert "'(1,0)'" in check["witness"]["error"]
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty parser cache before and after the test, so that no parser
+    a test builds reaches another test."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+# (exit code, argv), interleaved so that every kind of exit follows another
+INTERLEAVED = [
+    (2, ["cosets", "--samples", "zero"]),
+    (0, ["--list-suites"]),
+    (0, ["--help"]),
+    (1, ["cosets", "--model", "table:z24", "--subgyrogroup", "0,1"]),
+    (0, ["cosets", "--model", "table:z24", "--subgyrogroup", "0,6,12,18"]),
+    (0, ["cosets", "--model", "table:z24", "--subgyrogroup", "0,6,12,18"]),
+]
+WALL = re.compile(r'"wall_time_s":[^,}]*')
+
+
+def outcome(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    return code, WALL.sub('"wall_time_s":null', out), err
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _, argv in INTERLEAVED:
+        outcome(capsys, argv)
+    assert len(built) == 1
+
+
+def test_a_reused_parser_changes_no_outcome(capsys, monkeypatch, fresh_parser):
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = [outcome(capsys, argv) for _, argv in INTERLEAVED]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for _, argv in INTERLEAVED:
+        build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert [code for code, _, _ in shared] == [code for code, _ in INTERLEAVED]
+    assert shared == fresh
+
+
+def test_help_wraps_to_the_width_of_each_call(capsys, monkeypatch, fresh_parser):
+    helps = {}
+    for columns in (60, 120):  # one parser serves both
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, helps[columns], _ = run(capsys, "--help")
+        assert code == 0
+    assert build_parser.cache_info().misses == 1
+    choices = "{" + ",".join(sorted(SUITES)) + "}"  # one word, never wrapped
+    widest = {
+        columns: max(len(line) for line in out.splitlines() if choices not in line)
+        for columns, out in helps.items()
+    }
+    assert widest[60] <= 60 < widest[120] <= 120
+    for columns, out in helps.items():  # as a parser built at that width writes it
+        monkeypatch.setenv("COLUMNS", str(columns))
+        build_parser.cache_clear()
+        assert run(capsys, "--help")[1] == out

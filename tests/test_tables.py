@@ -971,6 +971,29 @@ def test_row_fill_search_matches_the_latin_fill_search(args, monkeypatch):
             assert _search_results(n, *args) == got
 
 
+def test_row_fill_prunes_order_6_to_24_nodes(monkeypatch):
+    # Every pruning check of the fill shows in these counts, though the
+    # leaves stay the same without any one of them: with no mask check on a
+    # forced row the fill reaches 28 nodes and masks 118 rows, and with no
+    # zero check it masks 146.
+    import gyrokit.tables as tables
+
+    n = 6
+    search_gyrogroups(n)  # warm: every candidate list of order 6 is built
+    before = tables._row_candidates.cache_info()
+    masked = []
+    real = tables._column_mask
+    monkeypatch.setattr(tables, "_column_mask", lambda n, p: masked.append(p) or real(n, p))
+    leaves = [sq for k in range((n - 1) // 2 + 1) for sq in tables._involution_squares(n, k)]
+    after = tables._row_candidates.cache_info()
+    assert after.misses == before.misses
+    inner = after.hits + after.misses - before.hits - before.misses  # one per inner node
+    assert (inner, len(leaves)) == (18, 6)
+    assert inner + len(leaves) == 24  # the nodes that search_gyrogroups' docstring states
+    # the three roots' identity rows, and every row that settle masks
+    assert len(masked) == 114
+
+
 def test_row_candidates_are_the_permutations_by_first_entry_and_zero():
     from gyrokit.tables import _permutations, _row_candidates
 
