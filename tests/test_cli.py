@@ -604,7 +604,7 @@ def outcome(capsys, argv):
     return code, WALL.sub('"wall_time_s":null', out), err
 
 
-def test_main_builds_one_parser_per_process(capsys, monkeypatch, fresh_parser):
+def test_one_parser_serves_every_call_and_changes_no_outcome(capsys, monkeypatch, fresh_parser):
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -613,19 +613,14 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch, fresh_parser):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for _, argv in INTERLEAVED:
-        outcome(capsys, argv)
-    assert len(built) == 1
-
-
-def test_a_reused_parser_changes_no_outcome(capsys, monkeypatch, fresh_parser):
     monkeypatch.setenv("COLUMNS", "80")
     shared = [outcome(capsys, argv) for _, argv in INTERLEAVED]
-    assert build_parser.cache_info().misses == 1
+    assert len(built) == 1
     fresh = []
     for _, argv in INTERLEAVED:
         build_parser.cache_clear()
         fresh.append(outcome(capsys, argv))
+    assert len(built) == 1 + len(INTERLEAVED)
     assert [code for code, _, _ in shared] == [code for code, _ in INTERLEAVED]
     assert shared == fresh
 
