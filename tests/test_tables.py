@@ -972,10 +972,10 @@ def test_row_fill_search_matches_the_latin_fill_search(args, monkeypatch):
 
 
 def test_row_fill_prunes_order_6_to_24_nodes(monkeypatch):
-    # Every pruning check of the fill shows in these counts, though the
-    # leaves stay the same without any one of them: with no mask check on a
-    # forced row the fill reaches 28 nodes and masks 118 rows, and with no
-    # zero check it masks 146.
+    # Two of the fill's pruning checks show only in these counts, since the
+    # leaves stay the same without either: with no mask check on a forced
+    # row the fill reaches 28 nodes and masks 118 rows, and with no zero
+    # check it masks 146.
     import gyrokit.tables as tables
 
     n = 6
@@ -987,7 +987,7 @@ def test_row_fill_prunes_order_6_to_24_nodes(monkeypatch):
     leaves = [sq for k in range((n - 1) // 2 + 1) for sq in tables._involution_squares(n, k)]
     after = tables._row_candidates.cache_info()
     assert after.misses == before.misses
-    inner = after.hits + after.misses - before.hits - before.misses  # one per inner node
+    inner = after.hits - before.hits  # one call per inner node
     assert (inner, len(leaves)) == (18, 6)
     assert inner + len(leaves) == 24  # the nodes that search_gyrogroups' docstring states
     # the three roots' identity rows, and every row that settle masks
