@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary poi
 # Einstein, identities 342 and 342 MiB, strong-base 456 and 418 MiB. All six
 # are pinned in tests/test_metric.py.
 MAX_SAMPLE_VALUES = 10_000_000
+# a 2-D direction draw of at least this many rows computes its cosines on a
+# second thread; see ``directions``
+_SPLIT_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,49 @@ def rownorm(a):
 
 
 def directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` unit vectors in ``dim`` coordinates, uniform on the circle or
+    sphere, as an (n, dim) array.
+
+    In 2-D a point is (cos θ, sin θ) of one uniform angle θ per row. A draw
+    of at least ``_SPLIT_ROWS`` rows computes the cosines on a second
+    thread while the caller computes the sines, and joins that thread
+    before it returns. The bits are those of the two calls made one after
+    the other: each ufunc writes its own column from the same angles, and
+    numpy releases the GIL inside both. Smaller draws make the two calls
+    in turn, as does a draw whose thread cannot start (``RuntimeError``,
+    as under an address-space limit too tight for its stack). The split
+    pays from about 8,000 rows up (Python 3.11, numpy 2.4, 2 vCPUs): at
+    1e3 rows it costs 0.12 against 0.02 ms serial, at 1e5 rows it saves
+    1.4 of 3.4 ms. ``_SPLIT_ROWS`` stays above that break-even, so
+    metrization's 417-point draws stay serial.
+
+    Above 2-D a point is a standard normal vector over its norm, and the
+    rare draw with a norm below 1e-12 is drawn again. ``standard_normal``
+    gives the bits of ``normal(size=...)`` except where a draw is exactly
+    -0.0, which ``normal``'s 0.0 + 1.0·z turns into +0.0.
+    """
     if dim == 2:
         theta = gen.uniform(0.0, 2.0 * np.pi, n)
         out = np.empty((n, 2))
-        np.cos(theta, out=out[:, 0])
+        cos = None
+        if n >= _SPLIT_ROWS:
+            cos = threading.Thread(target=np.cos, args=(theta,), kwargs={"out": out[:, 0]})
+            try:
+                cos.start()
+            except RuntimeError:  # no thread to be had; compute in turn
+                cos = None
+        if cos is None:
+            np.cos(theta, out=out[:, 0])
         np.sin(theta, out=out[:, 1])
+        if cos is not None:
+            cos.join()
         return out
-    v = gen.normal(size=(n, dim))
+    v = gen.standard_normal((n, dim))
     norm = rownorm(v)
     # resample the (measure-zero) degenerate draws rather than dividing by ~0
     bad = norm < 1e-12
     while bad.any():
-        v[bad] = gen.normal(size=(int(bad.sum()), dim))
+        v[bad] = gen.standard_normal((int(bad.sum()), dim))
         norm = rownorm(v)
         bad = norm < 1e-12
     v /= norm[:, None]

@@ -12,6 +12,7 @@ draws the same bits as the broadcast expressions it replaced.
 import contextlib
 import io
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from gyrokit.prenorm import (
 )
 from gyrokit.report import canonical_json
 from gyrokit.sampling import (
+    _SPLIT_ROWS,
     FORCED_STRIDE,
     Sampler,
     ToleranceConfig,
@@ -372,10 +374,44 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_directions_match_the_broadcast_expression(dim):
-    for seed in range(3):
-        got = directions(np.random.default_rng(seed), 5003, dim)
-        want = _old_directions(np.random.default_rng(seed), 5003, dim)
-        assert _same_bits(got, want)
+    # on both sides of the size from which a 2-D draw splits over two threads
+    for n in (5003, _SPLIT_ROWS - 1, _SPLIT_ROWS, 100_003):
+        for seed in range(3):
+            got = directions(np.random.default_rng(seed), n, dim)
+            want = _old_directions(np.random.default_rng(seed), n, dim)
+            assert _same_bits(got, want), (n, seed)
+
+
+def test_a_large_2d_draw_starts_one_thread_and_joins_it(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    for n, want in ((_SPLIT_ROWS - 1, 0), (_SPLIT_ROWS, 1), (100_003, 1)):
+        starts.clear()
+        directions(np.random.default_rng(1), n, 2)
+        assert len(starts) == want, n
+        assert threading.active_count() == before, n
+    starts.clear()
+    directions(np.random.default_rng(1), 100_003, 3)
+    assert starts == []
+
+
+def test_a_2d_draw_whose_thread_cannot_start_draws_the_same_bits(monkeypatch):
+    # as when the kernel refuses the thread's stack under an address-space limit
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for n in (_SPLIT_ROWS, 100_003):
+        got = directions(np.random.default_rng(2), n, 2)
+        want = _old_directions(np.random.default_rng(2), n, 2)
+        assert _same_bits(got, want), n
 
 
 @pytest.mark.parametrize("dim", [2, 3])

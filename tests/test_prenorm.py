@@ -542,8 +542,8 @@ class FirstUniform:
             self.first = out.copy()
         return out
 
-    def normal(self, *args, **kwargs):
-        return self.gen.normal(*args, **kwargs)
+    def standard_normal(self, *args, **kwargs):
+        return self.gen.standard_normal(*args, **kwargs)
 
 
 def level_cap(chain, n):
