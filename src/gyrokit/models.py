@@ -361,8 +361,7 @@ def check_strong_base(
         out = model.sample_operands(gen, n_samples, 2, tol)
         for _ in range(2):  # p, then q: center ⊕ a Euclidean-uniform point of B(r)
             u = gen.uniform(0.0, 1.0, n_samples) ** (1.0 / model.dim)
-            d = directions(gen, n_samples, model.dim)
-            d *= (radii[stream] * u)[:, None]
+            d = directions(gen, n_samples, model.dim, scale=radii[stream] * u)
             if center.any():  # the identity ⊕ v is v bit for bit
                 for lo in range(0, n_samples, _LAW_BLOCK_ROWS):  # in place, a block at a time
                     d[lo:lo + _LAW_BLOCK_ROWS] = model.oplus(center, d[lo:lo + _LAW_BLOCK_ROWS])

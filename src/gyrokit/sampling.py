@@ -33,8 +33,10 @@ FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary poi
 # Einstein, identities 342 and 342 MiB, strong-base 456 and 418 MiB. All six
 # are pinned in tests/test_metric.py.
 MAX_SAMPLE_VALUES = 10_000_000
-# a 2-D direction draw of at least this many rows computes its cosines on a
-# second thread; see ``directions``
+# a direction draw reads the generator this many rows at a time, and one of
+# at least _SPLIT_ROWS rows turns the drawn chunks into points on a second
+# thread; see ``directions``
+_CHUNK_ROWS = 8192
 _SPLIT_ROWS = 16384
 
 
@@ -101,54 +103,159 @@ def rownorm(a):
     return np.sqrt(rowdot(a, a))
 
 
-def directions(gen: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """``n`` unit vectors in ``dim`` coordinates, uniform on the circle or
-    sphere, as an (n, dim) array.
-
-    In 2-D a point is (cos θ, sin θ) of one uniform angle θ per row. A draw
-    of at least ``_SPLIT_ROWS`` rows computes the cosines on a second
-    thread while the caller computes the sines, and joins that thread
-    before it returns. The bits are those of the two calls made one after
-    the other: each ufunc writes its own column from the same angles, and
-    numpy releases the GIL inside both. Smaller draws make the two calls
-    in turn, as does a draw whose thread cannot start (``RuntimeError``,
-    as under an address-space limit too tight for its stack). The split
-    pays from about 8,000 rows up (Python 3.11, numpy 2.4, 2 vCPUs): at
-    1e3 rows it costs 0.12 against 0.02 ms serial, at 1e5 rows it saves
-    1.4 of 3.4 ms. ``_SPLIT_ROWS`` stays above that break-even, so
-    metrization's 417-point draws stay serial.
-
-    Above 2-D a point is a standard normal vector over its norm, and the
-    rare draw with a norm below 1e-12 is drawn again. ``standard_normal``
-    gives the bits of ``normal(size=...)`` except where a draw is exactly
-    -0.0, which ``normal``'s 0.0 + 1.0·z turns into +0.0.
-    """
-    if dim == 2:
-        theta = gen.uniform(0.0, 2.0 * np.pi, n)
-        out = np.empty((n, 2))
-        cos = None
-        if n >= _SPLIT_ROWS:
-            cos = threading.Thread(target=np.cos, args=(theta,), kwargs={"out": out[:, 0]})
-            try:
-                cos.start()
-            except RuntimeError:  # no thread to be had; compute in turn
-                cos = None
-        if cos is None:
-            np.cos(theta, out=out[:, 0])
-        np.sin(theta, out=out[:, 1])
-        if cos is not None:
-            cos.join()
-        return out
-    v = gen.standard_normal((n, dim))
-    norm = rownorm(v)
-    # resample the (measure-zero) degenerate draws rather than dividing by ~0
-    bad = norm < 1e-12
-    while bad.any():
-        v[bad] = gen.standard_normal((int(bad.sum()), dim))
+def _unit_rows(v, theta, scale):
+    """Turn the drawn rows ``v`` into unit vectors times ``scale``, in place:
+    (cos θ, sin θ) of the angles ``theta`` in 2-D (``v`` is then written,
+    not read), otherwise each row over its norm. Returns the positions of
+    the degenerate rows, those with a norm below 1e-12, which are divided
+    by 1 in place of that norm and are left to be drawn again; in 2-D, an
+    empty array."""
+    if theta is not None:
+        np.cos(theta, out=v[:, 0])
+        np.sin(theta, out=v[:, 1])
+        bad = np.empty(0, np.intp)
+    else:
         norm = rownorm(v)
-        bad = norm < 1e-12
-    v /= norm[:, None]
-    return v
+        bad = np.flatnonzero(norm < 1e-12)
+        norm[bad] = 1.0
+        v /= norm[:, None]
+    if scale is not None:
+        v *= scale[:, None]
+    return bad
+
+
+def directions(gen: np.random.Generator, n: int, dim: int, scale=None) -> np.ndarray:
+    """``n`` unit vectors in ``dim`` coordinates, uniform on the circle or
+    sphere, as an (n, dim) array; row i is multiplied by ``scale[i]`` when
+    ``scale`` is given.
+
+    In 2-D a point is (cos θ, sin θ) of one uniform angle θ per row. Above
+    2-D it is a standard normal vector over its norm, and the rare draw
+    with a norm below 1e-12 is drawn again. ``standard_normal`` gives the
+    bits of ``normal(size=...)`` except where a draw is exactly -0.0, which
+    ``normal``'s 0.0 + 1.0·z turns into +0.0.
+
+    The generator is read in chunks of ``_CHUNK_ROWS`` rows, in stream
+    order: ``uniform(0, 2π, m)`` into one angle array in 2-D,
+    ``standard_normal`` into the output's own rows above it. The chunks give
+    the bits and the end state of one whole call, because each value takes
+    the next outputs of the bit generator and nothing is buffered between
+    calls. A draw of at least ``_SPLIT_ROWS`` rows starts one worker thread,
+    to which the caller hands each chunk once it is drawn; the worker turns
+    it into scaled unit vectors (``_unit_rows``) while the caller draws the
+    next. After its last draw the caller turns the chunks the worker has not
+    taken, then joins it, and raises what the worker raised, so a
+    half-turned array is never returned (``_turn_on_worker``). Each chunk is
+    turned by one thread with the same ufuncs as a serial pass, so the bits
+    do not depend on which thread turned it. Smaller draws run the same
+    chunks on the caller, as does a draw whose thread cannot start
+    (``RuntimeError``, as under an address-space limit too tight for its
+    stack). Degenerate rows are drawn again after the whole draw, in row
+    order, and only they are then divided and scaled. numpy's errstate
+    belongs to each thread, so the worker does not see the caller's; a
+    degenerate row is divided by 1, which warns on neither. The angles share
+    one array: with an array per chunk, freed on the worker, a fresh
+    metrization pass took about 8,000 more minor page faults (35,700 against
+    26,000-29,800).
+
+    Medians against the whole-array draw followed by its scaling (Python
+    3.11, numpy 2.4, 2 vCPUs): 3-D, 1e5 rows 5.4 against 6.5 ms and 3e5
+    rows 14.2 against 19.8 ms, where the generator alone takes 4.5 and
+    13.0 ms; 2-D, 1e5 rows 3.2 against 3.7 ms. The worker pays in 2-D from
+    ``_SPLIT_ROWS`` = two chunks up (0.67 against 0.81 ms on the caller
+    alone). In 3-D it costs 0.1 ms there and breaks even near 24,576 rows;
+    the law suites' 3-D draws are of 1e5 rows, and metrization's 417-point
+    draws stay on the caller.
+    """
+    out = np.empty((n, dim))
+    theta = np.empty(n) if dim == 2 else None  # the angles, filled a chunk at a time
+    bad = []  # the degenerate rows of each chunk that has any
+
+    def draw(lo):
+        # the chunk's angles in 2-D; above it the chunk is drawn in place
+        if dim == 2:
+            angles = theta[lo:lo + _CHUNK_ROWS]
+            angles[:] = gen.uniform(0.0, 2.0 * np.pi, len(angles))
+            return angles
+        gen.standard_normal(out=out[lo:lo + _CHUNK_ROWS])
+        return None
+
+    def turn(lo, theta):
+        hi = lo + _CHUNK_ROWS
+        degenerate = _unit_rows(out[lo:hi], theta, None if scale is None else scale[lo:hi])
+        if len(degenerate):
+            bad.append(lo + degenerate)
+
+    chunks = range(0, n, _CHUNK_ROWS)
+    if n < _SPLIT_ROWS or not _turn_on_worker(chunks, draw, turn):
+        for lo in chunks:
+            turn(lo, draw(lo))
+    if bad:  # in row order, as one whole draw redraws them
+        rows = np.sort(np.concatenate(bad))
+        while len(rows):
+            v = gen.standard_normal((len(rows), dim))
+            again = _unit_rows(v, None, None if scale is None else scale[rows])
+            out[rows] = v
+            rows = rows[again]
+    return out
+
+
+def _turn_on_worker(chunks, draw, turn):
+    """``turn(lo, draw(lo))`` for each chunk start ``lo``, drawing in order on
+    the caller while one worker thread turns the chunks drawn so far. After
+    its last draw the caller turns the chunks the worker has not taken,
+    then joins it and raises what it raised. False, having drawn nothing,
+    when the thread cannot start."""
+    drawn, failed = [], []  # (lo, draw(lo)) in draw order; what the worker raised
+    taken, closed = 0, False  # chunks taken to be turned; the caller has drawn its last
+    handoff = threading.Condition()
+
+    def take():
+        # the next drawn chunk, waiting for one until the draw is closed;
+        # None once every drawn chunk is taken, or the worker failed
+        nonlocal taken
+        with handoff:
+            while taken == len(drawn) and not closed:
+                handoff.wait()
+            if taken == len(drawn) or failed:
+                return None
+            chunk, drawn[taken] = drawn[taken], None
+            taken += 1
+            return chunk
+
+    def close():
+        nonlocal closed
+        with handoff:
+            closed = True
+            handoff.notify()
+
+    def work():
+        try:
+            while (chunk := take()) is not None:
+                turn(*chunk)
+        except BaseException as exc:  # raised again by the caller
+            failed.append(exc)
+
+    worker = threading.Thread(target=work)
+    try:
+        worker.start()
+    except RuntimeError:  # no thread to be had
+        return False
+    try:
+        for lo in chunks:
+            chunk = (lo, draw(lo))
+            with handoff:
+                drawn.append(chunk)
+                handoff.notify()
+        close()
+        while (chunk := take()) is not None:  # the chunks the worker has not taken
+            turn(*chunk)
+    finally:
+        close()
+        worker.join()
+    if failed:
+        raise failed[0]
+    return True
 
 
 def check_sample_size(rows: int, dim: int) -> None:
@@ -198,9 +305,7 @@ def ball_points(
         if margin is None or margin <= 0:
             raise SamplingError("boundary forcing requires a positive margin")
         r[forced_offset::FORCED_STRIDE] = 1.0 - margin
-    d = directions(gen, n, model.dim)
-    d *= r[:, None]
-    return d
+    return directions(gen, n, model.dim, scale=r)
 
 
 def sample_operands(

@@ -13,7 +13,9 @@ import contextlib
 import io
 import re
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from gyrokit.prenorm import (
 )
 from gyrokit.report import canonical_json
 from gyrokit.sampling import (
+    _CHUNK_ROWS,
     _SPLIT_ROWS,
     FORCED_STRIDE,
     Sampler,
@@ -372,17 +375,75 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+# on both sides of a chunk and of the size from which a draw turns its
+# chunks on a second thread, and at several chunks past it
+_DRAW_ROWS = (5003, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, _SPLIT_ROWS - 1, _SPLIT_ROWS,
+              _SPLIT_ROWS + 1, 100_003, 300_001)
+
+
+def _draw_both(n, dim, seed, scaled, gen=np.random.default_rng):
+    """``directions`` and the broadcast expression on two equal generators,
+    each with the generator's next value after it."""
+    scale = np.random.default_rng(seed + 100).uniform(0.0, 1.0, n) if scaled else None
+    sides = []
+    for draw in (lambda g: directions(g, n, dim, scale=scale),
+                 lambda g: _old_directions(g, n, dim) * (1.0 if scale is None else scale[:, None])):
+        g = gen(seed)
+        sides.append((draw(g), g.random()))
+    return sides
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
 def test_directions_match_the_broadcast_expression(dim):
-    # on both sides of the size from which a 2-D draw splits over two threads
-    for n in (5003, _SPLIT_ROWS - 1, _SPLIT_ROWS, 100_003):
-        for seed in range(3):
-            got = directions(np.random.default_rng(seed), n, dim)
-            want = _old_directions(np.random.default_rng(seed), n, dim)
-            assert _same_bits(got, want), (n, seed)
+    # the generator's next value pins the end state: a draw that used the
+    # stream up differently would shift every later operand
+    for n in _DRAW_ROWS:
+        for seed, scaled in ((0, False), (1, False), (2, False), (0, True), (1, True)):
+            (got, got_next), (want, want_next) = _draw_both(n, dim, seed, scaled)
+            assert _same_bits(got, want), (n, seed, scaled)
+            assert got_next == want_next, (n, seed, scaled)
 
 
-def test_a_large_2d_draw_starts_one_thread_and_joins_it(monkeypatch):
+class _ZeroRows:
+    """A generator whose normal rows at the given positions of its stream
+    are zero, counted over every row it has drawn."""
+
+    def __init__(self, seed, zero):
+        self.gen, self.zero, self.rows = np.random.default_rng(seed), zero, 0
+
+    def standard_normal(self, size=None, out=None):
+        v = self.gen.standard_normal(size, out=out)
+        for i in self.zero:
+            if self.rows <= i < self.rows + len(v):
+                v[i - self.rows] = 0.0
+        self.rows += len(v)
+        return v
+
+    normal = standard_normal
+
+    def random(self):
+        return self.gen.random()
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_degenerate_rows_are_drawn_again_as_one_whole_draw_would(dim):
+    # one zero row in the first chunk and one in a later chunk; the first
+    # redrawn row is zero too, so it is drawn a third time. Dividing a
+    # degenerate row must warn on neither thread
+    for n in (_SPLIT_ROWS - 1, 100_003):
+        zero = (17, _CHUNK_ROWS + 5, n)
+        for scaled in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (got, got_next), (want, want_next) = _draw_both(
+                    n, dim, 3, scaled, gen=lambda seed: _ZeroRows(seed, zero))
+            assert _same_bits(got, want), (n, scaled)
+            assert got_next == want_next, (n, scaled)
+            assert np.all(got[list(zero[:2])] != 0.0)
+
+
+def test_a_large_draw_starts_one_thread_and_joins_it(monkeypatch):
+    # in 3-D as in 2-D, since both turn their chunks on the worker
     starts = []
     start = threading.Thread.start
 
@@ -392,26 +453,71 @@ def test_a_large_2d_draw_starts_one_thread_and_joins_it(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    for n, want in ((_SPLIT_ROWS - 1, 0), (_SPLIT_ROWS, 1), (100_003, 1)):
-        starts.clear()
-        directions(np.random.default_rng(1), n, 2)
-        assert len(starts) == want, n
-        assert threading.active_count() == before, n
-    starts.clear()
-    directions(np.random.default_rng(1), 100_003, 3)
-    assert starts == []
+    for dim in (2, 3):
+        for n, want in ((_SPLIT_ROWS - 1, 0), (_SPLIT_ROWS, 1), (100_003, 1)):
+            starts.clear()
+            directions(np.random.default_rng(1), n, dim)
+            assert len(starts) == want, (dim, n)
+            assert threading.active_count() == before, (dim, n)
 
 
-def test_a_2d_draw_whose_thread_cannot_start_draws_the_same_bits(monkeypatch):
+def _refuse_thread(thread):
     # as when the kernel refuses the thread's stack under an address-space limit
-    def refuse(thread):
-        raise RuntimeError("can't start new thread")
+    raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    for n in (_SPLIT_ROWS, 100_003):
-        got = directions(np.random.default_rng(2), n, 2)
-        want = _old_directions(np.random.default_rng(2), n, 2)
-        assert _same_bits(got, want), n
+
+def test_a_draw_whose_thread_cannot_start_draws_the_same_bits(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", _refuse_thread)
+    for dim in (2, 3):
+        for n in (_SPLIT_ROWS, 100_003):
+            (got, got_next), (want, want_next) = _draw_both(n, dim, 2, True)
+            assert _same_bits(got, want), (dim, n)
+            assert got_next == want_next, (dim, n)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_what_the_worker_raises_the_draw_raises(monkeypatch, dim):
+    # the caller's turns wait until the worker has raised, so the worker is
+    # left a chunk to raise on however late it starts
+    turn, raised = sampling._unit_rows, threading.Event()
+
+    def fail_off_the_caller(*args):
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(5.0)
+            return turn(*args)
+        raised.set()
+        raise MemoryError("worker")
+
+    monkeypatch.setattr(sampling, "_unit_rows", fail_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker"):
+        directions(np.random.default_rng(1), 100_003, dim)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_caller_turns_the_chunks_left_after_its_last_draw(monkeypatch, dim):
+    # the worker's first chunk waits until the caller has turned one, so the
+    # caller must turn chunks after its last draw; the worker then finishes
+    # that first chunk late, which only a join before returning catches
+    turn, turned = sampling._unit_rows, []
+    caller_turned = threading.Event()
+
+    def recorded(*args):
+        caller = threading.current_thread() is threading.main_thread()
+        if caller:
+            caller_turned.set()
+        elif False not in turned and caller_turned.wait(5.0):
+            time.sleep(0.05)
+        turned.append(caller)
+        return turn(*args)
+
+    monkeypatch.setattr(sampling, "_unit_rows", recorded)
+    n = 100_003
+    (got, _), (want, _) = _draw_both(n, dim, 4, True)
+    assert _same_bits(got, want)
+    assert len(turned) == -(-n // _CHUNK_ROWS)
+    assert turned.count(True) >= 1
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -607,13 +713,16 @@ def test_no_chain_rule_stacks_a_point(monkeypatch, make):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("offset", [None, 17])
-def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(dim, offset):
+def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(monkeypatch, dim, offset):
     # the radii are tanh of the rapidity draw, forced points included: the
     # same bits as the expression below, computed in the draw itself, so
     # beside its points a call holds the draw and what directions holds,
     # and no radius array. The radii multiply the directions through
     # numpy's ufunc buffer of getbufsize() doubles; at this n one n-row
-    # array outweighs that buffer and the slack
+    # array outweighs that buffer and the slack. Both draws turn their
+    # chunks on the caller: with a worker, how many drawn chunks wait to be
+    # turned, and so what directions holds, depends on how far it lags
+    monkeypatch.setattr(threading.Thread, "start", _refuse_thread)
     n = 20011
     gen = np.random.default_rng(6)
     rho = gen.uniform(0.0, 3.0, n)

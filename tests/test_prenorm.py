@@ -622,7 +622,7 @@ def test_only_the_law_rows_draw_directions(monkeypatch, model, ratio):
     calls = []
     real_directions, real_ball = sampling.directions, prenorm._rapidity_ball
     monkeypatch.setattr(sampling, "directions",
-                        lambda *a: calls.append("directions") or real_directions(*a))
+                        lambda *a, **k: calls.append("directions") or real_directions(*a, **k))
     monkeypatch.setattr(prenorm, "_rapidity_ball",
                         lambda *a: calls.append("level") or real_ball(*a))
     chain = RadialChain(model, ratio=ratio, depth=12)
