@@ -180,9 +180,9 @@ def directions(gen: np.random.Generator, n: int, dim: int, scale=None) -> np.nda
         gen.standard_normal(out=out[lo:lo + _CHUNK_ROWS])
         return None
 
-    def turn(lo, theta):
+    def turn(lo, angles):
         hi = lo + _CHUNK_ROWS
-        degenerate = _unit_rows(out[lo:hi], theta, None if scale is None else scale[lo:hi])
+        degenerate = _unit_rows(out[lo:hi], angles, None if scale is None else scale[lo:hi])
         if len(degenerate):
             bad.append(lo + degenerate)
 
@@ -219,9 +219,8 @@ def _turn_on_worker(chunks, draw, turn):
                 handoff.wait()
             if taken == len(drawn) or failed:
                 return None
-            chunk, drawn[taken] = drawn[taken], None
             taken += 1
-            return chunk
+            return drawn[taken - 1]
 
     def close():
         nonlocal closed
