@@ -27,10 +27,10 @@ from .errors import ResourceLimitError, SamplingError
 
 DEFAULT_T_MAX = 3.0
 FORCED_STRIDE = 100  # every 100th sample of an operand stream is a boundary point
-# rows x dim of one point stream. At this cap the law suites peak at 34-48
+# rows x dim of one point stream. At this cap the law suites peak at 29-48
 # bytes per such value (ru_maxrss of a CLI child, the most of three runs;
-# Python 3.11, numpy 2.4, Linux): axioms 342 MiB on Mobius and 325 MiB on
-# Einstein, identities 342 and 342 MiB, strong-base 456 and 418 MiB. All six
+# Python 3.11, numpy 2.4, Linux): axioms 342 MiB on Mobius and 281 MiB on
+# Einstein, identities 342 and 305 MiB, strong-base 456 and 418 MiB. All six
 # are pinned in tests/test_metric.py.
 MAX_SAMPLE_VALUES = 10_000_000
 # a direction draw reads the generator this many rows at a time, and one of
@@ -119,15 +119,14 @@ def _unit_rows(v, theta, scale):
         bad = np.flatnonzero(norm < 1e-12)
         norm[bad] = 1.0
         v /= norm[:, None]
-    if scale is not None:
-        v *= scale[:, None]
+    v *= scale[:, None]
     return bad
 
 
-def directions(gen: np.random.Generator, n: int, dim: int, scale=None) -> np.ndarray:
+def directions(gen: np.random.Generator, n: int, dim: int, scale) -> np.ndarray:
     """``n`` unit vectors in ``dim`` coordinates, uniform on the circle or
-    sphere, as an (n, dim) array; row i is multiplied by ``scale[i]`` when
-    ``scale`` is given.
+    sphere, as an (n, dim) array, row i multiplied by ``scale[i]``. A scale
+    of ones gives the unit vectors' own bits.
 
     In 2-D a point is (cos θ, sin θ) of one uniform angle θ per row. Above
     2-D it is a standard normal vector over its norm, and the rare draw
@@ -182,7 +181,7 @@ def directions(gen: np.random.Generator, n: int, dim: int, scale=None) -> np.nda
 
     def turn(lo, angles):
         hi = lo + _CHUNK_ROWS
-        degenerate = _unit_rows(out[lo:hi], angles, None if scale is None else scale[lo:hi])
+        degenerate = _unit_rows(out[lo:hi], angles, scale[lo:hi])
         if len(degenerate):
             bad.append(lo + degenerate)
 
@@ -194,7 +193,7 @@ def directions(gen: np.random.Generator, n: int, dim: int, scale=None) -> np.nda
         rows = np.sort(np.concatenate(bad))
         while len(rows):
             v = gen.standard_normal((len(rows), dim))
-            again = _unit_rows(v, None, None if scale is None else scale[rows])
+            again = _unit_rows(v, None, scale[rows])
             out[rows] = v
             rows = rows[again]
     return out

@@ -55,7 +55,7 @@ def test_sampler_streams_reproducible():
 def test_directions_unit_norm():
     gen = np.random.default_rng(0)
     for dim in (2, 3, 5):
-        d = directions(gen, 200, dim)
+        d = directions(gen, 200, dim, np.ones(200))
         assert np.allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
 
 

@@ -93,7 +93,7 @@ def _rows(kind, n=600, seed=0):
     gen = np.random.default_rng(seed)
     if kind == "zero":
         return np.zeros((n, 3))
-    d = directions(gen, n, 3)
+    d = directions(gen, n, 3, np.ones(n))
     r = gen.uniform(0.0, 1.0, n) if kind == "random" else 1.0 + gen.uniform(-1e-6, 1e-6, n)
     return d * r[:, None]
 

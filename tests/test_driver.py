@@ -169,7 +169,7 @@ def test_strong_base_rows(monkeypatch, model):
             return model.sample_operands(gen, N, 3 if stream == "norm_preservation" else 2, TOL)
         x, y = model.sample_operands(gen, N, 2, TOL)
         p, q = [np.zeros(model.dim) + (radii[stream] * gen.uniform(0.0, 1.0, N)
-                                       ** (1.0 / model.dim))[:, None] * directions(gen, N, model.dim)
+                                       ** (1.0 / model.dim))[:, None] * directions(gen, N, model.dim, np.ones(N))
                 for _ in range(2)]
         return [x, y, p, q]
 

@@ -383,11 +383,12 @@ _DRAW_ROWS = (5003, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, _SPLIT_ROWS - 1, _SPLIT_RO
 
 def _draw_both(n, dim, seed, scaled, gen=np.random.default_rng):
     """``directions`` and the broadcast expression on two equal generators,
-    each with the generator's next value after it."""
-    scale = np.random.default_rng(seed + 100).uniform(0.0, 1.0, n) if scaled else None
+    each with the generator's next value after it; unscaled, ``directions``
+    scaled by ones against the unit vectors themselves."""
+    scale = np.random.default_rng(seed + 100).uniform(0.0, 1.0, n) if scaled else np.ones(n)
     sides = []
-    for draw in (lambda g: directions(g, n, dim, scale=scale),
-                 lambda g: _old_directions(g, n, dim) * (1.0 if scale is None else scale[:, None])):
+    for draw in (lambda g: directions(g, n, dim, scale),
+                 lambda g: _old_directions(g, n, dim) * (scale[:, None] if scaled else 1)):
         g = gen(seed)
         sides.append((draw(g), g.random()))
     return sides
@@ -456,7 +457,7 @@ def test_a_large_draw_starts_one_thread_and_joins_it(monkeypatch):
     for dim in (2, 3):
         for n, want in ((_SPLIT_ROWS - 1, 0), (_SPLIT_ROWS, 1), (100_003, 1)):
             starts.clear()
-            directions(np.random.default_rng(1), n, dim)
+            directions(np.random.default_rng(1), n, dim, np.ones(n))
             assert len(starts) == want, (dim, n)
             assert threading.active_count() == before, (dim, n)
 
@@ -491,7 +492,7 @@ def test_what_the_worker_raises_the_draw_raises(monkeypatch, dim):
     monkeypatch.setattr(sampling, "_unit_rows", fail_off_the_caller)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="worker"):
-        directions(np.random.default_rng(1), 100_003, dim)
+        directions(np.random.default_rng(1), 100_003, dim, np.ones(100_003))
     assert threading.active_count() == before
 
 
@@ -595,7 +596,7 @@ def test_the_identity_center_adds_nothing(monkeypatch, cls, center):
         gen = Sampler(9).stream("strong-base", f"ball_invariance_{tag}")
         model.sample_operands(gen, n, 2, tol)
         p, q = [(r * gen.uniform(0.0, 1.0, n) ** (1.0 / model.dim))[:, None]
-                * directions(gen, n, model.dim) for _ in range(2)]
+                * directions(gen, n, model.dim, np.ones(n)) for _ in range(2)]
         assert _same_bits(seen[f"ball_forward_{tag}"][2], p)
         assert _same_bits(seen[f"ball_preimage_{tag}"][2], q)
     # off the identity both the draw and the membership rule add the
@@ -716,29 +717,40 @@ def test_no_chain_rule_stacks_a_point(monkeypatch, make):
 def test_ball_points_hold_only_the_rapidity_draw_beside_their_points(monkeypatch, dim, offset):
     # the radii are tanh of the rapidity draw, forced points included: the
     # same bits as the expression below, computed in the draw itself, so
-    # beside its points a call holds the draw and what directions holds,
-    # and no radius array. The radii multiply the directions through
-    # numpy's ufunc buffer of getbufsize() doubles; at this n one n-row
-    # array outweighs that buffer and the slack. Both draws turn their
-    # chunks on the caller: with a worker, how many drawn chunks wait to be
-    # turned, and so what directions holds, depends on how far it lags
-    monkeypatch.setattr(threading.Thread, "start", _refuse_thread)
-    n = 20011
+    # beside its points a call holds the draw and what a draw of directions
+    # scaled by ones holds, and no radius array. Both draws turn their chunks
+    # on the worker, whose turn may overlap the caller's: a draw's chunk (2-D)
+    # or a turn after the last draw. So either draw may hold one turn's
+    # temporaries more than the other, at most two chunk columns (the squared
+    # norm beside a product or the norm, or a ufunc buffer) and their small
+    # objects; at this n one n-row array outweighs that turn and the slack
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    n = 50021
     gen = np.random.default_rng(6)
     rho = gen.uniform(0.0, 3.0, n)
     r = np.tanh(rho)
     if offset is not None:
         r[offset::FORCED_STRIDE] = 1.0 - 1e-6
-    want = directions(gen, n, dim) * r[:, None]
+    ones = np.ones(n)
+    want = directions(gen, n, dim, ones) * r[:, None]
+    turn = 2 * _CHUNK_ROWS * 8 + 4096
 
+    monkeypatch.setattr(threading.Thread, "start", counted)
     tracemalloc.start()
     try:
-        directions(np.random.default_rng(6), n, dim)
+        directions(np.random.default_rng(6), n, dim, ones)
         beside = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         got = ball_points(np.random.default_rng(6), n, _BALLS[dim], forced_offset=offset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(starts) == 2
     assert _same_bits(got, want)
-    assert peak <= rho.nbytes + beside + 8 * np.getbufsize() + 4096
+    assert peak <= rho.nbytes + beside + turn + 4096

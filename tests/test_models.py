@@ -85,8 +85,8 @@ def test_rapidity_additivity_einstein():
     m = EinsteinModel()
     rho_u = gen.uniform(0, 2.5, 4000)
     rho_v = gen.uniform(0, 2.5, 4000)
-    u = np.tanh(rho_u)[:, None] * directions(gen, 4000, 3)
-    v = np.tanh(rho_v)[:, None] * directions(gen, 4000, 3)
+    u = directions(gen, 4000, 3, np.tanh(rho_u))
+    v = directions(gen, 4000, 3, np.tanh(rho_v))
     rho_sum = np.arctanh(np.linalg.norm(m.oplus(u, v), axis=1))
     assert float((rho_sum - (rho_u + rho_v)).max()) <= 1e-12
     # collinear equality
@@ -102,8 +102,8 @@ def test_rapidity_additivity_mobius():
     m = MobiusModel()
     rho_u = gen.uniform(0, 2.5, 4000)
     rho_v = gen.uniform(0, 2.5, 4000)
-    u = np.tanh(rho_u)[:, None] * directions(gen, 4000, 2)
-    v = np.tanh(rho_v)[:, None] * directions(gen, 4000, 2)
+    u = directions(gen, 4000, 2, np.tanh(rho_u))
+    v = directions(gen, 4000, 2, np.tanh(rho_v))
     rho_sum = np.arctanh(np.linalg.norm(m.oplus(u, v), axis=1))
     assert float((rho_sum - (rho_u + rho_v)).max()) <= 1e-12
 
@@ -160,8 +160,8 @@ def test_einstein_extended_closed_gyr_matches_derived_at_boundary():
     ext = m.extended()
     gen = np.random.default_rng(8)
     # both pivots at the forced-boundary radius
-    u = (1.0 - 1e-6) * directions(gen, 2000, 3)
-    v = (1.0 - 1e-6) * directions(gen, 2000, 3)
+    u = directions(gen, 2000, 3, np.full(2000, 1.0 - 1e-6))
+    v = directions(gen, 2000, 3, np.full(2000, 1.0 - 1e-6))
     w = ball_points(gen, 2000, m)
     U, V, W = ext.lift(u), ext.lift(v), ext.lift(w)
     closed = _stacked(ext.lower(ext.gyr(U, V, W)))

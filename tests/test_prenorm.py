@@ -320,8 +320,7 @@ def test_greedy_loops_match_masked_reference_bitwise(model, ratio):
             fam = build_dyadic(RadialChain(model, t0=t0, ratio=ratio, depth=depth))
             t, tails = tails_of(fam)
             top = float(t[0] + tails[0])
-            beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 50))[:, None]
-            beyond = beyond * directions(gen, 50, dim)
+            beyond = directions(gen, 50, dim, np.tanh(gen.uniform(1.01 * top, 1.5 * top, 50)))
             assert (prenorm_eval(fam, beyond) == 2.0).all()
             nan_mix = ball_points(gen, 20, model, t_max=top, margin=None)
             nan_mix[::3] = np.nan
@@ -435,8 +434,7 @@ def test_leading_bits_verdict_matches_the_full_prenorm_bitwise(model, ratio):
             fam = build_dyadic(RadialChain(model, t0=t0, ratio=ratio, depth=depth))
             t, tails = tails_of(fam)
             top = float(t[0] + tails[0])
-            beyond = np.tanh(gen.uniform(1.01 * top, 1.5 * top, 20))[:, None]
-            beyond = beyond * directions(gen, 20, dim)
+            beyond = directions(gen, 20, dim, np.tanh(gen.uniform(1.01 * top, 1.5 * top, 20)))
             nan_mix = ball_points(gen, 20, model, t_max=top, margin=None)
             nan_mix[::3] = np.nan
             # points whose rapidity is a sandwich threshold t[n], t[n-1] or 2 t0
