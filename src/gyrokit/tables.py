@@ -656,18 +656,9 @@ def _identity_fixing_perms(n: int):
 def _relabelings(T: np.ndarray) -> np.ndarray:
     """Every identity-fixing relabeling perm[T[inv, inv]] of the table, in
     the order of :func:`_identity_fixing_perms`, as one ((n-1)!, n, n)
-    gather."""
+    gather: the orbit that :func:`search_gyrogroups` takes once per class."""
     perms, invs = _identity_fixing_perms(T.shape[0])
     return perms[np.arange(len(perms))[:, None, None], T[invs[:, :, None], invs[:, None, :]]]
-
-
-def _canonical_bytes(T: np.ndarray):
-    """Minimal relabeling (identity fixed at 0) of the table, as bytes: the
-    lexicographically smallest of :func:`_relabelings` as uint8 bytes."""
-    relab = _relabelings(T)
-    flat = relab.astype(np.uint8).reshape(len(relab), -1)
-    best = np.lexsort(flat.T[::-1])[0]  # lexsort's last key is the primary one
-    return flat[best].tobytes(), relab[best]
 
 
 def _involution_squares(n: int, k: int):
@@ -763,13 +754,17 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     by the construction of the gyrations, so what passes both laws is
     valid, and its class is found.
 
-    By default each class is returned once, as its canonical form
-    (:func:`_canonical_bytes`). With ``canonical_identity=False`` every
-    valid reduced square is returned: the union of the found classes'
-    orbits under the identity-fixing relabelings. Either way the tables
-    are sorted by their uint8 bytes, cut to the first ``max_results`` and
-    named in that order. That is what a search returns that meets the
-    reduced squares in lexicographic order and stops after
+    The survivors are grouped into classes in one pass. An isomorphism
+    between two tables with identity 0 fixes 0, so the (n-1)! relabelings
+    of one member (:func:`_relabelings`) are its whole class, its orbit,
+    and |Aut| = (n-1)!/|orbit|. A survivor whose bytes lie in an orbit
+    already taken is skipped, so each class is relabeled once. By default
+    each class is returned once, as its canonical form: the orbit's least
+    member by uint8 bytes. With ``canonical_identity=False`` every valid
+    reduced square is returned: the union of the found orbits. Either way
+    the tables are sorted by their uint8 bytes, cut to the first
+    ``max_results`` and named in that order. That is what a search returns
+    that meets the reduced squares in lexicographic order and stops after
     ``max_results`` hits: relabeling keeps a square reduced and valid, so
     the first square it meets of each class is the least of the class,
     its canonical form. Deterministic.
@@ -784,13 +779,16 @@ def search_gyrogroups(order: int, canonical_identity: bool = True, max_results=N
     B = gyr_tensor(stack)
     loop = _stack_law_holds(stack, B, law_g4_loop, 3)
     stack, B = stack[loop], B[loop]
-    found = {}
+    seen, found = set(), {}
     for T in stack[_stack_law_holds(stack, B, law_g3_automorphism, 4)]:
+        if T.astype(np.uint8).tobytes() in seen:
+            continue
+        relab = _relabelings(T)
+        orbit = dict(zip((R.tobytes() for R in relab.astype(np.uint8)), relab))
+        seen |= orbit.keys()
         if canonical_identity:
-            blob, relab = _canonical_bytes(T)
-            found[blob] = relab
-        else:
-            found.update((R.astype(np.uint8).tobytes(), R) for R in _relabelings(T))
+            orbit = {(least := min(orbit)): orbit[least]}
+        found |= orbit
     keys = sorted(found)
     if max_results is not None:
         keys = keys[:max(max_results, 0)]

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import time
 
 import numpy as np
@@ -715,6 +717,11 @@ def test_product_z2_z2_is_klein():
 # -- search --------------------------------------------------------------------
 
 
+# |Aut(G)| of each group of orders 1 to 6: the trivial group; Z2; Z3; Z4
+# and Z2^2; Z5; Z6 and S3
+GROUP_AUTOMORPHISMS = {1: [1], 2: [1], 3: [2], 4: [2, 6], 5: [4], 6: [2, 6]}
+
+
 def test_search_counts_match_small_order_classification():
     # orders below 8 admit only the classical group structures; counts
     # verified against the exhaustive validator at freeze time
@@ -722,6 +729,13 @@ def test_search_counts_match_small_order_classification():
     assert canonical == [1, 1, 1, 2, 1, 2]
     raw = [len(search_gyrogroups(k, canonical_identity=False)) for k in range(1, 7)]
     assert raw == [1, 1, 1, 4, 6, 80]
+    # an isomorphism of tables with identity 0 fixes 0, so a class holds
+    # (n - 1)!/|Aut(G)| raw tables, and the orbits sum to the raw count
+    for n, auts in GROUP_AUTOMORPHISMS.items():
+        members = collections.Counter(
+            _canonical_by_loop(t.table)[0] for t in search_gyrogroups(n, canonical_identity=False)
+        )
+        assert sorted(members.values()) == sorted(math.factorial(n - 1) // a for a in auts)
 
 
 def test_search_results_all_valid_and_associative():
@@ -731,14 +745,30 @@ def test_search_results_all_valid_and_associative():
             assert t.is_associative()  # no non-group structures this small
 
 
-def _canonical(table):
-    from gyrokit.tables import _canonical_bytes
+def _orbit_by_loop(T):
+    """Every identity-fixing relabeling of the table, one permutation at a
+    time, keyed by its uint8 bytes: the reference for the search's orbits."""
+    n = T.shape[0]
+    orbit = {}
+    for rest in itertools.permutations(range(1, n)):
+        perm = np.array((0,) + rest)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        relab = perm[T[np.ix_(inv, inv)]]
+        orbit.setdefault(relab.astype(np.uint8).tobytes(), relab)
+    return orbit
 
-    return _canonical_bytes(table)
+
+def _canonical_by_loop(T):
+    """The least relabeling of :func:`_orbit_by_loop` by uint8 bytes, as
+    (bytes, table): the reference canonical form."""
+    orbit = _orbit_by_loop(T)
+    best = min(orbit)
+    return best, orbit[best]
 
 
 def _iso(a, b):
-    return _canonical(a)[0] == _canonical(b)[0]
+    return _canonical_by_loop(a)[0] == _canonical_by_loop(b)[0]
 
 
 def test_search_canonical_is_relabel_invariant():
@@ -756,8 +786,8 @@ def test_search_deduplicates_isomorphs():
     # every raw order-5 hit collapses to the single cyclic class
     raw = search_gyrogroups(5, canonical_identity=False)
     assert len(raw) == 6
-    target = _canonical(cyclic_table(5).table)[0]
-    assert all(_canonical(t.table)[0] == target for t in raw)
+    target = _canonical_by_loop(cyclic_table(5).table)[0]
+    assert all(_canonical_by_loop(t.table)[0] == target for t in raw)
 
 
 def test_search_max_results():
@@ -786,7 +816,7 @@ def test_search_max_results_takes_k_of_the_canonical_tables(k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_search_canonical_tables_are_the_least_forms_of_the_raw_tables(n):
-    forms = {_canonical(t.table)[0] for t in search_gyrogroups(n, canonical_identity=False)}
+    forms = {_canonical_by_loop(t.table)[0] for t in search_gyrogroups(n, canonical_identity=False)}
     found = search_gyrogroups(n)
     assert [t.table.astype(np.uint8).tobytes() for t in found] == sorted(forms)
 
@@ -1127,42 +1157,36 @@ def test_search_filters_loop_law_survivors_by_the_automorphism_law(monkeypatch):
 def test_search_builds_one_gyration_tensor_per_stack(monkeypatch):
     import gyrokit.tables as tables
 
-    calls, forms = [], []
-    real, real_forms = tables.gyr_tensor, tables._canonical_bytes
+    calls, orbits = [], []
+    real, real_orbit = tables.gyr_tensor, tables._relabelings
     monkeypatch.setattr(tables, "gyr_tensor", lambda T: calls.append(T.shape) or real(T))
-    monkeypatch.setattr(tables, "_canonical_bytes", lambda T: forms.append(1) or real_forms(T))
+    monkeypatch.setattr(tables, "_relabelings", lambda T: orbits.append(1) or real_orbit(T))
     assert len(search_gyrogroups(6)) == 2
     # the row fill's 6 leaves in one stack; all 6 pass both laws
     assert calls == [(6, 6, 6)]
-    assert len(forms) == 6
+    # one relabeling per class, not per survivor, in either mode
+    for n, classes in ((4, 2), (5, 1), (6, 2)):
+        for canonical_identity in (True, False):
+            orbits.clear()
+            search_gyrogroups(n, canonical_identity)
+            assert len(orbits) == classes
 
 
-def _canonical_by_loop(T):
-    """The relabeling search one permutation at a time, the reference."""
-    n = T.shape[0]
-    best = best_relab = None
-    for rest in itertools.permutations(range(1, n)):
-        perm = np.array((0,) + rest)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        relab = perm[T[np.ix_(inv, inv)]]
-        blob = relab.astype(np.uint8).tobytes()
-        if best is None or blob < best:
-            best, best_relab = blob, relab
-    return best, best_relab
-
-
-def test_canonical_bytes_matches_a_per_permutation_loop():
-    from gyrokit.tables import _canonical_bytes
-
-    tables = [t.table for n in (5, 6) for t in search_gyrogroups(n, canonical_identity=False)]
-    tables += [np.array(sq) for sq in _reduced_latin_squares(5)]
-    assert len(tables) == 6 + 80 + 56
-    for T in tables:
-        blob, relab = _canonical_bytes(T)
-        want_blob, want_relab = _canonical_by_loop(T)
-        assert blob == want_blob
-        assert relab.dtype == want_relab.dtype and np.array_equal(relab, want_relab)
+def test_search_orbits_match_a_per_permutation_loop():
+    for n in range(1, 7):
+        raw = search_gyrogroups(n, canonical_identity=False)
+        found = {t.table.astype(np.uint8).tobytes(): t.table for t in search_gyrogroups(n)}
+        # each canonical table is the loop's least form of every raw member of its class
+        for t in raw:
+            blob, relab = _canonical_by_loop(t.table)
+            assert found[blob].dtype == relab.dtype and np.array_equal(found[blob], relab)
+        # the raw tables are the union of those classes' orbits
+        orbits = [_orbit_by_loop(T) for T in found.values()]
+        union = {blob: R for orbit in orbits for blob, R in orbit.items()}
+        assert sum(map(len, orbits)) == len(union) == len(raw)
+        for t in raw:
+            want = union[t.table.astype(np.uint8).tobytes()]
+            assert t.table.dtype == want.dtype and np.array_equal(t.table, want)
 
 
 def test_search_order_guard():
