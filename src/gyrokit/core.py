@@ -25,11 +25,11 @@ stacked back into rows.
 
 The float64 pass runs in blocks of ``_LAW_BLOCK_ROWS`` stream rows, so
 each kernel's temporaries stay in cache, and marks each row stressed or
-not with one bool; the double-double pass then runs on blocks of
-``_LAW_BLOCK_ROWS`` stressed rows. Laws, kernels and rules work row by row,
-so a row's values do not depend on its block (``run_law_group``), and
-beside the per-row residuals and flags neither pass holds more than one
-block's working memory.
+not with one bool; the double-double pass then runs on the k stressed
+rows in ceil(k / ``_LAW_BLOCK_ROWS``) blocks of nearly equal size. Laws,
+kernels and rules work row by row, so a row's values do not depend on its
+block (``run_law_group``), and beside the per-row residuals and flags
+neither pass holds more than one block's working memory.
 
 Every law row runs through one driver, ``_run_rows``: a row names its
 stream, the operands of that stream's draw it reads, its law and its
@@ -355,10 +355,10 @@ def run_law_group(model, names, law, streams, rules):
     rules) runs on blocks of ``_LAW_BLOCK_ROWS`` rows, so no model kernel
     sees more rows than one block; the blocks write into whole-stream
     ``residual`` and ``ok`` arrays and a bool ``stress`` flag per row. The
-    stressed rows are then re-evaluated in double-double, in blocks of
-    ``_LAW_BLOCK_ROWS`` stressed rows, the rules reading their points
-    lowered to float64; each block overwrites its rows' residuals and
-    flags. Each verdict is taken over the whole stream, exactly as if both
+    stressed rows are then re-evaluated in double-double, the k of them in
+    ceil(k / ``_LAW_BLOCK_ROWS``) blocks of nearly equal size, the rules
+    reading their points lowered to float64; each block overwrites its
+    rows' residuals and flags. Each verdict is taken over the whole stream, exactly as if both
     passes had run on it in one piece.
 
     Streams are read by ``len``, by unit-step slice (the blocks) and by
@@ -391,15 +391,20 @@ def run_law_group(model, names, law, streams, rules):
 
 
 def _redo_stressed(ext, law, streams, rules, stressed, residual, ok):
-    """The double-double pass of :func:`run_law_group` on the rows
-    ``stressed``, in blocks of ``_LAW_BLOCK_ROWS``: each block's points,
-    lowered to float64, overwrite its rows' residuals and flags. Neither a
-    block's points nor the row indices outlive the pass."""
+    """The double-double pass of :func:`run_law_group` on the k rows
+    ``stressed``, in ceil(k / ``_LAW_BLOCK_ROWS``) blocks of nearly equal
+    size (none when k = 0): each block's points, lowered to float64,
+    overwrite its rows' residuals and flags. Even blocks keep the largest
+    no larger than it must be, since each DD value that a product reads
+    keeps its split. Neither a block's points nor the row indices outlive
+    the pass."""
     def redone(at):  # the law on the rows at, its points lowered to float64
         return [tuple(map(ext.lower, p)) for p in law(ext, *[ext.lift(s[at]) for s in streams])]
 
-    for lo in range(0, stressed.size, _LAW_BLOCK_ROWS):
-        at = stressed[lo:lo + _LAW_BLOCK_ROWS]
+    k = stressed.size
+    blocks = -(-k // _LAW_BLOCK_ROWS)
+    for b in range(blocks):  # block sizes differ by at most one
+        at = stressed[b * k // blocks:(b + 1) * k // blocks]
         for j, (r, o) in enumerate(rules(redone(at))):
             residual[j, at], ok[j, at] = r, o
 

@@ -12,6 +12,16 @@ which swamps any sensible tolerance even though the law itself holds
 exactly. Evaluating each side in double-double from the sampled inputs
 and rounding once at the end removes that artifact; the plain float64
 kernels stay the public-facing implementation.
+
+The formulas are Dekker's (A floating-point technique for extending the
+available precision, Numer. Math. 18, 1971), and the work is shared under
+one contract. A value's words are never written after construction, so a
+value computes the Dekker split of its ``hi`` word once, when a product
+first reads it, and keeps it for every later product. The error-free
+transformations write their intermediates in place, but only into the
+temporaries they have just allocated themselves, never into an operand;
+they run the same IEEE operations in the same order as the expression
+form, which they fall back to for scalar results (constant words).
 """
 
 from __future__ import annotations
@@ -23,14 +33,25 @@ _SPLIT = 134217729.0  # 2**27 + 1, splits a float64 into two 26-bit halves
 
 def _two_sum(a, b):
     s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+    if isinstance(s, float):  # a scalar result (np.float64 is a float)
+        bb = s - a
+        return s, (a - (s - bb)) + (b - bb)
+    bb = np.subtract(s, a)
+    e = np.subtract(s, bb)
+    np.subtract(a, e, out=e)  # a - (s - bb)
+    np.subtract(b, bb, out=bb)
+    np.add(e, bb, out=e)
+    return s, e
 
 
 def _quick_two_sum(a, b):
     # requires |a| >= |b| (or a == 0)
     s = a + b
-    return s, b - (s - a)
+    if isinstance(s, float):
+        return s, b - (s - a)
+    e = np.subtract(s, a)
+    np.subtract(b, e, out=e)
+    return s, e
 
 
 def _split(a):
@@ -40,12 +61,21 @@ def _split(a):
     return ah, a - ah
 
 
-def _two_prod(a, b, a_halves=None):
-    # a_halves: _split(a), when the caller multiplies by a more than once
+def _two_prod(a, b, a_parts, b_parts):
+    # a_parts, b_parts: _split(a) and _split(b), which each DD factor keeps
     p = a * b
-    ah, al = _split(a) if a_halves is None else a_halves
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    (ah, al), (bh, bl) = a_parts, b_parts
+    if isinstance(p, float):
+        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = np.multiply(ah, bh)
+    np.subtract(e, p, out=e)
+    t = np.multiply(ah, bl)
+    np.add(e, t, out=e)
+    np.multiply(al, bh, out=t)
+    np.add(e, t, out=e)
+    np.multiply(al, bl, out=t)
+    np.add(e, t, out=e)
+    return p, e
 
 
 class DD:
@@ -54,13 +84,24 @@ class DD:
     A float constant operand is a DD with scalar words, ``DD(c, 0.0)``: the
     formulas broadcast it, bit for bit as full arrays of c and 0.0 would
     give, without allocating them.
+
+    The split of ``hi`` is kept once a product has read it. Negation and
+    slicing make new values that carry no split and compute their own:
+    the split of -0.0 is (-0.0, +0.0), not the negated split of +0.0.
     """
 
-    __slots__ = ("hi", "lo")
+    __slots__ = ("hi", "lo", "_hi_halves")
 
     def __init__(self, hi, lo=None):
         self.hi = np.asarray(hi, dtype=np.float64)
         self.lo = np.zeros_like(self.hi) if lo is None else lo
+        self._hi_halves = None
+
+    def _halves(self):
+        """_split(hi), computed on first use and kept."""
+        if self._hi_halves is None:
+            self._hi_halves = _split(self.hi)
+        return self._hi_halves
 
     def _coerce(self, other):
         if isinstance(other, DD):
@@ -89,24 +130,20 @@ class DD:
         return (-self) + other
 
     def __mul__(self, other):
-        return self._times(self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def _times(self, other, halves=None):
-        # halves: _split(self.hi), shared by the products of one division
-        p, e = _two_prod(self.hi, other.hi, halves)
+        other = self._coerce(other)
+        p, e = _two_prod(self.hi, other.hi, self._halves(), other._halves())
         e = e + (self.hi * other.lo + self.lo * other.hi)
         p, e = _quick_two_sum(p, e)
         return DD(p, e)
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
         other = self._coerce(other)
-        halves = _split(other.hi)
         q1 = self.hi / other.hi
-        r = self - other._times(DD(q1, 0.0), halves)
+        r = self - other * DD(q1, 0.0)
         q2 = r.hi / other.hi
-        r = r - other._times(DD(q2, 0.0), halves)
+        r = r - other * DD(q2, 0.0)
         q3 = r.hi / other.hi
         s, e = _quick_two_sum(q1, q2)
         return DD(s, e) + DD(q3, 0.0)

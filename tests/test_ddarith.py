@@ -1,9 +1,11 @@
-"""Double-double arithmetic: the constant paths are the full-array formulas.
+"""Double-double arithmetic: every shortcut gives the plain formulas' bits.
 
-A float constant operand runs the DD formulas with scalar words, and a
-division splits its divisor once. These tests compare every such path,
-bit for bit and signed zeros included, with a copy of the formulas that
-spelled constants out as full arrays and split the divisor per product.
+A float constant operand runs the DD formulas with scalar words, a value
+splits its high word once however many products read it, and the
+error-free transformations write their intermediates in place. These tests
+compare every such path, bit for bit and signed zeros and NaN signs
+included, with a copy of the formulas in expression form that spells
+constants out as full arrays and splits each factor per product.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ from gyrokit.sampling import directions
 
 
 class _RefDD:
-    """The DD formulas with constants as ``np.full_like`` arrays."""
+    """The DD formulas in expression form, with constants as
+    ``np.full_like`` arrays and each factor split per product."""
 
     def __init__(self, hi, lo=None):
         self.hi = np.asarray(hi, dtype=np.float64)
@@ -27,12 +30,12 @@ class _RefDD:
 
     def __add__(self, other):
         other = self._coerce(other)
-        s, e = dd._two_sum(self.hi, other.hi)
-        t, f = dd._two_sum(self.lo, other.lo)
+        s, e = _ref_two_sum(self.hi, other.hi)
+        t, f = _ref_two_sum(self.lo, other.lo)
         e = e + t
-        s, e = dd._quick_two_sum(s, e)
+        s, e = _ref_quick_two_sum(s, e)
         e = e + f
-        s, e = dd._quick_two_sum(s, e)
+        s, e = _ref_quick_two_sum(s, e)
         return _RefDD(s, e)
 
     __radd__ = __add__
@@ -50,7 +53,7 @@ class _RefDD:
         other = self._coerce(other)
         p, e = _ref_two_prod(self.hi, other.hi)
         e = e + (self.hi * other.lo + self.lo * other.hi)
-        p, e = dd._quick_two_sum(p, e)
+        p, e = _ref_quick_two_sum(p, e)
         return _RefDD(p, e)
 
     __rmul__ = __mul__
@@ -62,7 +65,7 @@ class _RefDD:
         q2 = r.hi / other.hi
         r = r - other * _RefDD(q2)
         q3 = r.hi / other.hi
-        s, e = dd._quick_two_sum(q1, q2)
+        s, e = _ref_quick_two_sum(q1, q2)
         return _RefDD(s, e) + _RefDD(q3)
 
     def __rtruediv__(self, other):
@@ -75,15 +78,31 @@ class _RefDD:
         half_r = 0.5 * r
         return a + _RefDD(err.hi * half_r, err.lo * half_r)
 
+    def __getitem__(self, idx):
+        return _RefDD(self.hi[idx], self.lo[idx])
+
+
+def _ref_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _ref_quick_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _ref_split(a):
+    ca = dd._SPLIT * a
+    ah = ca - (ca - a)
+    return ah, a - ah
+
 
 def _ref_two_prod(a, b):
     p = a * b
-    ca = dd._SPLIT * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = dd._SPLIT * b
-    bh = cb - (cb - b)
-    bl = b - bh
+    ah, al = _ref_split(a)
+    bh, bl = _ref_split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -100,9 +119,9 @@ def _rows(kind, n=600, seed=0):
 
 def _operands(kind):
     """Pairs (new, reference) of the same DD values, with and without a low
-    word: a coordinate, two dot products, 1 - |u|^2, and two values that are
-    not finite on some rows, 1/|u|^2 (zero rows) and 1/gamma (outside the
-    ball)."""
+    word: a coordinate, two dot products, 1 - |u|^2, and three values that
+    are not finite on some rows, 1/|u|^2 (zero rows, NaN), 1/gamma (outside
+    the ball, NaN) and the float64 1/u_0 lifted (zero rows, inf)."""
     u, v = _rows(kind, seed=1), _rows(kind, seed=2)
     out = []
     with np.errstate(all="ignore"):
@@ -112,7 +131,8 @@ def _operands(kind):
             uu = U[0] * U[0] + U[1] * U[1] + U[2] * U[2]
             uv = U[0] * V[0] + U[1] * V[1] + U[2] * V[2]
             g = 1.0 - uu
-            out.append([U[0], uu, uv, g, 1.0 / uu, g.sqrt() if kind != "zero" else g])
+            out.append([U[0], uu, uv, g, 1.0 / uu, g.sqrt() if kind != "zero" else g,
+                        cls(1.0 / u[:, 0])])
     return list(zip(*out))
 
 
@@ -162,3 +182,37 @@ def test_sqrt_of_an_exact_zero_is_zero():
     # 1/gamma of a point on the unit sphere
     u = [dd.DD(np.array([1.0])), dd.DD(np.array([0.0])), dd.DD(np.array([0.0]))]
     assert (1.0 - dd.dot(u, u)).sqrt().value().tolist() == [0.0]
+
+
+def _factor_uses(x, y, rx, ry):
+    """Products and quotients that read x and y as factors several times,
+    and sums that read them again, each against the reference; then the
+    split that each factor kept is the reference split of its high word."""
+    for got, want, what in ((x * y, rx * ry, "x * y"), (y * x, ry * rx, "y * x"),
+                            (x * x, rx * rx, "x * x"), (x / y, rx / ry, "x / y"),
+                            (y / x, ry / rx, "y / x"), (x + y, rx + ry, "x + y"),
+                            (y - x, ry - rx, "y - x")):
+        assert _same(got, want), what
+    for value in (x, y):
+        kept, want = value._halves(), _ref_split(value.hi)
+        assert all(k.tobytes() == w.tobytes() for k, w in zip(kept, want))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_value_read_as_a_factor_many_times_matches_the_formulas(kind):
+    # x and y keep their splits from their first product on; a negation or
+    # a slice of them is a new value that splits its own high word. A
+    # negation that took its operand's split, negated, would keep the wrong
+    # split of -0.0, which is (-0.0, +0.0), not (-0.0, -0.0), and of every
+    # value whose low half is zero (-1.0, say); on the rows where 1/u_0 is
+    # inf, its products would also carry NaNs of the other sign
+    idx = np.arange(3, 600, 7)
+    ops = _operands(kind)
+    with np.errstate(all="ignore"):
+        for x, rx in ops:
+            for y, ry in ops:
+                _factor_uses(x, y, rx, ry)
+                _factor_uses(-x, y, -rx, ry)
+                _factor_uses(-x, -y, -rx, -ry)
+                _factor_uses(x[idx], y[idx], rx[idx], ry[idx])
+                _factor_uses(x, y, rx, ry)  # the originals keep their own splits

@@ -320,6 +320,42 @@ def test_each_point_takes_its_squared_norm_and_its_1_over_gamma_once(monkeypatch
     assert roots[0] == 3 * blocks
 
 
+# -- the stressed rows run in even blocks --------------------------------------
+
+
+@pytest.mark.parametrize("block", [7, 8])
+def test_stressed_rows_run_in_even_double_double_blocks(monkeypatch, block):
+    # k = block + 1 stressed rows run in two double-double blocks whose
+    # sizes differ by at most one (steps of block rows would leave one of a
+    # single row), and the report is that of one whole-stream block; with
+    # no stressed row, no block runs and nothing is lifted
+    m, tol0 = EinsteinModel(), ToleranceConfig(abs_tol=0.0, rel_tol=0.0)
+    k = block + 1
+    streams = m.sample_operands(np.random.default_rng(4), k, 3, ToleranceConfig())
+    lifts, real_lift = [], models._BallExtended.lift
+
+    def lift(self, x):
+        lifts.append(len(x))
+        return real_lift(self, x)
+
+    def report():
+        lifts.clear()
+        result = run_law_check(m, "G3_gyroassociativity", law_g3, streams, tol0)
+        return canonical_json(result.to_dict())
+
+    monkeypatch.setattr(models._BallExtended, "lift", lift)
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", -1.0)
+    assert core._LAW_BLOCK_ROWS >= k
+    whole = report()
+    assert lifts == [k] * 3  # one block: each of x, y, z lifted once
+    monkeypatch.setattr(core, "_LAW_BLOCK_ROWS", block)
+    assert report() == whole
+    assert lifts == [k // 2] * 3 + [k - k // 2] * 3
+    monkeypatch.setattr(core, "STRESS_NORM_FRACTION", 2.0)
+    report()
+    assert lifts == []
+
+
 # -- a law pass holds one block of working memory -----------------------------
 
 
