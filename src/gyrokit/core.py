@@ -358,8 +358,8 @@ def run_law_group(model, names, law, streams, rules):
     stressed rows are then re-evaluated in double-double, the k of them in
     ceil(k / ``_LAW_BLOCK_ROWS``) blocks of nearly equal size, the rules
     reading their points lowered to float64; each block overwrites its
-    rows' residuals and flags. Each verdict is taken over the whole stream, exactly as if both
-    passes had run on it in one piece.
+    rows' residuals and flags. Each verdict is taken over the whole stream,
+    exactly as if both passes had run on it in one piece.
 
     Streams are read by ``len``, by unit-step slice (the blocks) and by
     integer index (the stressed rows and the witness) only, so a stream

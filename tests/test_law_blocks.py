@@ -4,9 +4,10 @@
 stream rows. These tests pin that the block size cannot change a report,
 the chain suites' included, that no model kernel is handed more than one
 block, that the chain checks redo their stressed rows in double-double as
-the law suites do, that a law pass's working memory is one block's
-whatever the stream length, and that the in-place sampling arithmetic
-draws the same bits as the broadcast expressions it replaced.
+the law suites do, in blocks of nearly equal size, that a law pass's
+working memory is one block's whatever the stream length, and that the
+in-place sampling arithmetic draws the same bits as the broadcast
+expressions it replaced.
 """
 
 import contextlib
