@@ -395,9 +395,9 @@ def _redo_stressed(ext, law, streams, rules, stressed, residual, ok):
     ``stressed``, in ceil(k / ``_LAW_BLOCK_ROWS``) blocks of nearly equal
     size (none when k = 0): each block's points, lowered to float64,
     overwrite its rows' residuals and flags. Even blocks keep the largest
-    no larger than it must be, since each DD value that a product reads
-    keeps its split. Neither a block's points nor the row indices outlive
-    the pass."""
+    block, and with it the splits that its DD values keep, as small as the
+    block count allows. Neither a block's points nor the row indices
+    outlive the pass."""
     def redone(at):  # the law on the rows at, its points lowered to float64
         return [tuple(map(ext.lower, p)) for p in law(ext, *[ext.lift(s[at]) for s in streams])]
 
